@@ -131,11 +131,11 @@ def test_lockstep_wallclock(run_once, monkeypatch):
     # Warm the kernel path (provider build, imports) outside the timings.
     simulate_tage_lockstep(traces[0][1], _make_cells(0)[:2])
 
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "pure")
-    independent_results, independent_seconds, independent_rows = run_once(
-        lambda: _run_independent(traces, warmup)
-    )
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "auto")
+    with monkeypatch.context() as pinned:
+        pinned.setenv(compiled.PROVIDER_ENV, "none")
+        independent_results, independent_seconds, independent_rows = run_once(
+            lambda: _run_independent(traces, warmup)
+        )
     lockstep_results, lockstep_seconds, lockstep_rows = _run_lockstep(
         traces, warmup
     )

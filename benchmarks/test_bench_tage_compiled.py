@@ -2,15 +2,14 @@
 
 Runs the paper's central cell — TAGE-16K with the storage-free
 observation estimator — over the Table-1 (CBP-1) trace suite with the
-pure-Python batched kernel and again with the best available compiled
-provider (Numba when the ``[compiled]`` extra is installed, the
-embedded-C build otherwise), asserts strict bit-identity, and emits
-``benchmarks/records/BENCH_tage_compiled.json``.
+pure-Python kernel (``REPRO_COMPILED_PROVIDER=none``) and again with
+the embedded-C build (``cext``), asserts strict bit-identity, and
+emits ``benchmarks/records/BENCH_tage_compiled.json``.
 
 Both timed regions run over the *same* precomputed index/tag planes, so
-the ratio isolates exactly what the compiled providers replace: the
-sequential per-branch update loop.  Boxes with no provider at all
-(no Numba, no C compiler) skip — there is nothing to measure.
+the ratio isolates exactly what the C build replaces: the sequential
+per-branch update loop.  Boxes without a C compiler skip — there is
+nothing to measure.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ SPEEDUP_TARGET = bench_speedup_target()
 SIZE = "16K"
 
 
-def _run_suite(workload, kernel_mode: str,
+def _run_suite(workload, provider: str,
                monkeypatch) -> tuple[list, float, list[dict]]:
     """The TAGE×observation cell over every prepared trace, one kernel."""
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, kernel_mode)
+    monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
     warmup = bench_branches() // 4
     results = []
     per_trace = []
@@ -78,17 +77,17 @@ def test_tage_compiled_wallclock(run_once, monkeypatch):
         )
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
-        monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
+        monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")
         predictor = build_predictor(SIZE)
         simulate_tage_fast(workload[0][1], predictor,
                            TageConfidenceEstimator(predictor),
                            planes=workload[0][2])
 
     pure_results, pure_seconds, pure_rows = run_once(
-        lambda: _run_suite(workload, "pure", monkeypatch)
+        lambda: _run_suite(workload, "none", monkeypatch)
     )
     compiled_results, compiled_seconds, compiled_rows = _run_suite(
-        workload, "compiled", monkeypatch
+        workload, "cext", monkeypatch
     )
 
     # Bit-for-bit equivalence, class breakdowns included.

@@ -29,8 +29,9 @@ Usage (``python -m repro <command>``):
   the scenario-zoo trace sources).
 * ``capability`` — report, per backend, whether one (predictor,
   estimator) cell is supported, which compiled kernel provider would
-  run it under the current ``--kernel`` mode, and whether it can join
-  a lockstep batch (see :meth:`repro.sim.backends.Backend.capability`).
+  run it under the current ``REPRO_COMPILED_PROVIDER`` setting, and
+  whether it can join a lockstep batch (see
+  :meth:`repro.sim.backends.Backend.capability`).
 * ``serve`` — run the multi-tenant confidence server until SIGINT or
   SIGTERM, then drain gracefully (see :mod:`repro.serve`).
 * ``drive`` — load-drive a running server with open- or closed-loop
@@ -48,7 +49,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import signal
 import sys
 import uuid
@@ -134,21 +134,6 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
                              "Sec-6.2 control included) bit-exactly and falls "
                              "back to 'reference' (with a warning) only for "
                              "subclassed components or >62-bit histories")
-    parser.add_argument("--kernel", choices=("auto", "pure", "compiled"),
-                        default=None,
-                        help="fast-backend kernel mode (sets $REPRO_KERNEL "
-                             "for this invocation, workers included): 'auto' "
-                             "uses a compiled build when one is available, "
-                             "'pure' pins the Python kernels, 'compiled' "
-                             "requires a provider (Numba or the C "
-                             "translation) and warns once if none resolves; "
-                             "all modes are bit-identical")
-
-
-def _apply_kernel_mode(args) -> None:
-    """Export ``--kernel`` so this process and its workers agree."""
-    if getattr(args, "kernel", None) is not None:
-        os.environ["REPRO_KERNEL"] = args.kernel
 
 
 def _materialization_dir(args):
@@ -357,10 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive", action="store_true",
         help="attach the Sec-6.2 adaptive saturation controller",
     )
-    capability_cmd.add_argument(
-        "--kernel", choices=("auto", "pure", "compiled"), default=None,
-        help="evaluate under this $REPRO_KERNEL mode",
-    )
 
     lint_cmd = commands.add_parser(
         "lint",
@@ -472,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run_trace(args) -> int:
-    _apply_kernel_mode(args)
     trace = _get_trace(args.name, args.branches)
     predictor = build_predictor(
         args.size, automaton=args.automaton, sat_prob_log2=args.sat_prob_log2
@@ -488,7 +468,6 @@ def _cmd_run_trace(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
-    _apply_kernel_mode(args)
     results = run_suite(
         args.suite,
         size=args.size,
@@ -515,7 +494,6 @@ _DEFAULT_SWEEP_TRACES = ("INT-1", "MM-1", "SERV-1", "300.twolf")
 
 
 def _cmd_sweep(args) -> int:
-    _apply_kernel_mode(args)
     lockstep = False if args.no_lockstep else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume is not None:
@@ -633,7 +611,6 @@ def _print_sweep(args, run, cache) -> int:
 
 
 def _cmd_paper(args) -> int:
-    _apply_kernel_mode(args)
     if args.list_artifacts:
         rows = [
             [spec.key, spec.paper_element, spec.kind, spec.title]
@@ -743,13 +720,13 @@ def _cmd_list_traces(args) -> int:
 
 
 def _cmd_capability(args) -> int:
-    _apply_kernel_mode(args)
     from repro.serve.state import SessionSpec
-    from repro.sim.fast.compiled import kernel_mode, provider_unavailable_reason
+    from repro.sim.fast.compiled import provider_unavailable_reason
 
     try:
         spec = SessionSpec(tenant="cli", predictor=args.predictor,
                            estimator=args.estimator, adaptive=args.adaptive)
+        reason = provider_unavailable_reason()
     except ValueError as error:
         raise SystemExit(str(error)) from None
     rows = []
@@ -768,10 +745,8 @@ def _cmd_capability(args) -> int:
         ("backend", "supported", "compiled", "provider", "lockstep", "notes"),
         rows,
         title=f"{args.predictor} x {args.estimator}"
-              + (" + adaptive" if args.adaptive else "")
-              + f" (kernel mode: {kernel_mode()})",
+              + (" + adaptive" if args.adaptive else ""),
     ))
-    reason = provider_unavailable_reason()
     if reason is not None:
         print(f"compiled provider: unavailable ({reason})")
     return 0

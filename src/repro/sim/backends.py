@@ -102,11 +102,11 @@ class Capability:
     exact wording the fallback warning uses; ``fallback`` names the
     backend that will silently take over (the reference engine never
     refuses, so its capabilities carry no fallback).  ``compiled``
-    reports whether a compiled kernel build (Numba or the C
-    translation) would execute this cell under the current
-    ``REPRO_KERNEL`` mode, with ``compiled_provider`` naming the
-    provider; ``lockstep`` reports whether the cell can join a
-    multi-cell lockstep batch (shared-plane TAGE cells).
+    reports whether the C kernel build would execute this cell under
+    the current ``REPRO_COMPILED_PROVIDER`` setting, with
+    ``compiled_provider`` naming the provider (``cext``);
+    ``lockstep`` reports whether the cell can join a multi-cell
+    lockstep batch (shared-plane TAGE cells).
 
     Truthiness is the verdict: ``if backend.capability(cell): ...``.
     """

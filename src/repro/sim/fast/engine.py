@@ -92,33 +92,10 @@ __all__ = [
     "vectorized_predictions",
     "vectorized_assessments",
     "cell_capability",
-    "supports_predictor",
-    "supports_estimator",
-    "unsupported_reason",
-    "binary_unsupported_reason",
 ]
-
-#: The predictor types the fast backend reproduces bit-exactly.
-_FAST_PREDICTORS = (
-    BimodalPredictor,
-    GsharePredictor,
-    LocalHistoryPredictor,
-    TagePredictor,
-    PerceptronPredictor,
-    OgehlPredictor,
-)
 
 #: The sum-based predictors whose kernels also emit self-confidence.
 _SUM_PREDICTORS = (PerceptronPredictor, OgehlPredictor)
-
-
-#: The estimator types the fast backend reproduces bit-exactly.
-_FAST_ESTIMATORS = (
-    JrsEstimator,
-    EnhancedJrsEstimator,
-    SelfConfidenceEstimator,
-    TageConfidenceEstimator,
-)
 
 
 def _predictor_reason(predictor) -> str | None:
@@ -240,9 +217,9 @@ def cell_capability(cell) -> "Capability":
     points, the sweep executor's warn-once fallback pass, the serve
     layer and the CLI all read the same verdict (and the same ``reason``
     wording) from here.  Beyond the verdict it reports *how* the cell
-    would run: whether a compiled kernel build serves it under the
-    current ``REPRO_KERNEL`` mode (and which provider), and whether it
-    can join a multi-cell lockstep batch.
+    would run: whether the C kernel build serves it under the current
+    ``REPRO_COMPILED_PROVIDER`` setting (and which provider), and
+    whether it can join a multi-cell lockstep batch.
     """
     from repro.sim.backends import Capability
     from repro.sim.fast import compiled
@@ -270,9 +247,7 @@ def cell_capability(cell) -> "Capability":
     # are already vectorized NumPy end to end.  Lockstep batching fuses
     # accuracy-protocol TAGE cells sharing one plane geometry.
     compiled_eligible = type(cell.predictor) in (TagePredictor, OgehlPredictor)
-    provider = None
-    if compiled_eligible and compiled.kernel_mode() != "pure":
-        provider = compiled.active_provider()
+    provider = compiled.active_provider() if compiled_eligible else None
     return Capability(
         backend="fast",
         supported=True,
@@ -280,53 +255,6 @@ def cell_capability(cell) -> "Capability":
         compiled_provider=provider,
         lockstep=not cell.binary and type(cell.predictor) is TagePredictor,
     )
-
-
-def _deprecated(old: str, new: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"repro.sim.fast.{old} is deprecated; query "
-        f"{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def supports_predictor(predictor) -> bool:
-    """Deprecated: use ``get_backend('fast').capability(Cell(...))``.
-
-    Exact-type membership in the fast predictor family (a subclass may
-    override behaviour the vectorized path would silently ignore).
-    """
-    _deprecated("supports_predictor", "get_backend('fast').capability(cell)")
-    return type(predictor) in _FAST_PREDICTORS
-
-
-def supports_estimator(estimator) -> bool:
-    """Deprecated: use ``get_backend('fast').capability(Cell(...))``.
-
-    Exact-type membership across all three estimator protocols (binary
-    JRS family, storage-free self-confidence, multi-class TAGE
-    observation).
-    """
-    _deprecated("supports_estimator", "get_backend('fast').capability(cell)")
-    return type(estimator) in _FAST_ESTIMATORS
-
-
-def unsupported_reason(predictor, estimator=None, controller=None) -> str | None:
-    """Deprecated: read ``capability(cell).reason`` instead."""
-    _deprecated("unsupported_reason",
-                "get_backend('fast').capability(cell).reason")
-    return _unsupported_reason(predictor, estimator=estimator,
-                               controller=controller)
-
-
-def binary_unsupported_reason(predictor, estimator) -> str | None:
-    """Deprecated: read ``capability(cell).reason`` (``binary=True``)."""
-    _deprecated("binary_unsupported_reason",
-                "get_backend('fast').capability(cell).reason")
-    return _binary_unsupported_reason(predictor, estimator)
 
 
 def _bimodal_predictions(

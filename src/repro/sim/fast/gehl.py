@@ -33,14 +33,15 @@ enforced by ``tests/equivalence/test_gehl_differential.py``.  Like the
 rest of the fast backend, the predictor instances are only read for
 configuration and stay in their power-on state.
 
-The scalar O-GEHL loop below is one side of the ``ogehl-run`` parity
-group: the region between its ``repro: parity-begin`` and ``repro:
-parity-end`` comments must change in lockstep with its twin
-translations in :mod:`repro.sim.fast.compiled` (flat restatement and
-embedded-C mirror).  All sides record the same group fingerprint, so
-``repro lint`` (rule RPR004) fails when any side drifts until every
-translation is revisited and re-stamped — see
-:mod:`repro.analysis.rules.parity`.
+The scalar O-GEHL loop below is the reference translation and the
+fallback when no C compiler is present; :func:`ogehl_fast_run` calls
+its one twin, the embedded-C mirror in :mod:`repro.sim.fast.compiled`,
+whenever the C build resolves.  The two form the ``ogehl-run`` parity
+group: the region between the ``repro: parity-begin`` and ``repro:
+parity-end`` comments must change in lockstep with the C side.  Both
+record the same group fingerprint, so ``repro lint`` (rule RPR004)
+fails when one side drifts until both are revisited and re-stamped —
+see :mod:`repro.analysis.rules.parity`.
 """
 
 from __future__ import annotations
@@ -204,8 +205,8 @@ def ogehl_fast_run(
     ctr_max = predictor._ctr_max
     ctr_min = predictor._ctr_min
 
-    kernel, provider = compiled.resolve_ogehl_kernel()
-    if provider is not None and n > 0:
+    kernel = compiled.resolve_ogehl_kernel()
+    if kernel is not None and n > 0:
         takens64 = np.ascontiguousarray(arrays.takens, dtype=np.int64)
         predictions_u8 = np.zeros(n, dtype=np.uint8)
         high_u8 = np.zeros(n, dtype=np.uint8)
@@ -213,7 +214,7 @@ def ogehl_fast_run(
                predictor.log_entries, predictions_u8, high_u8)
         return predictions_u8.astype(bool), high_u8.astype(bool)
 
-    # repro: parity-begin ogehl-run/pure fingerprint=d0071cbe
+    # repro: parity-begin ogehl-run/pure fingerprint=2528c251
     plane_lists = [row.tolist() for row in planes]
     tables = [[0] * (1 << predictor.log_entries) for _ in range(n_tables)]
     # Power-on threshold (``predictor.threshold`` is live TC state the

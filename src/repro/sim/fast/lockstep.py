@@ -8,9 +8,9 @@ geometry ``(log_bimodal, component geometries)`` that determines the
 precomputed index/tag planes.  Running those cells as independent jobs
 re-walks (and on first touch, re-computes) the same planes once per
 cell; running them *in lockstep* decodes the planes once and advances
-every cell through a single batched kernel pass.  With a compiled
-provider that pass is one C/Numba call for the whole group — the
-multiplicative win the ROADMAP names (compiled × batched).
+every cell through a single batched kernel pass.  With the C build
+that pass is one C call for the whole group — the multiplicative win
+of compiled × batched.
 
 Cells never interact — each owns its table state — so a lockstep batch
 is bit-identical to the same cells run independently (enforced by

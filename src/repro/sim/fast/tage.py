@@ -29,16 +29,17 @@ apps layer replays (:func:`observe_tage_fast`).
 The predictor and estimator instances are only read for configuration
 and are left in their power-on state, like the rest of the fast backend.
 
-The sequential loop below is one side of the ``tage-batch`` parity
-group: the region between its ``repro: parity-begin`` and ``repro:
-parity-end`` comments must change in lockstep with its twin
-translations in :mod:`repro.sim.fast.compiled` (the flat batched
-restatement and the embedded-C mirror).  Every side records the same
-group-wide fingerprint, so ``repro lint`` (rule RPR004) fails when any
-side changes until the author has visited every translation, re-run
-the differential suites, and stamped the new fingerprint printed in
-the finding — see :mod:`repro.analysis.rules.parity` for the
-convention.
+The sequential loop below is the reference translation of the TAGE
+kernel and the fallback when no C compiler is present; its one twin is
+the embedded-C mirror in :mod:`repro.sim.fast.compiled`, which
+:func:`_run_batch` calls instead whenever the C build resolves.  The
+two form the ``tage-batch`` parity group: the region between the
+``repro: parity-begin`` and ``repro: parity-end`` comments must change
+in lockstep with the C side.  Both record the same group-wide
+fingerprint, so ``repro lint`` (rule RPR004) fails when one side
+changes until the author has updated the other, re-run the
+differential suites, and stamped the new fingerprint printed in the
+finding — see :mod:`repro.analysis.rules.parity` for the convention.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def resolve_planes(
     return cache.load_or_compute(arrays, geometry)
 
 
-# repro: parity-begin tage-batch/pure fingerprint=dac68809
+# repro: parity-begin tage-batch/pure fingerprint=8b663460
 def _kernel(
     config,
     planes: TagePlanes,
@@ -509,8 +510,7 @@ def _batch_arrays(planes: TagePlanes, n_tagged: int):
 
 
 def _run_batch(planes: TagePlanes, cells, want_predictions: bool,
-               want_classes: bool, mode: str | None = None,
-               kernel_override=None):
+               want_classes: bool):
     """Run a batch of independent TAGE cells over one shared plane set.
 
     ``cells`` is a list of ``(config, estimator_window, max_strength,
@@ -518,26 +518,21 @@ def _run_batch(planes: TagePlanes, cells, want_predictions: bool,
     the plane geometry of ``planes``.  Returns the :func:`_kernel`
     result tuple per cell, in order.
 
-    In pure mode this is a per-cell :func:`_kernel` loop (the list-based
-    original out-runs flat NumPy indexing under CPython); with a
-    compiled provider the whole batch is one kernel call.
-    ``kernel_override`` forces a specific flat-signature kernel (the
-    differential tests pin the un-jitted flat restatement this way).
+    Without the C build this is a per-cell :func:`_kernel` loop; with
+    it the whole batch is one C call.
     """
-    kernel = kernel_override
+    kernel = compiled.resolve_tage_kernel()
     if kernel is None:
-        kernel, provider = compiled.resolve_tage_kernel(mode)
-        if provider is None:
-            return [
-                _kernel(
-                    config, planes, estimator_window, max_strength, warmup,
-                    want_predictions, initial_k=initial_k,
-                    controller_params=controller_params,
-                    want_classes=want_classes,
-                )
-                for (config, estimator_window, max_strength, warmup,
-                     initial_k, controller_params) in cells
-            ]
+        return [
+            _kernel(
+                config, planes, estimator_window, max_strength, warmup,
+                want_predictions, initial_k=initial_k,
+                controller_params=controller_params,
+                want_classes=want_classes,
+            )
+            for (config, estimator_window, max_strength, warmup,
+                 initial_k, controller_params) in cells
+        ]
     n = len(planes)
     n_tagged = cells[0][0].n_tagged
     takens, bim_idx, idx_planes, tag_planes = _batch_arrays(planes, n_tagged)

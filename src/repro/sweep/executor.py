@@ -704,7 +704,7 @@ def run_sweep(
                 progress(
                     f"materializations: {planes_after} plane file(s) in "
                     f"{materialization_dir} ({planes_after - planes_before} new, "
-                    f"{planes_before} reused from disk)"
+                    f"{planes_before} already on disk)"
                 )
 
         if journal is not None:

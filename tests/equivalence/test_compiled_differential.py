@@ -1,13 +1,13 @@
-"""Kernel-mode differentials: pure vs compiled builds, bit for bit.
+"""Kernel differentials: the pure and C translations, bit for bit.
 
 The compiled layer (:mod:`repro.sim.fast.compiled`) may run the TAGE
-and O-GEHL inner loops through Numba or the embedded C translation;
-every mode must reproduce the reference engine exactly — saturating
+and O-GEHL inner loops through the embedded C translation; both legs —
+``REPRO_COMPILED_PROVIDER=none`` (the pure reference kernels) and
+``cext`` — must reproduce the reference engine exactly: saturating
 arithmetic, the LFSR probabilistic-automaton draws, allocation
 xorshift, the §6.2 in-kernel controller, warmup splits and class
-accounting included.  Each compiled leg auto-skips when its provider
-cannot load (no Numba installed, no C compiler on PATH), so the suite
-passes warning-free on any box while exercising whatever is available.
+accounting included.  The ``cext`` leg skips when no C compiler is on
+PATH, so the suite passes warning-free on any box.
 """
 
 from __future__ import annotations
@@ -46,37 +46,33 @@ CONFIGS = [
                                             sat_prob_log2=3)),
 ]
 
-#: Every selectable kernel leg; compiled providers skip when absent.
-KERNEL_LEGS = ("pure", "cext", "numba")
+#: The two kernel legs; ``cext`` skips when the C build is unavailable.
+KERNEL_LEGS = ("none", "cext")
 
 
 @pytest.fixture(params=KERNEL_LEGS)
 def kernel_leg(request, monkeypatch):
-    """Pin one kernel mode for the duration of a test.
+    """Pin one kernel for the duration of a test.
 
-    The provider resolution is memoized per forced ``$REPRO_COMPILED_
-    PROVIDER`` value, so flipping the env var between tests is cheap
-    and never rebuilds the shared library.
+    The provider resolution is memoized per ``$REPRO_COMPILED_PROVIDER``
+    value, so flipping the env var between tests is cheap and never
+    rebuilds the shared library.
     """
     leg = request.param
-    if leg == "pure":
-        monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "pure")
-    else:
-        monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
-        monkeypatch.setenv(compiled.PROVIDER_ENV, leg)
-        if compiled.active_provider() != leg:
-            pytest.skip(f"compiled provider {leg!r} unavailable "
-                        f"({compiled.provider_unavailable_reason()})")
+    monkeypatch.setenv(compiled.PROVIDER_ENV, leg)
+    if leg == "cext" and compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
     return leg
 
 
-def test_some_compiled_leg_is_exercised():
+def test_compiled_leg_is_exercised():
     """The suite must not silently degrade to pure-only coverage: the
     C translation needs nothing but a C compiler, which CI always has."""
     if compiled.active_provider() is None:
         pytest.skip(f"no compiled provider on this box "
                     f"({compiled.provider_unavailable_reason()})")
-    assert compiled.active_provider() in compiled.COMPILED_PROVIDERS
+    assert compiled.active_provider() == "cext"
 
 
 @pytest.mark.parametrize("label,make_config", CONFIGS, ids=[l for l, _ in CONFIGS])
@@ -128,55 +124,32 @@ def test_ogehl_kernel_matches_reference(kernel_leg, int1_trace):
     assert run(simulate_binary_fast) == run(simulate_binary)
 
 
-def test_unknown_kernel_mode_is_rejected(monkeypatch):
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "turbo")
-    with pytest.raises(ValueError, match="REPRO_KERNEL"):
-        compiled.kernel_mode()
-
-
-def test_auto_mode_falls_back_silently(monkeypatch, tiny_trace):
-    """``auto`` without a provider runs pure with no warning at all."""
-    monkeypatch.delenv(compiled.KERNEL_MODE_ENV, raising=False)
+def test_pinned_pure_runs_silently(monkeypatch, tiny_trace):
+    """``none`` resolves no C kernel and runs pure with no warning."""
     monkeypatch.setenv(compiled.PROVIDER_ENV, "none")
     compiled._reset_missing_warning()
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
-        kernel, provider = compiled.resolve_tage_kernel()
-    assert provider is None
-    result = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
+        assert compiled.resolve_tage_kernel() is None
+        assert compiled.resolve_ogehl_kernel() is None
+        result = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
     assert result == simulate(tiny_trace, TagePredictor(TageConfig.small()))
+    assert "none" in compiled.provider_unavailable_reason()
 
 
-def test_compiled_mode_without_provider_warns_once(monkeypatch):
-    """Explicit ``compiled`` + no provider: one process-wide warning
-    naming the install remedy, then silence (the fix satellite)."""
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "compiled")
-    monkeypatch.setenv(compiled.PROVIDER_ENV, "none")
-    compiled._reset_missing_warning()
-    with pytest.warns(FastBackendFallbackWarning,
-                      match=r"pip install 'repro\[compiled\]'"):
-        compiled.resolve_tage_kernel()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FastBackendFallbackWarning)
-        compiled.resolve_tage_kernel()
-        compiled.resolve_ogehl_kernel()
-    compiled._reset_missing_warning()
-
-
-def test_prediction_streams_match_across_modes(int1_trace, monkeypatch):
-    """The apps-layer per-branch streams are mode-invariant too."""
+def test_prediction_streams_match_across_legs(int1_trace, monkeypatch):
+    """The apps-layer per-branch streams are kernel-invariant too."""
     from repro.sim.fast import TraceArrays, tage_fast_predictions
 
     arrays = TraceArrays.from_trace(int1_trace)
 
-    def run(mode):
-        monkeypatch.setenv(compiled.KERNEL_MODE_ENV, mode)
+    def run(leg):
+        monkeypatch.setenv(compiled.PROVIDER_ENV, leg)
         predictor = TagePredictor(TageConfig.small())
         return tage_fast_predictions(arrays, predictor)
 
-    pure = run("pure")
+    pure = run("none")
+    c = run("cext")
     if compiled.active_provider() is None:
         pytest.skip("no compiled provider on this box")
-    monkeypatch.delenv(compiled.PROVIDER_ENV, raising=False)
-    auto = run("auto")
-    assert np.array_equal(pure, auto)
+    assert np.array_equal(pure, c)

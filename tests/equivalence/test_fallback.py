@@ -94,6 +94,12 @@ def test_capability_estimator_truth_table():
     ogehl = OgehlPredictor()
     assert not _capability(ogehl, _SubclassedSelf(ogehl), binary=True)
 
+    oversized = _capability(
+        GsharePredictor(), JrsEstimator(history_length=80), binary=True
+    )
+    assert not oversized
+    assert "window width" in oversized.reason
+
 
 def test_capability_refusal_carries_reason_and_fallback():
     capability = _capability(_SubclassedBimodal())
@@ -124,18 +130,19 @@ def test_capability_reports_lockstep_for_tage_accuracy_cells():
     assert not _capability(OgehlPredictor()).lockstep
 
 
-def test_capability_compiled_flag_tracks_kernel_mode(monkeypatch):
+@pytest.mark.parametrize("provider", ["none", "cext"])
+def test_capability_compiled_flag_tracks_provider(monkeypatch, provider):
     from repro.sim.fast import compiled
 
+    monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
+    if provider == "cext" and compiled.active_provider() is None:
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
     tage = build_predictor("16K")
-    monkeypatch.setenv(compiled.KERNEL_MODE_ENV, "pure")
-    assert not _capability(tage, TageConfidenceEstimator(tage)).compiled
-
-    monkeypatch.delenv(compiled.KERNEL_MODE_ENV, raising=False)
     capability = _capability(tage, TageConfidenceEstimator(tage))
-    assert capability.compiled == (compiled.active_provider() is not None)
-    if capability.compiled:
-        assert capability.compiled_provider == compiled.active_provider()
+    assert capability.compiled == (provider == "cext")
+    assert capability.compiled_provider == compiled.active_provider()
+    assert not _capability(GsharePredictor()).compiled
 
 
 def test_reference_backend_supports_everything():
@@ -144,24 +151,6 @@ def test_reference_backend_supports_everything():
     )
     assert capability
     assert capability.fallback is None
-
-
-def test_deprecated_support_shims_warn_and_delegate():
-    from repro.sim import fast
-
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert fast.supports_predictor(BimodalPredictor())
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert not fast.supports_predictor(_SubclassedBimodal())
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert fast.supports_estimator(JrsEstimator())
-    with pytest.warns(DeprecationWarning, match="capability"):
-        assert fast.unsupported_reason(build_predictor("16K")) is None
-    with pytest.warns(DeprecationWarning, match="capability"):
-        reason = fast.binary_unsupported_reason(
-            GsharePredictor(), JrsEstimator(history_length=80)
-        )
-    assert "window width" in reason
 
 
 def test_fast_engine_raises_for_subclassed_tage(tiny_trace):

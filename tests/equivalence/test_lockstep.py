@@ -19,6 +19,7 @@ from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
 from repro.sim.fast import (
     LockstepCell,
+    compiled,
     simulate_tage_fast,
     simulate_tage_lockstep,
 )
@@ -64,9 +65,12 @@ def _make_cell(make_config, *, estimator=True, adaptive=False, warmup=0):
     return LockstepCell(predictor, est, controller, warmup)
 
 
-@pytest.mark.parametrize("kernel", ["pure", "auto"])
-def test_lockstep_matches_independent_runs(serv1_trace, monkeypatch, kernel):
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
+@pytest.mark.parametrize("provider", ["none", "cext"])
+def test_lockstep_matches_independent_runs(serv1_trace, monkeypatch, provider):
+    monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
+    if provider == "cext" and compiled.active_provider() is None:
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
     make_batch = lambda: (
         [_make_cell(make) for _, make in ABLATION]
         + [

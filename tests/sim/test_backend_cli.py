@@ -94,3 +94,16 @@ class TestCommands:
         assert second_out == first_out
         assert sorted(planes_dir.glob("*.npy")) == entries
         assert entries[0].stat().st_mtime_ns == stamp
+
+    def test_capability_reports_pinned_pure_kernels(self, monkeypatch, capsys):
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "none")
+        assert main(["capability", "--predictor", "tage-16K"]) == 0
+        out = capsys.readouterr().out
+        assert "REPRO_COMPILED_PROVIDER=none pins the pure-Python kernels" in out
+
+    def test_capability_rejects_unknown_provider_in_one_line(self, monkeypatch):
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "turbo")
+        with pytest.raises(SystemExit, match="unknown REPRO_COMPILED_PROVIDER"):
+            main(["capability", "--predictor", "tage-16K"])

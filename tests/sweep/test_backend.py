@@ -206,7 +206,8 @@ class TestPlaneMaterializations:
         # Geometry is shared between the standard and probabilistic
         # automaton, so two traces → two plane files, not four.
         assert len(list(planes_dir.glob("*.npy"))) == 2
-        assert any("materializations: 2 plane file(s)" in line for line in lines)
+        assert any("materializations: 2 plane file(s)" in line
+                   and "(2 new, 0 already on disk)" in line for line in lines)
 
     def test_second_run_reuses_memmaps_without_recompute(self, tmp_path, monkeypatch):
         pytest.importorskip("numpy")
