@@ -1,0 +1,133 @@
+"""End-to-end ``repro paper`` bench: cold quick runs at 1 and 2 workers.
+
+Not a paper figure — this bench times the headline workflow the way a
+user runs it: ``python -m repro paper --quick --backend fast --workers
+N`` as a fresh process on an empty result cache, wall-clock around the
+whole process.  Each leg runs :data:`ROUNDS` times and keeps its median
+wall; a fresh process per run means no leg inherits another's trace
+memo or plane files.
+
+The whole registry runs as one planned execution: every artifact's
+grids are deduplicated, lockstep-fused across artifacts and executed on
+one worker pool.  The bench asserts that shape (one pool at 2 workers,
+none at 1, fused jobs, byte-identical reports across worker counts) and
+writes ``benchmarks/records/BENCH_paper_e2e.json``:
+
+* ``wall_workers_1_s`` / ``wall_workers_2_s`` — median process walls;
+* ``parallel_speedup`` (the compared metric) — wall(1) / wall(2), so
+  1.0 means adding a worker costs nothing and more means it pays;
+* ``jobs_fused``, ``pools_spawned`` and ``distinct_traces`` of the
+  2-worker leg, plus the run's job accounting.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("numpy")
+
+from conftest import emit, record, run_once  # noqa: F401
+
+from repro.artifacts import REGISTRY, Scale
+from repro.sweep import expand
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Cold runs per leg; the median wall is recorded.
+ROUNDS = 5
+
+_FUSED = re.compile(r"^lockstep: fused (\d+) job\(s\)", re.MULTILINE)
+_POOL = re.compile(r"^broker: \d+ unit\(s\) on a pool of", re.MULTILINE)
+_SUMMARY = re.compile(
+    r"(\d+) artifact\(s\), (\d+) sweep jobs \((\d+) cached, (\d+) executed\)"
+)
+
+
+def _cold_run(workers: int, root: Path) -> tuple[float, str, bytes]:
+    """One cold ``repro paper --quick`` process: (wall, stdout, reports)."""
+    out = root / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "repro", "paper", "--quick", "--backend",
+            "fast", "--workers", str(workers), "--cache-dir",
+            str(root / "cache"), "--out", str(out)]
+    start = time.perf_counter()
+    completed = subprocess.run(argv, cwd=root, env=env, capture_output=True,
+                               text=True, check=True)
+    wall = time.perf_counter() - start
+    reports = b"".join((out / name).read_bytes()
+                       for name in ("PAPER_RESULTS.md", "paper_results.json"))
+    return wall, completed.stdout, reports
+
+
+def _distinct_traces(scale: Scale) -> int:
+    return len({
+        job.trace_key
+        for spec in REGISTRY.values()
+        for grid in spec.grids(scale)
+        for job in expand(grid).jobs
+    })
+
+
+def test_paper_e2e_parallel_speedup(run_once, tmp_path):
+    legs: dict[int, list[tuple[float, str, bytes]]] = {1: [], 2: []}
+
+    def measure():
+        for round_index in range(ROUNDS):
+            for workers in legs:
+                root = tmp_path / f"w{workers}-r{round_index}"
+                root.mkdir()
+                legs[workers].append(_cold_run(workers, root))
+
+    run_once(measure)
+
+    walls = {workers: statistics.median(wall for wall, _, _ in runs)
+             for workers, runs in legs.items()}
+    # Byte-identical reports across worker counts and rounds.
+    assert len({report for runs in legs.values() for _, _, report in runs}) == 1
+
+    serial_out, parallel_out = legs[1][0][1], legs[2][0][1]
+    assert not _POOL.search(serial_out)
+    pools = len(_POOL.findall(parallel_out))
+    assert pools == 1
+    fused = int(_FUSED.search(parallel_out)[1])
+    assert fused > 0
+    summary = _SUMMARY.search(parallel_out)
+    n_jobs, n_cached, n_executed = (int(summary[i]) for i in (2, 3, 4))
+    assert n_executed > 0 and n_jobs == n_cached + n_executed
+
+    speedup = walls[1] / walls[2]
+    payload = {
+        "bench": "paper_e2e",
+        "command": "repro paper --quick --backend fast (cold cache)",
+        "rounds": ROUNDS,
+        "cpu_count": os.cpu_count(),
+        "wall_workers_1_s": round(walls[1], 3),
+        "wall_workers_2_s": round(walls[2], 3),
+        "metric": "parallel_speedup",
+        "parallel_speedup": round(speedup, 3),
+        "jobs_fused": fused,
+        "pools_spawned": pools,
+        "distinct_traces": _distinct_traces(Scale.quick()),
+        "n_jobs": n_jobs,
+        "n_cached": n_cached,
+        "n_executed": n_executed,
+    }
+    record("paper_e2e", payload)
+    emit(
+        "paper_e2e",
+        "\n".join([
+            f"cold repro paper --quick: {n_jobs} jobs ({n_cached} cached, "
+            f"{n_executed} executed), {fused} fused, {pools} pool",
+            f"--workers 1: {walls[1]:.3f}s (median of {ROUNDS})",
+            f"--workers 2: {walls[2]:.3f}s (median of {ROUNDS})",
+            f"parallel speedup: {speedup:.2f}x",
+        ]),
+    )

@@ -3,10 +3,10 @@
 The package turns "reproduce the paper" into one command: a registry of
 declarative artifact specs (:mod:`repro.artifacts.registry` — Tables
 1-3, Figures 2-6, the §5.1/§6.2 running-text series, the configuration
-ablations, plus beyond-paper application scenarios), a shared sweep
-execution service (:mod:`repro.artifacts.service`) that funnels every
-grid through the cached sweep executor, and a runner
-(:mod:`repro.artifacts.runner`) that builds the whole set and emits
+ablations, plus beyond-paper application scenarios, each declaring its
+sweep grids), a sweep service (:mod:`repro.artifacts.service`) that
+executes every declared grid as one plan and serves them back, and a
+runner (:mod:`repro.artifacts.runner`) that builds the whole set and emits
 ``PAPER_RESULTS.md`` + ``paper_results.json`` with repro-vs-paper
 deltas.
 

@@ -1,10 +1,13 @@
 """The artifact registry: every paper element, declared exactly once.
 
-Each entry pairs a sweep grid (built through :func:`suite_grid` /
-:func:`observation_grid`, the single definition of every experiment grid
-in the repository — the benchmark suite consumes the same functions) with
-an aggregation into named numeric cells and the paper's expected values
-where the paper prints exact numbers.
+Each entry pairs its declared sweep grids (built through
+:func:`suite_grid` / :func:`observation_grid`, the single definition of
+every experiment grid in the repository — the benchmark suite consumes
+the same functions) with an aggregation into named numeric cells and the
+paper's expected values where the paper prints exact numbers.  One
+``_*_grids(scale)`` function per artifact is both its declaration
+(``ArtifactSpec.grid_map``) and the map its builder reads back, so the
+two cannot drift apart.
 
 Registered artifacts:
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 from repro.apps.fetch_gating import FetchGatingModel, GatingPolicy
 from repro.apps.smt_policy import SmtFetchModel, SmtPolicy
 from repro.artifacts.service import SweepService
-from repro.artifacts.spec import ArtifactPayload, ArtifactSpec, Scale
+from repro.artifacts.spec import ArtifactPayload, ArtifactSpec, Scale, no_grids
 from repro.confidence.classes import (
     CLASS_ORDER,
     LEVEL_ORDER,
@@ -235,12 +238,27 @@ def _bim_rate(result) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _build_table1(service: SweepService, scale: Scale) -> ArtifactPayload:
-    summaries = {
-        (size, suite): service.summary(suite_grid(suite, size, scale=scale))
+def _suite_grids(scale: Scale, **kwargs) -> dict[tuple[str, str], ExperimentSpec]:
+    """One :func:`suite_grid` per (size, suite) pair of the paper."""
+    return {
+        (size, suite): suite_grid(suite, size, scale=scale, **kwargs)
         for size in SIZES
         for suite in SUITES
     }
+
+
+def _summaries(service: SweepService, grids: dict) -> dict:
+    """Pooled suite summary of every grid of a label -> grid map."""
+    return {label: service.summary(spec) for label, spec in grids.items()}
+
+
+def _results(service: SweepService, grids: dict) -> dict:
+    """Per-trace results of every grid of a label -> grid map."""
+    return {label: service.results(spec) for label, spec in grids.items()}
+
+
+def _build_table1(service: SweepService, scale: Scale) -> ArtifactPayload:
+    summaries = _summaries(service, _suite_grids(scale))
     presets = {size: TageConfig.preset(size) for size in SIZES}
     text = format_table1(
         summaries,
@@ -255,18 +273,16 @@ def _build_table1(service: SweepService, scale: Scale) -> ArtifactPayload:
     return ArtifactPayload(text=text, cells=cells, data=summaries)
 
 
-def _confidence_summaries(
-    service: SweepService, scale: Scale, **kwargs
-) -> dict[tuple[str, str], SuiteSummary]:
-    return {
-        (size, suite): service.summary(suite_grid(suite, size, scale=scale, **kwargs))
-        for size in SIZES
-        for suite in SUITES
-    }
+def _table2_grids(scale: Scale) -> dict[tuple[str, str], ExperimentSpec]:
+    return _suite_grids(scale, automaton="probabilistic")
+
+
+def _table3_grids(scale: Scale) -> dict[tuple[str, str], ExperimentSpec]:
+    return _suite_grids(scale, adaptive=True)
 
 
 def _build_table2(service: SweepService, scale: Scale) -> ArtifactPayload:
-    summaries = _confidence_summaries(service, scale, automaton="probabilistic")
+    summaries = _summaries(service, _table2_grids(scale))
     text = format_confidence_table(
         summaries,
         title="Table 2 data - three confidence levels, modified automaton (p=1/128)",
@@ -275,7 +291,7 @@ def _build_table2(service: SweepService, scale: Scale) -> ArtifactPayload:
 
 
 def _build_table3(service: SweepService, scale: Scale) -> ArtifactPayload:
-    summaries = _confidence_summaries(service, scale, adaptive=True)
+    summaries = _summaries(service, _table3_grids(scale))
     text = format_confidence_table(
         summaries,
         title="Table 3 data - adaptive saturation probability, target < 10 MKP on high conf",
@@ -288,11 +304,16 @@ def _build_table3(service: SweepService, scale: Scale) -> ArtifactPayload:
 # ---------------------------------------------------------------------------
 
 
+def _distribution_grids(suite: str):
+    def grids(scale: Scale) -> dict[str, ExperimentSpec]:
+        return {size: suite_grid(suite, size, scale=scale) for size in SIZES}
+
+    return grids
+
+
 def _build_distribution_figure(suite: str, figure: str):
     def build(service: SweepService, scale: Scale) -> ArtifactPayload:
-        by_size = {
-            size: service.results(suite_grid(suite, size, scale=scale)) for size in SIZES
-        }
+        by_size = _results(service, _distribution_grids(suite)(scale))
         sections = [
             format_distribution_figure(
                 results,
@@ -310,13 +331,15 @@ def _build_distribution_figure(suite: str, figure: str):
 FIG5_PANELS = (("16K", "CBP1"), ("64K", "CBP2"), ("256K", "CBP1"))
 
 
-def _build_fig5(service: SweepService, scale: Scale) -> ArtifactPayload:
-    panels = {
-        (size, suite): service.results(
-            suite_grid(suite, size, scale=scale, automaton="probabilistic")
-        )
+def _fig5_grids(scale: Scale) -> dict[tuple[str, str], ExperimentSpec]:
+    return {
+        (size, suite): suite_grid(suite, size, scale=scale, automaton="probabilistic")
         for size, suite in FIG5_PANELS
     }
+
+
+def _build_fig5(service: SweepService, scale: Scale) -> ArtifactPayload:
+    panels = _results(service, _fig5_grids(scale))
     sections = [
         format_distribution_figure(
             results,
@@ -330,13 +353,20 @@ def _build_fig5(service: SweepService, scale: Scale) -> ArtifactPayload:
     return ArtifactPayload(text="\n\n".join(sections), cells=cells, data=panels)
 
 
-def _build_mprate_figure(automaton: str, figure: str, subtitle: str):
-    def build(service: SweepService, scale: Scale) -> ArtifactPayload:
-        results = service.results(
-            suite_grid(
+def _mprate_grids(automaton: str):
+    def grids(scale: Scale) -> dict[str, ExperimentSpec]:
+        return {
+            automaton: suite_grid(
                 "CBP2", "64K", scale=scale, names=FIGURE4_TRACE_NAMES, automaton=automaton
             )
-        )
+        }
+
+    return grids
+
+
+def _build_mprate_figure(automaton: str, figure: str, subtitle: str):
+    def build(service: SweepService, scale: Scale) -> ArtifactPayload:
+        (results,) = _results(service, _mprate_grids(automaton)(scale)).values()
         text = format_mprate_figure(
             results, title=f"Figure {figure} data - MKP per class, 64Kbits, {subtitle}"
         )
@@ -352,10 +382,9 @@ def _build_mprate_figure(automaton: str, figure: str, subtitle: str):
 
 def _build_sec51(service: SweepService, scale: Scale) -> ArtifactPayload:
     rows: dict[tuple[str, str], tuple[float, float]] = {}
-    for size in SIZES:
-        for suite in SUITES:
-            for result in service.results(suite_grid(suite, size, scale=scale)):
-                rows[(size, result.trace_name)] = (_bim_rate(result), result.mkp)
+    for (size, _), results in _results(service, _suite_grids(scale)).items():
+        for result in results:
+            rows[(size, result.trace_name)] = (_bim_rate(result), result.mkp)
     table_rows = [
         [size, trace, f"{bim:.1f}", f"{overall:.1f}"]
         for (size, trace), (bim, overall) in rows.items()
@@ -382,15 +411,17 @@ def _build_sec51(service: SweepService, scale: Scale) -> ArtifactPayload:
 SEC62_SWEEP_LOG2 = (10, 7, 4, 2)
 
 
-def _build_sec62(service: SweepService, scale: Scale) -> ArtifactPayload:
-    summaries = {
-        k: service.summary(
-            suite_grid(
-                "CBP1", "16K", scale=scale, automaton="probabilistic", sat_prob_log2=k
-            )
+def _sec62_grids(scale: Scale) -> dict[int, ExperimentSpec]:
+    return {
+        k: suite_grid(
+            "CBP1", "16K", scale=scale, automaton="probabilistic", sat_prob_log2=k
         )
         for k in SEC62_SWEEP_LOG2
     }
+
+
+def _build_sec62(service: SweepService, scale: Scale) -> ArtifactPayload:
+    summaries = _summaries(service, _sec62_grids(scale))
     rows = []
     cells: dict[str, float] = {}
     for k, summary in summaries.items():
@@ -414,15 +445,17 @@ def _build_sec62(service: SweepService, scale: Scale) -> ArtifactPayload:
 ALT_ON_NA_TRACES = ("INT-1", "INT-4", "MM-2", "SERV-2", "300.twolf")
 
 
-def _build_alt_on_na(service: SweepService, scale: Scale) -> ArtifactPayload:
-    variants = {
-        label: service.summary(
-            observation_grid(
-                ALT_ON_NA_TRACES, "64K", scale=scale, use_alt_on_na_enabled=enabled
-            )
+def _alt_on_na_grids(scale: Scale) -> dict[str, ExperimentSpec]:
+    return {
+        label: observation_grid(
+            ALT_ON_NA_TRACES, "64K", scale=scale, use_alt_on_na_enabled=enabled
         )
         for label, enabled in (("enabled", True), ("disabled", False))
     }
+
+
+def _build_alt_on_na(service: SweepService, scale: Scale) -> ArtifactPayload:
+    variants = _summaries(service, _alt_on_na_grids(scale))
     rows = [
         [
             label,
@@ -447,15 +480,17 @@ BIM_WINDOWS = (0, 4, 8, 16)
 BIM_WINDOW_TRACES = ("SERV-1", "SERV-3", "INT-2", "MM-2")
 
 
-def _build_bim_window(service: SweepService, scale: Scale) -> ArtifactPayload:
-    sweeps = {
-        window: service.summary(
-            observation_grid(
-                BIM_WINDOW_TRACES, "16K", scale=scale, bim_miss_window=window
-            )
+def _bim_window_grids(scale: Scale) -> dict[int, ExperimentSpec]:
+    return {
+        window: observation_grid(
+            BIM_WINDOW_TRACES, "16K", scale=scale, bim_miss_window=window
         )
         for window in BIM_WINDOWS
     }
+
+
+def _build_bim_window(service: SweepService, scale: Scale) -> ArtifactPayload:
+    sweeps = _summaries(service, _bim_window_grids(scale))
     rows = []
     cells: dict[str, float] = {}
     for window, summary in sweeps.items():
@@ -491,13 +526,15 @@ _CTR_WIDTH_VARIANTS = (
 )
 
 
-def _build_ctr_width(service: SweepService, scale: Scale) -> ArtifactPayload:
-    variants = {
-        label: service.summary(
-            observation_grid(CTR_WIDTH_TRACES, "64K", scale=scale, **overrides)
-        )
+def _ctr_width_grids(scale: Scale) -> dict[str, ExperimentSpec]:
+    return {
+        label: observation_grid(CTR_WIDTH_TRACES, "64K", scale=scale, **overrides)
         for label, _, overrides in _CTR_WIDTH_VARIANTS
     }
+
+
+def _build_ctr_width(service: SweepService, scale: Scale) -> ArtifactPayload:
+    variants = _summaries(service, _ctr_width_grids(scale))
     rows = []
     cells: dict[str, float] = {}
     for label, shown, _ in _CTR_WIDTH_VARIANTS:
@@ -559,8 +596,16 @@ def zoo_adversarial_grid(*, scale: Scale) -> ExperimentSpec:
     )
 
 
+def _zoo_grids(scale: Scale) -> dict[str, ExperimentSpec]:
+    return {
+        "observation": zoo_observation_grid(scale=scale),
+        "adversarial": zoo_adversarial_grid(scale=scale),
+    }
+
+
 def _build_scenario_zoo(service: SweepService, scale: Scale) -> ArtifactPayload:
-    results = service.results(zoo_observation_grid(scale=scale))
+    grids = _zoo_grids(scale)
+    results = service.results(grids["observation"])
     high = LEVEL_ORDER[0]
     obs_rows = []
     cells: dict[str, float] = {}
@@ -581,7 +626,7 @@ def _build_scenario_zoo(service: SweepService, scale: Scale) -> ArtifactPayload:
         title="Beyond paper - scenario zoo, TAGE 16Kbits observation",
     )
 
-    adversarial_rows = service.sweep(zoo_adversarial_grid(scale=scale)).table.rows()
+    adversarial_rows = service.sweep(grids["adversarial"]).table.rows()
     adv_rows = []
     for row in adversarial_rows:
         # Empty high-confidence sets count as precision 1.0 (no
@@ -769,7 +814,8 @@ _SEC62_PAPER = {
 }
 
 
-def _spec(key, title, paper_element, kind, description, build, paper_values=None):
+def _spec(key, title, paper_element, kind, description, build, paper_values=None,
+          grids=no_grids):
     return ArtifactSpec(
         key=key,
         title=title,
@@ -778,6 +824,7 @@ def _spec(key, title, paper_element, kind, description, build, paper_values=None
         description=description,
         build=build,
         paper_values=paper_values or {},
+        grid_map=grids,
     )
 
 
@@ -794,6 +841,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "history ranges and mean misprediction rates on CBP-1/CBP-2.",
             _build_table1,
             _TABLE1_PAPER,
+            grids=_suite_grids,
         ),
         _spec(
             "TABLE2",
@@ -804,6 +852,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "(size, suite) pair with probabilistic counter saturation.",
             _build_table2,
             _TABLE2_PAPER,
+            grids=_table2_grids,
         ),
         _spec(
             "TABLE3",
@@ -814,6 +863,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "misprediction rate for extra high-confidence coverage.",
             _build_table3,
             _TABLE3_PAPER,
+            grids=_table3_grids,
         ),
         _spec(
             "FIG2",
@@ -823,6 +873,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "Per-class prediction coverage and misp/KI contribution for "
             "each CBP-1 trace at all three predictor sizes.",
             _build_distribution_figure("CBP1", "2"),
+            grids=_distribution_grids("CBP1"),
         ),
         _spec(
             "FIG3",
@@ -832,6 +883,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "Per-class prediction coverage and misp/KI contribution for "
             "each CBP-2 trace at all three predictor sizes.",
             _build_distribution_figure("CBP2", "3"),
+            grids=_distribution_grids("CBP2"),
         ),
         _spec(
             "FIG4",
@@ -842,6 +894,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "(64 Kbits): Stag sits near the application average, which "
             "motivates the modified automaton.",
             _build_mprate_figure("standard", "4", "standard automaton"),
+            grids=_mprate_grids("standard"),
         ),
         _spec(
             "FIG5",
@@ -851,6 +904,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "The three paper panels (16K/CBP-1, 64K/CBP-2, 256K/CBP-1) "
             "with 1/128 probabilistic saturation.",
             _build_fig5,
+            grids=_fig5_grids,
         ),
         _spec(
             "FIG6",
@@ -860,6 +914,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "Versus Figure 4: probabilistic saturation purifies the Stag "
             "class to a very low misprediction rate.",
             _build_mprate_figure("probabilistic", "6", "modified automaton"),
+            grids=_mprate_grids("probabilistic"),
         ),
         _spec(
             "SEC51_BIM",
@@ -872,6 +927,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             f"{CLEAN_BIM_MKP} MKP for reduced-scale runs (paper: 1 MKP).",
             _build_sec51,
             _SEC51_PAPER,
+            grids=_suite_grids,
         ),
         _spec(
             "SEC62_PROB",
@@ -882,6 +938,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "saturation probability grows, 16 Kbits on CBP-1.",
             _build_sec62,
             _SEC62_PAPER,
+            grids=_sec62_grids,
         ),
         _spec(
             "ABL_ALT_ON_NA",
@@ -891,6 +948,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "Disabling the alternate-prediction monitor must not improve "
             "accuracy; weak tagged entries stay unreliable either way.",
             _build_alt_on_na,
+            grids=_alt_on_na_grids,
         ),
         _spec(
             "ABL_BIM_WINDOW",
@@ -900,6 +958,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "Growing W cleans high-conf-bim at the cost of high-confidence "
             "coverage; W=0 disables the medium class entirely.",
             _build_bim_window,
+            grids=_bim_window_grids,
         ),
         _spec(
             "ABL_CTR_WIDTH",
@@ -909,6 +968,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "Widening the tagged counter neither purifies Stag the way "
             "probabilistic saturation does nor improves accuracy.",
             _build_ctr_width,
+            grids=_ctr_width_grids,
         ),
         _spec(
             "APP_FETCH_GATING",
@@ -943,6 +1003,7 @@ REGISTRY: dict[str, ArtifactSpec] = {
             "where high-confidence precision collapses versus the "
             "synthetic baseline.",
             _build_scenario_zoo,
+            grids=_zoo_grids,
         ),
     )
 }

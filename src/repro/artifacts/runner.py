@@ -1,11 +1,25 @@
 """The ``repro paper`` pipeline: run the registry, emit the reports.
 
-:func:`run_paper` executes a selection of registered artifacts through
-one shared :class:`~repro.artifacts.service.SweepService` — so
-overlapping grids simulate once, every job lands in the on-disk sweep
-cache (TAGE plane memmaps included), and an immediate re-run is served
-entirely from cache (``PaperRun.fully_cached``).  The run fails loudly
-on any missing or non-finite artifact cell.
+:func:`run_paper` builds a selection of registered artifacts in four
+phases:
+
+1. **collect** — every artifact declares its sweep grids up front
+   (:meth:`~repro.artifacts.spec.ArtifactSpec.grids`);
+2. **plan** — the union becomes one
+   :class:`~repro.sweep.executor.ExecutionPlan`: deduplicated by job
+   spec hash, probed against the on-disk cache once and lockstep-fused
+   across artifacts;
+3. **execute** — one broker, one worker pool and one journal
+   (``<cache>/runs/<run-id>.jsonl``) run the whole plan, dispatching
+   it trace by trace;
+4. **render** — each builder reads its grids' results back from the
+   executed plan through the shared
+   :class:`~repro.artifacts.service.SweepService`.
+
+Every job lands in the on-disk sweep cache (TAGE plane memmaps
+included), so an immediate re-run is served entirely from cache
+(``PaperRun.fully_cached``).  The run fails loudly on any missing or
+non-finite artifact cell.
 
 :func:`write_reports` renders the outcome twice:
 
@@ -81,8 +95,10 @@ def build_artifact(
     service: SweepService,
     scale: Scale,
 ) -> ArtifactResult:
-    """Build one artifact through a shared sweep service."""
+    """Build one artifact through a shared sweep service, executing
+    whichever of its declared grids the service has not run yet."""
     spec = key if isinstance(key, ArtifactSpec) else get_artifact(key)
+    service.execute(spec.grids(scale))
     payload = spec.build(service, scale)
     return ArtifactResult(
         spec=spec,
@@ -217,19 +233,23 @@ def run_paper(
         validate: raise :class:`ArtifactValidationError` on any missing
             or non-finite cell (the CI contract); pass False to inspect
             a broken run.
-        run_id: journal namespace for the pipeline's sweeps (each grid
-            journals under ``<run_id>.<spec_hash>``); an interrupted
-            ``repro paper`` invocation resumes with the same id.
-        resume: continue any journals ``run_id`` left behind; grids
-            without a journal simply start fresh.
+        run_id: names the run's one journal, ``<cache>/runs/<run_id>.jsonl``
+            (auto-generated when omitted); an interrupted ``repro paper``
+            invocation resumes with the same id.
+        resume: continue the journal ``run_id`` left behind (the same
+            selection and scale must re-plan the same jobs); a missing
+            journal starts fresh.
     """
     scale = scale or Scale.full()
     specs = select_artifacts(keys)
     service = SweepService(
         workers=workers, cache=cache, backend=backend, progress=progress,
-        run_id=run_id, resume=resume,
     )
     start = time.perf_counter()
+    service.execute(
+        (grid for spec in specs for grid in spec.grids(scale)),
+        run_id=run_id, resume=resume,
+    )
     results = []
     for spec in specs:
         if progress:

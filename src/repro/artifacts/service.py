@@ -1,20 +1,24 @@
-"""Shared sweep execution for artifact builders.
+"""Planned sweep execution for artifact builders.
 
-A :class:`SweepService` is the single execution funnel of one pipeline
-invocation (or one benchmark session): every artifact builder hands its
-:class:`~repro.sweep.spec.ExperimentSpec` grids to :meth:`SweepService.sweep`
-and gets a completed :class:`~repro.sweep.result.ResultTable` back.  Two
-sharing layers sit underneath:
+A :class:`SweepService` is the execution funnel of one pipeline
+invocation (or one benchmark session).  It runs in two steps:
 
-* **in-process memoization** keyed by spec hash — Table 1, Figure 2 and
-  §5.1 all need the standard-automaton CBP-1 sweeps and only the first
-  requester pays for them;
-* the **on-disk job cache** (:class:`~repro.sweep.cache.ResultCache`)
-  passed through to :func:`~repro.sweep.executor.run_sweep` — distinct
-  specs with overlapping cells (Figure 4's trace subset inside
-  Figure 3's full suite) share per-job entries, fast-backend TAGE jobs
-  share plane memmaps under ``<cache>/planes``, and an immediate re-run
-  of the whole pipeline executes nothing at all.
+* :meth:`SweepService.execute` takes every grid the artifacts declare
+  (:meth:`~repro.artifacts.spec.ArtifactSpec.grids`), builds one
+  :class:`~repro.sweep.executor.ExecutionPlan` over those not served
+  yet and runs it through :func:`~repro.sweep.executor.execute_plan`:
+  the union is deduplicated by job spec hash and probed against the
+  on-disk :class:`~repro.sweep.cache.ResultCache` once, lockstep-fused
+  across artifacts, and executed on one worker pool that writes one
+  journal;
+* builders then read each grid's :class:`~repro.sweep.executor.SweepRun`
+  back through :meth:`SweepService.sweep` (or :meth:`results` /
+  :meth:`summary`), served from the executed plans' result maps
+  (grid spec hash -> run).
+
+A grid nobody declared still works: it executes on request as a
+one-grid plan.  ``repro paper`` never takes that path — a test holds
+every builder's requests equal to its declaration.
 
 The service also owns the run accounting the ``repro paper`` CLI and CI
 rely on: after a pipeline pass, ``n_executed == 0`` proves the run was
@@ -23,19 +27,19 @@ fully cache-served.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.sim.backends import DEFAULT_BACKEND, validate_backend
 from repro.sim.stats import SuiteSummary
 from repro.sweep.cache import ResultCache
-from repro.sweep.executor import SweepRun, run_sweep
+from repro.sweep.executor import ExecutionPlan, SweepRun, execute_plan
 from repro.sweep.spec import ExperimentSpec
 
 __all__ = ["SweepService"]
 
 
 class SweepService:
-    """Memoizing front-end to :func:`run_sweep` for one artifact session."""
+    """Plans, executes and serves the sweep grids of one artifact session."""
 
     def __init__(
         self,
@@ -43,8 +47,6 @@ class SweepService:
         cache: ResultCache | None = None,
         backend: str = DEFAULT_BACKEND,
         progress: Callable[[str], None] | None = None,
-        run_id: str | None = None,
-        resume: bool = False,
         max_retries: int = 2,
     ) -> None:
         validate_backend(backend)
@@ -52,38 +54,47 @@ class SweepService:
         self.cache = cache
         self.backend = backend
         self.progress = progress
-        self.run_id = run_id
-        self.resume = resume
         self.max_retries = max_retries
         self._runs: dict[str, SweepRun] = {}
 
-    def sweep(self, spec: ExperimentSpec) -> SweepRun:
-        """Execute (or replay) one grid; memoized by spec hash.
+    def execute(
+        self,
+        specs: Iterable[ExperimentSpec],
+        *,
+        run_id: str | None = None,
+        resume: bool = False,
+    ) -> None:
+        """Execute every grid not served yet as one plan.
 
-        The service's backend overrides the spec's: the backend is
-        bit-for-bit result-invariant and excluded from every hash, so
-        the memo key and the on-disk entries are shared either way.
-
-        When the service carries a ``run_id``, each distinct grid
-        journals under ``<run_id>.<spec_hash>`` — one pipeline
-        invocation produces one resumable journal per sweep, and
-        ``resume=True`` continues any of them that were interrupted
-        (grids whose journal is absent just start fresh).
+        The service's backend overrides the specs': the backend is
+        bit-for-bit result-invariant and excluded from every hash.
+        ``run_id`` names the plan's journal, ``<cache>/runs/<run_id>.jsonl``,
+        and ``resume=True`` continues it (a missing journal starts fresh).
         """
+        pending = [
+            spec.with_options(backend=self.backend)
+            for spec in specs
+            if spec.spec_hash() not in self._runs
+        ]
+        if not pending:
+            return
+        self._runs.update(execute_plan(
+            ExecutionPlan.of(pending),
+            workers=self.workers,
+            cache=self.cache,
+            progress=self.progress,
+            run_id=run_id,
+            resume=resume,
+            max_retries=self.max_retries,
+        ))
+
+    def sweep(self, spec: ExperimentSpec) -> SweepRun:
+        """One grid's executed sweep, executing it first when no plan
+        has (an undeclared grid)."""
         key = spec.spec_hash()
-        run = self._runs.get(key)
-        if run is None:
-            run = run_sweep(
-                spec.with_options(backend=self.backend),
-                workers=self.workers,
-                cache=self.cache,
-                progress=self.progress,
-                run_id=f"{self.run_id}.{key}" if self.run_id else None,
-                resume=self.resume,
-                max_retries=self.max_retries,
-            )
-            self._runs[key] = run
-        return run
+        if key not in self._runs:
+            self.execute((spec,))
+        return self._runs[key]
 
     def results(self, spec: ExperimentSpec):
         """Raw per-job engine results of a grid, in grid order."""
@@ -106,12 +117,13 @@ class SweepService:
 
     @property
     def n_cached(self) -> int:
-        """Cells served from the on-disk result cache."""
+        """Cells served without simulation (from the on-disk cache or by
+        a duplicate cell of the same plan)."""
         return sum(run.n_cached for run in self.runs)
 
     @property
     def n_executed(self) -> int:
-        """Cells actually simulated (0 == fully cache-served)."""
+        """Distinct jobs actually simulated (0 == fully cache-served)."""
         return sum(run.n_executed for run in self.runs)
 
     def describe(self) -> str:

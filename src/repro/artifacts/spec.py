@@ -4,9 +4,10 @@ An *artifact* is one reproducible element of the paper — a table, a
 figure series, a running-text ablation, or a beyond-paper application
 scenario.  Each :class:`ArtifactSpec` declares
 
-* which sweep grids it needs (implicitly, through its builder, which
-  requests :class:`~repro.sweep.spec.ExperimentSpec` grids from the
-  shared :class:`~repro.artifacts.service.SweepService`),
+* which sweep grids it needs (:meth:`ArtifactSpec.grids`, declared up
+  front so one pipeline run can plan, deduplicate and execute every
+  artifact's grids together; the builder then reads each grid back
+  from the shared :class:`~repro.artifacts.service.SweepService`),
 * how the raw sweep output is aggregated into named numeric *cells*
   (machine-readable, one flat ``str -> number`` mapping per artifact),
 * the expected *paper values* for the cells the paper reports exactly,
@@ -31,6 +32,7 @@ from typing import Any, Callable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.artifacts.service import SweepService
+    from repro.sweep.spec import ExperimentSpec
 
 __all__ = [
     "Scale",
@@ -102,6 +104,11 @@ class ArtifactPayload:
     data: Any = None
 
 
+def no_grids(scale: Scale) -> dict:
+    """The grid map of an artifact that runs no sweeps."""
+    return {}
+
+
 @dataclass(frozen=True)
 class ArtifactSpec:
     """One registered paper artifact.
@@ -113,10 +120,11 @@ class ArtifactSpec:
             ``"beyond paper"``...).
         kind: one of :data:`ARTIFACT_KINDS`.
         description: longer context shown in PAPER_RESULTS.md.
-        build: ``(service, scale) -> ArtifactPayload``; requests its
-            sweep grids from the service so overlapping artifacts share
-            executions and the on-disk job cache.
+        build: ``(service, scale) -> ArtifactPayload``; reads its
+            sweep grids back from the service, which executed them.
         paper_values: expected paper numbers for a subset of the cells.
+        grid_map: ``scale -> {label: ExperimentSpec}``, the grids the
+            builder requests (application artifacts declare none).
     """
 
     key: str
@@ -126,6 +134,13 @@ class ArtifactSpec:
     description: str
     build: Callable[["SweepService", Scale], ArtifactPayload] = field(repr=False)
     paper_values: Mapping[str, float] = field(default_factory=dict)
+    grid_map: Callable[[Scale], Mapping[Any, "ExperimentSpec"]] = field(
+        default=no_grids, repr=False
+    )
+
+    def grids(self, scale: Scale) -> tuple["ExperimentSpec", ...]:
+        """The sweep grids this artifact's builder requests at ``scale``."""
+        return tuple(self.grid_map(scale).values())
 
     def __post_init__(self) -> None:
         if not self.key or self.key != self.key.upper():

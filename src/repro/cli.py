@@ -279,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     paper_cmd.add_argument(
         "--run-id", default=None, metavar="ID",
-        help="journal namespace for the pipeline's sweeps (each grid "
-             "journals under <ID>.<spec-hash>); required for --resume",
+        help="name the invocation's one journal, <cache>/runs/<ID>.jsonl "
+             "(default: <plan-hash>-<random>); required for --resume",
     )
     paper_cmd.add_argument(
         "--resume", action="store_true",
         help="continue an interrupted `repro paper --run-id ID` "
-             "invocation: sweeps with a journal resume, the rest start "
-             "fresh",
+             "invocation (same --only/--quick/--branches): journaled jobs "
+             "are served from the cache, only the rest execute",
     )
 
     gen_cmd = commands.add_parser("gen-trace", help="write a trace file")
@@ -648,8 +648,9 @@ def _cmd_paper(args) -> int:
     except SweepInterrupted as interrupted:
         print(f"\ninterrupted: {interrupted.n_done} job(s) done, "
               f"{interrupted.n_pending} pending (journal checkpointed)")
-        if args.run_id:
-            print(f"resume with: repro paper --run-id {args.run_id} --resume")
+        if interrupted.run_id:
+            print(f"resume with: repro paper --run-id {interrupted.run_id} "
+                  "--resume")
         return 130
     except (UnknownArtifactError, ArtifactValidationError, ValueError,
             JournalError) as error:

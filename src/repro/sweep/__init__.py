@@ -31,9 +31,18 @@ with backoff, quarantines deterministic ones, and
 :func:`resume_sweep` (``repro sweep --resume <run-id>``) continues an
 interrupted run bit-identically from the journal plus cache.
 
+Several grids run together as one
+:class:`~repro.sweep.executor.ExecutionPlan`
+(:func:`~repro.sweep.executor.execute_plan`): their cells are
+deduplicated by job, probed against the cache once, lockstep-fused
+across grids and executed on one worker pool with one journal — how
+``repro paper`` runs every artifact; :func:`run_sweep` is the
+one-grid case.
+
 Module map: :mod:`~repro.sweep.spec` (declarative specs + hashing),
 :mod:`~repro.sweep.grid` (expansion + compatibility filtering),
-:mod:`~repro.sweep.executor` (single-job entry point + sweep API),
+:mod:`~repro.sweep.executor` (single-job entry point, execution plans
++ sweep API),
 :mod:`~repro.sweep.broker` (dispatch, supervision, retry, quarantine),
 :mod:`~repro.sweep.worker` (worker process loop + heartbeats),
 :mod:`~repro.sweep.journal` (crash-safe run journal),

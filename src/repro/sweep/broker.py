@@ -1,8 +1,11 @@
 """The sweep broker: dispatch, supervise, retry, quarantine, checkpoint.
 
-:class:`Broker` owns the execution of a sweep's pending jobs.  It spawns
-:mod:`repro.sweep.worker` processes (one pair of pipes each), assigns
-jobs to idle workers, and classifies everything that can go wrong:
+:class:`Broker` owns the execution of a plan's pending work units.  It
+spawns :mod:`repro.sweep.worker` processes (one pair of pipes each),
+assigns units to idle workers — trace by trace, keeping each worker on
+the trace its per-process memo holds, and handing a reporting worker
+its next unit before storing the report — and classifies everything
+that can go wrong:
 
 * **transient failures** (worker-reported ``transient`` errors, worker
   *crashes* — the process died holding a job — and *stalls* — the
@@ -46,7 +49,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Callable
+from typing import Callable, Collection
 
 from repro.sweep.faults import FaultInjector, TransientJobError
 from repro.sweep.journal import RunJournal
@@ -161,12 +164,16 @@ class _WorkerSlot:
         task_r.close()
         result_w.close()
         self.busy = None
+        #: The trace of the last unit assigned: the one this process's
+        #: trace memo holds warm (none yet in a fresh process).
+        self.trace: tuple[str, int] | None = None
         self.last_beat = time.monotonic()
 
     def assign(self, index: int, attempt: int,
                job: JobSpec | LockstepBatch) -> None:
         self.task_w.send((index, attempt, job))
         self.busy = (index, attempt, job)
+        self.trace = job.trace_key
         self.last_beat = time.monotonic()
 
     def kill(self) -> None:
@@ -210,6 +217,48 @@ class _JobState:
     job: JobSpec | LockstepBatch
     attempt: int = 0
     history: list[str] = field(default_factory=list)
+
+
+class _ReadyQueue:
+    """Dispatchable unit indices, queued per trace, handed out with
+    trace affinity.
+
+    A worker keeps draining the trace it last ran, whose synthesized
+    trace its per-process memo still holds.  When that runs dry it
+    takes the first trace no other worker is on (first-appearance
+    order), and only once every queued trace has a worker does it join
+    the one with the longest backlog — so each trace's units run back
+    to back and each trace is synthesized by as few workers as
+    possible.
+    """
+
+    def __init__(self, pending: list[tuple[int, JobSpec | LockstepBatch]]) -> None:
+        self._trace = {index: unit.trace_key for index, unit in pending}
+        self._queues: dict[tuple[str, int], deque[int]] = {}
+        for index, _ in pending:
+            self.push(index)
+
+    def __bool__(self) -> bool:
+        return any(self._queues.values())
+
+    def push(self, index: int) -> None:
+        self._queues.setdefault(self._trace[index], deque()).append(index)
+
+    def push_front(self, index: int) -> None:
+        self._queues.setdefault(self._trace[index], deque()).appendleft(index)
+
+    def pop(self, trace: tuple[str, int] | None,
+            taken: Collection = frozenset()) -> int:
+        """The next unit for a worker last on ``trace``, while other
+        workers are on the traces in ``taken``."""
+        queue = self._queues.get(trace)
+        if not queue:
+            queued = [key for key, pending in self._queues.items() if pending]
+            free = [key for key in queued if key not in taken]
+            queue = self._queues[free[0] if free else max(
+                queued, key=lambda key: len(self._queues[key])
+            )]
+        return queue.popleft()
 
 
 def _unit_members(index: int, unit: JobSpec | LockstepBatch):
@@ -375,7 +424,12 @@ class Broker:
         restore = self._install_signal_handlers()
         try:
             if self.config.workers == 1 or len(pending) == 1:
+                self._log(f"broker: {len(pending)} unit(s) in process")
                 return self._run_inline(pending)
+            self._log(
+                f"broker: {len(pending)} unit(s) on a pool of "
+                f"{min(self.config.workers, len(pending))} worker(s)"
+            )
             return self._run_pool(pending)
         finally:
             restore()
@@ -387,7 +441,8 @@ class Broker:
         results: dict[int, JobResult] = {}
         quarantined: list[QuarantinedJob] = []
         retry_heap: list[tuple[float, int]] = []
-        ready = deque(index for index, _ in pending)
+        ready = _ReadyQueue(pending)
+        trace = None
         while ready or retry_heap:
             if self._stop.is_set():
                 self._raise_interrupted(results, states)
@@ -396,10 +451,11 @@ class Broker:
                 wait = due - time.monotonic()
                 if wait > 0 and self._stop.wait(wait):
                     self._raise_interrupted(results, states)
-                ready.append(index)
+                ready.push(index)
                 continue
-            index = ready.popleft()
+            index = ready.pop(trace)
             state = states[index]
+            trace = state.job.trace_key
             try:
                 self.injector.pre_job(index, state.attempt)
                 outcome = execute_work(state.job)
@@ -423,12 +479,24 @@ class Broker:
         results: dict[int, JobResult] = {}
         quarantined: list[QuarantinedJob] = []
         retry_heap: list[tuple[float, int]] = []
-        ready = deque(index for index, _ in pending)
+        ready = _ReadyQueue(pending)
         n_workers = min(self.config.workers, len(pending))
         slots = [_WorkerSlot(i, self._ctx, self.config) for i in range(n_workers)]
 
         def outstanding() -> int:
             return len(states) - len(self._settled)
+
+        def dispatch(slot: _WorkerSlot) -> None:
+            if slot.busy is None and ready and not self._stop.is_set():
+                index = ready.pop(
+                    slot.trace, {other.trace for other in slots if other is not slot}
+                )
+                state = states[index]
+                try:
+                    slot.assign(index, state.attempt, state.job)
+                except (BrokenPipeError, OSError):
+                    # Dead before dispatch: requeue, respawn below.
+                    ready.push_front(index)
 
         try:
             while outstanding() > 0:
@@ -436,17 +504,11 @@ class Broker:
                     self._raise_interrupted(results, states)
                 now = time.monotonic()
                 while retry_heap and retry_heap[0][0] <= now:
-                    ready.append(heapq.heappop(retry_heap)[1])
+                    ready.push(heapq.heappop(retry_heap)[1])
                 for slot in slots:
-                    if slot.busy is None and ready:
-                        index = ready.popleft()
-                        state = states[index]
-                        try:
-                            slot.assign(index, state.attempt, state.job)
-                        except (BrokenPipeError, OSError):
-                            # Dead before dispatch: requeue, respawn below.
-                            ready.appendleft(index)
-                self._drain_results(slots, states, results, quarantined, retry_heap)
+                    dispatch(slot)
+                self._drain_results(slots, states, results, quarantined,
+                                    retry_heap, dispatch)
                 self._supervise(slots, states, results, quarantined, retry_heap,
                                 outstanding)
         finally:
@@ -454,8 +516,14 @@ class Broker:
                 slot.shutdown()
         return results, quarantined
 
-    def _drain_results(self, slots, states, results, quarantined, retry_heap):
-        """Wait briefly for worker messages and apply them."""
+    def _drain_results(self, slots, states, results, quarantined, retry_heap,
+                       dispatch):
+        """Wait briefly for worker messages and apply them.
+
+        A worker that reports is handed its next unit (``dispatch``)
+        before the broker stores and journals the report, so it computes
+        while the broker does that I/O.
+        """
         by_conn = {slot.result_r: slot for slot in slots}
         timeout = self.config.poll_interval
         if retry_heap:
@@ -475,9 +543,10 @@ class Broker:
                 except (EOFError, OSError):
                     break  # death handled by _supervise via is_alive()
                 self._apply(slot, message, states, results, quarantined,
-                            retry_heap)
+                            retry_heap, dispatch)
 
-    def _apply(self, slot, message, states, results, quarantined, retry_heap):
+    def _apply(self, slot, message, states, results, quarantined, retry_heap,
+               dispatch=None):
         kind = message[0]
         if kind == "beat":
             slot.last_beat = time.monotonic()
@@ -486,6 +555,8 @@ class Broker:
             _, _, index, attempt, outcome, _elapsed = message
             slot.busy = None
             slot.last_beat = time.monotonic()
+            if dispatch is not None:
+                dispatch(slot)
             self._complete(index, states[index], outcome, results)
             return
         if kind == "failed":

@@ -9,21 +9,26 @@ job's backend — vectorized batch execution for ``backend="fast"`` cells
 the fast engine supports, the per-branch reference loop (after a
 :class:`~repro.sim.backends.FastBackendFallbackWarning`) for the rest.
 
-:func:`run_sweep` drives a whole :class:`ExperimentSpec`: expand the
-grid, serve cache hits, execute the misses through the supervised
+There is one way to execute a set of grids: describe them as an
+:class:`ExecutionPlan` (expand every grid, deduplicate the union of
+their cells by job spec hash) and hand it to :func:`execute_plan`,
+which serves cache hits, executes the misses through one supervised
 :class:`~repro.sweep.broker.Broker` (journaled, heartbeat-monitored
 worker processes with retry/backoff, quarantine and straggler
-re-dispatch — see :mod:`repro.sweep.broker`), and aggregate into a
-:class:`~repro.sweep.result.ResultTable` in stable grid order.  Because
-every job carries its own deterministic seed (or relies on the
-components' fixed built-in seeds), results are bit-for-bit identical for
-any worker count — and for any retry/crash/re-dispatch history.
+re-dispatch — see :mod:`repro.sweep.broker`) and returns each grid's
+:class:`SweepRun`, its :class:`~repro.sweep.result.ResultTable` in
+stable grid order.
+:func:`run_sweep` is that path with a one-grid plan; ``repro paper``
+runs every artifact's grids as one plan.  Because every job carries
+its own deterministic seed (or relies on the components' fixed
+built-in seeds), results are bit-for-bit identical for any worker
+count — and for any retry/crash/re-dispatch history.
 
-When a cache is attached, every run also appends a crash-safe
+When a cache is attached, every plan also appends one crash-safe
 :class:`~repro.sweep.journal.RunJournal` under ``<cache root>/runs``;
 :func:`resume_sweep` (the ``repro sweep --resume <run-id>`` entry)
-rebuilds the spec from that journal and re-runs *only* the unfinished
-jobs, serving completed ones bit-identically from the cache.
+rebuilds a one-grid plan from that journal and re-runs *only* the
+unfinished jobs, serving completed ones bit-identically from the cache.
 
 Two fast-backend refinements happen before fan-out: unsupported fast
 cells are probed once per distinct (predictor, estimator, adaptive)
@@ -31,7 +36,7 @@ cell and downgraded to the reference engine with a single
 :class:`FastBackendFallbackWarning` (instead of one warning per job per
 worker), and fast jobs are pointed at a shared on-disk plane
 materialization directory (``<cache root>/planes`` by default) so every
-(trace, TAGE-geometry) index/tag plane set is computed once per grid —
+(trace, TAGE-geometry) index/tag plane set is computed once per plan —
 not once per job — and memmapped by later jobs and later runs.  Every
 cell the default grids can express — all predictor kinds, all estimator
 kinds, adaptive §6.2 included — is inside the fast family, so a
@@ -48,7 +53,7 @@ import uuid
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
@@ -91,6 +96,7 @@ from repro.sweep.spec import (
     JobSpec,
     LockstepBatch,
     PredictorSpec,
+    stable_digest,
 )
 
 __all__ = [
@@ -98,6 +104,8 @@ __all__ = [
     "execute_batch",
     "execute_work",
     "plan_lockstep",
+    "ExecutionPlan",
+    "execute_plan",
     "run_sweep",
     "resume_sweep",
     "SweepRun",
@@ -458,6 +466,85 @@ def _count_plane_files(materialization_dir) -> int:
 
 
 @dataclass(frozen=True)
+class ExecutionPlan:
+    """A set of grids described apart from the engine that runs them.
+
+    ``keys[g]`` is grid ``g``'s spec hash.  The union of the grids'
+    cells is deduplicated by job spec hash into ``jobs``
+    (first-appearance order), the unit of caching, journaling and
+    execution.  ``cells[g][c]`` is the plan index serving cell ``c``
+    of grid ``g``, and ``owners[i]`` is the ``(g, c)`` cell that first
+    requested job ``i`` — the one credited with simulating it.  Build
+    one with :meth:`of`; run it with :func:`execute_plan`.
+    """
+
+    expansions: tuple[GridExpansion, ...]
+    keys: tuple[str, ...]
+    jobs: tuple[JobSpec, ...]
+    cells: tuple[tuple[int, ...], ...]
+    owners: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, specs: Iterable[ExperimentSpec]) -> "ExecutionPlan":
+        """Expand the distinct grids (by spec hash, first wins) and
+        deduplicate their union.
+
+        Raises:
+            ValueError: a grid fails expansion (see :func:`expand`), or
+                no grid was given.
+        """
+        expansions: dict[str, GridExpansion] = {}
+        for spec in specs:
+            key = spec.spec_hash()
+            if key not in expansions:
+                expansions[key] = expand(spec)
+        if not expansions:
+            raise ValueError("an execution plan needs at least one grid")
+        jobs: list[JobSpec] = []
+        owners: list[tuple[int, int]] = []
+        index_of: dict[str, int] = {}
+        cells = []
+        for position, expansion in enumerate(expansions.values()):
+            grid_cells = []
+            for cell, job in enumerate(expansion.jobs):
+                key = job.spec_hash()
+                if key not in index_of:
+                    index_of[key] = len(jobs)
+                    jobs.append(job)
+                    owners.append((position, cell))
+                grid_cells.append(index_of[key])
+            cells.append(tuple(grid_cells))
+        return cls(tuple(expansions.values()), tuple(expansions), tuple(jobs),
+                   tuple(cells), tuple(owners))
+
+    def as_dict(self) -> dict:
+        """What the journal's ``begin`` record stores as the run's spec.
+
+        A one-grid plan journals its grid's own spec dict, so ``repro
+        sweep --resume`` rebuilds it from the journal alone; a
+        multi-grid plan journals the list of its grid hashes under
+        ``"plan"`` (its grids come from whoever declared them).
+        """
+        if len(self.keys) == 1:
+            return self.expansions[0].spec.as_dict()
+        return {"plan": list(self.keys)}
+
+    def plan_hash(self) -> str:
+        if len(self.keys) == 1:
+            return self.keys[0]
+        return stable_digest(self.as_dict())
+
+    def describe(self) -> str:
+        if len(self.expansions) == 1:
+            return self.expansions[0].describe()
+        return (
+            f"plan: {len(self.expansions)} grid(s), "
+            f"{sum(map(len, self.cells))} cells, "
+            f"{len(self.jobs)} distinct jobs"
+        )
+
+
+@dataclass(frozen=True)
 class SweepRun:
     """A completed sweep: the aggregate table plus execution accounting.
 
@@ -465,7 +552,9 @@ class SweepRun:
     failures, or transient ones past ``max_retries``); their cells are
     absent from ``table``, making the run a *partial-result report*
     rather than a total loss.  ``run_id`` names the journal a
-    ``--resume`` of this run would replay.
+    ``--resume`` of this run would replay.  A grid executed as part of
+    a larger plan reports that plan's workers, wall time, run id and
+    retries.
     """
 
     spec: ExperimentSpec
@@ -515,8 +604,7 @@ def default_journal_dir(cache: ResultCache | None) -> Path | None:
 
 
 def _open_journal(
-    spec: ExperimentSpec,
-    expansion: GridExpansion,
+    plan: ExecutionPlan,
     run_id: str | None,
     journal_dir,
     resume: bool,
@@ -525,27 +613,27 @@ def _open_journal(
 ) -> tuple[RunJournal | None, str | None, dict[int, str]]:
     """Open (or resume) this run's journal.
 
-    Returns ``(journal, run_id, done)`` where ``done`` maps grid indices
+    Returns ``(journal, run_id, done)`` where ``done`` maps plan indices
     the journal already records as completed to their job hashes.
     """
     if journal_dir is None:
         return None, run_id, {}
     if run_id is None:
         # repro: allow[RPR001] run-id labels the journal file, never results
-        run_id = f"{spec.spec_hash()}-{uuid.uuid4().hex[:8]}"
+        run_id = f"{plan.plan_hash()}-{uuid.uuid4().hex[:8]}"
     path = journal_path(journal_dir, run_id)
-    job_hashes = [job.spec_hash() for job in expansion.jobs]
+    job_hashes = [job.spec_hash() for job in plan.jobs]
     if resume and path.exists():
         state = replay_journal(path, run_id)
-        if state.spec_hash != spec.spec_hash():
+        if state.spec_hash != plan.plan_hash():
             raise JournalError(
                 f"journal {path} records spec {state.spec_hash}, but the "
-                f"resumed spec hashes to {spec.spec_hash()}"
+                f"resumed run hashes to {plan.plan_hash()}"
             )
         if list(state.job_hashes) != job_hashes:
             raise JournalError(
                 f"journal {path} records a different grid expansion than "
-                "the resumed spec produces"
+                "the resumed run produces"
             )
         journal = RunJournal(path, run_id, fresh=False, fsync=fsync_journal)
         journal.resume(len(state.done), len(state.pending_indices))
@@ -556,12 +644,12 @@ def _open_journal(
             )
         return journal, run_id, dict(state.done)
     journal = RunJournal(path, run_id, fresh=True, fsync=fsync_journal)
-    journal.begin(spec.as_dict(), spec.spec_hash(), job_hashes)
+    journal.begin(plan.as_dict(), plan.plan_hash(), job_hashes)
     return journal, run_id, {}
 
 
-def run_sweep(
-    spec: ExperimentSpec,
+def execute_plan(
+    plan: ExecutionPlan,
     workers: int | None = 1,
     cache: ResultCache | None = None,
     progress: Callable[[str], None] | None = None,
@@ -575,49 +663,23 @@ def run_sweep(
     faults: str | None = None,
     fsync_journal: bool = True,
     lockstep: bool | None = None,
-) -> SweepRun:
-    """Execute every cell of a spec and aggregate the results.
+) -> dict[str, SweepRun]:
+    """Execute every distinct job of a plan on one broker.
 
-    Args:
-        spec: the declarative grid.
-        workers: pool size; 1 (the default) runs in-process, ``None``
-            picks :func:`default_workers`.  Results are identical for
-            every value.
-        cache: optional :class:`ResultCache`; hits skip execution,
-            misses are stored the moment each job completes.
-        progress: optional sink for human-readable status lines.
-        materialization_dir: directory where fast-backend TAGE index/tag
-            plane materializations are memmapped and shared across jobs
-            and runs.  Defaults to ``<cache root>/planes`` when a cache
-            is given (None and no cache → planes are computed per job in
-            memory).
-        run_id: names this run's journal (auto-generated when omitted);
-            the handle ``--resume`` takes.
-        journal_dir: where journals live; defaults to
-            ``<cache root>/runs`` when a cache is given, and journaling
-            is disabled when neither is available.
-        resume: continue the journal named by ``run_id`` — completed
-            jobs are served bit-identically from the cache; only the
-            rest execute.  A missing journal starts fresh.
-        max_retries: transient-failure budget per job (crash, stall,
-            :class:`~repro.sweep.faults.TransientJobError`) before the
-            job is quarantined.
-        heartbeat_timeout: seconds of worker silence before the broker
-            declares a straggler and re-dispatches its job.
-        faults: a :class:`~repro.sweep.faults.FaultInjector` plan;
-            defaults to ``$REPRO_FAULTS``.
-        fsync_journal: fsync each journal record (leave on outside
-            tests; without it a crash can forget acknowledged progress).
-        lockstep: fuse fast-backend TAGE jobs sharing one trace's
-            planes into batched kernel passes (bit-identical results;
-            see :func:`plan_lockstep`).  ``None`` (the default) reads
-            ``$REPRO_LOCKSTEP`` and falls back to on; fault injection
-            forces it off.  Execution plumbing like ``backend`` — never
-            part of the spec hash or the cache identity.
+    The cache is probed once per distinct job; the misses are
+    fallback-resolved, lockstep-fused across every grid of the plan and
+    run by a single :class:`~repro.sweep.broker.Broker`, which
+    dispatches them trace by trace — one worker pool, one journal
+    (``<journal_dir>/<run_id>.jsonl``, indexed by plan index).
+    The arguments are :func:`run_sweep`'s.
 
     Returns:
-        A :class:`SweepRun` whose table preserves grid order (minus any
-        quarantined cells, reported in ``SweepRun.quarantined``).
+        The plan's result map: each grid's :class:`SweepRun`, keyed by
+        its spec hash in plan order.  A cell is *executed* in the grid
+        whose cell first requested its job (``ExecutionPlan.owners``)
+        and *cached* everywhere else, so the grids' counts add up to
+        the plan's: distinct jobs simulated, and cells served without
+        simulation (from the cache or by a duplicate cell).
 
     Raises:
         SweepInterrupted: on SIGINT/SIGTERM, after the journal has a
@@ -635,17 +697,16 @@ def run_sweep(
         faults = os.environ.get(FAULTS_ENV, "")
 
     start = time.perf_counter()
-    expansion = expand(spec)
     if progress:
-        progress(expansion.describe())
+        progress(plan.describe())
 
     journal, run_id, journal_done = _open_journal(
-        spec, expansion, run_id, journal_dir, resume, fsync_journal, progress
+        plan, run_id, journal_dir, resume, fsync_journal, progress
     )
     try:
         slots: list[JobResult | None] = []
         pending: list[tuple[int, JobSpec]] = []
-        for index, job in enumerate(expansion.jobs):
+        for index, job in enumerate(plan.jobs):
             hit = cache.load(job) if cache is not None else None
             if hit is None and index in journal_done:
                 # The journal promised this job was done but the cache
@@ -715,17 +776,112 @@ def run_sweep(
         if journal is not None:
             journal.close()
 
-    table = ResultTable([slot for slot in slots if slot is not None])
-    run = SweepRun(
-        spec=spec,
-        expansion=expansion,
-        table=table,
+    elapsed = time.perf_counter() - start
+    failed = {entry.index: entry for entry in quarantined}
+    runs: dict[str, SweepRun] = {}
+    for position, expansion in enumerate(plan.expansions):
+        results, dropped = [], []
+        for cell, index in enumerate(plan.cells[position]):
+            result = slots[index]
+            if result is None:
+                dropped.append(replace(failed[index], index=cell))
+                continue
+            if plan.owners[index] != (position, cell):
+                result = result.cached()
+            results.append(result)
+        runs[plan.keys[position]] = SweepRun(
+            spec=expansion.spec,
+            expansion=expansion,
+            table=ResultTable(results),
+            workers=workers,
+            elapsed=elapsed,
+            quarantined=tuple(dropped),
+            run_id=run_id,
+            n_retries=n_retries,
+        )
+    return runs
+
+
+def run_sweep(
+    spec: ExperimentSpec,
+    workers: int | None = 1,
+    cache: ResultCache | None = None,
+    progress: Callable[[str], None] | None = None,
+    materialization_dir: str | os.PathLike | None = None,
+    *,
+    run_id: str | None = None,
+    journal_dir: str | os.PathLike | None = None,
+    resume: bool = False,
+    max_retries: int = 2,
+    heartbeat_timeout: float = 30.0,
+    faults: str | None = None,
+    fsync_journal: bool = True,
+    lockstep: bool | None = None,
+) -> SweepRun:
+    """Execute every cell of a spec and aggregate the results.
+
+    A one-grid :class:`ExecutionPlan` through :func:`execute_plan`.
+
+    Args:
+        spec: the declarative grid.
+        workers: pool size; 1 (the default) runs in-process, ``None``
+            picks :func:`default_workers`.  Results are identical for
+            every value.
+        cache: optional :class:`ResultCache`; hits skip execution,
+            misses are stored the moment each job completes.
+        progress: optional sink for human-readable status lines.
+        materialization_dir: directory where fast-backend TAGE index/tag
+            plane materializations are memmapped and shared across jobs
+            and runs.  Defaults to ``<cache root>/planes`` when a cache
+            is given (None and no cache → planes are computed per job in
+            memory).
+        run_id: names this run's journal (auto-generated when omitted);
+            the handle ``--resume`` takes.
+        journal_dir: where journals live; defaults to
+            ``<cache root>/runs`` when a cache is given, and journaling
+            is disabled when neither is available.
+        resume: continue the journal named by ``run_id`` — completed
+            jobs are served bit-identically from the cache; only the
+            rest execute.  A missing journal starts fresh.
+        max_retries: transient-failure budget per job (crash, stall,
+            :class:`~repro.sweep.faults.TransientJobError`) before the
+            job is quarantined.
+        heartbeat_timeout: seconds of worker silence before the broker
+            declares a straggler and re-dispatches its job.
+        faults: a :class:`~repro.sweep.faults.FaultInjector` plan;
+            defaults to ``$REPRO_FAULTS``.
+        fsync_journal: fsync each journal record (leave on outside
+            tests; without it a crash can forget acknowledged progress).
+        lockstep: fuse fast-backend TAGE jobs sharing one trace's
+            planes into batched kernel passes (bit-identical results;
+            see :func:`plan_lockstep`).  ``None`` (the default) reads
+            ``$REPRO_LOCKSTEP`` and falls back to on; fault injection
+            forces it off.  Execution plumbing like ``backend`` — never
+            part of the spec hash or the cache identity.
+
+    Returns:
+        A :class:`SweepRun` whose table preserves grid order (minus any
+        quarantined cells, reported in ``SweepRun.quarantined``).
+
+    Raises:
+        SweepInterrupted: on SIGINT/SIGTERM, after the journal has a
+            clean checkpoint; resume with the run id it carries.
+    """
+    run = execute_plan(
+        ExecutionPlan.of((spec,)),
         workers=workers,
-        elapsed=time.perf_counter() - start,
-        quarantined=quarantined,
+        cache=cache,
+        progress=progress,
+        materialization_dir=materialization_dir,
         run_id=run_id,
-        n_retries=n_retries,
-    )
+        journal_dir=journal_dir,
+        resume=resume,
+        max_retries=max_retries,
+        heartbeat_timeout=heartbeat_timeout,
+        faults=faults,
+        fsync_journal=fsync_journal,
+        lockstep=lockstep,
+    )[spec.spec_hash()]
     if progress:
         progress(run.describe())
     return run
@@ -759,8 +915,8 @@ def resume_sweep(
             the default backend (results are backend-invariant).
 
     Raises:
-        JournalError: unknown run id, or a journal that does not match
-            its own spec.
+        JournalError: unknown run id, a journal that does not match
+            its own spec, or a ``repro paper`` plan journal.
     """
     if journal_dir is None:
         journal_dir = default_journal_dir(cache)
@@ -768,6 +924,12 @@ def resume_sweep(
     if not path.exists():
         raise JournalError(f"no journal for run id {run_id!r} under {journal_dir}")
     state = replay_journal(path, run_id)
+    if "plan" in state.spec_dict:
+        raise JournalError(
+            f"run {run_id!r} journals a multi-grid `repro paper` plan, not "
+            f"one sweep; resume it with `repro paper --run-id {run_id} "
+            "--resume` and the original selection and scale"
+        )
     spec = ExperimentSpec.from_dict(state.spec_dict)
     if backend is not None:
         spec = spec.with_options(backend=backend)

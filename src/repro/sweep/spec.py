@@ -274,6 +274,11 @@ class JobSpec:
     def label(self) -> str:
         return f"{self.trace}/{self.predictor.label}/{self.estimator.label}"
 
+    @property
+    def trace_key(self) -> tuple[str, int]:
+        """The (trace, length) this job simulates: a worker's trace memo key."""
+        return self.trace, self.n_branches
+
 
 @dataclass(frozen=True)
 class LockstepBatch:
@@ -303,6 +308,11 @@ class LockstepBatch:
     def index(self) -> int:
         """The unit's dispatch index: its first member's grid index."""
         return self.members[0][0]
+
+    @property
+    def trace_key(self) -> tuple[str, int]:
+        """The (trace, length) every member simulates."""
+        return self.members[0][1].trace_key
 
     @property
     def label(self) -> str:

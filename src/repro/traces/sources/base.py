@@ -13,7 +13,7 @@ stream.  Every source can
 
 Identity is the source *name*: the sweep layer ships only trace names
 through job specs and caches, so a registered source flows through
-``sweep/spec.py`` job hashing, the ``SweepService`` cache and the fast
+``sweep/spec.py`` job hashing, the sweep result cache and the fast
 backend's plane materialization unchanged.  :func:`resolve_trace` is the
 picklable lookup :func:`repro.sim.runner.get_trace` falls back to —
 sources registered at import time (the zoo) resolve identically inside

@@ -66,13 +66,13 @@ def test_every_artifact_builds_with_finite_cells(tmp_path):
 
 
 def test_overlapping_artifacts_share_sweeps():
-    """TABLE1 and FIG2 request identical CBP-1 grids: the service memo
-    must execute them once."""
+    """TABLE1 and FIG2 request identical CBP-1 grids: TABLE1's executed
+    plan serves them, so FIG2 plans nothing new."""
     service = SweepService(workers=1)
     build_artifact("TABLE1", service, TINY)
     jobs_after_table1 = service.n_jobs
     build_artifact("FIG2", service, TINY)
-    # FIG2's three CBP-1 sweeps are all memo hits: no new jobs at all.
+    # FIG2's three CBP-1 sweeps were all planned already: no new jobs.
     assert service.n_jobs == jobs_after_table1
 
 
