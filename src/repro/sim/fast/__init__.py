@@ -22,8 +22,9 @@ estimators — built on five layers:
 * :mod:`repro.sim.fast.gehl` — the plane-fed dot-product kernels for
   the sum-based predictors and their self-confidence signals;
 * :mod:`repro.sim.fast.compiled` — the embedded-C build of the
-  sequential TAGE/O-GEHL kernels, bit-identical to the pure loops in
-  :mod:`~repro.sim.fast.tage`/:mod:`~repro.sim.fast.gehl` and used
+  sequential TAGE, O-GEHL, perceptron and counter-scan kernels,
+  bit-identical to the pure kernels in :mod:`~repro.sim.fast.tage`,
+  :mod:`~repro.sim.fast.gehl` and :mod:`~repro.sim.fast.scan` and used
   whenever a C compiler is present (``REPRO_COMPILED_PROVIDER`` pins
   ``cext`` or ``none``);
 * :mod:`repro.sim.fast.lockstep` — multi-cell lockstep batching:

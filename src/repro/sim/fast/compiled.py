@@ -1,12 +1,15 @@
 """Compiled C builds of the fast-backend inner loops.
 
-The fast backend's remaining per-branch cost is two genuinely
-sequential kernels: the TAGE loop (:func:`repro.sim.fast.tage._kernel`)
-and the O-GEHL loop in :mod:`repro.sim.fast.gehl`.  Each exists in
-exactly two translations:
+The fast backend's remaining per-branch cost is four genuinely
+sequential kernels: the TAGE loop (:func:`repro.sim.fast.tage._kernel`),
+the O-GEHL and perceptron loops in :mod:`repro.sim.fast.gehl` and the
+clamp-add counter-table walk in :mod:`repro.sim.fast.scan` (bimodal,
+gshare, local and JRS/eJRS).  Each exists in exactly two translations:
 
-* **pure** — the list-based Python kernels in those modules: the
-  reference, and the fallback when no C compiler is present;
+* **pure** — the Python/NumPy kernels in those modules (list-based
+  loops for TAGE and O-GEHL, the lockstep perceptron, the segmented
+  prefix scan): the reference, and the fallback when no C compiler is
+  present;
 * **c** — the embedded C mirror below, compiled once per source digest
   with the system C compiler into a cached shared library
   (``REPRO_COMPILED_CACHE`` overrides the cache directory) and called
@@ -23,10 +26,10 @@ Kernel choice is one policy, owned by this module and read from
 * ``none`` — pin the pure reference (tests and benchmarks).
 
 Because the env var inherits into sweep worker processes, one setting
-governs a whole parallel sweep.  :func:`resolve_tage_kernel` and
-:func:`resolve_ogehl_kernel` return the C callable or None, and callers
-branch only on None.  Resolution is lazy and memoized, so the build
-probe runs at most once per process.
+governs a whole parallel sweep.  The ``resolve_*_kernel`` functions
+return the C callable or None, and callers branch only on None.
+Resolution is lazy and memoized, so the build probe runs at most once
+per process.
 
 The TAGE kernel here is *batched*: it runs ``n_cells`` independent
 configurations over one shared set of index/tag planes in a single
@@ -42,9 +45,11 @@ parity markers — ``repro: parity-begin <group>/<side>
 fingerprint=<8 hex>`` / ``repro: parity-end <group>/<side>`` — around
 the translated region (as ``/* */`` comments inside the C source; the
 pure sides use ``#`` comments, and markers are matched on raw lines,
-so both work).  Two groups live here: ``tage-batch`` (side ``pure`` in
-:mod:`repro.sim.fast.tage`, ``c`` below) and ``ogehl-run`` (``pure`` in
-:mod:`repro.sim.fast.gehl`, ``c`` below).  Both sides record the same
+so both work).  Four groups live here, each with its ``c`` side below:
+``tage-batch`` (side ``pure`` in :mod:`repro.sim.fast.tage`),
+``ogehl-run`` and ``perceptron-run`` (``pure`` in
+:mod:`repro.sim.fast.gehl`) and ``counter-scan`` (``pure`` in
+:mod:`repro.sim.fast.scan`).  Both sides record the same
 group-wide fingerprint (a CRC-32 of both sides' whitespace-normalized
 contents), so ``repro lint`` rule RPR004 fails the moment one
 translation changes alone; the fix is to update both sides, re-run the
@@ -72,6 +77,8 @@ __all__ = [
     "provider_unavailable_reason",
     "resolve_tage_kernel",
     "resolve_ogehl_kernel",
+    "resolve_counter_scan_kernel",
+    "resolve_perceptron_kernel",
     "warn_missing_compiled",
     "N_IPARAMS",
     "N_FPARAMS",
@@ -131,7 +138,8 @@ N_COUNTS = 16
 
 
 # ---------------------------------------------------------------------------
-# C mirror of the two pure kernels, statement for statement.
+# C mirrors of the pure kernels (statement for statement for TAGE and
+# O-GEHL; the sequential loops the NumPy perceptron and scan vectorize).
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = r"""
@@ -481,6 +489,79 @@ int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
     return 0;
 }
 /* repro: parity-end ogehl-run/c */
+
+/* repro: parity-begin counter-scan/c fingerprint=dfb406c1 */
+int counter_scan(int64_t n, int64_t n_entries, int64_t *state,
+                 const int64_t *indices, const int64_t *b,
+                 const int64_t *lo, const int64_t *hi, int64_t *out)
+{
+    for (int64_t t = 0; t < n; t++) {
+        if (indices[t] < 0 || indices[t] >= n_entries)
+            return 2;
+    }
+    for (int64_t t = 0; t < n; t++) {
+        int64_t index = indices[t];
+        int64_t s = state[index];
+        out[t] = s;
+        s += b[t];
+        if (s < lo[t])
+            s = lo[t];
+        if (s > hi[t])
+            s = hi[t];
+        state[index] = s;
+    }
+    return 0;
+}
+/* repro: parity-end counter-scan/c */
+
+/* repro: parity-begin perceptron-run/c fingerprint=0622b443 */
+int perceptron_run(int64_t n, int64_t h, int64_t n_rows,
+                   const int64_t *indices, const int64_t *windows,
+                   const uint8_t *takens, int64_t threshold,
+                   int64_t weight_min, int64_t weight_max,
+                   uint8_t *predictions, uint8_t *high)
+{
+    int64_t width = h + 1;
+    for (int64_t t = 0; t < n; t++) {
+        if (indices[t] < 0 || indices[t] >= n_rows)
+            return 2;
+    }
+    int64_t *weights = (int64_t *)calloc((size_t)(n_rows * width),
+                                         sizeof(int64_t));
+    if (!weights)
+        return 1;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t *row = weights + indices[t] * width;
+        int64_t window = windows[t];
+        int64_t total = row[0];
+        for (int64_t age = 0; age < h; age++) {
+            if ((window >> age) & 1)
+                total += row[age + 1];
+            else
+                total -= row[age + 1];
+        }
+        int64_t prediction = total >= 0;
+        int64_t magnitude = total >= 0 ? total : -total;
+        predictions[t] = (uint8_t)prediction;
+        high[t] = magnitude > threshold ? 1 : 0;
+        int64_t taken = takens[t] != 0;
+        if (prediction != taken || magnitude <= threshold) {
+            int64_t direction = taken ? 1 : -1;
+            for (int64_t i = 0; i < width; i++) {
+                int64_t sign = (i == 0 || ((window >> (i - 1)) & 1)) ? 1 : -1;
+                int64_t weight = row[i] + direction * sign;
+                if (weight < weight_min)
+                    weight = weight_min;
+                if (weight > weight_max)
+                    weight = weight_max;
+                row[i] = weight;
+            }
+        }
+    }
+    free(weights);
+    return 0;
+}
+/* repro: parity-end perceptron-run/c */
 """
 
 
@@ -488,7 +569,7 @@ int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
 # Provider resolution (lazy, cached).
 # ---------------------------------------------------------------------------
 
-#: ``tage``/``ogehl`` -> C callable, once the shared library has loaded.
+#: kernel kind -> C callable, once the shared library has loaded.
 _KERNELS: dict[str, object] = {}
 #: forced-env value -> resolved provider name or None (memoized).
 _RESOLVED: dict[str, str | None] = {}
@@ -570,6 +651,14 @@ def _load_cext() -> bool:
     library.ogehl_run.argtypes = [
         i64, i64, i64, p_i64, p_i64, i64, i64, p_u8, p_u8,
     ]
+    library.counter_scan.restype = ctypes.c_int
+    library.counter_scan.argtypes = [
+        i64, i64, p_i64, p_i64, p_i64, p_i64, p_i64, p_i64,
+    ]
+    library.perceptron_run.restype = ctypes.c_int
+    library.perceptron_run.argtypes = [
+        i64, i64, i64, p_i64, p_i64, p_u8, i64, i64, i64, p_u8, p_u8,
+    ]
 
     def as_i64(array):
         return array.ctypes.data_as(p_i64)
@@ -602,7 +691,33 @@ def _load_cext() -> bool:
             raise MemoryError("compiled O-GEHL kernel ran out of memory")
         return 0
 
-    _KERNELS.update(tage=cext_tage, ogehl=cext_ogehl)
+    def cext_counter_scan(state, indices, b, lo, hi, out):
+        status = library.counter_scan(
+            indices.shape[0], state.shape[0], as_i64(state),
+            as_i64(indices), as_i64(b), as_i64(lo), as_i64(hi), as_i64(out),
+        )
+        if status != 0:
+            raise IndexError("counter table index out of range")
+        return 0
+
+    def cext_perceptron(indices, windows, takens, history_length, n_rows,
+                        threshold, weight_min, weight_max, predictions,
+                        high):
+        status = library.perceptron_run(
+            indices.shape[0], int(history_length), int(n_rows),
+            as_i64(indices), as_i64(windows), takens.ctypes.data_as(p_u8),
+            int(threshold), int(weight_min), int(weight_max),
+            predictions.ctypes.data_as(p_u8), high.ctypes.data_as(p_u8),
+        )
+        if status == 2:
+            raise IndexError("perceptron weight-row index out of range")
+        if status != 0:
+            raise MemoryError("compiled perceptron kernel ran out of memory")
+        return 0
+
+    _KERNELS.update(tage=cext_tage, ogehl=cext_ogehl,
+                    counter_scan=cext_counter_scan,
+                    perceptron=cext_perceptron)
     return True
 
 
@@ -718,3 +833,29 @@ def resolve_ogehl_kernel():
     ``predictions``/``high`` uint8[n] outputs.
     """
     return _resolve("ogehl")
+
+
+def resolve_counter_scan_kernel():
+    """The C clamp-add counter scan, or None to run the NumPy scan.
+
+    Signature: ``(state, indices, b, lo, hi, out)``, all C-contiguous
+    int64: ``state`` int64[n_entries] is advanced in place past the
+    whole chunk; ``indices``/``b``/``lo``/``hi`` are int64[n] and
+    ``out`` (output) int64[n] receives the state each access read.
+    Raises IndexError (before touching ``state``) for an index outside
+    the table.
+    """
+    return _resolve("counter_scan")
+
+
+def resolve_perceptron_kernel():
+    """The C perceptron kernel, or None to run the NumPy lockstep kernel.
+
+    Signature: ``(indices, windows, takens, history_length, n_rows,
+    threshold, weight_min, weight_max, predictions, high)`` with
+    ``indices``/``windows`` int64[n] (weight row and packed history
+    window, newest outcome in bit 0), ``takens`` uint8[n] and
+    ``predictions``/``high`` uint8[n] outputs.  The weight table starts
+    zeroed and lives only for the call.
+    """
+    return _resolve("perceptron")

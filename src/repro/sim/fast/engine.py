@@ -242,12 +242,11 @@ def cell_capability(cell) -> "Capability":
             fallback="reference",
         )
 
-    # Which kernels would actually execute this cell?  The sequential
-    # TAGE and O-GEHL loops have compiled builds; the other predictors
-    # are already vectorized NumPy end to end.  Lockstep batching fuses
-    # accuracy-protocol TAGE cells sharing one plane geometry.
-    compiled_eligible = type(cell.predictor) in (TagePredictor, OgehlPredictor)
-    provider = compiled.active_provider() if compiled_eligible else None
+    # Every supported cell's sequential stage has a C build (TAGE,
+    # O-GEHL, perceptron, and the counter scan behind bimodal/gshare/
+    # local/JRS), so the provider alone decides.  Lockstep batching
+    # fuses accuracy-protocol TAGE cells sharing one plane geometry.
+    provider = compiled.active_provider()
     return Capability(
         backend="fast",
         supported=True,

@@ -33,15 +33,19 @@ enforced by ``tests/equivalence/test_gehl_differential.py``.  Like the
 rest of the fast backend, the predictor instances are only read for
 configuration and stay in their power-on state.
 
-The scalar O-GEHL loop below is the reference translation and the
-fallback when no C compiler is present; :func:`ogehl_fast_run` calls
-its one twin, the embedded-C mirror in :mod:`repro.sim.fast.compiled`,
-whenever the C build resolves.  The two form the ``ogehl-run`` parity
-group: the region between the ``repro: parity-begin`` and ``repro:
-parity-end`` comments must change in lockstep with the C side.  Both
-record the same group fingerprint, so ``repro lint`` (rule RPR004)
-fails when one side drifts until both are revisited and re-stamped —
-see :mod:`repro.analysis.rules.parity`.
+Both kernels below — the scalar O-GEHL loop and the NumPy lockstep
+perceptron — are the reference translations and the fallback when no C
+compiler is present; :func:`ogehl_fast_run` and
+:func:`perceptron_fast_run` call their twins, the embedded-C loops in
+:mod:`repro.sim.fast.compiled`, whenever the C build resolves (the C
+perceptron reads the packed history windows bit by bit and never
+builds the sign matrix).  They form the ``ogehl-run`` and
+``perceptron-run`` parity groups: each region between the ``repro:
+parity-begin`` and ``repro: parity-end`` comments must change in
+lockstep with its C side.  Both sides record the same group
+fingerprint, so ``repro lint`` (rule RPR004) fails when one side
+drifts until both are revisited and re-stamped — see
+:mod:`repro.analysis.rules.parity`.
 """
 
 from __future__ import annotations
@@ -80,7 +84,9 @@ def perceptron_fast_run(
     active) row as one batched gather / dot / masked clipped-add —
     which needs ``max accesses per row`` NumPy steps instead of one
     Python iteration per branch, and degrades gracefully (never below
-    per-branch work) for traces dominated by one hot row.
+    per-branch work) for traces dominated by one hot row.  With the C
+    build the same indices and windows feed one sequential C loop
+    instead (the ``perceptron-run`` twin).
 
     Raises:
         FastBackendUnsupported: for subclassed predictors or histories
@@ -109,6 +115,19 @@ def perceptron_fast_run(
         return predictions, high
     indices = ((arrays.pcs >> 2) & mask(predictor.log_entries)).astype(np.int64)
     windows = history_windows(arrays.takens, h)
+
+    kernel = compiled.resolve_perceptron_kernel()
+    if kernel is not None:
+        predictions_u8 = np.empty(n, dtype=np.uint8)
+        high_u8 = np.empty(n, dtype=np.uint8)
+        kernel(indices, windows,
+               np.ascontiguousarray(arrays.takens, dtype=np.uint8),
+               h, 1 << predictor.log_entries, predictor.threshold,
+               predictor._weight_min, predictor._weight_max,
+               predictions_u8, high_u8)
+        return predictions_u8.view(bool), high_u8.view(bool)
+
+    # repro: parity-begin perceptron-run/pure fingerprint=0622b443
     # Sign matrix with a constant bias column: row t is [1, x_1 .. x_h]
     # with x_i = +1/-1 for the taken/not-taken history bit of age i-1,
     # so `inputs[t] @ weights[index]` is the full perceptron output.
@@ -159,6 +178,7 @@ def perceptron_fast_run(
                 weight_min,
                 weight_max,
             )
+    # repro: parity-end perceptron-run/pure
     return predictions, high
 
 

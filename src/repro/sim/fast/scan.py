@@ -34,11 +34,22 @@ simulations).
 :class:`CounterTable` carries table state across chunks so arbitrarily
 long traces are processed in bounded-memory chunks with identical
 results for every chunk size.
+
+The scan above is the reference translation and the fallback when no C
+compiler is present.  Whenever the C build resolves,
+:meth:`CounterTable.lookup_scan` runs its twin instead: the plain
+sequential loop in :mod:`repro.sim.fast.compiled` (read the entry, emit
+it, store the clamp-add result), with no sort and no compose sweep.
+The two form the ``counter-scan`` parity group (``repro lint`` rule
+RPR004); ``tests/equivalence/test_compiled_differential.py`` checks
+them against each other and the reference engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.sim.fast import compiled
 
 __all__ = [
     "compose",
@@ -168,6 +179,25 @@ class CounterTable:
         n = len(indices)
         if n == 0:
             return np.empty(0, dtype=np.int64)
+        kernel = compiled.resolve_counter_scan_kernel()
+        if kernel is not None:
+            if not len(b) == len(lo) == len(hi) == n:
+                raise ValueError(
+                    f"transform lengths {len(b)}/{len(lo)}/{len(hi)} do not "
+                    f"match {n} indices"
+                )
+            out = np.empty(n, dtype=np.int64)
+            kernel(
+                self.state,
+                np.ascontiguousarray(indices, dtype=np.int64),
+                np.ascontiguousarray(b, dtype=np.int64),
+                np.ascontiguousarray(lo, dtype=np.int64),
+                np.ascontiguousarray(hi, dtype=np.int64),
+                out,
+            )
+            return out
+
+        # repro: parity-begin counter-scan/pure fingerprint=dfb406c1
         order = np.argsort(indices, kind="stable")
         seg = indices[order]
         sb, slo, shi = segmented_inclusive_scan(seg, b[order], lo[order], hi[order])
@@ -197,6 +227,7 @@ class CounterTable:
 
         out = np.empty(n, dtype=np.int64)
         out[order] = before
+        # repro: parity-end counter-scan/pure
         return out
 
 

@@ -516,7 +516,9 @@ def _run_batch(planes: TagePlanes, cells, want_predictions: bool,
     ``cells`` is a list of ``(config, estimator_window, max_strength,
     warmup, initial_k, controller_params)`` tuples, every config with
     the plane geometry of ``planes``.  Returns the :func:`_kernel`
-    result tuple per cell, in order.
+    result tuple per cell, in order; on the C leg the per-branch
+    predictions and class codes stay the kernel's output rows (bool and
+    uint8 arrays) instead of lists.
 
     Without the C build this is a per-cell :func:`_kernel` loop; with
     it the whole batch is one C call.
@@ -560,8 +562,8 @@ def _run_batch(planes: TagePlanes, cells, want_predictions: bool,
             int(counts[row, compiled.CT_MISPREDICTIONS]),
             [int(v) for v in counts[row, 1:8]],
             [int(v) for v in counts[row, 8:15]],
-            [bool(v) for v in predictions[row]] if want_predictions else None,
-            [int(v) for v in classes[row]] if want_classes else None,
+            predictions[row].view(bool) if want_predictions else None,
+            classes[row] if want_classes else None,
             final_k if final_k >= 0 else None,
         ))
     return results
@@ -725,4 +727,7 @@ def observe_tage_fast(
         True,
         True,
     )
-    return cell_result[3], cell_result[4]
+    predictions, classes = cell_result[3], cell_result[4]
+    if isinstance(predictions, np.ndarray):
+        return predictions.tolist(), classes.tolist()
+    return predictions, classes

@@ -22,7 +22,9 @@ Reading is streaming: :class:`TraceReader` decodes the record payload in
 bounded buffers, so multi-million-branch files replay without eagerly
 materializing the whole trace (:meth:`TraceReader.iter_records` /
 :meth:`TraceReader.iter_chunks`).  :func:`read_trace` remains the
-materialize-everything convenience wrapper.
+materialize-everything convenience wrapper.  Each buffer is decoded
+once, column-wise (one strided slice per field), and every read path
+goes through that one decode.
 
 Every malformed input raises :class:`TraceFormatError` with a message
 naming the offending field (``magic``, ``version``, ``name``,
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import sys
 import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -58,6 +61,9 @@ _RECORD = struct.Struct("<QBB")
 
 #: Records decoded per streaming read (640 KiB payload buffers).
 _CHUNK_RECORDS = 65_536
+
+#: Where on-disk PC byte ``k`` (little-endian) lands in a native u64.
+_PC_SLOTS = range(8) if sys.byteorder == "little" else range(7, -1, -1)
 
 
 class TraceFormatError(ValueError):
@@ -159,11 +165,18 @@ class TraceReader:
 
     # -- record access -------------------------------------------------
 
-    def iter_records(self) -> Iterator[BranchRecord]:
-        """Yield every remaining record, decoding in bounded buffers."""
+    def _iter_columns(
+        self, limit: int | None = None
+    ) -> Iterator[tuple[list[int], bytes, bytes]]:
+        """Yield the remaining records as validated ``(pcs, takens,
+        insts)`` columns, one bounded payload buffer at a time, stopping
+        after ``limit`` records (default: all of them)."""
         path = self.path
-        while self._consumed < self.n_records:
-            batch = min(_CHUNK_RECORDS, self.n_records - self._consumed)
+        wanted = self.n_records
+        if limit is not None:
+            wanted = min(wanted, self._consumed + max(limit, 0))
+        while self._consumed < wanted:
+            batch = min(_CHUNK_RECORDS, wanted - self._consumed)
             payload = self._read("record payload", batch * _RECORD.size)
             got, extra = divmod(len(payload), _RECORD.size)
             if got != batch or extra:
@@ -171,40 +184,55 @@ class TraceReader:
                     f"{path}: expected {self.n_records} records, record "
                     f"payload truncated at record {self._consumed + got}"
                 )
-            for index, (pc, taken, inst) in enumerate(_RECORD.iter_unpack(payload)):
-                if taken > 1:
-                    raise TraceFormatError(
-                        f"{path}: record {self._consumed + index}: "
-                        f"invalid taken byte {taken} (must be 0 or 1)"
-                    )
-                if inst < 1:
-                    raise TraceFormatError(
-                        f"{path}: record {self._consumed + index}: "
-                        f"invalid inst count {inst} (must be >= 1)"
-                    )
-                yield BranchRecord(pc, bool(taken), inst)
+            yield _decode_columns(payload, self._consumed, path)
             self._consumed += batch
+
+    def iter_records(self, limit: int | None = None) -> Iterator[BranchRecord]:
+        """Yield the remaining records (at most ``limit``), decoding in
+        bounded buffers."""
+        for pcs, takens, insts in self._iter_columns(limit):
+            for pc, taken, inst in zip(pcs, takens, insts):
+                yield BranchRecord(pc, taken == 1, inst)
 
     def iter_chunks(self, chunk_size: int = _CHUNK_RECORDS) -> Iterator[Trace]:
         """Yield the records as :class:`Trace` chunks of ``chunk_size``."""
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         pcs: list[int] = []
-        takens: list[bool] = []
-        insts: list[int] = []
-        for record in self.iter_records():
-            pcs.append(record.pc)
-            takens.append(record.taken)
-            insts.append(record.inst_count)
-            if len(pcs) >= chunk_size:
-                yield Trace(self.name, pcs, takens, insts)
-                pcs, takens, insts = [], [], []
+        takens = insts = b""
+        for new_pcs, new_takens, new_insts in self._iter_columns():
+            # Prepend the previous buffer's partial chunk (< chunk_size).
+            pcs += new_pcs
+            takens += new_takens
+            insts += new_insts
+            start = 0
+            while len(pcs) - start >= chunk_size:
+                end = start + chunk_size
+                yield Trace(self.name, pcs[start:end], takens[start:end],
+                            insts[start:end])
+                start = end
+            pcs, takens, insts = pcs[start:], takens[start:], insts[start:]
         if pcs:
             yield Trace(self.name, pcs, takens, insts)
 
+    def read_columns(
+        self, limit: int | None = None
+    ) -> tuple[list[int], bytearray, bytearray]:
+        """The remaining records (at most ``limit``) as ``(pcs, takens,
+        insts)`` columns — the arguments of :class:`Trace`.  Trailing
+        data is not checked (see :meth:`read`)."""
+        pcs: list[int] = []
+        takens = bytearray()
+        insts = bytearray()
+        for new_pcs, new_takens, new_insts in self._iter_columns(limit):
+            pcs += new_pcs
+            takens += new_takens
+            insts += new_insts
+        return pcs, takens, insts
+
     def read(self) -> Trace:
         """Materialize every remaining record, then reject trailing data."""
-        trace = Trace.from_records(self.name, self.iter_records())
+        trace = Trace(self.name, *self.read_columns())
         trailing = self._read("end of file", 1)
         if trailing:
             raise TraceFormatError(
@@ -222,6 +250,38 @@ class TraceReader:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _decode_columns(
+    payload: bytes, first: int, path: Path
+) -> tuple[list[int], bytes, bytes]:
+    """Decode whole 10-byte records column-wise: each field is one
+    strided slice of the payload, so no per-record Python work remains.
+
+    The eight PC bytes of every record are interleaved into a packed
+    u64 buffer (little-endian on disk; mirrored slots on big-endian
+    hosts) and read through a ``Q`` memoryview.  ``first`` is the index
+    of the payload's first record, for error messages; the error names
+    the first invalid record, taken byte checked before inst count.
+    """
+    takens = payload[8::_RECORD.size]
+    insts = payload[9::_RECORD.size]
+    if takens.translate(None, b"\x00\x01") or b"\x00" in insts:
+        for index, (taken, inst) in enumerate(zip(takens, insts)):
+            if taken > 1:
+                raise TraceFormatError(
+                    f"{path}: record {first + index}: "
+                    f"invalid taken byte {taken} (must be 0 or 1)"
+                )
+            if inst < 1:
+                raise TraceFormatError(
+                    f"{path}: record {first + index}: "
+                    f"invalid inst count {inst} (must be >= 1)"
+                )
+    packed = bytearray(8 * len(takens))
+    for byte, slot in enumerate(_PC_SLOTS):
+        packed[slot::8] = payload[byte::_RECORD.size]
+    return memoryview(packed).cast("Q").tolist(), takens, insts
 
 
 def read_trace(path: str | Path) -> Trace:

@@ -81,6 +81,11 @@ class TraceSource(ABC):
         """Materialize ``n_branches`` records as a :class:`Trace`."""
         if n_branches < 0:
             raise ValueError(f"n_branches must be non-negative, got {n_branches}")
+        return self._materialize(n_branches)
+
+    def _materialize(self, n_branches: int) -> Trace:
+        """The :meth:`generate` body: collect :meth:`records`.  Sources
+        that can build the columns directly override this."""
         return Trace.from_records(self.name, self.records(n_branches))
 
     def iter_chunks(self, n_branches: int, chunk_size: int) -> Iterator[Trace]:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from repro.traces.io import TraceReader
 from repro.traces.sources.base import FILE_PREFIX, TraceSource
-from repro.traces.types import BranchRecord
+from repro.traces.types import BranchRecord, Trace
 
 __all__ = ["FileReplaySource"]
 
@@ -47,10 +47,10 @@ class FileReplaySource(TraceSource):
     def records(self, n_branches: int) -> Iterator[BranchRecord]:
         if n_branches < 0:
             raise ValueError(f"n_branches must be non-negative, got {n_branches}")
-        remaining = n_branches
         with TraceReader(self.file_path) as reader:
-            for record in reader.iter_records():
-                if remaining <= 0:
-                    return
-                yield record
-                remaining -= 1
+            yield from reader.iter_records(limit=n_branches)
+
+    def _materialize(self, n_branches: int) -> Trace:
+        # Columns straight from the reader's decode, no record objects.
+        with TraceReader(self.file_path) as reader:
+            return Trace(self.name, *reader.read_columns(limit=n_branches))

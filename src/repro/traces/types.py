@@ -58,7 +58,13 @@ class Trace:
             )
         self.name = name
         self.pcs = list(pcs)
-        self.takens = bytearray(int(bool(t)) for t in takens)
+        if isinstance(takens, (bytes, bytearray)) and not takens.translate(
+            None, b"\x00\x01"
+        ):
+            # Already 0/1 bytes (the trace reader's column): copy as is.
+            self.takens = bytearray(takens)
+        else:
+            self.takens = bytearray(int(bool(t)) for t in takens)
         self.insts = list(insts)
 
     @classmethod

@@ -1,7 +1,8 @@
 """Kernel differentials: the pure and C translations, bit for bit.
 
-The compiled layer (:mod:`repro.sim.fast.compiled`) may run the TAGE
-and O-GEHL inner loops through the embedded C translation; both legs —
+The compiled layer (:mod:`repro.sim.fast.compiled`) may run the TAGE,
+O-GEHL, perceptron and counter-scan inner loops through the embedded C
+translation; both legs —
 ``REPRO_COMPILED_PROVIDER=none`` (the pure reference kernels) and
 ``cext`` — must reproduce the reference engine exactly: saturating
 arithmetic, the LFSR probabilistic-automaton draws, allocation
@@ -12,21 +13,40 @@ PATH, so the suite passes warning-free on any box.
 
 from __future__ import annotations
 
+import os
 import warnings
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
+from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
 from repro.confidence.self_confidence import SelfConfidenceEstimator
+from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.gshare import GsharePredictor
+from repro.predictors.local import LocalHistoryPredictor
 from repro.predictors.ogehl import OgehlPredictor
+from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.backends import FastBackendFallbackWarning
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.fast import compiled, simulate_binary_fast, simulate_tage_fast
+from repro.sim.fast import (
+    TraceArrays,
+    compiled,
+    simulate_binary_fast,
+    simulate_fast,
+    simulate_tage_fast,
+)
+from repro.sim.fast.gehl import perceptron_fast_run
+from repro.sim.fast.scan import resetting_transforms, scanned_counters
+from repro.sim.runner import build_predictor
+from repro.traces.types import Trace
 
 #: Kernel-relevant configuration corners (a condensed cut of the main
 #: TAGE differential grid: every automaton/seed/width/policy family).
@@ -132,6 +152,8 @@ def test_pinned_pure_runs_silently(monkeypatch, tiny_trace):
         warnings.simplefilter("error", FastBackendFallbackWarning)
         assert compiled.resolve_tage_kernel() is None
         assert compiled.resolve_ogehl_kernel() is None
+        assert compiled.resolve_counter_scan_kernel() is None
+        assert compiled.resolve_perceptron_kernel() is None
         result = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
     assert result == simulate(tiny_trace, TagePredictor(TageConfig.small()))
     assert "none" in compiled.provider_unavailable_reason()
@@ -153,3 +175,150 @@ def test_prediction_streams_match_across_legs(int1_trace, monkeypatch):
     if compiled.active_provider() is None:
         pytest.skip("no compiled provider on this box")
     assert np.array_equal(pure, c)
+
+
+# ---------------------------------------------------------------------------
+# The perceptron-run and counter-scan groups.
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _pinned(leg: str):
+    """Pin a kernel leg without a function-scoped fixture (hypothesis
+    bodies run many times per test)."""
+    saved = os.environ.get(compiled.PROVIDER_ENV)
+    os.environ[compiled.PROVIDER_ENV] = leg
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[compiled.PROVIDER_ENV]
+        else:
+            os.environ[compiled.PROVIDER_ENV] = saved
+
+
+def _require_cext():
+    with _pinned("cext"):
+        if compiled.active_provider() != "cext":
+            pytest.skip(f"C kernel build unavailable "
+                        f"({compiled.provider_unavailable_reason()})")
+
+
+def test_perceptron_matches_reference(kernel_leg, int1_trace):
+    def run(engine):
+        return engine(int1_trace, PerceptronPredictor())
+
+    assert run(simulate_fast) == run(simulate)
+
+
+def test_perceptron_self_confidence_matches_reference(kernel_leg, twolf_trace):
+    def run(engine):
+        predictor = PerceptronPredictor()
+        return engine(twolf_trace, predictor, SelfConfidenceEstimator(predictor),
+                      warmup_branches=500)
+
+    assert run(simulate_binary_fast) == run(simulate_binary)
+
+
+@pytest.mark.parametrize("make_predictor", [
+    BimodalPredictor,
+    lambda: BimodalPredictor(log_entries=6, counter_bits=3),
+    GsharePredictor,
+    lambda: GsharePredictor(log_entries=8, history_length=20),
+    LocalHistoryPredictor,
+    lambda: LocalHistoryPredictor(log_histories=6, history_length=8,
+                                  log_pht=9, shared_pht=False),
+], ids=["bimodal", "bimodal-3bit", "gshare", "gshare-folded", "local",
+        "local-private"])
+def test_counter_scan_predictors_match_reference(kernel_leg, int1_trace,
+                                                 make_predictor):
+    assert (simulate_fast(int1_trace, make_predictor())
+            == simulate(int1_trace, make_predictor()))
+
+
+@pytest.mark.parametrize("estimator_type", [JrsEstimator, EnhancedJrsEstimator],
+                         ids=["jrs", "ejrs"])
+@pytest.mark.parametrize("make_predictor", [
+    lambda: build_predictor("16K"),
+    GsharePredictor,
+    PerceptronPredictor,
+], ids=["tage", "gshare", "perceptron"])
+def test_jrs_assessments_match_reference(kernel_leg, int1_trace,
+                                         estimator_type, make_predictor):
+    def run(engine):
+        return engine(int1_trace, make_predictor(), estimator_type(),
+                      warmup_branches=1000)
+
+    assert run(simulate_binary_fast) == run(simulate_binary)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_entries=st.integers(1, 6),
+    history_length=st.integers(1, 62),
+    weight_bits=st.integers(2, 56),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+)
+def test_perceptron_legs_agree_on_random_geometries(log_entries, history_length,
+                                                    weight_bits, seed, n):
+    """Both legs produce identical predictions and flags for any
+    geometry up to the fast backend's bounds (62 history bits, 56-bit
+    weights), and agree with the reference engine."""
+    _require_cext()
+    rng = np.random.default_rng(seed)
+    trace = Trace(
+        "random",
+        (rng.integers(0, 64, n) * 4).tolist(),
+        rng.integers(0, 2, n).tolist(),
+        [1] * n,
+    )
+    arrays = TraceArrays.from_trace(trace)
+
+    def make():
+        return PerceptronPredictor(log_entries=log_entries,
+                                   history_length=history_length,
+                                   weight_bits=weight_bits)
+
+    outputs = {}
+    for leg in KERNEL_LEGS:
+        with _pinned(leg):
+            outputs[leg] = perceptron_fast_run(arrays, make())
+    for pure, c in zip(outputs["none"], outputs["cext"]):
+        assert pure.dtype == c.dtype == bool
+        assert np.array_equal(pure, c)
+    predictor = make()
+    with _pinned("cext"):
+        fast = simulate_binary_fast(trace, predictor,
+                                    SelfConfidenceEstimator(predictor))
+    predictor = make()
+    assert fast == simulate_binary(trace, predictor,
+                                   SelfConfidenceEstimator(predictor))
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 1000, 1 << 15])
+def test_scanned_counters_chunk_invariant_on_c_leg(chunk_size):
+    """The C scan carries table state across chunks exactly like the
+    NumPy scan: every chunk size gives the same reads on both legs."""
+    _require_cext()
+    rng = np.random.default_rng(chunk_size)
+    n = 5000
+    indices = rng.integers(0, 37, n).astype(np.int64)
+    b, lo, hi = resetting_transforms(rng.random(n) < 0.8, 15)
+    with _pinned("none"):
+        expected = scanned_counters(37, 3, indices, b, lo, hi, n)
+    with _pinned("cext"):
+        got = scanned_counters(37, 3, indices, b, lo, hi, chunk_size)
+    assert np.array_equal(got, expected)
+
+
+def test_c_counter_scan_rejects_out_of_range_index():
+    """An index outside the table raises before the state is touched."""
+    _require_cext()
+    from repro.sim.fast.scan import CounterTable, saturating_transforms
+
+    table = CounterTable(4, 1)
+    b, lo, hi = saturating_transforms(np.ones(3, dtype=bool), 3)
+    with _pinned("cext"), pytest.raises(IndexError):
+        table.lookup_scan(np.array([0, 4, 1], dtype=np.int64), b, lo, hi)
+    assert table.state.tolist() == [1, 1, 1, 1]

@@ -142,7 +142,15 @@ def test_capability_compiled_flag_tracks_provider(monkeypatch, provider):
     capability = _capability(tage, TageConfidenceEstimator(tage))
     assert capability.compiled == (provider == "cext")
     assert capability.compiled_provider == compiled.active_provider()
-    assert not _capability(GsharePredictor()).compiled
+    # Every supported cell runs a C kernel under cext: the counter scan
+    # (gshare, JRS) and the perceptron loop included.
+    assert _capability(GsharePredictor()).compiled == (provider == "cext")
+    assert _capability(GsharePredictor(), JrsEstimator(),
+                       binary=True).compiled == (provider == "cext")
+    perceptron = PerceptronPredictor()
+    assert _capability(perceptron, SelfConfidenceEstimator(perceptron),
+                       binary=True).compiled == (provider == "cext")
+    assert not _capability(_SubclassedBimodal()).compiled
 
 
 def test_reference_backend_supports_everything():

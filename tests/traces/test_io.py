@@ -166,3 +166,105 @@ class TestReaderHandleHygiene:
         with pytest.raises(TraceFormatError, match="bad magic"):
             io_module.TraceReader(path)
         assert opened[0].closed
+
+
+class TestColumnarDecode:
+    """The reader decodes each payload buffer column-wise; errors must
+    still name the *first* bad record, by its index in the whole file,
+    on every read path."""
+
+    RECORD = struct.Struct("<QBB")
+
+    def _write(self, path, records, count=None, extra=b""):
+        blob = struct.pack("<4sHH", MAGIC, 1, 1) + b"x"
+        blob += struct.pack("<Q", len(records) if count is None else count)
+        blob += b"".join(self.RECORD.pack(*record) for record in records)
+        path.write_bytes(blob + extra)
+        return path
+
+    def _readers(self, path):
+        from repro.traces.io import TraceReader
+        from repro.traces.sources.replay import FileReplaySource
+
+        def chunks():
+            with TraceReader(path) as reader:
+                return list(reader.iter_chunks(3))
+
+        def records():
+            with TraceReader(path) as reader:
+                return list(reader.iter_records())
+
+        return [lambda: read_trace(path), chunks, records,
+                lambda: FileReplaySource(str(path)).generate(10**6)]
+
+    def _assert_all_raise(self, path, pattern):
+        for read in self._readers(path):
+            with pytest.raises(TraceFormatError, match=pattern):
+                read()
+
+    def test_invalid_taken_byte_first_index(self, tmp_path):
+        records = [(4 * i, 1, 1) for i in range(10)]
+        records[6] = (24, 2, 1)
+        records[8] = (32, 7, 1)
+        path = self._write(tmp_path / "t.rtrc", records)
+        self._assert_all_raise(path, r"record 6: invalid taken byte 2 \(must be 0 or 1\)")
+
+    def test_zero_inst_count_first_index(self, tmp_path):
+        records = [(4 * i, 0, 3) for i in range(10)]
+        records[4] = (16, 0, 0)
+        records[7] = (28, 5, 1)   # a later bad taken byte is not reported
+        path = self._write(tmp_path / "i.rtrc", records)
+        self._assert_all_raise(path, r"record 4: invalid inst count 0 \(must be >= 1\)")
+
+    def test_taken_checked_before_inst_on_the_same_record(self, tmp_path):
+        records = [(0, 0, 1), (4, 3, 0)]
+        path = self._write(tmp_path / "b.rtrc", records)
+        self._assert_all_raise(path, r"record 1: invalid taken byte 3")
+
+    def test_bad_record_in_a_later_buffer_keeps_its_file_index(self, tmp_path):
+        from repro.traces.io import _CHUNK_RECORDS
+
+        n = _CHUNK_RECORDS + 5
+        records = [(4 * i, i & 1, 1) for i in range(n)]
+        records[_CHUNK_RECORDS + 2] = (0, 1, 0)
+        path = self._write(tmp_path / "late.rtrc", records)
+        with pytest.raises(
+            TraceFormatError, match=rf"record {_CHUNK_RECORDS + 2}: invalid inst count 0"
+        ):
+            read_trace(path)
+
+    def test_truncated_payload_names_record(self, tmp_path):
+        records = [(4 * i, 1, 1) for i in range(6)]
+        path = self._write(tmp_path / "short.rtrc", records, count=9)
+        self._assert_all_raise(
+            path, r"expected 9 records, record payload truncated at record 6"
+        )
+
+    def test_partial_record_is_truncation(self, tmp_path):
+        records = [(4 * i, 1, 1) for i in range(4)]
+        path = self._write(tmp_path / "part.rtrc", records)
+        path.write_bytes(path.read_bytes()[:-3])
+        self._assert_all_raise(path, r"record payload truncated at record 3")
+
+    def test_trailing_data(self, tmp_path):
+        path = self._write(tmp_path / "extra.rtrc", [(4, 1, 1)] * 3, extra=b"zz")
+        with pytest.raises(TraceFormatError, match="trailing data after 3 records"):
+            read_trace(path)
+
+    def test_columns_decode_full_width_pcs(self, tmp_path):
+        pcs = [0, 1, 0xFF, 0x0123456789ABCDEF, (1 << 64) - 1, 1 << 63]
+        records = [(pc, i & 1, 1 + i) for i, pc in enumerate(pcs)]
+        path = self._write(tmp_path / "wide.rtrc", records)
+        trace = read_trace(path)
+        assert trace.pcs == pcs
+        assert list(trace.takens) == [i & 1 for i in range(len(pcs))]
+        assert trace.insts == [1 + i for i in range(len(pcs))]
+        for read in self._readers(path)[1:]:
+            result = read()
+            if isinstance(result, list) and result and isinstance(result[0], Trace):
+                assert [pc for chunk in result for pc in chunk.pcs] == pcs
+            elif isinstance(result, list):
+                assert [record.pc for record in result] == pcs
+                assert all(type(record.taken) is bool for record in result)
+            else:
+                assert result.pcs == pcs
