@@ -56,6 +56,7 @@ missing.
 from repro.sim.fast.arrays import (
     TraceArrays,
     fold_windows,
+    folded_history_series,
     history_windows,
     segmented_history_windows,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "history_windows",
     "segmented_history_windows",
     "fold_windows",
+    "folded_history_series",
     "simulate_fast",
     "simulate_binary_fast",
     "simulate_tage_fast",

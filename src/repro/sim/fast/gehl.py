@@ -15,9 +15,9 @@ whole trace:
   branch.
 * **O-GEHL** — the per-table geometric folded-history indices are
   precomputed with the same GF(2) closed form the TAGE planes use
-  (:func:`_folded_series` logic); the sequential remainder is an
-  M-entry table read/sum and the adaptive-threshold (TC) bookkeeping in
-  plain ints.
+  (:func:`~repro.sim.fast.arrays.folded_history_series`); the
+  sequential remainder is an M-entry table read/sum and the
+  adaptive-threshold (TC) bookkeeping in plain ints.
 
 The *self-confidence* estimators of §2.2 ride along for free: they are
 pure functions of the prediction sum (``|sum|`` versus the — for O-GEHL
@@ -57,8 +57,12 @@ from repro.predictors.ogehl import OgehlPredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.fast import compiled
-from repro.sim.fast.arrays import MAX_WINDOW_BITS, TraceArrays, history_windows
-from repro.sim.fast.planes import _folded_series
+from repro.sim.fast.arrays import (
+    MAX_WINDOW_BITS,
+    TraceArrays,
+    folded_history_series,
+    history_windows,
+)
 
 __all__ = ["perceptron_fast_run", "ogehl_fast_run"]
 
@@ -191,18 +195,25 @@ def _ogehl_index_planes(
     Table 0 is PC-indexed; tables 1..M-1 mix the PC with the folded
     geometric history exactly like ``OgehlPredictor._indices`` — and the
     folded register value each branch observes is the GF(2) closed form
-    (a live history bit of age ``a`` lands at ``a % log_entries``),
-    evaluated with one xor-accumulate pass per history age.
+    (a live history bit of age ``a`` lands at ``a % log_entries``) of
+    :func:`~repro.sim.fast.arrays.folded_history_series`.  Every table
+    folds into ``log_entries`` bits, so one unbounded fold serves them
+    all.
     """
     log_entries = predictor.log_entries
     index_mask = mask(log_entries)
     pc_part = arrays.pcs >> 2
-    outcomes = arrays.takens.astype(np.int64)
     planes = np.empty((predictor.n_tables, len(arrays)), dtype=np.int64)
     planes[0] = pc_part & index_mask
+    unbounded_folds: dict[int, np.ndarray] = {}
     for table, length in enumerate(predictor.history_lengths, start=1):
-        (folded,) = _folded_series(outcomes, length, (log_entries,))
-        planes[table] = (pc_part ^ (pc_part >> (table + 1)) ^ folded) & index_mask
+        row = folded_history_series(
+            arrays.takens, length, log_entries,
+            unbounded_folds=unbounded_folds, out=planes[table],
+        )
+        row ^= pc_part
+        row ^= pc_part >> (table + 1)
+        row &= index_mask
     return planes
 
 

@@ -7,8 +7,11 @@ history registers are linear over GF(2) in the live history bits (a bit
 of age ``a`` contributes at position ``a % compressed_length``; see
 :meth:`repro.common.history.FoldedHistory.fold_window`), so the folded
 value *every* branch of a trace will observe can be computed up front
-with vectorized NumPy passes — one xor-accumulate per history age —
-instead of per-branch shift-register updates.  What is left for the
+in closed form instead of per-branch shift-register updates: the fold
+of the *unbounded* history is built once per folded width, and every
+history length is that fold with its evicted tail xored out (see
+:func:`repro.sim.fast.arrays.folded_history_series`), so a plane set
+costs the same whatever its history lengths.  What is left for the
 sequential kernel (:mod:`repro.sim.fast.tage`) is only the genuinely
 prediction-dependent part: provider selection, counter/u updates and
 allocation.
@@ -40,6 +43,7 @@ from repro.sim.fast.arrays import (
     MAX_WINDOW_BITS,
     TraceArrays,
     fold_windows,
+    folded_history_series,
     history_windows,
 )
 
@@ -136,26 +140,6 @@ class TagePlanes:
         )
 
 
-def _folded_series(
-    outcomes: np.ndarray, length: int, widths: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Folded-history value seen *before* each branch, one array per width.
-
-    ``result[w][t]`` equals ``FoldedHistory.fold_window(window_t, length,
-    widths[w])`` where ``window_t`` packs the ``length`` outcomes before
-    branch ``t`` (newest in bit 0) — i.e. exactly the register value the
-    reference predictor reads at that point.  One xor-accumulate pass per
-    live history age; the three foldings of a component share the passes.
-    """
-    n = len(outcomes)
-    series = [np.zeros(n, dtype=np.int64) for _ in widths]
-    for age in range(min(length, n)):
-        source = outcomes[: n - age - 1]
-        for folded, width in zip(series, widths):
-            folded[age + 1 :] ^= source << (age % width)
-    return series
-
-
 def compute_planes(arrays: TraceArrays, geometry: tuple) -> TagePlanes:
     """Materialize every TAGE table lookup of a whole trace.
 
@@ -183,22 +167,32 @@ def compute_planes(arrays: TraceArrays, geometry: tuple) -> TagePlanes:
         )
     path_windows = history_windows(pcs & 1, max_path_bits)
 
+    # One unbounded fold per distinct width, shared by every component
+    # and all three foldings (index, tag, tag - 1) of this call.
+    unbounded_folds: dict[int, np.ndarray] = {}
     for slot, (table_number, log_entries, tag_bits, length, path_bits) in enumerate(
         components
     ):
-        folded_index, folded_tag_a, folded_tag_b = _folded_series(
-            outcomes, length, (log_entries, tag_bits, max(tag_bits - 1, 1))
+        index_row = folded_history_series(
+            outcomes, length, log_entries,
+            unbounded_folds=unbounded_folds, out=data[3 + slot],
         )
-        path_part = fold_windows(path_windows & mask(path_bits), path_bits, log_entries)
-        data[3 + slot] = (
-            pc_part
-            ^ (pc_part >> (table_number + 1))
-            ^ folded_index
-            ^ path_part
-        ) & mask(log_entries)
-        data[3 + n_tagged + slot] = (
-            pc_part ^ folded_tag_a ^ (folded_tag_b << 1)
-        ) & mask(tag_bits)
+        index_row ^= pc_part
+        index_row ^= pc_part >> (table_number + 1)
+        index_row ^= fold_windows(path_windows & mask(path_bits), path_bits, log_entries)
+        index_row &= mask(log_entries)
+
+        tag_row = folded_history_series(
+            outcomes, length, tag_bits,
+            unbounded_folds=unbounded_folds, out=data[3 + n_tagged + slot],
+        )
+        folded_tag_b = folded_history_series(
+            outcomes, length, max(tag_bits - 1, 1), unbounded_folds=unbounded_folds
+        )
+        folded_tag_b <<= 1
+        tag_row ^= folded_tag_b
+        tag_row ^= pc_part
+        tag_row &= mask(tag_bits)
     return TagePlanes(geometry=geometry, data=data)
 
 
