@@ -44,9 +44,9 @@ from repro.serve.client import (
     ServeRejected,
     ServeTimeout,
 )
-from repro.serve.state import SessionSpec, TenantSession, _CODE_OF_CLASS
+from repro.serve.state import SessionSpec
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.observe import observe_trace
+from repro.sim.observe import OBSERVATION_CLASS_CODES, observe_trace
 from repro.sim.runner import get_trace
 
 __all__ = [
@@ -61,6 +61,12 @@ __all__ = [
     "differential_check",
     "run_differential_check",
 ]
+
+
+_CODE_OF_CLASS = {
+    prediction_class: code
+    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
+}
 
 
 def percentile(samples, q: float) -> float:
@@ -400,11 +406,12 @@ def offline_decisions(spec: SessionSpec, trace) -> DecisionStream:
     :func:`repro.sim.observe.observe_trace` (the reference engine's
     recording loop); adaptive and binary cells replay the matching
     reference loop here, mirroring :func:`repro.sim.engine.simulate` /
-    :func:`simulate_binary` step order exactly.
+    :func:`simulate_binary` step order exactly.  Always the reference
+    engine, never the kernel a session steps on: this is the
+    independent oracle served decisions are checked against.
     """
     stream = DecisionStream(tenant=spec.tenant)
-    session = TenantSession(spec)  # offline component construction twin
-    predictor, estimator = session.predictor, session.estimator
+    predictor, estimator, controller = spec.components()
     if spec.estimator_spec.kind == "tage" and not spec.adaptive:
         observed = observe_trace(trace, predictor, estimator, backend="reference")
         stream.predictions = list(observed.predictions)
@@ -425,7 +432,6 @@ def offline_decisions(spec: SessionSpec, trace) -> DecisionStream:
         return stream
     classify = estimator.classify
     observe = estimator.observe
-    controller = session.controller
     code_of = _CODE_OF_CLASS
     for pc, taken_byte in zip(trace.pcs, trace.takens):
         taken = taken_byte == 1
@@ -493,17 +499,17 @@ async def differential_check(
         prediction != (taken == 1)
         for prediction, taken in zip(served.predictions, trace.takens)
     )
-    session = TenantSession(spec)
+    predictor, estimator, controller = spec.components()
     if spec.is_binary:
         _, result = simulate_binary(
-            trace, session.predictor, session.estimator, backend="reference"
+            trace, predictor, estimator, backend="reference"
         )
     else:
         result = simulate(
             trace,
-            session.predictor,
-            estimator=session.estimator,
-            controller=session.controller,
+            predictor,
+            estimator=estimator,
+            controller=controller,
             backend="reference",
         )
     if mispredictions != result.mispredictions:

@@ -1,16 +1,25 @@
 """Per-tenant serving state.
 
 A tenant session is the live, server-held replica of one offline
-simulation cell: a predictor plus a confidence estimator (and the §6.2
-adaptive controller when requested), advanced one observed branch at a
-time in exactly the reference engine's per-branch step order — predict,
-classify/assess, observe, (controller,) train.  Because the step order
-and component construction both match the sweep layer
-(:func:`repro.sweep.executor.build_cell_predictor` et al.), a served
+simulation cell.  The paper's estimator is storage-free — a branch's §5
+class comes from state the TAGE predictor already holds — so a
+multi-class (``tage`` estimator) session holds nothing but the TAGE
+kernel's own state: a caller-owned state block, the carried plane
+history and one kernel call per OBSERVE batch
+(:class:`~repro.sim.fast.tage_core.ResumableTageCell`, through the C
+kernels when they resolve and the pure ones otherwise, without NumPy).
+Adaptive §6.2 sessions ride the same kernel; its controller is part of
+the state block.  Binary (JRS/eJRS/self) sessions step the reference
+predictor and estimator objects one branch at a time in
+:func:`repro.sim.engine.simulate_binary`'s order — predict, assess,
+observe, train.
+
+Both kinds build their components through :meth:`SessionSpec.components`,
+exactly like the sweep layer
+(:func:`repro.sweep.executor.build_cell_predictor` et al.), so a served
 trace's per-branch decision stream is bit-identical to the offline
-:func:`repro.sim.engine.simulate` / :func:`simulate_binary` replay of
-the same (predictor, estimator, trace) cell — the property
-:func:`repro.serve.driver.differential_check` enforces.
+reference replay of the same (predictor, estimator, trace) cell — the
+property :func:`repro.serve.driver.differential_check` enforces.
 
 :class:`SessionSpec` is the wire-facing description of such a cell: the
 CLI predictor token (``tage-16K``, ``gshare``, …), the estimator kind
@@ -22,21 +31,24 @@ HELLO is rejected before any state is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
-from repro.confidence.classes import confidence_level_of
-from repro.sim.backends import Capability, Cell, get_backend
-from repro.sim.observe import OBSERVATION_CLASS_CODES
+from repro.sim.backends import Capability, Cell, FastBackendUnsupported, get_backend
+from repro.sim.fast.tage_core import ResumableTageCell
 from repro.sweep.executor import build_cell_binary_estimator, build_cell_predictor
 from repro.sweep.spec import EstimatorSpec, PredictorSpec
 
-__all__ = ["SessionSpec", "TenantSession"]
+__all__ = ["SessionComponents", "SessionSpec", "TenantSession"]
 
-_CODE_OF_CLASS = {
-    prediction_class: code
-    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
-}
+
+class SessionComponents(NamedTuple):
+    """A session's freshly built reference components."""
+
+    predictor: object
+    estimator: object
+    controller: object | None
 
 
 @dataclass(frozen=True)
@@ -96,39 +108,51 @@ class SessionSpec:
         """Binary high/low sessions return the confidence flag as code."""
         return self.estimator_spec.is_binary
 
-    def capability(self, backend: str = "fast") -> Capability:
-        """The named backend's verdict for this session's offline twin.
+    def components(self) -> SessionComponents:
+        """Fresh power-on predictor, estimator and §6.2 controller.
 
-        Builds the session's components exactly as :class:`TenantSession`
-        would and asks :meth:`repro.sim.backends.Backend.capability` —
-        the same single decision point the sweep executor and the
-        ``simulate`` dispatchers use — so a served cell and its offline
-        differential-check replay can never disagree about backend
-        support.
+        The one construction of a session's cell, shared by
+        :class:`TenantSession`, :meth:`capability` and the offline
+        replays in :mod:`repro.serve.driver`: the predictor through
+        :func:`~repro.sweep.executor.build_cell_predictor` (same
+        presets and seed derivation as a sweep job), the §5 observation
+        estimator and optional controller for ``tage`` cells, the
+        binary estimator otherwise.
         """
         predictor = build_cell_predictor(
             self.predictor_spec, adaptive=self.adaptive, seed=self.seed
         )
-        if self.estimator_spec.kind == "tage":
-            controller = (
-                AdaptiveSaturationController(predictor, target_mkp=self.target_mkp)
-                if self.adaptive
-                else None
+        if self.estimator_spec.kind != "tage":
+            return SessionComponents(
+                predictor,
+                build_cell_binary_estimator(self.estimator_spec, predictor),
+                None,
             )
-            cell = Cell(
-                predictor=predictor,
-                estimator=TageConfidenceEstimator(predictor),
-                controller=controller,
-            )
-        else:
-            cell = Cell(
-                predictor=predictor,
-                estimator=build_cell_binary_estimator(
-                    self.estimator_spec, predictor
-                ),
-                binary=True,
-            )
-        return get_backend(backend).capability(cell)
+        controller = (
+            AdaptiveSaturationController(predictor, target_mkp=self.target_mkp)
+            if self.adaptive
+            else None
+        )
+        return SessionComponents(
+            predictor, TageConfidenceEstimator(predictor), controller
+        )
+
+    def capability(self, backend: str = "fast") -> Capability:
+        """The named backend's verdict for this session's offline twin.
+
+        Asks :meth:`repro.sim.backends.Backend.capability` — the same
+        single decision point the sweep executor and the ``simulate``
+        dispatchers use — about :meth:`components`, so a served cell
+        and its offline differential-check replay can never disagree
+        about backend support.
+        """
+        predictor, estimator, controller = self.components()
+        return get_backend(backend).capability(Cell(
+            predictor=predictor,
+            estimator=estimator,
+            controller=controller,
+            binary=self.is_binary,
+        ))
 
     def as_dict(self) -> dict:
         """Plain-data wire form (the HELLO payload)."""
@@ -154,84 +178,83 @@ class SessionSpec:
 
 
 class TenantSession:
-    """Live predictor + estimator state for one tenant.
+    """Live decision state for one tenant.
 
-    All mutation happens through :meth:`observe_batch`, which the server
-    calls from exactly one shard worker — per-tenant serialization is a
-    routing property, so the session itself needs no locking.
+    A multi-class session is a :class:`ResumableTageCell` — the TAGE
+    kernel's state block and carried history; a binary session holds
+    the reference predictor and estimator objects.  All mutation
+    happens through :meth:`observe_batch`, which the server calls from
+    exactly one shard worker — per-tenant serialization is a routing
+    property, so the session itself needs no locking.
+
+    Raises:
+        ValueError: when a multi-class cell falls outside the TAGE
+            kernel's family (a typed rejection at HELLO; there is no
+            slower fallback loop).
     """
 
     def __init__(self, spec: SessionSpec) -> None:
         self.spec = spec
-        predictor_spec = spec.predictor_spec
-        self.predictor = build_cell_predictor(
-            predictor_spec, adaptive=spec.adaptive, seed=spec.seed
-        )
-        self.controller = None
-        if spec.estimator_spec.kind == "tage":
-            self.estimator = TageConfidenceEstimator(self.predictor)
-            if spec.adaptive:
-                self.controller = AdaptiveSaturationController(
-                    self.predictor, target_mkp=spec.target_mkp
-                )
-        else:
-            self.estimator = build_cell_binary_estimator(
-                spec.estimator_spec, self.predictor
-            )
-        self.n_observed = 0
-        self.mispredictions = 0
+        predictor, estimator, controller = spec.components()
+        if spec.is_binary:
+            self.predictor = predictor
+            self.estimator = estimator
+            self._cell = None
+            self._observed = 0
+            self._mispredictions = 0
+            return
+        try:
+            self._cell = ResumableTageCell(predictor, estimator, controller)
+        except FastBackendUnsupported as error:
+            raise ValueError(
+                f"session {spec.predictor!r} x {spec.estimator!r} cannot "
+                f"run on the TAGE kernel: {error}"
+            ) from error
+
+    @property
+    def n_observed(self) -> int:
+        """Branches this session has stepped."""
+        return self._observed if self._cell is None else self._cell.observed
+
+    @property
+    def mispredictions(self) -> int:
+        """Mispredicted branches so far."""
+        if self._cell is None:
+            return self._mispredictions
+        return self._cell.mispredictions
 
     def observe_batch(self, pcs, takens) -> tuple[bytes, bytes]:
         """Advance the session over a batch; per-record decisions back.
 
         Returns parallel byte columns ``(predictions, codes)`` — codes
         are §5 observation-class codes for multi-class sessions, the
-        high-confidence flag for binary ones.  The per-branch step order
-        replicates :func:`repro.sim.engine.simulate` (multi-class) and
-        :func:`simulate_binary` (binary) exactly.
+        high-confidence flag for binary ones.  A multi-class batch is
+        one :meth:`ResumableTageCell.step` (plane rows from the carried
+        history, then one kernel call); a binary batch replicates
+        :func:`repro.sim.engine.simulate_binary`'s per-branch step
+        order exactly.
         """
+        if self._cell is not None:
+            return self._cell.step(pcs, takens)
         predictions = bytearray()
         codes = bytearray()
-        predictor = self.predictor
-        predict = predictor.predict
-        train = predictor.train
+        predict = self.predictor.predict
+        train = self.predictor.train
+        assess = self.estimator.assess
+        observe = self.estimator.observe
         mispredictions = 0
-        if self.spec.is_binary:
-            assess = self.estimator.assess
-            observe = self.estimator.observe
-            for pc, taken_byte in zip(pcs, takens):
-                taken = taken_byte == 1
-                prediction = predict(pc)
-                high = assess(pc, prediction)
-                if prediction != taken:
-                    mispredictions += 1
-                observe(pc, prediction, taken)
-                train(pc, taken)
-                predictions.append(1 if prediction else 0)
-                codes.append(1 if high else 0)
-        else:
-            classify = self.estimator.classify
-            observe = self.estimator.observe
-            controller = self.controller
-            code_of = _CODE_OF_CLASS
-            for pc, taken_byte in zip(pcs, takens):
-                taken = taken_byte == 1
-                prediction = predict(pc)
-                mispredicted = prediction != taken
-                if mispredicted:
-                    mispredictions += 1
-                observation = predictor.last_prediction
-                prediction_class = classify(observation)
-                observe(observation, taken)
-                if controller is not None:
-                    controller.observe(
-                        confidence_level_of(prediction_class), mispredicted
-                    )
-                train(pc, taken)
-                predictions.append(1 if prediction else 0)
-                codes.append(code_of[prediction_class])
-        self.n_observed += len(predictions)
-        self.mispredictions += mispredictions
+        for pc, taken_byte in zip(pcs, takens):
+            taken = taken_byte == 1
+            prediction = predict(pc)
+            high = assess(pc, prediction)
+            if prediction != taken:
+                mispredictions += 1
+            observe(pc, prediction, taken)
+            train(pc, taken)
+            predictions.append(1 if prediction else 0)
+            codes.append(1 if high else 0)
+        self._observed += len(predictions)
+        self._mispredictions += mispredictions
         return bytes(predictions), bytes(codes)
 
     def stats(self) -> dict:

@@ -207,6 +207,7 @@ def load_fast_engine():
     """
     try:
         from repro.sim import fast
+        from repro.sim.fast import engine  # noqa: F401 — the NumPy gate
     except ImportError as error:  # pragma: no cover - numpy is present in CI
         raise FastBackendUnsupported(f"NumPy is unavailable ({error})") from error
     return fast

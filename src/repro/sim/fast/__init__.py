@@ -16,14 +16,19 @@ estimators — built on five layers:
 * :mod:`repro.sim.fast.planes` — precomputed TAGE index/tag planes
   (the folded-history arithmetic, computed trace-wide with NumPy) and
   their memmap-backed on-disk materialization cache;
-* :mod:`repro.sim.fast.tage` — the lean sequential TAGE kernel over
-  packed structure-of-arrays table state (with the in-kernel §6.2
-  feedback loop and per-branch observation streams for the apps layer);
+* :mod:`repro.sim.fast.tage_core` — the numpy-free TAGE core: the
+  lean sequential kernel over a caller-owned, resumable state block
+  (with the in-kernel §6.2 feedback loop), the batch plane builder
+  that carries its history across calls, and the resumable cell the
+  serving layer steps tenants on;
+* :mod:`repro.sim.fast.tage` — whole-trace TAGE runs on that kernel
+  (with per-branch observation streams for the apps layer);
 * :mod:`repro.sim.fast.gehl` — the plane-fed dot-product kernels for
   the sum-based predictors and their self-confidence signals;
 * :mod:`repro.sim.fast.compiled` — the embedded-C build of the
-  sequential TAGE, O-GEHL, perceptron and counter-scan kernels,
-  bit-identical to the pure kernels in :mod:`~repro.sim.fast.tage`,
+  sequential TAGE, TAGE batch-plane, O-GEHL, perceptron and
+  counter-scan kernels, bit-identical to the pure kernels in
+  :mod:`~repro.sim.fast.tage_core`,
   :mod:`~repro.sim.fast.gehl` and :mod:`~repro.sim.fast.scan` and used
   whenever a C compiler is present (``REPRO_COMPILED_PROVIDER`` pins
   ``cext`` or ``none``);
@@ -47,72 +52,62 @@ enforced by ``tests/equivalence/`` and the golden fixtures under
 ``benchmarks/test_bench_tage_fast.py`` and
 ``benchmarks/test_bench_adaptive_fast.py``.
 
-Requires NumPy; import this module through
+Every layer but :mod:`~repro.sim.fast.compiled` and
+:mod:`~repro.sim.fast.tage_core` requires NumPy.  The names below are
+re-exported lazily (module ``__getattr__``), so importing the package —
+or its two numpy-free modules, which the serving layer steps tenants
+on — never loads NumPy; import the rest through
 :func:`repro.sim.backends.load_fast_engine` to get a clean
 ``FastBackendUnsupported`` instead of an ``ImportError`` when it is
 missing.
 """
 
-from repro.sim.fast.arrays import (
-    TraceArrays,
-    fold_windows,
-    folded_history_series,
-    history_windows,
-    segmented_history_windows,
-)
-from repro.sim.fast.compiled import (
-    active_provider,
-    resolve_ogehl_kernel,
-    resolve_tage_kernel,
-)
-from repro.sim.fast.engine import (
-    cell_capability,
-    simulate_binary_fast,
-    simulate_fast,
-    vectorized_assessments,
-    vectorized_predictions,
-)
-from repro.sim.fast.gehl import ogehl_fast_run, perceptron_fast_run
-from repro.sim.fast.lockstep import LockstepCell, simulate_tage_lockstep
-from repro.sim.fast.planes import (
-    PlaneCache,
-    TagePlanes,
-    compute_planes,
-    default_planes_dir,
-    plane_geometry,
-)
-from repro.sim.fast.scan import DEFAULT_CHUNK_SIZE, CounterTable, scanned_counters
-from repro.sim.fast.tage import (
-    observe_tage_fast,
-    simulate_tage_fast,
-    tage_fast_predictions,
-)
+from importlib import import_module
 
-__all__ = [
-    "TraceArrays",
-    "history_windows",
-    "segmented_history_windows",
-    "fold_windows",
-    "folded_history_series",
-    "simulate_fast",
-    "simulate_binary_fast",
-    "simulate_tage_fast",
-    "tage_fast_predictions",
-    "observe_tage_fast",
-    "perceptron_fast_run",
-    "ogehl_fast_run",
-    "LockstepCell",
-    "simulate_tage_lockstep",
-    "cell_capability",
-    "active_provider",
-    "resolve_tage_kernel",
-    "resolve_ogehl_kernel",
-    "PlaneCache",
-    "TagePlanes",
-    "compute_planes",
-    "plane_geometry",
-    "default_planes_dir",
-    "CounterTable",
-    "scanned_counters",
-    "DEFAULT_CHUNK_SIZE",
-]
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "TraceArrays": "arrays",
+    "history_windows": "arrays",
+    "segmented_history_windows": "arrays",
+    "fold_windows": "arrays",
+    "folded_history_series": "arrays",
+    "simulate_fast": "engine",
+    "simulate_binary_fast": "engine",
+    "cell_capability": "engine",
+    "vectorized_assessments": "engine",
+    "vectorized_predictions": "engine",
+    "simulate_tage_fast": "tage",
+    "tage_fast_predictions": "tage",
+    "observe_tage_fast": "tage",
+    "perceptron_fast_run": "gehl",
+    "ogehl_fast_run": "gehl",
+    "LockstepCell": "lockstep",
+    "simulate_tage_lockstep": "lockstep",
+    "active_provider": "compiled",
+    "resolve_tage_kernel": "compiled",
+    "resolve_ogehl_kernel": "compiled",
+    "PlaneCache": "planes",
+    "TagePlanes": "planes",
+    "compute_planes": "planes",
+    "plane_geometry": "planes",
+    "default_planes_dir": "planes",
+    "CounterTable": "scan",
+    "scanned_counters": "scan",
+    "DEFAULT_CHUNK_SIZE": "scan",
+    "ResumableTageCell": "tage_core",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

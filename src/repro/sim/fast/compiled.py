@@ -1,10 +1,11 @@
 """Compiled C builds of the fast-backend inner loops.
 
-The fast backend's remaining per-branch cost is four genuinely
-sequential kernels: the TAGE loop (:func:`repro.sim.fast.tage._kernel`),
-the O-GEHL and perceptron loops in :mod:`repro.sim.fast.gehl` and the
-clamp-add counter-table walk in :mod:`repro.sim.fast.scan` (bimodal,
-gshare, local and JRS/eJRS).  Each exists in exactly two translations:
+The fast backend's remaining per-branch cost is five genuinely
+sequential kernels: the TAGE loop and the TAGE batch plane builder
+(:mod:`repro.sim.fast.tage_core`), the O-GEHL and perceptron loops in
+:mod:`repro.sim.fast.gehl` and the clamp-add counter-table walk in
+:mod:`repro.sim.fast.scan` (bimodal, gshare, local and JRS/eJRS).
+Each exists in exactly two translations:
 
 * **pure** — the Python/NumPy kernels in those modules (list-based
   loops for TAGE and O-GEHL, the lockstep perceptron, the segmented
@@ -29,27 +30,30 @@ Because the env var inherits into sweep worker processes, one setting
 governs a whole parallel sweep.  The ``resolve_*_kernel`` functions
 return the C callable or None, and callers branch only on None.
 Resolution is lazy and memoized, so the build probe runs at most once
-per process.
+per process.  This module imports nothing but the standard library:
+the C callables take NumPy arrays, :class:`array.array` blocks and
+``bytes``/``bytearray`` columns alike, so the serving layer drives the
+TAGE kernels without loading NumPy.
 
-The TAGE kernel here is *batched*: it runs ``n_cells`` independent
-configurations over one shared set of index/tag planes in a single
-call (cells-outer, trace-inner — the cells never interact, so the
-per-cell streams are bit-identical to independent runs while the trace
-planes are walked once per cell from warm cache lines).  The lockstep
-sweep scheduler (:mod:`repro.sim.fast.lockstep`) and the single-cell
-entry points in :mod:`repro.sim.fast.tage` both call it; a single-cell
-simulation is simply a batch of one.
+The TAGE kernel runs one cell per call over *caller-owned* state: the
+``ST_*`` block below holds every table, the random-source states, the
+§5/§6.2 counters and the branch tick, and the kernel resumes from it
+and leaves it advanced.  An offline run powers a block on and makes
+one call over the whole trace's planes; a served tenant keeps its
+block and makes one call per request batch, with the plane rows built
+from its carried history by the ``tage_planes`` kernel (the ``GP_*``
+geometry row and ``HS_*`` history block below).
 
 Each C kernel is a *translation* of a reference loop and carries
 parity markers — ``repro: parity-begin <group>/<side>
 fingerprint=<8 hex>`` / ``repro: parity-end <group>/<side>`` — around
 the translated region (as ``/* */`` comments inside the C source; the
 pure sides use ``#`` comments, and markers are matched on raw lines,
-so both work).  Four groups live here, each with its ``c`` side below:
-``tage-batch`` (side ``pure`` in :mod:`repro.sim.fast.tage`),
-``ogehl-run`` and ``perceptron-run`` (``pure`` in
-:mod:`repro.sim.fast.gehl`) and ``counter-scan`` (``pure`` in
-:mod:`repro.sim.fast.scan`).  Both sides record the same
+so both work).  Five groups live here, each with its ``c`` side below:
+``tage-batch`` and ``tage-planes`` (side ``pure`` in
+:mod:`repro.sim.fast.tage_core`), ``ogehl-run`` and ``perceptron-run``
+(``pure`` in :mod:`repro.sim.fast.gehl`) and ``counter-scan``
+(``pure`` in :mod:`repro.sim.fast.scan`).  Both sides record the same
 group-wide fingerprint (a CRC-32 of both sides' whitespace-normalized
 contents), so ``repro lint`` rule RPR004 fails the moment one
 translation changes alone; the fix is to update both sides, re-run the
@@ -67,6 +71,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
+from array import array
 from pathlib import Path
 
 from repro.sim.backends import FastBackendFallbackWarning
@@ -80,6 +85,7 @@ __all__ = [
     "resolve_counter_scan_kernel",
     "resolve_perceptron_kernel",
     "warn_missing_compiled",
+    "resolve_tage_planes_kernel",
     "N_IPARAMS",
     "N_FPARAMS",
     "N_COUNTS",
@@ -93,13 +99,15 @@ CACHE_ENV = "REPRO_COMPILED_CACHE"
 COMPILED_PROVIDERS = ("cext",)
 
 # ---------------------------------------------------------------------------
-# Packed per-cell parameter layout for the batched TAGE kernel.
+# Packed per-cell layout of the TAGE kernel.
 #
-# One int64 row per cell (N_IPARAMS wide) plus one float64 row
-# (N_FPARAMS wide) carry everything `tage._kernel` reads from the
-# config/estimator/controller objects; one int64 row (N_COUNTS wide)
-# carries everything it returns.  `tage._cell_params` packs the rows
-# and the C build reads them — the literal indices below are the ABI.
+# One int64 row (N_IPARAMS wide) plus one float64 row (N_FPARAMS wide)
+# carry everything the kernel reads from the config/estimator/
+# controller objects; one int64 state block (ST_* slots, then the
+# tables) carries everything it reads *and* advances.  The numpy-free
+# `tage_core.cell_params` packs the rows, `tage_core.power_on` fills a
+# fresh block from them, and the C build reads both — the literal
+# indices below are the ABI.
 # ---------------------------------------------------------------------------
 
 IP_LOG_TAGGED = 0      # log2 entries per tagged component
@@ -113,28 +121,68 @@ IP_USE_ALT_MIN = 7     # monitor floor
 IP_UPDATE_ALT = 8      # update_alt_when_u_zero (0/1)
 IP_RANDOMIZED = 9      # randomized allocation start (0/1)
 IP_PROB_ENABLED = 10   # §6 probabilistic saturation automaton (0/1)
-IP_PROB_K = 11         # initial sat-prob log2 (live automaton value)
-IP_LFSR_SEED = 12      # §6 LFSR state, already masked/defaulted
-IP_ALLOC_SEED = 13     # XorShift32 state, already masked/defaulted
+IP_PROB_K = 11         # power-on sat-prob log2 (live automaton value)
+IP_LFSR_SEED = 12      # §6 LFSR power-on state, already masked/defaulted
+IP_ALLOC_SEED = 13     # XorShift32 power-on state, already masked/defaulted
 IP_EST_WINDOW = 14     # §5 BIM-miss window; -1 = no estimator
 IP_MAX_STRENGTH = 15   # (1 << ctr_bits) - 1 of the estimator's predictor
-IP_WARMUP = 16         # branches excluded from class counts
+IP_WARMUP = 16         # branches (by tick) excluded from class counts
 IP_CTRL_WINDOW = 17    # §6.2 controller window; 0 = no controller
 IP_CTRL_MIN = 18       # controller sat-prob floor
 IP_CTRL_MAX = 19       # controller sat-prob ceiling
 IP_HIGH_MASK = 20      # bitmask of HIGH-confidence class codes
 IP_LOG_BIMODAL = 21    # log2 bimodal entries
-N_IPARAMS = 22
+IP_N_TAGGED = 22       # tagged components
+N_IPARAMS = 23
 
 FP_CTRL_TARGET = 0     # §6.2 target misses per kilo-prediction
 FP_CTRL_RELAX = 1      # §6.2 relax fraction
 N_FPARAMS = 2
 
+ST_USE_ALT = 0         # USE_ALT_ON_NA monitor
+ST_LFSR = 1            # §6 LFSR state
+ST_ALLOC = 2           # allocation XorShift32 state
+ST_PROB_K = 3          # live sat-prob log2 (the §6.2 controller moves it)
+ST_SINCE_MISS = 4      # §5 branches since the last bimodal miss (capped)
+ST_CTRL_HIGH = 5       # §6.2 high-confidence predictions this window
+ST_CTRL_MISP = 6       # §6.2 of which mispredicted
+ST_TICK = 7            # branches run so far (drives u aging and warmup)
+ST_COUNTS = 8          # [8..23] the N_COUNTS CT_* counts, accumulated
+ST_TABLES = 24         # then ctr, tag, u (n_tagged << log_tagged each), bimodal
+
 CT_MISPREDICTIONS = 0  # [0]
 CT_PRED_BASE = 1       # [1..7]  per-class prediction counts
 CT_MISP_BASE = 8       # [8..14] per-class misprediction counts
-CT_FINAL_PROB_K = 15   # [15]    final sat-prob log2 (-1: not probabilistic)
+CT_FINAL_PROB_K = 15   # [15]    live sat-prob log2 (-1: not probabilistic)
 N_COUNTS = 16
+
+# The batch plane builder's geometry row (`tage_core.plane_params`):
+# four scalars, then GP_STRIDE values per tagged component, T1..TM.
+GP_N_TAGGED = 0        # tagged components
+GP_LOG_BIMODAL = 1     # log2 bimodal entries
+GP_PATH_BITS = 2       # path register width (widest component window)
+GP_CAPACITY = 3        # outcome ring length (longest history)
+GP_COMPONENTS = 4      # (table_number, log_entries, tag_bits, length, path_bits)
+GP_STRIDE = 5
+
+# Its carried history block (`tage_core.history_power_on`): two scalars,
+# the 3 * n_tagged folded registers (index folds T1..TM, tag folds,
+# tag-minus-one folds), then the GP_CAPACITY-entry outcome ring.
+HS_PATH = 0            # path register (low PC bit per branch)
+HS_HEAD = 1            # ring slot the next outcome goes to
+HS_FOLDS = 2
+
+
+def state_words(iparams) -> int:
+    """int64 words in the ``ST_*`` state block of a cell's ``iparams``."""
+    return (ST_TABLES
+            + (3 * iparams[IP_N_TAGGED] << iparams[IP_LOG_TAGGED])
+            + (1 << iparams[IP_LOG_BIMODAL]))
+
+
+def history_words(gparams) -> int:
+    """int64 words in the ``HS_*`` history block of a ``gparams`` row."""
+    return HS_FOLDS + 3 * gparams[GP_N_TAGGED] + gparams[GP_CAPACITY]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +194,7 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
-/* repro: parity-begin tage-batch/c fingerprint=8b663460 */
+/* repro: parity-begin tage-batch/c fingerprint=c788c8d8 */
 /* Galois LFSR draw of the Sec 6 probabilistic automaton: k steps, OR of
  * the tap bits.  Identical to the reference Python loop. */
 static inline uint32_t lfsr_draw(uint32_t state, int64_t k, int64_t *any_set)
@@ -195,244 +243,317 @@ static inline void ctr_step(int64_t *cell, int64_t taken,
     }
 }
 
-int tage_batch(int64_t n, int64_t n_tagged, int64_t n_cells,
-               const int64_t *takens, const int64_t *bim_idx,
-               const int64_t *idx_planes, const int64_t *tag_planes,
-               const int64_t *iparams, const double *fparams,
-               int64_t *counts,
+int tage_batch(int64_t n, const int64_t *rows,
+               const int64_t *ip, const double *fp, int64_t *state,
                int64_t want_predictions, uint8_t *predictions,
                int64_t want_classes, uint8_t *classes)
 {
-    for (int64_t c = 0; c < n_cells; c++) {
-        const int64_t *ip = iparams + c * 22;
-        int64_t log_tagged = ip[0];
-        int64_t cmax = ip[1], cmin = ip[2];
-        int64_t u_max = ip[3], u_reset = ip[4];
-        int64_t use_alt_enabled = ip[5];
-        int64_t use_alt_max = ip[6], use_alt_min = ip[7];
-        int64_t update_alt = ip[8], randomized = ip[9];
-        int64_t prob_enabled = ip[10], prob_k = ip[11];
-        uint32_t lfsr_state = (uint32_t)ip[12];
-        uint32_t alloc_state = (uint32_t)ip[13];
-        int64_t est_window = ip[14], max_strength = ip[15];
-        int64_t warmup = ip[16];
-        int64_t ctrl_window = ip[17];
-        int64_t ctrl_min = ip[18], ctrl_max = ip[19];
-        int64_t high_mask = ip[20], log_bimodal = ip[21];
-        double ctrl_target = fparams[c * 2];
-        double ctrl_relax = fparams[c * 2 + 1];
+    int64_t log_tagged = ip[0];
+    int64_t cmax = ip[1], cmin = ip[2];
+    int64_t u_max = ip[3], u_reset = ip[4];
+    int64_t use_alt_enabled = ip[5];
+    int64_t use_alt_max = ip[6], use_alt_min = ip[7];
+    int64_t update_alt = ip[8], randomized = ip[9];
+    int64_t prob_enabled = ip[10];
+    int64_t est_window = ip[14], max_strength = ip[15];
+    int64_t warmup = ip[16];
+    int64_t ctrl_window = ip[17];
+    int64_t ctrl_min = ip[18], ctrl_max = ip[19];
+    int64_t high_mask = ip[20];
+    int64_t n_tagged = ip[22];
+    double ctrl_target = fp[0];
+    double ctrl_relax = fp[1];
 
-        int64_t size = (int64_t)1 << log_tagged;
-        int64_t bsize = (int64_t)1 << log_bimodal;
-        int64_t *ctr = (int64_t *)calloc((size_t)(n_tagged * size),
-                                         sizeof(int64_t));
-        int64_t *tag = (int64_t *)calloc((size_t)(n_tagged * size),
-                                         sizeof(int64_t));
-        int64_t *u = (int64_t *)calloc((size_t)(n_tagged * size),
-                                       sizeof(int64_t));
-        int64_t *bimodal = (int64_t *)malloc((size_t)bsize
-                                             * sizeof(int64_t));
-        if (!ctr || !tag || !u || !bimodal) {
-            free(ctr); free(tag); free(u); free(bimodal);
-            return 1;
-        }
-        for (int64_t s = 0; s < bsize; s++)
-            bimodal[s] = 2;
+    const int64_t *takens = rows;
+    const int64_t *bim_idx = rows + n;
+    const int64_t *idx_planes = rows + 2 * n;
+    const int64_t *tag_planes = rows + (2 + n_tagged) * n;
 
-        int64_t use_alt = 0;
-        int64_t mispredictions = 0;
-        int64_t since_miss = est_window >= 0 ? est_window : 0;
-        int64_t ctrl_high = 0, ctrl_misp = 0;
-        int64_t *out = counts + c * 16;
+    int64_t size = (int64_t)1 << log_tagged;
+    int64_t *ctr = state + 24;
+    int64_t *tag = ctr + n_tagged * size;
+    int64_t *u = tag + n_tagged * size;
+    int64_t *bimodal = u + n_tagged * size;
 
-        for (int64_t t = 0; t < n; t++) {
-            int64_t taken = takens[t] != 0;
+    int64_t use_alt = state[0];
+    uint32_t lfsr_state = (uint32_t)state[1];
+    uint32_t alloc_state = (uint32_t)state[2];
+    int64_t prob_k = state[3];
+    int64_t since_miss = state[4];
+    int64_t ctrl_high = state[5], ctrl_misp = state[6];
+    int64_t tick = state[7];
+    int64_t *out = state + 8;
 
-            int64_t provider = 0, provider_idx = 0;
-            int64_t alt = 0, alt_idx = 0;
-            for (int64_t i = n_tagged - 1; i >= 0; i--) {
-                int64_t idx = idx_planes[i * n + t];
-                if (tag[i * size + idx] == tag_planes[i * n + t]) {
-                    if (provider) {
-                        alt = i + 1;
-                        alt_idx = idx;
-                        break;
-                    }
-                    provider = i + 1;
-                    provider_idx = idx;
-                }
-            }
+    for (int64_t t = 0; t < n; t++) {
+        int64_t taken = takens[t] != 0;
 
-            int64_t bidx = bim_idx[t];
-            int64_t bctr = bimodal[bidx];
-
-            int64_t ctrv, provider_pred, altpred, prediction, weak;
-            if (provider) {
-                ctrv = ctr[(provider - 1) * size + provider_idx];
-                provider_pred = ctrv >= 0;
-                weak = ctrv >= -1 && ctrv <= 0;
-                altpred = alt ? (ctr[(alt - 1) * size + alt_idx] >= 0)
-                              : (bctr >= 2);
-                if (weak && use_alt_enabled && use_alt >= 0)
-                    prediction = altpred;
-                else
-                    prediction = provider_pred;
-            } else {
-                ctrv = bctr;
-                prediction = provider_pred = altpred = bctr >= 2;
-                weak = 0;
-            }
-
-            int64_t mispredicted = prediction != taken;
-            if (mispredicted)
-                mispredictions++;
-            if (want_predictions)
-                predictions[c * n + t] = (uint8_t)prediction;
-
-            if (est_window >= 0) {
-                int64_t cls;
+        int64_t provider = 0, provider_idx = 0;
+        int64_t alt = 0, alt_idx = 0;
+        for (int64_t i = n_tagged - 1; i >= 0; i--) {
+            int64_t idx = idx_planes[i * n + t];
+            if (tag[i * size + idx] == tag_planes[i * n + t]) {
                 if (provider) {
-                    int64_t strength = 2 * ctrv + 1;
-                    if (strength < 0)
-                        strength = -strength;
-                    if (strength == 1)
-                        cls = 6;
-                    else if (strength == max_strength)
-                        cls = 3;
-                    else if (strength == max_strength - 2)
-                        cls = 4;
-                    else
-                        cls = 5;
-                } else if (bctr == 1 || bctr == 2) {
-                    cls = 1;
-                } else if (since_miss < est_window) {
-                    cls = 2;
-                } else {
-                    cls = 0;
+                    alt = i + 1;
+                    alt_idx = idx;
+                    break;
                 }
-                if (want_classes)
-                    classes[c * n + t] = (uint8_t)cls;
-                if (t >= warmup) {
-                    out[1 + cls]++;
-                    if (mispredicted)
-                        out[8 + cls]++;
-                }
-                if (!provider) {
-                    if (mispredicted)
-                        since_miss = 0;
-                    else if (since_miss < est_window)
-                        since_miss++;
-                }
-                if (ctrl_window > 0 && ((high_mask >> cls) & 1)) {
-                    ctrl_high++;
-                    if (mispredicted)
-                        ctrl_misp++;
-                    if (ctrl_high >= ctrl_window) {
-                        double rate_mkp = 1000.0 * (double)ctrl_misp
-                                          / (double)ctrl_high;
-                        if (rate_mkp > ctrl_target && prob_k < ctrl_max)
-                            prob_k++;
-                        else if (rate_mkp < ctrl_target * ctrl_relax
-                                 && prob_k > ctrl_min)
-                            prob_k--;
-                        ctrl_high = 0;
-                        ctrl_misp = 0;
-                    }
+                provider = i + 1;
+                provider_idx = idx;
+            }
+        }
+
+        int64_t bidx = bim_idx[t];
+        int64_t bctr = bimodal[bidx];
+
+        int64_t ctrv, provider_pred, altpred, prediction, weak;
+        if (provider) {
+            ctrv = ctr[(provider - 1) * size + provider_idx];
+            provider_pred = ctrv >= 0;
+            weak = ctrv >= -1 && ctrv <= 0;
+            altpred = alt ? (ctr[(alt - 1) * size + alt_idx] >= 0)
+                          : (bctr >= 2);
+            if (weak && use_alt_enabled && use_alt >= 0)
+                prediction = altpred;
+            else
+                prediction = provider_pred;
+        } else {
+            ctrv = bctr;
+            prediction = provider_pred = altpred = bctr >= 2;
+            weak = 0;
+        }
+
+        int64_t mispredicted = prediction != taken;
+        if (mispredicted)
+            out[0]++;
+        if (want_predictions)
+            predictions[t] = (uint8_t)prediction;
+
+        if (est_window >= 0) {
+            int64_t cls;
+            if (provider) {
+                int64_t strength = 2 * ctrv + 1;
+                if (strength < 0)
+                    strength = -strength;
+                if (strength == 1)
+                    cls = 6;
+                else if (strength == max_strength)
+                    cls = 3;
+                else if (strength == max_strength - 2)
+                    cls = 4;
+                else
+                    cls = 5;
+            } else if (bctr == 1 || bctr == 2) {
+                cls = 1;
+            } else if (since_miss < est_window) {
+                cls = 2;
+            } else {
+                cls = 0;
+            }
+            if (want_classes)
+                classes[t] = (uint8_t)cls;
+            if (tick >= warmup) {
+                out[1 + cls]++;
+                if (mispredicted)
+                    out[8 + cls]++;
+            }
+            if (!provider) {
+                if (mispredicted)
+                    since_miss = 0;
+                else if (since_miss < est_window)
+                    since_miss++;
+            }
+            if (ctrl_window > 0 && ((high_mask >> cls) & 1)) {
+                ctrl_high++;
+                if (mispredicted)
+                    ctrl_misp++;
+                if (ctrl_high >= ctrl_window) {
+                    double rate_mkp = 1000.0 * (double)ctrl_misp
+                                      / (double)ctrl_high;
+                    if (rate_mkp > ctrl_target && prob_k < ctrl_max)
+                        prob_k++;
+                    else if (rate_mkp < ctrl_target * ctrl_relax
+                             && prob_k > ctrl_min)
+                        prob_k--;
+                    ctrl_high = 0;
+                    ctrl_misp = 0;
                 }
             }
+        }
 
-            int64_t allocate = mispredicted && provider < n_tagged;
-            if (provider && weak) {
-                if (provider_pred == taken)
-                    allocate = 0;
-                if (provider_pred != altpred) {
-                    if (altpred == taken) {
-                        if (use_alt < use_alt_max)
-                            use_alt++;
-                    } else if (use_alt > use_alt_min) {
-                        use_alt--;
-                    }
+        int64_t allocate = mispredicted && provider < n_tagged;
+        if (provider && weak) {
+            if (provider_pred == taken)
+                allocate = 0;
+            if (provider_pred != altpred) {
+                if (altpred == taken) {
+                    if (use_alt < use_alt_max)
+                        use_alt++;
+                } else if (use_alt > use_alt_min) {
+                    use_alt--;
                 }
             }
+        }
 
-            if (allocate) {
-                int64_t start = provider + 1;
-                if (randomized) {
-                    uint32_t x = alloc_state;
-                    while (start < n_tagged) {
-                        x ^= x << 13;
-                        x ^= x >> 17;
-                        x ^= x << 5;
-                        if (!(x & 1u))
-                            break;
-                        start++;
-                    }
-                    alloc_state = x;
+        if (allocate) {
+            int64_t start = provider + 1;
+            if (randomized) {
+                uint32_t x = alloc_state;
+                while (start < n_tagged) {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    if (!(x & 1u))
+                        break;
+                    start++;
                 }
-                int64_t allocated = 0;
+                alloc_state = x;
+            }
+            int64_t allocated = 0;
+            for (int64_t j = start - 1; j < n_tagged; j++) {
+                int64_t idx = idx_planes[j * n + t];
+                if (u[j * size + idx] == 0) {
+                    ctr[j * size + idx] = taken ? 0 : -1;
+                    tag[j * size + idx] = tag_planes[j * n + t];
+                    allocated = 1;
+                    break;
+                }
+            }
+            if (!allocated) {
                 for (int64_t j = start - 1; j < n_tagged; j++) {
                     int64_t idx = idx_planes[j * n + t];
-                    if (u[j * size + idx] == 0) {
-                        ctr[j * size + idx] = taken ? 0 : -1;
-                        tag[j * size + idx] = tag_planes[j * n + t];
-                        allocated = 1;
-                        break;
-                    }
+                    if (u[j * size + idx] > 0)
+                        u[j * size + idx]--;
                 }
-                if (!allocated) {
-                    for (int64_t j = start - 1; j < n_tagged; j++) {
-                        int64_t idx = idx_planes[j * n + t];
-                        if (u[j * size + idx] > 0)
-                            u[j * size + idx]--;
-                    }
-                }
-            }
-
-            if (provider) {
-                int64_t p = provider - 1;
-                ctr_step(&ctr[p * size + provider_idx], taken, cmax, cmin,
-                         prob_enabled, prob_k, &lfsr_state);
-                if (update_alt && u[p * size + provider_idx] == 0) {
-                    if (alt) {
-                        ctr_step(&ctr[(alt - 1) * size + alt_idx], taken,
-                                 cmax, cmin, prob_enabled, prob_k,
-                                 &lfsr_state);
-                    } else if (taken) {
-                        if (bimodal[bidx] < 3)
-                            bimodal[bidx]++;
-                    } else if (bimodal[bidx] > 0) {
-                        bimodal[bidx]--;
-                    }
-                }
-                if (provider_pred != altpred) {
-                    int64_t uv = u[p * size + provider_idx];
-                    if (provider_pred == taken) {
-                        if (uv < u_max)
-                            u[p * size + provider_idx] = uv + 1;
-                    } else if (uv > 0) {
-                        u[p * size + provider_idx] = uv - 1;
-                    }
-                }
-            } else if (taken) {
-                if (bctr < 3)
-                    bimodal[bidx] = bctr + 1;
-            } else if (bctr > 0) {
-                bimodal[bidx] = bctr - 1;
-            }
-
-            if ((t + 1) % u_reset == 0) {
-                for (int64_t s = 0; s < n_tagged * size; s++)
-                    u[s] >>= 1;
             }
         }
 
-        out[0] = mispredictions;
-        out[15] = prob_enabled ? prob_k : -1;
-        free(ctr); free(tag); free(u); free(bimodal);
+        if (provider) {
+            int64_t p = provider - 1;
+            ctr_step(&ctr[p * size + provider_idx], taken, cmax, cmin,
+                     prob_enabled, prob_k, &lfsr_state);
+            if (update_alt && u[p * size + provider_idx] == 0) {
+                if (alt) {
+                    ctr_step(&ctr[(alt - 1) * size + alt_idx], taken,
+                             cmax, cmin, prob_enabled, prob_k,
+                             &lfsr_state);
+                } else if (taken) {
+                    if (bimodal[bidx] < 3)
+                        bimodal[bidx]++;
+                } else if (bimodal[bidx] > 0) {
+                    bimodal[bidx]--;
+                }
+            }
+            if (provider_pred != altpred) {
+                int64_t uv = u[p * size + provider_idx];
+                if (provider_pred == taken) {
+                    if (uv < u_max)
+                        u[p * size + provider_idx] = uv + 1;
+                } else if (uv > 0) {
+                    u[p * size + provider_idx] = uv - 1;
+                }
+            }
+        } else if (taken) {
+            if (bctr < 3)
+                bimodal[bidx] = bctr + 1;
+        } else if (bctr > 0) {
+            bimodal[bidx] = bctr - 1;
+        }
+
+        tick++;
+        if (tick % u_reset == 0) {
+            for (int64_t s = 0; s < n_tagged * size; s++)
+                u[s] >>= 1;
+        }
     }
+
+    out[15] = prob_enabled ? prob_k : -1;
+    state[0] = use_alt;
+    state[1] = (int64_t)lfsr_state;
+    state[2] = (int64_t)alloc_state;
+    state[3] = prob_k;
+    state[4] = since_miss;
+    state[5] = ctrl_high;
+    state[6] = ctrl_misp;
+    state[7] = tick;
     return 0;
 }
 /* repro: parity-end tage-batch/c */
+
+/* repro: parity-begin tage-planes/c fingerprint=16597ffe */
+/* Folded-history register step (FoldedHistory.update). */
+static inline int64_t fold_step(int64_t comp, int64_t width, int64_t out_pos,
+                                int64_t new_bit, int64_t outgoing)
+{
+    comp = (comp << 1) | new_bit;
+    comp ^= outgoing << out_pos;
+    comp ^= comp >> width;
+    return comp & (((int64_t)1 << width) - 1);
+}
+
+int tage_planes(int64_t n, const int64_t *gp, int64_t *history,
+                const uint64_t *pcs, const uint8_t *takens, int64_t *out)
+{
+    int64_t m = gp[0];
+    uint64_t bmask = ((uint64_t)1 << gp[1]) - 1;
+    uint64_t path_mask = ((uint64_t)1 << gp[2]) - 1;
+    int64_t capacity = gp[3];
+    const int64_t *components = gp + 4;
+    uint64_t path = (uint64_t)history[0];
+    int64_t head = history[1];
+    int64_t *folds = history + 2;
+    int64_t *ring = history + 2 + 3 * m;
+
+    for (int64_t t = 0; t < n; t++) {
+        uint64_t pc = pcs[t];
+        int64_t taken = takens[t] != 0;
+        uint64_t pc_part = pc >> 2;
+        out[t] = taken;
+        out[n + t] = (int64_t)(pc_part & bmask);
+        for (int64_t i = 0; i < m; i++) {
+            const int64_t *g = components + 5 * i;
+            int64_t log_entries = g[1];
+            uint64_t index_mask = ((uint64_t)1 << log_entries) - 1;
+            uint64_t window = path & (((uint64_t)1 << g[4]) - 1);
+            uint64_t path_part = 0;
+            while (window) {
+                path_part ^= window & index_mask;
+                window >>= log_entries;
+            }
+            uint64_t index = pc_part ^ (pc_part >> (g[0] + 1))
+                             ^ (uint64_t)folds[i] ^ path_part;
+            uint64_t tag = pc_part ^ (uint64_t)folds[m + i]
+                           ^ ((uint64_t)folds[2 * m + i] << 1);
+            out[(2 + i) * n + t] = (int64_t)(index & index_mask);
+            out[(2 + m + i) * n + t] =
+                (int64_t)(tag & (((uint64_t)1 << g[2]) - 1));
+        }
+        for (int64_t i = 0; i < m; i++) {
+            const int64_t *g = components + 5 * i;
+            int64_t length = g[3];
+            int64_t tag_b_bits = g[2] - 1 > 1 ? g[2] - 1 : 1;
+            int64_t slot = (head - length) % capacity;
+            if (slot < 0)
+                slot += capacity;
+            int64_t outgoing = ring[slot];
+            folds[i] = fold_step(folds[i], g[1], length % g[1],
+                                 taken, outgoing);
+            folds[m + i] = fold_step(folds[m + i], g[2], length % g[2],
+                                     taken, outgoing);
+            folds[2 * m + i] = fold_step(folds[2 * m + i], tag_b_bits,
+                                         length % tag_b_bits, taken,
+                                         outgoing);
+        }
+        ring[head] = taken;
+        head++;
+        if (head == capacity)
+            head = 0;
+        path = ((path << 1) | (pc & 1)) & path_mask;
+    }
+    history[0] = (int64_t)path;
+    history[1] = head;
+    return 0;
+}
+/* repro: parity-end tage-planes/c */
 
 /* repro: parity-begin ogehl-run/c fingerprint=2528c251 */
 int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
@@ -629,6 +750,30 @@ def _build_shared_library() -> Path:
     return so_path
 
 
+def _require(buffer, n_bytes: int, what: str) -> None:
+    """Refuse a kernel buffer that is not C-contiguous or is shorter than
+    the ``n_bytes`` the kernel will touch."""
+    view = memoryview(buffer)
+    if not view.c_contiguous or view.nbytes < n_bytes:
+        raise ValueError(
+            f"{what} buffer of {view.nbytes} bytes does not hold the "
+            f"{n_bytes} contiguous bytes the kernel needs"
+        )
+
+
+def _address(buffer):
+    """The data address of a kernel argument, for a ``c_void_p`` slot:
+    an :class:`array.array` block, a ``bytes``/``bytearray`` column, a
+    NumPy array, or None for an unused output."""
+    if buffer is None or isinstance(buffer, bytes):
+        return buffer
+    if isinstance(buffer, array):
+        return buffer.buffer_info()[0]
+    if isinstance(buffer, bytearray):
+        return ctypes.addressof(ctypes.c_char.from_buffer(buffer)) if buffer else None
+    return buffer.ctypes.data
+
+
 def _load_cext() -> bool:
     if _KERNELS:
         return True
@@ -639,14 +784,13 @@ def _load_cext() -> bool:
         return False
 
     i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
     p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_f64 = ctypes.POINTER(ctypes.c_double)
     p_u8 = ctypes.POINTER(ctypes.c_uint8)
     library.tage_batch.restype = ctypes.c_int
-    library.tage_batch.argtypes = [
-        i64, i64, i64, p_i64, p_i64, p_i64, p_i64, p_i64, p_f64,
-        p_i64, i64, p_u8, i64, p_u8,
-    ]
+    library.tage_batch.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
+    library.tage_planes.restype = ctypes.c_int
+    library.tage_planes.argtypes = [i64, ptr, ptr, ptr, ptr, ptr]
     library.ogehl_run.restype = ctypes.c_int
     library.ogehl_run.argtypes = [
         i64, i64, i64, p_i64, p_i64, i64, i64, p_u8, p_u8,
@@ -663,20 +807,33 @@ def _load_cext() -> bool:
     def as_i64(array):
         return array.ctypes.data_as(p_i64)
 
-    def cext_tage(takens, bim_idx, idx_planes, tag_planes, iparams,
-                  fparams, counts, want_predictions, predictions,
-                  want_classes, classes):
-        status = library.tage_batch(
-            takens.shape[0], idx_planes.shape[0], iparams.shape[0],
-            as_i64(takens), as_i64(bim_idx),
-            as_i64(idx_planes), as_i64(tag_planes),
-            as_i64(iparams), fparams.ctypes.data_as(p_f64),
-            as_i64(counts),
-            int(want_predictions), predictions.ctypes.data_as(p_u8),
-            int(want_classes), classes.ctypes.data_as(p_u8),
+    def cext_tage(rows, n, iparams, fparams, state, predictions, classes):
+        _require(iparams, 8 * N_IPARAMS, "iparams")
+        _require(fparams, 8 * N_FPARAMS, "fparams")
+        _require(rows, 8 * (2 + 2 * iparams[IP_N_TAGGED]) * n, "plane rows")
+        _require(state, 8 * state_words(iparams), "state")
+        for column in (predictions, classes):
+            if column is not None:
+                _require(column, n, "output")
+        library.tage_batch(
+            n, _address(rows), _address(iparams), _address(fparams),
+            _address(state),
+            predictions is not None, _address(predictions),
+            classes is not None, _address(classes),
         )
-        if status != 0:
-            raise MemoryError("compiled TAGE kernel ran out of memory")
+        return 0
+
+    def cext_tage_planes(n, gparams, history, pcs, takens, out):
+        n_tagged = gparams[GP_N_TAGGED]
+        _require(gparams, 8 * (GP_COMPONENTS + GP_STRIDE * n_tagged), "gparams")
+        _require(history, 8 * history_words(gparams), "history")
+        _require(pcs, 8 * n, "pcs")
+        _require(takens, n, "takens")
+        _require(out, 8 * (2 + 2 * n_tagged) * n, "plane rows")
+        library.tage_planes(
+            n, _address(gparams), _address(history), _address(pcs),
+            _address(takens), _address(out),
+        )
         return 0
 
     def cext_ogehl(takens, planes, ctr_max, ctr_min, log_entries,
@@ -715,7 +872,8 @@ def _load_cext() -> bool:
             raise MemoryError("compiled perceptron kernel ran out of memory")
         return 0
 
-    _KERNELS.update(tage=cext_tage, ogehl=cext_ogehl,
+    _KERNELS.update(tage=cext_tage, tage_planes=cext_tage_planes,
+                    ogehl=cext_ogehl,
                     counter_scan=cext_counter_scan,
                     perceptron=cext_perceptron)
     return True
@@ -809,19 +967,32 @@ def _resolve(kind: str):
 
 
 def resolve_tage_kernel():
-    """The batched C TAGE kernel, or None to run the pure kernel.
+    """The one-cell C TAGE kernel, or None to run the pure kernel.
 
-    Signature: ``(takens, bim_idx, idx_planes, tag_planes, iparams,
-    fparams, counts, want_predictions, predictions, want_classes,
-    classes)``.  ``takens``/``bim_idx`` are int64[n];
-    ``idx_planes``/``tag_planes`` int64[n_tagged, n]; ``iparams``
-    int64[n_cells, N_IPARAMS]; ``fparams`` float64[n_cells, N_FPARAMS];
-    ``counts`` (output) int64[n_cells, N_COUNTS];
-    ``predictions``/``classes`` (outputs) uint8[n_cells, n] when the
-    matching ``want_*`` flag is nonzero (1-element dummies otherwise).
-    All arrays are C-contiguous.
+    Signature: ``(rows, n, iparams, fparams, state, predictions,
+    classes)``.  ``rows`` is the int64 plane block of ``n`` branches —
+    outcomes, bimodal indices, then the ``n_tagged`` index and tag rows,
+    each ``n`` long (``TagePlanes.data[1:]``, or a ``tage_planes``
+    output); ``iparams``/``fparams`` are the int64 ``IP_*`` and float64
+    ``FP_*`` rows; ``state`` is the int64 ``ST_*`` block, read and left
+    advanced past the batch.  ``predictions``/``classes`` are writable
+    ``n``-byte outputs, or None when not wanted.  Arrays may be NumPy
+    arrays or :class:`array.array` blocks, all C-contiguous.
     """
     return _resolve("tage")
+
+
+def resolve_tage_planes_kernel():
+    """The C batch plane builder, or None to run the pure builder.
+
+    Signature: ``(n, gparams, history, pcs, takens, out)``: ``gparams``
+    is the int64 ``GP_*`` geometry row, ``history`` the int64 ``HS_*``
+    block (read and advanced past the batch), ``pcs`` a uint64 column
+    and ``takens`` an ``n``-byte outcome column; ``out`` (int64,
+    ``(2 + 2 * n_tagged) * n`` entries) receives the batch's plane
+    block in the layout :func:`resolve_tage_kernel` reads.
+    """
+    return _resolve("tage_planes")
 
 
 def resolve_ogehl_kernel():

@@ -79,11 +79,11 @@ from repro.sim.fast.scan import (
     scanned_counters,
 )
 from repro.sim.fast.tage import (
-    controller_unsupported_reason,
     observe_tage_fast,
     simulate_tage_fast,
     tage_fast_predictions,
 )
+from repro.sim.fast.tage_core import controller_unsupported_reason
 
 __all__ = [
     "simulate_fast",

@@ -8,9 +8,10 @@ geometry ``(log_bimodal, component geometries)`` that determines the
 precomputed index/tag planes.  Running those cells as independent jobs
 re-walks (and on first touch, re-computes) the same planes once per
 cell; running them *in lockstep* decodes the planes once and advances
-every cell through a single batched kernel pass.  With the C build
-that pass is one C call for the whole group — the multiplicative win
-of compiled × batched.
+every cell through a single batched kernel pass: one kernel call per
+cell over the shared plane block, each from its own freshly powered-on
+state block — with the C build, the multiplicative win of compiled ×
+batched.
 
 Cells never interact — each owns its table state — so a lockstep batch
 is bit-identical to the same cells run independently (enforced by
@@ -28,12 +29,8 @@ from pathlib import Path
 from repro.sim.engine import SimulationResult
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.planes import PlaneCache, TagePlanes, plane_geometry
-from repro.sim.fast.tage import (
-    _assemble_result,
-    _cell_inputs,
-    _run_batch,
-    resolve_planes,
-)
+from repro.sim.fast.tage import _assemble_result, _run_batch, resolve_planes
+from repro.sim.fast.tage_core import cell_inputs
 
 __all__ = ["LockstepCell", "simulate_tage_lockstep", "lockstep_geometry"]
 
@@ -77,8 +74,8 @@ def simulate_tage_lockstep(
     if not cells:
         return []
     prepared = [
-        _cell_inputs(cell.predictor, cell.estimator, cell.controller,
-                     cell.warmup_branches)
+        cell_inputs(cell.predictor, cell.estimator, cell.controller,
+                    cell.warmup_branches)
         for cell in cells
     ]
     geometry = lockstep_geometry(cells[0])

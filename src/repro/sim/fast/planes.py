@@ -46,6 +46,7 @@ from repro.sim.fast.arrays import (
     folded_history_series,
     history_windows,
 )
+from repro.sim.fast.tage_core import plane_geometry
 
 __all__ = [
     "PLANES_VERSION",
@@ -65,18 +66,6 @@ PLANES_VERSION = 1
 #: int64 lane (one shared bound for every window-based kernel — see
 #: :data:`repro.sim.fast.arrays.MAX_WINDOW_BITS`).
 MAX_PATH_HISTORY_BITS = MAX_WINDOW_BITS
-
-
-def plane_geometry(config) -> tuple:
-    """The hashable geometry key of a :class:`TageConfig`'s planes.
-
-    Only the parameters the index/tag hashes read participate: the
-    bimodal index width and the per-component
-    :meth:`~repro.predictors.tage.config.TageConfig.component_geometries`
-    tuples.  Counter widths, automaton choice and seeds deliberately do
-    not, so ablations over them share materializations.
-    """
-    return (config.log_bimodal, config.component_geometries())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ produces for the same (predictor, estimator, trace) cell.
 """
 
 import asyncio
+import random
 
 import pytest
 
@@ -21,9 +22,22 @@ from repro.serve import (
     offline_decisions,
     running_server,
 )
+from repro.serve.state import TenantSession
+from repro.sim.fast import compiled
 from repro.sim.runner import get_trace
 
 _CONFIG = ServerConfig(port=0, n_shards=2)
+
+
+@pytest.fixture(params=("none", "cext"))
+def kernel_leg(request, monkeypatch):
+    """Pin the kernel multi-class sessions step on (``cext`` skips
+    without the C build)."""
+    monkeypatch.setenv(compiled.PROVIDER_ENV, request.param)
+    if request.param == "cext" and compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    return request.param
 
 
 def _run(coroutine_factory):
@@ -99,6 +113,50 @@ class TestDifferential:
             return None
 
         assert _run(check) == 17
+
+
+class TestKernelSessions:
+    """Multi-class sessions step on the TAGE kernel; the offline replay
+    stays the reference engine, so these pin kernel ≡ reference."""
+
+    @pytest.mark.parametrize("predictor,adaptive", [
+        ("tage-16K", False),
+        ("tage-64K", False),
+        ("tage-256K", False),
+        ("tage-16K-prob", False),
+        ("tage-64K-prob", False),
+        ("tage-16K", True),
+        ("tage-64K", True),
+    ])
+    @pytest.mark.parametrize("split_seed", [0, 1])
+    def test_random_batch_splits_match_offline(self, kernel_leg, predictor,
+                                               adaptive, split_seed):
+        trace = get_trace("zoo.phase", 3000)
+        spec = SessionSpec(tenant="kernel", predictor=predictor,
+                           estimator="tage", adaptive=adaptive,
+                           target_mkp=4.0, seed=split_seed or None)
+        offline = offline_decisions(spec, trace)
+        session = TenantSession(spec)
+        rng = random.Random(split_seed)
+        predictions, codes = b"", b""
+        start = 0
+        while start < len(trace):
+            stop = min(len(trace), start + rng.choice((0, 1, 7, 256, 900)))
+            batch_predictions, batch_codes = session.observe_batch(
+                trace.pcs[start:stop], bytes(trace.takens[start:stop])
+            )
+            predictions += batch_predictions
+            codes += batch_codes
+            start = stop
+        assert [byte == 1 for byte in predictions] == offline.predictions
+        assert list(codes) == offline.codes
+
+        mispredictions = sum(
+            prediction != (taken == 1)
+            for prediction, taken in zip(offline.predictions, trace.takens)
+        )
+        assert session.stats() == {"tenant": "kernel", "observed": len(trace),
+                                   "mispredictions": mispredictions}
 
 
 class TestMultiTenant:

@@ -1,8 +1,11 @@
 """Wire-protocol framing and payload codecs."""
 
 import asyncio
+import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.serve import protocol
 
@@ -134,6 +137,73 @@ class TestResultsPayload:
         payload = protocol.pack_results(b"\x01", b"\x02")
         with pytest.raises(protocol.ProtocolError, match="advertises"):
             protocol.unpack_results(payload[:-1])
+
+
+# -- per-record oracles of the bulk payload codec ---------------------------
+
+def _oracle_pack_observe(pcs, takens) -> bytes:
+    return struct.pack("<I", len(pcs)) + b"".join(
+        struct.pack("<QB", pc, 1 if taken else 0)
+        for pc, taken in zip(pcs, takens)
+    )
+
+
+def _oracle_unpack_observe(payload: bytes):
+    pcs, takens = [], bytearray()
+    for pc, taken in struct.iter_unpack("<QB", payload[4:]):
+        pcs.append(pc)
+        takens.append(taken)
+    return pcs, bytes(takens)
+
+
+def _oracle_pack_results(predictions, codes) -> bytes:
+    return struct.pack("<I", len(predictions)) + b"".join(
+        struct.pack("<BB", p, c) for p, c in zip(predictions, codes)
+    )
+
+
+_PCS = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=300)
+
+
+class TestBulkCodecAgainstOracles:
+    @given(data=st.data(), pcs=_PCS)
+    def test_observe_matches_per_record_codec(self, data, pcs):
+        takens = data.draw(st.one_of(
+            st.binary(min_size=len(pcs), max_size=len(pcs)),
+            st.lists(st.booleans(), min_size=len(pcs), max_size=len(pcs)),
+        ))
+        payload = protocol.pack_observe(pcs, takens)
+        assert payload == _oracle_pack_observe(pcs, takens)
+        assert protocol.unpack_observe(payload) == _oracle_unpack_observe(payload)
+
+    @given(data=st.data(), pcs=_PCS)
+    def test_invalid_taken_byte_names_the_first(self, data, pcs):
+        if not pcs:
+            return
+        payload = bytearray(_oracle_pack_observe(pcs, [0] * len(pcs)))
+        bad = data.draw(st.lists(
+            st.tuples(st.integers(0, len(pcs) - 1), st.integers(2, 255)),
+            min_size=1,
+        ))
+        for record, value in bad:
+            payload[4 + 9 * record + 8] = value
+        first = min(record for record, _ in bad)
+        with pytest.raises(protocol.ProtocolError,
+                           match=f"invalid taken byte {payload[4 + 9 * first + 8]} "):
+            protocol.unpack_observe(bytes(payload))
+
+    @given(pc=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)))
+    def test_out_of_range_pc_rejected(self, pc):
+        with pytest.raises(protocol.ProtocolError, match="does not fit in 64 bits"):
+            protocol.pack_observe([0, pc], b"\x00\x01")
+
+    @given(data=st.data(), n=st.integers(0, 300))
+    def test_results_match_per_record_codec(self, data, n):
+        predictions = data.draw(st.binary(min_size=n, max_size=n))
+        codes = data.draw(st.binary(min_size=n, max_size=n))
+        payload = protocol.pack_results(predictions, codes)
+        assert payload == _oracle_pack_results(predictions, codes)
+        assert protocol.unpack_results(payload) == (predictions, codes)
 
 
 class TestJsonAndErrorPayloads:
