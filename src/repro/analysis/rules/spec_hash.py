@@ -17,8 +17,8 @@ This rule cross-checks every ``*Spec`` dataclass that defines
 ``as_dict`` against its fields, and then scans the whole analyzed file
 set for reads of excluded fields through parameters annotated with the
 spec type (``def execute_job(job: JobSpec)`` ... ``job.backend``).
-Deliberate execution-only fields (``backend``, ``materialization_dir`` —
-excluded *because* results are backend-invariant) carry an inline
+Deliberate execution-only fields (``backend`` — excluded *because*
+results are backend-invariant) carry an inline
 ``allow[RPR002]`` pragma on the field definition; a pragma there also
 sanctions the downstream reads, keeping the policy in exactly one place.
 """

@@ -162,7 +162,6 @@ class FetchGatingModel:
         self,
         trace,
         backend: str = DEFAULT_BACKEND,
-        materialization_dir=None,
     ) -> GatingStats:
         """Process a trace and return gating statistics.
 
@@ -170,8 +169,7 @@ class FetchGatingModel:
         observation stream; the policy replay itself is backend-invariant.
         """
         stream = observe_trace(
-            trace, self.predictor, self.estimator,
-            backend=backend, materialization_dir=materialization_dir,
+            trace, self.predictor, self.estimator, backend=backend
         )
         return self.replay(stream, trace.insts)
 

@@ -132,7 +132,6 @@ class MultipathModel:
         self,
         trace,
         backend: str = DEFAULT_BACKEND,
-        materialization_dir=None,
     ) -> MultipathStats:
         """Process a trace and return multipath cost accounting.
 
@@ -140,8 +139,7 @@ class MultipathModel:
         observation stream; the policy replay itself is backend-invariant.
         """
         stream = observe_trace(
-            trace, self.predictor, self.estimator,
-            backend=backend, materialization_dir=materialization_dir,
+            trace, self.predictor, self.estimator, backend=backend
         )
         return self.replay(stream)
 

@@ -180,9 +180,7 @@ class SmtFetchModel:
         thread.pressure += weight
 
     def observe_threads(
-        self,
-        backend: str = DEFAULT_BACKEND,
-        materialization_dir=None,
+        self, backend: str = DEFAULT_BACKEND
     ) -> list[ObservationStream]:
         """Each thread's observation stream, in thread order.
 
@@ -192,18 +190,11 @@ class SmtFetchModel:
         them once and hand them to :meth:`replay` for every policy.
         """
         return [
-            observe_trace(
-                trace, predictor, estimator,
-                backend=backend, materialization_dir=materialization_dir,
-            )
+            observe_trace(trace, predictor, estimator, backend=backend)
             for trace, predictor, estimator in self.threads
         ]
 
-    def run(
-        self,
-        backend: str = DEFAULT_BACKEND,
-        materialization_dir=None,
-    ) -> SmtStats:
+    def run(self, backend: str = DEFAULT_BACKEND) -> SmtStats:
         """Interleave the threads until every trace is exhausted or the
         cycle budget runs out.
 
@@ -217,7 +208,7 @@ class SmtFetchModel:
         ``backend`` selects the engine that produces each thread's
         observation stream; the arbitration replay is backend-invariant.
         """
-        return self.replay(self.observe_threads(backend, materialization_dir))
+        return self.replay(self.observe_threads(backend))
 
     def replay(self, streams: list[ObservationStream]) -> SmtStats:
         """Replay the arbitration policy over recorded per-thread streams."""

@@ -655,17 +655,6 @@ def _build_scenario_zoo(service: SweepService, scale: Scale) -> ArtifactPayload:
 # Beyond-paper application builders (apps layer).
 # ---------------------------------------------------------------------------
 
-def _app_materialization_dir(service: SweepService):
-    """Shared TAGE plane memmap dir for the apps' observation streams.
-
-    The sweep executor materializes planes under ``<cache>/planes``;
-    pointing the fast-backend stream producers at the same directory
-    lets the APP artifacts reuse those memmaps instead of recomputing
-    the trace-wide precompute on every pipeline run.
-    """
-    return service.cache.root / "planes" if service.cache is not None else None
-
-
 #: (cell label, gating policy) pairs swept by APP_FETCH_GATING.
 _GATING_POLICIES = (
     ("graded-t1", GatingPolicy(gate_threshold=1.0, low_weight=1.0, medium_weight=0.25)),
@@ -682,11 +671,7 @@ def _build_fetch_gating(service: SweepService, scale: Scale) -> ArtifactPayload:
     # observation stream — computed once, on the service's backend.
     predictor = TagePredictor(TageConfig.medium())
     estimator = TageConfidenceEstimator(predictor)
-    stream = observe_trace(
-        trace, predictor, estimator,
-        backend=service.backend,
-        materialization_dir=_app_materialization_dir(service),
-    )
+    stream = observe_trace(trace, predictor, estimator, backend=service.backend)
     for label, policy in _GATING_POLICIES:
         model = FetchGatingModel(
             predictor, estimator, policy=policy, resolution_latency=12
@@ -736,10 +721,7 @@ def _build_smt_fetch(service: SweepService, scale: Scale) -> ArtifactPayload:
     threads = make_threads()
     streams = SmtFetchModel(
         threads, resolution_latency=12, max_cycles=budget
-    ).observe_threads(
-        backend=service.backend,
-        materialization_dir=_app_materialization_dir(service),
-    )
+    ).observe_threads(backend=service.backend)
     for policy in (SmtPolicy.ROUND_ROBIN, SmtPolicy.CONFIDENCE):
         model = SmtFetchModel(
             threads, policy=policy, resolution_latency=12, max_cycles=budget

@@ -16,8 +16,7 @@ phases:
    executed plan through the shared
    :class:`~repro.artifacts.service.SweepService`.
 
-Every job lands in the on-disk sweep cache (TAGE plane memmaps
-included), so an immediate re-run is served entirely from cache
+Every job lands in the on-disk sweep cache, so an immediate re-run is served entirely from cache
 (``PaperRun.fully_cached``).  The run fails loudly on any missing or
 non-finite artifact cell.
 
@@ -226,8 +225,7 @@ def run_paper(
         keys: artifact keys (case-insensitive); None runs everything.
         scale: run scale; defaults to :meth:`Scale.full`.
         workers: sweep pool size (None picks one per CPU).
-        cache: on-disk job cache; None disables caching (and plane
-            sharing) entirely.
+        cache: on-disk job cache; None disables caching entirely.
         backend: simulation engine for every sweep cell.
         progress: optional sink for status lines.
         validate: raise :class:`ArtifactValidationError` on any missing

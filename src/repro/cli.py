@@ -127,12 +127,14 @@ def _add_predictor_args(parser: argparse.ArgumentParser) -> None:
                              "memmapping them from the materialization cache")
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                        help="simulation engine; 'fast' runs the whole model "
-                             "zoo (every predictor/estimator kind, adaptive "
-                             "Sec-6.2 control included) bit-exactly and falls "
-                             "back to 'reference' (with a warning) only for "
+def _add_backend_arg(parser: argparse.ArgumentParser,
+                     default: str = DEFAULT_BACKEND) -> None:
+    parser.add_argument("--backend", choices=BACKENDS, default=default,
+                        help="simulation engine (default %(default)s); 'fast' "
+                             "runs the whole model zoo (every predictor/"
+                             "estimator kind, adaptive Sec-6.2 control "
+                             "included) bit-exactly and falls back to "
+                             "'reference' (with a warning) only for "
                              "subclassed components or >62-bit histories")
 
 
@@ -257,11 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, metavar="N",
         help="sweep worker processes (default: one per CPU, min 2)",
     )
-    _add_backend_arg(paper_cmd)
+    # Reports are byte-identical across backends; fast is the quick one.
+    _add_backend_arg(paper_cmd, default="fast")
     paper_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help=f"sweep result cache (default {default_cache_dir()}); plane "
-             "materializations live under <cache>/planes",
+        help=f"sweep result cache (default {default_cache_dir()}); TAGE "
+             "planes are computed in memory, never stored",
     )
     paper_cmd.add_argument(
         "--no-cache", action="store_true",

@@ -311,7 +311,6 @@ def simulate_binary(
     estimator,
     warmup_branches: int = 0,
     backend: str = DEFAULT_BACKEND,
-    materialization_dir=None,
 ) -> tuple[BinaryConfidenceMetrics, SimulationResult]:
     """Run a binary high/low confidence estimator over a trace.
 
@@ -322,8 +321,7 @@ def simulate_binary(
     ``backend="fast"`` runs every in-family predictor × JRS-family cell
     and the perceptron/O-GEHL × self-confidence cells bit-exactly and
     falls back here (with a warning) for the rest; the fast path leaves
-    the predictor and estimator untrained.  ``materialization_dir``
-    shares precomputed TAGE planes, as in :func:`simulate`.
+    the predictor and estimator untrained.
 
     Returns the pooled 2×2 confusion and the accuracy result.
     """
@@ -336,7 +334,6 @@ def simulate_binary(
             predictor=predictor,
             estimator=estimator,
             warmup_branches=warmup_branches,
-            materialization_dir=materialization_dir,
         ), binary=True)
         if outcome is not None:
             return outcome

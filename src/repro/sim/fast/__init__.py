@@ -14,8 +14,8 @@ estimators — built on five layers:
 * :mod:`repro.sim.fast.scan` — exact clamp-add segmented prefix scans
   over counter tables, processed in bounded chunks;
 * :mod:`repro.sim.fast.planes` — precomputed TAGE index/tag planes
-  (the folded-history arithmetic, computed trace-wide with NumPy) and
-  their memmap-backed on-disk materialization cache;
+  (the folded-history arithmetic, computed trace-wide with NumPy), plus
+  the memmap-backed on-disk cache ``run-trace``/``run-suite`` still use;
 * :mod:`repro.sim.fast.tage_core` — the numpy-free TAGE core: the
   lean sequential kernel over a caller-owned, resumable state block
   (with the in-kernel §6.2 feedback loop), the batch plane builder
@@ -34,7 +34,7 @@ estimators — built on five layers:
   ``cext`` or ``none``);
 * :mod:`repro.sim.fast.lockstep` — multi-cell lockstep batching:
   ablation cells sharing one trace's planes advance through a single
-  batched kernel pass;
+  batched kernel pass over planes computed once;
 * :mod:`repro.sim.fast.engine` — the ``simulate_fast`` /
   ``simulate_binary_fast`` entry points assembling
   :class:`~repro.sim.engine.SimulationResult` breakdowns, plus

@@ -50,12 +50,30 @@ class TraceArrays:
     @classmethod
     def from_trace(cls, trace) -> "TraceArrays":
         """Materialize a :class:`~repro.traces.types.Trace` (copies, so
-        later trace mutation cannot alias into a running simulation)."""
-        return cls(
+        later trace mutation cannot alias into a running simulation).
+
+        The last materialization is memoized on the identity of the
+        trace object, so the jobs of one trace (which the sweep hands
+        out trace by trace through the shared ``get_trace`` memo)
+        convert its columns once.  That relies on the trace contract:
+        a trace is never mutated after construction — a trace changed
+        after its first materialization keeps serving the earlier
+        arrays.  The arrays are read-only, so a stray in-place write
+        raises ``ValueError`` instead of corrupting the next job.
+        """
+        global _LAST_MATERIALIZED
+        memo = _LAST_MATERIALIZED
+        if memo is not None and memo[0] is trace:
+            return memo[1]
+        pcs = np.array(trace.pcs, dtype=np.int64)
+        pcs.setflags(write=False)
+        arrays = cls(
             name=trace.name,
-            pcs=np.asarray(trace.pcs, dtype=np.int64),
+            pcs=pcs,
             takens=np.frombuffer(bytes(trace.takens), dtype=np.uint8),
         )
+        _LAST_MATERIALIZED = (trace, arrays)
+        return arrays
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -64,6 +82,10 @@ class TraceArrays:
     def taken_bool(self) -> np.ndarray:
         """Outcomes as a boolean array."""
         return self.takens != 0
+
+
+#: ``(trace, arrays)`` of the last :meth:`TraceArrays.from_trace` call.
+_LAST_MATERIALIZED: tuple[object, TraceArrays] | None = None
 
 
 def history_windows(takens: np.ndarray, length: int) -> np.ndarray:

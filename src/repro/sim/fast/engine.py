@@ -245,14 +245,15 @@ def cell_capability(cell) -> "Capability":
     # Every supported cell's sequential stage has a C build (TAGE,
     # O-GEHL, perceptron, and the counter scan behind bimodal/gshare/
     # local/JRS), so the provider alone decides.  Lockstep batching
-    # fuses accuracy-protocol TAGE cells sharing one plane geometry.
+    # fuses the TAGE cells (multi-class and JRS-family) sharing one
+    # plane geometry.
     provider = compiled.active_provider()
     return Capability(
         backend="fast",
         supported=True,
         compiled=provider is not None,
         compiled_provider=provider,
-        lockstep=not cell.binary and type(cell.predictor) is TagePredictor,
+        lockstep=type(cell.predictor) is TagePredictor,
     )
 
 
@@ -326,12 +327,13 @@ def vectorized_predictions(
     predictor,
     arrays: TraceArrays,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    materialization=None,
+    planes=None,
 ) -> np.ndarray:
     """Per-branch predictions of a supported predictor over a whole trace.
 
     TAGE predictions come from the plane-fed sequential kernel
-    (:mod:`repro.sim.fast.tage`), perceptron/O-GEHL from the dot-product
+    (:mod:`repro.sim.fast.tage`, over ``planes`` when given),
+    perceptron/O-GEHL from the dot-product
     kernels (:mod:`repro.sim.fast.gehl`); bimodal/gshare/local from the
     counter scans.
 
@@ -351,7 +353,7 @@ def vectorized_predictions(
     if type(predictor) in _SUM_PREDICTORS:
         predictions, _ = _sum_predictor_run(predictor, arrays)
         return predictions
-    return tage_fast_predictions(arrays, predictor, materialization)
+    return tage_fast_predictions(arrays, predictor, planes)
 
 
 def vectorized_assessments(
@@ -450,13 +452,16 @@ def simulate_binary_fast(
     estimator,
     warmup_branches: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    materialization_dir=None,
+    planes=None,
 ) -> tuple[BinaryConfidenceMetrics, SimulationResult]:
     """Fast-backend equivalent of :func:`repro.sim.engine.simulate_binary`.
 
     JRS-family assessments are vectorized counter scans over any
     supported predictor's prediction stream; self-confidence assessments
-    come straight out of the perceptron/O-GEHL kernels.
+    come straight out of the perceptron/O-GEHL kernels.  A TAGE
+    predictor reads its index/tag rows from ``planes`` (the trace's
+    :class:`~repro.sim.fast.planes.TagePlanes` for its geometry) when
+    given, so the members of one sweep unit share one computation.
 
     Raises:
         FastBackendUnsupported: when the predictor or the estimator is
@@ -472,7 +477,7 @@ def simulate_binary_fast(
         predictions, high = _sum_predictor_run(predictor, arrays)
     else:
         predictions = vectorized_predictions(
-            predictor, arrays, chunk_size, materialization=materialization_dir
+            predictor, arrays, chunk_size, planes=planes
         )
         high = vectorized_assessments(estimator, arrays, predictions, chunk_size)
     correct = predictions == arrays.taken_bool

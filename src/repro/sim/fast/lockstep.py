@@ -6,8 +6,8 @@ saturation probability, counter widths, allocation policy, seeds,
 estimator window, §6.2 controller parameters — while sharing the plane
 geometry ``(log_bimodal, component geometries)`` that determines the
 precomputed index/tag planes.  Running those cells as independent jobs
-re-walks (and on first touch, re-computes) the same planes once per
-cell; running them *in lockstep* decodes the planes once and advances
+re-computes the same planes once per cell; running them *in lockstep*
+computes the planes once (or takes them from the caller) and advances
 every cell through a single batched kernel pass: one kernel call per
 cell over the shared plane block, each from its own freshly powered-on
 state block — with the C build, the multiplicative win of compiled ×
@@ -24,11 +24,10 @@ ad-hoc ablation grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.sim.engine import SimulationResult
 from repro.sim.fast.arrays import TraceArrays
-from repro.sim.fast.planes import PlaneCache, TagePlanes, plane_geometry
+from repro.sim.fast.planes import TagePlanes, plane_geometry
 from repro.sim.fast.tage import _assemble_result, _run_batch, resolve_planes
 from repro.sim.fast.tage_core import cell_inputs
 
@@ -56,13 +55,13 @@ def lockstep_geometry(cell: LockstepCell) -> tuple:
 def simulate_tage_lockstep(
     trace,
     cells: "list[LockstepCell]",
-    materialization: "PlaneCache | str | Path | None" = None,
     planes: TagePlanes | None = None,
 ) -> "list[SimulationResult]":
     """Simulate every cell over ``trace`` in one batched kernel pass.
 
     All cells must share one plane geometry (their configs may differ
-    in any kernel-level knob).  Returns one
+    in any kernel-level knob); ``planes``, when given, are the
+    trace's planes for that geometry and are not recomputed.  Returns one
     :class:`~repro.sim.engine.SimulationResult` per cell, in order,
     each bit-identical to an independent
     :func:`~repro.sim.fast.tage.simulate_tage_fast` run of that cell.
@@ -87,9 +86,7 @@ def simulate_tage_lockstep(
                 "cells of one batch must share their trace planes"
             )
     arrays = TraceArrays.from_trace(trace)
-    resolved = resolve_planes(
-        arrays, cells[0].predictor.config, materialization, planes
-    )
+    resolved = resolve_planes(arrays, cells[0].predictor.config, planes=planes)
     batch = _run_batch(resolved, prepared, False, False)
     return [
         _assemble_result(trace, cell.predictor, cell.estimator,

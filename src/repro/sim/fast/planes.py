@@ -18,13 +18,14 @@ allocation.
 
 A :class:`TagePlanes` object packs, per trace × geometry, one int64 row
 each for the PCs, the outcomes, the bimodal indices and the per-component
-index/tag planes.  :class:`PlaneCache` materializes those rows to a
-single ``.npy`` file next to the sweep result cache and serves repeat
-requests as read-only memmaps, so a 20-job sweep grid (or a second sweep
-run) computes each (trace, history-geometry) plane set exactly once —
-configurations that differ only in counter automaton, counter widths or
-seeds share the same planes (see
-:meth:`repro.predictors.tage.config.TageConfig.component_geometries`).
+index/tag planes.  Configurations that differ only in counter
+automaton, counter widths or seeds share the same planes (see
+:meth:`repro.predictors.tage.config.TageConfig.component_geometries`),
+so the sweep computes each (trace, history-geometry) plane set once per
+lockstep unit, in memory.  :class:`PlaneCache` materializes those rows
+to a single ``.npy`` file and serves repeat requests as read-only
+memmaps; only the ``run-trace``/``run-suite --cache-dir`` path uses
+it.
 """
 
 from __future__ import annotations

@@ -198,16 +198,17 @@ def simulate_tage_fast(
 def tage_fast_predictions(
     arrays: TraceArrays,
     predictor,
-    materialization: "PlaneCache | str | Path | None" = None,
     planes: TagePlanes | None = None,
 ) -> np.ndarray:
     """Per-branch TAGE predictions over a whole trace (bool array).
 
     Feeds the vectorized JRS-family assessment stage of
-    :func:`repro.sim.fast.engine.simulate_binary_fast`.
+    :func:`repro.sim.fast.engine.simulate_binary_fast`; ``planes``
+    (this trace's, for the predictor's geometry) skips their
+    computation.
     """
     cell = cell_inputs(predictor, None, None, 0)
-    resolved = resolve_planes(arrays, predictor.config, materialization, planes)
+    resolved = resolve_planes(arrays, predictor.config, planes=planes)
     (cell_result,) = _run_batch(resolved, [cell], True, False)
     return np.asarray(cell_result[3], dtype=bool)
 
@@ -216,7 +217,6 @@ def observe_tage_fast(
     trace,
     predictor,
     estimator,
-    materialization: "PlaneCache | str | Path | None" = None,
     planes: TagePlanes | None = None,
 ) -> tuple[list[bool], list[int]]:
     """Per-branch (predictions, observation class codes) of one trace.
@@ -234,7 +234,7 @@ def observe_tage_fast(
         )
     cell = cell_inputs(predictor, estimator, None, 0)
     arrays = TraceArrays.from_trace(trace)
-    resolved = resolve_planes(arrays, predictor.config, materialization, planes)
+    resolved = resolve_planes(arrays, predictor.config, planes=planes)
     (cell_result,) = _run_batch(resolved, [cell], True, True)
     predictions, classes = cell_result[3], cell_result[4]
     if isinstance(predictions, np.ndarray):

@@ -133,7 +133,6 @@ def observe_trace(
     predictor,
     estimator,
     backend: str = DEFAULT_BACKEND,
-    materialization_dir=None,
 ) -> ObservationStream:
     """The per-branch observation stream of one trace × predictor ×
     estimator cell, on either backend.
@@ -150,7 +149,6 @@ def observe_trace(
             trace=trace,
             predictor=predictor,
             estimator=estimator,
-            materialization=materialization_dir,
         ))
         if outcome is not None:
             predictions, codes = outcome

@@ -34,11 +34,11 @@ Two fast-backend refinements happen before fan-out: unsupported fast
 cells are probed once per distinct (predictor, estimator, adaptive)
 cell and downgraded to the reference engine with a single
 :class:`FastBackendFallbackWarning` (instead of one warning per job per
-worker), and fast jobs are pointed at a shared on-disk plane
-materialization directory (``<cache root>/planes`` by default) so every
-(trace, TAGE-geometry) index/tag plane set is computed once per plan —
-not once per job — and memmapped by later jobs and later runs.  Every
-cell the default grids can express — all predictor kinds, all estimator
+worker), and the fast TAGE jobs sharing one trace, length and plane
+geometry — multi-class and JRS-family alike — are fused into one
+:class:`~repro.sweep.spec.LockstepBatch` unit (:func:`plan_lockstep`)
+that computes the trace's arrays and index/tag planes once, in memory.
+Every cell the default grids can express — all predictor kinds, all estimator
 kinds, adaptive §6.2 included — is inside the fast family, so a
 ``backend="fast"`` sweep over them emits no warnings at all; the probe
 exists for subclassed components and >62-bit history windows.
@@ -122,10 +122,15 @@ __all__ = [
 #: Opt-out switch for lockstep batching (``0``/``off``/``false`` disable).
 LOCKSTEP_ENV = "REPRO_LOCKSTEP"
 
-#: Largest lockstep batch the planner builds.  Bounds per-unit memory
-#: (each cell owns a full table set inside the kernel) and keeps enough
-#: independent units for the worker pool to stay busy.
+#: Largest lockstep unit the planner builds.  Members run one at a time
+#: over the unit's shared planes, so a unit holds one plane set and one
+#: cell's tables whatever its size; the cap keeps enough independent
+#: units for the worker pool to stay busy.
 LOCKSTEP_MAX_BATCH = 16
+
+#: Estimator kinds whose fast TAGE jobs join a geometry unit (``self``
+#: never pairs with TAGE — see :meth:`EstimatorSpec.compatible_with`).
+_UNIT_ESTIMATORS = ("tage", "jrs", "ejrs")
 
 _BASELINE_PREDICTORS = {
     "gshare": GsharePredictor,
@@ -169,6 +174,18 @@ def _build_predictor(spec: PredictorSpec, adaptive: bool, seed: int | None):
     return _BASELINE_PREDICTORS[spec.kind](**params)
 
 
+def _tage_observers(job: JobSpec, predictor):
+    """The multi-class estimator and optional §6.2 controller of a
+    ``tage``-estimator job."""
+    estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
+    controller = (
+        AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
+        if job.adaptive
+        else None
+    )
+    return estimator, controller
+
+
 def _build_binary_estimator(spec: EstimatorSpec, predictor):
     params = dict(spec.params)
     if spec.kind == "jrs":
@@ -201,12 +218,7 @@ def execute_job(job: JobSpec) -> JobResult:
     predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
 
     if job.estimator.kind == "tage":
-        estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
-            if job.adaptive
-            else None
-        )
+        estimator, controller = _tage_observers(job, predictor)
         result = simulate(
             trace,
             predictor,
@@ -214,7 +226,6 @@ def execute_job(job: JobSpec) -> JobResult:
             controller=controller,
             warmup_branches=job.warmup_branches,
             backend=job.backend,
-            materialization_dir=job.materialization_dir,
         )
         binary = result.binary_confusion()
         estimator_bits = 0
@@ -226,7 +237,6 @@ def execute_job(job: JobSpec) -> JobResult:
             estimator,
             warmup_branches=job.warmup_branches,
             backend=job.backend,
-            materialization_dir=job.materialization_dir,
         )
         estimator_bits = estimator.storage_bits()
 
@@ -240,50 +250,54 @@ def execute_job(job: JobSpec) -> JobResult:
 
 
 def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
-    """Run one lockstep batch; one :class:`JobResult` per member, in order.
+    """Run one lockstep unit; one :class:`JobResult` per member, in order.
 
-    Every member shares the batch's trace and plane geometry (the
-    planner guarantees it), so the planes are resolved once and all
-    cells advance through a single
-    :func:`~repro.sim.fast.lockstep.simulate_tage_lockstep` kernel pass
-    — bit-identical to running each member through
-    :func:`execute_job` independently.  The shared wall-clock cost is
-    attributed evenly across the members' ``elapsed`` fields.
+    Every member shares the unit's trace, length and plane geometry
+    (the planner guarantees it), so the trace arrays and index/tag
+    planes are computed once, in memory.  The multi-class ``tage``
+    members advance through one
+    :func:`~repro.sim.fast.lockstep.simulate_tage_lockstep` pass over
+    those planes and each ``jrs``/``ejrs`` member runs
+    :func:`~repro.sim.fast.engine.simulate_binary_fast` over them — all
+    bit-identical to running each member through :func:`execute_job`
+    independently.  The unit's wall-clock cost is attributed evenly
+    across the members' ``elapsed`` fields.
     """
     start = time.perf_counter()
-    first = batch.members[0][1]
-    trace = get_trace(first.trace, first.n_branches)
+    jobs = [job for _, job in batch.members]
+    trace = get_trace(jobs[0].trace, jobs[0].n_branches)
     fast = load_fast_engine()
-    cells = []
-    for _, job in batch.members:
-        predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
-        estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
-            if job.adaptive
-            else None
-        )
-        cells.append(
-            fast.LockstepCell(
-                predictor=predictor,
-                estimator=estimator,
-                controller=controller,
-                warmup_branches=job.warmup_branches,
-            )
-        )
-    results = fast.simulate_tage_lockstep(
-        trace, cells, materialization=first.materialization_dir
+    predictors = [
+        _build_predictor(job.predictor, job.adaptive, job.seed) for job in jobs
+    ]
+    planes = fast.compute_planes(
+        fast.TraceArrays.from_trace(trace),
+        fast.plane_geometry(predictors[0].config),
     )
-    elapsed = (time.perf_counter() - start) / len(batch.members)
-    return tuple(
-        JobResult(
-            job=job,
-            result=result,
-            binary=result.binary_confusion(),
-            estimator_bits=0,
-            elapsed=elapsed,
+    cells = [
+        fast.LockstepCell(predictor, *_tage_observers(job, predictor),
+                          warmup_branches=job.warmup_branches)
+        for job, predictor in zip(jobs, predictors)
+        if job.estimator.kind == "tage"
+    ]
+    multi_class = iter(fast.simulate_tage_lockstep(trace, cells, planes=planes))
+    outcomes = []
+    for job, predictor in zip(jobs, predictors):
+        if job.estimator.kind == "tage":
+            result = next(multi_class)
+            outcomes.append((result, result.binary_confusion(), 0))
+            continue
+        estimator = _build_binary_estimator(job.estimator, predictor)
+        binary, result = fast.simulate_binary_fast(
+            trace, predictor, estimator,
+            warmup_branches=job.warmup_branches, planes=planes,
         )
-        for (_, job), result in zip(batch.members, results)
+        outcomes.append((result, binary, estimator.storage_bits()))
+    elapsed = (time.perf_counter() - start) / len(jobs)
+    return tuple(
+        JobResult(job=job, result=result, binary=binary,
+                  estimator_bits=estimator_bits, elapsed=elapsed)
+        for job, (result, binary, estimator_bits) in zip(jobs, outcomes)
     )
 
 
@@ -295,56 +309,54 @@ def execute_work(unit: JobSpec | LockstepBatch):
 
 
 def _lockstep_key(job: JobSpec, geometries: dict) -> tuple | None:
-    """The grouping key a job must share to join a lockstep batch
+    """The grouping key a job must share to join a lockstep unit
     (None = the job cannot join one).
 
-    Only supported fast-backend TAGE×observation accuracy cells
-    qualify (the capability API's ``lockstep`` flag); the key then pins
-    everything batched execution shares — the trace (and its length)
-    and the plane geometry the predictor's config folds to.  Kernel
-    knobs (automaton, saturation probability, seeds, warmup, §6.2
-    controller) may differ freely across members.
+    Fast-backend TAGE jobs qualify under the multi-class ``tage`` and
+    the binary ``jrs``/``ejrs`` estimators (the capability API's
+    ``lockstep`` flag); the key pins everything a unit shares — the
+    trace, its length and the plane geometry the predictor's config
+    folds to.  Kernel knobs (automaton, saturation probability, seeds,
+    warmup, §6.2 controller) and the estimator may differ freely across
+    members.
     """
-    if job.backend != "fast":
+    if job.backend != "fast" or job.predictor.kind != "tage":
         return None
-    if job.predictor.kind != "tage" or job.estimator.kind != "tage":
+    if job.estimator.kind not in _UNIT_ESTIMATORS:
         return None
     cell = (job.predictor, job.adaptive)
     if cell not in geometries:
         fast = load_fast_engine()
         predictor = _build_predictor(job.predictor, job.adaptive, None)
         geometries[cell] = fast.plane_geometry(predictor.config)
-    return (job.trace, job.n_branches, job.materialization_dir,
-            geometries[cell])
+    return (job.trace, job.n_branches, geometries[cell])
 
 
 def plan_lockstep(
     pending: list[tuple[int, JobSpec]],
     progress: Callable[[str], None] | None = None,
 ) -> list[tuple[int, JobSpec | LockstepBatch]]:
-    """Fuse shareable fast TAGE jobs into :class:`LockstepBatch` units.
+    """Fuse the fast TAGE jobs of one trace × plane geometry into
+    :class:`LockstepBatch` units.
 
     Jobs sharing one trace's planes (same trace, branch count and plane
-    geometry) are grouped — in grid order, at most
-    :data:`LOCKSTEP_MAX_BATCH` per batch — and each group of two or
-    more becomes one batch unit, emitted at its first member's position
-    with that member's grid index as the unit index.  Everything else
-    passes through unchanged, so the plan preserves grid order and
-    the batching is invisible in the results: each member is cached,
-    journaled and reported under its own index and spec hash.
+    geometry; see :func:`_lockstep_key`) are grouped — in grid order, at
+    most :data:`LOCKSTEP_MAX_BATCH` per unit — and each group of two or
+    more becomes one unit, emitted at its first member's position with
+    that member's grid index as the unit index.  Everything else passes
+    through unchanged, so the plan preserves grid order and the fusion
+    is invisible in the results: each member is cached, journaled and
+    reported under its own index and spec hash.
     """
     geometries: dict = {}
     groups: dict[tuple, list[tuple[int, JobSpec]]] = {}
-    keys: dict[int, tuple | None] = {}
     for index, job in pending:
         key = _lockstep_key(job, geometries)
-        keys[index] = key
         if key is not None:
             groups.setdefault(key, []).append((index, job))
 
     batches: dict[int, LockstepBatch] = {}
     fused_members: set[int] = set()
-    n_fused_jobs = 0
     for members in groups.values():
         for chunk_start in range(0, len(members), LOCKSTEP_MAX_BATCH):
             chunk = members[chunk_start:chunk_start + LOCKSTEP_MAX_BATCH]
@@ -353,7 +365,6 @@ def plan_lockstep(
             batch = LockstepBatch(members=tuple(chunk))
             batches[batch.index] = batch
             fused_members.update(index for index, _ in chunk)
-            n_fused_jobs += len(chunk)
 
     plan: list[tuple[int, JobSpec | LockstepBatch]] = []
     for index, job in pending:
@@ -363,7 +374,7 @@ def plan_lockstep(
             plan.append((index, job))
     if progress and batches:
         progress(
-            f"lockstep: fused {n_fused_jobs} job(s) into {len(batches)} "
+            f"lockstep: fused {len(fused_members)} job(s) into {len(batches)} "
             f"batch(es) of <= {LOCKSTEP_MAX_BATCH}"
         )
     return plan
@@ -391,12 +402,7 @@ def _job_cell(job: JobSpec) -> Cell:
     build them, so the pre-pass can never disagree with execution."""
     predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
     if job.estimator.kind == "tage":
-        estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
-            if job.adaptive
-            else None
-        )
+        estimator, controller = _tage_observers(job, predictor)
         return Cell(predictor=predictor, estimator=estimator, controller=controller)
     return Cell(
         predictor=predictor,
@@ -453,16 +459,6 @@ def _resolve_fast_fallbacks(
                 f"({count} job(s))"
             )
     return resolved
-
-
-def _count_plane_files(materialization_dir) -> int:
-    """Plane materializations currently on disk (0 when sharing is off)."""
-    if materialization_dir is None:
-        return 0
-    root = Path(materialization_dir)
-    if not root.is_dir():
-        return 0
-    return sum(1 for _ in root.glob("*.npy"))
 
 
 @dataclass(frozen=True)
@@ -653,7 +649,6 @@ def execute_plan(
     workers: int | None = 1,
     cache: ResultCache | None = None,
     progress: Callable[[str], None] | None = None,
-    materialization_dir: str | os.PathLike | None = None,
     *,
     run_id: str | None = None,
     journal_dir: str | os.PathLike | None = None,
@@ -689,8 +684,6 @@ def execute_plan(
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if materialization_dir is None and cache is not None:
-        materialization_dir = cache.root / "planes"
     if journal_dir is None:
         journal_dir = default_journal_dir(cache)
     if faults is None:
@@ -729,14 +722,6 @@ def execute_plan(
         n_retries = 0
         if pending:
             pending = _resolve_fast_fallbacks(pending, progress)
-            if materialization_dir is not None:
-                pending = [
-                    (index, replace(job, materialization_dir=str(materialization_dir)))
-                    if job.backend == "fast"
-                    else (index, job)
-                    for index, job in pending
-                ]
-            planes_before = _count_plane_files(materialization_dir)
             units: list[tuple[int, JobSpec | LockstepBatch]] = (
                 plan_lockstep(pending, progress)
                 if _lockstep_enabled(lockstep, faults)
@@ -760,13 +745,6 @@ def execute_plan(
             quarantined = tuple(dropped)
             for index, outcome in outcomes.items():
                 slots[index] = outcome
-            if progress and materialization_dir is not None:
-                planes_after = _count_plane_files(materialization_dir)
-                progress(
-                    f"materializations: {planes_after} plane file(s) in "
-                    f"{materialization_dir} ({planes_after - planes_before} new, "
-                    f"{planes_before} already on disk)"
-                )
 
         if journal is not None:
             journal.end(
@@ -807,7 +785,6 @@ def run_sweep(
     workers: int | None = 1,
     cache: ResultCache | None = None,
     progress: Callable[[str], None] | None = None,
-    materialization_dir: str | os.PathLike | None = None,
     *,
     run_id: str | None = None,
     journal_dir: str | os.PathLike | None = None,
@@ -830,11 +807,6 @@ def run_sweep(
         cache: optional :class:`ResultCache`; hits skip execution,
             misses are stored the moment each job completes.
         progress: optional sink for human-readable status lines.
-        materialization_dir: directory where fast-backend TAGE index/tag
-            plane materializations are memmapped and shared across jobs
-            and runs.  Defaults to ``<cache root>/planes`` when a cache
-            is given (None and no cache → planes are computed per job in
-            memory).
         run_id: names this run's journal (auto-generated when omitted);
             the handle ``--resume`` takes.
         journal_dir: where journals live; defaults to
@@ -853,8 +825,8 @@ def run_sweep(
         fsync_journal: fsync each journal record (leave on outside
             tests; without it a crash can forget acknowledged progress).
         lockstep: fuse fast-backend TAGE jobs sharing one trace's
-            planes into batched kernel passes (bit-identical results;
-            see :func:`plan_lockstep`).  ``None`` (the default) reads
+            planes into units that compute them once (bit-identical
+            results; see :func:`plan_lockstep`).  ``None`` (the default) reads
             ``$REPRO_LOCKSTEP`` and falls back to on; fault injection
             forces it off.  Execution plumbing like ``backend`` — never
             part of the spec hash or the cache identity.
@@ -872,7 +844,6 @@ def run_sweep(
         workers=workers,
         cache=cache,
         progress=progress,
-        materialization_dir=materialization_dir,
         run_id=run_id,
         journal_dir=journal_dir,
         resume=resume,

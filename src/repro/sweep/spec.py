@@ -233,11 +233,10 @@ class JobSpec:
     :meth:`spec_hash`: the fast backend is bit-for-bit equivalent to the
     reference engine (enforced by ``tests/equivalence/``), so both
     backends share the same on-disk cache entries and a fast re-run of a
-    reference sweep is served entirely from cache.
-
-    ``materialization_dir`` (fast backend only) points the engine at the
-    shared on-disk TAGE plane materializations; like ``backend`` it is
-    execution plumbing, not identity, and stays out of the hash.
+    reference sweep is served entirely from cache.  How a job is
+    executed beyond that — alone or as a member of a
+    :class:`LockstepBatch` sharing its trace's planes — is the
+    planner's choice and never part of the job.
     """
 
     predictor: PredictorSpec
@@ -249,7 +248,6 @@ class JobSpec:
     target_mkp: float = 10.0
     seed: int | None = None
     backend: str = DEFAULT_BACKEND  # repro: allow[RPR002] execution-only; results are backend-invariant
-    materialization_dir: str | None = None  # repro: allow[RPR002] execution-only plumbing
 
     def __post_init__(self) -> None:
         validate_backend(self.backend)
@@ -282,8 +280,13 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class LockstepBatch:
-    """A fused work unit: fast-backend TAGE jobs sharing one trace's
-    planes, executed in a single batched kernel pass.
+    """A fused work unit: fast-backend TAGE jobs sharing one trace, one
+    length and one plane geometry, run from a single in-memory
+    computation of that trace's arrays and index/tag planes.
+
+    Members may mix the multi-class ``tage`` estimator (one batched
+    kernel pass) with the binary ``jrs``/``ejrs`` estimators (one
+    prediction run plus a counter scan each, over the same planes).
 
     ``members`` keeps each job's original grid index so the broker can
     fan completion (cache store, journal record, result slot) back out

@@ -39,10 +39,13 @@ class Trace:
     """A named, immutable-by-convention sequence of branch records.
 
     Construct either from columns (fast path used by the generators) or
-    from records via :meth:`from_records`.
+    from records via :meth:`from_records`.  Nothing mutates a trace
+    after construction: ``total_instructions`` is summed once here, and
+    :meth:`repro.sim.fast.arrays.TraceArrays.from_trace` memoizes on
+    the trace's identity.
     """
 
-    __slots__ = ("name", "pcs", "takens", "insts")
+    __slots__ = ("name", "pcs", "takens", "insts", "total_instructions")
 
     def __init__(
         self,
@@ -66,6 +69,8 @@ class Trace:
         else:
             self.takens = bytearray(int(bool(t)) for t in takens)
         self.insts = list(insts)
+        #: Total instruction count covered by the trace.
+        self.total_instructions = sum(self.insts)
 
     @classmethod
     def from_records(cls, name: str, records: Iterable[BranchRecord]) -> "Trace":
@@ -95,11 +100,6 @@ class Trace:
     def record(self, index: int) -> BranchRecord:
         """Random access to a single record."""
         return BranchRecord(self.pcs[index], bool(self.takens[index]), self.insts[index])
-
-    @property
-    def total_instructions(self) -> int:
-        """Total instruction count covered by the trace."""
-        return sum(self.insts)
 
     @property
     def taken_count(self) -> int:

@@ -78,3 +78,36 @@ def test_paper_cache_round_trip_determinism(tmp_path, capsys):
 def test_paper_require_cached_fails_on_cold_cache(tmp_path):
     with pytest.raises(SystemExit, match="served from the cache"):
         _paper(tmp_path, "--require-cached", cache="cold-cache")
+
+
+#: Artifacts covering lockstep-fused TAGE units, a gshare x JRS/eJRS
+#: grid and an observation-stream app, cheap on the reference backend.
+DEFAULT_BACKEND_SUBSET = ("FIG4", "FIG6", "ABL_ALT_ON_NA", "SCENARIO_ZOO",
+                          "APP_SMT_FETCH")
+
+
+def test_paper_defaults_to_fast_backend_with_identical_bytes(tmp_path, capsys):
+    """No --backend runs the fast engine without one fallback, stores no
+    planes and writes the reference backend's bytes."""
+    pytest.importorskip("numpy")
+    import warnings
+
+    from repro.sim.backends import FastBackendFallbackWarning
+
+    def paper(out, *extra):
+        return main(["paper", "--quick", "--only", *DEFAULT_BACKEND_SUBSET,
+                     "--workers", "1", "--out", str(tmp_path / out), *extra])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastBackendFallbackWarning)
+        assert paper("default", "--cache-dir", str(tmp_path / "cache")) == 0
+    out = capsys.readouterr().out
+    assert "on the fast backend" in out
+    assert "fallback:" not in out
+    assert not (tmp_path / "cache" / "planes").exists()
+
+    assert paper("reference", "--backend", "reference", "--no-cache") == 0
+    assert "on the reference backend" in capsys.readouterr().out
+    for name in ("PAPER_RESULTS.md", "paper_results.json"):
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes())

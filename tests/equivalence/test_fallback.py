@@ -122,12 +122,14 @@ def test_capability_rejects_binary_with_controller():
     assert "binary" in capability.reason
 
 
-def test_capability_reports_lockstep_for_tage_accuracy_cells():
+def test_capability_reports_lockstep_for_tage_cells():
     tage = build_predictor("16K")
     assert _capability(tage, TageConfidenceEstimator(tage)).lockstep
-    assert not _capability(build_predictor("16K"), JrsEstimator(),
-                           binary=True).lockstep
+    assert _capability(build_predictor("16K"), JrsEstimator(),
+                       binary=True).lockstep
     assert not _capability(OgehlPredictor()).lockstep
+    assert not _capability(OgehlPredictor(), JrsEstimator(),
+                           binary=True).lockstep
 
 
 @pytest.mark.parametrize("provider", ["none", "cext"])

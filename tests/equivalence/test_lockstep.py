@@ -1,7 +1,8 @@
 """Lockstep batching equivalence: fused passes are invisible.
 
 A lockstep batch runs many ablation cells through one kernel pass over
-one set of trace planes.  The contract is strict bit-identity: every
+one set of trace planes; a sweep unit adds the JRS-family jobs of the
+same trace x plane geometry, run over the same in-memory planes.  The contract is strict bit-identity: every
 member must produce exactly the :class:`SimulationResult` an
 independent :func:`simulate_tage_fast` run would — same misprediction
 count, same class histogram, same controller trajectory — because the
@@ -11,7 +12,11 @@ machinery never knows batching happened.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
 
@@ -30,6 +35,8 @@ from repro.sweep.executor import (
     LOCKSTEP_ENV,
     LOCKSTEP_MAX_BATCH,
     _lockstep_enabled,
+    execute_batch,
+    execute_job,
     plan_lockstep,
     run_sweep,
 )
@@ -179,19 +186,137 @@ def test_plan_lockstep_respects_max_batch():
 
 
 def test_plan_lockstep_skips_ineligible_jobs():
+    baselines = ExperimentSpec(
+        name="plan/baselines",
+        predictors=(PredictorSpec.of("gshare"), PredictorSpec.of("perceptron")),
+        estimators=(EstimatorSpec.of("jrs"), EstimatorSpec.of("self")),
+        traces=("INT-1",),
+        n_branches=4000,
+        backend="fast",
+    )
+    jobs = list(enumerate(expand(baselines).jobs))
+    # gshare x jrs and perceptron x {jrs, self}: no TAGE planes to share.
+    assert len(jobs) == 3
+    assert plan_lockstep(jobs) == jobs
+
     mixed = _grid_spec(
         "plan/mixed",
         estimators=(EstimatorSpec.of("tage"), EstimatorSpec.of("jrs")),
     )
-    jobs = list(enumerate(expand(mixed).jobs))
-    units = plan_lockstep(jobs)
-    # A JRS cell is binary-protocol and can't join a TAGE lockstep pass;
-    # with only one eligible cell left there is nothing to fuse.
-    assert units == jobs
-
-    reference = _grid_spec("plan/reference", backend="reference")
+    reference = mixed.with_options(backend="reference")
     jobs = list(enumerate(expand(reference).jobs))
     assert plan_lockstep(jobs) == jobs
+
+    # One TAGE job per (trace, geometry): every group is a singleton.
+    singles = _grid_spec("plan/singles", sizes=("16K", "64K"),
+                         estimators=(EstimatorSpec.of("jrs"),))
+    jobs = list(enumerate(expand(singles).jobs))
+    assert plan_lockstep(jobs) == jobs
+
+
+def test_plan_lockstep_fuses_binary_tage_jobs_by_geometry():
+    spec = ExperimentSpec(
+        name="plan/units",
+        predictors=tuple(PredictorSpec.parse(token) for token in UNIT_PREDICTORS),
+        estimators=tuple(EstimatorSpec.of(kind) for kind in UNIT_ESTIMATORS),
+        traces=("INT-1", "MM-1"),
+        n_branches=4000,
+        backend="fast",
+    )
+    jobs = list(enumerate(expand(spec).jobs))
+    units = plan_lockstep(jobs)
+    # One unit per trace x geometry, holding both automata under all
+    # three estimators.
+    assert len(units) == 4
+    for _, unit in units:
+        assert isinstance(unit, LockstepBatch)
+        assert len(unit.members) == 6
+        assert len({job.trace for _, job in unit.members}) == 1
+        assert len({job.predictor.size for _, job in unit.members}) == 1
+        assert {job.estimator.kind for _, job in unit.members} == set(UNIT_ESTIMATORS)
+
+
+#: The mixed-unit grid: both storage presets that share no planes, each
+#: in the standard and probabilistic automaton, under every estimator a
+#: TAGE unit admits.
+UNIT_PREDICTORS = ("tage-16K", "tage-16K-prob", "tage-64K", "tage-64K-prob")
+UNIT_ESTIMATORS = ("tage", "jrs", "ejrs")
+
+
+def _assert_units_match_reference(jobs):
+    """Every member of every fused unit ≡ that job run alone through
+    :func:`execute_job` on the reference backend."""
+    units = [unit for _, unit in plan_lockstep(list(enumerate(jobs)))]
+    for unit in units:
+        members = unit.members if isinstance(unit, LockstepBatch) else ((0, unit),)
+        results = (execute_batch(unit) if isinstance(unit, LockstepBatch)
+                   else (execute_job(unit),))
+        for (_, job), fused in zip(members, results):
+            alone = execute_job(replace(job, backend="reference"))
+            assert fused.job == job
+            assert fused.result == alone.result
+            assert fused.binary == alone.binary
+            assert fused.estimator_bits == alone.estimator_bits
+    return units
+
+
+@pytest.mark.parametrize("provider", ["none", "cext"])
+def test_mixed_units_match_reference_jobs(monkeypatch, provider):
+    monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
+    if provider == "cext" and compiled.active_provider() is None:
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    spec = ExperimentSpec(
+        name="units/mixed",
+        predictors=tuple(PredictorSpec.parse(token) for token in UNIT_PREDICTORS),
+        estimators=tuple(EstimatorSpec.of(kind) for kind in UNIT_ESTIMATORS),
+        traces=("SERV-1",),
+        n_branches=3000,
+        warmup_branches=700,
+        seed=11,
+        backend="fast",
+    )
+    units = _assert_units_match_reference(expand(spec).jobs)
+    assert [len(unit.members) for unit in units] == [6, 6]
+
+
+@pytest.mark.parametrize("provider", ["none", "cext"])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    predictors=st.lists(st.sampled_from(UNIT_PREDICTORS + ("gshare",)),
+                        min_size=1, max_size=4, unique=True),
+    estimators=st.lists(st.sampled_from(UNIT_ESTIMATORS), min_size=1,
+                        max_size=3, unique=True),
+    traces=st.lists(st.sampled_from(("INT-1", "FP-1", "MM-1")), min_size=1,
+                    max_size=2, unique=True),
+    n_branches=st.integers(200, 900),
+    warmup=st.integers(0, 300),
+    seed=st.one_of(st.none(), st.integers(0, 2**16)),
+)
+def test_random_grid_units_match_reference_jobs(
+    monkeypatch, provider, predictors, estimators, traces, n_branches,
+    warmup, seed,
+):
+    monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
+    if provider == "cext" and compiled.active_provider() is None:
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    grid = ExperimentSpec(
+        name="units/random",
+        predictors=tuple(PredictorSpec.parse(token) for token in predictors),
+        estimators=tuple(EstimatorSpec.of(kind) for kind in estimators),
+        traces=tuple(traces),
+        n_branches=n_branches,
+        warmup_branches=warmup,
+        seed=seed,
+        backend="fast",
+    )
+    try:
+        jobs = expand(grid).jobs
+    except ValueError:
+        return  # gshare x tage only: nothing compatible to run
+    _assert_units_match_reference(jobs)
 
 
 def test_lockstep_enabled_gating(monkeypatch):
@@ -214,7 +339,7 @@ def test_run_sweep_lockstep_is_bit_identical(tmp_path, workers):
             PredictorSpec.of("tage", size="16K", automaton="probabilistic"),
             PredictorSpec.of("tage", size="16K", u_reset_period=700),
         ),
-        estimators=(EstimatorSpec.of("tage"),),
+        estimators=tuple(EstimatorSpec.of(kind) for kind in UNIT_ESTIMATORS),
         traces=("INT-1", "SERV-1"),
         n_branches=4000,
         seed=1,
@@ -224,7 +349,7 @@ def test_run_sweep_lockstep_is_bit_identical(tmp_path, workers):
                       cache=ResultCache(tmp_path / "on"), lockstep=True)
     independent = run_sweep(spec, workers=workers,
                             cache=ResultCache(tmp_path / "off"), lockstep=False)
-    assert len(fused.table) == len(independent.table) == 6
+    assert len(fused.table) == len(independent.table) == 18
     for a, b in zip(fused.table, independent.table):
         assert a.job.spec_hash() == b.job.spec_hash()
         assert a.result == b.result

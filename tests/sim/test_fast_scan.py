@@ -194,3 +194,46 @@ class TestTraceArrays:
     def test_len(self):
         trace = Trace("t", [4, 8], [1, 0], [1, 1])
         assert len(TraceArrays.from_trace(trace)) == 2
+
+    def test_memoized_on_trace_identity(self):
+        trace = Trace("t", [4, 8, 12], [1, 0, 1], [1, 2, 3])
+        assert TraceArrays.from_trace(trace) is TraceArrays.from_trace(trace)
+
+    def test_memoized_arrays_are_read_only(self):
+        arrays = TraceArrays.from_trace(Trace("t", [4, 8], [1, 0], [1, 1]))
+        with pytest.raises(ValueError, match="read-only"):
+            arrays.pcs[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            arrays.takens[0] = 0
+
+    def test_mutation_after_materialization_leaves_arrays(self):
+        trace = Trace("t", [4, 8, 12], [1, 0, 1], [1, 2, 3])
+        arrays = TraceArrays.from_trace(trace)
+        trace.pcs[0] = 400
+        trace.takens[1] = 1
+        assert list(arrays.pcs) == [4, 8, 12]
+        assert list(arrays.takens) == [1, 0, 1]
+
+    def test_new_trace_object_gets_its_own_arrays(self):
+        from repro.sim.fast import arrays as arrays_module
+
+        columns = ([4, 8, 12], [1, 0, 1], [1, 2, 3])
+        first = Trace("t", *columns)
+        second = Trace("t", *columns)
+        first_arrays = TraceArrays.from_trace(first)
+        second_arrays = TraceArrays.from_trace(second)
+        assert second_arrays is not first_arrays
+        assert list(second_arrays.pcs) == list(first_arrays.pcs)
+        # One entry: the memo now holds the second trace only.
+        memo_trace, memo_arrays = arrays_module._LAST_MATERIALIZED
+        assert memo_trace is second and memo_arrays is second_arrays
+        assert TraceArrays.from_trace(first) is not first_arrays
+
+    def test_caller_pcs_array_is_copied(self):
+        """An ndarray PC column is copied, never frozen in place."""
+        pcs = np.array([4, 8], dtype=np.int64)
+        trace = Trace("t", [4, 8], [1, 0], [1, 1])
+        trace.pcs = pcs
+        arrays = TraceArrays.from_trace(trace)
+        assert arrays.pcs is not pcs
+        pcs[0] = 40  # still writable

@@ -179,8 +179,9 @@ class TestFallbackDedupe:
         assert fast.table.rows() == reference.table.rows()
 
 
-class TestPlaneMaterializations:
-    """Sweep jobs share memmapped TAGE planes instead of recomputing."""
+class TestInMemoryPlanes:
+    """Fast TAGE planes are computed in memory, once per trace x plane
+    geometry, and never stored next to the result cache."""
 
     def _tage_spec(self, backend="fast") -> ExperimentSpec:
         return ExperimentSpec(
@@ -189,42 +190,49 @@ class TestPlaneMaterializations:
                 PredictorSpec.of("tage", size="16K"),
                 PredictorSpec.of("tage", size="16K", automaton="probabilistic"),
             ),
-            estimators=(EstimatorSpec.of("tage"),),
+            estimators=(EstimatorSpec.of("tage"), EstimatorSpec.of("jrs")),
             traces=("INT-1", "MM-1"),
             n_branches=1_000,
             backend=backend,
         )
 
-    def test_planes_materialized_next_to_result_cache(self, tmp_path):
+    def test_sweep_cli_leaves_no_plane_cache(self, tmp_path, capsys):
         pytest.importorskip("numpy")
-        cache = ResultCache(tmp_path / "sweeps")
-        lines: list[str] = []
-        run = run_sweep(self._tage_spec(), workers=1, cache=cache,
-                        progress=lines.append)
-        assert run.n_executed == 4
-        planes_dir = cache.root / "planes"
-        # Geometry is shared between the standard and probabilistic
-        # automaton, so two traces → two plane files, not four.
-        assert len(list(planes_dir.glob("*.npy"))) == 2
-        assert any("materializations: 2 plane file(s)" in line
-                   and "(2 new, 0 already on disk)" in line for line in lines)
+        from repro.cli import main
 
-    def test_second_run_reuses_memmaps_without_recompute(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "sweeps"
+        assert main([
+            "sweep", "--branches", "1000", "--workers", "1",
+            "--backend", "fast", "--predictors", "tage-16K", "tage-16K-prob",
+            "--estimators", "tage", "jrs", "--traces", "INT-1", "MM-1",
+            "--cache-dir", str(cache_dir),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(0 cached, 8 executed)" in out
+        assert "lockstep: fused 8 job(s) into 2 batch(es)" in out
+        assert "materializations" not in out
+        assert len(ResultCache(cache_dir)) == 8
+        assert not (cache_dir / "planes").exists()
+
+    def test_units_compute_planes_once_per_trace_geometry(self, monkeypatch):
         pytest.importorskip("numpy")
-        import repro.sim.fast.planes as planes_module
+        from repro.sim import fast
 
-        planes_dir = tmp_path / "planes"
-        cold = run_sweep(self._tage_spec(), workers=1,
-                         materialization_dir=planes_dir)
-        assert len(list(planes_dir.glob("*.npy"))) == 2
+        computed = []
+        compute_planes = fast.compute_planes
 
-        def refuse(arrays, geometry):
-            raise AssertionError("planes were recomputed instead of memmapped")
+        def counting(arrays, geometry):
+            computed.append((arrays.name, geometry))
+            return compute_planes(arrays, geometry)
 
-        monkeypatch.setattr(planes_module, "compute_planes", refuse)
-        warm = run_sweep(self._tage_spec(), workers=1,
-                         materialization_dir=planes_dir)
-        assert warm.table.rows() == cold.table.rows()
+        monkeypatch.setattr(fast, "compute_planes", counting)
+        fused = run_sweep(self._tage_spec(), workers=1)
+        # Both automata under both estimators share one plane set per
+        # trace: two computations for eight jobs.
+        assert fused.n_executed == 8
+        assert sorted(name for name, _ in computed) == ["INT-1", "MM-1"]
+        reference = run_sweep(self._tage_spec(backend="reference"), workers=1)
+        assert fused.table.rows() == reference.table.rows()
 
     def test_reference_sweep_touches_no_planes(self, tmp_path):
         cache = ResultCache(tmp_path / "sweeps")

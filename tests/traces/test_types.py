@@ -70,6 +70,14 @@ class TestTrace:
         assert len(joined) == 5
         assert joined.pcs == [0, 1, 0, 1, 2]
 
+    def test_total_instructions_after_head_and_concat(self):
+        """The total is summed once per trace; derived traces sum their own."""
+        trace = make_trace(5)  # insts 1..5
+        assert trace.head(2).total_instructions == 3
+        assert trace.head(0).total_instructions == 0
+        assert trace.concat(make_trace(3)).total_instructions == 15 + 6
+        assert trace.total_instructions == 15
+
     def test_concat_name(self):
         joined = make_trace(1).concat(make_trace(1), name="xy")
         assert joined.name == "xy"
