@@ -1,4 +1,5 @@
-"""End-to-end ``repro paper`` bench: cold quick runs at 1 and 2 workers.
+"""End-to-end ``repro paper`` bench: cold quick runs at 1 and 2 workers,
+plus a warm re-run on the populated cache.
 
 Not a paper figure — this bench times the headline workflow the way a
 user runs it: ``python -m repro paper --quick --backend fast --workers
@@ -14,6 +15,9 @@ none at 1, fused jobs, byte-identical reports across worker counts) and
 writes ``benchmarks/records/BENCH_paper_e2e.json``:
 
 * ``wall_workers_1_s`` / ``wall_workers_2_s`` — median process walls;
+* ``wall_warm_s`` — median wall of a second 2-worker run on each cold
+  2-worker run's cache (every job served from it), whose reports must
+  be byte-identical to the cold run's;
 * ``parallel_speedup`` (the compared metric) — wall(1) / wall(2), so
   1.0 means adding a worker costs nothing and more means it pays;
 * ``jobs_fused``, ``pools_spawned`` and ``distinct_traces`` of the
@@ -51,9 +55,11 @@ _SUMMARY = re.compile(
 )
 
 
-def _cold_run(workers: int, root: Path) -> tuple[float, str, bytes]:
-    """One cold ``repro paper --quick`` process: (wall, stdout, reports)."""
-    out = root / "out"
+def _paper_run(workers: int, root: Path,
+               out_name: str = "out") -> tuple[float, str, bytes]:
+    """One ``repro paper --quick`` process on ``root``'s result cache
+    (cold when new): (wall, stdout, reports)."""
+    out = root / out_name
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = [sys.executable, "-m", "repro", "paper", "--quick", "--backend",
             "fast", "--workers", str(workers), "--cache-dir",
@@ -78,20 +84,27 @@ def _distinct_traces(scale: Scale) -> int:
 
 def test_paper_e2e_parallel_speedup(run_once, tmp_path):
     legs: dict[int, list[tuple[float, str, bytes]]] = {1: [], 2: []}
+    warm: list[tuple[float, str, bytes]] = []
 
     def measure():
         for round_index in range(ROUNDS):
             for workers in legs:
                 root = tmp_path / f"w{workers}-r{round_index}"
                 root.mkdir()
-                legs[workers].append(_cold_run(workers, root))
+                legs[workers].append(_paper_run(workers, root))
+            warm.append(_paper_run(2, tmp_path / f"w2-r{round_index}",
+                                   "out-warm"))
 
     run_once(measure)
 
     walls = {workers: statistics.median(wall for wall, _, _ in runs)
              for workers, runs in legs.items()}
-    # Byte-identical reports across worker counts and rounds.
-    assert len({report for runs in legs.values() for _, _, report in runs}) == 1
+    wall_warm = statistics.median(wall for wall, _, _ in warm)
+    # Byte-identical reports across worker counts, rounds and warm runs.
+    assert len({report for runs in (*legs.values(), warm)
+                for _, _, report in runs}) == 1
+    warm_summary = _SUMMARY.search(warm[0][1])
+    assert int(warm_summary[4]) == 0 and int(warm_summary[2]) == int(warm_summary[3])
 
     serial_out, parallel_out = legs[1][0][1], legs[2][0][1]
     assert not _POOL.search(serial_out)
@@ -111,6 +124,7 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
         "cpu_count": os.cpu_count(),
         "wall_workers_1_s": round(walls[1], 3),
         "wall_workers_2_s": round(walls[2], 3),
+        "wall_warm_s": round(wall_warm, 3),
         "metric": "parallel_speedup",
         "parallel_speedup": round(speedup, 3),
         "jobs_fused": fused,
@@ -128,6 +142,7 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
             f"{n_executed} executed), {fused} fused, {pools} pool",
             f"--workers 1: {walls[1]:.3f}s (median of {ROUNDS})",
             f"--workers 2: {walls[2]:.3f}s (median of {ROUNDS})",
+            f"warm re-run: {wall_warm:.3f}s (median of {ROUNDS})",
             f"parallel speedup: {speedup:.2f}x",
         ]),
     )

@@ -17,7 +17,8 @@ be computed for the whole trace up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,11 +42,23 @@ MAX_WINDOW_BITS = 62
 
 @dataclass(frozen=True)
 class TraceArrays:
-    """Packed columns of one trace: int64 PCs, uint8 outcomes."""
+    """Packed columns of one trace: int64 PCs, uint8 outcomes, plus the
+    per-branch streams derived from them.
+
+    Every cell of a sweep that reads the same trace-derived stream — the
+    JRS/eJRS base index of one ``(history_length, log_entries)``, one
+    predictor configuration's prediction stream, a sum-based predictor's
+    (predictions, self-confidence) pair — computes it once through
+    :meth:`derived` and shares it.  The streams live exactly as long as
+    this instance: :meth:`from_trace` keeps one trace materialized per
+    process, so moving to the next trace drops the previous trace's
+    streams with its arrays.
+    """
 
     name: str
     pcs: np.ndarray
     takens: np.ndarray
+    _derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_trace(cls, trace) -> "TraceArrays":
@@ -77,6 +90,22 @@ class TraceArrays:
 
     def __len__(self) -> int:
         return len(self.pcs)
+
+    def derived(self, key: tuple, build: Callable[[], object]):
+        """The stream cached under ``key``, built by ``build()`` on first use.
+
+        ``key`` must name everything the stream depends on besides this
+        trace (a kernel's configuration, a history geometry).  The built
+        value — an array or a tuple of arrays — is made read-only, so one
+        cell cannot corrupt the stream the next cell reads.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = build()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+            self._derived[key] = value
+        return value
 
     @property
     def taken_bool(self) -> np.ndarray:

@@ -39,7 +39,12 @@ history windows are the only remaining exclusions; those raise
 
 The fast path never calls ``predict``/``train`` — the predictor and
 estimator instances are only read for their configuration and are left
-in their power-on state.
+in their power-on state.  That makes every per-branch stream a function
+of the trace and that configuration alone, so the cells of one trace
+share them through :meth:`~repro.sim.fast.arrays.TraceArrays.derived`:
+each predictor configuration's prediction stream (for the sum-based
+predictors, the (predictions, self-confidence) pair) and each JRS
+geometry's base index are computed once per materialized trace.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from repro.sim.fast.tage import (
     simulate_tage_fast,
     tage_fast_predictions,
 )
-from repro.sim.fast.tage_core import controller_unsupported_reason
+from repro.sim.fast.tage_core import cell_inputs, controller_unsupported_reason
 
 __all__ = [
     "simulate_fast",
@@ -91,11 +96,46 @@ __all__ = [
     "observe_tage_fast",
     "vectorized_predictions",
     "vectorized_assessments",
+    "prediction_stream_key",
     "cell_capability",
 ]
 
 #: The sum-based predictors whose kernels also emit self-confidence.
 _SUM_PREDICTORS = (PerceptronPredictor, OgehlPredictor)
+
+#: The configuration each non-TAGE fast kernel reads off its predictor:
+#: everything that predictor's stream depends on besides the trace.
+_STREAM_FIELDS = {
+    BimodalPredictor: ("log_entries", "counter_bits"),
+    GsharePredictor: ("log_entries", "history_length"),
+    LocalHistoryPredictor: ("log_histories", "history_length", "log_pht",
+                            "shared_pht"),
+    PerceptronPredictor: ("log_entries", "history_length", "weight_bits",
+                          "threshold"),
+    OgehlPredictor: ("n_tables", "log_entries", "counter_bits",
+                     "history_lengths"),
+}
+
+
+def prediction_stream_key(predictor) -> tuple:
+    """The :meth:`~repro.sim.fast.arrays.TraceArrays.derived` key of a
+    supported predictor's per-branch stream: its type and the
+    configuration its kernel reads.
+
+    For TAGE that is the config (which carries the LFSR and allocation
+    seeds) and the live saturation probability the kernel starts from.
+    The §5 estimator only observes and the warmup split only gates
+    counting, so a multi-class TAGE cell without a §6.2 controller
+    produces the same stream as the bare predictor.
+    """
+    kind = type(predictor)
+    if kind is TagePredictor:
+        config, _, _, _, initial_k, _ = cell_inputs(predictor, None, None, 0)
+        return ("tage", config, initial_k)
+    return (kind.__name__, *(
+        tuple(value) if isinstance(value, list) else value
+        for value in (getattr(predictor, name) for name in _STREAM_FIELDS[kind])
+    ))
 
 
 def _predictor_reason(predictor) -> str | None:
@@ -317,10 +357,26 @@ def _local_predictions(
 
 
 def _sum_predictor_run(predictor, arrays: TraceArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch (predictions, self-confidence) of a sum-based predictor."""
-    if type(predictor) is PerceptronPredictor:
-        return perceptron_fast_run(arrays, predictor)
-    return ogehl_fast_run(arrays, predictor)
+    """Per-branch (predictions, self-confidence) of a sum-based predictor,
+    one kernel run per trace and configuration."""
+    kernel = (
+        perceptron_fast_run if type(predictor) is PerceptronPredictor
+        else ogehl_fast_run
+    )
+    return arrays.derived(prediction_stream_key(predictor),
+                          lambda: kernel(arrays, predictor))
+
+
+def _prediction_pass(predictor, arrays: TraceArrays, chunk_size: int,
+                     planes) -> np.ndarray:
+    """One predictions pass of a counter-scan or TAGE predictor."""
+    if type(predictor) is BimodalPredictor:
+        return _bimodal_predictions(predictor, arrays, chunk_size)
+    if type(predictor) is GsharePredictor:
+        return _gshare_predictions(predictor, arrays, chunk_size)
+    if type(predictor) is LocalHistoryPredictor:
+        return _local_predictions(predictor, arrays, chunk_size)
+    return tage_fast_predictions(arrays, predictor, planes)
 
 
 def vectorized_predictions(
@@ -335,7 +391,10 @@ def vectorized_predictions(
     (:mod:`repro.sim.fast.tage`, over ``planes`` when given),
     perceptron/O-GEHL from the dot-product
     kernels (:mod:`repro.sim.fast.gehl`); bimodal/gshare/local from the
-    counter scans.
+    counter scans.  The stream is computed once per configuration
+    (:func:`prediction_stream_key`) and shared, read-only, by every
+    later call on the same ``arrays`` — including a stream a lockstep
+    TAGE cell published (:class:`~repro.sim.fast.lockstep.LockstepCell`).
 
     Raises:
         FastBackendUnsupported: for any predictor outside the fast family
@@ -344,16 +403,27 @@ def vectorized_predictions(
     reason = _predictor_reason(predictor)
     if reason is not None:
         raise FastBackendUnsupported(reason)
-    if type(predictor) is BimodalPredictor:
-        return _bimodal_predictions(predictor, arrays, chunk_size)
-    if type(predictor) is GsharePredictor:
-        return _gshare_predictions(predictor, arrays, chunk_size)
-    if type(predictor) is LocalHistoryPredictor:
-        return _local_predictions(predictor, arrays, chunk_size)
     if type(predictor) in _SUM_PREDICTORS:
         predictions, _ = _sum_predictor_run(predictor, arrays)
         return predictions
-    return tage_fast_predictions(arrays, predictor, planes)
+    return arrays.derived(
+        prediction_stream_key(predictor),
+        lambda: _prediction_pass(predictor, arrays, chunk_size, planes),
+    )
+
+
+def _jrs_index(arrays: TraceArrays, history_length: int,
+               log_entries: int) -> np.ndarray:
+    """The JRS table index of every branch: PC xor folded global history.
+
+    Kept in the smallest signed dtype that holds ``log_entries`` bits,
+    because the stream stays cached for the whole trace; readers widen
+    it back to int64.
+    """
+    windows = history_windows(arrays.takens, history_length)
+    value = (arrays.pcs >> 2) ^ fold_windows(windows, history_length, log_entries)
+    compact = np.min_scalar_type(-(1 << log_entries))
+    return (value & mask(log_entries)).astype(compact)
 
 
 def vectorized_assessments(
@@ -363,6 +433,13 @@ def vectorized_assessments(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
     """Per-branch high-confidence assessments of a JRS-family estimator.
+
+    The base index depends only on the trace and the table geometry
+    ``(history_length, log_entries)``, so it is built once per
+    materialized trace and shared by every JRS and eJRS cell of that
+    geometry; eJRS appends each branch's prediction bit to it.  The
+    counter scan itself reads the cell's correctness stream and runs
+    per call.
 
     Raises:
         FastBackendUnsupported: for estimators outside the JRS family
@@ -377,13 +454,14 @@ def vectorized_assessments(
     reason = _jrs_reason(estimator)
     if reason is not None:
         raise FastBackendUnsupported(reason)
-    windows = history_windows(arrays.takens, estimator.history_length)
-    value = (arrays.pcs >> 2) ^ fold_windows(
-        windows, estimator.history_length, estimator.log_entries
-    )
+    geometry = (estimator.history_length, estimator.log_entries)
+    shared = arrays.derived(("jrs-index", *geometry),
+                            lambda: _jrs_index(arrays, *geometry))
+    indices = shared.astype(np.int64)
     if estimator.include_prediction:
-        value = (value << 1) | predictions.astype(np.int64)
-    indices = value & mask(estimator.log_entries)
+        indices = ((indices << 1) | predictions.astype(np.int64)) & mask(
+            estimator.log_entries
+        )
     correct = predictions == arrays.taken_bool
     max_value = (1 << estimator.counter_bits) - 1
     b, lo, hi = resetting_transforms(correct, max_value)
@@ -462,6 +540,13 @@ def simulate_binary_fast(
     predictor reads its index/tag rows from ``planes`` (the trace's
     :class:`~repro.sim.fast.planes.TagePlanes` for its geometry) when
     given, so the members of one sweep unit share one computation.
+
+    The prediction stream, the sum-based kernels' self-confidence flags
+    and the JRS base index are shared through the trace's
+    :class:`~repro.sim.fast.arrays.TraceArrays` (see
+    :func:`vectorized_predictions`): while one trace stays materialized,
+    a perceptron×``jrs`` and a perceptron×``self`` cell run the
+    perceptron once, and every JRS cell of one geometry reads one index.
 
     Raises:
         FastBackendUnsupported: when the predictor or the estimator is

@@ -15,7 +15,11 @@ batched.
 
 Cells never interact — each owns its table state — so a lockstep batch
 is bit-identical to the same cells run independently (enforced by
-``tests/equivalence/test_lockstep.py``).  The sweep executor uses this
+``tests/equivalence/test_lockstep.py``).  Every cell without a §6.2
+controller also *publishes* its per-branch predictions on the trace's
+:class:`~repro.sim.fast.arrays.TraceArrays`, where a later binary
+JRS-family cell of the same TAGE configuration reads them instead of
+re-running the kernel.  The sweep executor uses this
 module to fuse grouped fast-backend jobs
 (:mod:`repro.sweep.executor`); it is equally usable directly for
 ad-hoc ablation grids.
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from repro.sim.engine import SimulationResult
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.planes import TagePlanes, plane_geometry
+from repro.sim.fast.engine import prediction_stream_key
 from repro.sim.fast.tage import _assemble_result, _run_batch, resolve_planes
 from repro.sim.fast.tage_core import cell_inputs
 
@@ -65,6 +70,12 @@ def simulate_tage_lockstep(
     :class:`~repro.sim.engine.SimulationResult` per cell, in order,
     each bit-identical to an independent
     :func:`~repro.sim.fast.tage.simulate_tage_fast` run of that cell.
+    Each cell without a §6.2 controller leaves its prediction stream in
+    the trace's :meth:`~repro.sim.fast.arrays.TraceArrays.derived` cache
+    under :func:`~repro.sim.fast.engine.prediction_stream_key`, for as
+    long as the trace stays materialized; a controller moves the
+    saturation probability and with it the stream, so a controlled cell
+    publishes nothing.
 
     Raises:
         FastBackendUnsupported: for cells outside the kernel's family.
@@ -87,7 +98,12 @@ def simulate_tage_lockstep(
             )
     arrays = TraceArrays.from_trace(trace)
     resolved = resolve_planes(arrays, cells[0].predictor.config, planes=planes)
-    batch = _run_batch(resolved, prepared, False, False)
+    publish = [cell.controller is None for cell in cells]
+    batch = _run_batch(resolved, prepared, publish, False)
+    for cell, cell_result in zip(cells, batch):
+        if cell.controller is None:
+            arrays.derived(prediction_stream_key(cell.predictor),
+                           lambda: cell_result[3])
     return [
         _assemble_result(trace, cell.predictor, cell.estimator,
                          cell.controller, cell_result)

@@ -100,17 +100,18 @@ def resolve_planes(
     return cache.load_or_compute(arrays, geometry)
 
 
-def _run_batch(planes: TagePlanes, cells, want_predictions: bool,
+def _run_batch(planes: TagePlanes, cells, want_predictions,
                want_classes: bool):
     """Run a batch of independent TAGE cells over one shared plane set.
 
     ``cells`` is a list of ``(config, estimator_window, max_strength,
     warmup, initial_k, controller_params)`` tuples, every config with
-    the plane geometry of ``planes``.  Returns one ``(mispredictions,
-    per-class predictions, per-class mispredictions, predictions, class
-    codes, final sat-prob log2)`` tuple per cell, in order; on the C
-    leg the per-branch predictions and class codes are bool and uint8
-    arrays instead of lists.
+    the plane geometry of ``planes``; ``want_predictions`` holds one
+    flag per cell.  Returns one ``(mispredictions, per-class
+    predictions, per-class mispredictions, predictions, class codes,
+    final sat-prob log2)`` tuple per cell, in order; the per-branch
+    predictions (bool) and class codes (uint8) are arrays where
+    requested and None otherwise.
 
     Each cell runs from its own freshly powered-on state block, one
     kernel call over the whole trace, so at most one cell's tables are
@@ -123,15 +124,19 @@ def _run_batch(planes: TagePlanes, cells, want_predictions: bool,
     else:
         rows = np.ascontiguousarray(planes.data[1:], dtype=np.int64)
     results = []
-    for cell in cells:
+    for cell, wants in zip(cells, want_predictions, strict=True):
         iparams, fparams = cell_params(*cell)
         state = power_on(iparams)
         if kernel is None:
             predictions, classes = _kernel(
-                rows, iparams, fparams, state, want_predictions, want_classes
+                rows, iparams, fparams, state, wants, want_classes
             )
+            if predictions is not None:
+                predictions = np.array(predictions, dtype=bool)
+            if classes is not None:
+                classes = np.array(classes, dtype=np.uint8)
         else:
-            predictions = np.zeros(n, dtype=np.uint8) if want_predictions else None
+            predictions = np.zeros(n, dtype=np.uint8) if wants else None
             classes = np.zeros(n, dtype=np.uint8) if want_classes else None
             kernel(rows, n, iparams, fparams, state, predictions, classes)
             if predictions is not None:
@@ -191,7 +196,7 @@ def simulate_tage_fast(
     cell = cell_inputs(predictor, estimator, controller, warmup_branches)
     arrays = TraceArrays.from_trace(trace)
     resolved = resolve_planes(arrays, predictor.config, materialization, planes)
-    (cell_result,) = _run_batch(resolved, [cell], False, False)
+    (cell_result,) = _run_batch(resolved, [cell], [False], False)
     return _assemble_result(trace, predictor, estimator, controller, cell_result)
 
 
@@ -209,8 +214,8 @@ def tage_fast_predictions(
     """
     cell = cell_inputs(predictor, None, None, 0)
     resolved = resolve_planes(arrays, predictor.config, planes=planes)
-    (cell_result,) = _run_batch(resolved, [cell], True, False)
-    return np.asarray(cell_result[3], dtype=bool)
+    (cell_result,) = _run_batch(resolved, [cell], [True], False)
+    return cell_result[3]
 
 
 def observe_tage_fast(
@@ -235,8 +240,5 @@ def observe_tage_fast(
     cell = cell_inputs(predictor, estimator, None, 0)
     arrays = TraceArrays.from_trace(trace)
     resolved = resolve_planes(arrays, predictor.config, planes=planes)
-    (cell_result,) = _run_batch(resolved, [cell], True, True)
-    predictions, classes = cell_result[3], cell_result[4]
-    if isinstance(predictions, np.ndarray):
-        return predictions.tolist(), classes.tolist()
-    return predictions, classes
+    (cell_result,) = _run_batch(resolved, [cell], [True], True)
+    return cell_result[3].tolist(), cell_result[4].tolist()

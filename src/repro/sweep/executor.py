@@ -260,8 +260,14 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
     those planes and each ``jrs``/``ejrs`` member runs
     :func:`~repro.sim.fast.engine.simulate_binary_fast` over them — all
     bit-identical to running each member through :func:`execute_job`
-    independently.  The unit's wall-clock cost is attributed evenly
-    across the members' ``elapsed`` fields.
+    independently.  Every ``tage`` member without a §6.2 controller
+    publishes its prediction stream in that pass, and a binary member
+    of the same TAGE configuration reads it instead of making its own
+    kernel pass; the stream stays on the
+    trace's :class:`~repro.sim.fast.arrays.TraceArrays`, with the JRS
+    index the binary members share, until the worker moves to another
+    trace.  The unit's wall-clock cost is attributed evenly across the
+    members' ``elapsed`` fields.
     """
     start = time.perf_counter()
     jobs = [job for _, job in batch.members]

@@ -285,8 +285,13 @@ class LockstepBatch:
     computation of that trace's arrays and index/tag planes.
 
     Members may mix the multi-class ``tage`` estimator (one batched
-    kernel pass) with the binary ``jrs``/``ejrs`` estimators (one
-    prediction run plus a counter scan each, over the same planes).
+    kernel pass) with the binary ``jrs``/``ejrs`` estimators (a counter
+    scan each, over the same planes).  A binary member reads the
+    prediction stream a controller-free ``tage`` member of the same TAGE
+    configuration published in that pass, and runs its own prediction
+    pass only when there is none; the JRS base index is shared by every
+    binary cell of the trace.  Those streams stay on the trace's arrays
+    until the executing process materializes another trace.
 
     ``members`` keeps each job's original grid index so the broker can
     fan completion (cache store, journal record, result slot) back out
