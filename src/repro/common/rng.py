@@ -13,10 +13,34 @@ the repository is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-__all__ = ["Lfsr32", "XorShift32", "SplitMix64"]
+import functools
+import itertools
+import struct
+from typing import Callable, Iterator
+
+__all__ = [
+    "Lfsr32",
+    "XorShift32",
+    "SplitMix64",
+    "SPLITMIX64_GAMMA",
+    "SPLITMIX64_MUL1",
+    "SPLITMIX64_MUL2",
+    "SPLITMIX64_FLOAT_DIVISOR",
+    "splitmix64_mix",
+    "splitmix64_draws",
+    "splitmix64_stream",
+]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: SplitMix64's counter increment (the "golden gamma", 2**64 / phi).
+SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+#: The two multipliers of SplitMix64's output mix.
+SPLITMIX64_MUL1 = 0xBF58476D1CE4E5B9
+SPLITMIX64_MUL2 = 0x94D049BB133111EB
+#: ``SplitMix64.next_float`` is a draw's top 53 bits divided by this.
+SPLITMIX64_FLOAT_DIVISOR = 9007199254740992.0  # 2**53
 
 
 class Lfsr32:
@@ -111,11 +135,89 @@ class XorShift32:
         return self.next_u32() / 4294967296.0
 
 
+def splitmix64_mix(counter: int) -> int:
+    """SplitMix64's output function: the draw for one counter value.
+
+    ``SplitMix64(seed)``'s k-th draw (k >= 1) is
+    ``splitmix64_mix((seed + k * SPLITMIX64_GAMMA) % 2**64)``.
+    """
+    z = ((counter ^ (counter >> 30)) * SPLITMIX64_MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * SPLITMIX64_MUL2) & _MASK64
+    return z ^ (z >> 31)
+
+
+#: Most draws :func:`splitmix64_draws` computes per big-int pass.
+_MAX_LANES = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_layout(lanes: int) -> tuple[int, int, int, Callable[[bytes], tuple]]:
+    """Constants of a ``lanes``-draw pass: ``sum(k·γ in lane k-1)``, a 1
+    in every lane, a 64-bit mask in every lane, and the unpacker of the
+    low 64 bits of every 128-bit lane."""
+    layout = "<" + "Q8x" * lanes
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    steps = int.from_bytes(struct.pack(layout, *range(1, lanes + 1)), "little")
+    return steps * SPLITMIX64_GAMMA, ones, ones * _MASK64, struct.Struct(layout).unpack
+
+
+def splitmix64_draws(counter: int, n: int) -> list[int]:
+    """The ``n`` draws of a SplitMix64 stream after counter ``counter``.
+
+    Equal to ``[splitmix64_mix((counter + k * SPLITMIX64_GAMMA) % 2**64)
+    for k in range(1, n + 1)]`` (``SplitMix64(counter)``'s next ``n``
+    draws), at a fraction of the interpreter cost: up to 1024 draws are
+    computed per pass, each in its own 128-bit lane of one Python int, so
+    every step of the mix is one big-int operation over all of them.  A
+    64-bit lane times a 64-bit multiplier fits its 128 bits, and masking
+    every lane to 64 bits before each multiply keeps lanes from leaking
+    into each other.
+    """
+    draws: list[int] = []
+    while n > 0:
+        lanes = min(_MAX_LANES, 1 << (n - 1).bit_length())
+        steps, ones, lane_mask, unpack = _lane_layout(lanes)
+        z = (steps + (counter & _MASK64) * ones) & lane_mask
+        z = (((z ^ (z >> 30)) & lane_mask) * SPLITMIX64_MUL1) & lane_mask
+        z = (((z ^ (z >> 27)) & lane_mask) * SPLITMIX64_MUL2) & lane_mask
+        batch = unpack((z ^ (z >> 31)).to_bytes(16 * lanes, "little"))
+        draws += batch[:n] if n < lanes else batch
+        counter += lanes * SPLITMIX64_GAMMA
+        n -= lanes
+    return draws
+
+
+def splitmix64_stream(counter: int) -> Iterator[int]:
+    """Every draw of ``SplitMix64(counter)``, in order, without end.
+
+    The draws come from :func:`splitmix64_draws` a full pass at a time,
+    so taking one costs an iterator step rather than a method call and
+    a mix in the interpreter.
+    """
+    return itertools.chain.from_iterable(
+        splitmix64_draws(counter + batch * _MAX_LANES * SPLITMIX64_GAMMA, _MAX_LANES)
+        for batch in itertools.count()
+    )
+
+
 class SplitMix64:
     """SplitMix64: high-quality 64-bit generator used by trace synthesis.
 
+    SplitMix64 is *counter-based*: the state only ever advances by
+    :data:`SPLITMIX64_GAMMA`, and each draw is a pure function of it, so
+    draw k of ``SplitMix64(seed)`` is ``mix(seed + k·γ)``
+    (:func:`splitmix64_mix`).  Any draw can therefore be computed
+    without the ones before it, and ``SplitMix64(seed + k·γ)`` continues
+    the stream after its k-th draw.  Trace synthesis relies on this to
+    compute draws in batches (:func:`splitmix64_draws`), to run a
+    kernel's generator from a bare counter, and to defer building a
+    branch kernel until the branch first executes.
+
     >>> rng = SplitMix64(seed=7)
-    >>> rng.next_u64() != rng.next_u64()
+    >>> first, second = rng.next_u64(), rng.next_u64()
+    >>> first != second
+    True
+    >>> second == splitmix64_mix((7 + 2 * SPLITMIX64_GAMMA) % 2**64)
     True
     """
 
@@ -138,7 +240,7 @@ class SplitMix64:
 
     def next_float(self) -> float:
         """Uniform float in ``[0, 1)`` with 53 bits of precision."""
-        return (self.next_u64() >> 11) / 9007199254740992.0
+        return (self.next_u64() >> 11) / SPLITMIX64_FLOAT_DIVISOR
 
     def fork(self) -> "SplitMix64":
         """Derive an independent child generator (for per-branch streams)."""

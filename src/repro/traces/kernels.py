@@ -28,6 +28,12 @@ behaviour categories (DESIGN.md §2):
 Kernels are deliberately tiny state machines with an explicit
 ``next_outcome(global_history) -> bool`` interface; ``global_history``
 packs the most recent global outcomes in bit 0 (newest) upward.
+
+The random kernels run once per dynamic branch, so they draw their
+:class:`~repro.common.rng.SplitMix64` stream inline from a counter
+(draw k of ``SplitMix64(seed)`` is ``mix(seed + k·γ)``) instead of
+calling a generator object: the same values, without two method calls
+per draw.
 """
 
 from __future__ import annotations
@@ -35,8 +41,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.common.bitops import mask, parity
-from repro.common.rng import SplitMix64
+from repro.common.bitops import mask
+from repro.common.rng import (
+    SPLITMIX64_FLOAT_DIVISOR as _TWO53,
+    SPLITMIX64_GAMMA as _GAMMA,
+    SPLITMIX64_MUL1 as _MUL1,
+    SPLITMIX64_MUL2 as _MUL2,
+    SplitMix64,
+    splitmix64_mix,
+)
 
 __all__ = [
     "BranchKernel",
@@ -48,6 +61,8 @@ __all__ = [
     "LocalPatternKernel",
     "NestedLoopKernel",
 ]
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class BranchKernel(ABC):
@@ -73,20 +88,24 @@ class BiasedKernel(BranchKernel):
     True
     """
 
-    __slots__ = ("p_taken", "_seed", "_rng")
+    __slots__ = ("p_taken", "_seed", "_counter")
 
     def __init__(self, p_taken: float, seed: int) -> None:
         if not 0.0 <= p_taken <= 1.0:
             raise ValueError(f"p_taken must be in [0, 1], got {p_taken}")
         self.p_taken = p_taken
         self._seed = seed
-        self._rng = SplitMix64(seed)
+        self._counter = seed & _MASK64
 
     def next_outcome(self, global_history: int) -> bool:
-        return self._rng.next_float() < self.p_taken
+        # SplitMix64(seed).next_float() < p_taken, drawn inline.
+        z = self._counter = (self._counter + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) / _TWO53 < self.p_taken
 
     def reset(self) -> None:
-        self._rng = SplitMix64(self._seed)
+        self._counter = self._seed & _MASK64
 
 
 class LoopKernel(BranchKernel):
@@ -113,6 +132,25 @@ class LoopKernel(BranchKernel):
             self._iteration = 0
             return False
         return True
+
+    def burst(self, limit: int) -> tuple[int, bool]:
+        """Up to ``limit`` executions, stopping at the not-taken exit.
+
+        Equivalent to calling :meth:`next_outcome` until it returns
+        False or ``limit`` calls have been made.  Returns
+        ``(taken, exited)``: the taken executions, then whether the
+        exit followed them.
+
+        >>> k = LoopKernel(trip_count=4)
+        >>> k.burst(2), k.burst(5), k.burst(1)
+        ((2, False), (1, True), (1, False))
+        """
+        taken = min(limit, self.trip_count - 1 - self._iteration)
+        if taken < limit:
+            self._iteration = 0
+            return taken, True
+        self._iteration += taken
+        return taken, False
 
     def reset(self) -> None:
         self._iteration = 0
@@ -151,7 +189,7 @@ class HistoryParityKernel(BranchKernel):
     this exactly; a bimodal predictor sees a ~50 % coin.
     """
 
-    __slots__ = ("depth", "noise", "_seed", "_rng")
+    __slots__ = ("depth", "noise", "_window", "_seed", "_counter")
 
     def __init__(self, depth: int, noise: float = 0.0, seed: int = 0) -> None:
         if depth <= 0:
@@ -160,17 +198,23 @@ class HistoryParityKernel(BranchKernel):
             raise ValueError(f"noise must be in [0, 1], got {noise}")
         self.depth = depth
         self.noise = noise
+        self._window = mask(depth)
         self._seed = seed
-        self._rng = SplitMix64(seed)
+        self._counter = seed & _MASK64
 
     def next_outcome(self, global_history: int) -> bool:
-        outcome = bool(parity(global_history & mask(self.depth)))
-        if self.noise and self._rng.next_float() < self.noise:
-            return not outcome
+        outcome = bool((global_history & self._window).bit_count() & 1)
+        if self.noise:
+            # Noise inversion: SplitMix64(seed).next_float() < noise, inline.
+            z = self._counter = (self._counter + _GAMMA) & _MASK64
+            z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+            if ((z ^ (z >> 31)) >> 11) / _TWO53 < self.noise:
+                return not outcome
         return outcome
 
     def reset(self) -> None:
-        self._rng = SplitMix64(self._seed)
+        self._counter = self._seed & _MASK64
 
 
 class HistoryFunctionKernel(BranchKernel):
@@ -182,7 +226,7 @@ class HistoryFunctionKernel(BranchKernel):
     kernel that makes predictor *capacity* matter.
     """
 
-    __slots__ = ("depth", "noise", "_fn_seed", "_seed", "_rng")
+    __slots__ = ("depth", "noise", "_window", "_fn_seed", "_seed", "_counter")
 
     def __init__(self, depth: int, noise: float = 0.0, seed: int = 0) -> None:
         if depth <= 0:
@@ -191,21 +235,27 @@ class HistoryFunctionKernel(BranchKernel):
             raise ValueError(f"noise must be in [0, 1], got {noise}")
         self.depth = depth
         self.noise = noise
+        self._window = mask(depth)
         self._fn_seed = SplitMix64(seed ^ 0x5BD1E995).next_u64()
         self._seed = seed
-        self._rng = SplitMix64(seed)
+        self._counter = seed & _MASK64
 
     def next_outcome(self, global_history: int) -> bool:
-        window = global_history & mask(self.depth)
-        # Fixed hash of (function seed, history window): a stable truth table.
-        h = SplitMix64(self._fn_seed ^ window).next_u64()
-        outcome = bool(h & 1)
-        if self.noise and self._rng.next_float() < self.noise:
-            return not outcome
+        # Fixed hash of (function seed, history window): a stable truth
+        # table.  It is the first draw of SplitMix64(fn_seed ^ window).
+        z = ((self._fn_seed ^ (global_history & self._window)) + _GAMMA) & _MASK64
+        outcome = bool(splitmix64_mix(z) & 1)
+        if self.noise:
+            # Noise inversion: SplitMix64(seed).next_float() < noise, inline.
+            z = self._counter = (self._counter + _GAMMA) & _MASK64
+            z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+            if ((z ^ (z >> 31)) >> 11) / _TWO53 < self.noise:
+                return not outcome
         return outcome
 
     def reset(self) -> None:
-        self._rng = SplitMix64(self._seed)
+        self._counter = self._seed & _MASK64
 
 
 class LocalPatternKernel(BranchKernel):
@@ -267,6 +317,17 @@ class NestedLoopKernel(BranchKernel):
             self._outer_index = (self._outer_index + 1) % len(self.trip_counts)
             return False
         return True
+
+    def burst(self, limit: int) -> tuple[int, bool]:
+        """Up to ``limit`` executions, stopping at the not-taken exit
+        (see :meth:`LoopKernel.burst`)."""
+        taken = min(limit, self.trip_counts[self._outer_index] - 1 - self._iteration)
+        if taken < limit:
+            self._iteration = 0
+            self._outer_index = (self._outer_index + 1) % len(self.trip_counts)
+            return taken, True
+        self._iteration += taken
+        return taken, False
 
     def reset(self) -> None:
         self._outer_index = 0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from repro.common.rng import SplitMix64
+from repro.common.rng import splitmix64_stream
 from repro.traces.sources.base import TraceSource
 from repro.traces.types import BranchRecord, Trace
 
@@ -94,15 +94,15 @@ class ConfidenceInversionSource(TraceSource):
         return _searched_period(self)
 
     def _stream(self, period: int, n_branches: int) -> Iterator[BranchRecord]:
-        rng = SplitMix64(self.seed)
+        draw = splitmix64_stream(self.seed).__next__
         pcs = []
         bases = []
         phases = []
         pc = self.pc_base
         for index in range(self.n_static):
-            pc += 4 + 4 * rng.next_below(8)
+            pc += 4 + 4 * (draw() % 8)
             pcs.append(pc)
-            bases.append(bool(rng.next_u64() & 1))
+            bases.append(bool(draw() & 1))
             # Stagger flips evenly through the round-robin schedule.
             phases.append((index * period) // max(1, self.n_static))
         execs = [0] * self.n_static
@@ -113,7 +113,7 @@ class ConfidenceInversionSource(TraceSource):
             flips = (execs[i] + phases[i]) // period
             taken = bases[i] ^ bool(flips & 1)
             execs[i] += 1
-            yield BranchRecord(pcs[i], taken, inst_lo + rng.next_below(inst_span))
+            yield BranchRecord(pcs[i], taken, inst_lo + draw() % inst_span)
 
     def records(self, n_branches: int) -> Iterator[BranchRecord]:
         return self._stream(self.period, n_branches)
@@ -134,6 +134,10 @@ def _searched_period(source: ConfidenceInversionSource) -> int:
             f"{source.label}/probe-p{period}",
             source._stream(period, source.probe_branches),
         )
+        # The search stays on the reference engine.  The fast backend
+        # needs numpy, an optional ``[fast]`` extra, so a fast search
+        # would still need this reference path for installs without it:
+        # two code paths for one period.
         confusion, _ = simulate_binary(
             trace,
             GsharePredictor(),
@@ -195,16 +199,16 @@ class TagAliasingStormSource(TraceSource):
         }
 
     def records(self, n_branches: int) -> Iterator[BranchRecord]:
-        rng = SplitMix64(self.seed)
+        draw = splitmix64_stream(self.seed).__next__
         stride = 1 << (self.log_stride + 2)
         branches = []
         for index in range(self.n_aliases):
             branches.append({
                 "pc": self.pc_base + index * stride,
                 "period": self.alternation_periods[
-                    rng.next_below(len(self.alternation_periods))
+                    draw() % len(self.alternation_periods)
                 ],
-                "phase": rng.next_below(64),
+                "phase": draw() % 64,
                 "execs": 0,
             })
         inst_lo, inst_hi = self.insts_per_branch
@@ -215,9 +219,7 @@ class TagAliasingStormSource(TraceSource):
                 ((branch["execs"] + branch["phase"]) // branch["period"]) & 1
             )
             branch["execs"] += 1
-            yield BranchRecord(
-                branch["pc"], taken, inst_lo + rng.next_below(inst_span)
-            )
+            yield BranchRecord(branch["pc"], taken, inst_lo + draw() % inst_span)
 
 
 @dataclass(frozen=True)
@@ -263,24 +265,24 @@ class LinearlyInseparableSource(TraceSource):
         }
 
     def records(self, n_branches: int) -> Iterator[BranchRecord]:
-        rng = SplitMix64(self.seed)
+        draw = splitmix64_stream(self.seed).__next__
         lo, hi = self.tap_range
         branches = []
         pc = self.pc_base
         for _ in range(self.n_xor):
-            pc += 4 + 4 * rng.next_below(8)
-            tap_a = lo + rng.next_below(hi - lo + 1)
-            tap_b = lo + rng.next_below(hi - lo + 1)
+            pc += 4 + 4 * (draw() % 8)
+            tap_a = lo + draw() % (hi - lo + 1)
+            tap_b = lo + draw() % (hi - lo + 1)
             if tap_b == tap_a:
                 tap_b = tap_a + 1
             branches.append(("xor", pc, tap_a, tap_b))
         for _ in range(self.n_noise):
-            pc += 4 + 4 * rng.next_below(8)
+            pc += 4 + 4 * (draw() % 8)
             branches.append(("noise", pc, 0, 0))
         # Deterministic shuffle so noise interleaves with XOR branches.
         order = list(range(len(branches)))
         for i in range(len(order) - 1, 0, -1):
-            j = rng.next_below(i + 1)
+            j = draw() % (i + 1)
             order[i], order[j] = order[j], order[i]
         schedule = [branches[i] for i in order]
         inst_lo, inst_hi = self.insts_per_branch
@@ -291,8 +293,6 @@ class LinearlyInseparableSource(TraceSource):
             if kind == "xor":
                 taken = bool(((history >> tap_a) ^ (history >> tap_b)) & 1)
             else:
-                taken = bool(rng.next_u64() & 1)
+                taken = bool(draw() & 1)
             history = ((history << 1) | int(taken)) & 0xFFFF_FFFF
-            yield BranchRecord(
-                branch_pc, taken, inst_lo + rng.next_below(inst_span)
-            )
+            yield BranchRecord(branch_pc, taken, inst_lo + draw() % inst_span)

@@ -30,9 +30,10 @@ from itertools import islice
 from typing import Iterator
 
 from repro.common.bitops import mask
-from repro.common.rng import SplitMix64
+from repro.common.rng import SPLITMIX64_FLOAT_DIVISOR as _TWO53
+from repro.common.rng import SplitMix64, splitmix64_stream
 from repro.traces.sources.base import TraceSource
-from repro.traces.types import BranchRecord
+from repro.traces.types import BranchRecord, Trace
 from repro.traces.workload import SyntheticWorkload, WorkloadSpec
 
 __all__ = [
@@ -111,16 +112,16 @@ class MarkovChainSource(TraceSource):
                 "stay_n": _draw(rng, *self.stay_not_taken),
                 "state": bool(rng.next_u64() & 1),
             })
-        walk = rng.fork()
+        # The walk forks the set-up stream: SplitMix64(rng.next_u64()).
+        walk = splitmix64_stream(rng.next_u64()).__next__
         inst_lo, inst_hi = self.insts_per_branch
+        inst_span = inst_hi - inst_lo + 1
         for _ in range(n_branches):
-            branch = branches[walk.next_below(self.n_static)]
+            branch = branches[walk() % self.n_static]
             stay = branch["stay_t"] if branch["state"] else branch["stay_n"]
-            if walk.next_float() >= stay:
+            if (walk() >> 11) / _TWO53 >= stay:
                 branch["state"] = not branch["state"]
-            yield BranchRecord(
-                branch["pc"], branch["state"], _draw_int(walk, inst_lo, inst_hi)
-            )
+            yield BranchRecord(branch["pc"], branch["state"], inst_lo + walk() % inst_span)
 
 
 @dataclass(frozen=True)
@@ -174,17 +175,19 @@ class LoopNestSource(TraceSource):
                 "inner": _draw_int(rng, *self.inner_trips),
                 "guard_taken": bool(rng.next_u64() & 1),
             })
-        walk = rng.fork()
+        # The walk forks the set-up stream: SplitMix64(rng.next_u64()).
+        walk = splitmix64_stream(rng.next_u64()).__next__
         inst_lo, inst_hi = self.insts_per_branch
+        inst_span = inst_hi - inst_lo + 1
 
         def emit(pc: int, taken: bool) -> BranchRecord:
-            return BranchRecord(pc, taken, _draw_int(walk, inst_lo, inst_hi))
+            return BranchRecord(pc, taken, inst_lo + walk() % inst_span)
 
         while True:
             for nest in nests:
                 for outer_it in range(nest["outer"]):
                     # Guard flips rarely — a strongly biased body branch.
-                    guard = nest["guard_taken"] ^ (walk.next_float() < 0.03)
+                    guard = nest["guard_taken"] ^ ((walk() >> 11) / _TWO53 < 0.03)
                     yield emit(nest["guard_pc"], guard)
                     for inner_it in range(nest["inner"]):
                         yield emit(nest["inner_pc"], inner_it < nest["inner"] - 1)
@@ -231,16 +234,31 @@ class PhaseChangeSource(TraceSource):
             ],
         }
 
-    def records(self, n_branches: int) -> Iterator[BranchRecord]:
+    def _phases(self, n_branches: int) -> Iterator[Trace]:
+        """The stream as one trace per phase visit, built lazily."""
         workloads = [SyntheticWorkload(spec) for spec in self.segments]
         emitted = 0
         phase = 0
         while emitted < n_branches:
             workload = workloads[phase % len(workloads)]
             length = min(self.phase_length, n_branches - emitted)
-            yield from workload.generate(length).records()
+            yield workload.generate(length)
             emitted += length
             phase += 1
+
+    def records(self, n_branches: int) -> Iterator[BranchRecord]:
+        for piece in self._phases(n_branches):
+            yield from piece.records()
+
+    def _materialize(self, n_branches: int) -> Trace:
+        pcs: list[int] = []
+        takens = bytearray()
+        insts: list[int] = []
+        for piece in self._phases(n_branches):
+            pcs += piece.pcs
+            takens += piece.takens
+            insts += piece.insts
+        return Trace(self.name, pcs, takens, insts)
 
 
 @dataclass(frozen=True)

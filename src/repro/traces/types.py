@@ -76,14 +76,14 @@ class Trace:
     def from_records(cls, name: str, records: Iterable[BranchRecord]) -> "Trace":
         """Build a trace from an iterable of :class:`BranchRecord`."""
         pcs: list[int] = []
-        takens: list[int] = []
+        takens = bytearray()
         insts: list[int] = []
-        for record in records:
-            if record.inst_count < 1:
-                raise ValueError(f"inst_count must be >= 1, got {record.inst_count}")
-            pcs.append(record.pc)
-            takens.append(int(record.taken))
-            insts.append(record.inst_count)
+        for pc, taken, inst_count in records:
+            if inst_count < 1:
+                raise ValueError(f"inst_count must be >= 1, got {inst_count}")
+            pcs.append(pc)
+            takens.append(1 if taken else 0)
+            insts.append(inst_count)
         return cls(name, pcs, takens, insts)
 
     def __len__(self) -> int:

@@ -21,15 +21,31 @@ evaluation depends on:
   noisy branches via :class:`KernelMix`.
 
 Everything is derived deterministically from ``WorkloadSpec.seed``.
+
+Kernels are built on first execution.  Construction draws every static
+branch's address and category, records the SplitMix64 counter where the
+branch's kernel draws would start and skips the counter past them (the
+generator is counter-based, see :class:`~repro.common.rng.SplitMix64`);
+:attr:`StaticBranch.kernel` builds the kernel from that counter on first
+access.  At the suites' quick length most static branches never
+execute, so most kernels are never built, and every stream is the one
+an eager build gives.  The construction and execution loops take their
+draws from batches :func:`~repro.common.rng.splitmix64_draws` computes
+up to a thousand at a time, not from one generator method call per
+draw, and a loop branch runs its iteration burst in one kernel call
+(:meth:`~repro.traces.kernels.LoopKernel.burst`).
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.common.bitops import mask
-from repro.common.rng import SplitMix64
+from repro.common.rng import SPLITMIX64_FLOAT_DIVISOR as _TWO53
+from repro.common.rng import SPLITMIX64_GAMMA as _GAMMA
+from repro.common.rng import SplitMix64, splitmix64_draws, splitmix64_stream
 from repro.traces.kernels import (
     BiasedKernel,
     BranchKernel,
@@ -45,6 +61,9 @@ from repro.traces.types import Trace
 __all__ = ["KernelMix", "WorkloadSpec", "StaticBranch", "SyntheticWorkload"]
 
 _GLOBAL_HISTORY_BITS = 32
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Categories whose branch executes a whole loop burst per visit.
+_LOOP_CATEGORIES = ("loop", "nested_loop")
 
 
 @dataclass(frozen=True)
@@ -158,13 +177,128 @@ class WorkloadSpec:
             raise ValueError(f"correlated_noise must be in [0, 1], got {self.correlated_noise}")
 
 
-@dataclass
-class StaticBranch:
-    """One static branch: an address plus its behaviour kernel."""
+#: SplitMix64 draws each category's kernel takes from the construction
+#: stream: the kernel seed, then its parameters (see :func:`_make_kernel`).
+#: ``nested_loop`` also takes one trip count per phase, see
+#: :func:`_kernel_draws`.
+_KERNEL_DRAWS = {
+    "biased_strong": 3,
+    "biased_noisy": 3,
+    "loop": 2,
+    "pattern": 2,
+    "parity": 2,
+    "history_fn": 2,
+    "local_pattern": 2,
+    "nested_loop": 2,
+}
+#: Draws fetched at a time (:func:`~repro.common.rng.splitmix64_draws`
+#: computes up to 1024 per pass).
+_DRAW_CHUNK = 1024
+#: The most draws one static branch takes: a PC gap, a region-jump test
+#: and its jump, the category, and a nested loop's 2 + 4 phases.
+_MAX_BRANCH_DRAWS = 4 + 6
 
-    pc: int
-    kernel: BranchKernel
-    category: str
+
+def _kernel_draws(category: str, second_draw: int) -> int:
+    """Draws :func:`_make_kernel` takes for ``category``, given the
+    second draw of its stream (a nested loop's phase count)."""
+    draws = _KERNEL_DRAWS[category]
+    if category == "nested_loop":
+        draws += 2 + second_draw % 3
+    return draws
+
+
+def _make_kernel(
+    spec: WorkloadSpec, category: str, rng: SplitMix64, index: int
+) -> BranchKernel:
+    seed = rng.next_u64() ^ (index * 0x9E3779B9)
+    if category == "biased_strong":
+        lo, hi = spec.strong_bias
+        magnitude = lo + (hi - lo) * rng.next_float()
+        taken_side = rng.next_float() < 0.5
+        p_taken = magnitude if taken_side else 1.0 - magnitude
+        return BiasedKernel(p_taken=p_taken, seed=seed)
+    if category == "biased_noisy":
+        lo, hi = spec.noisy_bias
+        p_taken = lo + (hi - lo) * rng.next_float()
+        if rng.next_float() < 0.5:
+            p_taken = 1.0 - p_taken
+        return BiasedKernel(p_taken=p_taken, seed=seed)
+    if category == "loop":
+        lo, hi = spec.loop_trips
+        return LoopKernel(trip_count=lo + rng.next_below(hi - lo + 1))
+    if category == "pattern":
+        lo, hi = spec.pattern_len
+        length = lo + rng.next_below(hi - lo + 1)
+        pattern_rng = SplitMix64(seed)
+        pattern = [bool(pattern_rng.next_u64() & 1) for _ in range(length)]
+        if not any(pattern):
+            pattern[0] = True
+        return PatternKernel(pattern)
+    if category == "parity":
+        lo, hi = spec.parity_depth
+        depth = lo + rng.next_below(hi - lo + 1)
+        return HistoryParityKernel(depth=depth, noise=spec.correlated_noise, seed=seed)
+    if category == "history_fn":
+        lo, hi = spec.history_fn_depth
+        depth = lo + rng.next_below(hi - lo + 1)
+        return HistoryFunctionKernel(depth=depth, noise=spec.correlated_noise, seed=seed)
+    if category == "local_pattern":
+        lo, hi = spec.pattern_len
+        length = max(2, lo + rng.next_below(hi - lo + 1))
+        return LocalPatternKernel(length=length, seed=seed)
+    if category == "nested_loop":
+        lo, hi = spec.loop_trips
+        n_phases = 2 + rng.next_below(3)
+        trips = [lo + rng.next_below(hi - lo + 1) for _ in range(n_phases)]
+        return NestedLoopKernel(trips)
+    raise ValueError(f"unknown kernel category {category!r}")
+
+
+class StaticBranch:
+    """One static branch: an address, its behaviour category and kernel.
+
+    A synthesized branch is built without its kernel: ``build`` holds
+    ``(spec, counter, index)``, the construction stream's SplitMix64
+    counter where the kernel's draws start.  :attr:`kernel` builds it on
+    first access, identical to an eager build.
+    """
+
+    __slots__ = ("pc", "category", "_kernel", "_build")
+
+    def __init__(
+        self,
+        pc: int,
+        kernel: BranchKernel | None,
+        category: str,
+        build: tuple[WorkloadSpec, int, int] | None = None,
+    ) -> None:
+        if (kernel is None) == (build is None):
+            raise ValueError("a static branch takes exactly one of kernel and build")
+        self.pc = pc
+        self.category = category
+        self._kernel = kernel
+        self._build = build
+
+    @property
+    def kernel(self) -> BranchKernel:
+        """The behaviour kernel, built on first access."""
+        kernel = self._kernel
+        if kernel is None:
+            spec, counter, index = self._build
+            kernel = self._kernel = _make_kernel(
+                spec, self.category, SplitMix64(counter), index
+            )
+            self._build = None
+        return kernel
+
+    @property
+    def kernel_built(self) -> bool:
+        """Whether :attr:`kernel` has been built (the branch executed)."""
+        return self._kernel is not None
+
+    def __repr__(self) -> str:
+        return f"StaticBranch(pc={self.pc:#x}, category={self.category!r})"
 
 
 class SyntheticWorkload:
@@ -178,19 +312,25 @@ class SyntheticWorkload:
 
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
-        self._rng = SplitMix64(spec.seed)
-        self.branches = self._build_static_branches()
-        self.routines = self._build_routines()
+        # The three construction streams are forks of SplitMix64(seed):
+        # fork k is seeded with the root's draw k.
+        fork_seeds = splitmix64_draws(spec.seed, 3)
+        self.branches = self._build_static_branches(fork_seeds[0])
+        self.routines = self._build_routines(SplitMix64(fork_seeds[1]))
         self._routine_cdf = self._build_routine_cdf()
-        self._successors = self._build_transition_graph()
+        self._successors = self._build_transition_graph(fork_seeds[2])
+        # Per static branch: ``(run, pc, is_loop)``, where ``run`` is the
+        # kernel's ``burst`` for a loop branch and its ``next_outcome``
+        # otherwise; filled in when the branch first executes and kept
+        # across generate calls.
+        self._steps: list = [None] * len(self.branches)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _build_static_branches(self) -> list[StaticBranch]:
+    def _build_static_branches(self, seed: int) -> list[StaticBranch]:
         spec = self.spec
-        rng = self._rng.fork()
         categories = spec.mix.as_items()
         total_weight = sum(weight for _, weight in categories)
         cdf: list[float] = []
@@ -198,69 +338,36 @@ class SyntheticWorkload:
         for _, weight in categories:
             acc += weight / total_weight
             cdf.append(acc)
+        names = [name for name, _ in categories]
+        last_slot = len(categories) - 1
 
+        # The stream SplitMix64(seed): draws[j] is its draw j + 1, so the
+        # generator state after draws[:j] is seed + j·γ.
+        draws = splitmix64_draws(seed, _DRAW_CHUNK)
         branches: list[StaticBranch] = []
-        pc = 0x0040_0000 + rng.next_below(0x400) * 4
+        pc = 0x0040_0000 + draws[0] % 0x400 * 4
+        j = 1
         for index in range(spec.n_static):
+            if j + _MAX_BRANCH_DRAWS > len(draws):
+                draws += splitmix64_draws(seed + len(draws) * _GAMMA, _DRAW_CHUNK)
             # Spread PCs like compiled code: mostly small gaps, occasional
             # jumps to a new "function" region.  Branch PCs stay 4-aligned.
-            pc += 4 + 4 * rng.next_below(12)
-            if rng.next_float() < 0.05:
-                pc += 0x400 + rng.next_below(0x1000) * 4
-            draw = rng.next_float()
-            slot = bisect.bisect_left(cdf, draw)
-            slot = min(slot, len(categories) - 1)
-            category = categories[slot][0]
-            kernel = self._make_kernel(category, rng, index)
-            branches.append(StaticBranch(pc=pc, kernel=kernel, category=category))
+            pc += 4 + 4 * (draws[j] % 12)
+            if (draws[j + 1] >> 11) / _TWO53 < 0.05:
+                j += 1
+                pc += 0x400 + draws[j + 1] % 0x1000 * 4
+            slot = bisect.bisect_left(cdf, (draws[j + 2] >> 11) / _TWO53)
+            j += 3
+            category = names[min(slot, last_slot)]
+            # The kernel's draws start at draws[j]: skip them, and build
+            # the kernel from state seed + j·γ on first execution.
+            branches.append(
+                StaticBranch(pc, None, category, (spec, (seed + j * _GAMMA) & _MASK64, index))
+            )
+            j += _kernel_draws(category, draws[j + 1])
         return branches
 
-    def _make_kernel(self, category: str, rng: SplitMix64, index: int) -> BranchKernel:
-        spec = self.spec
-        seed = rng.next_u64() ^ (index * 0x9E3779B9)
-        if category == "biased_strong":
-            lo, hi = spec.strong_bias
-            magnitude = lo + (hi - lo) * rng.next_float()
-            taken_side = rng.next_float() < 0.5
-            p_taken = magnitude if taken_side else 1.0 - magnitude
-            return BiasedKernel(p_taken=p_taken, seed=seed)
-        if category == "biased_noisy":
-            lo, hi = spec.noisy_bias
-            p_taken = lo + (hi - lo) * rng.next_float()
-            if rng.next_float() < 0.5:
-                p_taken = 1.0 - p_taken
-            return BiasedKernel(p_taken=p_taken, seed=seed)
-        if category == "loop":
-            lo, hi = spec.loop_trips
-            return LoopKernel(trip_count=lo + rng.next_below(hi - lo + 1))
-        if category == "pattern":
-            lo, hi = spec.pattern_len
-            length = lo + rng.next_below(hi - lo + 1)
-            pattern_rng = SplitMix64(seed)
-            pattern = [bool(pattern_rng.next_u64() & 1) for _ in range(length)]
-            if not any(pattern):
-                pattern[0] = True
-            return PatternKernel(pattern)
-        if category == "parity":
-            lo, hi = spec.parity_depth
-            depth = lo + rng.next_below(hi - lo + 1)
-            return HistoryParityKernel(depth=depth, noise=spec.correlated_noise, seed=seed)
-        if category == "history_fn":
-            lo, hi = spec.history_fn_depth
-            depth = lo + rng.next_below(hi - lo + 1)
-            return HistoryFunctionKernel(depth=depth, noise=spec.correlated_noise, seed=seed)
-        if category == "local_pattern":
-            lo, hi = spec.pattern_len
-            length = max(2, lo + rng.next_below(hi - lo + 1))
-            return LocalPatternKernel(length=length, seed=seed)
-        if category == "nested_loop":
-            lo, hi = spec.loop_trips
-            n_phases = 2 + rng.next_below(3)
-            trips = [lo + rng.next_below(hi - lo + 1) for _ in range(n_phases)]
-            return NestedLoopKernel(trips)
-        raise ValueError(f"unknown kernel category {category!r}")
-
-    def _build_routines(self) -> list[list[int]]:
+    def _build_routines(self, rng: SplitMix64) -> list[list[int]]:
         """Group static branches into routines.
 
         Loop-kernel branches get dedicated routines (an inner loop *is* a
@@ -271,15 +378,14 @@ class SyntheticWorkload:
         fixed-sequence bodies (spatial locality like compiled code).
         """
         spec = self.spec
-        rng = self._rng.fork()
         lo, hi = spec.routine_len
         loop_indices = [
             i for i, branch in enumerate(self.branches)
-            if branch.category in ("loop", "nested_loop")
+            if branch.category in _LOOP_CATEGORIES
         ]
         straight_indices = [
             i for i, branch in enumerate(self.branches)
-            if branch.category not in ("loop", "nested_loop")
+            if branch.category not in _LOOP_CATEGORIES
         ]
         routines: list[list[int]] = []
         # Straight-line bodies: contiguous, fixed sequences.
@@ -319,29 +425,19 @@ class SyntheticWorkload:
             cdf.append(acc)
         return cdf
 
-    def _build_transition_graph(self) -> list[list[int]]:
+    def _build_transition_graph(self, seed: int) -> list[list[int]]:
         """Per-routine successor sets (sparse call-graph locality)."""
-        rng = self._rng.fork()
+        draw = splitmix64_stream(seed).__next__
         n = len(self.routines)
         successors: list[list[int]] = []
         for _ in range(n):
-            fanout = 2 + rng.next_below(3)
-            successors.append([rng.next_below(n) for _ in range(fanout)])
+            fanout = 2 + draw() % 3
+            successors.append([draw() % n for _ in range(fanout)])
         return successors
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-
-    def _pick_routine(self, rng: SplitMix64, current: int | None) -> int:
-        """Next routine: mostly a successor of the current one (call-graph
-        locality), otherwise a global popularity draw."""
-        if current is not None and rng.next_float() < self.spec.transition_locality:
-            successors = self._successors[current]
-            return successors[rng.next_below(len(successors))]
-        draw = rng.next_float()
-        index = bisect.bisect_left(self._routine_cdf, draw)
-        return min(index, len(self.routines) - 1)
 
     def generate(self, n_branches: int) -> Trace:
         """Execute the workload for ``n_branches`` dynamic branches.
@@ -355,54 +451,97 @@ class SyntheticWorkload:
         * a branch backed by a loop kernel executes its entire iteration
           burst in place (taken back-edges then the not-taken exit),
           exactly like a real inner loop.
+
+        Every call restarts the walk from the spec's seed; the kernels
+        carry their state over, so a second call continues each branch's
+        behaviour (:meth:`reset` rewinds them).
         """
         if n_branches < 0:
             raise ValueError(f"n_branches must be non-negative, got {n_branches}")
         spec = self.spec
-        rng = SplitMix64(spec.seed ^ 0xC0FFEE)
+        # The walk's stream, SplitMix64(seed ^ 0xC0FFEE): routine picks
+        # and instruction counts, in order.
+        walk = splitmix64_stream(spec.seed ^ 0xC0FFEE)
+        draw = walk.__next__
         ghist = 0
         ghist_mask = mask(_GLOBAL_HISTORY_BITS)
         inst_lo, inst_hi = spec.insts_per_branch
         inst_span = inst_hi - inst_lo + 1
         repeat_lo, repeat_hi = spec.routine_repeat
         repeat_span = repeat_hi - repeat_lo + 1
+        locality = spec.transition_locality
 
         pcs: list[int] = []
-        takens: list[int] = []
+        takens = bytearray()
         insts: list[int] = []
         branches = self.branches
         routines = self.routines
+        routine_cdf = self._routine_cdf
+        last_routine = len(routines) - 1
+        successors = self._successors
+        steps = self._steps
 
         emitted = 0
         current: int | None = None
         while emitted < n_branches:
-            current = self._pick_routine(rng, current)
-            repeats = repeat_lo + rng.next_below(repeat_span)
+            # Next routine: mostly a successor of the current one
+            # (call-graph locality), otherwise a global popularity draw.
+            # The first pick makes no locality draw.
+            if current is not None and (draw() >> 11) / _TWO53 < locality:
+                nexts = successors[current]
+                current = nexts[draw() % len(nexts)]
+            else:
+                slot = bisect.bisect_left(routine_cdf, (draw() >> 11) / _TWO53)
+                current = min(slot, last_routine)
+            repeats = repeat_lo + draw() % repeat_span
+            visit_start = emitted
+            body = routines[current]
             for _ in range(repeats):
                 if emitted >= n_branches:
                     break
-                for branch_index in routines[current]:
+                for branch_index in body:
                     if emitted >= n_branches:
                         break
-                    branch = branches[branch_index]
-                    is_loop = branch.category in ("loop", "nested_loop")
-                    while emitted < n_branches:
-                        taken = branch.kernel.next_outcome(ghist)
-                        ghist = ((ghist << 1) | int(taken)) & ghist_mask
-                        pcs.append(branch.pc)
-                        takens.append(int(taken))
-                        insts.append(inst_lo + rng.next_below(inst_span))
+                    step = steps[branch_index]
+                    if step is None:
+                        branch = branches[branch_index]
+                        is_loop = branch.category in _LOOP_CATEGORIES
+                        kernel = branch.kernel
+                        step = steps[branch_index] = (
+                            kernel.burst if is_loop else kernel.next_outcome,
+                            branch.pc,
+                            is_loop,
+                        )
+                    run, pc, is_loop = step
+                    if is_loop:
+                        # A loop branch runs its whole iteration burst in
+                        # place: taken back-edges, then the not-taken exit.
+                        taken, exited = run(n_branches - emitted)
+                        count = taken + exited
+                        ghist = ((ghist << count) | ((1 << taken) - 1) << exited) & ghist_mask
+                        pcs += [pc] * count
+                        takens += b"\x01" * taken
+                        if exited:
+                            takens.append(0)
+                        emitted += count
+                    else:
+                        taken = run(ghist)
+                        ghist = ((ghist << 1) | taken) & ghist_mask
+                        pcs.append(pc)
+                        takens.append(taken)
                         emitted += 1
-                        # Loop kernels burst until the not-taken exit;
-                        # every other kernel executes once per visit.
-                        if not (is_loop and taken):
-                            break
+            # One instruction-count draw per branch, in emission order.
+            insts += [inst_lo + d % inst_span for d in islice(walk, emitted - visit_start)]
         return Trace(spec.name, pcs, takens, insts)
 
     def reset(self) -> None:
-        """Reset every kernel so the workload can be replayed from scratch."""
+        """Reset every kernel so the workload can be replayed from scratch.
+
+        A kernel not yet built is already in its initial state.
+        """
         for branch in self.branches:
-            branch.kernel.reset()
+            if branch.kernel_built:
+                branch.kernel.reset()
 
     def category_histogram(self) -> dict[str, int]:
         """Static branch count per behaviour category (for diagnostics)."""

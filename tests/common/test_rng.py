@@ -1,10 +1,20 @@
 """Unit and statistical tests for repro.common.rng."""
 
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.rng import Lfsr32, SplitMix64, XorShift32
+from repro.common.rng import (
+    SPLITMIX64_GAMMA,
+    Lfsr32,
+    SplitMix64,
+    XorShift32,
+    splitmix64_draws,
+    splitmix64_mix,
+    splitmix64_stream,
+)
 
 
 class TestLfsr32:
@@ -113,3 +123,35 @@ class TestSplitMix64:
         mean = sum(values) / len(values)
         assert 0.48 < mean < 0.52
         assert all(0.0 <= v < 1.0 for v in values)
+
+
+class TestSplitMix64Counter:
+    """Draw k of ``SplitMix64(seed)`` is ``mix(seed + k·γ)``: the
+    property the lazy workload kernels and batched draws rely on."""
+
+    @given(st.integers(-(2**64), 2**65), st.integers(1, 40))
+    def test_draw_k_is_mix_of_counter(self, seed, k):
+        rng = SplitMix64(seed)
+        for _ in range(k - 1):
+            rng.next_u64()
+        assert rng.next_u64() == splitmix64_mix((seed + k * SPLITMIX64_GAMMA) % 2**64)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 40))
+    def test_resuming_at_a_counter_continues_the_stream(self, seed, k):
+        rng = SplitMix64(seed)
+        for _ in range(k):
+            rng.next_u64()
+        resumed = SplitMix64(seed + k * SPLITMIX64_GAMMA)
+        assert [resumed.next_u64() for _ in range(5)] == [rng.next_u64() for _ in range(5)]
+
+    @given(
+        st.integers(-(2**64), 2**65),
+        st.one_of(st.integers(0, 70), st.sampled_from((1023, 1024, 1025, 2049, 3000))),
+    )
+    @settings(max_examples=60)
+    def test_batched_draws_match_the_generator(self, seed, n):
+        rng = SplitMix64(seed)
+        expected = [rng.next_u64() for _ in range(n)]
+        assert splitmix64_draws(seed, n) == expected
+        assert list(itertools.islice(splitmix64_stream(seed), n)) == expected
+

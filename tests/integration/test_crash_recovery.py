@@ -14,6 +14,7 @@ import pytest
 from repro.sweep import (
     EstimatorSpec,
     ExperimentSpec,
+    JournalError,
     PredictorSpec,
     journal_path,
     replay_journal,
@@ -97,7 +98,15 @@ class TestSigintResume:
                 if process.poll() is not None:
                     break
                 if journal.exists():
-                    state = replay_journal(journal, run_id)
+                    try:
+                        state = replay_journal(journal, run_id)
+                    except JournalError as error:
+                        # Created but its begin record not yet written:
+                        # the run has not started, keep polling.
+                        if "no begin record" not in str(error):
+                            raise
+                        time.sleep(0.005)
+                        continue
                     if 1 <= len(state.done) < 12:
                         interrupted_at = len(state.done)
                         process.send_signal(signal.SIGINT)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitops import mask, parity
+from repro.common.rng import SplitMix64
 from repro.traces.kernels import (
     BiasedKernel,
     HistoryFunctionKernel,
@@ -170,3 +171,62 @@ class TestNestedLoopKernel:
         total = sum(trips)
         outcomes = [kernel.next_outcome(0) for _ in range(total * 2)]
         assert outcomes.count(False) == 2 * len(trips)
+
+
+class TestLoopBursts:
+    """``burst(limit)`` is ``next_outcome`` called until the not-taken
+    exit or ``limit`` calls, whichever comes first."""
+
+    @staticmethod
+    def _stepped(kernel, limit):
+        outcomes = []
+        while len(outcomes) < limit:
+            outcomes.append(kernel.next_outcome(0))
+            if not outcomes[-1]:
+                break
+        return outcomes
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_burst_matches_stepping(self, trips, limits):
+        for make in (lambda: LoopKernel(trips[0]), lambda: NestedLoopKernel(trips)):
+            burst, stepped = make(), make()
+            for limit in limits:
+                taken, exited = burst.burst(limit)
+                assert [True] * taken + [False] * exited == self._stepped(stepped, limit)
+
+
+class TestInlineDraws:
+    """The random kernels draw their SplitMix64 streams inline; each
+    must give what the generator object gives."""
+
+    @given(st.integers(0, 2**64 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=40)
+    def test_biased_matches_generator(self, seed, p_taken):
+        kernel = BiasedKernel(p_taken=p_taken, seed=seed)
+        rng = SplitMix64(seed)
+        assert [kernel.next_outcome(0) for _ in range(50)] == [
+            rng.next_float() < p_taken for _ in range(50)
+        ]
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 12), st.floats(0.0, 1.0))
+    @settings(max_examples=40)
+    def test_history_kernels_match_generator(self, seed, depth, noise):
+        parity_kernel = HistoryParityKernel(depth=depth, noise=noise, seed=seed)
+        function_kernel = HistoryFunctionKernel(depth=depth, noise=noise, seed=seed)
+        fn_seed = SplitMix64(seed ^ 0x5BD1E995).next_u64()
+        parity_noise, function_noise = SplitMix64(seed), SplitMix64(seed)
+        for history in range(0, 5000, 37):
+            window = history & mask(depth)
+            expected = bool(parity(window))
+            if noise and parity_noise.next_float() < noise:
+                expected = not expected
+            assert parity_kernel.next_outcome(history) == expected
+            expected = bool(SplitMix64(fn_seed ^ window).next_u64() & 1)
+            if noise and function_noise.next_float() < noise:
+                expected = not expected
+            assert function_kernel.next_outcome(history) == expected
+
