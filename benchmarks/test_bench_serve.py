@@ -38,12 +38,12 @@ ESTIMATOR = "tage"
 def _offline_reference_rps(trace) -> float:
     """The reference engine's simulate throughput on the same cell, on
     this machine."""
-    predictor, estimator, controller = SessionSpec(
+    cell = SessionSpec(
         tenant="offline", predictor=PREDICTOR, estimator=ESTIMATOR
-    ).components()
+    ).cell()
     started = time.perf_counter()
-    simulate(trace, predictor, estimator=estimator, controller=controller,
-             backend="reference")
+    simulate(trace, cell.predictor, estimator=cell.estimator,
+             controller=cell.controller, backend="reference")
     elapsed = time.perf_counter() - started
     return len(trace) / elapsed
 

@@ -65,14 +65,18 @@ def _session_run(spec, batches) -> tuple[float, bytes, bytes]:
     return elapsed, b"".join(predictions), b"".join(codes)
 
 
+def _resumable(spec) -> ResumableTageCell:
+    cell = spec.cell()
+    return ResumableTageCell(cell.predictor, cell.estimator, cell.controller)
+
+
 def _layers(spec, batches) -> dict:
     """Session seconds split into building planes and running the
     kernel, each timed over every batch on its own fresh cell."""
-    components = spec.components()
     build = compiled.resolve_tage_planes_kernel()
     kernel = compiled.resolve_tage_kernel()
 
-    cell = ResumableTageCell(*components)
+    cell = _resumable(spec)
     n_rows = 2 + 2 * cell.gparams[compiled.GP_N_TAGGED]
     built = []
     started = time.perf_counter()
@@ -86,7 +90,7 @@ def _layers(spec, batches) -> dict:
             built.append(rows)
     planes_s = time.perf_counter() - started
 
-    cell = ResumableTageCell(*spec.components())
+    cell = _resumable(spec)
     started = time.perf_counter()
     for rows, (pcs, _) in zip(built, batches):
         if kernel is None:

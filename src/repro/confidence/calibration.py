@@ -158,23 +158,22 @@ class ReliabilityReport:
 def calibrate_simulation(trace, predictor, estimator, tracker=None, n_bins=10):
     """Run a trace while calibrating per-class probabilities online.
 
-    Convenience driver used by the calibration example and tests:
-    classifies each prediction, asks the tracker for the class's current
-    probability, records it into a :class:`ReliabilityReport`, then
-    feeds the outcome back.
+    Convenience driver used by the calibration example and tests.  The
+    tracker never feeds back into the predictor, so this is a replay
+    over the reference engine's observation stream
+    (:func:`repro.sim.observe.observe_trace`): per branch, the class's
+    current probability goes into a :class:`ReliabilityReport`, then
+    the outcome into the tracker.
 
     Returns (tracker, report).
     """
+    # Imported here: repro.sim imports this package.
+    from repro.sim.observe import observe_trace
+
     tracker = tracker or ClassRateTracker()
     report = ReliabilityReport(n_bins=n_bins)
-    for pc, taken_byte in zip(trace.pcs, trace.takens):
-        taken = taken_byte == 1
-        prediction = predictor.predict(pc)
-        observation = predictor.last_prediction
-        prediction_class = estimator.classify(observation)
-        mispredicted = prediction != taken
+    stream = observe_trace(trace, predictor, estimator, backend="reference")
+    for prediction_class, mispredicted in zip(stream.classes, stream.mispredicted):
         report.observe(tracker.probability(prediction_class), mispredicted)
         tracker.observe(prediction_class, mispredicted)
-        estimator.observe(observation, taken)
-        predictor.train(pc, taken)
     return tracker, report

@@ -19,6 +19,9 @@ __all__ = [
     "ConfidenceLevel",
     "CLASS_ORDER",
     "LEVEL_ORDER",
+    "OBSERVATION_CLASS_CODES",
+    "CODE_OF_CLASS",
+    "LEVEL_OF_CODE",
     "confidence_level_of",
     "classes_of_level",
 ]
@@ -88,6 +91,21 @@ _LEVEL_OF_CLASS: dict[PredictionClass, ConfidenceLevel] = {
     PredictionClass.NWTAG: ConfidenceLevel.LOW,
     PredictionClass.WTAG: ConfidenceLevel.LOW,
 }
+
+
+#: Integer class codes shared by the reference step loop, the fast TAGE
+#: kernels and the serving wire format: code ``i`` is
+#: ``OBSERVATION_CLASS_CODES[i]`` (the figure legend order).
+OBSERVATION_CLASS_CODES: tuple[PredictionClass, ...] = CLASS_ORDER
+
+CODE_OF_CLASS: dict[PredictionClass, int] = {
+    prediction_class: code
+    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
+}
+
+LEVEL_OF_CODE: tuple[ConfidenceLevel, ...] = tuple(
+    _LEVEL_OF_CLASS[prediction_class] for prediction_class in OBSERVATION_CLASS_CODES
+)
 
 
 def confidence_level_of(prediction_class: PredictionClass) -> ConfidenceLevel:

@@ -15,8 +15,8 @@ Layering:
 * :mod:`repro.serve.state` — :class:`SessionSpec` (the wire-facing cell
   description, built on the sweep layer's predictor/estimator specs) and
   :class:`TenantSession` (the live per-tenant cell: the TAGE kernel's
-  resumable state for multi-class tenants, the reference per-branch
-  loop for binary ones);
+  resumable state for multi-class tenants, the reference engine's
+  :func:`~repro.sim.engine.step_batch` for binary ones);
 * :mod:`repro.serve.server` — the asyncio server: tenant → shard
   routing, per-tenant admission control with explicit rejects, request
   timeouts, graceful drain;

@@ -36,7 +36,6 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.confidence.classes import confidence_level_of
 from repro.serve.client import (
     DecisionStream,
     ServeClient,
@@ -45,8 +44,7 @@ from repro.serve.client import (
     ServeTimeout,
 )
 from repro.serve.state import SessionSpec
-from repro.sim.engine import simulate, simulate_binary
-from repro.sim.observe import OBSERVATION_CLASS_CODES, observe_trace
+from repro.sim.engine import simulate, simulate_binary, step_batch
 from repro.sim.runner import get_trace
 
 __all__ = [
@@ -61,12 +59,6 @@ __all__ = [
     "differential_check",
     "run_differential_check",
 ]
-
-
-_CODE_OF_CLASS = {
-    prediction_class: code
-    for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES)
-}
 
 
 def percentile(samples, q: float) -> float:
@@ -402,51 +394,15 @@ class DifferentialMismatchError(AssertionError):
 def offline_decisions(spec: SessionSpec, trace) -> DecisionStream:
     """The offline reference engine's per-branch decision stream.
 
-    Multi-class non-adaptive cells go through
-    :func:`repro.sim.observe.observe_trace` (the reference engine's
-    recording loop); adaptive and binary cells replay the matching
-    reference loop here, mirroring :func:`repro.sim.engine.simulate` /
-    :func:`simulate_binary` step order exactly.  Always the reference
-    engine, never the kernel a session steps on: this is the
-    independent oracle served decisions are checked against.
+    One :func:`repro.sim.engine.step_batch` over the whole trace, on a
+    fresh :meth:`SessionSpec.cell` — multi-class, adaptive and binary
+    cells alike.  Always the reference engine, never the kernel a
+    session steps on: this is the independent oracle served decisions
+    are checked against.
     """
-    stream = DecisionStream(tenant=spec.tenant)
-    predictor, estimator, controller = spec.components()
-    if spec.estimator_spec.kind == "tage" and not spec.adaptive:
-        observed = observe_trace(trace, predictor, estimator, backend="reference")
-        stream.predictions = list(observed.predictions)
-        stream.codes = list(observed.class_codes)
-        return stream
-    predict = predictor.predict
-    train = predictor.train
-    if spec.is_binary:
-        assess = estimator.assess
-        observe = estimator.observe
-        for pc, taken_byte in zip(trace.pcs, trace.takens):
-            taken = taken_byte == 1
-            prediction = predict(pc)
-            stream.predictions.append(prediction)
-            stream.codes.append(1 if assess(pc, prediction) else 0)
-            observe(pc, prediction, taken)
-            train(pc, taken)
-        return stream
-    classify = estimator.classify
-    observe = estimator.observe
-    code_of = _CODE_OF_CLASS
-    for pc, taken_byte in zip(trace.pcs, trace.takens):
-        taken = taken_byte == 1
-        prediction = predict(pc)
-        observation = predictor.last_prediction
-        prediction_class = classify(observation)
-        stream.predictions.append(prediction)
-        stream.codes.append(code_of[prediction_class])
-        observe(observation, taken)
-        if controller is not None:
-            controller.observe(
-                confidence_level_of(prediction_class), prediction != taken
-            )
-        train(pc, taken)
-    return stream
+    predictions, codes = step_batch(spec.cell(), trace.pcs, trace.takens)
+    return DecisionStream(tenant=spec.tenant, predictions=predictions,
+                          codes=codes)
 
 
 async def differential_check(
@@ -499,17 +455,17 @@ async def differential_check(
         prediction != (taken == 1)
         for prediction, taken in zip(served.predictions, trace.takens)
     )
-    predictor, estimator, controller = spec.components()
-    if spec.is_binary:
+    cell = spec.cell()
+    if cell.binary:
         _, result = simulate_binary(
-            trace, predictor, estimator, backend="reference"
+            trace, cell.predictor, cell.estimator, backend="reference"
         )
     else:
         result = simulate(
             trace,
-            predictor,
-            estimator=estimator,
-            controller=controller,
+            cell.predictor,
+            estimator=cell.estimator,
+            controller=cell.controller,
             backend="reference",
         )
     if mispredictions != result.mispredictions:

@@ -15,7 +15,7 @@ batch of branches costs 9 bytes up and 2 bytes down per record:
   direction guessing).
 * ``RESULTS``: ``u32 count`` then ``count × (u8 prediction | u8 code)``
   where ``code`` indexes
-  :data:`repro.sim.observe.OBSERVATION_CLASS_CODES` for multi-class
+  :data:`repro.confidence.classes.OBSERVATION_CLASS_CODES` for multi-class
   (``tage``) sessions and is the high-confidence flag (0/1) for binary
   estimator sessions.
 

@@ -9,17 +9,15 @@ history and one kernel call per OBSERVE batch
 (:class:`~repro.sim.fast.tage_core.ResumableTageCell`, through the C
 kernels when they resolve and the pure ones otherwise, without NumPy).
 Adaptive §6.2 sessions ride the same kernel; its controller is part of
-the state block.  Binary (JRS/eJRS/self) sessions step the reference
-predictor and estimator objects one branch at a time in
-:func:`repro.sim.engine.simulate_binary`'s order — predict, assess,
-observe, train.
+the state block.  Binary (JRS/eJRS/self) sessions hold the reference
+predictor and estimator objects and advance them through
+:func:`repro.sim.engine.step_batch`, one call per batch.
 
-Both kinds build their components through :meth:`SessionSpec.components`,
-exactly like the sweep layer
-(:func:`repro.sweep.executor.build_cell_predictor` et al.), so a served
-trace's per-branch decision stream is bit-identical to the offline
-reference replay of the same (predictor, estimator, trace) cell — the
-property :func:`repro.serve.driver.differential_check` enforces.
+Both kinds build their components through
+:func:`repro.sweep.executor.build_cell`, exactly like a sweep job, so a
+served trace's per-branch decision stream is bit-identical to the
+offline reference replay of the same (predictor, estimator, trace) cell
+— the property :func:`repro.serve.driver.differential_check` enforces.
 
 :class:`SessionSpec` is the wire-facing description of such a cell: the
 CLI predictor token (``tage-16K``, ``gshare``, …), the estimator kind
@@ -31,24 +29,15 @@ HELLO is rejected before any state is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import ne
 
-from repro.confidence.adaptive import AdaptiveSaturationController
-from repro.confidence.estimator import TageConfidenceEstimator
 from repro.sim.backends import Capability, Cell, FastBackendUnsupported, get_backend
+from repro.sim.engine import step_batch
 from repro.sim.fast.tage_core import ResumableTageCell
-from repro.sweep.executor import build_cell_binary_estimator, build_cell_predictor
+from repro.sweep.executor import build_cell
 from repro.sweep.spec import EstimatorSpec, PredictorSpec
 
-__all__ = ["SessionComponents", "SessionSpec", "TenantSession"]
-
-
-class SessionComponents(NamedTuple):
-    """A session's freshly built reference components."""
-
-    predictor: object
-    estimator: object
-    controller: object | None
+__all__ = ["SessionSpec", "TenantSession"]
 
 
 @dataclass(frozen=True)
@@ -108,33 +97,13 @@ class SessionSpec:
         """Binary high/low sessions return the confidence flag as code."""
         return self.estimator_spec.is_binary
 
-    def components(self) -> SessionComponents:
-        """Fresh power-on predictor, estimator and §6.2 controller.
-
-        The one construction of a session's cell, shared by
-        :class:`TenantSession`, :meth:`capability` and the offline
-        replays in :mod:`repro.serve.driver`: the predictor through
-        :func:`~repro.sweep.executor.build_cell_predictor` (same
-        presets and seed derivation as a sweep job), the §5 observation
-        estimator and optional controller for ``tage`` cells, the
-        binary estimator otherwise.
-        """
-        predictor = build_cell_predictor(
-            self.predictor_spec, adaptive=self.adaptive, seed=self.seed
-        )
-        if self.estimator_spec.kind != "tage":
-            return SessionComponents(
-                predictor,
-                build_cell_binary_estimator(self.estimator_spec, predictor),
-                None,
-            )
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=self.target_mkp)
-            if self.adaptive
-            else None
-        )
-        return SessionComponents(
-            predictor, TageConfidenceEstimator(predictor), controller
+    def cell(self) -> Cell:
+        """Fresh power-on components of this session's cell, from
+        :func:`~repro.sweep.executor.build_cell` (same presets and seed
+        derivation as a sweep job)."""
+        return build_cell(
+            self.predictor_spec, self.estimator_spec, adaptive=self.adaptive,
+            seed=self.seed, target_mkp=self.target_mkp,
         )
 
     def capability(self, backend: str = "fast") -> Capability:
@@ -142,17 +111,11 @@ class SessionSpec:
 
         Asks :meth:`repro.sim.backends.Backend.capability` — the same
         single decision point the sweep executor and the ``simulate``
-        dispatchers use — about :meth:`components`, so a served cell
-        and its offline differential-check replay can never disagree
-        about backend support.
+        dispatchers use — about :meth:`cell`, so a served cell and its
+        offline differential-check replay can never disagree about
+        backend support.
         """
-        predictor, estimator, controller = self.components()
-        return get_backend(backend).capability(Cell(
-            predictor=predictor,
-            estimator=estimator,
-            controller=controller,
-            binary=self.is_binary,
-        ))
+        return get_backend(backend).capability(self.cell())
 
     def as_dict(self) -> dict:
         """Plain-data wire form (the HELLO payload)."""
@@ -182,7 +145,7 @@ class TenantSession:
 
     A multi-class session is a :class:`ResumableTageCell` — the TAGE
     kernel's state block and carried history; a binary session holds
-    the reference predictor and estimator objects.  All mutation
+    its reference :class:`~repro.sim.backends.Cell`.  All mutation
     happens through :meth:`observe_batch`, which the server calls from
     exactly one shard worker — per-tenant serialization is a routing
     property, so the session itself needs no locking.
@@ -195,16 +158,17 @@ class TenantSession:
 
     def __init__(self, spec: SessionSpec) -> None:
         self.spec = spec
-        predictor, estimator, controller = spec.components()
+        cell = spec.cell()
         if spec.is_binary:
-            self.predictor = predictor
-            self.estimator = estimator
-            self._cell = None
+            self._cell = cell
+            self._kernel = None
             self._observed = 0
             self._mispredictions = 0
             return
         try:
-            self._cell = ResumableTageCell(predictor, estimator, controller)
+            self._kernel = ResumableTageCell(
+                cell.predictor, cell.estimator, cell.controller
+            )
         except FastBackendUnsupported as error:
             raise ValueError(
                 f"session {spec.predictor!r} x {spec.estimator!r} cannot "
@@ -214,14 +178,14 @@ class TenantSession:
     @property
     def n_observed(self) -> int:
         """Branches this session has stepped."""
-        return self._observed if self._cell is None else self._cell.observed
+        return self._observed if self._kernel is None else self._kernel.observed
 
     @property
     def mispredictions(self) -> int:
         """Mispredicted branches so far."""
-        if self._cell is None:
+        if self._kernel is None:
             return self._mispredictions
-        return self._cell.mispredictions
+        return self._kernel.mispredictions
 
     def observe_batch(self, pcs, takens) -> tuple[bytes, bytes]:
         """Advance the session over a batch; per-record decisions back.
@@ -230,31 +194,14 @@ class TenantSession:
         are §5 observation-class codes for multi-class sessions, the
         high-confidence flag for binary ones.  A multi-class batch is
         one :meth:`ResumableTageCell.step` (plane rows from the carried
-        history, then one kernel call); a binary batch replicates
-        :func:`repro.sim.engine.simulate_binary`'s per-branch step
-        order exactly.
+        history, then one kernel call); a binary batch is one
+        :func:`~repro.sim.engine.step_batch` over the session's cell.
         """
-        if self._cell is not None:
-            return self._cell.step(pcs, takens)
-        predictions = bytearray()
-        codes = bytearray()
-        predict = self.predictor.predict
-        train = self.predictor.train
-        assess = self.estimator.assess
-        observe = self.estimator.observe
-        mispredictions = 0
-        for pc, taken_byte in zip(pcs, takens):
-            taken = taken_byte == 1
-            prediction = predict(pc)
-            high = assess(pc, prediction)
-            if prediction != taken:
-                mispredictions += 1
-            observe(pc, prediction, taken)
-            train(pc, taken)
-            predictions.append(1 if prediction else 0)
-            codes.append(1 if high else 0)
+        if self._kernel is not None:
+            return self._kernel.step(pcs, takens)
+        predictions, codes = step_batch(self._cell, pcs, takens)
         self._observed += len(predictions)
-        self._mispredictions += mispredictions
+        self._mispredictions += sum(map(ne, predictions, takens))
         return bytes(predictions), bytes(codes)
 
     def stats(self) -> dict:

@@ -1,14 +1,16 @@
 """Trace-driven simulation and experiment harness.
 
-* :mod:`repro.sim.engine` — the per-branch simulation loops:
+* :mod:`repro.sim.engine` — the reference engine: the one per-branch
+  step function :func:`~repro.sim.engine.step_batch` and its drivers
   :func:`simulate` (TAGE + multi-class confidence observation) and
   :func:`simulate_binary` (any predictor + a binary high/low estimator).
 * :mod:`repro.sim.backends` — the ``"reference"`` / ``"fast"`` backend
   selector shared by the engine, the sweep layer and the CLI.
 * :mod:`repro.sim.fast` — the vectorized batch backend (NumPy),
-  bit-for-bit equivalent to the reference loops where supported.
+  bit-for-bit equivalent to the reference engine where supported.
 * :mod:`repro.sim.observe` — per-branch observation streams (the apps
-  layer's replay input), produced on either backend.
+  layer's replay input), produced on either backend (``step_batch`` on
+  the reference one).
 * :mod:`repro.sim.stats` — suite-level aggregation.
 * :mod:`repro.sim.runner` — suite × configuration sweeps used by the
   benches (one call per paper table/figure).

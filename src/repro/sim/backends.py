@@ -2,9 +2,9 @@
 
 Two engines can execute a (trace, predictor, estimator) cell:
 
-* ``"reference"`` — the pure-Python per-branch loops in
-  :mod:`repro.sim.engine`; supports every predictor and estimator and is
-  the semantic ground truth.
+* ``"reference"`` — the pure-Python step function
+  :func:`repro.sim.engine.step_batch`; supports every predictor and
+  estimator and is the semantic ground truth.
 * ``"fast"`` — the batch backend in :mod:`repro.sim.fast`; runs the
   bimodal/gshare/local predictors and the JRS-style binary confidence
   counters as vectorized NumPy scans, the full TAGE family (with the

@@ -1,20 +1,27 @@
-"""Per-branch simulation loops.
+"""The reference engine: one per-branch step function and its drivers.
 
-:func:`simulate` drives a TAGE predictor over a trace while a
-:class:`~repro.confidence.estimator.TageConfidenceEstimator` observes
-every prediction; the result carries both overall accuracy (misp/KI, the
-paper's Table 1 metric) and the per-class / per-level breakdowns behind
-every other table and figure.
+:func:`step_batch` is the only place the per-branch step order is
+written — predict, classify (§5 class) or assess (binary flag),
+observe, the optional §6.2 controller, then train.  It advances a
+:class:`~repro.sim.backends.Cell`'s component objects over a batch of
+``pcs``/``takens`` and returns the per-branch predictions and codes,
+so a later batch resumes where the last one stopped.  Every reference
+caller — :func:`simulate`, :func:`simulate_binary`,
+:func:`repro.sim.observe.observe_trace`, the serving layer's binary
+sessions and offline replays — is a thin reduction over those streams.
 
-:func:`simulate_binary` is the equivalent loop for binary high/low
-estimators (JRS, enhanced JRS, perceptron/O-GEHL self-confidence) over
-any :class:`~repro.predictors.base.BranchPredictor`.
+:func:`simulate` reports overall accuracy (misp/KI, the paper's Table 1
+metric) plus the per-class / per-level breakdowns behind every other
+table and figure; :func:`simulate_binary` reports the 2×2 confusion of a
+binary high/low estimator (JRS, enhanced JRS, perceptron/O-GEHL
+self-confidence) over any
+:class:`~repro.predictors.base.BranchPredictor`.
 
-Both entry points accept ``backend="reference"`` (these loops, the
-semantic ground truth) or ``backend="fast"`` (the vectorized batch
-engine in :mod:`repro.sim.fast`, bit-for-bit equivalent where it
-applies).  A configuration the fast backend cannot vectorize falls back
-to the reference loop with a
+Both accept ``backend="reference"`` (the step function, the semantic
+ground truth the kernels are checked against) or ``backend="fast"``
+(the batch engine in :mod:`repro.sim.fast`, bit-for-bit equivalent
+where it applies).  A configuration the fast backend cannot run falls
+back to the reference engine with a
 :class:`~repro.sim.backends.FastBackendFallbackWarning`.
 """
 
@@ -22,6 +29,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from repro.sim.backends import (
     Cell,
@@ -34,14 +43,106 @@ from repro.sim.backends import (
 )
 from repro.confidence.classes import (
     CLASS_ORDER,
+    CODE_OF_CLASS,
     ConfidenceLevel,
+    LEVEL_OF_CODE,
     LEVEL_ORDER,
+    OBSERVATION_CLASS_CODES,
     PredictionClass,
     confidence_level_of,
 )
 from repro.confidence.metrics import BinaryConfidenceMetrics, ClassBreakdown, mkp
 
-__all__ = ["SimulationResult", "simulate", "simulate_binary"]
+__all__ = [
+    "SimulationResult",
+    "class_breakdown",
+    "simulate",
+    "simulate_binary",
+    "step_batch",
+]
+
+
+def step_batch(cell: Cell, pcs, takens) -> tuple[list[bool], list[int] | None]:
+    """Advance ``cell`` over one batch of branches, in trace order.
+
+    Per branch: the predictor predicts; a §5 estimator classifies the
+    prediction (reading ``predictor.last_prediction``) or a binary
+    estimator (``cell.binary``) assesses it; the estimator observes the
+    outcome; a §6.2 controller, when attached, sees the class's
+    confidence level and whether the branch mispredicted; the predictor
+    trains.  All state stays in the component objects.
+
+    Returns the per-branch predictions and codes — §5 class codes
+    (indices into :data:`~repro.confidence.classes.OBSERVATION_CLASS_CODES`)
+    or the 0/1 high-confidence flag — with ``None`` for codes when the
+    cell has no estimator.
+    """
+    predictor = cell.predictor
+    estimator = cell.estimator
+    predict = predictor.predict
+    train = predictor.train
+    predictions: list[bool] = []
+    emit_prediction = predictions.append
+    if estimator is None:
+        for pc, taken_byte in zip(pcs, takens):
+            emit_prediction(predict(pc))
+            train(pc, taken_byte == 1)
+        return predictions, None
+    codes: list[int] = []
+    emit_code = codes.append
+    observe = estimator.observe
+    if cell.binary:
+        assess = estimator.assess
+        for pc, taken_byte in zip(pcs, takens):
+            taken = taken_byte == 1
+            prediction = predict(pc)
+            emit_prediction(prediction)
+            emit_code(1 if assess(pc, prediction) else 0)
+            observe(pc, prediction, taken)
+            train(pc, taken)
+        return predictions, codes
+    classify = estimator.classify
+    controller = cell.controller
+    code_of = CODE_OF_CLASS
+    level_of = LEVEL_OF_CODE
+    for pc, taken_byte in zip(pcs, takens):
+        taken = taken_byte == 1
+        prediction = predict(pc)
+        observation = predictor.last_prediction
+        code = code_of[classify(observation)]
+        emit_prediction(prediction)
+        emit_code(code)
+        observe(observation, taken)
+        if controller is not None:
+            controller.observe(level_of[code], prediction != taken)
+        train(pc, taken)
+    return predictions, codes
+
+
+def _code_counts(codes, missed: bytes, start: int,
+                 n_codes: int) -> tuple[list[int], list[int]]:
+    """Per-code branch and misprediction counts from branch ``start``
+    on; ``missed`` holds one 0/1 misprediction byte per branch."""
+    codes = bytes(codes[start:])
+    missed_codes = bytes(compress(codes, missed[start:]))
+    return ([codes.count(code) for code in range(n_codes)],
+            [missed_codes.count(code) for code in range(n_codes)])
+
+
+def class_breakdown(predictions, mispredictions) -> ClassBreakdown[PredictionClass]:
+    """The §5 breakdown of per-code prediction / misprediction counts.
+
+    Classes with no branch stay absent, as if never recorded.
+    """
+    classes: ClassBreakdown[PredictionClass] = ClassBreakdown()
+    for prediction_class, total, misses in zip(
+        OBSERVATION_CLASS_CODES, predictions, mispredictions
+    ):
+        if total - misses:
+            classes.record(prediction_class, mispredicted=False, count=total - misses)
+        if misses:
+            classes.record(prediction_class, mispredicted=True, count=misses)
+    return classes
 
 
 def _dispatch_fast(entry_point: str, kwargs: dict, binary: bool = False):
@@ -256,52 +357,26 @@ def simulate(
         ))
         if outcome is not None:
             return outcome
-    classes: ClassBreakdown[PredictionClass] | None = (
-        ClassBreakdown() if estimator is not None else None
+    predictions, codes = step_batch(
+        Cell(predictor, estimator, controller), trace.pcs, trace.takens
     )
-    mispredictions = 0
-    predict = predictor.predict
-    train = predictor.train
-
-    if estimator is None:
-        for pc, taken_byte in zip(trace.pcs, trace.takens):
-            taken = taken_byte == 1
-            if predict(pc) != taken:
-                mispredictions += 1
-            train(pc, taken)
-    else:
-        classify = estimator.classify
-        observe = estimator.observe
-        record = classes.record
-        index = 0
-        for pc, taken_byte in zip(trace.pcs, trace.takens):
-            taken = taken_byte == 1
-            prediction = predict(pc)
-            mispredicted = prediction != taken
-            if mispredicted:
-                mispredictions += 1
-            observation = predictor.last_prediction
-            prediction_class = classify(observation)
-            if index >= warmup_branches:
-                record(prediction_class, mispredicted)
-            observe(observation, taken)
-            if controller is not None:
-                controller.observe(confidence_level_of(prediction_class), mispredicted)
-            train(pc, taken)
-            index += 1
-
-    final_k = None
-    if controller is not None:
-        final_k = controller.sat_prob_log2
+    missed = bytes(map(ne, predictions, trace.takens))
+    classes = None
+    if estimator is not None:
+        classes = class_breakdown(*_code_counts(
+            codes, missed, warmup_branches, len(OBSERVATION_CLASS_CODES)
+        ))
     return SimulationResult(
         trace_name=trace.name,
         predictor_name=getattr(predictor, "name", type(predictor).__name__),
         n_branches=len(trace),
         n_instructions=trace.total_instructions,
-        mispredictions=mispredictions,
+        mispredictions=missed.count(1),
         storage_bits=predictor.storage_bits(),
         classes=classes,
-        final_sat_prob_log2=final_k,
+        final_sat_prob_log2=(
+            controller.sat_prob_log2 if controller is not None else None
+        ),
     )
 
 
@@ -337,41 +412,25 @@ def simulate_binary(
         ), binary=True)
         if outcome is not None:
             return outcome
-    high_correct = high_incorrect = low_correct = low_incorrect = 0
-    mispredictions = 0
-    predict = predictor.predict
-    train = predictor.train
-    assess = estimator.assess
-    observe = estimator.observe
-
-    index = 0
-    for pc, taken_byte in zip(trace.pcs, trace.takens):
-        taken = taken_byte == 1
-        prediction = predict(pc)
-        high = assess(pc, prediction)
-        correct = prediction == taken
-        if not correct:
-            mispredictions += 1
-        if index >= warmup_branches:
-            if high and correct:
-                high_correct += 1
-            elif high:
-                high_incorrect += 1
-            elif correct:
-                low_correct += 1
-            else:
-                low_incorrect += 1
-        observe(pc, prediction, taken)
-        train(pc, taken)
-        index += 1
-
-    metrics = BinaryConfidenceMetrics(high_correct, high_incorrect, low_correct, low_incorrect)
+    predictions, codes = step_batch(
+        Cell(predictor, estimator, binary=True), trace.pcs, trace.takens
+    )
+    missed = bytes(map(ne, predictions, trace.takens))
+    (low, high), (low_missed, high_missed) = _code_counts(
+        codes, missed, warmup_branches, 2
+    )
+    metrics = BinaryConfidenceMetrics(
+        high_correct=high - high_missed,
+        high_incorrect=high_missed,
+        low_correct=low - low_missed,
+        low_incorrect=low_missed,
+    )
     result = SimulationResult(
         trace_name=trace.name,
         predictor_name=getattr(predictor, "name", type(predictor).__name__),
         n_branches=len(trace),
         n_instructions=trace.total_instructions,
-        mispredictions=mispredictions,
+        mispredictions=missed.count(1),
         storage_bits=predictor.storage_bits(),
     )
     return metrics, result

@@ -1,6 +1,6 @@
 """Vectorized batch simulation backend (``backend="fast"``).
 
-Drop-in, bit-for-bit equivalents of the reference per-branch loops for
+Drop-in, bit-for-bit equivalents of the reference engine for
 the whole model zoo — bimodal/gshare/local predictors with the
 JRS-family binary confidence counters, the full TAGE family (every
 preset/automaton) with the paper's multi-class observation estimator

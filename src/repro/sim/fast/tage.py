@@ -44,9 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.confidence.metrics import ClassBreakdown
 from repro.sim.backends import FastBackendUnsupported
-from repro.sim.engine import SimulationResult
+from repro.sim.engine import SimulationResult, class_breakdown
 from repro.sim.fast import compiled
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.planes import (
@@ -62,7 +61,6 @@ from repro.sim.fast.tage_core import (
     cell_params,
     power_on,
 )
-from repro.sim.observe import OBSERVATION_CLASS_CODES
 
 __all__ = [
     "simulate_tage_fast",
@@ -151,18 +149,6 @@ def _assemble_result(trace, predictor, estimator, controller,
                      cell_result) -> SimulationResult:
     """One cell's :func:`_run_batch` output as a SimulationResult."""
     mispredictions, pred_counts, misp_counts, _, _, final_k = cell_result
-
-    classes: ClassBreakdown | None = None
-    if estimator is not None:
-        classes = ClassBreakdown()
-        for code, prediction_class in enumerate(OBSERVATION_CLASS_CODES):
-            total = pred_counts[code]
-            misses = misp_counts[code]
-            if total - misses:
-                classes.record(prediction_class, mispredicted=False, count=total - misses)
-            if misses:
-                classes.record(prediction_class, mispredicted=True, count=misses)
-
     return SimulationResult(
         trace_name=trace.name,
         predictor_name=predictor.name,
@@ -170,7 +156,10 @@ def _assemble_result(trace, predictor, estimator, controller,
         n_instructions=trace.total_instructions,
         mispredictions=mispredictions,
         storage_bits=predictor.storage_bits(),
-        classes=classes,
+        classes=(
+            class_breakdown(pred_counts, misp_counts)
+            if estimator is not None else None
+        ),
         final_sat_prob_log2=final_k if controller is not None else None,
     )
 
@@ -226,7 +215,7 @@ def observe_tage_fast(
 ) -> tuple[list[bool], list[int]]:
     """Per-branch (predictions, observation class codes) of one trace.
 
-    The code encoding is :data:`repro.sim.observe.OBSERVATION_CLASS_CODES`;
+    The code encoding is :data:`repro.confidence.classes.OBSERVATION_CLASS_CODES`;
     this is the fast producer behind
     :func:`repro.sim.observe.observe_trace` and therefore the apps layer.
 

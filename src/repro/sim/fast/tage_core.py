@@ -40,14 +40,17 @@ from __future__ import annotations
 from array import array
 
 from repro.confidence.adaptive import AdaptiveSaturationController
-from repro.confidence.classes import ConfidenceLevel, confidence_level_of
+from repro.confidence.classes import (
+    OBSERVATION_CLASS_CODES,
+    ConfidenceLevel,
+    confidence_level_of,
+)
 from repro.confidence.estimator import TageConfidenceEstimator
 from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.fast import compiled
 from repro.sim.fast.compiled import GP_COMPONENTS, GP_STRIDE, HS_FOLDS, ST_TABLES
-from repro.sim.observe import OBSERVATION_CLASS_CODES
 
 __all__ = [
     "controller_unsupported_reason",

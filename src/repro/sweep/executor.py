@@ -3,11 +3,12 @@
 :func:`execute_job` is the picklable unit of work: it takes one
 :class:`~repro.sweep.spec.JobSpec` (pure data), regenerates the named
 trace inside the worker process (trace synthesis is deterministic and
-memoized per process, so nothing large crosses the pipe), instantiates
-the predictor/estimator pair and runs the matching engine loop on the
-job's backend — vectorized batch execution for ``backend="fast"`` cells
-the fast engine supports, the per-branch reference loop (after a
-:class:`~repro.sim.backends.FastBackendFallbackWarning`) for the rest.
+memoized per process, so nothing large crosses the pipe), builds the
+cell's components with :func:`build_cell` and runs the matching engine
+on the job's backend — vectorized batch execution for
+``backend="fast"`` cells the fast engine supports, the reference engine
+(after a :class:`~repro.sim.backends.FastBackendFallbackWarning`) for
+the rest.
 
 There is one way to execute a set of grids: describe them as an
 :class:`ExecutionPlan` (expand every grid, deduplicate the union of
@@ -115,8 +116,7 @@ __all__ = [
     "LOCKSTEP_MAX_BATCH",
     "default_workers",
     "default_journal_dir",
-    "build_cell_predictor",
-    "build_cell_binary_estimator",
+    "build_cell",
 ]
 
 #: Opt-out switch for lockstep batching (``0``/``off``/``false`` disable).
@@ -150,95 +150,90 @@ def default_workers() -> int:
     return max(2, os.cpu_count() or 1)
 
 
-def _build_predictor(spec: PredictorSpec, adaptive: bool, seed: int | None):
-    """Instantiate the predictor for one job.
+def build_cell(
+    predictor_spec: PredictorSpec,
+    estimator_spec: EstimatorSpec | None,
+    *,
+    adaptive: bool = False,
+    seed: int | None = None,
+    target_mkp: float = 10.0,
+) -> Cell:
+    """Fresh power-on components of one (predictor, estimator) cell.
 
-    A non-None per-job seed re-seeds the TAGE deterministic random
-    sources (LFSR + allocation xorshift); the baseline predictors hold
-    no random state.
+    The one construction of a cell's predictor, estimator and §6.2
+    controller, shared by sweep jobs, lockstep units, the capability
+    pre-pass and the serving layer's tenants and offline replays, so a
+    served cell is built exactly like the equivalent sweep job.
+
+    ``adaptive`` forces the TAGE probabilistic automaton and, under the
+    ``tage`` estimator, attaches the adaptive saturation controller
+    aiming at ``target_mkp``.  A non-None ``seed`` re-seeds the TAGE
+    deterministic random sources (LFSR + allocation xorshift); the
+    baseline predictors hold no random state.  A None
+    ``estimator_spec`` gives a predictor-only cell; the ``jrs``,
+    ``ejrs`` and ``self`` estimators give a binary one.
     """
-    params = dict(spec.params)
-    if spec.kind == "tage":
-        automaton = AUTOMATON_PROBABILISTIC if adaptive else spec.automaton
+    params = dict(predictor_spec.params)
+    if predictor_spec.kind == "tage":
         if seed is not None:
             # Two independent 32-bit streams from one job seed; the
             # constants are arbitrary odd masks keeping the seeds nonzero.
             params.setdefault("lfsr_seed", (seed ^ 0xA5A5A5A5) or 1)
             params.setdefault("alloc_seed", (seed ^ 0x3C6EF373) or 1)
-        return build_predictor(
-            spec.size,
-            automaton=automaton,
-            sat_prob_log2=spec.sat_prob_log2,
+        predictor = build_predictor(
+            predictor_spec.size,
+            automaton=AUTOMATON_PROBABILISTIC if adaptive else predictor_spec.automaton,
+            sat_prob_log2=predictor_spec.sat_prob_log2,
             **params,
         )
-    return _BASELINE_PREDICTORS[spec.kind](**params)
-
-
-def _tage_observers(job: JobSpec, predictor):
-    """The multi-class estimator and optional §6.2 controller of a
-    ``tage``-estimator job."""
-    estimator = TageConfidenceEstimator(predictor, **dict(job.estimator.params))
-    controller = (
-        AdaptiveSaturationController(predictor, target_mkp=job.target_mkp)
-        if job.adaptive
-        else None
-    )
-    return estimator, controller
-
-
-def _build_binary_estimator(spec: EstimatorSpec, predictor):
-    params = dict(spec.params)
-    if spec.kind == "jrs":
-        return JrsEstimator(**params)
-    if spec.kind == "ejrs":
-        return EnhancedJrsEstimator(**params)
-    return SelfConfidenceEstimator(predictor, **params)  # "self"
-
-
-def build_cell_predictor(spec: PredictorSpec, adaptive: bool = False,
-                         seed: int | None = None):
-    """Public entry to the per-cell predictor instantiation.
-
-    The serving layer (:mod:`repro.serve`) builds tenant state through
-    this so a served (predictor, estimator) cell is constructed exactly
-    like the equivalent sweep job — same presets, same seed derivation.
-    """
-    return _build_predictor(spec, adaptive, seed)
-
-
-def build_cell_binary_estimator(spec: EstimatorSpec, predictor):
-    """Public entry to the per-cell binary-estimator instantiation."""
-    return _build_binary_estimator(spec, predictor)
+    else:
+        predictor = _BASELINE_PREDICTORS[predictor_spec.kind](**params)
+    if estimator_spec is None:
+        return Cell(predictor)
+    params = dict(estimator_spec.params)
+    if estimator_spec.kind == "tage":
+        controller = (
+            AdaptiveSaturationController(predictor, target_mkp=target_mkp)
+            if adaptive
+            else None
+        )
+        return Cell(predictor, TageConfidenceEstimator(predictor, **params),
+                    controller)
+    if estimator_spec.kind == "jrs":
+        estimator = JrsEstimator(**params)
+    elif estimator_spec.kind == "ejrs":
+        estimator = EnhancedJrsEstimator(**params)
+    else:  # "self"
+        estimator = SelfConfidenceEstimator(predictor, **params)
+    return Cell(predictor, estimator, binary=True)
 
 
 def execute_job(job: JobSpec) -> JobResult:
     """Run one grid cell; pure function of the job spec (picklable)."""
     start = time.perf_counter()
     trace = get_trace(job.trace, job.n_branches)
-    predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
-
-    if job.estimator.kind == "tage":
-        estimator, controller = _tage_observers(job, predictor)
+    cell = build_cell(job.predictor, job.estimator, adaptive=job.adaptive,
+                      seed=job.seed, target_mkp=job.target_mkp)
+    if cell.binary:
+        binary, result = simulate_binary(
+            trace,
+            cell.predictor,
+            cell.estimator,
+            warmup_branches=job.warmup_branches,
+            backend=job.backend,
+        )
+        estimator_bits = cell.estimator.storage_bits()
+    else:
         result = simulate(
             trace,
-            predictor,
-            estimator=estimator,
-            controller=controller,
+            cell.predictor,
+            estimator=cell.estimator,
+            controller=cell.controller,
             warmup_branches=job.warmup_branches,
             backend=job.backend,
         )
         binary = result.binary_confusion()
         estimator_bits = 0
-    else:
-        estimator = _build_binary_estimator(job.estimator, predictor)
-        binary, result = simulate_binary(
-            trace,
-            predictor,
-            estimator,
-            warmup_branches=job.warmup_branches,
-            backend=job.backend,
-        )
-        estimator_bits = estimator.storage_bits()
 
     return JobResult(
         job=job,
@@ -273,32 +268,32 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
     jobs = [job for _, job in batch.members]
     trace = get_trace(jobs[0].trace, jobs[0].n_branches)
     fast = load_fast_engine()
-    predictors = [
-        _build_predictor(job.predictor, job.adaptive, job.seed) for job in jobs
+    cells = [
+        build_cell(job.predictor, job.estimator, adaptive=job.adaptive,
+                   seed=job.seed, target_mkp=job.target_mkp)
+        for job in jobs
     ]
     planes = fast.compute_planes(
         fast.TraceArrays.from_trace(trace),
-        fast.plane_geometry(predictors[0].config),
+        fast.plane_geometry(cells[0].predictor.config),
     )
-    cells = [
-        fast.LockstepCell(predictor, *_tage_observers(job, predictor),
+    multi_class = iter(fast.simulate_tage_lockstep(trace, [
+        fast.LockstepCell(cell.predictor, cell.estimator, cell.controller,
                           warmup_branches=job.warmup_branches)
-        for job, predictor in zip(jobs, predictors)
-        if job.estimator.kind == "tage"
-    ]
-    multi_class = iter(fast.simulate_tage_lockstep(trace, cells, planes=planes))
+        for job, cell in zip(jobs, cells)
+        if not cell.binary
+    ], planes=planes))
     outcomes = []
-    for job, predictor in zip(jobs, predictors):
-        if job.estimator.kind == "tage":
+    for job, cell in zip(jobs, cells):
+        if not cell.binary:
             result = next(multi_class)
             outcomes.append((result, result.binary_confusion(), 0))
             continue
-        estimator = _build_binary_estimator(job.estimator, predictor)
         binary, result = fast.simulate_binary_fast(
-            trace, predictor, estimator,
+            trace, cell.predictor, cell.estimator,
             warmup_branches=job.warmup_branches, planes=planes,
         )
-        outcomes.append((result, binary, estimator.storage_bits()))
+        outcomes.append((result, binary, cell.estimator.storage_bits()))
     elapsed = (time.perf_counter() - start) / len(jobs)
     return tuple(
         JobResult(job=job, result=result, binary=binary,
@@ -333,7 +328,7 @@ def _lockstep_key(job: JobSpec, geometries: dict) -> tuple | None:
     cell = (job.predictor, job.adaptive)
     if cell not in geometries:
         fast = load_fast_engine()
-        predictor = _build_predictor(job.predictor, job.adaptive, None)
+        predictor = build_cell(job.predictor, None, adaptive=job.adaptive).predictor
         geometries[cell] = fast.plane_geometry(predictor.config)
     return (job.trace, job.n_branches, geometries[cell])
 
@@ -402,26 +397,6 @@ def _lockstep_enabled(lockstep: bool | None, faults: str) -> bool:
     )
 
 
-def _job_cell(job: JobSpec) -> Cell:
-    """The capability-query cell for one grid job: throwaway component
-    instances built from the cell's specs, exactly as execution would
-    build them, so the pre-pass can never disagree with execution."""
-    predictor = _build_predictor(job.predictor, job.adaptive, job.seed)
-    if job.estimator.kind == "tage":
-        estimator, controller = _tage_observers(job, predictor)
-        return Cell(predictor=predictor, estimator=estimator, controller=controller)
-    return Cell(
-        predictor=predictor,
-        estimator=_build_binary_estimator(job.estimator, predictor),
-        binary=True,
-    )
-
-
-def _fast_cell_capability(job: JobSpec) -> Capability:
-    """The fast backend's capability verdict for one grid cell."""
-    return get_backend("fast").capability(_job_cell(job))
-
-
 def _resolve_fast_fallbacks(
     pending: list[tuple[int, JobSpec]],
     progress: Callable[[str], None] | None = None,
@@ -444,7 +419,12 @@ def _resolve_fast_fallbacks(
             continue
         cell = (job.predictor, job.estimator, job.adaptive)
         if cell not in verdicts:
-            verdicts[cell] = _fast_cell_capability(job)
+            # Throwaway components built exactly as execution builds
+            # them, so the pre-pass can never disagree with execution.
+            verdicts[cell] = get_backend("fast").capability(build_cell(
+                job.predictor, job.estimator, adaptive=job.adaptive,
+                seed=job.seed, target_mkp=job.target_mkp,
+            ))
         if verdicts[cell]:
             resolved.append((index, job))
         else:

@@ -33,7 +33,7 @@ from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.engine import vectorized_predictions
 from repro.sim.runner import get_trace
 from repro.sweep.executor import (
-    _build_predictor,
+    build_cell,
     execute_job,
     execute_work,
     plan_lockstep,
@@ -222,7 +222,7 @@ def test_configs_of_one_kind_do_not_share_streams(kernel_leg, kind, base,
     arrays = TraceArrays.from_trace(get_trace("SERV-4", BRANCHES))
     first, second = (
         vectorized_predictions(
-            _build_predictor(predictor, False, None),
+            build_cell(predictor, None).predictor,
             TraceArrays(arrays.name, arrays.pcs, arrays.takens),
         )
         for predictor in spec.predictors

@@ -80,3 +80,29 @@ def test_tage_session_steps_without_numpy(provider):
     assert numpy_loaded == "False"
     if provider == "none":
         assert provider_name == "None"
+
+
+def test_reference_step_paths_run_without_numpy():
+    """A binary session and the offline reference replays — binary and
+    adaptive — step through the reference engine without loading
+    numpy."""
+    code = (
+        "import sys\n"
+        "from repro.serve.driver import offline_decisions\n"
+        "from repro.serve.state import SessionSpec, TenantSession\n"
+        "from repro.traces.types import Trace\n"
+        "pcs = [0x400000 + 4 * (i % 37) for i in range(300)]\n"
+        "takens = bytes((i * 7) % 3 == 0 for i in range(300))\n"
+        "binary = SessionSpec(tenant='b', predictor='gshare', estimator='jrs')\n"
+        "session = TenantSession(binary)\n"
+        "predictions, codes = session.observe_batch(pcs, takens)\n"
+        "assert len(predictions) == len(codes) == 300\n"
+        "assert session.stats()['observed'] == 300\n"
+        "trace = Trace('t', pcs, takens, [5] * 300)\n"
+        "assert len(offline_decisions(binary, trace)) == 300\n"
+        "adaptive = SessionSpec(tenant='a', predictor='tage-16K-prob',\n"
+        "                       estimator='tage', adaptive=True)\n"
+        "assert len(offline_decisions(adaptive, trace)) == 300\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code) == "False"
