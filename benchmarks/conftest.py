@@ -119,7 +119,7 @@ def cached_suite(
     """Per-trace results of one registry grid, for cross-artifact
     comparisons (e.g. Figure 5/6 versus their standard-automaton runs).
 
-    Identical results to the pre-sweep ``run_suite`` path: the grids
+    Identical results to one ``run_trace`` per trace: the grids
     carry no base seed, so every component keeps its fixed built-in
     seeds regardless of worker count.
     """

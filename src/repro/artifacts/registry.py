@@ -121,8 +121,8 @@ def observation_grid(
 
     This is the grid shape behind every table/figure of the paper: the
     spec carries no base seed, so every component keeps its fixed
-    built-in seeds and results are identical to the legacy ``run_suite``
-    path for any worker count.  ``config_overrides`` are
+    built-in seeds and results are identical to one
+    :func:`~repro.sim.runner.run_trace` per trace, for any worker count.  ``config_overrides`` are
     :class:`TageConfig` field overrides (``ctr_bits``,
     ``use_alt_on_na_enabled``, ...); ``bim_miss_window`` parameterizes
     the estimator only; ``group`` labels the trace set in the spec name

@@ -63,7 +63,6 @@ from repro.artifacts import (
     run_paper,
     write_reports,
 )
-from repro.confidence.estimator import TageConfidenceEstimator
 from repro.predictors.tage.config import (
     AUTOMATON_PROBABILISTIC,
     AUTOMATON_STANDARD,
@@ -77,10 +76,9 @@ from repro.serve import (
     run_differential_check,
     run_drive,
 )
-from repro.sim.backends import BACKENDS, DEFAULT_BACKEND, default_planes_dir
-from repro.sim.engine import simulate
+from repro.sim.backends import BACKENDS, DEFAULT_BACKEND
 from repro.sim.report import format_confidence_table, render_table
-from repro.sim.runner import SIZES, SUITES, build_predictor, get_trace, run_suite
+from repro.sim.runner import SIZES, SUITES, get_trace, run_trace
 from repro.sim.stats import summarize
 from repro.sweep import (
     EstimatorSpec,
@@ -114,17 +112,12 @@ def _add_predictor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--automaton", choices=(AUTOMATON_STANDARD, AUTOMATON_PROBABILISTIC),
                         default=AUTOMATON_STANDARD,
                         help="3-bit counter update rule (paper §6)")
-    parser.add_argument("--sat-prob-log2", type=int, default=7, metavar="K",
-                        help="saturation probability 1/2^K (probabilistic automaton)")
+    parser.add_argument("--sat-prob-log2", type=int, default=None, metavar="K",
+                        help="saturation probability 1/2^K (probabilistic "
+                             "automaton only; default 7)")
     parser.add_argument("--branches", type=int, default=50_000,
                         help="dynamic branches per trace")
     _add_backend_arg(parser)
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="fast-backend TAGE plane materialization cache "
-                             f"(default {default_planes_dir()})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="compute TAGE planes in memory instead of "
-                             "memmapping them from the materialization cache")
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser,
@@ -138,13 +131,6 @@ def _add_backend_arg(parser: argparse.ArgumentParser,
                              "subclassed components or >62-bit histories")
 
 
-def _materialization_dir(args):
-    """Plane materialization target for a run-trace/run-suite invocation."""
-    if args.backend != "fast" or args.no_cache:
-        return None
-    return args.cache_dir or default_planes_dir()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -156,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_trace_cmd.add_argument("name")
     _add_predictor_args(run_trace_cmd)
 
-    run_suite_cmd = commands.add_parser("run-suite", help="simulate a whole suite")
-    run_suite_cmd.add_argument("suite", choices=SUITES)
-    _add_predictor_args(run_suite_cmd)
+    suite_cmd = commands.add_parser("run-suite", help="simulate a whole suite")
+    suite_cmd.add_argument("suite", choices=SUITES)
+    _add_predictor_args(suite_cmd)
 
     sweep_cmd = commands.add_parser(
         "sweep",
@@ -226,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="deterministic fault-injection plan, e.g. "
                                 "'kill@3;flaky@1:2;corrupt@4' (default: "
                                 "$REPRO_FAULTS; testing/chaos only)")
-    sweep_cmd.add_argument("--no-lockstep", action="store_true",
-                           help="run every fast-backend job independently "
-                                "instead of fusing shared-plane TAGE jobs "
-                                "into batched lockstep kernel passes "
-                                "(results are bit-identical either way)")
 
     paper_cmd = commands.add_parser(
         "paper",
@@ -455,31 +436,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _preset(args) -> dict:
+    """The TAGE preset keywords of a run-trace/run-suite invocation."""
+    preset = {"size": args.size, "automaton": args.automaton}
+    if args.sat_prob_log2 is not None:
+        if args.automaton != AUTOMATON_PROBABILISTIC:
+            # The standard automaton never reads K — reject instead of
+            # silently printing the default run.
+            raise SystemExit(
+                "--sat-prob-log2 only has an effect with --automaton probabilistic"
+            )
+        preset["sat_prob_log2"] = args.sat_prob_log2
+    return preset
+
+
 def _cmd_run_trace(args) -> int:
+    preset = _preset(args)
     trace = _get_trace(args.name, args.branches)
-    predictor = build_predictor(
-        args.size, automaton=args.automaton, sat_prob_log2=args.sat_prob_log2
-    )
-    estimator = TageConfidenceEstimator(predictor)
-    result = simulate(
-        trace, predictor, estimator,
-        backend=args.backend,
-        materialization_dir=_materialization_dir(args),
-    )
+    result = run_trace(trace, backend=args.backend, **preset)
     print(result.class_table())
     return 0
 
 
-def _cmd_run_suite(args) -> int:
-    results = run_suite(
-        args.suite,
-        size=args.size,
-        automaton=args.automaton,
-        sat_prob_log2=args.sat_prob_log2,
+def _cmd_suite(args) -> int:
+    spec = ExperimentSpec(
+        name=f"cli-run-suite-{args.suite}",
+        predictors=(PredictorSpec.of("tage", **_preset(args)),),
+        estimators=(EstimatorSpec.of("tage"),),
+        traces=_suite_trace_names(args.suite),
         n_branches=args.branches,
         backend=args.backend,
-        materialization_dir=_materialization_dir(args),
     )
+    try:
+        run = run_sweep(spec, workers=None)
+    except SweepInterrupted as interrupted:
+        return _report_interrupted(interrupted)
+    if run.quarantined:
+        # A summary over part of the suite would read as the whole one.
+        raise SystemExit("; ".join(entry.describe() for entry in run.quarantined))
+    results = run.table.simulation_results()
     for result in results:
         print(f"{result.trace_name:<16} {result.mpki:6.2f} misp/KI  {result.mkp:6.1f} MKP")
     summary = summarize(results)
@@ -496,8 +491,11 @@ def _cmd_run_suite(args) -> int:
 _DEFAULT_SWEEP_TRACES = ("INT-1", "MM-1", "SERV-1", "300.twolf")
 
 
+def _suite_trace_names(suite: str) -> tuple[str, ...]:
+    return CBP1_TRACE_NAMES if suite == "CBP1" else CBP2_TRACE_NAMES
+
+
 def _cmd_sweep(args) -> int:
-    lockstep = False if args.no_lockstep else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume is not None:
         # The journal carries the grid: axis flags are ignored on resume.
@@ -513,7 +511,6 @@ def _cmd_sweep(args) -> int:
                 max_retries=args.max_retries,
                 heartbeat_timeout=args.heartbeat_timeout,
                 faults=args.faults,
-                lockstep=lockstep,
             )
         except SweepInterrupted as interrupted:
             return _report_interrupted(interrupted)
@@ -533,7 +530,7 @@ def _cmd_sweep(args) -> int:
     if args.suite is not None:
         if args.traces:
             raise SystemExit("--traces and --suite are mutually exclusive")
-        traces = CBP1_TRACE_NAMES if args.suite == "CBP1" else CBP2_TRACE_NAMES
+        traces = _suite_trace_names(args.suite)
     else:
         traces = tuple(args.traces) if args.traces else _DEFAULT_SWEEP_TRACES
     for name in traces:
@@ -560,7 +557,6 @@ def _cmd_sweep(args) -> int:
             max_retries=args.max_retries,
             heartbeat_timeout=args.heartbeat_timeout,
             faults=args.faults,
-            lockstep=lockstep,
         )
     except SweepInterrupted as interrupted:
         return _report_interrupted(interrupted)
@@ -964,7 +960,7 @@ def _cmd_drive(args) -> int:
 
 _HANDLERS = {
     "run-trace": _cmd_run_trace,
-    "run-suite": _cmd_run_suite,
+    "run-suite": _cmd_suite,
     "sweep": _cmd_sweep,
     "paper": _cmd_paper,
     "gen-trace": _cmd_gen_trace,

@@ -12,8 +12,9 @@
   layer's replay input), produced on either backend (``step_batch`` on
   the reference one).
 * :mod:`repro.sim.stats` — suite-level aggregation.
-* :mod:`repro.sim.runner` — suite × configuration sweeps used by the
-  benches (one call per paper table/figure).
+* :mod:`repro.sim.runner` — trace lookup, TAGE presets and the
+  one-trace run :func:`run_trace` (grids run through
+  :func:`repro.sweep.run_sweep`).
 * :mod:`repro.sim.report` — ASCII rendering of the paper's tables and
   figure series.
 """
@@ -27,12 +28,7 @@ from repro.sim.backends import (
 )
 from repro.sim.engine import SimulationResult, simulate, simulate_binary
 from repro.sim.observe import ObservationStream, observe_trace
-from repro.sim.runner import (
-    build_predictor,
-    run_suite,
-    run_trace,
-    suite_traces,
-)
+from repro.sim.runner import build_predictor, run_trace
 from repro.sim.stats import SuiteSummary, summarize
 from repro.sim.report import render_table
 
@@ -48,10 +44,8 @@ __all__ = [
     "validate_backend",
     "build_predictor",
     "render_table",
-    "run_suite",
     "run_trace",
     "simulate",
     "simulate_binary",
-    "suite_traces",
     "summarize",
 ]

@@ -313,7 +313,6 @@ def simulate(
     controller=None,
     warmup_branches: int = 0,
     backend: str = DEFAULT_BACKEND,
-    materialization_dir=None,
 ) -> SimulationResult:
     """Run ``predictor`` over ``trace`` with optional confidence observation.
 
@@ -337,11 +336,7 @@ def simulate(
             falls back here (with a
             :class:`FastBackendFallbackWarning`) where not.  Note the
             fast path leaves ``predictor`` (and the controller)
-            untrained/unmoved.
-        materialization_dir: fast backend only — directory (or
-            :class:`~repro.sim.fast.planes.PlaneCache`) where
-            precomputed TAGE index/tag planes are memmapped and shared
-            across runs; None computes them in memory.
+            untrained/unmoved, and computes its TAGE planes in memory.
     """
     validate_backend(backend)
     if warmup_branches < 0:
@@ -353,7 +348,6 @@ def simulate(
             estimator=estimator,
             controller=controller,
             warmup_branches=warmup_branches,
-            materialization_dir=materialization_dir,
         ))
         if outcome is not None:
             return outcome

@@ -489,16 +489,14 @@ def simulate_fast(
     controller=None,
     warmup_branches: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    materialization_dir=None,
 ) -> SimulationResult:
     """Fast-backend equivalent of :func:`repro.sim.engine.simulate`.
 
     Bimodal/gshare/local accuracy runs use the vectorized counter
     scans, perceptron/O-GEHL the dot-product kernels; TAGE cells — with
     or without the multi-class observation estimator and the §6.2
-    adaptive controller — run on the plane-fed sequential kernel,
-    optionally sharing precomputed planes through ``materialization_dir``
-    (a directory or a :class:`~repro.sim.fast.planes.PlaneCache`).
+    adaptive controller — run on the plane-fed sequential kernel over
+    planes computed in memory.
 
     Raises:
         FastBackendUnsupported: when the predictor/estimator/controller
@@ -516,7 +514,6 @@ def simulate_fast(
             estimator=estimator,
             controller=controller,
             warmup_branches=warmup_branches,
-            materialization=materialization_dir,
         )
     arrays = TraceArrays.from_trace(trace)
     predictions = vectorized_predictions(predictor, arrays, chunk_size)

@@ -1,8 +1,8 @@
-"""Suite × configuration sweeps.
+"""Trace lookup, predictor presets and the one-trace run.
 
 Thin composition layer between the trace registry, the predictor presets
-and the simulation engine; each paper table/figure bench is one or a few
-calls into this module.
+and the simulation engine.  Grids of cells (a suite, a paper table) run
+through :func:`repro.sweep.run_sweep`.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "build_predictor",
     "get_trace",
     "run_trace",
-    "run_suite",
-    "suite_traces",
     "SUITES",
     "SIZES",
 ]
@@ -86,21 +84,6 @@ def build_predictor(
     return TagePredictor(config)
 
 
-def suite_traces(
-    suite: str,
-    n_branches: int | None = None,
-    names: tuple[str, ...] | None = None,
-) -> list[Trace]:
-    """Traces of a named suite (optionally a subset, in the given order)."""
-    if suite == "CBP1":
-        selected = names or CBP1_TRACE_NAMES
-        return [cbp1_trace(name, n_branches) for name in selected]
-    if suite == "CBP2":
-        selected = names or CBP2_TRACE_NAMES
-        return [cbp2_trace(name, n_branches) for name in selected]
-    raise KeyError(f"unknown suite {suite!r}; choose from {SUITES}")
-
-
 def run_trace(
     trace: Trace,
     size: str = "64K",
@@ -111,7 +94,6 @@ def run_trace(
     target_mkp: float = 10.0,
     warmup_branches: int = 0,
     backend: str = DEFAULT_BACKEND,
-    materialization_dir=None,
     **config_overrides,
 ) -> SimulationResult:
     """Simulate one trace on a fresh preset predictor with confidence
@@ -120,12 +102,12 @@ def run_trace(
     ``adaptive=True`` additionally attaches the §6.2 controller (and
     forces the probabilistic automaton, which the controller requires).
 
-    ``backend`` and ``materialization_dir`` are threaded through to
+    ``backend`` is threaded through to
     :func:`repro.sim.engine.simulate`.  ``backend="fast"`` runs every
     TAGE preset/automaton with the observation estimator — including
     ``adaptive=True``, whose §6.2 feedback loop is folded into the
     kernel with an identical decision/LFSR stream — on the plane-fed
-    kernel.
+    kernel, with its planes computed in memory.
     """
     if adaptive:
         automaton = AUTOMATON_PROBABILISTIC
@@ -143,25 +125,4 @@ def run_trace(
         controller=controller,
         warmup_branches=warmup_branches,
         backend=backend,
-        materialization_dir=materialization_dir,
     )
-
-
-def run_suite(
-    suite: str,
-    size: str = "64K",
-    automaton: str = AUTOMATON_STANDARD,
-    n_branches: int | None = None,
-    names: tuple[str, ...] | None = None,
-    **run_kwargs,
-) -> list[SimulationResult]:
-    """Simulate every trace of a suite on a given preset.
-
-    Each trace gets a fresh predictor (the paper simulates traces
-    independently).  Extra keyword arguments are forwarded to
-    :func:`run_trace`.
-    """
-    return [
-        run_trace(trace, size=size, automaton=automaton, **run_kwargs)
-        for trace in suite_traces(suite, n_branches=n_branches, names=names)
-    ]

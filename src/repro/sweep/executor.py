@@ -112,15 +112,11 @@ __all__ = [
     "SweepRun",
     "SweepInterrupted",
     "QuarantinedJob",
-    "LOCKSTEP_ENV",
     "LOCKSTEP_MAX_BATCH",
     "default_workers",
     "default_journal_dir",
     "build_cell",
 ]
-
-#: Opt-out switch for lockstep batching (``0``/``off``/``false`` disable).
-LOCKSTEP_ENV = "REPRO_LOCKSTEP"
 
 #: Largest lockstep unit the planner builds.  Members run one at a time
 #: over the unit's shared planes, so a unit holds one plane set and one
@@ -381,22 +377,6 @@ def plan_lockstep(
     return plan
 
 
-def _lockstep_enabled(lockstep: bool | None, faults: str) -> bool:
-    """Resolve the lockstep toggle: explicit arg > env > default-on.
-
-    Fault injection disables batching regardless: fault plans key on
-    job indices and fire per dispatched *unit*, so fusing jobs would
-    silently shift which jobs a plan hits.
-    """
-    if faults:
-        return False
-    if lockstep is not None:
-        return lockstep
-    return os.environ.get(LOCKSTEP_ENV, "").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
 def _resolve_fast_fallbacks(
     pending: list[tuple[int, JobSpec]],
     progress: Callable[[str], None] | None = None,
@@ -643,7 +623,6 @@ def execute_plan(
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
     fsync_journal: bool = True,
-    lockstep: bool | None = None,
 ) -> dict[str, SweepRun]:
     """Execute every distinct job of a plan on one broker.
 
@@ -708,10 +687,11 @@ def execute_plan(
         n_retries = 0
         if pending:
             pending = _resolve_fast_fallbacks(pending, progress)
+            # Fault plans key on job indices and fire per dispatched
+            # unit, so fusing would shift which jobs a plan hits: a
+            # fault-injected run dispatches every job alone.
             units: list[tuple[int, JobSpec | LockstepBatch]] = (
-                plan_lockstep(pending, progress)
-                if _lockstep_enabled(lockstep, faults)
-                else list(pending)
+                list(pending) if faults else plan_lockstep(pending, progress)
             )
             broker = Broker(
                 BrokerConfig(
@@ -779,7 +759,6 @@ def run_sweep(
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
     fsync_journal: bool = True,
-    lockstep: bool | None = None,
 ) -> SweepRun:
     """Execute every cell of a spec and aggregate the results.
 
@@ -810,12 +789,12 @@ def run_sweep(
             defaults to ``$REPRO_FAULTS``.
         fsync_journal: fsync each journal record (leave on outside
             tests; without it a crash can forget acknowledged progress).
-        lockstep: fuse fast-backend TAGE jobs sharing one trace's
-            planes into units that compute them once (bit-identical
-            results; see :func:`plan_lockstep`).  ``None`` (the default) reads
-            ``$REPRO_LOCKSTEP`` and falls back to on; fault injection
-            forces it off.  Execution plumbing like ``backend`` — never
-            part of the spec hash or the cache identity.
+
+    Fast-backend TAGE jobs sharing one trace's planes are fused into
+    units that compute them once (bit-identical results; see
+    :func:`plan_lockstep`), except under ``faults``, whose plans key on
+    per-job indices: then every job runs alone through
+    :func:`execute_job`.
 
     Returns:
         A :class:`SweepRun` whose table preserves grid order (minus any
@@ -837,7 +816,6 @@ def run_sweep(
         heartbeat_timeout=heartbeat_timeout,
         faults=faults,
         fsync_journal=fsync_journal,
-        lockstep=lockstep,
     )[spec.spec_hash()]
     if progress:
         progress(run.describe())
@@ -856,7 +834,6 @@ def resume_sweep(
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
     fsync_journal: bool = True,
-    lockstep: bool | None = None,
 ) -> SweepRun:
     """Resume an interrupted run from its journal alone.
 
@@ -902,5 +879,4 @@ def resume_sweep(
         heartbeat_timeout=heartbeat_timeout,
         faults=faults,
         fsync_journal=fsync_journal,
-        lockstep=lockstep,
     )

@@ -226,7 +226,7 @@ class JobSpec:
 
     ``seed`` is the per-job RNG seed already derived by grid expansion
     (``None`` keeps each component's built-in deterministic seeds, which
-    reproduces the pre-sweep ``run_suite`` results bit-for-bit).
+    reproduces :func:`repro.sim.runner.run_trace` bit-for-bit).
 
     ``backend`` selects the simulation engine.  It is deliberately
     **excluded** from :meth:`as_dict` and therefore from

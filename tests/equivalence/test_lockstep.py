@@ -32,9 +32,7 @@ from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sweep.cache import ResultCache
 from repro.sweep.executor import (
-    LOCKSTEP_ENV,
     LOCKSTEP_MAX_BATCH,
-    _lockstep_enabled,
     execute_batch,
     execute_job,
     plan_lockstep,
@@ -319,19 +317,34 @@ def test_random_grid_units_match_reference_jobs(
     _assert_units_match_reference(jobs)
 
 
-def test_lockstep_enabled_gating(monkeypatch):
-    monkeypatch.delenv(LOCKSTEP_ENV, raising=False)
-    assert _lockstep_enabled(None, "") is True
-    assert _lockstep_enabled(False, "") is False
-    assert _lockstep_enabled(None, "kill@0") is False  # faults pin indices
-    assert _lockstep_enabled(True, "kill@0") is False
-    monkeypatch.setenv(LOCKSTEP_ENV, "off")
-    assert _lockstep_enabled(None, "") is False
-    assert _lockstep_enabled(True, "") is True  # explicit arg beats env
+def test_fault_plan_disables_fusion():
+    """Fault plans key on per-job indices, so a fault-injected run
+    dispatches every job alone; the results stay bit-identical."""
+    spec = ExperimentSpec(
+        name="lockstep/faults",
+        predictors=(
+            PredictorSpec.of("tage", size="16K"),
+            PredictorSpec.of("tage", size="16K", automaton="probabilistic"),
+        ),
+        estimators=(EstimatorSpec.of("tage"),),
+        traces=("INT-1",),
+        n_branches=4000,
+        backend="fast",
+    )
+    clean_lines, faulty_lines = [], []
+    clean = run_sweep(spec, workers=1, progress=clean_lines.append, faults="")
+    faulty = run_sweep(spec, workers=1, progress=faulty_lines.append,
+                       faults="flaky@1")
+    assert any(line.startswith("lockstep: fused 2 job(s)") for line in clean_lines)
+    assert not any(line.startswith("lockstep:") for line in faulty_lines)
+    assert (clean.n_retries, faulty.n_retries) == (0, 1)
+    assert [a.result for a in clean.table] == [b.result for b in faulty.table]
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
 def test_run_sweep_lockstep_is_bit_identical(tmp_path, workers):
+    """The fused sweep ≡ each of its jobs run alone through
+    :func:`execute_job`."""
     spec = ExperimentSpec(
         name="lockstep/e2e",
         predictors=(
@@ -345,13 +358,11 @@ def test_run_sweep_lockstep_is_bit_identical(tmp_path, workers):
         seed=1,
         backend="fast",
     )
-    fused = run_sweep(spec, workers=workers,
-                      cache=ResultCache(tmp_path / "on"), lockstep=True)
-    independent = run_sweep(spec, workers=workers,
-                            cache=ResultCache(tmp_path / "off"), lockstep=False)
-    assert len(fused.table) == len(independent.table) == 18
-    for a, b in zip(fused.table, independent.table):
-        assert a.job.spec_hash() == b.job.spec_hash()
+    fused = run_sweep(spec, workers=workers, cache=ResultCache(tmp_path))
+    assert fused.n_executed == len(fused.table) == 18
+    for a, job in zip(fused.table, expand(spec).jobs):
+        b = execute_job(job)
+        assert a.job == job
         assert a.result == b.result
         assert a.binary == b.binary
         assert a.estimator_bits == b.estimator_bits
@@ -370,9 +381,9 @@ def test_run_sweep_lockstep_results_hit_cache(tmp_path):
         backend="fast",
     )
     cache = ResultCache(tmp_path)
-    first = run_sweep(spec, workers=1, cache=cache, lockstep=True)
+    first = run_sweep(spec, workers=1, cache=cache)
     assert first.n_executed == 2 and first.n_cached == 0
-    again = run_sweep(spec, workers=1, cache=cache, lockstep=True)
+    again = run_sweep(spec, workers=1, cache=cache)
     assert again.n_executed == 0 and again.n_cached == 2
     for a, b in zip(first.table, again.table):
         assert a.result == b.result and a.binary == b.binary

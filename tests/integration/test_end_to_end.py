@@ -10,8 +10,9 @@ from repro import (
 )
 from repro.confidence.classes import PredictionClass
 from repro.sim.report import format_distribution_figure
-from repro.sim.runner import run_suite
+from repro.sim.runner import get_trace, run_trace
 from repro.sim.stats import summarize
+from repro.sweep import EstimatorSpec, ExperimentSpec, PredictorSpec, run_sweep
 from repro.traces.io import read_trace, write_trace
 from repro.traces.suites import cbp1_trace
 
@@ -45,15 +46,22 @@ class TestPublicApi:
         assert result_a.mispredictions == result_b.mispredictions
 
     def test_suite_to_report(self):
-        results = run_suite("CBP1", size="16K", n_branches=1500, names=("FP-1", "INT-1"))
+        spec = ExperimentSpec(
+            name="e2e",
+            predictors=(PredictorSpec.of("tage", size="16K"),),
+            estimators=(EstimatorSpec.of("tage"),),
+            traces=("FP-1", "INT-1"),
+            n_branches=1500,
+        )
+        results = run_sweep(spec).table.simulation_results()
         summary = summarize(results)
         assert summary.total_predictions == 3000
         text = format_distribution_figure(results, title="fig")
         assert "FP-1" in text and "INT-1" in text
 
     def test_reproducibility_of_full_pipeline(self):
-        first = run_suite("CBP1", size="16K", n_branches=1500, names=("INT-2",))[0]
-        second = run_suite("CBP1", size="16K", n_branches=1500, names=("INT-2",))[0]
+        first = run_trace(get_trace("INT-2", 1500), size="16K")
+        second = run_trace(get_trace("INT-2", 1500), size="16K")
         assert first.mispredictions == second.mispredictions
         assert first.classes.as_dict() == second.classes.as_dict()
 

@@ -38,6 +38,13 @@ class TestCommands:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("command", [["run-trace", "FP-1"], ["run-suite", "CBP1"]])
+    def test_sat_prob_log2_needs_probabilistic_automaton(self, command):
+        # The standard automaton never reads K: reject instead of
+        # silently printing the default run.
+        with pytest.raises(SystemExit, match="--automaton probabilistic"):
+            main(command + ["--branches", "100", "--sat-prob-log2", "3"])
+
     def test_run_trace_unknown_name(self):
         with pytest.raises(SystemExit):
             main(["run-trace", "NOPE-1", "--branches", "100"])
@@ -108,7 +115,14 @@ class TestCommands:
                 ["trace", "--source", "zoo.markov", "--list"]
             )
 
-    def test_run_suite_subset_not_supported_runs_full(self, capsys):
+    def test_suite_command_rejects_a_partial_suite(self, monkeypatch):
+        # A quarantined trace fails the command instead of summarizing
+        # the rest of the suite as if it were whole.
+        monkeypatch.setenv("REPRO_FAULTS", "poison@1")
+        with pytest.raises(SystemExit, match="injected deterministic failure"):
+            main(["run-suite", "CBP1", "--branches", "100", "--size", "16K"])
+
+    def test_suite_command_runs_full_suite(self, capsys):
         # run-suite over CBP1 at a tiny branch count: exercises the whole
         # path (20 traces) quickly.
         assert main(["run-suite", "CBP1", "--branches", "400", "--size", "16K"]) == 0

@@ -1,9 +1,10 @@
-"""Tests for the suite/config sweep runner."""
+"""Tests for trace lookup, the TAGE presets and the one-trace run."""
 
 import pytest
 
 from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
-from repro.sim.runner import build_predictor, run_suite, run_trace, suite_traces
+from repro.sim.runner import build_predictor, get_trace, run_trace
+from repro.sweep import EstimatorSpec, ExperimentSpec, PredictorSpec, run_sweep
 
 
 class TestBuildPredictor:
@@ -25,18 +26,14 @@ class TestBuildPredictor:
             build_predictor("2M")
 
 
-class TestSuiteTraces:
-    def test_subset_and_order(self):
-        traces = suite_traces("CBP1", n_branches=400, names=("MM-1", "FP-1"))
-        assert [trace.name for trace in traces] == ["MM-1", "FP-1"]
+class TestGetTrace:
+    def test_cbp1_and_cbp2(self):
+        assert get_trace("MM-1", 400).name == "MM-1"
+        assert get_trace("252.eon", 400).name == "252.eon"
 
-    def test_cbp2(self):
-        traces = suite_traces("CBP2", n_branches=400, names=("252.eon",))
-        assert traces[0].name == "252.eon"
-
-    def test_unknown_suite(self):
+    def test_unknown_name(self):
         with pytest.raises(KeyError):
-            suite_traces("CBP3")
+            get_trace("CBP3-1", 400)
 
 
 class TestRunTrace:
@@ -54,14 +51,27 @@ class TestRunTrace:
         assert result.storage_bits > 16 * 1024  # wider counters cost bits
 
 
-class TestRunSuite:
-    def test_runs_named_subset(self):
-        results = run_suite("CBP1", size="16K", n_branches=600, names=("FP-1", "INT-1"))
-        assert [result.trace_name for result in results] == ["FP-1", "INT-1"]
+class TestSuiteGrid:
+    """A suite is a one-grid sweep: TAGE × the observation estimator."""
+
+    @staticmethod
+    def _results(names):
+        spec = ExperimentSpec(
+            name="suite",
+            predictors=(PredictorSpec.of("tage", size="16K"),),
+            estimators=(EstimatorSpec.of("tage"),),
+            traces=names,
+            n_branches=600,
+        )
+        return run_sweep(spec).table.simulation_results()
+
+    def test_runs_named_subset_in_order(self):
+        results = self._results(("MM-1", "FP-1"))
+        assert [result.trace_name for result in results] == ["MM-1", "FP-1"]
         assert all(result.classes is not None for result in results)
 
     def test_fresh_predictor_per_trace(self):
-        """Each trace is simulated independently: same trace twice in the
-        suite gives identical results."""
-        results = run_suite("CBP1", size="16K", n_branches=600, names=("FP-1", "FP-1"))
-        assert results[0].mispredictions == results[1].mispredictions
+        """Each trace is simulated independently: a trace's result does
+        not depend on the traces run before it."""
+        _, alone_second = self._results(("INT-1", "FP-1"))
+        assert alone_second == run_trace(get_trace("FP-1", 600), size="16K")

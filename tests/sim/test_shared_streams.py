@@ -120,6 +120,6 @@ def test_one_pass_per_stream_over_a_sweep(monkeypatch):
         n_branches=2_000,
         backend="fast",
     )
-    run = run_sweep(spec, workers=1, lockstep=True)
+    run = run_sweep(spec, workers=1)
     assert len(run.table) == 5 and not run.quarantined
     assert counts == {"tage": 1, "perceptron": 1, "jrs_index": 1}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.runner import run_suite
+from repro.sim.runner import get_trace, run_trace
 from repro.sweep import (
     EstimatorSpec,
     ExperimentSpec,
@@ -103,17 +103,17 @@ class TestRunSweep:
         assert run_sweep(spec, workers=1).table.rows() == \
             run_sweep(spec, workers=3).table.rows()
 
-    def test_matches_legacy_run_suite(self):
+    def test_matches_per_trace_run_trace(self):
         spec = make_spec(
             predictors=(PredictorSpec.of("tage", size="16K"),),
             estimators=(EstimatorSpec.of("tage"),),
             warmup_branches=100,
         )
         swept = run_sweep(spec, workers=2).table.simulation_results()
-        legacy = run_suite(
-            "CBP1", size="16K", n_branches=N_BRANCHES,
-            names=("FP-1", "INT-1"), warmup_branches=100,
-        )
+        legacy = [
+            run_trace(get_trace(name, N_BRANCHES), size="16K", warmup_branches=100)
+            for name in ("FP-1", "INT-1")
+        ]
         assert len(swept) == len(legacy)
         for mine, reference in zip(swept, legacy):
             assert mine.trace_name == reference.trace_name
