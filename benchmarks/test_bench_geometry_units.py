@@ -4,8 +4,9 @@ The paper grades one TAGE prediction stream with its storage-free
 classes (§5) and with JRS, so on one trace a TAGE×``tage`` cell and a
 TAGE×``jrs`` cell need the same index/tag planes.  The sweep fuses
 every fast TAGE job sharing (trace, length, plane geometry) into one
-unit that computes the trace arrays and planes once, in memory, and
-runs its members over them (:func:`repro.sweep.executor.execute_batch`).
+unit that computes the trace arrays once and streams each chunk of
+planes through all its members
+(:func:`repro.sweep.executor.execute_batch`).
 
 Workload: TAGE-16K/64K in the standard and probabilistic automata ×
 the ``tage``/``jrs``/``ejrs`` estimators over four 100k-branch
@@ -13,9 +14,9 @@ profiles (the ``sweep-replay`` shape): 48 jobs in 8 units.  It runs
 once as fused units and once as one :func:`execute_job` per member
 (planes computed per job), asserts the two give identical result
 bytes, and emits ``benchmarks/records/BENCH_geometry_units.json`` with
-a ``layers`` split of both legs: trace arrays, planes, the TAGE kernel
-and the JRS-family assessments (the remainder is predictor set-up and
-result assembly).
+a ``layers`` split of both legs (self time): trace arrays, planes, the
+TAGE kernel and the JRS-family assessments (the remainder is predictor
+set-up and result assembly).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ np = pytest.importorskip("numpy")
 
 from conftest import emit, record, run_once  # noqa: F401
 
-from repro.sim import fast
 from repro.sim.fast import compiled, engine, lockstep, tage
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.runner import get_trace
@@ -58,13 +58,13 @@ class _LayerTimer:
     def __init__(self, monkeypatch) -> None:
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.calls = dict.fromkeys(LAYERS, 0)
+        self._nested = 0.0
         from_trace = TraceArrays.from_trace
         timed_from_trace = self._timed("trace_arrays", from_trace)
         monkeypatch.setattr(TraceArrays, "from_trace", classmethod(
             lambda cls, trace: timed_from_trace(trace)))
         timed_planes = self._timed("planes", tage.compute_planes)
-        for module in (fast, tage):
-            monkeypatch.setattr(module, "compute_planes", timed_planes)
+        monkeypatch.setattr(tage, "compute_planes", timed_planes)
         timed_kernel = self._timed("kernel", tage._run_batch)
         for module in (tage, lockstep):
             monkeypatch.setattr(module, "_run_batch", timed_kernel)
@@ -77,14 +77,20 @@ class _LayerTimer:
             self.calls[layer] = 0
 
     def _timed(self, layer, fn):
+        """``fn`` charging its self time to ``layer``: the time of timed
+        calls nested inside it (the plane chunks a kernel pass builds)
+        goes to their own layers."""
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            outer, self._nested = self._nested, 0.0
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.seconds[layer] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                self.seconds[layer] += elapsed - self._nested
                 self.calls[layer] += 1
+                self._nested = outer + elapsed
         return wrapper
 
     def split(self, total: float) -> dict:

@@ -35,7 +35,6 @@ np = pytest.importorskip("numpy")
 
 from conftest import emit, record, run_once  # noqa: F401
 
-from repro.sim import fast
 from repro.sim.fast import arrays as fast_arrays
 from repro.sim.fast import compiled, engine, lockstep, tage
 from repro.sim.fast.arrays import TraceArrays
@@ -66,9 +65,9 @@ class _LayerTimer:
     def __init__(self, monkeypatch) -> None:
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.calls = dict.fromkeys(LAYERS, 0)
+        self._nested = 0.0
         timed_planes = self._timed("planes", tage.compute_planes)
-        for module in (fast, tage):
-            monkeypatch.setattr(module, "compute_planes", timed_planes)
+        monkeypatch.setattr(tage, "compute_planes", timed_planes)
         timed_kernel = self._timed("tage", tage._run_batch)
         for module in (tage, lockstep):
             monkeypatch.setattr(module, "_run_batch", timed_kernel)
@@ -86,14 +85,20 @@ class _LayerTimer:
             self.calls[layer] = 0
 
     def _timed(self, layer, fn):
+        """``fn`` charging its self time to ``layer``: the time of timed
+        calls nested inside it (the plane chunks a kernel pass builds)
+        goes to their own layers."""
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            outer, self._nested = self._nested, 0.0
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.seconds[layer] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                self.seconds[layer] += elapsed - self._nested
                 self.calls[layer] += 1
+                self._nested = outer + elapsed
         return wrapper
 
     def split(self, total: float) -> dict:

@@ -25,8 +25,13 @@ from conftest import bench_branches, bench_speedup_target, emit, record, run_onc
 
 from repro.confidence.estimator import TageConfidenceEstimator
 from repro.sim.backends import FastBackendFallbackWarning
-from repro.sim.fast import TraceArrays, compiled, simulate_tage_fast
-from repro.sim.fast.tage import resolve_planes
+from repro.sim.fast import (
+    TraceArrays,
+    compiled,
+    compute_planes,
+    plane_geometry,
+    simulate_tage_fast,
+)
 from repro.sim.runner import build_predictor
 from repro.traces.suites import CBP1_TRACE_NAMES, cbp1_trace
 
@@ -72,9 +77,9 @@ def test_tage_compiled_wallclock(run_once, monkeypatch):
     for name in CBP1_TRACE_NAMES:
         trace = cbp1_trace(name, branches)
         arrays = TraceArrays.from_trace(trace)
-        workload.append(
-            (name, trace, resolve_planes(arrays, build_predictor(SIZE).config))
-        )
+        workload.append((name, trace, compute_planes(
+            arrays, plane_geometry(build_predictor(SIZE).config)
+        )))
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
         monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")

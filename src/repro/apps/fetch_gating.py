@@ -189,6 +189,8 @@ class FetchGatingModel:
         # Each in-flight element: (weight, mispredicted, inst_count).
         in_flight: deque[tuple[float, bool, int]] = deque()
         pressure = 0.0
+        # Mispredicted entries of in_flight, kept as the deque changes.
+        unresolved_mispredictions = 0
         levels = stream.levels
         mispredicted_flags = stream.mispredicted
 
@@ -203,7 +205,7 @@ class FetchGatingModel:
             stats.total_branches += 1
             if mispredicted:
                 stats.mispredicted_branches += 1
-            behind_misprediction = any(entry[1] for entry in in_flight)
+            behind_misprediction = unresolved_mispredictions > 0
             if gated:
                 stats.gated_branches += 1
                 # Throttling keeps a fraction of the bandwidth; pipeline
@@ -227,7 +229,11 @@ class FetchGatingModel:
             weight = policy.weight(level)
             in_flight.append((weight, mispredicted, inst))
             pressure += weight
+            if mispredicted:
+                unresolved_mispredictions += 1
             if len(in_flight) > self.resolution_latency:
-                resolved_weight, _, _ = in_flight.popleft()
+                resolved_weight, resolved_mispredicted, _ = in_flight.popleft()
                 pressure -= resolved_weight
+                if resolved_mispredicted:
+                    unresolved_mispredictions -= 1
         return stats

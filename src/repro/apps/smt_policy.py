@@ -82,7 +82,8 @@ class SmtStats:
 class _ThreadContext:
     """One hardware thread: a recorded observation stream + replay cursor."""
 
-    __slots__ = ("insts", "stream", "levels", "cursor", "in_flight", "pressure")
+    __slots__ = ("insts", "stream", "levels", "cursor", "in_flight", "pressure",
+                 "unresolved_mispredictions")
 
     def __init__(self, insts, stream: ObservationStream) -> None:
         self.insts = insts
@@ -95,18 +96,28 @@ class _ThreadContext:
         # pressure would freeze and the arbiter would starve it forever.
         self.in_flight: deque[tuple[float, bool, int]] = deque()
         self.pressure = 0.0
+        # Mispredicted entries of in_flight, kept by issue/drain.
+        self.unresolved_mispredictions = 0
 
     @property
     def exhausted(self) -> bool:
         return self.cursor >= len(self.stream)
 
+    def issue(self, weight: float, mispredicted: bool, resolve_cycle: int) -> None:
+        self.in_flight.append((weight, mispredicted, resolve_cycle))
+        self.pressure += weight
+        if mispredicted:
+            self.unresolved_mispredictions += 1
+
     def drain_resolved(self, now: int) -> None:
         while self.in_flight and self.in_flight[0][2] <= now:
-            weight, _, _ = self.in_flight.popleft()
+            weight, mispredicted, _ = self.in_flight.popleft()
             self.pressure -= weight
+            if mispredicted:
+                self.unresolved_mispredictions -= 1
 
     def has_unresolved_misprediction(self) -> bool:
-        return any(entry[1] for entry in self.in_flight)
+        return self.unresolved_mispredictions > 0
 
 
 class SmtFetchModel:
@@ -175,9 +186,7 @@ class SmtFetchModel:
         if thread.has_unresolved_misprediction():
             stats.wrong_path_instructions += inst
 
-        weight = _LEVEL_WEIGHT[level]
-        thread.in_flight.append((weight, mispredicted, now + self.resolution_latency))
-        thread.pressure += weight
+        thread.issue(_LEVEL_WEIGHT[level], mispredicted, now + self.resolution_latency)
 
     def observe_threads(
         self, backend: str = DEFAULT_BACKEND

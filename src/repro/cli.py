@@ -55,7 +55,6 @@ import uuid
 from pathlib import Path
 
 from repro.artifacts import (
-    ARTIFACT_KEYS,
     REGISTRY,
     ArtifactValidationError,
     Scale,
@@ -177,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="attach the Sec-6.2 adaptive saturation "
                                 "controller to TAGE-observation cells "
                                 "(forces the probabilistic automaton)")
-    sweep_cmd.add_argument("--target-mkp", type=float, default=10.0,
+    sweep_cmd.add_argument("--target-mkp", type=float, default=None,
                            metavar="MKP",
                            help="adaptive controller high-confidence "
-                                "misprediction target (default 10)")
+                                "misprediction target (default 10; "
+                                "needs --adaptive)")
     sweep_cmd.add_argument("--workers", type=int, default=None, metavar="N",
                            help="worker processes (default: one per CPU, min 2)")
     sweep_cmd.add_argument("--seed", type=int, default=None,
@@ -401,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="estimator kind: tage, jrs, ejrs, self")
     drive_cmd.add_argument("--adaptive", action="store_true",
                            help="attach the Sec-6.2 adaptive controller")
-    drive_cmd.add_argument("--target-mkp", type=float, default=10.0)
+    drive_cmd.add_argument("--target-mkp", type=float, default=None,
+                           metavar="MKP",
+                           help="adaptive controller high-confidence "
+                                "misprediction target (default 10; "
+                                "needs --adaptive)")
     drive_cmd.add_argument("--seed", type=int, default=None)
     drive_cmd.add_argument("--mode", choices=("closed", "open"), default="closed",
                            help="closed: N clients back-to-back (saturation "
@@ -448,6 +452,18 @@ def _preset(args) -> dict:
             )
         preset["sat_prob_log2"] = args.sat_prob_log2
     return preset
+
+
+def _target_mkp(args) -> dict:
+    """``{"target_mkp": K}`` for an explicit ``--target-mkp K`` of a
+    sweep/drive invocation, else ``{}`` (the spec's default target)."""
+    if args.target_mkp is None:
+        return {}
+    if not args.adaptive:
+        # Without the controller the target changes nothing but the
+        # cache keys — reject instead of silently re-simulating.
+        raise SystemExit("--target-mkp only has an effect with --adaptive")
+    return {"target_mkp": args.target_mkp}
 
 
 def _cmd_run_trace(args) -> int:
@@ -523,10 +539,7 @@ def _cmd_sweep(args) -> int:
         estimators = tuple(EstimatorSpec.of(token) for token in args.estimators)
     except ValueError as error:
         raise SystemExit(str(error)) from None
-    if args.target_mkp != 10.0 and not args.adaptive:
-        # Without the controller the target changes nothing but the
-        # cache keys — reject instead of silently re-simulating.
-        raise SystemExit("--target-mkp only has an effect with --adaptive")
+    target_mkp = _target_mkp(args)
     if args.suite is not None:
         if args.traces:
             raise SystemExit("--traces and --suite are mutually exclusive")
@@ -546,7 +559,7 @@ def _cmd_sweep(args) -> int:
         n_branches=args.branches,
         warmup_branches=args.warmup,
         adaptive=args.adaptive,
-        target_mkp=args.target_mkp,
+        **target_mkp,
         seed=args.seed,
         backend=args.backend,
     )
@@ -881,6 +894,7 @@ def _cmd_drive(args) -> int:
     # a different spec.  A per-invocation suffix keeps every drive run
     # against a long-lived server in its own namespace.
     prefix = f"{args.tenant_prefix}.{uuid.uuid4().hex[:8]}"
+    target_mkp = _target_mkp(args)
     try:
         config = DriveConfig(
             host=args.host,
@@ -890,7 +904,7 @@ def _cmd_drive(args) -> int:
             predictor=args.predictor,
             estimator=args.estimator,
             adaptive=args.adaptive,
-            target_mkp=args.target_mkp,
+            **target_mkp,
             seed=args.seed,
             mode=args.mode,
             clients=tuple(args.clients),

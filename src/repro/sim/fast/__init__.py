@@ -14,15 +14,16 @@ estimators — built on five layers:
 * :mod:`repro.sim.fast.scan` — exact clamp-add segmented prefix scans
   over counter tables, processed in bounded chunks;
 * :mod:`repro.sim.fast.planes` — precomputed TAGE index/tag planes
-  (the folded-history arithmetic, computed trace-wide with NumPy), plus
-  the memmap-backed on-disk cache ``run-trace``/``run-suite`` still use;
+  (the folded-history arithmetic, computed with NumPy over a whole
+  trace or one chunk of it), plus a memmap-backed on-disk cache;
 * :mod:`repro.sim.fast.tage_core` — the numpy-free TAGE core: the
   lean sequential kernel over a caller-owned, resumable state block
   (with the in-kernel §6.2 feedback loop), the batch plane builder
   that carries its history across calls, and the resumable cell the
   serving layer steps tenants on;
-* :mod:`repro.sim.fast.tage` — whole-trace TAGE runs on that kernel
-  (with per-branch observation streams for the apps layer);
+* :mod:`repro.sim.fast.tage` — whole-trace TAGE runs on that kernel,
+  streaming the planes in chunks (with per-branch observation streams
+  for the apps layer);
 * :mod:`repro.sim.fast.gehl` — the plane-fed dot-product kernels for
   the sum-based predictors and their self-confidence signals;
 * :mod:`repro.sim.fast.compiled` — the embedded-C build of the
@@ -33,8 +34,8 @@ estimators — built on five layers:
   whenever a C compiler is present (``REPRO_COMPILED_PROVIDER`` pins
   ``cext`` or ``none``);
 * :mod:`repro.sim.fast.lockstep` — multi-cell lockstep batching:
-  ablation cells sharing one trace's planes advance through a single
-  batched kernel pass over planes computed once;
+  ablation cells sharing one trace's planes advance together over
+  each chunk of planes, built once;
 * :mod:`repro.sim.fast.engine` — the ``simulate_fast`` /
   ``simulate_binary_fast`` entry points assembling
   :class:`~repro.sim.engine.SimulationResult` breakdowns, plus
@@ -76,6 +77,7 @@ _EXPORTS = {
     "cell_capability": "engine",
     "vectorized_assessments": "engine",
     "vectorized_predictions": "engine",
+    "prediction_stream_key": "engine",
     "simulate_tage_fast": "tage",
     "tage_fast_predictions": "tage",
     "observe_tage_fast": "tage",

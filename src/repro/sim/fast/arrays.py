@@ -107,6 +107,10 @@ class TraceArrays:
             self._derived[key] = value
         return value
 
+    def has_derived(self, key: tuple) -> bool:
+        """Whether :meth:`derived` already holds a stream under ``key``."""
+        return key in self._derived
+
     @property
     def taken_bool(self) -> np.ndarray:
         """Outcomes as a boolean array."""

@@ -367,8 +367,7 @@ def _sum_predictor_run(predictor, arrays: TraceArrays) -> tuple[np.ndarray, np.n
                           lambda: kernel(arrays, predictor))
 
 
-def _prediction_pass(predictor, arrays: TraceArrays, chunk_size: int,
-                     planes) -> np.ndarray:
+def _prediction_pass(predictor, arrays: TraceArrays, chunk_size: int) -> np.ndarray:
     """One predictions pass of a counter-scan or TAGE predictor."""
     if type(predictor) is BimodalPredictor:
         return _bimodal_predictions(predictor, arrays, chunk_size)
@@ -376,20 +375,18 @@ def _prediction_pass(predictor, arrays: TraceArrays, chunk_size: int,
         return _gshare_predictions(predictor, arrays, chunk_size)
     if type(predictor) is LocalHistoryPredictor:
         return _local_predictions(predictor, arrays, chunk_size)
-    return tage_fast_predictions(arrays, predictor, planes)
+    return tage_fast_predictions(arrays, predictor)
 
 
 def vectorized_predictions(
     predictor,
     arrays: TraceArrays,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    planes=None,
 ) -> np.ndarray:
     """Per-branch predictions of a supported predictor over a whole trace.
 
     TAGE predictions come from the plane-fed sequential kernel
-    (:mod:`repro.sim.fast.tage`, over ``planes`` when given),
-    perceptron/O-GEHL from the dot-product
+    (:mod:`repro.sim.fast.tage`), perceptron/O-GEHL from the dot-product
     kernels (:mod:`repro.sim.fast.gehl`); bimodal/gshare/local from the
     counter scans.  The stream is computed once per configuration
     (:func:`prediction_stream_key`) and shared, read-only, by every
@@ -408,7 +405,7 @@ def vectorized_predictions(
         return predictions
     return arrays.derived(
         prediction_stream_key(predictor),
-        lambda: _prediction_pass(predictor, arrays, chunk_size, planes),
+        lambda: _prediction_pass(predictor, arrays, chunk_size),
     )
 
 
@@ -496,7 +493,7 @@ def simulate_fast(
     scans, perceptron/O-GEHL the dot-product kernels; TAGE cells — with
     or without the multi-class observation estimator and the §6.2
     adaptive controller — run on the plane-fed sequential kernel over
-    planes computed in memory.
+    planes computed chunk by chunk.
 
     Raises:
         FastBackendUnsupported: when the predictor/estimator/controller
@@ -527,16 +524,12 @@ def simulate_binary_fast(
     estimator,
     warmup_branches: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    planes=None,
 ) -> tuple[BinaryConfidenceMetrics, SimulationResult]:
     """Fast-backend equivalent of :func:`repro.sim.engine.simulate_binary`.
 
     JRS-family assessments are vectorized counter scans over any
     supported predictor's prediction stream; self-confidence assessments
-    come straight out of the perceptron/O-GEHL kernels.  A TAGE
-    predictor reads its index/tag rows from ``planes`` (the trace's
-    :class:`~repro.sim.fast.planes.TagePlanes` for its geometry) when
-    given, so the members of one sweep unit share one computation.
+    come straight out of the perceptron/O-GEHL kernels.
 
     The prediction stream, the sum-based kernels' self-confidence flags
     and the JRS base index are shared through the trace's
@@ -558,9 +551,7 @@ def simulate_binary_fast(
     if type(estimator) is SelfConfidenceEstimator:
         predictions, high = _sum_predictor_run(predictor, arrays)
     else:
-        predictions = vectorized_predictions(
-            predictor, arrays, chunk_size, planes=planes
-        )
+        predictions = vectorized_predictions(predictor, arrays, chunk_size)
         high = vectorized_assessments(estimator, arrays, predictions, chunk_size)
     correct = predictions == arrays.taken_bool
     mispredictions = int(np.count_nonzero(~correct))

@@ -7,11 +7,10 @@ estimator window, §6.2 controller parameters — while sharing the plane
 geometry ``(log_bimodal, component geometries)`` that determines the
 precomputed index/tag planes.  Running those cells as independent jobs
 re-computes the same planes once per cell; running them *in lockstep*
-computes the planes once (or takes them from the caller) and advances
-every cell through a single batched kernel pass: one kernel call per
-cell over the shared plane block, each from its own freshly powered-on
-state block — with the C build, the multiplicative win of compiled ×
-batched.
+builds each chunk of planes once (or slices it from planes the caller
+supplies) and advances every cell over it, each kernel call resuming
+from the cell's own state block — with the C build, the multiplicative
+win of compiled × batched, in one chunk of plane memory.
 
 Cells never interact — each owns its table state — so a lockstep batch
 is bit-identical to the same cells run independently (enforced by
@@ -66,7 +65,8 @@ def simulate_tage_lockstep(
 
     All cells must share one plane geometry (their configs may differ
     in any kernel-level knob); ``planes``, when given, are the
-    trace's planes for that geometry and are not recomputed.  Returns one
+    trace's whole-trace planes for that geometry, sliced into chunks
+    instead of computed.  Returns one
     :class:`~repro.sim.engine.SimulationResult` per cell, in order,
     each bit-identical to an independent
     :func:`~repro.sim.fast.tage.simulate_tage_fast` run of that cell.
@@ -97,9 +97,9 @@ def simulate_tage_lockstep(
                 "cells of one batch must share their trace planes"
             )
     arrays = TraceArrays.from_trace(trace)
-    resolved = resolve_planes(arrays, cells[0].predictor.config, planes=planes)
+    planes = resolve_planes(arrays, cells[0].predictor.config, planes=planes)
     publish = [cell.controller is None for cell in cells]
-    batch = _run_batch(resolved, prepared, publish, False)
+    batch = _run_batch(arrays, geometry, prepared, publish, False, planes)
     for cell, cell_result in zip(cells, batch):
         if cell.controller is None:
             arrays.derived(prediction_stream_key(cell.predictor),

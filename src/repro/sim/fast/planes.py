@@ -21,11 +21,15 @@ each for the PCs, the outcomes, the bimodal indices and the per-component
 index/tag planes.  Configurations that differ only in counter
 automaton, counter widths or seeds share the same planes (see
 :meth:`repro.predictors.tage.config.TageConfig.component_geometries`),
-so the sweep computes each (trace, history-geometry) plane set once per
-lockstep unit, in memory.  :class:`PlaneCache` materializes those rows
-to a single ``.npy`` file and serves repeat requests as read-only
-memmaps; only the ``run-trace``/``run-suite --cache-dir`` path uses
-it.
+and one lockstep pass advances all of them over the same rows.  Offline
+runs never hold a whole trace's planes: :mod:`repro.sim.fast.tage`
+calls :func:`compute_planes` on one chunk of branches at a time, over a
+window reaching back the geometry's longest history, so plane memory
+stays at one chunk whatever the trace length.  :class:`PlaneCache`
+materializes whole-trace rows to a single ``.npy`` file and serves
+repeat requests as read-only memmaps, which the kernel pass slices into
+the same chunks; only a ``materialization=`` caller of
+:func:`~repro.sim.fast.tage.simulate_tage_fast` uses it.
 """
 
 from __future__ import annotations
@@ -131,7 +135,8 @@ class TagePlanes:
 
 
 def compute_planes(arrays: TraceArrays, geometry: tuple) -> TagePlanes:
-    """Materialize every TAGE table lookup of a whole trace.
+    """Materialize every TAGE table lookup of ``arrays`` — a whole trace
+    or one chunk's window of it, as if the history before it were empty.
 
     Raises:
         FastBackendUnsupported: when a component's path window exceeds

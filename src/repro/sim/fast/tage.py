@@ -32,10 +32,11 @@ and are left in their power-on state, like the rest of the fast backend.
 The sequential kernel itself, its caller-owned state block and the
 cell predicate live in the numpy-free :mod:`repro.sim.fast.tage_core`
 (so the serving layer can step tenants on them); this module feeds it
-whole-trace planes.  :func:`_run_batch` runs each cell over a freshly
-powered-on state block, through the C build in
+offline traces.  :func:`_run_batch` streams a trace's planes in chunks
+of :data:`PLANE_CHUNK` branches and advances every cell's own
+powered-on state block over each chunk in turn, through the C build in
 :mod:`repro.sim.fast.compiled` whenever it resolves and the pure kernel
-otherwise.
+otherwise, so plane memory stays at one chunk however long the trace.
 """
 
 from __future__ import annotations
@@ -70,76 +71,125 @@ __all__ = [
 ]
 
 
+#: Branches per plane chunk.  Offline TAGE runs build (or slice) the
+#: index/tag rows of this many branches at a time and advance every
+#: cell over them, so plane memory stays at one chunk whatever the
+#: trace length; 16,384 measured fastest of 4K/16K/32K, because the
+#: NumPy temporaries of one chunk stay in cache.
+PLANE_CHUNK = 16_384
+
+
 def resolve_planes(
     arrays: TraceArrays,
     config,
     materialization: "PlaneCache | str | Path | None" = None,
     planes: TagePlanes | None = None,
-) -> TagePlanes:
-    """The index/tag planes for one trace × config, from the fastest source.
+) -> TagePlanes | None:
+    """Whole-trace index/tag planes for one trace × config, when the
+    caller has a source for them; None means "stream computed chunks".
 
     Precedence: an explicitly supplied ``planes`` object (validated
     against the config's geometry), then the materialization cache
-    (a :class:`PlaneCache` or a directory for one), then a fresh
-    in-memory computation.
+    (a :class:`PlaneCache` or a directory for one).
     """
-    geometry = plane_geometry(config)
     if planes is not None:
-        if planes.geometry != geometry or len(planes) != len(arrays):
+        if planes.geometry != plane_geometry(config) or len(planes) != len(arrays):
             raise ValueError("supplied planes do not match this trace/configuration")
         return planes
     if materialization is None:
-        return compute_planes(arrays, geometry)
+        return None
     cache = (
         materialization
         if isinstance(materialization, PlaneCache)
         else PlaneCache(materialization)
     )
-    return cache.load_or_compute(arrays, geometry)
+    return cache.load_or_compute(arrays, plane_geometry(config))
 
 
-def _run_batch(planes: TagePlanes, cells, want_predictions,
-               want_classes: bool):
-    """Run a batch of independent TAGE cells over one shared plane set.
+def _history_reach(geometry: tuple) -> int:
+    """How many earlier branches one branch's plane row reads: the
+    longest history length or path register of the geometry."""
+    return max(max(length, path_bits) for *_, length, path_bits in geometry[1])
+
+
+def _plane_chunks(arrays: TraceArrays, geometry: tuple,
+                  planes: TagePlanes | None = None):
+    """The trace's kernel rows (the ``TagePlanes.data[1:]`` layout), one
+    chunk of at most :data:`PLANE_CHUNK` branches at a time.
+
+    Yields ``(start, rows)``, ``rows`` a C-contiguous int64 block.
+    Supplied ``planes`` are sliced.  Otherwise each chunk goes through
+    :func:`compute_planes` over a window that starts
+    :func:`_history_reach` branches before the chunk, and that prefix
+    is dropped: every folded index/tag value depends only on that many
+    earlier outcomes and PCs, so the rows equal the whole-trace planes
+    byte for byte.
+    """
+    reach = _history_reach(geometry)
+    for start in range(0, len(arrays), PLANE_CHUNK):
+        stop = min(start + PLANE_CHUNK, len(arrays))
+        if planes is not None:
+            rows = planes.data[1:, start:stop]
+        else:
+            low = max(0, start - reach)
+            window = TraceArrays(name=arrays.name, pcs=arrays.pcs[low:stop],
+                                 takens=arrays.takens[low:stop])
+            rows = compute_planes(window, geometry).data[1:, start - low:]
+        yield start, np.ascontiguousarray(rows, dtype=np.int64)
+
+
+def _run_batch(arrays: TraceArrays, geometry: tuple, cells, want_predictions,
+               want_classes: bool, planes: TagePlanes | None = None):
+    """Run a batch of independent TAGE cells over one trace's planes.
 
     ``cells`` is a list of ``(config, estimator_window, max_strength,
     warmup, initial_k, controller_params)`` tuples, every config with
-    the plane geometry of ``planes``; ``want_predictions`` holds one
-    flag per cell.  Returns one ``(mispredictions, per-class
-    predictions, per-class mispredictions, predictions, class codes,
-    final sat-prob log2)`` tuple per cell, in order; the per-branch
-    predictions (bool) and class codes (uint8) are arrays where
-    requested and None otherwise.
+    plane geometry ``geometry``; ``want_predictions`` holds one flag
+    per cell.  Returns one ``(mispredictions, per-class predictions,
+    per-class mispredictions, predictions, class codes, final sat-prob
+    log2)`` tuple per cell, in order; the per-branch predictions (bool)
+    and class codes (uint8) are whole-trace arrays where requested and
+    None otherwise.
 
-    Each cell runs from its own freshly powered-on state block, one
-    kernel call over the whole trace, so at most one cell's tables are
-    live at a time.
+    The planes stream in chunks (:func:`_plane_chunks`; ``planes``,
+    when given, are sliced instead of computed): each chunk's rows are
+    built once and every cell's kernel resumes over them from its own
+    powered-on state block, so a cell's run is bit-identical to one
+    uninterrupted pass while plane memory stays at one chunk.
     """
     kernel = compiled.resolve_tage_kernel()
-    n = len(planes)
-    if kernel is None:
-        rows = planes.data[1:].tolist()
-    else:
-        rows = np.ascontiguousarray(planes.data[1:], dtype=np.int64)
-    results = []
+    n = len(arrays)
+    runs = []
     for cell, wants in zip(cells, want_predictions, strict=True):
         iparams, fparams = cell_params(*cell)
-        state = power_on(iparams)
+        runs.append((
+            iparams, fparams, power_on(iparams),
+            np.zeros(n, dtype=np.uint8) if wants else None,
+            np.zeros(n, dtype=np.uint8) if want_classes else None,
+        ))
+    for start, rows in _plane_chunks(arrays, geometry, planes):
+        stop = start + rows.shape[1]
         if kernel is None:
-            predictions, classes = _kernel(
-                rows, iparams, fparams, state, wants, want_classes
+            rows = rows.tolist()
+        for iparams, fparams, state, predictions, classes in runs:
+            if kernel is not None:
+                kernel(rows, stop - start, iparams, fparams, state,
+                       None if predictions is None else predictions[start:stop],
+                       None if classes is None else classes[start:stop])
+                continue
+            chunk_predictions, chunk_classes = _kernel(
+                rows, iparams, fparams, state,
+                predictions is not None, classes is not None,
             )
             if predictions is not None:
-                predictions = np.array(predictions, dtype=bool)
+                predictions[start:stop] = chunk_predictions
             if classes is not None:
-                classes = np.array(classes, dtype=np.uint8)
-        else:
-            predictions = np.zeros(n, dtype=np.uint8) if wants else None
-            classes = np.zeros(n, dtype=np.uint8) if want_classes else None
-            kernel(rows, n, iparams, fparams, state, predictions, classes)
-            if predictions is not None:
-                predictions = predictions.view(bool)
+                classes[start:stop] = chunk_classes
+    results = []
+    for _, _, state, predictions, classes in runs:
         mispredictions, pred_counts, misp_counts, final_k = cell_counts(state)
+        if predictions is not None:
+            predictions = predictions.view(bool)
         results.append((mispredictions, pred_counts, misp_counts,
                         predictions, classes, final_k))
     return results
@@ -184,26 +234,21 @@ def simulate_tage_fast(
     """
     cell = cell_inputs(predictor, estimator, controller, warmup_branches)
     arrays = TraceArrays.from_trace(trace)
-    resolved = resolve_planes(arrays, predictor.config, materialization, planes)
-    (cell_result,) = _run_batch(resolved, [cell], [False], False)
+    planes = resolve_planes(arrays, predictor.config, materialization, planes)
+    (cell_result,) = _run_batch(arrays, plane_geometry(predictor.config),
+                                [cell], [False], False, planes)
     return _assemble_result(trace, predictor, estimator, controller, cell_result)
 
 
-def tage_fast_predictions(
-    arrays: TraceArrays,
-    predictor,
-    planes: TagePlanes | None = None,
-) -> np.ndarray:
+def tage_fast_predictions(arrays: TraceArrays, predictor) -> np.ndarray:
     """Per-branch TAGE predictions over a whole trace (bool array).
 
     Feeds the vectorized JRS-family assessment stage of
-    :func:`repro.sim.fast.engine.simulate_binary_fast`; ``planes``
-    (this trace's, for the predictor's geometry) skips their
-    computation.
+    :func:`repro.sim.fast.engine.simulate_binary_fast`.
     """
     cell = cell_inputs(predictor, None, None, 0)
-    resolved = resolve_planes(arrays, predictor.config, planes=planes)
-    (cell_result,) = _run_batch(resolved, [cell], [True], False)
+    (cell_result,) = _run_batch(arrays, plane_geometry(predictor.config),
+                                [cell], [True], False)
     return cell_result[3]
 
 
@@ -211,7 +256,6 @@ def observe_tage_fast(
     trace,
     predictor,
     estimator,
-    planes: TagePlanes | None = None,
 ) -> tuple[list[bool], list[int]]:
     """Per-branch (predictions, observation class codes) of one trace.
 
@@ -227,7 +271,7 @@ def observe_tage_fast(
             "observation streams need the TAGE observation estimator"
         )
     cell = cell_inputs(predictor, estimator, None, 0)
-    arrays = TraceArrays.from_trace(trace)
-    resolved = resolve_planes(arrays, predictor.config, planes=planes)
-    (cell_result,) = _run_batch(resolved, [cell], [True], True)
+    (cell_result,) = _run_batch(TraceArrays.from_trace(trace),
+                                plane_geometry(predictor.config),
+                                [cell], [True], True)
     return cell_result[3].tolist(), cell_result[4].tolist()

@@ -38,7 +38,8 @@ cell and downgraded to the reference engine with a single
 worker), and the fast TAGE jobs sharing one trace, length and plane
 geometry — multi-class and JRS-family alike — are fused into one
 :class:`~repro.sweep.spec.LockstepBatch` unit (:func:`plan_lockstep`)
-that computes the trace's arrays and index/tag planes once, in memory.
+that computes the trace's arrays once and streams its index/tag planes
+through every member chunk by chunk.
 Every cell the default grids can express — all predictor kinds, all estimator
 kinds, adaptive §6.2 included — is inside the fast family, so a
 ``backend="fast"`` sweep over them emits no warnings at all; the probe
@@ -118,10 +119,10 @@ __all__ = [
     "build_cell",
 ]
 
-#: Largest lockstep unit the planner builds.  Members run one at a time
-#: over the unit's shared planes, so a unit holds one plane set and one
-#: cell's tables whatever its size; the cap keeps enough independent
-#: units for the worker pool to stay busy.
+#: Largest lockstep unit the planner builds.  A unit holds one chunk of
+#: planes plus every member's table state (at most 448 KiB per TAGE-256K
+#: cell); the cap keeps enough independent units for the worker pool to
+#: stay busy.
 LOCKSTEP_MAX_BATCH = 16
 
 #: Estimator kinds whose fast TAGE jobs join a geometry unit (``self``
@@ -244,21 +245,21 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
     """Run one lockstep unit; one :class:`JobResult` per member, in order.
 
     Every member shares the unit's trace, length and plane geometry
-    (the planner guarantees it), so the trace arrays and index/tag
-    planes are computed once, in memory.  The multi-class ``tage``
-    members advance through one
+    (the planner guarantees it), so the unit makes one
     :func:`~repro.sim.fast.lockstep.simulate_tage_lockstep` pass over
-    those planes and each ``jrs``/``ejrs`` member runs
-    :func:`~repro.sim.fast.engine.simulate_binary_fast` over them — all
-    bit-identical to running each member through :func:`execute_job`
-    independently.  Every ``tage`` member without a §6.2 controller
-    publishes its prediction stream in that pass, and a binary member
-    of the same TAGE configuration reads it instead of making its own
-    kernel pass; the stream stays on the
-    trace's :class:`~repro.sim.fast.arrays.TraceArrays`, with the JRS
-    index the binary members share, until the worker moves to another
-    trace.  The unit's wall-clock cost is attributed evenly across the
-    members' ``elapsed`` fields.
+    its distinct TAGE cells, and each chunk of index/tag planes is
+    built once for all of them.  Those cells are the multi-class
+    ``tage`` members, plus one prediction-only cell per TAGE
+    configuration that a ``jrs``/``ejrs`` member needs and no ``tage``
+    member without a §6.2 controller publishes (nor an earlier unit of
+    the trace left on its :class:`~repro.sim.fast.arrays.TraceArrays`).
+    Each binary member then runs
+    :func:`~repro.sim.fast.engine.simulate_binary_fast` on the
+    published prediction stream, with the JRS index the binary members
+    share; both stay on the trace's arrays until the worker moves to
+    another trace.  Every member is bit-identical to running it through
+    :func:`execute_job` alone.  The unit's wall-clock cost is
+    attributed evenly across the members' ``elapsed`` fields.
     """
     start = time.perf_counter()
     jobs = [job for _, job in batch.members]
@@ -269,16 +270,26 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
                    seed=job.seed, target_mkp=job.target_mkp)
         for job in jobs
     ]
-    planes = fast.compute_planes(
-        fast.TraceArrays.from_trace(trace),
-        fast.plane_geometry(cells[0].predictor.config),
-    )
-    multi_class = iter(fast.simulate_tage_lockstep(trace, [
+    arrays = fast.TraceArrays.from_trace(trace)
+    lockstep_cells = [
         fast.LockstepCell(cell.predictor, cell.estimator, cell.controller,
                           warmup_branches=job.warmup_branches)
         for job, cell in zip(jobs, cells)
         if not cell.binary
-    ], planes=planes))
+    ]
+    published = {
+        fast.prediction_stream_key(cell.predictor)
+        for cell in lockstep_cells
+        if cell.controller is None
+    }
+    for cell in cells:
+        if not cell.binary:
+            continue
+        key = fast.prediction_stream_key(cell.predictor)
+        if key not in published and not arrays.has_derived(key):
+            published.add(key)
+            lockstep_cells.append(fast.LockstepCell(cell.predictor))
+    multi_class = iter(fast.simulate_tage_lockstep(trace, lockstep_cells))
     outcomes = []
     for job, cell in zip(jobs, cells):
         if not cell.binary:
@@ -287,7 +298,7 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
             continue
         binary, result = fast.simulate_binary_fast(
             trace, cell.predictor, cell.estimator,
-            warmup_branches=job.warmup_branches, planes=planes,
+            warmup_branches=job.warmup_branches,
         )
         outcomes.append((result, binary, cell.estimator.storage_bits()))
     elapsed = (time.perf_counter() - start) / len(jobs)

@@ -281,17 +281,17 @@ class JobSpec:
 @dataclass(frozen=True)
 class LockstepBatch:
     """A fused work unit: fast-backend TAGE jobs sharing one trace, one
-    length and one plane geometry, run from a single in-memory
-    computation of that trace's arrays and index/tag planes.
+    length and one plane geometry, run as one pass that streams the
+    trace's index/tag planes chunk by chunk through every member.
 
-    Members may mix the multi-class ``tage`` estimator (one batched
-    kernel pass) with the binary ``jrs``/``ejrs`` estimators (a counter
-    scan each, over the same planes).  A binary member reads the
-    prediction stream a controller-free ``tage`` member of the same TAGE
-    configuration published in that pass, and runs its own prediction
-    pass only when there is none; the JRS base index is shared by every
-    binary cell of the trace.  Those streams stay on the trace's arrays
-    until the executing process materializes another trace.
+    Members may mix the multi-class ``tage`` estimator with the binary
+    ``jrs``/``ejrs`` estimators (a counter scan each).  A binary member
+    reads the prediction stream a controller-free ``tage`` member of the
+    same TAGE configuration published in that pass; when there is none,
+    the pass carries a prediction-only cell for it.  The JRS base index
+    is shared by every binary cell of the trace.  Those streams stay on
+    the trace's arrays until the executing process materializes another
+    trace.
 
     ``members`` keeps each job's original grid index so the broker can
     fan completion (cache store, journal record, result slot) back out

@@ -37,6 +37,12 @@ class TestParsers:
         with pytest.raises(SystemExit):
             main(["drive", "--predictor", "magic-8ball"])
 
+    def test_drive_target_mkp_without_adaptive_exits(self):
+        """Refused before any connection: the target would be ignored."""
+        with pytest.raises(SystemExit, match="--adaptive"):
+            main(["drive", "--port", "1", "--connect-timeout", "0.1",
+                  "--target-mkp", "10"])
+
     def test_drive_unreachable_server_exits(self):
         with pytest.raises(SystemExit, match="cannot reach"):
             main(["drive", "--port", "1", "--connect-timeout", "0.1",

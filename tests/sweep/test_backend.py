@@ -216,21 +216,23 @@ class TestInMemoryPlanes:
 
     def test_units_compute_planes_once_per_trace_geometry(self, monkeypatch):
         pytest.importorskip("numpy")
-        from repro.sim import fast
+        from repro.sim.fast import tage
 
         computed = []
-        compute_planes = fast.compute_planes
+        compute_planes = tage.compute_planes
 
         def counting(arrays, geometry):
             computed.append((arrays.name, geometry))
             return compute_planes(arrays, geometry)
 
-        monkeypatch.setattr(fast, "compute_planes", counting)
+        monkeypatch.setattr(tage, "compute_planes", counting)
+        monkeypatch.setattr(tage, "PLANE_CHUNK", 400)
         fused = run_sweep(self._tage_spec(), workers=1)
-        # Both automata under both estimators share one plane set per
-        # trace: two computations for eight jobs.
+        # Both automata under both estimators stream one plane set per
+        # trace: three 400-branch chunk builds per unit for eight jobs,
+        # not one per member.
         assert fused.n_executed == 8
-        assert sorted(name for name, _ in computed) == ["INT-1", "MM-1"]
+        assert sorted(name for name, _ in computed) == ["INT-1"] * 3 + ["MM-1"] * 3
         reference = run_sweep(self._tage_spec(backend="reference"), workers=1)
         assert fused.table.rows() == reference.table.rows()
 

@@ -26,6 +26,13 @@ class TestSweepParser:
         with pytest.raises(SystemExit, match="--adaptive"):
             main(["sweep", "--target-mkp", "12", "--no-cache"])
 
+    def test_default_target_mkp_without_adaptive_exits(self):
+        """An explicit target equal to the default is refused too."""
+        with pytest.raises(SystemExit, match="--adaptive"):
+            main(["sweep", "--target-mkp", "10", "--no-cache",
+                  "--traces", "INT-1", "--branches", "200",
+                  "--predictors", "tage-16K", "--estimators", "tage"])
+
     def test_adaptive_sweep_runs(self, capsys):
         assert main([
             "sweep", "--branches", "400", "--traces", "INT-1",
