@@ -46,42 +46,23 @@ Quickstart::
     print(result.mpki, result.class_table())
 """
 
-from repro.confidence.adaptive import AdaptiveSaturationController
-from repro.confidence.classes import ConfidenceLevel, PredictionClass
-from repro.confidence.estimator import TageConfidenceEstimator
-from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
-from repro.confidence.metrics import BinaryConfidenceMetrics, ClassBreakdown
-from repro.predictors.base import BranchPredictor
-from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.gshare import GsharePredictor
-from repro.predictors.ogehl import OgehlPredictor
-from repro.predictors.perceptron import PerceptronPredictor
-from repro.predictors.tage import TageConfig, TagePredictor, TagePrediction
-from repro.sim.engine import SimulationResult, simulate
-from repro.sweep import EstimatorSpec, ExperimentSpec, PredictorSpec, run_sweep
-from repro.traces.types import BranchRecord, Trace
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveSaturationController",
-    "BimodalPredictor",
-    "BinaryConfidenceMetrics",
-    "BranchPredictor",
-    "BranchRecord",
-    "ClassBreakdown",
-    "ConfidenceLevel",
-    "EnhancedJrsEstimator",
-    "GsharePredictor",
-    "JrsEstimator",
-    "OgehlPredictor",
-    "PerceptronPredictor",
-    "PredictionClass",
-    "SimulationResult",
-    "TageConfidenceEstimator",
-    "TageConfig",
-    "TagePrediction",
-    "TagePredictor",
-    "Trace",
-    "simulate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.confidence.adaptive": ("AdaptiveSaturationController",),
+    "repro.predictors.bimodal": ("BimodalPredictor",),
+    "repro.confidence.metrics": ("BinaryConfidenceMetrics", "ClassBreakdown"),
+    "repro.predictors.base": ("BranchPredictor",),
+    "repro.traces.types": ("BranchRecord", "Trace"),
+    "repro.confidence.classes": ("ConfidenceLevel", "PredictionClass"),
+    "repro.confidence.jrs": ("EnhancedJrsEstimator", "JrsEstimator"),
+    "repro.predictors.gshare": ("GsharePredictor",),
+    "repro.predictors.ogehl": ("OgehlPredictor",),
+    "repro.predictors.perceptron": ("PerceptronPredictor",),
+    "repro.sim.engine": ("SimulationResult", "simulate"),
+    "repro.confidence.estimator": ("TageConfidenceEstimator",),
+    "repro.predictors.tage": ("TageConfig", "TagePrediction", "TagePredictor"),
+    "repro.sweep": ("EstimatorSpec", "ExperimentSpec", "PredictorSpec", "run_sweep"),
+})

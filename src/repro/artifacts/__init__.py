@@ -14,41 +14,13 @@ The benchmark suite consumes the same registry, so every experiment grid
 in the repository is defined exactly once.
 """
 
-from repro.artifacts.registry import (
-    ARTIFACT_KEYS,
-    REGISTRY,
-    UnknownArtifactError,
-    get_artifact,
-    observation_grid,
-    suite_grid,
-)
-from repro.artifacts.runner import (
-    ArtifactValidationError,
-    PaperRun,
-    build_artifact,
-    run_paper,
-    select_artifacts,
-    write_reports,
-)
-from repro.artifacts.service import SweepService
-from repro.artifacts.spec import ArtifactPayload, ArtifactResult, ArtifactSpec, Scale
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_KEYS",
-    "REGISTRY",
-    "ArtifactPayload",
-    "ArtifactResult",
-    "ArtifactSpec",
-    "ArtifactValidationError",
-    "PaperRun",
-    "Scale",
-    "SweepService",
-    "UnknownArtifactError",
-    "build_artifact",
-    "get_artifact",
-    "observation_grid",
-    "run_paper",
-    "select_artifacts",
-    "suite_grid",
-    "write_reports",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".registry": ("ARTIFACT_KEYS", "REGISTRY", "UnknownArtifactError",
+                  "get_artifact", "observation_grid", "suite_grid"),
+    ".spec": ("ArtifactPayload", "ArtifactResult", "ArtifactSpec", "Scale"),
+    ".runner": ("ArtifactValidationError", "PaperRun", "build_artifact",
+                "run_paper", "select_artifacts", "write_reports"),
+    ".service": ("SweepService",),
+})

@@ -45,7 +45,7 @@ from repro.confidence.classes import (
     PredictionClass,
 )
 from repro.confidence.estimator import TageConfidenceEstimator
-from repro.predictors.tage.config import TageConfig
+from repro.predictors.tage.config import SIZES, TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.report import (
     format_confidence_table,
@@ -59,10 +59,11 @@ from repro.sim.runner import get_trace
 from repro.sim.stats import SuiteSummary, summarize
 from repro.sweep.spec import EstimatorSpec, ExperimentSpec, PredictorSpec
 from repro.traces.sources import ZOO_SOURCE_NAMES
-from repro.traces.suites import (
+from repro.traces.names import (
     CBP1_TRACE_NAMES,
     CBP2_TRACE_NAMES,
     FIGURE4_TRACE_NAMES,
+    SUITES,
 )
 
 __all__ = [
@@ -77,10 +78,6 @@ __all__ = [
     "zoo_observation_grid",
     "zoo_adversarial_grid",
 ]
-
-#: The paper's TAGE storage presets and trace suites.
-SIZES = ("16K", "64K", "256K")
-SUITES = ("CBP1", "CBP2")
 
 _SUITE_TRACES = {"CBP1": CBP1_TRACE_NAMES, "CBP2": CBP2_TRACE_NAMES}
 

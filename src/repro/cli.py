@@ -41,64 +41,31 @@ Usage (``python -m repro <command>``):
   recording the report as JSON (``--record``).
 
 The CLI is a thin veneer over the library; each command maps to one or
-two public calls.
+two public calls.  Only the parser's constant tables load with this
+module: each handler imports what its command uses, so ``repro serve``
+never loads the sweep layer and ``repro list-traces`` builds no
+predictor.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import json
-import signal
 import sys
-import uuid
-from pathlib import Path
 
-from repro.artifacts import (
-    REGISTRY,
-    ArtifactValidationError,
-    Scale,
-    UnknownArtifactError,
-    run_paper,
-    write_reports,
-)
 from repro.predictors.tage.config import (
     AUTOMATON_PROBABILISTIC,
     AUTOMATON_STANDARD,
-)
-from repro.serve import (
-    ConfidenceServer,
-    DifferentialMismatchError,
-    DriveConfig,
-    ServeError,
-    ServerConfig,
-    run_differential_check,
-    run_drive,
+    SIZES,
 )
 from repro.sim.backends import BACKENDS, DEFAULT_BACKEND
-from repro.sim.report import format_confidence_table, render_table
-from repro.sim.runner import SIZES, SUITES, get_trace, run_trace
-from repro.sim.stats import summarize
-from repro.sweep import (
-    EstimatorSpec,
-    ExperimentSpec,
-    JournalError,
-    PredictorSpec,
-    ResultCache,
-    SweepInterrupted,
-    resume_sweep,
-    run_sweep,
-)
-from repro.sweep.cache import default_cache_dir
-from repro.traces.io import TraceFormatError, read_trace, write_trace
-from repro.traces.sources import FILE_PREFIX, get_source, is_source_name, source_names
-from repro.traces.stats import analyze_trace
-from repro.traces.suites import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
+from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, SUITES
 
 __all__ = ["main", "build_parser"]
 
 
 def _get_trace(name: str, n_branches: int):
+    from repro.sim.runner import get_trace
+
     try:
         return get_trace(name, n_branches)
     except KeyError:
@@ -131,6 +98,9 @@ def _add_backend_arg(parser: argparse.ArgumentParser,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.artifacts.spec import Scale
+    from repro.sweep.cache import default_cache_dir
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Storage-free TAGE confidence estimation (Seznec, HPCA 2011) reproduction",
@@ -467,6 +437,8 @@ def _target_mkp(args) -> dict:
 
 
 def _cmd_run_trace(args) -> int:
+    from repro.sim.runner import run_trace
+
     preset = _preset(args)
     trace = _get_trace(args.name, args.branches)
     result = run_trace(trace, backend=args.backend, **preset)
@@ -475,6 +447,12 @@ def _cmd_run_trace(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from repro.sim.report import format_confidence_table
+    from repro.sim.stats import summarize
+    from repro.sweep.broker import SweepInterrupted
+    from repro.sweep.executor import run_sweep
+    from repro.sweep.spec import EstimatorSpec, ExperimentSpec, PredictorSpec
+
     spec = ExperimentSpec(
         name=f"cli-run-suite-{args.suite}",
         predictors=(PredictorSpec.of("tage", **_preset(args)),),
@@ -512,6 +490,13 @@ def _suite_trace_names(suite: str) -> tuple[str, ...]:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.sweep.broker import SweepInterrupted
+    from repro.sweep.cache import ResultCache
+    from repro.sweep.executor import resume_sweep, run_sweep
+    from repro.sweep.journal import JournalError
+    from repro.sweep.spec import EstimatorSpec, ExperimentSpec, PredictorSpec
+    from repro.traces.sources.base import is_source_name
+
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume is not None:
         # The journal carries the grid: axis flags are ignored on resume.
@@ -578,7 +563,7 @@ def _cmd_sweep(args) -> int:
     return _print_sweep(args, run, cache)
 
 
-def _report_interrupted(interrupted: SweepInterrupted) -> int:
+def _report_interrupted(interrupted) -> int:
     """Checkpointed SIGINT/SIGTERM: print the resume hint, exit 130."""
     print(f"\ninterrupted: {interrupted.n_done} job(s) done, "
           f"{interrupted.n_pending} pending (journal checkpointed)")
@@ -588,6 +573,8 @@ def _report_interrupted(interrupted: SweepInterrupted) -> int:
 
 
 def _print_sweep(args, run, cache) -> int:
+    from repro.sim.report import render_table
+
     if args.tsv:
         print(run.table.to_tsv())
     else:
@@ -623,6 +610,18 @@ def _print_sweep(args, run, cache) -> int:
 
 
 def _cmd_paper(args) -> int:
+    from repro.artifacts.registry import REGISTRY, UnknownArtifactError
+    from repro.artifacts.runner import (
+        ArtifactValidationError,
+        run_paper,
+        write_reports,
+    )
+    from repro.artifacts.spec import Scale
+    from repro.sim.report import render_table
+    from repro.sweep.broker import SweepInterrupted
+    from repro.sweep.cache import ResultCache
+    from repro.sweep.journal import JournalError
+
     if args.list_artifacts:
         rows = [
             [spec.key, spec.paper_element, spec.kind, spec.title]
@@ -680,6 +679,8 @@ def _cmd_paper(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
+    from repro.traces.io import write_trace
+
     trace = _get_trace(args.name, args.branches)
     write_trace(trace, args.path)
     print(f"wrote {len(trace)} records to {args.path}")
@@ -687,12 +688,25 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from repro.traces.io import read_trace
+    from repro.traces.stats import analyze_trace
+
     trace = read_trace(args.path)
     print(analyze_trace(trace).summary())
     return 0
 
 
 def _cmd_trace(args) -> int:
+    from repro.sim.report import render_table
+    from repro.traces.io import TraceFormatError, read_trace, write_trace
+    from repro.traces.sources.base import (
+        FILE_PREFIX,
+        get_source,
+        is_source_name,
+        source_names,
+    )
+    from repro.traces.stats import analyze_trace
+
     if args.list_sources:
         rows = [
             [name, get_source(name).spec_dict()["kind"], get_source(name).source_id()]
@@ -726,6 +740,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_list_traces(args) -> int:
+    from repro.traces.sources.base import source_names
+
     print("CBP-1:", " ".join(CBP1_TRACE_NAMES))
     print("CBP-2:", " ".join(CBP2_TRACE_NAMES))
     print("sources:", " ".join(source_names()))
@@ -735,6 +751,7 @@ def _cmd_list_traces(args) -> int:
 def _cmd_capability(args) -> int:
     from repro.serve.state import SessionSpec
     from repro.sim.fast.compiled import provider_unavailable_reason
+    from repro.sim.report import render_table
 
     try:
         spec = SessionSpec(tenant="cli", predictor=args.predictor,
@@ -775,6 +792,8 @@ def _lint_config() -> dict:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10: fall back to defaults
         return {}
+    from pathlib import Path
+
     pyproject = Path("pyproject.toml")
     if not pyproject.is_file():
         return {}
@@ -788,6 +807,8 @@ def _lint_config() -> dict:
 
 
 def _cmd_lint(args) -> int:
+    from pathlib import Path
+
     from repro.analysis import (
         Baseline,
         RULES,
@@ -798,6 +819,7 @@ def _cmd_lint(args) -> int:
         run_lint,
     )
     from repro.analysis.baseline import BaselineError
+    from repro.sim.report import render_table
 
     if args.list_rules:
         print(render_table(
@@ -850,7 +872,12 @@ def _cmd_lint(args) -> int:
     return report.exit_code
 
 
-async def _serve_until_signalled(config: ServerConfig) -> ConfidenceServer:
+async def _serve_until_signalled(config):
+    import asyncio
+    import signal
+
+    from repro.serve.server import ConfidenceServer
+
     server = ConfidenceServer(config)
     host, port = await server.start()
     print(f"serving on {host}:{port} "
@@ -867,6 +894,10 @@ async def _serve_until_signalled(config: ServerConfig) -> ConfidenceServer:
 
 
 def _cmd_serve(args) -> int:
+    import asyncio
+
+    from repro.serve.server import ServerConfig
+
     try:
         config = ServerConfig(
             host=args.host,
@@ -888,6 +919,18 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_drive(args) -> int:
+    import json
+    import uuid
+
+    from repro.serve.client import ServeError
+    from repro.serve.driver import (
+        DifferentialMismatchError,
+        DriveConfig,
+        run_differential_check,
+        run_drive,
+    )
+    from repro.sim.report import render_table
+
     # Tenants are stateful on the server side: re-using a name would
     # either re-attach to a trained predictor (skewing the curve and
     # breaking --verify's fresh-replay bit-identity) or be refused for

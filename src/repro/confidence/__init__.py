@@ -17,41 +17,16 @@ Pcov/MPcov/MPrate (in Mispredictions per Kilo-Prediction) for multi-class
 estimators, as defined in §4.
 """
 
-from repro.confidence.adaptive import AdaptiveSaturationController
-from repro.confidence.calibration import (
-    ClassRateTracker,
-    ReliabilityReport,
-    calibrate_simulation,
-)
-from repro.confidence.classes import (
-    CLASS_ORDER,
-    ConfidenceLevel,
-    PredictionClass,
-    confidence_level_of,
-)
-from repro.confidence.estimator import TageConfidenceEstimator
-from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
-from repro.confidence.metrics import (
-    BinaryConfidenceMetrics,
-    ClassBreakdown,
-    mkp,
-)
-from repro.confidence.self_confidence import SelfConfidenceEstimator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveSaturationController",
-    "BinaryConfidenceMetrics",
-    "CLASS_ORDER",
-    "ClassBreakdown",
-    "ClassRateTracker",
-    "ReliabilityReport",
-    "calibrate_simulation",
-    "ConfidenceLevel",
-    "EnhancedJrsEstimator",
-    "JrsEstimator",
-    "PredictionClass",
-    "SelfConfidenceEstimator",
-    "TageConfidenceEstimator",
-    "confidence_level_of",
-    "mkp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".adaptive": ("AdaptiveSaturationController",),
+    ".metrics": ("BinaryConfidenceMetrics", "ClassBreakdown", "mkp"),
+    ".classes": ("CLASS_ORDER", "ConfidenceLevel", "PredictionClass",
+                 "confidence_level_of"),
+    ".calibration": ("ClassRateTracker", "ReliabilityReport",
+                     "calibrate_simulation"),
+    ".jrs": ("EnhancedJrsEstimator", "JrsEstimator"),
+    ".self_confidence": ("SelfConfidenceEstimator",),
+    ".estimator": ("TageConfidenceEstimator",),
+})

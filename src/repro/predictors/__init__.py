@@ -15,28 +15,16 @@
   and the probabilistic-saturation counter automata.
 """
 
-from repro.predictors.base import BranchPredictor, PredictorError
-from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.gshare import GsharePredictor
-from repro.predictors.local import LocalHistoryPredictor
-from repro.predictors.ogehl import OgehlPredictor
-from repro.predictors.perceptron import PerceptronPredictor
-from repro.predictors.tage import TageConfig, TagePrediction, TagePredictor
-from repro.predictors.tage.loop import LoopPredictor, LtagePredictor
-from repro.predictors.tournament import TournamentPredictor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BranchPredictor",
-    "BimodalPredictor",
-    "GsharePredictor",
-    "LocalHistoryPredictor",
-    "LoopPredictor",
-    "LtagePredictor",
-    "TournamentPredictor",
-    "OgehlPredictor",
-    "PerceptronPredictor",
-    "PredictorError",
-    "TageConfig",
-    "TagePrediction",
-    "TagePredictor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("BranchPredictor", "PredictorError"),
+    ".bimodal": ("BimodalPredictor",),
+    ".gshare": ("GsharePredictor",),
+    ".local": ("LocalHistoryPredictor",),
+    ".tage.loop": ("LoopPredictor", "LtagePredictor"),
+    ".tournament": ("TournamentPredictor",),
+    ".ogehl": ("OgehlPredictor",),
+    ".perceptron": ("PerceptronPredictor",),
+    ".tage": ("TageConfig", "TagePrediction", "TagePredictor"),
+})

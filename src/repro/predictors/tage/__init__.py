@@ -16,25 +16,13 @@ Modules:
   storage-free confidence estimator reads.
 """
 
-from repro.predictors.tage.automaton import (
-    CounterAutomaton,
-    ProbabilisticSaturationAutomaton,
-    StandardAutomaton,
-)
-from repro.predictors.tage.components import BimodalTable, TaggedComponent
-from repro.predictors.tage.config import TageConfig
-from repro.predictors.tage.loop import LoopPredictor, LtagePredictor
-from repro.predictors.tage.predictor import TagePrediction, TagePredictor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BimodalTable",
-    "CounterAutomaton",
-    "LoopPredictor",
-    "LtagePredictor",
-    "ProbabilisticSaturationAutomaton",
-    "StandardAutomaton",
-    "TageConfig",
-    "TagePrediction",
-    "TagePredictor",
-    "TaggedComponent",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".components": ("BimodalTable", "TaggedComponent"),
+    ".automaton": ("CounterAutomaton", "ProbabilisticSaturationAutomaton",
+                   "StandardAutomaton"),
+    ".loop": ("LoopPredictor", "LtagePredictor"),
+    ".config": ("TageConfig",),
+    ".predictor": ("TagePrediction", "TagePredictor"),
+})

@@ -33,6 +33,9 @@ __all__ = ["TageConfig", "AUTOMATON_STANDARD", "AUTOMATON_PROBABILISTIC"]
 AUTOMATON_STANDARD = "standard"
 AUTOMATON_PROBABILISTIC = "probabilistic"
 
+#: The paper's storage presets (Table 1), in :meth:`TageConfig.preset` names.
+SIZES = ("16K", "64K", "256K")
+
 _ALLOCATION_POLICIES = ("randomized", "first-free")
 
 

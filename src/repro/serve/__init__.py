@@ -33,51 +33,15 @@ reference :func:`repro.sim.engine.simulate` replay of the same
 :func:`repro.serve.driver.differential_check` and the CI serving smoke.
 """
 
-from repro.serve.client import (
-    DecisionStream,
-    ServeBadRequest,
-    ServeClient,
-    ServeDraining,
-    ServeError,
-    ServeRejected,
-    ServeTimeout,
-)
-from repro.serve.driver import (
-    DifferentialMismatchError,
-    DriveConfig,
-    DrivePoint,
-    DriveReport,
-    differential_check,
-    drive,
-    offline_decisions,
-    run_differential_check,
-    run_drive,
-)
-from repro.serve.protocol import ProtocolError
-from repro.serve.server import ConfidenceServer, ServerConfig, running_server
-from repro.serve.state import SessionSpec, TenantSession
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfidenceServer",
-    "ServerConfig",
-    "SessionSpec",
-    "TenantSession",
-    "ServeClient",
-    "DecisionStream",
-    "ServeError",
-    "ServeRejected",
-    "ServeTimeout",
-    "ServeDraining",
-    "ServeBadRequest",
-    "ProtocolError",
-    "running_server",
-    "DriveConfig",
-    "DrivePoint",
-    "DriveReport",
-    "drive",
-    "run_drive",
-    "differential_check",
-    "run_differential_check",
-    "DifferentialMismatchError",
-    "offline_decisions",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".server": ("ConfidenceServer", "ServerConfig", "running_server"),
+    ".state": ("SessionSpec", "TenantSession"),
+    ".client": ("ServeClient", "DecisionStream", "ServeError", "ServeRejected",
+                "ServeTimeout", "ServeDraining", "ServeBadRequest"),
+    ".protocol": ("ProtocolError",),
+    ".driver": ("DriveConfig", "DrivePoint", "DriveReport", "drive",
+                "run_drive", "differential_check", "run_differential_check",
+                "DifferentialMismatchError", "offline_decisions"),
+})

@@ -44,7 +44,8 @@ from repro.serve.client import (
     ServeTimeout,
 )
 from repro.serve.state import SessionSpec
-from repro.sim.engine import simulate, simulate_binary, step_batch
+from repro.sim.backends import Cell
+from repro.sim.engine import reduce_streams, step_batch
 from repro.sim.runner import get_trace
 
 __all__ = [
@@ -400,9 +401,15 @@ def offline_decisions(spec: SessionSpec, trace) -> DecisionStream:
     session steps on: this is the independent oracle served decisions
     are checked against.
     """
-    predictions, codes = step_batch(spec.cell(), trace.pcs, trace.takens)
-    return DecisionStream(tenant=spec.tenant, predictions=predictions,
-                          codes=codes)
+    return _offline_replay(spec, trace)[1]
+
+
+def _offline_replay(spec: SessionSpec, trace) -> tuple[Cell, DecisionStream]:
+    """:func:`offline_decisions` plus the stepped cell they came from."""
+    cell = spec.cell()
+    predictions, codes = step_batch(cell, trace.pcs, trace.takens)
+    return cell, DecisionStream(tenant=spec.tenant, predictions=predictions,
+                                codes=codes)
 
 
 async def differential_check(
@@ -417,17 +424,20 @@ async def differential_check(
     """Bit-identity of served vs offline decisions for one cell.
 
     Replays ``trace_name`` through a fresh tenant on the server and
-    through the offline reference engine, then compares the per-branch
-    (prediction, confidence-code) streams exactly — and the aggregate
-    misprediction/class counts against :func:`repro.sim.engine.simulate`
-    (or :func:`simulate_binary`) for the same cell.
+    through the offline reference engine once, then compares the
+    per-branch (prediction, confidence-code) streams exactly — and the
+    misprediction count the served stream implies against the offline
+    streams' :func:`repro.sim.engine.reduce_streams` (the reduction
+    behind :func:`~repro.sim.engine.simulate` and
+    :func:`~repro.sim.engine.simulate_binary`) and the server's own
+    accounting.
 
     Returns the aggregate accounting on success; raises
     :class:`DifferentialMismatchError` naming the first divergent branch
     otherwise.
     """
     trace = get_trace(trace_name, n_branches)
-    offline = offline_decisions(spec, trace)
+    cell, offline = _offline_replay(spec, trace)
 
     client = await ServeClient.connect(host, port, connect_timeout)
     try:
@@ -450,28 +460,16 @@ async def differential_check(
                 f"offline (prediction={op}, code={oc})"
             )
 
-    # Aggregate cross-check against the offline engines proper.
+    # Aggregate cross-check against the offline engines' reduction.
     mispredictions = sum(
         prediction != (taken == 1)
         for prediction, taken in zip(served.predictions, trace.takens)
     )
-    cell = spec.cell()
-    if cell.binary:
-        _, result = simulate_binary(
-            trace, cell.predictor, cell.estimator, backend="reference"
-        )
-    else:
-        result = simulate(
-            trace,
-            cell.predictor,
-            estimator=cell.estimator,
-            controller=cell.controller,
-            backend="reference",
-        )
+    _, result = reduce_streams(trace, cell, offline.predictions, offline.codes)
     if mispredictions != result.mispredictions:
         raise DifferentialMismatchError(
             f"served stream implies {mispredictions} mispredictions, "
-            f"offline simulate reports {result.mispredictions}"
+            f"offline reference reports {result.mispredictions}"
         )
     if stats and stats.get("mispredictions") not in (None, mispredictions):
         raise DifferentialMismatchError(

@@ -14,7 +14,7 @@ predictor and estimator objects and advance them through
 :func:`repro.sim.engine.step_batch`, one call per batch.
 
 Both kinds build their components through
-:func:`repro.sweep.executor.build_cell`, exactly like a sweep job, so a
+:func:`repro.sim.cells.build_cell`, exactly like a sweep job, so a
 served trace's per-branch decision stream is bit-identical to the
 offline reference replay of the same (predictor, estimator, trace) cell
 — the property :func:`repro.serve.driver.differential_check` enforces.
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from operator import ne
 
 from repro.sim.backends import Capability, Cell, FastBackendUnsupported, get_backend
+from repro.sim.cells import build_cell
 from repro.sim.engine import step_batch
 from repro.sim.fast.tage_core import ResumableTageCell
-from repro.sweep.executor import build_cell
 from repro.sweep.spec import EstimatorSpec, PredictorSpec
 
 __all__ = ["SessionSpec", "TenantSession"]
@@ -99,7 +99,7 @@ class SessionSpec:
 
     def cell(self) -> Cell:
         """Fresh power-on components of this session's cell, from
-        :func:`~repro.sweep.executor.build_cell` (same presets and seed
+        :func:`~repro.sim.cells.build_cell` (same presets and seed
         derivation as a sweep job)."""
         return build_cell(
             self.predictor_spec, self.estimator_spec, adaptive=self.adaptive,

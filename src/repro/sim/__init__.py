@@ -19,33 +19,15 @@
   figure series.
 """
 
-from repro.sim.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    FastBackendFallbackWarning,
-    FastBackendUnsupported,
-    validate_backend,
-)
-from repro.sim.engine import SimulationResult, simulate, simulate_binary
-from repro.sim.observe import ObservationStream, observe_trace
-from repro.sim.runner import build_predictor, run_trace
-from repro.sim.stats import SuiteSummary, summarize
-from repro.sim.report import render_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "FastBackendFallbackWarning",
-    "FastBackendUnsupported",
-    "ObservationStream",
-    "SimulationResult",
-    "SuiteSummary",
-    "observe_trace",
-    "validate_backend",
-    "build_predictor",
-    "render_table",
-    "run_trace",
-    "simulate",
-    "simulate_binary",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": ("BACKENDS", "DEFAULT_BACKEND", "FastBackendFallbackWarning",
+                  "FastBackendUnsupported", "validate_backend"),
+    ".observe": ("ObservationStream", "observe_trace"),
+    ".engine": ("SimulationResult", "simulate", "simulate_binary"),
+    ".stats": ("SuiteSummary", "summarize"),
+    ".cells": ("build_predictor",),
+    ".report": ("render_table",),
+    ".runner": ("run_trace",),
+})

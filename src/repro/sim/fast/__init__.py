@@ -63,53 +63,22 @@ on — never loads NumPy; import the rest through
 missing.
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
-#: Public name -> the submodule defining it.
-_EXPORTS = {
-    "TraceArrays": "arrays",
-    "history_windows": "arrays",
-    "segmented_history_windows": "arrays",
-    "fold_windows": "arrays",
-    "folded_history_series": "arrays",
-    "simulate_fast": "engine",
-    "simulate_binary_fast": "engine",
-    "cell_capability": "engine",
-    "vectorized_assessments": "engine",
-    "vectorized_predictions": "engine",
-    "prediction_stream_key": "engine",
-    "simulate_tage_fast": "tage",
-    "tage_fast_predictions": "tage",
-    "observe_tage_fast": "tage",
-    "perceptron_fast_run": "gehl",
-    "ogehl_fast_run": "gehl",
-    "LockstepCell": "lockstep",
-    "simulate_tage_lockstep": "lockstep",
-    "active_provider": "compiled",
-    "resolve_tage_kernel": "compiled",
-    "resolve_ogehl_kernel": "compiled",
-    "PlaneCache": "planes",
-    "TagePlanes": "planes",
-    "compute_planes": "planes",
-    "plane_geometry": "planes",
-    "default_planes_dir": "planes",
-    "CounterTable": "scan",
-    "scanned_counters": "scan",
-    "DEFAULT_CHUNK_SIZE": "scan",
-    "ResumableTageCell": "tage_core",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrays": ("TraceArrays", "history_windows", "segmented_history_windows",
+                "fold_windows", "folded_history_series"),
+    ".engine": ("simulate_fast", "simulate_binary_fast", "cell_capability",
+                "vectorized_assessments", "vectorized_predictions",
+                "prediction_stream_key"),
+    ".tage": ("simulate_tage_fast", "tage_fast_predictions",
+              "observe_tage_fast"),
+    ".gehl": ("perceptron_fast_run", "ogehl_fast_run"),
+    ".lockstep": ("LockstepCell", "simulate_tage_lockstep"),
+    ".compiled": ("active_provider", "resolve_tage_kernel",
+                  "resolve_ogehl_kernel"),
+    ".planes": ("PlaneCache", "TagePlanes", "compute_planes", "plane_geometry",
+                "default_planes_dir"),
+    ".scan": ("CounterTable", "scanned_counters", "DEFAULT_CHUNK_SIZE"),
+    ".tage_core": ("ResumableTageCell",),
+})

@@ -12,19 +12,13 @@ from repro.confidence.estimator import TageConfidenceEstimator
 from repro.predictors.tage.config import (
     AUTOMATON_PROBABILISTIC,
     AUTOMATON_STANDARD,
-    TageConfig,
+    SIZES,
 )
-from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.backends import DEFAULT_BACKEND
+from repro.sim.cells import build_predictor
 from repro.sim.engine import SimulationResult, simulate
-from repro.traces.sources import is_source_name, resolve_trace
-from repro.traces.suites import (
-    CBP1_TRACE_NAMES,
-    CBP2_TRACE_NAMES,
-    cbp1_trace,
-    cbp2_trace,
-    default_trace_length,
-)
+from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, SUITES
+from repro.traces.sources.base import is_source_name, resolve_trace
 from repro.traces.types import Trace
 
 __all__ = [
@@ -34,9 +28,6 @@ __all__ = [
     "SUITES",
     "SIZES",
 ]
-
-SUITES = ("CBP1", "CBP2")
-SIZES = ("16K", "64K", "256K")
 
 
 def get_trace(name: str, n_branches: int | None = None) -> Trace:
@@ -49,39 +40,20 @@ def get_trace(name: str, n_branches: int | None = None) -> Trace:
     process regenerates (and memoizes) the deterministic trace locally
     instead of pickling branch columns across the pipe.
     """
-    if name in CBP1_TRACE_NAMES:
-        return cbp1_trace(name, n_branches)
-    if name in CBP2_TRACE_NAMES:
-        return cbp2_trace(name, n_branches)
+    if name in CBP1_TRACE_NAMES or name in CBP2_TRACE_NAMES:
+        # The synthesis modules load on the first CBP lookup only.
+        from repro.traces import suites
+
+        if name in CBP1_TRACE_NAMES:
+            return suites.cbp1_trace(name, n_branches)
+        return suites.cbp2_trace(name, n_branches)
     if is_source_name(name):
-        return resolve_trace(
-            name, n_branches if n_branches is not None else default_trace_length()
-        )
+        if n_branches is None:
+            from repro.traces.suites import default_trace_length
+
+            n_branches = default_trace_length()
+        return resolve_trace(name, n_branches)
     raise KeyError(f"unknown trace name {name!r}")
-
-
-def build_predictor(
-    size: str = "64K",
-    automaton: str = AUTOMATON_STANDARD,
-    sat_prob_log2: int = 7,
-    **overrides,
-) -> TagePredictor:
-    """Instantiate a preset TAGE predictor.
-
-    Args:
-        size: ``"16K"``, ``"64K"`` or ``"256K"`` (paper Table 1).
-        automaton: ``"standard"`` or ``"probabilistic"`` (§6).
-        sat_prob_log2: saturation probability (probabilistic automaton
-            only); 7 → 1/128.
-        overrides: any :class:`TageConfig` field override.
-    """
-    config = TageConfig.preset(
-        size,
-        automaton=automaton,
-        sat_prob_log2=sat_prob_log2,
-        **overrides,
-    )
-    return TagePredictor(config)
 
 
 def run_trace(

@@ -51,70 +51,19 @@ Module map: :mod:`~repro.sweep.spec` (declarative specs + hashing),
 :mod:`~repro.sweep.result` (tidy aggregation).
 """
 
-from repro.sweep.broker import Broker, BrokerConfig, QuarantinedJob, SweepInterrupted
-from repro.sweep.cache import ResultCache, default_cache_dir
-from repro.sweep.executor import (
-    SweepRun,
-    default_journal_dir,
-    default_workers,
-    execute_job,
-    resume_sweep,
-    run_sweep,
-)
-from repro.sweep.faults import (
-    FAULTS_ENV,
-    FaultInjector,
-    PoisonedJobError,
-    TransientJobError,
-)
-from repro.sweep.journal import (
-    JournalError,
-    JournalState,
-    RunJournal,
-    journal_path,
-    replay_journal,
-)
-from repro.sweep.grid import GridExpansion, expand
-from repro.sweep.result import JobResult, ResultTable
-from repro.sweep.spec import (
-    ESTIMATOR_KINDS,
-    PREDICTOR_KINDS,
-    EstimatorSpec,
-    ExperimentSpec,
-    JobSpec,
-    PredictorSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PREDICTOR_KINDS",
-    "ESTIMATOR_KINDS",
-    "PredictorSpec",
-    "EstimatorSpec",
-    "ExperimentSpec",
-    "JobSpec",
-    "GridExpansion",
-    "expand",
-    "execute_job",
-    "run_sweep",
-    "resume_sweep",
-    "SweepRun",
-    "default_workers",
-    "default_journal_dir",
-    "Broker",
-    "BrokerConfig",
-    "QuarantinedJob",
-    "SweepInterrupted",
-    "FAULTS_ENV",
-    "FaultInjector",
-    "TransientJobError",
-    "PoisonedJobError",
-    "JournalError",
-    "JournalState",
-    "RunJournal",
-    "journal_path",
-    "replay_journal",
-    "ResultCache",
-    "default_cache_dir",
-    "JobResult",
-    "ResultTable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".spec": ("PREDICTOR_KINDS", "ESTIMATOR_KINDS", "PredictorSpec",
+              "EstimatorSpec", "ExperimentSpec", "JobSpec"),
+    ".grid": ("GridExpansion", "expand"),
+    ".executor": ("execute_job", "run_sweep", "resume_sweep", "SweepRun",
+                  "default_workers", "default_journal_dir"),
+    ".broker": ("Broker", "BrokerConfig", "QuarantinedJob", "SweepInterrupted"),
+    ".faults": ("FAULTS_ENV", "FaultInjector", "TransientJobError",
+                "PoisonedJobError"),
+    ".journal": ("JournalError", "JournalState", "RunJournal", "journal_path",
+                 "replay_journal"),
+    ".cache": ("ResultCache", "default_cache_dir"),
+    ".result": ("JobResult", "ResultTable"),
+})

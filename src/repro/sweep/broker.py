@@ -48,7 +48,6 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Callable, Collection
 
 from repro.sweep.faults import FaultInjector, TransientJobError
@@ -274,7 +273,7 @@ class Broker:
     def __init__(
         self,
         config: BrokerConfig,
-        ctx,
+        ctx=None,
         run_id: str | None = None,
         cache=None,
         journal: RunJournal | None = None,
@@ -481,6 +480,11 @@ class Broker:
         retry_heap: list[tuple[float, int]] = []
         ready = _ReadyQueue(pending)
         n_workers = min(self.config.workers, len(pending))
+        if self._ctx is None:
+            # Loaded only here: inline runs and the server never need it.
+            import multiprocessing
+
+            self._ctx = multiprocessing.get_context()
         slots = [_WorkerSlot(i, self._ctx, self.config) for i in range(n_workers)]
 
         def outstanding() -> int:
@@ -529,8 +533,10 @@ class Broker:
         if retry_heap:
             timeout = max(0.0, min(timeout,
                                    retry_heap[0][0] - time.monotonic()))
+        from multiprocessing.connection import wait
+
         try:
-            ready_conns = mp_connection.wait(list(by_conn), timeout=timeout)
+            ready_conns = wait(list(by_conn), timeout=timeout)
         except OSError:
             return
         for conn in ready_conns:

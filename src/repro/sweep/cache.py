@@ -24,9 +24,12 @@ import pickle
 import tempfile
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.sweep.result import JobResult
 from repro.sweep.spec import JobSpec, stable_digest
+
+if TYPE_CHECKING:
+    from repro.sweep.result import JobResult
 
 __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION", "CORRUPT_DIR"]
 
@@ -78,6 +81,10 @@ class ResultCache:
         naming the spec hash, then reported as a miss — the sweep re-runs
         the job and the next :meth:`store` writes a fresh entry.
         """
+        # Loaded here, not at import: the CLI's parser reads
+        # default_cache_dir without the result model behind it.
+        from repro.sweep.result import JobResult
+
         path = self.path(job)
         if not path.exists():
             return None

@@ -4,8 +4,8 @@
 :class:`~repro.sweep.spec.JobSpec` (pure data), regenerates the named
 trace inside the worker process (trace synthesis is deterministic and
 memoized per process, so nothing large crosses the pipe), builds the
-cell's components with :func:`build_cell` and runs the matching engine
-on the job's backend — vectorized batch execution for
+cell's components with :func:`repro.sim.cells.build_cell` and runs the
+matching engine on the job's backend — vectorized batch execution for
 ``backend="fast"`` cells the fast engine supports, the reference engine
 (after a :class:`~repro.sim.backends.FastBackendFallbackWarning`) for
 the rest.
@@ -48,25 +48,13 @@ exists for subclassed components and >62-bit history windows.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-import uuid
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.confidence.adaptive import AdaptiveSaturationController
-from repro.confidence.estimator import TageConfidenceEstimator
-from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
-from repro.confidence.self_confidence import SelfConfidenceEstimator
-from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.gshare import GsharePredictor
-from repro.predictors.local import LocalHistoryPredictor
-from repro.predictors.ogehl import OgehlPredictor
-from repro.predictors.perceptron import PerceptronPredictor
-from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
 from repro.sim.backends import (
     Capability,
     Cell,
@@ -74,8 +62,9 @@ from repro.sim.backends import (
     get_backend,
     load_fast_engine,
 )
+from repro.sim.cells import build_cell
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.runner import build_predictor, get_trace
+from repro.sim.runner import get_trace
 from repro.sweep.broker import (
     Broker,
     BrokerConfig,
@@ -116,7 +105,6 @@ __all__ = [
     "LOCKSTEP_MAX_BATCH",
     "default_workers",
     "default_journal_dir",
-    "build_cell",
 ]
 
 #: Largest lockstep unit the planner builds.  A unit holds one chunk of
@@ -129,15 +117,6 @@ LOCKSTEP_MAX_BATCH = 16
 #: never pairs with TAGE — see :meth:`EstimatorSpec.compatible_with`).
 _UNIT_ESTIMATORS = ("tage", "jrs", "ejrs")
 
-_BASELINE_PREDICTORS = {
-    "gshare": GsharePredictor,
-    "bimodal": BimodalPredictor,
-    "perceptron": PerceptronPredictor,
-    "ogehl": OgehlPredictor,
-    "local": LocalHistoryPredictor,
-}
-
-
 def default_workers() -> int:
     """Pool size when the caller does not choose: one per CPU, min 2.
 
@@ -145,64 +124,6 @@ def default_workers() -> int:
     pickling/execution) even on single-core containers.
     """
     return max(2, os.cpu_count() or 1)
-
-
-def build_cell(
-    predictor_spec: PredictorSpec,
-    estimator_spec: EstimatorSpec | None,
-    *,
-    adaptive: bool = False,
-    seed: int | None = None,
-    target_mkp: float = 10.0,
-) -> Cell:
-    """Fresh power-on components of one (predictor, estimator) cell.
-
-    The one construction of a cell's predictor, estimator and §6.2
-    controller, shared by sweep jobs, lockstep units, the capability
-    pre-pass and the serving layer's tenants and offline replays, so a
-    served cell is built exactly like the equivalent sweep job.
-
-    ``adaptive`` forces the TAGE probabilistic automaton and, under the
-    ``tage`` estimator, attaches the adaptive saturation controller
-    aiming at ``target_mkp``.  A non-None ``seed`` re-seeds the TAGE
-    deterministic random sources (LFSR + allocation xorshift); the
-    baseline predictors hold no random state.  A None
-    ``estimator_spec`` gives a predictor-only cell; the ``jrs``,
-    ``ejrs`` and ``self`` estimators give a binary one.
-    """
-    params = dict(predictor_spec.params)
-    if predictor_spec.kind == "tage":
-        if seed is not None:
-            # Two independent 32-bit streams from one job seed; the
-            # constants are arbitrary odd masks keeping the seeds nonzero.
-            params.setdefault("lfsr_seed", (seed ^ 0xA5A5A5A5) or 1)
-            params.setdefault("alloc_seed", (seed ^ 0x3C6EF373) or 1)
-        predictor = build_predictor(
-            predictor_spec.size,
-            automaton=AUTOMATON_PROBABILISTIC if adaptive else predictor_spec.automaton,
-            sat_prob_log2=predictor_spec.sat_prob_log2,
-            **params,
-        )
-    else:
-        predictor = _BASELINE_PREDICTORS[predictor_spec.kind](**params)
-    if estimator_spec is None:
-        return Cell(predictor)
-    params = dict(estimator_spec.params)
-    if estimator_spec.kind == "tage":
-        controller = (
-            AdaptiveSaturationController(predictor, target_mkp=target_mkp)
-            if adaptive
-            else None
-        )
-        return Cell(predictor, TageConfidenceEstimator(predictor, **params),
-                    controller)
-    if estimator_spec.kind == "jrs":
-        estimator = JrsEstimator(**params)
-    elif estimator_spec.kind == "ejrs":
-        estimator = EnhancedJrsEstimator(**params)
-    else:  # "self"
-        estimator = SelfConfidenceEstimator(predictor, **params)
-    return Cell(predictor, estimator, binary=True)
 
 
 def execute_job(job: JobSpec) -> JobResult:
@@ -592,6 +513,8 @@ def _open_journal(
     if journal_dir is None:
         return None, run_id, {}
     if run_id is None:
+        import uuid  # loads platform; only a minted run id needs it
+
         # repro: allow[RPR001] run-id labels the journal file, never results
         run_id = f"{plan.plan_hash()}-{uuid.uuid4().hex[:8]}"
     path = journal_path(journal_dir, run_id)
@@ -711,7 +634,6 @@ def execute_plan(
                     heartbeat_timeout=heartbeat_timeout,
                     faults=faults,
                 ),
-                ctx=multiprocessing.get_context(),
                 run_id=run_id,
                 cache=cache,
                 journal=journal,

@@ -21,67 +21,20 @@ Public entry points:
   :func:`repro.sim.runner.get_trace`.
 """
 
-from repro.traces.io import TraceReader, read_trace, write_trace
-from repro.traces.kernels import (
-    BiasedKernel,
-    BranchKernel,
-    HistoryFunctionKernel,
-    HistoryParityKernel,
-    LocalPatternKernel,
-    LoopKernel,
-    NestedLoopKernel,
-    PatternKernel,
-)
-from repro.traces.sources import (
-    TraceSource,
-    ZOO_SOURCE_NAMES,
-    register_source,
-    resolve_trace,
-    source_names,
-)
-from repro.traces.stats import TraceStatistics, analyze_trace
-from repro.traces.suites import (
-    CBP1_TRACE_NAMES,
-    CBP2_TRACE_NAMES,
-    cbp1_suite,
-    cbp1_trace,
-    cbp2_suite,
-    cbp2_trace,
-    trace_spec,
-)
-from repro.traces.types import BranchRecord, Trace
-from repro.traces.workload import KernelMix, StaticBranch, SyntheticWorkload, WorkloadSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BiasedKernel",
-    "BranchKernel",
-    "BranchRecord",
-    "CBP1_TRACE_NAMES",
-    "CBP2_TRACE_NAMES",
-    "HistoryFunctionKernel",
-    "HistoryParityKernel",
-    "KernelMix",
-    "LocalPatternKernel",
-    "LoopKernel",
-    "NestedLoopKernel",
-    "PatternKernel",
-    "StaticBranch",
-    "SyntheticWorkload",
-    "Trace",
-    "TraceReader",
-    "TraceSource",
-    "TraceStatistics",
-    "WorkloadSpec",
-    "ZOO_SOURCE_NAMES",
-    "analyze_trace",
-    "register_source",
-    "resolve_trace",
-    "source_names",
-    "cbp1_suite",
-    "cbp1_trace",
-    "cbp2_suite",
-    "cbp2_trace",
-    "read_trace",
-    "trace_spec",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".kernels": ("BiasedKernel", "BranchKernel", "HistoryFunctionKernel",
+                 "HistoryParityKernel", "LocalPatternKernel", "LoopKernel",
+                 "NestedLoopKernel", "PatternKernel"),
+    ".types": ("BranchRecord", "Trace"),
+    ".names": ("CBP1_TRACE_NAMES", "CBP2_TRACE_NAMES"),
+    ".workload": ("KernelMix", "StaticBranch", "SyntheticWorkload",
+                  "WorkloadSpec"),
+    ".io": ("TraceReader", "read_trace", "write_trace"),
+    ".sources": ("TraceSource", "ZOO_SOURCE_NAMES", "register_source",
+                 "resolve_trace", "source_names"),
+    ".stats": ("TraceStatistics", "analyze_trace"),
+    ".suites": ("cbp1_suite", "cbp1_trace", "cbp2_suite", "cbp2_trace",
+                "trace_spec"),
+})

@@ -29,6 +29,7 @@ import hashlib
 import json
 from abc import ABC, abstractmethod
 from functools import lru_cache
+from importlib import import_module
 from itertools import islice
 from pathlib import Path
 from typing import Iterator
@@ -115,6 +116,23 @@ class TraceSource(ABC):
 
 _REGISTRY: dict[str, TraceSource] = {}
 
+#: The module registering the repository's own sources, loaded by the
+#: first registry lookup or registration (never for ``file:`` names).
+_BUILTINS = "repro.traces.sources.zoo"
+_builtins_loaded = False
+
+
+def _load_builtins() -> None:
+    """Register the built-in sources ahead of any other, exactly once.
+
+    The flag is set first: the zoo registers through
+    :func:`register_source`, which calls back here.
+    """
+    global _builtins_loaded
+    if not _builtins_loaded:
+        _builtins_loaded = True
+        import_module(_BUILTINS)
+
 
 def register_source(source: TraceSource, *, replace: bool = False) -> TraceSource:
     """Register a source under its name; returns the source.
@@ -129,8 +147,9 @@ def register_source(source: TraceSource, *, replace: bool = False) -> TraceSourc
         raise ValueError(
             f"source name {name!r} shadows the {FILE_PREFIX!r} replay prefix"
         )
-    from repro.traces.suites import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
+    from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
 
+    _load_builtins()
     if name in CBP1_TRACE_NAMES or name in CBP2_TRACE_NAMES:
         raise ValueError(f"source name {name!r} shadows a built-in suite trace")
     if name in _REGISTRY:
@@ -149,6 +168,7 @@ def get_source(name: str) -> TraceSource:
         from repro.traces.sources.replay import FileReplaySource
 
         return FileReplaySource(path=name[len(FILE_PREFIX):])
+    _load_builtins()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -157,12 +177,16 @@ def get_source(name: str) -> TraceSource:
 
 def source_names() -> tuple[str, ...]:
     """Registered source names, in registration order."""
+    _load_builtins()
     return tuple(_REGISTRY)
 
 
 def is_source_name(name: str) -> bool:
     """Does ``name`` resolve to a source (registered or file replay)?"""
-    return name in _REGISTRY or name.startswith(FILE_PREFIX)
+    if name.startswith(FILE_PREFIX):
+        return True
+    _load_builtins()
+    return name in _REGISTRY
 
 
 @lru_cache(maxsize=64)

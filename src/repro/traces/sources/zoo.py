@@ -1,9 +1,9 @@
 """The scenario zoo: the repository's registered beyond-paper sources.
 
-Importing this module (via :mod:`repro.traces.sources`) registers every
-zoo source, so any process that can import the package — CLI, sweep
-spawn workers, the golden harness — resolves ``zoo.*`` names to
-bit-identical streams.  Seeds derive from the source name via CRC-32,
+Importing this module registers every zoo source; the registry in
+:mod:`repro.traces.sources.base` imports it on its first lookup, so any
+process — CLI, sweep spawn workers, the golden harness — resolves
+``zoo.*`` names to bit-identical streams.  Seeds derive from the source name via CRC-32,
 the same convention :mod:`repro.traces.suites` uses for the CBP names.
 """
 

@@ -31,9 +31,9 @@ from repro.sim.fast import arrays as fast_arrays
 from repro.sim.fast import compiled
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.engine import vectorized_predictions
+from repro.sim.cells import build_cell
 from repro.sim.runner import get_trace
 from repro.sweep.executor import (
-    build_cell,
     execute_job,
     execute_work,
     plan_lockstep,

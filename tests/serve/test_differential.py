@@ -114,6 +114,39 @@ class TestDifferential:
 
         assert _run(check) == 17
 
+    @pytest.mark.parametrize("predictor,estimator", [
+        ("tage-16K", "tage"),
+        ("gshare", "jrs"),
+    ])
+    @pytest.mark.parametrize("corruption", ["code", "prediction"])
+    def test_check_catches_a_corrupted_served_stream(
+        self, monkeypatch, predictor, estimator, corruption
+    ):
+        """differential_check runs the reference engine once; a served
+        stream with one corrupted code or one flipped prediction must
+        still fail it."""
+        replay = ServeClient.replay
+
+        async def corrupted_replay(self, trace, batch_size=512):
+            served = await replay(self, trace, batch_size=batch_size)
+            if corruption == "code":
+                served.codes[321] ^= 1
+            else:
+                served.predictions[321] = not served.predictions[321]
+            return served
+
+        monkeypatch.setattr(ServeClient, "replay", corrupted_replay)
+        spec = SessionSpec(tenant=f"diff.corrupt.{predictor}.{corruption}",
+                           predictor=predictor, estimator=estimator)
+
+        async def check(server, host, port):
+            return await differential_check(
+                host, port, spec, "zoo.markov", 800, batch_size=128
+            )
+
+        with pytest.raises(DifferentialMismatchError, match="branch 321"):
+            _run(check)
+
 
 class TestKernelSessions:
     """Multi-class sessions step on the TAGE kernel; the offline replay

@@ -20,7 +20,7 @@ np = pytest.importorskip("numpy")
 from repro.predictors.gshare import GsharePredictor
 from repro.sim.backends import FastBackendFallbackWarning
 from repro.sweep import ExperimentSpec, EstimatorSpec, PredictorSpec, run_sweep
-from repro.sweep import executor as executor_module
+from repro.sim import cells as cells_module
 
 #: Every predictor kind the spec layer can express, in one grid.
 FULL_PREDICTOR_AXIS = (
@@ -126,7 +126,7 @@ def test_unsupported_subclass_warns_exactly_once_per_cell(monkeypatch):
     """Three traces × one unsupported (predictor, estimator) cell must
     produce ONE warning for the whole run, not one per job."""
     monkeypatch.setitem(
-        executor_module._BASELINE_PREDICTORS, "gshare", _SubclassedGshare
+        cells_module._BASELINE_PREDICTORS, "gshare", _SubclassedGshare
     )
     spec = ExperimentSpec(
         name="hygiene-subclass",
@@ -144,7 +144,7 @@ def test_unsupported_subclass_warns_exactly_once_per_cell(monkeypatch):
 
 def test_two_unsupported_cells_warn_once_each(monkeypatch):
     monkeypatch.setitem(
-        executor_module._BASELINE_PREDICTORS, "gshare", _SubclassedGshare
+        cells_module._BASELINE_PREDICTORS, "gshare", _SubclassedGshare
     )
     spec = ExperimentSpec(
         name="hygiene-two-cells",
