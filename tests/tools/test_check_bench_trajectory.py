@@ -112,6 +112,30 @@ class TestMain:
         assert code == 0
         assert "all 1 record(s)" in capsys.readouterr().out
 
+    def test_stale_baseline_reported_but_passes(self, tmp_path, capsys):
+        baseline = tmp_path / "records"
+        write_record(baseline, "a", 8.0)
+        write_record(baseline, "b", 8.0)
+        fresh = tmp_path / "fresh"
+        write_record(fresh, "a", 40.0)
+        write_record(fresh, "b", 16.0)  # exactly 2x: not stale yet
+        code = self.run("--fresh", str(fresh), "--baseline", str(baseline))
+        assert code == 0
+        out = capsys.readouterr().out
+        stale = [line for line in out.splitlines() if "stale baseline" in line]
+        assert stale == [
+            "stale baseline: BENCH_a.json: speedup 40.00 is over 2x its "
+            "baseline 8.00; re-record it"
+        ]
+
+    def test_fresh_baseline_prints_no_stale_line(self, tmp_path, capsys):
+        baseline = tmp_path / "records"
+        write_record(baseline, "a", 10.0)
+        fresh = tmp_path / "fresh"
+        write_record(fresh, "a", 12.0)
+        assert self.run("--fresh", str(fresh), "--baseline", str(baseline)) == 0
+        assert "stale baseline" not in capsys.readouterr().out
+
     def test_missing_fresh_measurement_fails(self, tmp_path, capsys):
         baseline = tmp_path / "records"
         write_record(baseline, "a", 10.0)

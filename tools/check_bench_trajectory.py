@@ -18,7 +18,10 @@ Usage::
 
 Exit status 1 when any fresh metric falls more than ``--tolerance``
 (default 30 %) below its committed baseline, or when a baseline has no
-fresh measurement.
+fresh measurement.  A fresh metric above :data:`STALE_FACTOR` times its
+baseline passes but prints a ``stale baseline`` line: a baseline that
+far below the code's real ratio would let a large regression through,
+so it should be re-recorded (upwards only).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "reco
 
 #: Metric compared when a record carries no ``"metric"`` field.
 DEFAULT_METRIC = "speedup"
+
+#: Fresh/baseline ratio above which a baseline is reported stale.
+STALE_FACTOR = 2.0
 
 
 class RecordLoadError(RuntimeError):
@@ -110,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     failures = []
+    stale = []
     print(f"{'record':<28} {'metric':<22} {'baseline':>9} {'fresh':>9} "
           f"{'floor':>9}  verdict")
     for name, baseline in baselines.items():
@@ -134,11 +141,20 @@ def main(argv: list[str] | None = None) -> int:
         ok = fresh_value >= floor
         print(f"{name:<28} {metric:<22} {base_value:>9.2f} {fresh_value:>9.2f} "
               f"{floor:>9.2f}  {'ok' if ok else 'REGRESSION'}")
+        if fresh_value > STALE_FACTOR * base_value:
+            stale.append(
+                f"stale baseline: {name}: {metric} {fresh_value:.2f} is over "
+                f"{STALE_FACTOR:g}x its baseline {base_value:.2f}; re-record it"
+            )
         if not ok:
             failures.append(
                 f"{name}: {metric} {fresh_value:.2f} fell below "
                 f"{floor:.2f} (baseline {base_value:.2f} - {args.tolerance:.0%})"
             )
+    if stale:
+        print()
+        for line in stale:
+            print(line)
     if failures:
         print("\nbench trajectory regression:", file=sys.stderr)
         for failure in failures:
