@@ -30,25 +30,13 @@ committed JSON baseline (:mod:`repro.analysis.baseline`).  Reporters
 render text, JSON and SARIF 2.1.0 (:mod:`repro.analysis.report`).
 """
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.engine import LintReport, collect_files, run_lint
-from repro.analysis.finding import PARSE_ERROR_RULE_ID, Finding
-from repro.analysis.report import render_json, render_sarif, render_text
-from repro.analysis.rules import RULES, get_rules, rule_ids
-from repro.analysis.source import SourceFile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "Finding",
-    "LintReport",
-    "PARSE_ERROR_RULE_ID",
-    "RULES",
-    "SourceFile",
-    "collect_files",
-    "get_rules",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "rule_ids",
-    "run_lint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".baseline": ("Baseline",),
+    ".finding": ("Finding", "PARSE_ERROR_RULE_ID"),
+    ".engine": ("LintReport", "collect_files", "run_lint"),
+    ".rules": ("RULES", "get_rules", "rule_ids"),
+    ".source": ("SourceFile",),
+    ".report": ("render_json", "render_sarif", "render_text"),
+})

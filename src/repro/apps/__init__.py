@@ -17,18 +17,10 @@ itself, and Table 2/3 quality directly bounds what these consumers can
 achieve.
 """
 
-from repro.apps.fetch_gating import FetchGatingModel, GatingPolicy, GatingStats
-from repro.apps.multipath import MultipathModel, MultipathPolicy, MultipathStats
-from repro.apps.smt_policy import SmtFetchModel, SmtPolicy, SmtStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FetchGatingModel",
-    "GatingPolicy",
-    "GatingStats",
-    "MultipathModel",
-    "MultipathPolicy",
-    "MultipathStats",
-    "SmtFetchModel",
-    "SmtPolicy",
-    "SmtStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fetch_gating": ("FetchGatingModel", "GatingPolicy", "GatingStats"),
+    ".multipath": ("MultipathModel", "MultipathPolicy", "MultipathStats"),
+    ".smt_policy": ("SmtFetchModel", "SmtPolicy", "SmtStats"),
+})

@@ -18,31 +18,13 @@ predictor implementations read like their hardware counterparts:
     tags.
 """
 
-from repro.common.bitops import fold_bits, mask, mix_pc, reverse_bits
-from repro.common.counters import (
-    SaturatingCounter,
-    SignedSaturatingCounter,
-    ctr_strength,
-    saturating_update,
-    signed_saturating_update,
-)
-from repro.common.history import FoldedHistory, GlobalHistory, PathHistory
-from repro.common.rng import Lfsr32, SplitMix64, XorShift32
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FoldedHistory",
-    "GlobalHistory",
-    "Lfsr32",
-    "PathHistory",
-    "SaturatingCounter",
-    "SignedSaturatingCounter",
-    "SplitMix64",
-    "XorShift32",
-    "ctr_strength",
-    "fold_bits",
-    "mask",
-    "mix_pc",
-    "reverse_bits",
-    "saturating_update",
-    "signed_saturating_update",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".history": ("FoldedHistory", "GlobalHistory", "PathHistory"),
+    ".rng": ("Lfsr32", "SplitMix64", "XorShift32"),
+    ".counters": ("SaturatingCounter", "SignedSaturatingCounter",
+                  "ctr_strength", "saturating_update",
+                  "signed_saturating_update"),
+    ".bitops": ("fold_bits", "mask", "mix_pc", "reverse_bits"),
+})

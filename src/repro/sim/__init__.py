@@ -11,10 +11,13 @@
 * :mod:`repro.sim.observe` — per-branch observation streams (the apps
   layer's replay input), produced on either backend (``step_batch`` on
   the reference one).
+* :mod:`repro.sim.cells` — the one cell factory
+  (:func:`~repro.sim.cells.build_cell`) and the TAGE presets
+  (:func:`build_predictor`); it loads neither the sweep broker nor the
+  trace registry.
 * :mod:`repro.sim.stats` — suite-level aggregation.
-* :mod:`repro.sim.runner` — trace lookup, TAGE presets and the
-  one-trace run :func:`run_trace` (grids run through
-  :func:`repro.sweep.run_sweep`).
+* :mod:`repro.sim.runner` — trace lookup and the one-trace run
+  :func:`run_trace` (grids run through :func:`repro.sweep.run_sweep`).
 * :mod:`repro.sim.report` — ASCII rendering of the paper's tables and
   figure series.
 """

@@ -1,7 +1,8 @@
-"""Trace lookup, predictor presets and the one-trace run.
+"""Trace lookup and the one-trace run.
 
 Thin composition layer between the trace registry, the predictor presets
-and the simulation engine.  Grids of cells (a suite, a paper table) run
+(:func:`build_predictor`, re-exported from :mod:`repro.sim.cells`) and
+the simulation engine.  Grids of cells (a suite, a paper table) run
 through :func:`repro.sweep.run_sweep`.
 """
 
@@ -9,15 +10,11 @@ from __future__ import annotations
 
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
-from repro.predictors.tage.config import (
-    AUTOMATON_PROBABILISTIC,
-    AUTOMATON_STANDARD,
-    SIZES,
-)
+from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC, AUTOMATON_STANDARD
 from repro.sim.backends import DEFAULT_BACKEND
 from repro.sim.cells import build_predictor
 from repro.sim.engine import SimulationResult, simulate
-from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, SUITES
+from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
 from repro.traces.sources.base import is_source_name, resolve_trace
 from repro.traces.types import Trace
 
@@ -25,8 +22,6 @@ __all__ = [
     "build_predictor",
     "get_trace",
     "run_trace",
-    "SUITES",
-    "SIZES",
 ]
 
 

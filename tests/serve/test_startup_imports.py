@@ -26,6 +26,7 @@ PACKAGES = (
     "repro", "repro.sweep", "repro.sim", "repro.sim.fast", "repro.traces",
     "repro.traces.sources", "repro.serve", "repro.confidence",
     "repro.predictors", "repro.predictors.tage", "repro.artifacts",
+    "repro.apps", "repro.analysis", "repro.common",
 )
 
 
