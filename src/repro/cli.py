@@ -51,6 +51,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.predictors.tage.config import (
     AUTOMATON_PROBABILISTIC,
@@ -59,6 +61,10 @@ from repro.predictors.tage.config import (
 )
 from repro.sim.backends import BACKENDS, DEFAULT_BACKEND
 from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, SUITES
+
+if TYPE_CHECKING:
+    from repro.serve.server import ConfidenceServer, ServerConfig
+    from repro.sweep.broker import SweepInterrupted
 
 __all__ = ["main", "build_parser"]
 
@@ -563,7 +569,7 @@ def _cmd_sweep(args) -> int:
     return _print_sweep(args, run, cache)
 
 
-def _report_interrupted(interrupted) -> int:
+def _report_interrupted(interrupted: SweepInterrupted) -> int:
     """Checkpointed SIGINT/SIGTERM: print the resume hint, exit 130."""
     print(f"\ninterrupted: {interrupted.n_done} job(s) done, "
           f"{interrupted.n_pending} pending (journal checkpointed)")
@@ -792,8 +798,6 @@ def _lint_config() -> dict:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10: fall back to defaults
         return {}
-    from pathlib import Path
-
     pyproject = Path("pyproject.toml")
     if not pyproject.is_file():
         return {}
@@ -807,8 +811,6 @@ def _lint_config() -> dict:
 
 
 def _cmd_lint(args) -> int:
-    from pathlib import Path
-
     from repro.analysis import (
         Baseline,
         RULES,
@@ -872,7 +874,7 @@ def _cmd_lint(args) -> int:
     return report.exit_code
 
 
-async def _serve_until_signalled(config):
+async def _serve_until_signalled(config: ServerConfig) -> ConfidenceServer:
     import asyncio
     import signal
 

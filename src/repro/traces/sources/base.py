@@ -29,11 +29,11 @@ import hashlib
 import json
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from importlib import import_module
 from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
+from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
 from repro.traces.types import BranchRecord, Trace
 
 __all__ = [
@@ -116,14 +116,13 @@ class TraceSource(ABC):
 
 _REGISTRY: dict[str, TraceSource] = {}
 
-#: The module registering the repository's own sources, loaded by the
-#: first registry lookup or registration (never for ``file:`` names).
-_BUILTINS = "repro.traces.sources.zoo"
 _builtins_loaded = False
 
 
 def _load_builtins() -> None:
-    """Register the built-in sources ahead of any other, exactly once.
+    """Register the repository's own sources (the scenario zoo) ahead of
+    any other, exactly once: on the first registry lookup or
+    registration, never for ``file:`` names.
 
     The flag is set first: the zoo registers through
     :func:`register_source`, which calls back here.
@@ -131,7 +130,7 @@ def _load_builtins() -> None:
     global _builtins_loaded
     if not _builtins_loaded:
         _builtins_loaded = True
-        import_module(_BUILTINS)
+        from repro.traces.sources import zoo  # noqa: F401 — registers on import
 
 
 def register_source(source: TraceSource, *, replace: bool = False) -> TraceSource:
@@ -147,8 +146,6 @@ def register_source(source: TraceSource, *, replace: bool = False) -> TraceSourc
         raise ValueError(
             f"source name {name!r} shadows the {FILE_PREFIX!r} replay prefix"
         )
-    from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
-
     _load_builtins()
     if name in CBP1_TRACE_NAMES or name in CBP2_TRACE_NAMES:
         raise ValueError(f"source name {name!r} shadows a built-in suite trace")

@@ -67,6 +67,27 @@ def test_tage_session_loads_no_sweep_layer():
                           "repro.traces.workload", "multiprocessing")) == []
 
 
+def test_file_trace_loads_no_synthesis(tmp_path):
+    """``file:`` replay never loads the scenario zoo or trace synthesis;
+    the first registered-name lookup does."""
+    path = tmp_path / "t.rtrc"
+    code = (
+        "from repro.sim.runner import get_trace\n"
+        "from repro.traces.io import write_trace\n"
+        "from repro.traces.types import Trace\n"
+        "pcs = [0x400000 + 4 * (i % 37) for i in range(300)]\n"
+        "takens = bytes((i * 7) % 3 == 0 for i in range(300))\n"
+        f"write_trace(Trace('t', pcs, takens, [5] * 300), {str(path)!r})\n"
+        f"assert len(get_trace('file:' + {str(path)!r}, 200)) == 200\n"
+    )
+    synthesis = ("repro.traces.sources.zoo", "repro.traces.workload",
+                 "repro.traces.suites")
+    assert _loaded(code, synthesis) == []
+    assert _loaded(code + "get_trace('zoo.markov', 10)\n", synthesis) == [
+        "repro.traces.sources.zoo", "repro.traces.workload",
+    ]
+
+
 @pytest.mark.parametrize("provider", [None, "none"])
 def test_first_observe_imports_nothing_the_session_did_not(provider):
     """Work must not move out of HELLO (session construction) into the
