@@ -117,6 +117,7 @@ LOCKSTEP_MAX_BATCH = 16
 #: never pairs with TAGE — see :meth:`EstimatorSpec.compatible_with`).
 _UNIT_ESTIMATORS = ("tage", "jrs", "ejrs")
 
+
 def default_workers() -> int:
     """Pool size when the caller does not choose: one per CPU, min 2.
 
