@@ -8,9 +8,7 @@ observe, the optional §6.2 controller, then train.  It advances a
 so a later batch resumes where the last one stopped.  Every reference
 caller — :func:`simulate`, :func:`simulate_binary`,
 :func:`repro.sim.observe.observe_trace`, the serving layer's binary
-sessions and offline replays — is a thin reduction over those streams,
-and :func:`reduce_streams` is the one that turns them into a
-:class:`SimulationResult`.
+sessions and offline replays — is a thin reduction over those streams.
 
 :func:`simulate` reports overall accuracy (misp/KI, the paper's Table 1
 metric) plus the per-class / per-level breakdowns behind every other
@@ -60,7 +58,6 @@ __all__ = [
     "class_breakdown",
     "simulate",
     "simulate_binary",
-    "reduce_streams",
     "step_batch",
 ]
 
@@ -354,9 +351,27 @@ def simulate(
         ))
         if outcome is not None:
             return outcome
-    cell = Cell(predictor, estimator, controller)
-    predictions, codes = step_batch(cell, trace.pcs, trace.takens)
-    return reduce_streams(trace, cell, predictions, codes, warmup_branches)[1]
+    predictions, codes = step_batch(
+        Cell(predictor, estimator, controller), trace.pcs, trace.takens
+    )
+    missed = bytes(map(ne, predictions, trace.takens))
+    classes = None
+    if estimator is not None:
+        classes = class_breakdown(*_code_counts(
+            codes, missed, warmup_branches, len(OBSERVATION_CLASS_CODES)
+        ))
+    return SimulationResult(
+        trace_name=trace.name,
+        predictor_name=getattr(predictor, "name", type(predictor).__name__),
+        n_branches=len(trace),
+        n_instructions=trace.total_instructions,
+        mispredictions=missed.count(1),
+        storage_bits=predictor.storage_bits(),
+        classes=classes,
+        final_sat_prob_log2=(
+            controller.sat_prob_log2 if controller is not None else None
+        ),
+    )
 
 
 def simulate_binary(
@@ -391,40 +406,19 @@ def simulate_binary(
         ), binary=True)
         if outcome is not None:
             return outcome
-    cell = Cell(predictor, estimator, binary=True)
-    predictions, codes = step_batch(cell, trace.pcs, trace.takens)
-    return reduce_streams(trace, cell, predictions, codes, warmup_branches)
-
-
-def reduce_streams(
-    trace, cell: Cell, predictions, codes, warmup_branches: int = 0,
-) -> tuple[BinaryConfidenceMetrics | None, SimulationResult]:
-    """The one reduction of :func:`step_batch`'s streams over ``trace``.
-
-    ``cell`` is the cell that produced them (read after stepping, for the
-    predictor's identity and the controller's final saturation
-    probability).  Returns the binary 2×2 confusion (None unless
-    ``cell.binary``) and the accuracy result, whose class breakdown is
-    filled for a §5 estimator; ``warmup_branches`` leading branches are
-    left out of the confidence accounting only.
-    """
-    predictor = cell.predictor
+    predictions, codes = step_batch(
+        Cell(predictor, estimator, binary=True), trace.pcs, trace.takens
+    )
     missed = bytes(map(ne, predictions, trace.takens))
-    classes = metrics = None
-    if cell.binary:
-        (low, high), (low_missed, high_missed) = _code_counts(
-            codes, missed, warmup_branches, 2
-        )
-        metrics = BinaryConfidenceMetrics(
-            high_correct=high - high_missed,
-            high_incorrect=high_missed,
-            low_correct=low - low_missed,
-            low_incorrect=low_missed,
-        )
-    elif cell.estimator is not None:
-        classes = class_breakdown(*_code_counts(
-            codes, missed, warmup_branches, len(OBSERVATION_CLASS_CODES)
-        ))
+    (low, high), (low_missed, high_missed) = _code_counts(
+        codes, missed, warmup_branches, 2
+    )
+    metrics = BinaryConfidenceMetrics(
+        high_correct=high - high_missed,
+        high_incorrect=high_missed,
+        low_correct=low - low_missed,
+        low_incorrect=low_missed,
+    )
     result = SimulationResult(
         trace_name=trace.name,
         predictor_name=getattr(predictor, "name", type(predictor).__name__),
@@ -432,9 +426,5 @@ def reduce_streams(
         n_instructions=trace.total_instructions,
         mispredictions=missed.count(1),
         storage_bits=predictor.storage_bits(),
-        classes=classes,
-        final_sat_prob_log2=(
-            cell.controller.sat_prob_log2 if cell.controller is not None else None
-        ),
     )
     return metrics, result

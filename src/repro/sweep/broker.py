@@ -273,14 +273,12 @@ class Broker:
     def __init__(
         self,
         config: BrokerConfig,
-        ctx=None,
         run_id: str | None = None,
         cache=None,
         journal: RunJournal | None = None,
         progress: Callable[[str], None] | None = None,
     ) -> None:
         self.config = config
-        self._ctx = ctx
         self.run_id = run_id
         self.cache = cache
         self.journal = journal
@@ -480,12 +478,11 @@ class Broker:
         retry_heap: list[tuple[float, int]] = []
         ready = _ReadyQueue(pending)
         n_workers = min(self.config.workers, len(pending))
-        if self._ctx is None:
-            # Loaded only here: inline runs and the server never need it.
-            import multiprocessing
+        # Loaded only here: inline runs and the server never need it.
+        import multiprocessing
 
-            self._ctx = multiprocessing.get_context()
-        slots = [_WorkerSlot(i, self._ctx, self.config) for i in range(n_workers)]
+        ctx = multiprocessing.get_context()
+        slots = [_WorkerSlot(i, ctx, self.config) for i in range(n_workers)]
 
         def outstanding() -> int:
             return len(states) - len(self._settled)
