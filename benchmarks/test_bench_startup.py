@@ -20,7 +20,9 @@ The ``layers`` block splits the in-process path of a server start
 interpreter floor (``python -c pass``).  The trajectory metric
 ``import_ratio`` is ``whole_program_import_s / import_cli_s``: a
 machine-relative ratio that falls back towards 1 if the CLI starts
-loading the whole program again.  Emits
+loading the whole program again.  The record also lists the ratio of
+each round (``import_ratio_rounds``, sorted), so its spread can be held
+against the trajectory guard's tolerance.  Emits
 ``benchmarks/records/BENCH_startup.json``.
 """
 
@@ -43,7 +45,7 @@ from repro.serve.client import ServeClient
 from repro.serve.state import SessionSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ROUNDS = 7
+ROUNDS = 15
 
 #: Every command's modules: what ``import repro.cli`` loaded before the
 #: handlers imported their own.
@@ -132,7 +134,7 @@ def _serve_hello(tmp_path: Path) -> float:
         server.communicate(timeout=30)
 
 
-def _measure(tmp_path: Path) -> dict:
+def _measure(tmp_path: Path) -> dict[str, list[float]]:
     # One untimed pass writes the bytecode caches.
     _child_json(_WHOLE_PROGRAM)
     _child_json(_SERVE_PATH)
@@ -148,16 +150,22 @@ def _measure(tmp_path: Path) -> dict:
         add({"help_s": _wall(["-m", "repro", "--help"])})
         add(_child_json(_WHOLE_PROGRAM))
         add({"serve_hello_s": _serve_hello(tmp_path)})
-    return {name: statistics.median(values) for name, values in samples.items()}
+    return samples
 
 
 def test_bench_startup(run_once, tmp_path):
-    medians = run_once(lambda: _measure(tmp_path))
+    samples = run_once(lambda: _measure(tmp_path))
+    medians = {name: statistics.median(values) for name, values in samples.items()}
     ratio = medians["whole_program_import_s"] / medians["import_cli_s"]
+    round_ratios = sorted(
+        whole / cli for whole, cli in
+        zip(samples["whole_program_import_s"], samples["import_cli_s"])
+    )
     rounded = {name: round(value, 4) for name, value in medians.items()}
 
     lines = [f"{name:<24} {value * 1e3:8.1f} ms" for name, value in rounded.items()]
-    lines.append(f"whole program / import repro.cli: {ratio:.2f}x")
+    lines.append(f"whole program / import repro.cli: {ratio:.2f}x "
+                 f"(rounds {round_ratios[0]:.2f}-{round_ratios[-1]:.2f})")
     emit("startup", "\n".join(lines))
 
     record("startup", {
@@ -165,6 +173,7 @@ def test_bench_startup(run_once, tmp_path):
         "metric": "import_ratio",
         "rounds": ROUNDS,
         "import_ratio": round(ratio, 2),
+        "import_ratio_rounds": [round(value, 2) for value in round_ratios],
         "import_cli_s": rounded["import_cli_s"],
         "help_s": rounded["help_s"],
         "serve_hello_s": rounded["serve_hello_s"],
