@@ -21,11 +21,18 @@ writes ``benchmarks/records/BENCH_paper_e2e.json``:
 * ``parallel_speedup`` (the compared metric) — wall(1) / wall(2), so
   1.0 means adding a worker costs nothing and more means it pays;
 * ``jobs_fused``, ``pools_spawned`` and ``distinct_traces`` of the
-  2-worker leg, plus the run's job accounting.
+  2-worker leg, plus the run's job accounting;
+* ``layers`` — the persistence of one more cold 2-worker run, counted
+  by wrapping ``os.open``/``os.fsync`` in that process: the cache
+  entries it committed, the commit groups they went out in (one cache
+  directory fsync each) and its total fsyncs, which must not exceed
+  one per entry plus two per group plus the journal's ``begin`` and
+  ``end`` records.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import statistics
@@ -54,6 +61,32 @@ _SUMMARY = re.compile(
     r"(\d+) artifact\(s\), (\d+) sweep jobs \((\d+) cached, (\d+) executed\)"
 )
 
+#: ``python -c`` body: run the CLI (argv after the script name) while
+#: counting the process's fsyncs by target, then print the counts as
+#: the last stdout line.  Entries fsync their ``.tmp`` file and each
+#: commit group fsyncs the cache directory.
+_COUNT_FSYNCS = """
+import json, os, sys
+paths, counts = {}, {"entries": 0, "groups": 0, "fsyncs": 0}
+real_open, real_fsync = os.open, os.fsync
+cache_dir = os.path.abspath(sys.argv[sys.argv.index("--cache-dir") + 1])
+def counting_open(path, flags, *args, **kwargs):
+    fd = real_open(path, flags, *args, **kwargs)
+    paths[fd] = os.path.abspath(os.fspath(path))
+    return fd
+def counting_fsync(fd):
+    path = paths.get(fd, "")
+    counts["fsyncs"] += 1
+    counts["entries"] += path.endswith(".tmp")
+    counts["groups"] += path == cache_dir
+    return real_fsync(fd)
+os.open, os.fsync = counting_open, counting_fsync
+import repro.cli
+code = repro.cli.main(sys.argv[1:])
+print(json.dumps(counts))
+sys.exit(code)
+"""
+
 
 def _paper_run(workers: int, root: Path,
                out_name: str = "out") -> tuple[float, str, bytes]:
@@ -71,6 +104,17 @@ def _paper_run(workers: int, root: Path,
     reports = b"".join((out / name).read_bytes()
                        for name in ("PAPER_RESULTS.md", "paper_results.json"))
     return wall, completed.stdout, reports
+
+
+def _commit_layers(root: Path) -> dict:
+    """Entries, commit groups and fsyncs of one cold 2-worker run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-c", _COUNT_FSYNCS, "paper", "--quick",
+            "--backend", "fast", "--workers", "2", "--cache-dir",
+            str(root / "cache"), "--out", str(root / "out")]
+    completed = subprocess.run(argv, cwd=root, env=env, capture_output=True,
+                               text=True, check=True)
+    return json.loads(completed.stdout.splitlines()[-1])
 
 
 def _distinct_traces(scale: Scale) -> int:
@@ -116,6 +160,13 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
     n_jobs, n_cached, n_executed = (int(summary[i]) for i in (2, 3, 4))
     assert n_executed > 0 and n_jobs == n_cached + n_executed
 
+    layers_root = tmp_path / "layers"
+    layers_root.mkdir()
+    layers = _commit_layers(layers_root)
+    assert layers["entries"] == n_executed
+    assert 0 < layers["groups"] <= n_executed
+    assert layers["fsyncs"] <= layers["entries"] + 2 * layers["groups"] + 2
+
     speedup = walls[1] / walls[2]
     payload = {
         "bench": "paper_e2e",
@@ -133,6 +184,12 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
         "n_jobs": n_jobs,
         "n_cached": n_cached,
         "n_executed": n_executed,
+        "layers": {
+            "workers": 2,
+            "entries": layers["entries"],
+            "commit_groups": layers["groups"],
+            "fsyncs": layers["fsyncs"],
+        },
     }
     record("paper_e2e", payload)
     emit(
@@ -144,5 +201,7 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
             f"--workers 2: {walls[2]:.3f}s (median of {ROUNDS})",
             f"warm re-run: {wall_warm:.3f}s (median of {ROUNDS})",
             f"parallel speedup: {speedup:.2f}x",
+            f"--workers 2 persistence: {layers['entries']} entries in "
+            f"{layers['groups']} commit group(s), {layers['fsyncs']} fsyncs",
         ]),
     )

@@ -71,11 +71,14 @@ __all__ = ["main", "build_parser"]
 
 def _get_trace(name: str, n_branches: int):
     from repro.sim.runner import get_trace
+    from repro.traces.sources.base import MissingTraceFileError
 
     try:
         return get_trace(name, n_branches)
     except KeyError:
         raise SystemExit(f"unknown trace {name!r}; try `list-traces`") from None
+    except MissingTraceFileError as error:
+        raise SystemExit(str(error)) from None
 
 
 def _add_predictor_args(parser: argparse.ArgumentParser) -> None:
@@ -501,7 +504,11 @@ def _cmd_sweep(args) -> int:
     from repro.sweep.executor import resume_sweep, run_sweep
     from repro.sweep.journal import JournalError
     from repro.sweep.spec import EstimatorSpec, ExperimentSpec, PredictorSpec
-    from repro.traces.sources.base import is_source_name
+    from repro.traces.sources.base import (
+        MissingTraceFileError,
+        is_source_name,
+        require_trace_file,
+    )
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume is not None:
@@ -541,6 +548,10 @@ def _cmd_sweep(args) -> int:
         if (name not in CBP1_TRACE_NAMES and name not in CBP2_TRACE_NAMES
                 and not is_source_name(name)):
             raise SystemExit(f"unknown trace {name!r}; try `list-traces`")
+        try:
+            require_trace_file(name)
+        except MissingTraceFileError as error:
+            raise SystemExit(str(error)) from None
 
     spec = ExperimentSpec(
         name="cli-sweep",
@@ -707,6 +718,7 @@ def _cmd_trace(args) -> int:
     from repro.traces.io import TraceFormatError, read_trace, write_trace
     from repro.traces.sources.base import (
         FILE_PREFIX,
+        MissingTraceFileError,
         get_source,
         is_source_name,
         source_names,
@@ -734,7 +746,7 @@ def _cmd_trace(args) -> int:
             else:
                 trace = get_source(name).generate(args.branches)
             origin = name
-    except TraceFormatError as error:
+    except (TraceFormatError, MissingTraceFileError) as error:
         raise SystemExit(str(error)) from None
     print(f"{origin}: {len(trace)} branches, {trace.total_instructions} instructions")
     if args.stats or args.export is None:

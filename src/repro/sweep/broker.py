@@ -4,8 +4,8 @@
 spawns :mod:`repro.sweep.worker` processes (one pair of pipes each),
 assigns units to idle workers — trace by trace, keeping each worker on
 the trace its per-process memo holds, and handing a reporting worker
-its next unit before storing the report — and classifies everything
-that can go wrong:
+its next unit before queueing its report for commit — and classifies
+everything that can go wrong:
 
 * **transient failures** (worker-reported ``transient`` errors, worker
   *crashes* — the process died holding a job — and *stalls* — the
@@ -22,10 +22,20 @@ that can go wrong:
   :class:`SweepInterrupted` — ``repro sweep --resume <run-id>`` then
   picks up exactly the unfinished jobs.
 
-Completed results are stored to the :class:`ResultCache` *as they
-arrive* (not after the run), which is what makes the journal's ``done``
-records honest: once a job is journaled done, its bytes are already on
-disk.
+Completed results are persisted *as they arrive* (not after the run)
+by one ordered group-commit thread, so the dispatch loop never waits
+on the disk.  Each group takes every completion queued while the
+previous group was being flushed and commits it in four steps: write
+every cache entry, fsync the entries back to back, ``os.replace`` each
+and fsync the cache directory once, then append the group's journal
+records in one ``write`` and one ``fsync``.  That order is what makes
+the journal's ``done`` records honest: once a job is journaled done,
+its entry is durable under its final name.  ``retry``, ``quarantine``
+and ``interrupt`` records travel through the same queue, so each one
+follows the ``done`` record of every completion the broker saw before
+it.  A crash may cost re-running the last uncommitted group, never a
+wrong cache hit; an error in the commit thread fails the run on the
+broker thread.
 
 ``workers == 1`` runs inline — no subprocesses, same retry/quarantine/
 journal semantics.  Inline, an injected ``kill`` fault takes down the
@@ -48,6 +58,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Collection
 
 from repro.sweep.faults import FaultInjector, TransientJobError
@@ -260,6 +271,113 @@ class _ReadyQueue:
         return queue.popleft()
 
 
+@dataclass
+class _Completion:
+    """One finished job waiting for its group commit."""
+
+    index: int
+    job: JobSpec
+    result: JobResult
+    attempt: int
+    #: Set by the commit thread: the one spec-hash digest of this job.
+    spec_hash: str = ""
+
+
+class _GroupCommitter:
+    """The broker's persistence: one thread committing in order, by group.
+
+    :meth:`submit` queues completions and journal records and returns at
+    once.  The thread commits everything queued since its previous group
+    (the cache stores, the ``post_store`` fault hook, then the journal
+    records in queue order) and then takes the next group.  An error
+    stops the thread; :meth:`check` re-raises it on the broker thread.
+
+    The thread starts at the first :meth:`submit`, after a pool has
+    forked its workers.  A worker respawned later is forked while the
+    thread runs; it only runs :func:`worker_main`, which touches none of
+    the thread's state.
+    """
+
+    def __init__(self, cache, journal: RunJournal | None,
+                 injector: FaultInjector,
+                 log: Callable[[str], None]) -> None:
+        self._cache = cache
+        self._journal = journal
+        self._injector = injector
+        self._log = log
+        self._queue: list = []
+        self._wakeup = threading.Condition()
+        self._closing = False
+        self._error: BaseException | None = None
+        self._thread: threading.Thread | None = None
+
+    def submit(self, *items) -> None:
+        """Queue :class:`_Completion` s, and callables that append one
+        journal record each."""
+        with self._wakeup:
+            self._queue.extend(items)
+            self._wakeup.notify()
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._loop, name="sweep-commit", daemon=True
+            )
+            self._thread.start()
+
+    def check(self) -> None:
+        """Re-raise the commit thread's error, if it has failed."""
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        """Commit everything queued, stop the thread, then :meth:`check`."""
+        if self._thread is None:
+            return
+        with self._wakeup:
+            self._closing = True
+            self._wakeup.notify()
+        self._thread.join()
+        self.check()
+
+    def _loop(self) -> None:
+        while True:
+            with self._wakeup:
+                while not self._queue and not self._closing:
+                    self._wakeup.wait()
+                group, self._queue = self._queue, []
+            if not group:
+                return
+            try:
+                self._commit(group)
+            except BaseException as error:  # noqa: BLE001 — re-raised by check()
+                self._error = error
+                return
+
+    def _commit(self, group: list) -> None:
+        done = [item for item in group if isinstance(item, _Completion)]
+        for item in done:
+            item.spec_hash = item.job.spec_hash()
+        if self._cache is not None and done:
+            with self._cache.group():
+                paths = [
+                    self._cache.store(item.job, item.result,
+                                      spec_hash=item.spec_hash)
+                    for item in done
+                ]
+            for item, path in zip(done, paths):
+                if self._injector.post_store(item.index, item.attempt, path):
+                    self._log(f"fault: corrupted cache entry for job "
+                              f"{item.index} ({item.spec_hash})")
+        if self._journal is None:
+            return
+        with self._journal.group():
+            for item in group:
+                if isinstance(item, _Completion):
+                    self._journal.job_done(item.index, item.spec_hash,
+                                           item.attempt)
+                else:
+                    item()
+
+
 def _unit_members(index: int, unit: JobSpec | LockstepBatch):
     """The (grid index, job) pairs one dispatched unit carries."""
     if isinstance(unit, LockstepBatch):
@@ -290,12 +408,20 @@ class Broker:
         #: Unit indices completed or quarantined (a lockstep batch
         #: settles as one unit; its members fan out individually).
         self._settled: set[int] = set()
+        #: The commit thread of the current :meth:`run` (None when it
+        #: has neither a cache nor a journal to write).
+        self._commits: _GroupCommitter | None = None
 
     # -- shared bookkeeping --------------------------------------------
 
     def _log(self, line: str) -> None:
         if self.progress:
             self.progress(line)
+
+    def _journal(self, method, *args) -> None:
+        """Queue one journal record (``method`` of :attr:`journal`)
+        behind every earlier completion."""
+        self._commits.submit(partial(method, *args))
 
     def _complete(self, index: int, state: _JobState, outcome,
                   results: dict[int, JobResult]) -> None:
@@ -304,22 +430,20 @@ class Broker:
         A lockstep batch returns one :class:`JobResult` per member (in
         member order); each is stored, journaled and slotted under its
         own grid index and spec hash, so downstream consumers (cache,
-        resume, result table) never see the batching.
+        resume, result table) never see the batching.  The store and
+        the ``done`` record are queued for the commit thread.
         """
         if isinstance(state.job, LockstepBatch):
             pairs = list(zip(state.job.members, outcome))
         else:
             pairs = [((index, state.job), outcome)]
-        for (job_index, job), job_outcome in pairs:
+        for (job_index, _), job_outcome in pairs:
             results[job_index] = job_outcome
-            if self.cache is not None:
-                self.cache.store(job, job_outcome)
-                if self.injector.post_store(job_index, state.attempt,
-                                            self.cache.path(job)):
-                    self._log(f"fault: corrupted cache entry for job {job_index} "
-                              f"({job.spec_hash()})")
-            if self.journal is not None:
-                self.journal.job_done(job_index, job.spec_hash(), state.attempt)
+        if self._commits is not None:
+            self._commits.submit(*(
+                _Completion(job_index, job, job_outcome, state.attempt)
+                for (job_index, job), job_outcome in pairs
+            ))
         self._settled.add(index)
 
     def _quarantine(self, index: int, state: _JobState, kind: str, error: str,
@@ -331,9 +455,8 @@ class Broker:
             )
             quarantined.append(entry)
             if self.journal is not None:
-                self.journal.job_quarantined(
-                    job_index, job.spec_hash(), kind, error, state.attempt + 1
-                )
+                self._journal(self.journal.job_quarantined, job_index,
+                              job.spec_hash(), kind, error, state.attempt + 1)
             self._log(f"quarantine: {entry.describe()}")
         self._settled.add(index)
 
@@ -346,7 +469,8 @@ class Broker:
             self._quarantine(index, state, reason, error, quarantined)
             return
         if self.journal is not None:
-            self.journal.job_retry(index, state.attempt, kind, error)
+            self._journal(self.journal.job_retry, index, state.attempt,
+                          kind, error)
         delay = backoff_delay(
             self.config.backoff_base, self.config.backoff_cap,
             self.run_id or "", index, state.attempt,
@@ -393,7 +517,8 @@ class Broker:
         )
         n_pending = n_jobs - len(results)
         if self.journal is not None:
-            self.journal.interrupt(len(results), n_pending)
+            # Committed before run() returns: run() closes the committer.
+            self._journal(self.journal.interrupt, len(results), n_pending)
         self._log(
             f"interrupted: checkpointed {len(results)} done, "
             f"{n_pending} pending"
@@ -418,6 +543,9 @@ class Broker:
         if not pending:
             return {}, []
         self._settled = set()
+        if self.cache is not None or self.journal is not None:
+            self._commits = _GroupCommitter(self.cache, self.journal,
+                                            self.injector, self._log)
         restore = self._install_signal_handlers()
         try:
             if self.config.workers == 1 or len(pending) == 1:
@@ -429,7 +557,19 @@ class Broker:
             )
             return self._run_pool(pending)
         finally:
-            restore()
+            # Drained while the stop handler is still installed: a second
+            # Ctrl-C must not cut the commit of the checkpoint short.
+            try:
+                if self._commits is not None:
+                    self._commits.close()
+            finally:
+                self._commits = None
+                restore()
+
+    def _check_commits(self) -> None:
+        """Fail the run here if the commit thread has failed."""
+        if self._commits is not None:
+            self._commits.check()
 
     def _run_inline(self, pending) -> tuple[dict[int, JobResult], list[QuarantinedJob]]:
         from repro.sweep.executor import execute_work
@@ -441,6 +581,7 @@ class Broker:
         ready = _ReadyQueue(pending)
         trace = None
         while ready or retry_heap:
+            self._check_commits()
             if self._stop.is_set():
                 self._raise_interrupted(results, states)
             if not ready:
@@ -501,6 +642,7 @@ class Broker:
 
         try:
             while outstanding() > 0:
+                self._check_commits()
                 if self._stop.is_set():
                     self._raise_interrupted(results, states)
                 now = time.monotonic()
@@ -522,8 +664,7 @@ class Broker:
         """Wait briefly for worker messages and apply them.
 
         A worker that reports is handed its next unit (``dispatch``)
-        before the broker stores and journals the report, so it computes
-        while the broker does that I/O.
+        before the broker queues the report for the commit thread.
         """
         by_conn = {slot.result_r: slot for slot in slots}
         timeout = self.config.poll_interval

@@ -2,8 +2,12 @@
 
 One sweep run owns one journal file (``<journal_dir>/<run_id>.jsonl``).
 Every record is a single canonical-JSON line carrying its own CRC-32,
-written with ``O_APPEND`` + ``fsync`` so a crash — worker, broker or
-whole-box — can lose at most the final, partially written line.  Replay
+written with ``O_APPEND`` + ``fsync``.  Records appended inside
+:meth:`RunJournal.group` go out together, in one ``write`` and one
+``fsync`` when the group exits — the sweep broker commits each group of
+completed jobs that way, after the group's cache entries are durable.
+A crash — worker, broker or whole-box — can lose at most the final,
+partially written group, whose jobs then simply re-run.  Replay
 (:func:`replay_journal`) tolerates exactly that torn tail: an incomplete
 or CRC-failing *final* line is dropped with the state reconstructed from
 everything before it, while corruption anywhere earlier raises
@@ -31,9 +35,12 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from repro.sweep.spec import canonical_json
 
@@ -97,14 +104,45 @@ class RunJournal:
         if fresh and self.path.exists():
             self.path.unlink()
         self._fd = os.open(self.path, flags, 0o644)
+        # The records a group has staged, per thread that opened it.
+        self._local = threading.local()
 
     # -- raw append ----------------------------------------------------
 
     def append(self, record: dict) -> None:
-        """Write one record durably (single ``write`` + ``fsync``)."""
+        """Write one record durably (single ``write`` + ``fsync``), or
+        stage it for the enclosing :meth:`group`."""
+        staged = getattr(self._local, "staged", None)
+        if staged is not None:
+            staged.append(_encode_record(record))
+            return
+        self._write(_encode_record(record))
+
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """Append every record of the block in one ``write`` + ``fsync``.
+
+        Records stay in append order.  Nothing is written if the block
+        raises.  A group belongs to the thread that opened it; groups
+        do not nest.
+        """
+        if getattr(self._local, "staged", None) is not None:
+            raise RuntimeError("RunJournal.group() does not nest")
+        staged: list[bytes] = []
+        self._local.staged = staged
+        try:
+            yield
+        finally:
+            self._local.staged = None
+        if staged:
+            self._write(b"".join(staged))
+
+    def _write(self, data: bytes) -> None:
         if self._fd is None:
             raise JournalError(f"journal {self.path} is closed")
-        os.write(self._fd, _encode_record(record))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view):]
         if self._fsync:
             os.fsync(self._fd)
 

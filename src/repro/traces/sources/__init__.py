@@ -20,8 +20,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".zoo": ("ADVERSARIAL_SOURCE_NAMES", "ZOO_SOURCES", "ZOO_SOURCE_NAMES"),
     ".adversarial": ("ConfidenceInversionSource", "LinearlyInseparableSource",
                      "TagAliasingStormSource"),
-    ".base": ("FILE_PREFIX", "TraceSource", "get_source", "is_source_name",
-              "register_source", "resolve_trace", "source_names"),
+    ".base": ("FILE_PREFIX", "MissingTraceFileError", "TraceSource",
+              "get_source", "is_source_name", "register_source",
+              "require_trace_file", "resolve_trace", "source_names"),
     ".replay": ("FileReplaySource",),
     ".generators": ("InterferenceSource", "LoopNestSource",
                     "MarkovChainSource", "PhaseChangeSource"),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from abc import ABC, abstractmethod
 from functools import lru_cache
 from itertools import islice
@@ -39,6 +40,8 @@ from repro.traces.types import BranchRecord, Trace
 __all__ = [
     "TraceSource",
     "FILE_PREFIX",
+    "MissingTraceFileError",
+    "require_trace_file",
     "register_source",
     "get_source",
     "source_names",
@@ -48,6 +51,27 @@ __all__ = [
 
 #: Name prefix that resolves to on-disk RTRC replay instead of the registry.
 FILE_PREFIX = "file:"
+
+
+class MissingTraceFileError(LookupError):
+    """A ``file:<path>`` trace name whose file does not exist.
+
+    Deliberately not an ``OSError``: the sweep broker retries those as
+    transient, while a missing file fails the same way every time.
+    """
+
+    def __init__(self, path: str) -> None:
+        super().__init__(f"trace file {path!r} not found")
+        self.path = path
+
+
+def require_trace_file(name: str) -> None:
+    """Refuse a ``file:<path>`` name with no file behind it; any other
+    name passes."""
+    if name.startswith(FILE_PREFIX):
+        path = name[len(FILE_PREFIX):]
+        if not os.path.exists(path):
+            raise MissingTraceFileError(path)
 
 
 class TraceSource(ABC):

@@ -16,7 +16,11 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.traces.io import TraceReader
-from repro.traces.sources.base import FILE_PREFIX, TraceSource
+from repro.traces.sources.base import (
+    FILE_PREFIX,
+    MissingTraceFileError,
+    TraceSource,
+)
 from repro.traces.types import BranchRecord, Trace
 
 __all__ = ["FileReplaySource"]
@@ -44,13 +48,19 @@ class FileReplaySource(TraceSource):
     def file_path(self) -> Path:
         return Path(self.path)
 
+    def _reader(self) -> TraceReader:
+        try:
+            return TraceReader(self.file_path)
+        except FileNotFoundError:
+            raise MissingTraceFileError(self.path) from None
+
     def records(self, n_branches: int) -> Iterator[BranchRecord]:
         if n_branches < 0:
             raise ValueError(f"n_branches must be non-negative, got {n_branches}")
-        with TraceReader(self.file_path) as reader:
+        with self._reader() as reader:
             yield from reader.iter_records(limit=n_branches)
 
     def _materialize(self, n_branches: int) -> Trace:
         # Columns straight from the reader's decode, no record objects.
-        with TraceReader(self.file_path) as reader:
+        with self._reader() as reader:
             return Trace(self.name, *reader.read_columns(limit=n_branches))

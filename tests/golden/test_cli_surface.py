@@ -1,8 +1,9 @@
 """The CLI's printed surface, pinned byte for byte.
 
 ``repro --help``, every subcommand's ``--help`` and the refusals of a
-bad ``--size``, ``--suite``, ``--backend`` and an unknown trace name are
-part of the interface: scripts parse them and users read them.  So are
+bad ``--size``, ``--suite``, ``--backend``, an unknown trace name and a
+missing trace file are part of the interface: scripts parse them and
+users read them.  So are
 the trace listings of ``list-traces`` and ``trace --list``, in order.  Each
 case runs ``python -m repro`` in a fresh interpreter (the bytes a user
 sees, exit code included) at a fixed 80-column terminal width, and must
@@ -62,6 +63,12 @@ REPRO_CASES: dict[str, list[str]] = {
     "unknown-trace:trace": ["trace", "--source", "NOPE-1", "--branches", "100"],
     "unknown-trace:sweep": ["sweep", "--traces", "NOPE-1", "--branches", "100",
                             "--no-cache"],
+    "missing-trace-file:run-trace": ["run-trace", "file:never-written.rtrc",
+                                     "--branches", "100"],
+    "missing-trace-file:trace": ["trace", "--source", "file:never-written.rtrc",
+                                 "--branches", "100"],
+    "missing-trace-file:sweep": ["sweep", "--traces", "file:never-written.rtrc",
+                                 "--branches", "100", "--no-cache"],
     "list-traces": ["list-traces"],
     "trace-list": ["trace", "--list"],
 }

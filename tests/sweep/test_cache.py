@@ -1,6 +1,9 @@
 """Tests for the on-disk sweep result cache."""
 
+import pickle
+import struct
 import warnings
+import zlib
 
 import pytest
 
@@ -138,3 +141,81 @@ class TestResultCache:
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
+
+
+class TestCrcTrailer:
+    """Each entry is the pickle plus a CRC-32 of it; ``load`` checks the
+    CRC before it unpickles, so a flipped bit is never served."""
+
+    def test_plain_pickle_load_still_reads_an_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = make_job()
+        executed = execute_job(job)
+        path = cache.store(job, executed)
+        assert path == cache.path(job)
+        data = path.read_bytes()
+        assert data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little")
+        with path.open("rb") as handle:
+            assert pickle.load(handle).row() == executed.row()
+
+    def test_flipped_payload_bit_is_a_miss_and_a_quarantine(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = make_job()
+        executed = execute_job(job)
+        entry = cache.store(job, executed)
+        data = bytearray(entry.read_bytes())
+        # Flip the last bit of the pickled ``elapsed`` float: the payload
+        # still unpickles, to a different result, so only the CRC can
+        # tell the entry is not what was stored.
+        encoded = b"G" + struct.pack(">d", executed.elapsed)
+        at = data.index(encoded) + len(encoded) - 1
+        data[at] ^= 0x01
+        entry.write_bytes(bytes(data))
+        assert pickle.loads(bytes(data[:-4])).elapsed != executed.elapsed
+
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt"):
+            assert cache.load(job) is None
+        assert not entry.exists()
+        assert (tmp_path / CORRUPT_DIR / entry.name).read_bytes() == data
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_missing_trailer_is_a_miss_and_a_quarantine(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = make_job()
+        executed = execute_job(job)
+        cache.path(job).parent.mkdir(parents=True, exist_ok=True)
+        cache.path(job).write_bytes(pickle.dumps(executed))
+        assert cache.load(job) is None
+        assert (tmp_path / CORRUPT_DIR / cache.path(job).name).exists()
+
+
+class TestGroup:
+    def test_entries_appear_when_the_group_exits(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        jobs = [make_job(trace=trace) for trace in ("FP-1", "INT-1")]
+        results = [execute_job(job) for job in jobs]
+        with cache.group():
+            for job, result in zip(jobs, results):
+                cache.store(job, result)
+            assert len(cache) == 0
+        assert len(cache) == 2
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == [".pkl"] * 2
+        for job, result in zip(jobs, results):
+            assert cache.load(job).row() == result.row()
+
+    def test_an_exception_discards_the_group(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = make_job()
+        with pytest.raises(RuntimeError, match="boom"):
+            with cache.group():
+                cache.store(job, execute_job(job))
+                raise RuntimeError("boom")
+        assert list(tmp_path.iterdir()) == []
+        assert cache.load(job) is None
+
+    def test_groups_do_not_nest(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with cache.group():
+            with pytest.raises(RuntimeError, match="nest"):
+                with cache.group():
+                    pass

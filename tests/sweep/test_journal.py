@@ -1,5 +1,7 @@
 """Tests for the crash-safe run journal: round trip, torn tails, CRCs."""
 
+import os
+
 import pytest
 
 from repro.sweep.journal import (
@@ -143,3 +145,37 @@ class TestTornTail:
         write_run(path, done=(0,))
         path.write_bytes(path.read_bytes() + b'{"t": "done"')
         assert replay_journal(path, "run-1").torn_tail
+
+
+class TestGroup:
+    def test_group_is_one_write_in_append_order(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.jsonl"
+        journal = RunJournal(path, "run-1", fresh=True, fsync=False)
+        journal.begin(SPEC_DICT, "deadbeef", HASHES)
+        writes = []
+        real_write = os.write
+
+        def write(fd, data):
+            writes.append(bytes(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        with journal.group():
+            journal.job_done(2, HASHES[2], attempt=0)
+            journal.job_retry(1, 0, "transient", "flaky")
+            journal.job_done(0, HASHES[0], attempt=0)
+            assert writes == []
+        journal.close()
+        assert len(writes) == 1 and writes[0].count(b"\n") == 3
+        state = replay_journal(path, "run-1")
+        assert list(state.done) == [2, 0] and len(state.retries) == 1
+
+    def test_an_exception_writes_nothing(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        with RunJournal(path, "run-1", fresh=True, fsync=False) as journal:
+            journal.begin(SPEC_DICT, "deadbeef", HASHES)
+            with pytest.raises(RuntimeError, match="boom"):
+                with journal.group():
+                    journal.job_done(0, HASHES[0], attempt=0)
+                    raise RuntimeError("boom")
+        assert replay_journal(path, "run-1").done == {}

@@ -27,6 +27,7 @@ from repro.traces.sources import (
     ADVERSARIAL_SOURCE_NAMES,
     FILE_PREFIX,
     ZOO_SOURCE_NAMES,
+    MissingTraceFileError,
     ZOO_SOURCES,
     ConfidenceInversionSource,
     InterferenceSource,
@@ -36,6 +37,7 @@ from repro.traces.sources import (
     get_source,
     is_source_name,
     register_source,
+    require_trace_file,
     resolve_trace,
     source_names,
 )
@@ -163,6 +165,33 @@ class TestFileReplay:
         write_trace(origin, path)
         trace = get_trace(f"{FILE_PREFIX}{path}", 200)
         assert trace.pcs == origin.pcs
+
+    def test_missing_file_is_a_typed_refusal(self, tmp_path):
+        # Not an OSError: the sweep broker would retry that as transient.
+        name = f"{FILE_PREFIX}{tmp_path / 'absent.rtrc'}"
+        with pytest.raises(MissingTraceFileError, match="absent.rtrc' not found"):
+            require_trace_file(name)
+        with pytest.raises(MissingTraceFileError):
+            get_trace(name, 100)
+        with pytest.raises(MissingTraceFileError):
+            list(get_source(name).records(10))
+        assert not issubclass(MissingTraceFileError, OSError)
+        require_trace_file("INT-1")  # other names pass
+
+    def test_missing_file_sweep_job_quarantines_without_retry(self, tmp_path):
+        from repro.sweep import EstimatorSpec, ExperimentSpec, PredictorSpec, run_sweep
+
+        run = run_sweep(ExperimentSpec(
+            name="missing",
+            predictors=(PredictorSpec.of("gshare"),),
+            estimators=(EstimatorSpec.of("jrs"),),
+            traces=(f"{FILE_PREFIX}{tmp_path / 'absent.rtrc'}",),
+            n_branches=100,
+        ))
+        assert run.n_retries == 0
+        (entry,) = run.quarantined
+        assert entry.kind == "deterministic" and entry.attempts == 1
+        assert "MissingTraceFileError" in entry.error
 
 
 class TestResolveTraceCache:
