@@ -18,8 +18,17 @@ writes ``benchmarks/records/BENCH_paper_e2e.json``:
 * ``wall_warm_s`` — median wall of a second 2-worker run on each cold
   2-worker run's cache (every job served from it), whose reports must
   be byte-identical to the cold run's;
-* ``parallel_speedup`` (the compared metric) — wall(1) / wall(2), so
-  1.0 means adding a worker costs nothing and more means it pays;
+* ``calibration_s`` — median seconds of a fixed pure-Python loop
+  (:func:`_calibrate`, no ``repro`` code) timed in the bench process
+  before each round: how fast this machine runs the interpreter;
+* ``relative_speed`` (the compared metric) — calibration_s / wall(2):
+  the 2-worker cold run's speed in units of this machine's speed, so
+  it rises whenever ``repro paper`` gets faster and is comparable
+  across machines;
+* ``parallel_speedup`` (information only) — wall(1) / wall(2), so 1.0
+  means adding a worker costs nothing and more means it pays.  It is
+  not compared: it falls whenever the 1-worker leg gains more than the
+  2-worker leg, i.e. when a serial cost is cut;
 * ``jobs_fused``, ``pools_spawned`` and ``distinct_traces`` of the
   2-worker leg, plus the run's job accounting;
 * ``layers`` — the persistence of one more cold 2-worker run, counted
@@ -54,6 +63,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Cold runs per leg; the median wall is recorded.
 ROUNDS = 5
+#: Iterations of the calibration loop (~0.1 s on a 2-core x86-64 box).
+CALIBRATION_LOOPS = 1_000_000
+
+
+def _calibrate() -> float:
+    """Seconds this process takes for a fixed, ``repro``-free
+    pure-Python loop: the machine's interpreter speed."""
+    start = time.perf_counter()
+    acc = 0
+    for i in range(CALIBRATION_LOOPS):
+        acc = (acc * 31 + i) & 0xFFFFFFFF
+    return time.perf_counter() - start
 
 _FUSED = re.compile(r"^lockstep: fused (\d+) job\(s\)", re.MULTILINE)
 _POOL = re.compile(r"^broker: \d+ unit\(s\) on a pool of", re.MULTILINE)
@@ -129,9 +150,11 @@ def _distinct_traces(scale: Scale) -> int:
 def test_paper_e2e_parallel_speedup(run_once, tmp_path):
     legs: dict[int, list[tuple[float, str, bytes]]] = {1: [], 2: []}
     warm: list[tuple[float, str, bytes]] = []
+    calibrations: list[float] = []
 
     def measure():
         for round_index in range(ROUNDS):
+            calibrations.append(_calibrate())
             for workers in legs:
                 root = tmp_path / f"w{workers}-r{round_index}"
                 root.mkdir()
@@ -144,6 +167,7 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
     walls = {workers: statistics.median(wall for wall, _, _ in runs)
              for workers, runs in legs.items()}
     wall_warm = statistics.median(wall for wall, _, _ in warm)
+    calibration = statistics.median(calibrations)
     # Byte-identical reports across worker counts, rounds and warm runs.
     assert len({report for runs in (*legs.values(), warm)
                 for _, _, report in runs}) == 1
@@ -168,6 +192,7 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
     assert layers["fsyncs"] <= layers["entries"] + 2 * layers["groups"] + 2
 
     speedup = walls[1] / walls[2]
+    relative_speed = calibration / walls[2]
     payload = {
         "bench": "paper_e2e",
         "command": "repro paper --quick --backend fast (cold cache)",
@@ -176,7 +201,9 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
         "wall_workers_1_s": round(walls[1], 3),
         "wall_workers_2_s": round(walls[2], 3),
         "wall_warm_s": round(wall_warm, 3),
-        "metric": "parallel_speedup",
+        "calibration_s": round(calibration, 4),
+        "metric": "relative_speed",
+        "relative_speed": round(relative_speed, 4),
         "parallel_speedup": round(speedup, 3),
         "jobs_fused": fused,
         "pools_spawned": pools,
@@ -200,7 +227,10 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
             f"--workers 1: {walls[1]:.3f}s (median of {ROUNDS})",
             f"--workers 2: {walls[2]:.3f}s (median of {ROUNDS})",
             f"warm re-run: {wall_warm:.3f}s (median of {ROUNDS})",
-            f"parallel speedup: {speedup:.2f}x",
+            f"calibration loop: {calibration:.3f}s (median of {ROUNDS})",
+            f"relative speed: {relative_speed:.3f} "
+            "(calibration / --workers 2 wall)",
+            f"parallel speedup: {speedup:.2f}x (information only)",
             f"--workers 2 persistence: {layers['entries']} entries in "
             f"{layers['groups']} commit group(s), {layers['fsyncs']} fsyncs",
         ]),

@@ -18,6 +18,14 @@ Both legs must give identical columns.  Emits
 ``layers`` split of both legs: workload construction versus generation
 (which now includes building the kernels of executed branches; the
 other zoo sources are all generation).
+
+A second bench times the C twin of one-shot synthesis
+(:func:`~repro.traces.workload.synthesize` with the C build, the path
+every CBP name takes) against the pure workload on the 40 CBP traces
+at 4,000 branches, asserts identical columns and emits
+``benchmarks/records/BENCH_synthesis_twin.json`` with its own compared
+``speedup`` (pure seconds / C seconds).  It skips when the C build does
+not resolve.
 """
 
 from __future__ import annotations
@@ -29,7 +37,10 @@ from conftest import emit, record, run_once  # noqa: F401
 
 from repro.traces.sources import ZOO_SOURCE_NAMES, generators, get_source
 from repro.traces.suites import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, trace_spec
-from repro.traces.workload import SyntheticWorkload
+import pytest
+
+from repro.sim.fast import compiled
+from repro.traces.workload import SyntheticWorkload, synthesize
 from tests.traces.oracle_workload import OracleWorkload
 
 SUITE = CBP1_TRACE_NAMES + CBP2_TRACE_NAMES
@@ -38,6 +49,8 @@ BRANCHES = 4_000
 REPEATS = 5
 #: The production workload must beat the oracle by at least this factor.
 SPEEDUP_TARGET = 1.3
+#: The C twin must beat the pure workload by at least this factor.
+TWIN_SPEEDUP_TARGET = 5.0
 
 
 class _ConstructionTimer:
@@ -140,4 +153,61 @@ def test_synthesis_wallclock(run_once, monkeypatch):
     assert speedup >= SPEEDUP_TARGET, (
         f"synthesis only {speedup:.2f}x faster than the eager oracle "
         f"({oracle_seconds:.3f}s -> {lazy_seconds:.3f}s)"
+    )
+
+
+def _suite_columns(synthesize_one) -> tuple[dict, float]:
+    """The 40 CBP traces through ``synthesize_one(spec)``: (columns, seconds)."""
+    columns = {}
+    start = time.perf_counter()
+    for name in SUITE:
+        trace = synthesize_one(trace_spec(name))
+        columns[name] = (trace.pcs, trace.takens, trace.insts)
+    return columns, time.perf_counter() - start
+
+
+def test_synthesis_twin_wallclock(run_once, monkeypatch):
+    monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")
+    if compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    legs = (
+        ("pure", lambda spec: SyntheticWorkload(spec).generate(BRANCHES)),
+        ("c", lambda spec: synthesize(spec, BRANCHES)),
+    )
+
+    def best_of() -> dict:
+        best: dict = {}
+        for _ in range(REPEATS):
+            for name, synthesize_one in legs:
+                run = _suite_columns(synthesize_one)
+                if name not in best or run[1] < best[name][1]:
+                    best[name] = run
+        return best
+
+    best = run_once(best_of)
+    pure_columns, pure_seconds = best["pure"]
+    c_columns, c_seconds = best["c"]
+    assert c_columns == pure_columns
+
+    speedup = pure_seconds / max(c_seconds, 1e-9)
+    record("synthesis_twin", {
+        "bench": "synthesis_twin",
+        "traces": len(SUITE),
+        "branches_per_trace": BRANCHES,
+        "pure_seconds": round(pure_seconds, 4),
+        "c_seconds": round(c_seconds, 4),
+        "speedup": round(speedup, 2),
+        "speedup_target": TWIN_SPEEDUP_TARGET,
+    })
+    emit("synthesis_twin", "\n".join([
+        f"synthesis twin bench: {len(SUITE)} CBP traces x {BRANCHES} "
+        f"branches, best of {REPEATS}",
+        f"pure    {pure_seconds:.3f}s",
+        f"c       {c_seconds:.3f}s",
+        f"speedup: {speedup:.2f}x (target >= {TWIN_SPEEDUP_TARGET:g}x)",
+    ]))
+    assert speedup >= TWIN_SPEEDUP_TARGET, (
+        f"the C twin is only {speedup:.2f}x faster than the pure workload "
+        f"({pure_seconds:.3f}s -> {c_seconds:.3f}s)"
     )

@@ -4,8 +4,15 @@ The fast backend's remaining per-branch cost is five genuinely
 sequential kernels: the TAGE loop and the TAGE batch plane builder
 (:mod:`repro.sim.fast.tage_core`), the O-GEHL and perceptron loops in
 :mod:`repro.sim.fast.gehl` and the clamp-add counter-table walk in
-:mod:`repro.sim.fast.scan` (bimodal, gshare, local and JRS/eJRS).
-Each exists in exactly two translations:
+:mod:`repro.sim.fast.scan` (bimodal, gshare, local and JRS/eJRS).  A
+sixth twin is trace synthesis: one-shot
+``SyntheticWorkload(spec).generate(n)`` of :mod:`repro.traces.workload`
+(static branches, routines, every kernel built eagerly, the routine
+walk), which :func:`repro.traces.workload.synthesize` runs for every
+CBP trace name; the 40 quick CBP traces take ~7 ms instead of ~0.17 s on
+a 2-core x86-64 box (``BENCH_synthesis_twin.json``).  The resumable
+workload objects, the zoo sources and ``zoo.phase``'s resumed segments
+stay pure.  Each exists in exactly two translations:
 
 * **pure** — the Python/NumPy kernels in those modules (list-based
   loops for TAGE and O-GEHL, the lockstep perceptron, the segmented
@@ -49,16 +56,26 @@ parity markers — ``repro: parity-begin <group>/<side>
 fingerprint=<8 hex>`` / ``repro: parity-end <group>/<side>`` — around
 the translated region (as ``/* */`` comments inside the C source; the
 pure sides use ``#`` comments, and markers are matched on raw lines,
-so both work).  Five groups live here, each with its ``c`` side below:
+so both work).  Six groups live here, each with its ``c`` side below:
 ``tage-batch`` and ``tage-planes`` (side ``pure`` in
 :mod:`repro.sim.fast.tage_core`), ``ogehl-run`` and ``perceptron-run``
-(``pure`` in :mod:`repro.sim.fast.gehl`) and ``counter-scan``
-(``pure`` in :mod:`repro.sim.fast.scan`).  Both sides record the same
-group-wide fingerprint (a CRC-32 of both sides' whitespace-normalized
+(``pure`` in :mod:`repro.sim.fast.gehl`), ``counter-scan``
+(``pure`` in :mod:`repro.sim.fast.scan`) and ``trace-synth`` (``pure``
+in :mod:`repro.traces.workload`, ``pure-kernels`` in
+:mod:`repro.traces.kernels`).  Every side records the same
+group-wide fingerprint (a CRC-32 of all sides' whitespace-normalized
 contents), so ``repro lint`` rule RPR004 fails the moment one
-translation changes alone; the fix is to update both sides, re-run the
-differential suites (``tests/equivalence/``), and stamp the new
-fingerprint the finding prints onto both.
+translation changes alone; the fix is to update every side, re-run the
+differential suites (``tests/equivalence/``; ``tests/traces/`` for
+``trace-synth``), and stamp the new fingerprint the finding prints
+onto each.
+
+The synthesis twin's floats must round as CPython's do: it compares
+``(draw >> 11) / 2**53`` against doubles, computes ``lo + (hi - lo) *
+f`` with no fused multiply-add (the build passes
+``-ffp-contract=off``), and takes the category and Zipf routine CDFs
+from the pure helpers, because ``sum`` of floats rounds differently
+across CPython versions.
 """
 
 from __future__ import annotations
@@ -86,6 +103,7 @@ __all__ = [
     "resolve_perceptron_kernel",
     "warn_missing_compiled",
     "resolve_tage_planes_kernel",
+    "resolve_trace_synth_kernel",
     "N_IPARAMS",
     "N_FPARAMS",
     "N_COUNTS",
@@ -171,6 +189,16 @@ GP_STRIDE = 5
 HS_PATH = 0            # path register (low PC bit per branch)
 HS_HEAD = 1            # ring slot the next outcome goes to
 HS_FOLDS = 2
+
+
+# The trace-synthesis rows (`traces.workload.synthesize` packs them):
+# int64 n_static, n_routines, then the (lo, hi) pairs of routine_len,
+# routine_repeat, loop_trips, pattern_len, parity_depth,
+# history_fn_depth and insts_per_branch; float64 transition_locality,
+# correlated_noise, strong_bias (lo, hi), noisy_bias (lo, hi), then the
+# eight-entry category CDF in KernelMix.as_items order.
+N_SYNTH_IPARAMS = 16
+N_SYNTH_FPARAMS = 14
 
 
 def state_words(iparams) -> int:
@@ -683,6 +711,357 @@ int perceptron_run(int64_t n, int64_t h, int64_t n_rows,
     return 0;
 }
 /* repro: parity-end perceptron-run/c */
+
+/* repro: parity-begin trace-synth/c fingerprint=2c72842c */
+/* One-shot synthesis: SyntheticWorkload(spec).generate(n) on a fresh
+ * workload.  SplitMix64 is counter-based (draw k of SplitMix64(s) is
+ * sm_mix(s + k * gamma)), so every kernel is built eagerly from its
+ * construction counter.  The category and routine CDFs come from the
+ * pure helpers; this side only compares draws against them. */
+#define SM_GAMMA 0x9E3779B97F4A7C15ull
+
+static inline uint64_t sm_mix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/* SplitMix64.next_float: the draw's top 53 bits over 2**53. */
+static inline double sm_unit(uint64_t draw)
+{
+    return (double)(draw >> 11) / 9007199254740992.0;
+}
+
+/* Kernel categories, in KernelMix.as_items order. */
+enum { SK_BIASED_STRONG, SK_BIASED_NOISY, SK_LOOP, SK_PATTERN, SK_PARITY,
+       SK_HISTORY_FN, SK_LOCAL_PATTERN, SK_NESTED_LOOP, SK_CATEGORIES };
+
+typedef struct {
+    uint64_t pc;
+    int64_t category;
+    double p;            /* biased p_taken, or a correlated kernel's noise */
+    uint64_t counter;    /* draw counter of a biased or noisy kernel */
+    uint64_t fn_seed;    /* HistoryFunctionKernel truth-table seed */
+    uint64_t window;     /* history window of a correlated kernel */
+    uint64_t pattern;    /* bit i: pattern position i */
+    int64_t length;      /* pattern length, or nested-loop phase count */
+    int64_t trips[4];    /* loop trip count(s) */
+    int64_t position;    /* pattern position, or loop iteration */
+    int64_t outer;       /* nested-loop phase */
+} synth_branch;
+
+typedef struct {
+    int64_t n_routines;
+    uint64_t walk_seed;
+    int64_t repeat_lo, repeat_span, inst_lo, inst_span;
+    double locality;
+    synth_branch *branches;
+    int64_t *routine_start;  /* n_routines + 1 offsets into routine_items */
+    int64_t *routine_items;
+    int64_t *succ_start;     /* n_routines + 1 offsets into succ_items */
+    int64_t *succ_items;
+} synth_workload;
+
+void synth_free(synth_workload *w)
+{
+    if (!w)
+        return;
+    free(w->branches);
+    free(w->routine_start);
+    free(w->routine_items);
+    free(w->succ_start);
+    free(w->succ_items);
+    free(w);
+}
+
+/* _make_kernel from the construction counter c. */
+static void synth_kernel(synth_branch *b, uint64_t c, int64_t index,
+                         const int64_t *ip, const double *fp)
+{
+    uint64_t d1 = sm_mix(c + SM_GAMMA), d2 = sm_mix(c + 2 * SM_GAMMA);
+    uint64_t seed = d1 ^ ((uint64_t)index * 0x9E3779B9ull);
+    int64_t lo, span;
+    b->counter = seed;
+    b->position = 0;
+    b->outer = 0;
+    switch (b->category) {
+    case SK_BIASED_STRONG: {
+        double magnitude = fp[2] + (fp[3] - fp[2]) * sm_unit(d2);
+        int taken_side = sm_unit(sm_mix(c + 3 * SM_GAMMA)) < 0.5;
+        b->p = taken_side ? magnitude : 1.0 - magnitude;
+        break;
+    }
+    case SK_BIASED_NOISY:
+        b->p = fp[4] + (fp[5] - fp[4]) * sm_unit(d2);
+        if (sm_unit(sm_mix(c + 3 * SM_GAMMA)) < 0.5)
+            b->p = 1.0 - b->p;
+        break;
+    case SK_LOOP:
+        b->trips[0] = ip[6] + (int64_t)(d2 % (uint64_t)(ip[7] - ip[6] + 1));
+        break;
+    case SK_PATTERN:
+    case SK_LOCAL_PATTERN:
+        lo = ip[8];
+        span = ip[9] - lo + 1;
+        b->length = lo + (int64_t)(d2 % (uint64_t)span);
+        if (b->category == SK_LOCAL_PATTERN && b->length < 2)
+            b->length = 2;
+        b->pattern = 0;
+        for (int64_t i = 0; i < b->length; i++)
+            b->pattern |= (sm_mix(seed + (uint64_t)(i + 1) * SM_GAMMA) & 1)
+                          << i;
+        if (b->category == SK_PATTERN && !b->pattern)
+            b->pattern = 1;
+        break;
+    case SK_PARITY:
+    case SK_HISTORY_FN: {
+        int64_t at = b->category == SK_PARITY ? 10 : 12;
+        int64_t depth = ip[at] + (int64_t)(d2 % (uint64_t)(ip[at + 1] - ip[at] + 1));
+        b->window = depth >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << depth) - 1;
+        b->p = fp[1];
+        b->fn_seed = sm_mix((seed ^ 0x5BD1E995ull) + SM_GAMMA);
+        break;
+    }
+    case SK_NESTED_LOOP:
+        b->length = 2 + (int64_t)(d2 % 3);
+        span = ip[7] - ip[6] + 1;
+        for (int64_t i = 0; i < b->length; i++)
+            b->trips[i] = ip[6] + (int64_t)(
+                sm_mix(c + (uint64_t)(3 + i) * SM_GAMMA) % (uint64_t)span);
+        break;
+    }
+}
+
+/* Construction: static branches, routines and the transition graph.
+ * ip: n_static, n_routines, then (lo, hi) of routine_len,
+ * routine_repeat, loop_trips, pattern_len, parity_depth,
+ * history_fn_depth and insts_per_branch.  fp: transition_locality,
+ * correlated_noise, strong_bias (lo, hi), noisy_bias (lo, hi), then the
+ * SK_CATEGORIES-entry category CDF.  Returns NULL when out of memory. */
+synth_workload *synth_build(uint64_t seed, const int64_t *ip,
+                            const double *fp, int64_t *n_routines)
+{
+    int64_t n_static = ip[0];
+    const double *cdf = fp + 6;
+    synth_workload *w = (synth_workload *)calloc(1, sizeof(synth_workload));
+    if (!w)
+        return NULL;
+    w->walk_seed = seed ^ 0xC0FFEEull;
+    w->repeat_lo = ip[4];
+    w->repeat_span = ip[5] - ip[4] + 1;
+    w->inst_lo = ip[14];
+    w->inst_span = ip[15] - ip[14] + 1;
+    w->locality = fp[0];
+    w->branches = (synth_branch *)calloc((size_t)n_static, sizeof(synth_branch));
+    int64_t *straight = (int64_t *)malloc((size_t)n_static * sizeof(int64_t));
+    int64_t *loops = (int64_t *)malloc((size_t)n_static * sizeof(int64_t));
+    if (!w->branches || !straight || !loops)
+        goto fail;
+
+    /* Fork k of SplitMix64(seed) is seeded with the root's draw k. */
+    uint64_t fork0 = sm_mix(seed + SM_GAMMA);
+    uint64_t fork1 = sm_mix(seed + 2 * SM_GAMMA);
+    uint64_t fork2 = sm_mix(seed + 3 * SM_GAMMA);
+
+    /* draws[j] of the pure side is draw j + 1 of SplitMix64(fork0). */
+#define SM_DRAW(j) sm_mix(fork0 + (uint64_t)((j) + 1) * SM_GAMMA)
+    uint64_t pc = 0x00400000ull + SM_DRAW(0) % 0x400 * 4;
+    int64_t j = 1, n_straight = 0, n_loops = 0;
+    for (int64_t index = 0; index < n_static; index++) {
+        synth_branch *b = w->branches + index;
+        pc += 4 + 4 * (SM_DRAW(j) % 12);
+        if (sm_unit(SM_DRAW(j + 1)) < 0.05) {
+            j += 1;
+            pc += 0x400 + SM_DRAW(j + 1) % 0x1000 * 4;
+        }
+        double x = sm_unit(SM_DRAW(j + 2));
+        int64_t slot = 0;
+        while (slot < SK_CATEGORIES && cdf[slot] < x)
+            slot++;
+        j += 3;
+        b->pc = pc;
+        b->category = slot < SK_CATEGORIES - 1 ? slot : SK_CATEGORIES - 1;
+        synth_kernel(b, fork0 + (uint64_t)j * SM_GAMMA, index, ip, fp);
+        j += 2;
+        if (b->category == SK_BIASED_STRONG || b->category == SK_BIASED_NOISY)
+            j += 1;
+        else if (b->category == SK_NESTED_LOOP)
+            j += b->length;
+        if (b->category == SK_LOOP || b->category == SK_NESTED_LOOP)
+            loops[n_loops++] = index;
+        else
+            straight[n_straight++] = index;
+    }
+#undef SM_DRAW
+
+    /* Routines, from SplitMix64(fork1). */
+    int64_t lo = ip[2], span = ip[3] - ip[2] + 1;
+    int64_t capacity = n_static + n_loops + ip[1] * ip[3];
+    int64_t routines_max = n_static + ip[1] + 1;
+    w->routine_items = (int64_t *)malloc((size_t)capacity * sizeof(int64_t));
+    w->routine_start = (int64_t *)malloc((size_t)routines_max * sizeof(int64_t));
+    if (!w->routine_items || !w->routine_start)
+        goto fail;
+    uint64_t r = fork1;
+    int64_t count = 0, used = 0;
+    w->routine_start[0] = 0;
+    for (int64_t cursor = 0; cursor < n_straight;) {
+        r += SM_GAMMA;
+        int64_t length = lo + (int64_t)(sm_mix(r) % (uint64_t)span);
+        for (int64_t i = cursor; i < cursor + length && i < n_straight; i++)
+            w->routine_items[used++] = straight[i];
+        w->routine_start[++count] = used;
+        cursor += length;
+    }
+    for (int64_t i = 0; i < n_loops; i++) {
+        if (n_straight) {
+            r += SM_GAMMA;
+            if (sm_unit(sm_mix(r)) < 0.5) {
+                r += SM_GAMMA;
+                w->routine_items[used++] =
+                    straight[sm_mix(r) % (uint64_t)n_straight];
+            }
+        }
+        w->routine_items[used++] = loops[i];
+        w->routine_start[++count] = used;
+    }
+    while (count < ip[1]) {
+        r += SM_GAMMA;
+        int64_t length = lo + (int64_t)(sm_mix(r) % (uint64_t)span);
+        if (!n_straight)
+            break;
+        r += SM_GAMMA;
+        int64_t start = (int64_t)(sm_mix(r) % (uint64_t)n_straight);
+        for (int64_t i = 0; i < length; i++)
+            w->routine_items[used++] = straight[(start + i) % n_straight];
+        w->routine_start[++count] = used;
+    }
+    w->n_routines = count;
+
+    /* Successor sets, from SplitMix64(fork2). */
+    w->succ_start = (int64_t *)malloc((size_t)(count + 1) * sizeof(int64_t));
+    w->succ_items = (int64_t *)malloc((size_t)(4 * count + 1) * sizeof(int64_t));
+    if (!w->succ_start || !w->succ_items)
+        goto fail;
+    uint64_t s = fork2;
+    used = 0;
+    w->succ_start[0] = 0;
+    for (int64_t i = 0; i < count; i++) {
+        s += SM_GAMMA;
+        int64_t fanout = 2 + (int64_t)(sm_mix(s) % 3);
+        for (int64_t k = 0; k < fanout; k++) {
+            s += SM_GAMMA;
+            w->succ_items[used++] = (int64_t)(sm_mix(s) % (uint64_t)count);
+        }
+        w->succ_start[i + 1] = used;
+    }
+    free(straight);
+    free(loops);
+    *n_routines = count;
+    return w;
+fail:
+    free(straight);
+    free(loops);
+    synth_free(w);
+    return NULL;
+}
+
+/* The walk: n branches into pcs/takens/insts, routine picks against
+ * the n_routines-entry routine CDF. */
+int synth_walk(synth_workload *w, const double *routine_cdf, int64_t n,
+               int64_t *pcs, uint8_t *takens, int64_t *insts)
+{
+    uint64_t walk = w->walk_seed;
+    uint64_t ghist = 0;
+    int64_t emitted = 0, current = -1;
+    int64_t last_routine = w->n_routines - 1;
+    while (emitted < n) {
+        if (current >= 0
+            && sm_unit(sm_mix(walk += SM_GAMMA)) < w->locality) {
+            int64_t first = w->succ_start[current];
+            int64_t fanout = w->succ_start[current + 1] - first;
+            current = w->succ_items[
+                first + (int64_t)(sm_mix(walk += SM_GAMMA) % (uint64_t)fanout)];
+        } else {
+            double x = sm_unit(sm_mix(walk += SM_GAMMA));
+            int64_t slot = 0;
+            while (slot <= last_routine && routine_cdf[slot] < x)
+                slot++;
+            current = slot < last_routine ? slot : last_routine;
+        }
+        int64_t repeats = w->repeat_lo + (int64_t)(
+            sm_mix(walk += SM_GAMMA) % (uint64_t)w->repeat_span);
+        int64_t visit_start = emitted;
+        int64_t body_start = w->routine_start[current];
+        int64_t body_end = w->routine_start[current + 1];
+        for (int64_t rep = 0; rep < repeats && emitted < n; rep++) {
+            for (int64_t at = body_start; at < body_end && emitted < n; at++) {
+                synth_branch *b = w->branches + w->routine_items[at];
+                int64_t taken;
+                if (b->category == SK_LOOP || b->category == SK_NESTED_LOOP) {
+                    /* The whole iteration burst: LoopKernel.burst. */
+                    int64_t limit = n - emitted;
+                    int64_t trip = b->trips[b->category == SK_LOOP ? 0 : b->outer];
+                    int64_t exited = 0;
+                    taken = trip - 1 - b->position;
+                    if (taken > limit)
+                        taken = limit;
+                    if (taken < limit) {
+                        b->position = 0;
+                        if (b->category == SK_NESTED_LOOP)
+                            b->outer = (b->outer + 1) % b->length;
+                        exited = 1;
+                    } else {
+                        b->position += taken;
+                    }
+                    int64_t burst = taken + exited;
+                    uint64_t history = burst >= 32 ? 0 : ghist << burst;
+                    uint64_t ones = taken >= 32 ? 0xFFFFFFFFull
+                                                : ((uint64_t)1 << taken) - 1;
+                    ghist = (history | ones << exited) & 0xFFFFFFFFull;
+                    for (int64_t i = 0; i < burst; i++) {
+                        pcs[emitted + i] = (int64_t)b->pc;
+                        takens[emitted + i] = i < taken;
+                    }
+                    emitted += burst;
+                    continue;
+                }
+                switch (b->category) {
+                case SK_BIASED_STRONG:
+                case SK_BIASED_NOISY:
+                    taken = sm_unit(sm_mix(b->counter += SM_GAMMA)) < b->p;
+                    break;
+                case SK_PATTERN:
+                case SK_LOCAL_PATTERN:
+                    taken = (int64_t)((b->pattern >> b->position) & 1);
+                    b->position = (b->position + 1) % b->length;
+                    break;
+                default:  /* SK_PARITY, SK_HISTORY_FN */
+                    if (b->category == SK_PARITY)
+                        taken = __builtin_popcountll(ghist & b->window) & 1;
+                    else
+                        taken = (int64_t)(sm_mix((b->fn_seed ^ (ghist & b->window))
+                                                 + SM_GAMMA) & 1);
+                    if (b->p != 0.0
+                        && sm_unit(sm_mix(b->counter += SM_GAMMA)) < b->p)
+                        taken = !taken;
+                    break;
+                }
+                ghist = ((ghist << 1) | (uint64_t)taken) & 0xFFFFFFFFull;
+                pcs[emitted] = (int64_t)b->pc;
+                takens[emitted] = (uint8_t)taken;
+                emitted++;
+            }
+        }
+        /* One instruction-count draw per branch, in emission order. */
+        for (int64_t i = visit_start; i < emitted; i++)
+            insts[i] = w->inst_lo + (int64_t)(
+                sm_mix(walk += SM_GAMMA) % (uint64_t)w->inst_span);
+    }
+    return 0;
+}
+/* repro: parity-end trace-synth/c */
 """
 
 
@@ -706,6 +1085,13 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-kernels"
 
 
+#: Compiler flags of the C build.  ``-ffp-contract=off`` forbids fusing
+#: a multiply and an add into one FMA (GCC contracts by default on
+#: targets that have it, e.g. aarch64), so the trace-synthesis floats
+#: round exactly as CPython's do.
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
 def _find_compiler() -> str | None:
     cc = os.environ.get("CC", "").strip()
     if cc and shutil.which(cc):
@@ -719,11 +1105,16 @@ def _find_compiler() -> str | None:
 def _build_shared_library() -> Path:
     """Compile the embedded C source into a cached shared library.
 
-    The cache key is the source digest, so editing the C string above
-    transparently rebuilds; the build itself is atomic (temp file +
-    ``os.replace``) and therefore safe under concurrent workers.
+    The cache key digests the C source and the compiler flags
+    (:data:`_C_FLAGS`), so editing the C string or a flag transparently
+    rebuilds.  The compiler's name stays out of the key: a cached
+    library must load on a box with no compiler.  The build itself is
+    atomic (temp file + ``os.replace``) and therefore safe under
+    concurrent workers.
     """
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(
+        "\0".join([_C_SOURCE, *_C_FLAGS]).encode()
+    ).hexdigest()[:16]
     directory = _cache_dir()
     so_path = directory / f"repro_kernels_{digest}.so"
     if so_path.exists():
@@ -737,8 +1128,7 @@ def _build_shared_library() -> Path:
         source.write_text(_C_SOURCE)
         built = Path(build) / "kernels.so"
         result = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC",
-             "-o", str(built), str(source)],
+            [compiler, *_C_FLAGS, "-o", str(built), str(source)],
             capture_output=True, text=True, timeout=120,
         )
         if result.returncode != 0:
@@ -803,6 +1193,13 @@ def _load_cext() -> bool:
     library.perceptron_run.argtypes = [
         i64, i64, i64, p_i64, p_i64, p_u8, i64, i64, i64, p_u8, p_u8,
     ]
+
+    library.synth_build.restype = ptr
+    library.synth_build.argtypes = [ctypes.c_uint64, ptr, ptr, p_i64]
+    library.synth_walk.restype = ctypes.c_int
+    library.synth_walk.argtypes = [ptr, ptr, i64, ptr, ptr, ptr]
+    library.synth_free.restype = None
+    library.synth_free.argtypes = [ptr]
 
     def as_i64(array):
         return array.ctypes.data_as(p_i64)
@@ -872,7 +1269,28 @@ def _load_cext() -> bool:
             raise MemoryError("compiled perceptron kernel ran out of memory")
         return 0
 
+    def cext_trace_synth(seed, iparams, fparams, routine_cdf, n):
+        _require(iparams, 8 * N_SYNTH_IPARAMS, "iparams")
+        _require(fparams, 8 * N_SYNTH_FPARAMS, "fparams")
+        n_routines = ctypes.c_int64()
+        workload = library.synth_build(seed, _address(iparams),
+                                       _address(fparams),
+                                       ctypes.byref(n_routines))
+        if not workload:
+            raise MemoryError("compiled trace synthesis ran out of memory")
+        try:
+            cdf = array("d", routine_cdf(n_routines.value))
+            _require(cdf, 8 * n_routines.value, "routine cdf")
+            pcs, insts = array("q", bytes(8 * n)), array("q", bytes(8 * n))
+            takens = bytearray(n)
+            library.synth_walk(workload, _address(cdf), n, _address(pcs),
+                               _address(takens), _address(insts))
+        finally:
+            library.synth_free(workload)
+        return pcs, takens, insts
+
     _KERNELS.update(tage=cext_tage, tage_planes=cext_tage_planes,
+                    trace_synth=cext_trace_synth,
                     ogehl=cext_ogehl,
                     counter_scan=cext_counter_scan,
                     perceptron=cext_perceptron)
@@ -1030,3 +1448,18 @@ def resolve_perceptron_kernel():
     zeroed and lives only for the call.
     """
     return _resolve("perceptron")
+
+
+def resolve_trace_synth_kernel():
+    """The C twin of one-shot trace synthesis, or None to run the pure
+    :class:`~repro.traces.workload.SyntheticWorkload`.
+
+    Signature: ``(seed, iparams, fparams, routine_cdf, n) -> (pcs,
+    takens, insts)``: ``seed`` is the spec's seed modulo 2**64,
+    ``iparams``/``fparams`` the int64 and float64 rows laid out above
+    ``N_SYNTH_IPARAMS``, and ``routine_cdf(n_routines)`` returns the
+    routine-popularity CDF once construction knows the routine count.
+    The columns are an int64 :class:`array.array` of PCs, a 0/1
+    ``bytearray`` of outcomes and an int64 array of instruction counts.
+    """
+    return _resolve("trace_synth")

@@ -59,7 +59,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Collection
+from typing import Callable, Collection, Sequence
 
 from repro.sweep.faults import FaultInjector, TransientJobError
 from repro.sweep.journal import RunJournal
@@ -279,8 +279,7 @@ class _Completion:
     job: JobSpec
     result: JobResult
     attempt: int
-    #: Set by the commit thread: the one spec-hash digest of this job.
-    spec_hash: str = ""
+    spec_hash: str
 
 
 class _GroupCommitter:
@@ -354,8 +353,6 @@ class _GroupCommitter:
 
     def _commit(self, group: list) -> None:
         done = [item for item in group if isinstance(item, _Completion)]
-        for item in done:
-            item.spec_hash = item.job.spec_hash()
         if self._cache is not None and done:
             with self._cache.group():
                 paths = [
@@ -395,12 +392,17 @@ class Broker:
         cache=None,
         journal: RunJournal | None = None,
         progress: Callable[[str], None] | None = None,
+        *,
+        spec_hashes: Sequence[str],
     ) -> None:
         self.config = config
         self.run_id = run_id
         self.cache = cache
         self.journal = journal
         self.progress = progress
+        #: Job index -> spec hash (the plan's ``hashes``): the cache
+        #: stores and journal records use these, never a fresh digest.
+        self.spec_hashes = spec_hashes
         self.injector = FaultInjector.parse(config.faults)
         self.n_retries = 0
         self._stop = threading.Event()
@@ -441,7 +443,8 @@ class Broker:
             results[job_index] = job_outcome
         if self._commits is not None:
             self._commits.submit(*(
-                _Completion(job_index, job, job_outcome, state.attempt)
+                _Completion(job_index, job, job_outcome, state.attempt,
+                            self.spec_hashes[job_index])
                 for (job_index, job), job_outcome in pairs
             ))
         self._settled.add(index)
@@ -456,7 +459,8 @@ class Broker:
             quarantined.append(entry)
             if self.journal is not None:
                 self._journal(self.journal.job_quarantined, job_index,
-                              job.spec_hash(), kind, error, state.attempt + 1)
+                              self.spec_hashes[job_index], kind, error,
+                              state.attempt + 1)
             self._log(f"quarantine: {entry.describe()}")
         self._settled.add(index)
 

@@ -104,40 +104,43 @@ class ResultCache:
     def path(self, job: JobSpec, spec_hash: str | None = None) -> Path:
         return self.root / f"{self.key(job, spec_hash)}.pkl"
 
-    def load(self, job: JobSpec) -> JobResult | None:
+    def load(self, job: JobSpec, *,
+             spec_hash: str | None = None) -> JobResult | None:
         """The memoized result, or None on miss/corruption.
 
         A present-but-unreadable entry (missing or mismatched CRC
         trailer, truncated pickle, wrong type) is quarantined to
         ``<root>/.corrupt/`` with a one-line warning naming the spec
         hash, then reported as a miss — the sweep re-runs the job and
-        the next :meth:`store` writes a fresh entry.
+        the next :meth:`store` writes a fresh entry.  Pass ``spec_hash``
+        when the caller already has it (as for :meth:`store`).
         """
         # Loaded here, not at import: the CLI's parser reads
         # default_cache_dir without the result model behind it.
         from repro.sweep.result import JobResult
 
-        path = self.path(job)
+        path = self.path(job, spec_hash)
         try:
             data = path.read_bytes()
         except OSError:
             return None
         payload, trailer = data[:-_TRAILER], data[-_TRAILER:]
         if not payload or _crc(payload) != trailer:
-            self._quarantine(path, job)
+            self._quarantine(path, job, spec_hash)
             return None
         try:
             cached = pickle.loads(payload)
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError):
-            self._quarantine(path, job)
+            self._quarantine(path, job, spec_hash)
             return None
         if not isinstance(cached, JobResult):
-            self._quarantine(path, job)
+            self._quarantine(path, job, spec_hash)
             return None
         return cached.cached()
 
-    def _quarantine(self, path: Path, job: JobSpec) -> None:
+    def _quarantine(self, path: Path, job: JobSpec,
+                    spec_hash: str | None) -> None:
         """Move a corrupt entry aside for post-mortem instead of serving
         or silently deleting it."""
         corrupt_dir = self.root / CORRUPT_DIR
@@ -147,7 +150,8 @@ class ResultCache:
         except OSError:
             return  # cross-process race on the same entry: already moved
         warnings.warn(
-            f"quarantined corrupt cache entry for job {job.spec_hash()} "
+            f"quarantined corrupt cache entry for job "
+            f"{spec_hash or job.spec_hash()} "
             f"to {corrupt_dir / path.name}; the job will re-run",
             RuntimeWarning,
             stacklevel=3,

@@ -367,7 +367,8 @@ class ExecutionPlan:
     ``keys[g]`` is grid ``g``'s spec hash.  The union of the grids'
     cells is deduplicated by job spec hash into ``jobs``
     (first-appearance order), the unit of caching, journaling and
-    execution.  ``cells[g][c]`` is the plan index serving cell ``c``
+    execution; ``hashes[i]`` is job ``i``'s spec hash, computed once
+    here and handed to the cache, the journal and the broker.  ``cells[g][c]`` is the plan index serving cell ``c``
     of grid ``g``, and ``owners[i]`` is the ``(g, c)`` cell that first
     requested job ``i`` — the one credited with simulating it.  Build
     one with :meth:`of`; run it with :func:`execute_plan`.
@@ -376,6 +377,7 @@ class ExecutionPlan:
     expansions: tuple[GridExpansion, ...]
     keys: tuple[str, ...]
     jobs: tuple[JobSpec, ...]
+    hashes: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
     owners: tuple[tuple[int, int], ...]
 
@@ -410,7 +412,7 @@ class ExecutionPlan:
                 grid_cells.append(index_of[key])
             cells.append(tuple(grid_cells))
         return cls(tuple(expansions.values()), tuple(expansions), tuple(jobs),
-                   tuple(cells), tuple(owners))
+                   tuple(index_of), tuple(cells), tuple(owners))
 
     def as_dict(self) -> dict:
         """What the journal's ``begin`` record stores as the run's spec.
@@ -519,7 +521,7 @@ def _open_journal(
         # repro: allow[RPR001] run-id labels the journal file, never results
         run_id = f"{plan.plan_hash()}-{uuid.uuid4().hex[:8]}"
     path = journal_path(journal_dir, run_id)
-    job_hashes = [job.spec_hash() for job in plan.jobs]
+    job_hashes = list(plan.hashes)
     if resume and path.exists():
         state = replay_journal(path, run_id)
         if state.spec_hash != plan.plan_hash():
@@ -600,7 +602,8 @@ def execute_plan(
         slots: list[JobResult | None] = []
         pending: list[tuple[int, JobSpec]] = []
         for index, job in enumerate(plan.jobs):
-            hit = cache.load(job) if cache is not None else None
+            hit = (cache.load(job, spec_hash=plan.hashes[index])
+                   if cache is not None else None)
             if hit is None and index in journal_done:
                 # The journal promised this job was done but the cache
                 # cannot honour it (entry evicted or quarantined as
@@ -639,6 +642,7 @@ def execute_plan(
                 cache=cache,
                 journal=journal,
                 progress=progress,
+                spec_hashes=plan.hashes,
             )
             outcomes, dropped = broker.run(units)
             n_retries = broker.n_retries

@@ -80,6 +80,9 @@ class BranchKernel(ABC):
         """Return the kernel to its initial state (default: stateless)."""
 
 
+# The kernels below have a C twin inside the ``trace-synth`` group of
+# :mod:`repro.sim.fast.compiled` (see :func:`repro.traces.workload.synthesize`).
+# repro: parity-begin trace-synth/pure-kernels fingerprint=2c72842c
 class BiasedKernel(BranchKernel):
     """Independently random outcome, taken with probability ``p_taken``.
 
@@ -332,3 +335,4 @@ class NestedLoopKernel(BranchKernel):
     def reset(self) -> None:
         self._outer_index = 0
         self._iteration = 0
+    # repro: parity-end trace-synth/pure-kernels

@@ -26,7 +26,7 @@ import zlib
 
 from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, FIGURE4_TRACE_NAMES
 from repro.traces.types import Trace
-from repro.traces.workload import KernelMix, SyntheticWorkload, WorkloadSpec
+from repro.traces.workload import KernelMix, WorkloadSpec, synthesize
 
 __all__ = [
     "CBP1_TRACE_NAMES",
@@ -315,7 +315,9 @@ def trace_spec(name: str) -> WorkloadSpec:
 
 @functools.lru_cache(maxsize=128)
 def _generate_cached(name: str, n_branches: int) -> Trace:
-    return SyntheticWorkload(trace_spec(name)).generate(n_branches)
+    # Every CBP name is synthesized here: through the C twin when the C
+    # build resolves, else the pure workload (the same bytes).
+    return synthesize(trace_spec(name), n_branches)
 
 
 def cbp1_trace(name: str, n_branches: int | None = None) -> Trace:

@@ -34,11 +34,25 @@ draws from batches :func:`~repro.common.rng.splitmix64_draws` computes
 up to a thousand at a time, not from one generator method call per
 draw, and a loop branch runs its iteration burst in one kernel call
 (:meth:`~repro.traces.kernels.LoopKernel.burst`).
+
+:func:`synthesize` is one-shot synthesis, the path of every CBP trace
+name (:func:`repro.traces.suites.cbp1_trace` and friends, so
+``get_trace``, the sweep workers and the apps artifacts).  When the C
+build of :mod:`repro.sim.fast.compiled` resolves, it runs that module's
+``trace-synth`` twin of the construction and walk below: every kernel
+built eagerly (the draws are counter-based, so eager and lazy builds
+agree), the routine walk in C, the same bytes.  The 40 CBP traces at
+the quick length take ~7 ms that way against ~0.17 s here (2-core
+x86-64 box, ``BENCH_synthesis_twin.json``).  The objects stay pure:
+a second :meth:`SyntheticWorkload.generate` continuing kernel state,
+:meth:`SyntheticWorkload.reset`, :attr:`StaticBranch.kernel`, and the
+zoo sources built on them (``zoo.phase`` resumes its segments).
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -58,7 +72,7 @@ from repro.traces.kernels import (
 )
 from repro.traces.types import Trace
 
-__all__ = ["KernelMix", "WorkloadSpec", "StaticBranch", "SyntheticWorkload"]
+__all__ = ["KernelMix", "WorkloadSpec", "StaticBranch", "SyntheticWorkload", "synthesize"]
 
 _GLOBAL_HISTORY_BITS = 32
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -176,6 +190,38 @@ class WorkloadSpec:
         if not 0.0 <= self.correlated_noise <= 1.0:
             raise ValueError(f"correlated_noise must be in [0, 1], got {self.correlated_noise}")
 
+
+def _category_cdf(mix: KernelMix) -> tuple[list[str], list[float]]:
+    """The category names and the cumulative weights a static branch's
+    category draw is bisected into."""
+    categories = mix.as_items()
+    total_weight = sum(weight for _, weight in categories)
+    cdf: list[float] = []
+    acc = 0.0
+    for _, weight in categories:
+        acc += weight / total_weight
+        cdf.append(acc)
+    return [name for name, _ in categories], cdf
+
+
+def _zipf_cdf(n_routines: int, exponent: float) -> list[float]:
+    """The routine-popularity CDF: routine ``rank`` weighs
+    ``1 / (rank + 1) ** exponent``."""
+    weights = [1.0 / (rank + 1.0) ** exponent for rank in range(n_routines)]
+    total = sum(weights)
+    cdf: list[float] = []
+    acc = 0.0
+    for weight in weights:
+        acc += weight / total
+        cdf.append(acc)
+    return cdf
+
+
+# The construction and walk below have a C twin, the ``trace-synth``
+# group of :mod:`repro.sim.fast.compiled`, which :func:`synthesize`
+# runs.  Both take the category and routine CDFs from the helpers above
+# (``sum`` of floats rounds differently across CPython versions).
+# repro: parity-begin trace-synth/pure fingerprint=2c72842c
 
 #: SplitMix64 draws each category's kernel takes from the construction
 #: stream: the kernel seed, then its parameters (see :func:`_make_kernel`).
@@ -317,7 +363,7 @@ class SyntheticWorkload:
         fork_seeds = splitmix64_draws(spec.seed, 3)
         self.branches = self._build_static_branches(fork_seeds[0])
         self.routines = self._build_routines(SplitMix64(fork_seeds[1]))
-        self._routine_cdf = self._build_routine_cdf()
+        self._routine_cdf = _zipf_cdf(len(self.routines), spec.routine_zipf_s)
         self._successors = self._build_transition_graph(fork_seeds[2])
         # Per static branch: ``(run, pc, is_loop)``, where ``run`` is the
         # kernel's ``burst`` for a loop branch and its ``next_outcome``
@@ -331,15 +377,8 @@ class SyntheticWorkload:
 
     def _build_static_branches(self, seed: int) -> list[StaticBranch]:
         spec = self.spec
-        categories = spec.mix.as_items()
-        total_weight = sum(weight for _, weight in categories)
-        cdf: list[float] = []
-        acc = 0.0
-        for _, weight in categories:
-            acc += weight / total_weight
-            cdf.append(acc)
-        names = [name for name, _ in categories]
-        last_slot = len(categories) - 1
+        names, cdf = _category_cdf(spec.mix)
+        last_slot = len(names) - 1
 
         # The stream SplitMix64(seed): draws[j] is its draw j + 1, so the
         # generator state after draws[:j] is seed + j·γ.
@@ -411,19 +450,6 @@ class SyntheticWorkload:
                 [straight_indices[(start + i) % len(straight_indices)] for i in range(length)]
             )
         return routines
-
-    def _build_routine_cdf(self) -> list[float]:
-        spec = self.spec
-        weights = [
-            1.0 / (rank + 1.0) ** spec.routine_zipf_s for rank in range(len(self.routines))
-        ]
-        total = sum(weights)
-        cdf: list[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            cdf.append(acc)
-        return cdf
 
     def _build_transition_graph(self, seed: int) -> list[list[int]]:
         """Per-routine successor sets (sparse call-graph locality)."""
@@ -533,6 +559,7 @@ class SyntheticWorkload:
             # One instruction-count draw per branch, in emission order.
             insts += [inst_lo + d % inst_span for d in islice(walk, emitted - visit_start)]
         return Trace(spec.name, pcs, takens, insts)
+    # repro: parity-end trace-synth/pure
 
     def reset(self) -> None:
         """Reset every kernel so the workload can be replayed from scratch.
@@ -549,3 +576,49 @@ class SyntheticWorkload:
         for branch in self.branches:
             histogram[branch.category] = histogram.get(branch.category, 0) + 1
         return histogram
+
+
+def synthesize(spec: WorkloadSpec, n_branches: int) -> Trace:
+    """``SyntheticWorkload(spec).generate(n_branches)`` on a fresh workload.
+
+    When the C build resolves (:mod:`repro.sim.fast.compiled`, policy
+    ``REPRO_COMPILED_PROVIDER``), its ``trace-synth`` twin builds every
+    static branch, routine and kernel and walks them in one call, with
+    the same bytes.  The pure workload runs otherwise, and for a spec
+    the twin does not take: an integer parameter of 2**31 or more, a
+    pattern longer than 64 outcomes, or a bias range outside [0, 1]
+    (which the pure kernels refuse when such a branch executes).  The
+    resumable object API (a second ``generate``,
+    :meth:`SyntheticWorkload.reset`, lazily built kernels) exists only on
+    the pure objects.
+    """
+    if n_branches < 0:
+        raise ValueError(f"n_branches must be non-negative, got {n_branches}")
+    from repro.sim.fast.compiled import resolve_trace_synth_kernel
+
+    # The twin's int64 row: n_static, n_routines, then every range's
+    # (min, max) pair.
+    iparams = [spec.n_static, spec.n_routines]
+    for lo_hi in (
+        spec.routine_len, spec.routine_repeat, spec.loop_trips, spec.pattern_len,
+        spec.parity_depth, spec.history_fn_depth, spec.insts_per_branch,
+    ):
+        iparams += lo_hi
+    twin = resolve_trace_synth_kernel()
+    if (
+        twin is None
+        or max(iparams) >= 2**31
+        or spec.pattern_len[1] > 64
+        or not all(0.0 <= p <= 1.0 for p in (*spec.strong_bias, *spec.noisy_bias))
+    ):
+        return SyntheticWorkload(spec).generate(n_branches)
+    fparams = array("d", [
+        spec.transition_locality, spec.correlated_noise,
+        *spec.strong_bias, *spec.noisy_bias, *_category_cdf(spec.mix)[1],
+    ])
+    pcs, takens, insts = twin(
+        spec.seed & _MASK64, array("q", iparams), fparams,
+        lambda n_routines: _zipf_cdf(n_routines, spec.routine_zipf_s),
+        n_branches,
+    )
+    return Trace(spec.name, pcs, takens, insts)

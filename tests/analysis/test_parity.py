@@ -118,14 +118,15 @@ def test_duplicate_side_fires(lint_files):
 
 
 def test_repo_kernels_carry_current_fingerprints():
-    """The committed fast kernels are stamped with their live values."""
+    """The committed fast kernels are stamped with their live values
+    (the ``trace-synth`` group's pure sides live in ``repro.traces``)."""
     from pathlib import Path
 
     from repro.analysis import get_rules, run_lint
 
     root = Path(__file__).resolve().parents[2]
     report = run_lint(
-        [root / "src" / "repro" / "sim" / "fast"],
+        [root / "src" / "repro" / "sim" / "fast", root / "src" / "repro" / "traces"],
         root=root,
         rules=get_rules(["RPR004"]),
     )

@@ -1,7 +1,8 @@
 """The C kernel build path of :mod:`repro.sim.fast.compiled`.
 
-The embedded C source is compiled once per source digest into
-``$REPRO_COMPILED_CACHE`` and loaded through ctypes; later resolutions
+The embedded C source is compiled once per digest of the source and
+the compiler flags into ``$REPRO_COMPILED_CACHE`` and loaded through
+ctypes; later resolutions
 load the cached library without a compiler, and a box with neither a
 compiler nor a cached library runs the pure kernels — silently unless
 ``REPRO_COMPILED_PROVIDER=cext`` required the C build.
@@ -50,7 +51,8 @@ def _require_compiler():
 
 
 def _digest() -> str:
-    return hashlib.sha256(compiled._C_SOURCE.encode()).hexdigest()[:16]
+    key = "\0".join([compiled._C_SOURCE, *compiled._C_FLAGS])
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def test_cache_env_picks_library_directory(kernel_cache):

@@ -245,13 +245,14 @@ def test_committer_keeps_every_item_in_order_under_contention():
     journal = RecordingJournal()
     committer = _GroupCommitter(None, journal, FaultInjector(), print)
     job = expand(make_spec()).jobs[0]
+    job_hash = job.spec_hash()
     expected = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for index in range(3000):
             if index % 7:
-                committer.submit(_Completion(index, job, None, 0))
+                committer.submit(_Completion(index, job, None, 0, job_hash))
                 expected.append(("done", index))
             else:
                 committer.submit(lambda index=index: journal.note(index))

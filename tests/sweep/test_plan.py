@@ -128,3 +128,26 @@ def test_ready_queue_keeps_workers_on_their_trace():
     # Every queued trace is taken: join the longest backlog.
     assert plan.jobs[ready.pop(trace(b), {("SERV-1", N_BRANCHES)})].trace == "SERV-1"
     assert not ready
+
+
+def test_cold_plan_hashes_each_job_once(tmp_path, monkeypatch):
+    """The plan's spec hashes are the only ones a run computes: the
+    journal's ``begin`` record, the cache probe, the commit thread's
+    stores and ``done`` records all take them from the plan."""
+    from repro.sweep.spec import JobSpec
+
+    calls = []
+    spec_hash = JobSpec.spec_hash
+    monkeypatch.setattr(JobSpec, "spec_hash",
+                        lambda job: calls.append(job) or spec_hash(job))
+    plan = ExecutionPlan.of((FULL, SUBSET))
+    assert len(calls) == sum(map(len, plan.cells)) == 10
+    calls.clear()
+    runs = execute_plan(plan, workers=1, cache=ResultCache(tmp_path / "cache"))
+    assert sum(run.n_executed for run in runs.values()) == len(plan.jobs) == 8
+    assert calls == []
+    assert len(ResultCache(tmp_path / "cache")) == 8
+    [journal] = (tmp_path / "cache" / "runs").glob("*.jsonl")
+    state = replay_journal(journal, journal.stem)
+    assert list(state.job_hashes) == list(plan.hashes)
+    assert sorted(state.done.values()) == sorted(plan.hashes)

@@ -6,6 +6,10 @@ every byte would still pass it.  These digests were computed once and
 committed; any change to a suite or zoo stream, however small, fails
 here.  A deliberate stream change must regenerate them (and every
 golden fixture and result digest downstream).
+
+Every digest is checked on both kernel legs: ``none`` synthesizes the
+CBP traces with the pure workload, ``cext`` with its C twin (skipped
+when the C build is unavailable).
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ import hashlib
 
 import pytest
 
+from repro.sim.fast import compiled
 from repro.traces.sources import ZOO_SOURCE_NAMES, get_source
 from repro.traces.suites import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, trace_spec
-from repro.traces.workload import SyntheticWorkload
+from repro.traces.workload import synthesize
 
 #: sha256 of ``repr((name, pcs, takens, insts))`` at 4,000 branches.
 SHORT_BRANCHES = 4_000
@@ -86,10 +91,20 @@ def _columns_digest(trace) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+@pytest.fixture(params=("none", "cext"))
+def kernel_leg(request, monkeypatch):
+    """Pin one kernel leg; ``cext`` skips without the C build."""
+    monkeypatch.setenv(compiled.PROVIDER_ENV, request.param)
+    if request.param == "cext" and compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    return request.param
+
+
 def _synthesize(name: str, n_branches: int):
     if name in ZOO_SOURCE_NAMES:
         return get_source(name).generate(n_branches)
-    return SyntheticWorkload(trace_spec(name)).generate(n_branches)
+    return synthesize(trace_spec(name), n_branches)
 
 
 def test_every_trace_name_is_pinned():
@@ -99,12 +114,12 @@ def test_every_trace_name_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(SHORT_DIGESTS))
-def test_short_trace_digest(name):
+def test_short_trace_digest(kernel_leg, name):
     assert _columns_digest(_synthesize(name, SHORT_BRANCHES)) == SHORT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(LONG_DIGESTS))
-def test_long_trace_digest(name):
+def test_long_trace_digest(kernel_leg, name):
     assert _columns_digest(_synthesize(name, LONG_BRANCHES)) == LONG_DIGESTS[name]
 
 
