@@ -151,6 +151,23 @@ def record(name: str, payload: dict) -> Path:
     return path
 
 
+def patch_plane_builders(monkeypatch, wrap) -> None:
+    """Route every TAGE plane-chunk build through ``wrap(builder)``,
+    whichever builder runs: NumPy's windowed ``compute_planes`` where
+    the fast engine looks it up, and the C carried-history
+    ``tage-planes`` builder as it resolves."""
+    from repro.sim.fast import compiled, tage
+
+    monkeypatch.setattr(tage, "compute_planes", wrap(tage.compute_planes))
+    resolve = compiled.resolve_tage_planes_kernel
+
+    def resolve_wrapped():
+        build = resolve()
+        return None if build is None else wrap(build)
+
+    monkeypatch.setattr(compiled, "resolve_tage_planes_kernel", resolve_wrapped)
+
+
 @pytest.fixture
 def run_once(benchmark):
     """Run an experiment exactly once under pytest-benchmark timing."""

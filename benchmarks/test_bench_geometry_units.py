@@ -14,8 +14,8 @@ profiles (the ``sweep-replay`` shape): 48 jobs in 8 units.  It runs
 once as fused units and once as one :func:`execute_job` per member
 (planes computed per job), asserts the two give identical result
 bytes, and emits ``benchmarks/records/BENCH_geometry_units.json`` with
-a ``layers`` split of both legs (self time): trace arrays, planes, the
-TAGE kernel and the JRS-family assessments (the remainder is predictor
+a ``layers`` split of both legs (self time): trace arrays, planes
+(whichever builder runs), the TAGE kernel and the JRS-family assessments (the remainder is predictor
 set-up and result assembly).
 """
 
@@ -29,7 +29,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from conftest import emit, record, run_once  # noqa: F401
+from conftest import emit, patch_plane_builders, record, run_once  # noqa: F401
 
 from repro.sim.fast import compiled, engine, lockstep, tage
 from repro.sim.fast.arrays import TraceArrays
@@ -63,8 +63,8 @@ class _LayerTimer:
         timed_from_trace = self._timed("trace_arrays", from_trace)
         monkeypatch.setattr(TraceArrays, "from_trace", classmethod(
             lambda cls, trace: timed_from_trace(trace)))
-        timed_planes = self._timed("planes", tage.compute_planes)
-        monkeypatch.setattr(tage, "compute_planes", timed_planes)
+        patch_plane_builders(monkeypatch,
+                             lambda build: self._timed("planes", build))
         timed_kernel = self._timed("kernel", tage._run_batch)
         for module in (tage, lockstep):
             monkeypatch.setattr(module, "_run_batch", timed_kernel)

@@ -17,8 +17,10 @@ results and emits ``benchmarks/records/BENCH_plane_stream.json`` with,
 per leg:
 
 * wall seconds (best of :data:`REPEATS`) and a ``layers`` split — plane
-  building (every ``compute_planes`` call) and the kernel pass (the
-  rest of the lockstep call);
+  building (every call of whichever builder ran: NumPy's
+  ``compute_planes``, or per chunk the C carried-history builder when
+  the C build resolves) and the kernel pass (the rest of the lockstep
+  call);
 * the ``tracemalloc`` peak of each pass (trace arrays materialized
   beforehand);
 * the peak-RSS rise of a TAGE-64K pass in a fresh child process over a
@@ -27,11 +29,21 @@ per leg:
 
 The compared ``metric`` is ``memory_ratio``, whole-trace over streamed
 traced peak of the largest geometry (higher is better).
+
+A second bench compares the two chunk builders on the same 1M INT-1
+branches and three geometries: NumPy's windowed ``compute_planes`` (the
+builder without a C compiler) against the C ``tage-planes`` builder fed
+one carried history.  It asserts identical rows (a digest of every
+chunk) and emits ``benchmarks/records/BENCH_plane_builder.json``, whose
+compared ``speedup`` is the windowed seconds over the carried seconds
+(each the best of :data:`REPEATS` whole passes of
+``tage._plane_chunks``).
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -44,7 +56,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from conftest import emit, record, run_once  # noqa: F401
+from conftest import emit, patch_plane_builders, record, run_once  # noqa: F401
 
 from repro.confidence.estimator import TageConfidenceEstimator
 from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
@@ -124,21 +136,22 @@ def _timed_leg(trace, whole: bool, monkeypatch) -> tuple[list, dict]:
     """Best-of-:data:`REPEATS` seconds per size, split into plane
     building and the kernel pass."""
     spent = {"seconds": 0.0, "calls": 0}
-    original = tage.compute_planes
 
-    @functools.wraps(original)
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return original(*args, **kwargs)
-        finally:
-            spent["seconds"] += time.perf_counter() - start
-            spent["calls"] += 1
+    def timed(build):
+        @functools.wraps(build)
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return build(*args, **kwargs)
+            finally:
+                spent["seconds"] += time.perf_counter() - start
+                spent["calls"] += 1
+        return wrapper
 
     results = []
     layers = {"planes": {"seconds": 0.0, "calls": 0}, "kernel": {"seconds": 0.0}}
     with monkeypatch.context() as patch:
-        patch.setattr(tage, "compute_planes", timed)
+        patch_plane_builders(patch, timed)
         for size in SIZES:
             best = None
             for _ in range(REPEATS):
@@ -244,3 +257,75 @@ def test_plane_stream(run_once, monkeypatch):
     emit("plane_stream", "\n".join(lines))
 
     assert memory_ratio >= MEMORY_RATIO_TARGET
+
+
+#: The C carried-history builder must beat NumPy's windowed builder by
+#: at least this factor.
+BUILDER_SPEEDUP_TARGET = 1.2
+
+
+def _builder_pass(arrays, geometry) -> tuple[float, str]:
+    """Seconds spent inside one ``_plane_chunks`` pass (the chunk
+    builds alone) and a digest of every chunk's rows (outside them)."""
+    seconds = 0.0
+    digest = hashlib.sha256()
+    chunks = tage._plane_chunks(arrays, geometry)
+    while True:
+        start = time.perf_counter()
+        chunk = next(chunks, None)
+        seconds += time.perf_counter() - start
+        if chunk is None:
+            return seconds, digest.hexdigest()
+        digest.update(chunk[1].tobytes())
+
+
+def test_plane_builder(monkeypatch):
+    monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")
+    if compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    arrays = TraceArrays.from_trace(get_trace("INT-1", BRANCHES))
+    per_size = {}
+    for size in SIZES:
+        geometry = plane_geometry(build_predictor(size).config)
+        best = {}
+        for _ in range(REPEATS):
+            for leg, provider in (("windowed", "none"), ("carried", "cext")):
+                with monkeypatch.context() as patch:
+                    patch.setenv(compiled.PROVIDER_ENV, provider)
+                    seconds, digest = _builder_pass(arrays, geometry)
+                if leg in best:
+                    assert digest == best[leg][1]
+                if leg not in best or seconds < best[leg][0]:
+                    best[leg] = (seconds, digest)
+        # Identical rows from both builders.
+        assert best["windowed"][1] == best["carried"][1]
+        per_size[size] = {leg: round(best[leg][0], 4) for leg in best}
+    windowed = sum(times["windowed"] for times in per_size.values())
+    carried = sum(times["carried"] for times in per_size.values())
+    speedup = windowed / carried
+    record("plane_builder", {
+        "bench": "plane_builder",
+        "trace": "INT-1",
+        "branches": BRANCHES,
+        "sizes": list(SIZES),
+        "plane_chunk": tage.PLANE_CHUNK,
+        "seconds": per_size,
+        "windowed_seconds": round(windowed, 4),
+        "carried_seconds": round(carried, 4),
+        "speedup": round(speedup, 2),
+        "speedup_target": BUILDER_SPEEDUP_TARGET,
+    })
+    lines = [
+        f"plane-builder bench: {BRANCHES} INT-1 branches in "
+        f"{tage.PLANE_CHUNK}-branch chunks, NumPy windowed vs C carried "
+        "history (best of "
+        f"{REPEATS})",
+    ]
+    for size, times in per_size.items():
+        lines.append(f"TAGE-{size:5s} windowed {times['windowed']:.3f}s  "
+                     f"carried {times['carried']:.3f}s  "
+                     f"({times['windowed'] / times['carried']:.2f}x)")
+    lines.append(f"speedup: {speedup:.2f}x (target >= {BUILDER_SPEEDUP_TARGET:g}x)")
+    emit("plane_builder", "\n".join(lines))
+    assert speedup >= BUILDER_SPEEDUP_TARGET

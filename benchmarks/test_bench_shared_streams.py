@@ -19,9 +19,10 @@ process.  It runs once with shared streams and once with every
 cell that built it — the cost before sharing), asserts the two give
 identical result rows, and emits
 ``benchmarks/records/BENCH_shared_streams.json`` with the ``speedup``
-and a ``layers`` split of both legs: TAGE planes, the TAGE kernel, the
-perceptron/O-GEHL kernels, the JRS index build and the counter scans
-(the remainder is trace arrays, predictor set-up and result assembly).
+and a ``layers`` split of both legs: TAGE planes (whichever builder
+runs), the TAGE kernel, the perceptron/O-GEHL kernels, the JRS index
+build and the counter scans (the remainder is trace arrays, predictor
+set-up and result assembly).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from conftest import emit, record, run_once  # noqa: F401
+from conftest import emit, patch_plane_builders, record, run_once  # noqa: F401
 
 from repro.sim.fast import arrays as fast_arrays
 from repro.sim.fast import compiled, engine, lockstep, tage
@@ -66,8 +67,8 @@ class _LayerTimer:
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.calls = dict.fromkeys(LAYERS, 0)
         self._nested = 0.0
-        timed_planes = self._timed("planes", tage.compute_planes)
-        monkeypatch.setattr(tage, "compute_planes", timed_planes)
+        patch_plane_builders(monkeypatch,
+                             lambda build: self._timed("planes", build))
         timed_kernel = self._timed("tage", tage._run_batch)
         for module in (tage, lockstep):
             monkeypatch.setattr(module, "_run_batch", timed_kernel)

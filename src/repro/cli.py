@@ -108,7 +108,7 @@ def _add_backend_arg(parser: argparse.ArgumentParser,
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.artifacts.spec import Scale
-    from repro.sweep.cache import default_cache_dir
+    from repro.common.paths import default_cache_dir
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -30,9 +30,10 @@ NumPy (which the fast backend itself requires and which is gated behind
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.common.paths import default_cache_dir
 
 __all__ = [
     "BACKENDS",
@@ -181,20 +182,14 @@ def get_backend(name: str) -> Backend:
 
 
 def default_planes_dir() -> Path:
-    """Default fast-backend plane materialization directory.
-
-    ``planes/`` inside the default sweep result cache root — i.e.
-    ``$REPRO_CACHE_DIR/planes`` when the cache override is set, else
-    ``.repro-cache/sweeps/planes`` under the cwd (mirroring
-    ``repro.sweep.cache.default_cache_dir``, which this module cannot
-    import without inverting the layering) — so single-trace CLI runs
-    and default sweeps share the same materializations.  Lives here
-    (not in :mod:`repro.sim.fast.planes`) so the CLI can resolve it
-    without importing NumPy.
+    """Default fast-backend plane materialization directory: ``planes/``
+    inside the default sweep result cache root
+    (:func:`repro.common.paths.default_cache_dir`), so single-trace CLI
+    runs and default sweeps share the same materializations.  Lives
+    here (not in :mod:`repro.sim.fast.planes`) so the CLI can resolve
+    it without importing NumPy.
     """
-    override = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(override) if override else Path(".repro-cache") / "sweeps"
-    return base / "planes"
+    return default_cache_dir() / "planes"
 
 
 def load_fast_engine():

@@ -45,11 +45,12 @@ TAGE kernels without loading NumPy.
 The TAGE kernel runs one cell per call over *caller-owned* state: the
 ``ST_*`` block below holds every table, the random-source states, the
 §5/§6.2 counters and the branch tick, and the kernel resumes from it
-and leaves it advanced.  An offline run powers a block on and makes
-one call over the whole trace's planes; a served tenant keeps its
-block and makes one call per request batch, with the plane rows built
-from its carried history by the ``tage_planes`` kernel (the ``GP_*``
-geometry row and ``HS_*`` history block below).
+and leaves it advanced.  Its plane rows come from the ``tage_planes``
+builder, which carries its own history block across calls (the
+``GP_*`` geometry row and ``HS_*`` history block below): an offline run
+powers both blocks on and makes one call of each per plane chunk of
+the trace; a served tenant keeps them and makes one call of each per
+request batch.
 
 Each C kernel is a *translation* of a reference loop and carries
 parity markers — ``repro: parity-begin <group>/<side>
@@ -507,29 +508,49 @@ int tage_batch(int64_t n, const int64_t *rows,
 }
 /* repro: parity-end tage-batch/c */
 
-/* repro: parity-begin tage-planes/c fingerprint=16597ffe */
-/* Folded-history register step (FoldedHistory.update). */
-static inline int64_t fold_step(int64_t comp, int64_t width, int64_t out_pos,
-                                int64_t new_bit, int64_t outgoing)
-{
-    comp = (comp << 1) | new_bit;
-    comp ^= outgoing << out_pos;
-    comp ^= comp >> width;
-    return comp & (((int64_t)1 << width) - 1);
-}
+/* repro: parity-begin tage-planes/c fingerprint=afd956d6 */
+/* One tagged component's hash constants, computed once per call: the
+   PC shift, the index/tag/path-window masks, the history length, and
+   per fold (index, tag, tag-1) its width, mask and eviction position
+   (FoldedHistory.update's `length % width`). */
+typedef struct {
+    int64_t shift, log_entries, length;
+    uint64_t index_mask, tag_mask, window_mask;
+    int64_t width[3], fold_mask[3], out_pos[3];
+} plane_hash;
 
-int tage_planes(int64_t n, const int64_t *gp, int64_t *history,
-                const uint64_t *pcs, const uint8_t *takens, int64_t *out)
+int tage_planes(int64_t n, const int64_t *restrict gp,
+                int64_t *restrict history, const uint64_t *restrict pcs,
+                const uint8_t *restrict takens, int64_t *restrict out)
 {
     int64_t m = gp[0];
     uint64_t bmask = ((uint64_t)1 << gp[1]) - 1;
     uint64_t path_mask = ((uint64_t)1 << gp[2]) - 1;
     int64_t capacity = gp[3];
-    const int64_t *components = gp + 4;
     uint64_t path = (uint64_t)history[0];
     int64_t head = history[1];
     int64_t *folds = history + 2;
     int64_t *ring = history + 2 + 3 * m;
+    plane_hash *hashes = malloc((size_t)m * sizeof *hashes);
+    if (hashes == NULL)
+        return -1;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t *g = gp + 4 + 5 * i;
+        plane_hash *h = hashes + i;
+        h->shift = g[0] + 1;
+        h->log_entries = g[1];
+        h->length = g[3];
+        h->index_mask = ((uint64_t)1 << g[1]) - 1;
+        h->tag_mask = ((uint64_t)1 << g[2]) - 1;
+        h->window_mask = ((uint64_t)1 << g[4]) - 1;
+        h->width[0] = g[1];
+        h->width[1] = g[2];
+        h->width[2] = g[2] - 1 > 1 ? g[2] - 1 : 1;
+        for (int f = 0; f < 3; f++) {
+            h->fold_mask[f] = ((int64_t)1 << h->width[f]) - 1;
+            h->out_pos[f] = h->length % h->width[f];
+        }
+    }
 
     for (int64_t t = 0; t < n; t++) {
         uint64_t pc = pcs[t];
@@ -538,38 +559,33 @@ int tage_planes(int64_t n, const int64_t *gp, int64_t *history,
         out[t] = taken;
         out[n + t] = (int64_t)(pc_part & bmask);
         for (int64_t i = 0; i < m; i++) {
-            const int64_t *g = components + 5 * i;
-            int64_t log_entries = g[1];
-            uint64_t index_mask = ((uint64_t)1 << log_entries) - 1;
-            uint64_t window = path & (((uint64_t)1 << g[4]) - 1);
+            const plane_hash *h = hashes + i;
+            uint64_t window = path & h->window_mask;
             uint64_t path_part = 0;
             while (window) {
-                path_part ^= window & index_mask;
-                window >>= log_entries;
+                path_part ^= window & h->index_mask;
+                window >>= h->log_entries;
             }
-            uint64_t index = pc_part ^ (pc_part >> (g[0] + 1))
+            uint64_t index = pc_part ^ (pc_part >> h->shift)
                              ^ (uint64_t)folds[i] ^ path_part;
             uint64_t tag = pc_part ^ (uint64_t)folds[m + i]
                            ^ ((uint64_t)folds[2 * m + i] << 1);
-            out[(2 + i) * n + t] = (int64_t)(index & index_mask);
-            out[(2 + m + i) * n + t] =
-                (int64_t)(tag & (((uint64_t)1 << g[2]) - 1));
-        }
-        for (int64_t i = 0; i < m; i++) {
-            const int64_t *g = components + 5 * i;
-            int64_t length = g[3];
-            int64_t tag_b_bits = g[2] - 1 > 1 ? g[2] - 1 : 1;
-            int64_t slot = (head - length) % capacity;
+            out[(2 + i) * n + t] = (int64_t)(index & h->index_mask);
+            out[(2 + m + i) * n + t] = (int64_t)(tag & h->tag_mask);
+            /* The FoldedHistory step of the component's registers: the
+               outcome enters, the one `length` branches old (ring slot
+               head - length, as length <= capacity) leaves. */
+            int64_t slot = head - h->length;
             if (slot < 0)
                 slot += capacity;
             int64_t outgoing = ring[slot];
-            folds[i] = fold_step(folds[i], g[1], length % g[1],
-                                 taken, outgoing);
-            folds[m + i] = fold_step(folds[m + i], g[2], length % g[2],
-                                     taken, outgoing);
-            folds[2 * m + i] = fold_step(folds[2 * m + i], tag_b_bits,
-                                         length % tag_b_bits, taken,
-                                         outgoing);
+            int64_t *fold = folds + i;
+            for (int f = 0; f < 3; f++, fold += m) {
+                int64_t comp = (*fold << 1) | taken;
+                comp ^= outgoing << h->out_pos[f];
+                comp ^= comp >> h->width[f];
+                *fold = comp & h->fold_mask[f];
+            }
         }
         ring[head] = taken;
         head++;
@@ -577,6 +593,7 @@ int tage_planes(int64_t n, const int64_t *gp, int64_t *history,
             head = 0;
         path = ((path << 1) | (pc & 1)) & path_mask;
     }
+    free(hashes);
     history[0] = (int64_t)path;
     history[1] = head;
     return 0;
@@ -1227,10 +1244,12 @@ def _load_cext() -> bool:
         _require(pcs, 8 * n, "pcs")
         _require(takens, n, "takens")
         _require(out, 8 * (2 + 2 * n_tagged) * n, "plane rows")
-        library.tage_planes(
+        status = library.tage_planes(
             n, _address(gparams), _address(history), _address(pcs),
             _address(takens), _address(out),
         )
+        if status != 0:
+            raise MemoryError("compiled TAGE plane builder ran out of memory")
         return 0
 
     def cext_ogehl(takens, planes, ctr_max, ctr_min, log_entries,

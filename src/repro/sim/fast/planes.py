@@ -23,9 +23,12 @@ automaton, counter widths or seeds share the same planes (see
 :meth:`repro.predictors.tage.config.TageConfig.component_geometries`),
 and one lockstep pass advances all of them over the same rows.  Offline
 runs never hold a whole trace's planes: :mod:`repro.sim.fast.tage`
-calls :func:`compute_planes` on one chunk of branches at a time, over a
-window reaching back the geometry's longest history, so plane memory
-stays at one chunk whatever the trace length.  :class:`PlaneCache`
+builds one chunk of branches at a time, so plane memory stays at one
+chunk whatever the trace length.  With the C build its carried-history
+``tage-planes`` builder writes the chunks; :func:`compute_planes` is
+the builder without it (called on each chunk over a window reaching
+back the geometry's longest history) and the closed form the
+differential suites check both builders against.  :class:`PlaneCache`
 materializes whole-trace rows to a single ``.npy`` file and serves
 repeat requests as read-only memmaps, which the kernel pass slices into
 the same chunks; only a ``materialization=`` caller of

@@ -5,9 +5,11 @@ spends almost all of its per-branch time on index/tag arithmetic: every
 branch recomputes M component indices and tags (folded-history xors,
 path folding) and advances 3M folded-history registers.  All of that
 depends only on the PC and the *resolved* outcome/path histories, so
-:mod:`repro.sim.fast.planes` precomputes it for the whole trace with
-vectorized NumPy.  What remains genuinely sequential — provider/altpred
-selection, counter and useful-counter updates, allocation and the
+it is computed ahead of the kernel, as plane rows: by the C
+``tage-planes`` builder from a carried history when the C build
+resolves, else by :mod:`repro.sim.fast.planes`' vectorized NumPy.
+What remains genuinely sequential — provider/altpred selection,
+counter and useful-counter updates, allocation and the
 ``USE_ALT_ON_NA`` monitor all feed back through table state — runs as
 one tight Python loop over packed structure-of-arrays table state
 (per-component ``ctr``/``tag``/``u`` int lists) with zero per-step
@@ -34,9 +36,12 @@ cell predicate live in the numpy-free :mod:`repro.sim.fast.tage_core`
 (so the serving layer can step tenants on them); this module feeds it
 offline traces.  :func:`_run_batch` streams a trace's planes in chunks
 of :data:`PLANE_CHUNK` branches and advances every cell's own
-powered-on state block over each chunk in turn, through the C build in
-:mod:`repro.sim.fast.compiled` whenever it resolves and the pure kernel
-otherwise, so plane memory stays at one chunk however long the trace.
+powered-on state block over each chunk in turn, so plane memory stays
+at one chunk however long the trace.  Both stages run through the C
+build in :mod:`repro.sim.fast.compiled` whenever it resolves: its
+carried-history plane builder (the one the serving layer steps
+tenants with) and its kernel.  Otherwise NumPy builds each chunk over
+a look-back window and the pure kernel runs it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ from repro.sim.fast.tage_core import (
     cell_counts,
     cell_inputs,
     cell_params,
+    history_power_on,
+    plane_params,
     power_on,
 )
 
@@ -74,9 +81,14 @@ __all__ = [
 #: Branches per plane chunk.  Offline TAGE runs build (or slice) the
 #: index/tag rows of this many branches at a time and advance every
 #: cell over them, so plane memory stays at one chunk whatever the
-#: trace length; 16,384 measured fastest of 4K/16K/32K, because the
-#: NumPy temporaries of one chunk stay in cache.
-PLANE_CHUNK = 16_384
+#: trace length.  About 16K measured fastest of 4K/16K/32K, because one
+#: chunk's rows (and NumPy's temporaries) stay in cache; and not 16,384,
+#: because the builder writes and the kernel reads a chunk's 2 + 2M rows
+#: as parallel streams ``PLANE_CHUNK`` int64 apart, and a power-of-two
+#: stride maps every stream onto the same cache sets (a 1M-branch
+#: TAGE-64K lockstep pass took ~210 ms at 16,384 against ~150 ms at
+#: 16,000 on a 2-core x86-64 box).
+PLANE_CHUNK = 16_000
 
 
 def resolve_planes(
@@ -118,16 +130,31 @@ def _plane_chunks(arrays: TraceArrays, geometry: tuple,
     chunk of at most :data:`PLANE_CHUNK` branches at a time.
 
     Yields ``(start, rows)``, ``rows`` a C-contiguous int64 block.
-    Supplied ``planes`` are sliced.  Otherwise each chunk goes through
-    :func:`compute_planes` over a window that starts
-    :func:`_history_reach` branches before the chunk, and that prefix
-    is dropped: every folded index/tag value depends only on that many
-    earlier outcomes and PCs, so the rows equal the whole-trace planes
-    byte for byte.
+    Supplied ``planes`` are sliced.  Otherwise, when the C build
+    resolves, its ``tage-planes`` builder writes each chunk from one
+    carried history (:func:`~repro.sim.fast.tage_core.history_power_on`)
+    that advances across the chunks, so no chunk reads back into the
+    trace.  Without it each chunk goes through :func:`compute_planes`
+    over a window that starts :func:`_history_reach` branches before
+    the chunk, and that prefix is dropped: every folded index/tag value
+    depends only on that many earlier outcomes and PCs.  Either way the
+    rows equal the whole-trace planes byte for byte.
     """
+    build = compiled.resolve_tage_planes_kernel() if planes is None else None
+    if build is not None:
+        gparams = plane_params(geometry)
+        history = history_power_on(gparams)
     reach = _history_reach(geometry)
     for start in range(0, len(arrays), PLANE_CHUNK):
         stop = min(start + PLANE_CHUNK, len(arrays))
+        if build is not None:
+            rows = np.empty((2 + 2 * len(geometry[1]), stop - start),
+                            dtype=np.int64)
+            build(stop - start, gparams, history,
+                  arrays.pcs[start:stop].view(np.uint64),
+                  arrays.takens[start:stop], rows)
+            yield start, rows
+            continue
         if planes is not None:
             rows = planes.data[1:, start:stop]
         else:

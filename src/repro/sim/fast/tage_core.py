@@ -558,7 +558,7 @@ def history_power_on(gparams) -> array:
     return array("q", bytes(8 * compiled.history_words(gparams)))
 
 
-# repro: parity-begin tage-planes/pure fingerprint=16597ffe
+# repro: parity-begin tage-planes/pure fingerprint=afd956d6
 def _build_planes(gparams, history, pcs, takens) -> list:
     """One batch's plane rows from a carried history.
 
@@ -567,10 +567,10 @@ def _build_planes(gparams, history, pcs, takens) -> list:
     compute_planes` puts in ``data[1:]`` for the same branches — and
     leaves ``history`` advanced past the batch.  Each tagged component
     hashes the PC with its three folded registers (index, tag, tag-1
-    widths) and its path window; after the branch every register takes
-    the :class:`~repro.common.history.FoldedHistory` step with the
-    outcome entering and the one ``length`` branches old leaving, read
-    from the outcome ring."""
+    widths) and its path window, then its registers take the
+    :class:`~repro.common.history.FoldedHistory` step with the outcome
+    entering and the one ``length`` branches old leaving, read from the
+    outcome ring."""
     m, log_bimodal, register_bits, capacity = gparams[:GP_COMPONENTS]
     bmask = (1 << log_bimodal) - 1
     path_mask = (1 << register_bits) - 1
@@ -579,17 +579,16 @@ def _build_planes(gparams, history, pcs, takens) -> list:
         for i in range(m)
     ]
     # Per component: (pc shift, index width, index mask, tag mask,
-    # path mask, history length, then (width, eviction position) of the
-    # index, tag and tag-1 folds).
+    # path mask, history length, then (width, mask, eviction position)
+    # of the index, tag and tag-1 folds).
     hashes = []
     for table_number, log_entries, tag_bits, length, path_bits in components:
         tag_b_bits = max(tag_bits - 1, 1)
         hashes.append((
             table_number + 1, log_entries, (1 << log_entries) - 1,
             (1 << tag_bits) - 1, (1 << path_bits) - 1, length,
-            ((log_entries, length % log_entries),
-             (tag_bits, length % tag_bits),
-             (tag_b_bits, length % tag_b_bits)),
+            tuple((width, (1 << width) - 1, length % width)
+                  for width in (log_entries, tag_bits, tag_b_bits)),
         ))
     path, head = history[:HS_FOLDS]
     folds = history[HS_FOLDS:HS_FOLDS + 3 * m].tolist()
@@ -606,7 +605,8 @@ def _build_planes(gparams, history, pcs, takens) -> list:
         taken_row.append(taken)
         bimodal_row.append(pc_part & bmask)
         for i in range(m):
-            shift, log_entries, index_mask, tag_mask, window_mask, _, _ = hashes[i]
+            (shift, log_entries, index_mask, tag_mask, window_mask, length,
+             folding) = hashes[i]
             window = path & window_mask
             path_part = 0
             while window:
@@ -618,15 +618,13 @@ def _build_planes(gparams, history, pcs, takens) -> list:
             tag_rows[i].append(
                 (pc_part ^ folds[m + i] ^ (folds[2 * m + i] << 1)) & tag_mask
             )
-        for i in range(m):
-            length = hashes[i][5]
             outgoing = ring[head - length]
             slot = i
-            for width, out_pos in hashes[i][6]:
+            for width, fold_mask, out_pos in folding:
                 comp = (folds[slot] << 1) | taken
                 comp ^= outgoing << out_pos
                 comp ^= comp >> width
-                folds[slot] = comp & ((1 << width) - 1)
+                folds[slot] = comp & fold_mask
                 slot += m
         ring[head] = taken
         head += 1

@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from repro.common.paths import default_cache_dir
 from repro.sweep.spec import JobSpec, stable_digest
 
 if TYPE_CHECKING:
@@ -53,22 +54,11 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION", "CORRUPT_DIR"]
 #: trailer, and the key salts the spec hash instead of the job dict.
 CACHE_VERSION = 2
 
-#: Environment override for the cache location.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
 #: Sibling directory (under the cache root) corrupt entries move to.
 CORRUPT_DIR = ".corrupt"
 
 #: Bytes of the CRC-32 trailer after the pickle.
 _TRAILER = 4
-
-
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` or ``.repro-cache/sweeps`` under the cwd."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(".repro-cache") / "sweeps"
 
 
 def _crc(payload: bytes) -> bytes:
@@ -115,8 +105,8 @@ class ResultCache:
         the next :meth:`store` writes a fresh entry.  Pass ``spec_hash``
         when the caller already has it (as for :meth:`store`).
         """
-        # Loaded here, not at import: the CLI's parser reads
-        # default_cache_dir without the result model behind it.
+        # Loaded here, not at import: the result model pulls in the
+        # simulation engine, which opening a cache does not need.
         from repro.sweep.result import JobResult
 
         path = self.path(job, spec_hash)

@@ -119,34 +119,53 @@ class ConfidenceInversionSource(TraceSource):
         return self._stream(self.period, n_branches)
 
 
-@lru_cache(maxsize=32)
-def _searched_period(source: ConfidenceInversionSource) -> int:
-    """Deterministic search: the candidate period with the worst
-    gshare + JRS high-confidence precision on a probe stream."""
+def _probe_pvp(source: ConfidenceInversionSource, period: int,
+               backend: str) -> float:
+    """gshare + JRS high-confidence precision on ``source``'s probe
+    stream flipping every ``period`` executions (inf: no high-confidence
+    assessment)."""
     from repro.confidence.jrs import JrsEstimator
     from repro.predictors.gshare import GsharePredictor
     from repro.sim.engine import simulate_binary
 
+    trace = Trace.from_records(
+        f"{source.label}/probe-p{period}",
+        source._stream(period, source.probe_branches),
+    )
+    confusion, _ = simulate_binary(
+        trace,
+        GsharePredictor(),
+        JrsEstimator(),
+        warmup_branches=source.probe_branches // 4,
+        backend=backend,
+    )
+    high = confusion.high_correct + confusion.high_incorrect
+    return confusion.high_correct / high if high else float("inf")
+
+
+def _probe_backend() -> str:
+    """The engine the search runs on: the fast backend when it takes a
+    gshare + JRS binary cell (the two engines give identical
+    confusions), else the reference engine, without a fallback warning
+    on an install that lacks NumPy."""
+    from repro.confidence.jrs import JrsEstimator
+    from repro.predictors.gshare import GsharePredictor
+    from repro.sim.backends import Cell, get_backend
+
+    cell = Cell(GsharePredictor(), JrsEstimator(), binary=True)
+    return "fast" if get_backend("fast").capability(cell) else "reference"
+
+
+@lru_cache(maxsize=32)
+def _searched_period(source: ConfidenceInversionSource) -> int:
+    """Deterministic search: the candidate period with the worst
+    gshare + JRS high-confidence precision on a probe stream (the
+    first such candidate on a tie)."""
+    backend = _probe_backend()
     best_period = source.candidate_periods[0]
     best_pvp = float("inf")
     for period in source.candidate_periods:
-        trace = Trace.from_records(
-            f"{source.label}/probe-p{period}",
-            source._stream(period, source.probe_branches),
-        )
-        # The search stays on the reference engine.  The fast backend
-        # needs numpy, an optional ``[fast]`` extra, so a fast search
-        # would still need this reference path for installs without it:
-        # two code paths for one period.
-        confusion, _ = simulate_binary(
-            trace,
-            GsharePredictor(),
-            JrsEstimator(),
-            warmup_branches=source.probe_branches // 4,
-            backend="reference",
-        )
-        high = confusion.high_correct + confusion.high_incorrect
-        pvp = confusion.high_correct / high if high else float("inf")
+        pvp = _probe_pvp(source, period, backend)
         if pvp < best_pvp:
             best_pvp = pvp
             best_period = period

@@ -1,15 +1,20 @@
 """Streamed TAGE planes: chunk boundaries are invisible.
 
 Offline TAGE runs build their index/tag planes one chunk of
-``tage.PLANE_CHUNK`` branches at a time (each chunk over a window
-reaching back the geometry's longest history) and advance every cell's
-resumable state block over it.  With the chunk length forced to a small
-odd value, every cell must still match the reference engine: both
-automata, a §6.2 controller whose windows straddle chunk boundaries,
-warmup ending mid-chunk, and the JRS-family members of a sweep unit.
-Caller-supplied whole-trace planes are sliced into the same chunks and
-must give the same results, and the offline pass must hold one chunk of
-planes, not one per trace length.
+``tage.PLANE_CHUNK`` branches at a time and advance every cell's
+resumable state block over it.  Two builders write the chunks: with the
+C build, its carried-history ``tage-planes`` builder, whose history
+block advances from chunk to chunk; without it, NumPy's
+``compute_planes`` over a window reaching back the geometry's longest
+history.  With the chunk length forced to a small odd value, both
+builders must write the whole-trace rows — for the TAGE presets and
+for geometries beyond them, one whose histories reach past a whole
+chunk among them — and every cell must still match the reference engine:
+both automata, a §6.2 controller whose windows straddle chunk
+boundaries, warmup ending mid-chunk, and the JRS-family members of a
+sweep unit.  Caller-supplied whole-trace planes are sliced into the
+same chunks and must give the same results, and the offline pass must
+hold one chunk of planes, not one per trace length.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ np = pytest.importorskip("numpy")
 
 from repro.confidence.adaptive import AdaptiveSaturationController
 from repro.confidence.estimator import TageConfidenceEstimator
-from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC
+from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC, TageConfig
+from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.engine import simulate
 from repro.sim.fast import (
     LockstepCell,
@@ -51,6 +57,19 @@ from repro.traces.types import Trace
 SMALL_CHUNK = 1_001
 BRANCHES = 12_500
 SIZES = ("16K", "64K", "256K")
+#: Plane geometries beyond the presets: one tagged component; 2-bit tags
+#: (the tag-1 fold clamps to one bit) under a short path register; and
+#: histories up to 2,500 branches, longer than two whole chunks, so the
+#: evicted outcome comes from a chunk built two calls earlier.
+NON_PRESET_CONFIGS = (
+    TageConfig(name="one-table", n_tagged=1, log_bimodal=10, log_tagged=7,
+               tag_bits=6, min_history=4, max_history=4, path_history_bits=4),
+    TageConfig(name="narrow-tags", n_tagged=5, log_bimodal=12, log_tagged=9,
+               tag_bits=2, min_history=2, max_history=120, path_history_bits=7),
+    TageConfig(name="long-history", n_tagged=6, log_bimodal=11, log_tagged=10,
+               tag_bits=9, min_history=5, max_history=2_500,
+               path_history_bits=24),
+)
 
 
 @pytest.fixture(params=("none", "cext"))
@@ -160,17 +179,54 @@ def test_sweep_units_across_chunks_match_reference(kernel_leg, reference_units):
                 == [_identity(r) for r in reference])
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_streamed_rows_equal_whole_trace_planes(trace, size, monkeypatch):
-    monkeypatch.setattr(tage, "PLANE_CHUNK", SMALL_CHUNK)
+@pytest.mark.parametrize("geometry", [
+    *(plane_geometry(build_predictor(size).config) for size in SIZES),
+    *(plane_geometry(config) for config in NON_PRESET_CONFIGS),
+], ids=[*SIZES, *(config.name for config in NON_PRESET_CONFIGS)])
+def test_streamed_rows_equal_whole_trace_planes(kernel_leg, trace, geometry):
+    """Either builder's chunks — the C one's from a history carried
+    across them, NumPy's over look-back windows — equal the whole-trace
+    planes row for row."""
     arrays = TraceArrays.from_trace(trace)
-    geometry = plane_geometry(build_predictor(size).config)
     chunks = list(tage._plane_chunks(arrays, geometry))
     assert [start for start, _ in chunks] == list(range(0, BRANCHES, SMALL_CHUNK))
+    for _, rows in chunks:
+        assert rows.flags.c_contiguous and rows.dtype == np.int64
     np.testing.assert_array_equal(
         np.concatenate([rows for _, rows in chunks], axis=1),
         compute_planes(arrays, geometry).data[1:],
     )
+
+
+@pytest.fixture(scope="module")
+def reference_non_presets(trace):
+    return {
+        config.name: [
+            simulate(trace, cell.predictor, cell.estimator,
+                     warmup_branches=cell.warmup_branches)
+            for cell in _non_preset_cells(config)
+        ]
+        for config in NON_PRESET_CONFIGS
+    }
+
+
+def _non_preset_cells(config: TageConfig) -> list[LockstepCell]:
+    standard = TagePredictor(config)
+    probabilistic = TagePredictor(config.with_probabilistic_automaton())
+    return [
+        LockstepCell(standard, TageConfidenceEstimator(standard),
+                     warmup_branches=1_500),
+        LockstepCell(probabilistic, TageConfidenceEstimator(probabilistic)),
+    ]
+
+
+@pytest.mark.parametrize("config", NON_PRESET_CONFIGS, ids=lambda c: c.name)
+def test_non_preset_geometries_match_reference(kernel_leg, trace, config,
+                                             reference_non_presets):
+    streamed = simulate_tage_lockstep(trace, _non_preset_cells(config))
+    assert streamed == reference_non_presets[config.name]
+    for fast, reference in zip(streamed, reference_non_presets[config.name]):
+        assert fast.classes.as_dict() == reference.classes.as_dict()
 
 
 def test_supplied_planes_match_computed_chunks(kernel_leg, trace, tmp_path):
@@ -212,8 +268,9 @@ def test_offline_plane_memory_is_one_chunk(monkeypatch):
     """Whole-trace planes of 200k TAGE-64K branches alone are ~27 MB;
     the stream holds one chunk, and its peak grows with the trace only
     by the cell's one-byte-per-branch prediction stream.  Measured on
-    the C leg: the pure kernel reads the same chunk as Python lists
-    (a larger constant) at a fraction of the speed."""
+    the C leg, whose builder reads each chunk's PCs and outcomes in
+    place: the pure kernel reads the same chunk as Python lists (a
+    larger constant) at a fraction of the speed."""
     monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")
     if compiled.active_provider() != "cext":
         pytest.skip(f"C kernel build unavailable "

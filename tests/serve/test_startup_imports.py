@@ -58,6 +58,13 @@ def test_help_loads_no_command_module():
     assert _loaded(code, forbidden + ["repro.artifacts.registry"]) == []
 
 
+def test_parser_loads_no_result_cache():
+    """The parser prints the default cache directory from its stdlib
+    leaf, not from the result cache (and its pickle)."""
+    code = "import repro.cli\nrepro.cli.build_parser()\n"
+    assert _loaded(code, ("repro.sweep.cache", "repro.sweep", "pickle")) == []
+
+
 def test_tage_session_loads_no_sweep_layer():
     code = (
         "from repro.serve.state import SessionSpec, TenantSession\n"

@@ -214,25 +214,55 @@ class TestInMemoryPlanes:
         assert len(ResultCache(cache_dir)) == 8
         assert not (cache_dir / "planes").exists()
 
-    def test_units_compute_planes_once_per_trace_geometry(self, monkeypatch):
+    @pytest.mark.parametrize("provider", ["none", "cext"])
+    def test_units_compute_planes_once_per_trace_geometry(self, provider,
+                                                          monkeypatch):
         pytest.importorskip("numpy")
-        from repro.sim.fast import tage
+        from repro.sim.fast import compiled, tage
 
-        computed = []
+        monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
+        if provider == "cext" and compiled.active_provider() != "cext":
+            pytest.skip(f"C kernel build unavailable "
+                        f"({compiled.provider_unavailable_reason()})")
+        # Each chunk build is filed under the trace whose stream asked
+        # for it: NumPy's windowed builder on the pure leg, the C
+        # carried-history builder on the C leg.
+        streaming = []
+        built = {"numpy": [], "c": []}
+        plane_chunks = tage._plane_chunks
         compute_planes = tage.compute_planes
+        resolve_builder = compiled.resolve_tage_planes_kernel
+
+        def tracking(arrays, *args):
+            streaming[:] = [arrays.name]
+            yield from plane_chunks(arrays, *args)
 
         def counting(arrays, geometry):
-            computed.append((arrays.name, geometry))
+            built["numpy"].append(streaming[0])
             return compute_planes(arrays, geometry)
 
+        def counting_builder():
+            build = resolve_builder()
+            if build is None:
+                return None
+
+            def counted(*args):
+                built["c"].append(streaming[0])
+                return build(*args)
+            return counted
+
+        monkeypatch.setattr(tage, "_plane_chunks", tracking)
         monkeypatch.setattr(tage, "compute_planes", counting)
+        monkeypatch.setattr(compiled, "resolve_tage_planes_kernel", counting_builder)
         monkeypatch.setattr(tage, "PLANE_CHUNK", 400)
         fused = run_sweep(self._tage_spec(), workers=1)
         # Both automata under both estimators stream one plane set per
         # trace: three 400-branch chunk builds per unit for eight jobs,
         # not one per member.
         assert fused.n_executed == 8
-        assert sorted(name for name, _ in computed) == ["INT-1"] * 3 + ["MM-1"] * 3
+        ran, idle = ("numpy", "c") if provider == "none" else ("c", "numpy")
+        assert sorted(built[ran]) == ["INT-1"] * 3 + ["MM-1"] * 3
+        assert built[idle] == []
         reference = run_sweep(self._tage_spec(backend="reference"), workers=1)
         assert fused.table.rows() == reference.table.rows()
 

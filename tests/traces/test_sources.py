@@ -14,6 +14,7 @@ perceptron while table predictors learn it.
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -42,6 +43,11 @@ from repro.traces.sources import (
     source_names,
 )
 from repro.traces.sources import base as base_module
+from repro.traces.sources.adversarial import (
+    _probe_backend,
+    _probe_pvp,
+    _searched_period,
+)
 from repro.traces.workload import SyntheticWorkload, WorkloadSpec
 
 
@@ -338,6 +344,36 @@ class TestAdversarialDegradation:
         source = get_source("zoo.jrs-inversion")
         assert source.period in source.candidate_periods
         assert source.period == source.period  # memoized, stable
+
+    def test_period_search_engines_agree(self):
+        """The search runs on the fast backend when it takes the cell;
+        the two engines give the same PVP for every candidate."""
+        pytest.importorskip("numpy")
+        source = get_source("zoo.jrs-inversion")
+        assert _probe_backend() == "fast"
+        for period in source.candidate_periods:
+            assert (_probe_pvp(source, period, "fast")
+                    == _probe_pvp(source, period, "reference")), period
+
+    def test_period_search_without_the_fast_backend(self, monkeypatch):
+        """An install without NumPy searches on the reference engine,
+        silently, and finds the same period."""
+        from repro.sim import backends
+
+        def unavailable():
+            raise backends.FastBackendUnsupported("NumPy is unavailable")
+
+        source = get_source("zoo.jrs-inversion")
+        expected = source.period
+        monkeypatch.setattr(backends, "load_fast_engine", unavailable)
+        _searched_period.cache_clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _probe_backend() == "reference"
+                assert _searched_period(source) == expected
+        finally:
+            _searched_period.cache_clear()
 
     @pytest.mark.parametrize("estimator_cls", [JrsEstimator, EnhancedJrsEstimator])
     def test_confidence_inversion_degrades_jrs_family_pvp(self, estimator_cls):
