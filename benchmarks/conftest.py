@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,26 @@ def bench_speedup_target() -> float:
     baselines.
     """
     return float(os.environ.get("REPRO_BENCH_SPEEDUP_TARGET", "3.0"))
+
+
+#: Iterations of the calibration loop (~0.1 s on a 2-core x86-64 box).
+CALIBRATION_LOOPS = 1_000_000
+
+
+def calibrate() -> float:
+    """Seconds this process takes for a fixed, ``repro``-free
+    pure-Python loop: the machine's interpreter speed.
+
+    A bench's ``relative_speed`` is this over the seconds of the path it
+    guards, so the metric rises whenever that path gets faster, stays
+    comparable across machines, and does not fall when a leg it is not
+    about gets faster too.
+    """
+    start = time.perf_counter()
+    acc = 0
+    for i in range(CALIBRATION_LOOPS):
+        acc = (acc * 31 + i) & 0xFFFFFFFF
+    return time.perf_counter() - start
 
 
 def bench_cache() -> ResultCache | None:

@@ -19,7 +19,7 @@ writes ``benchmarks/records/BENCH_paper_e2e.json``:
   2-worker run's cache (every job served from it), whose reports must
   be byte-identical to the cold run's;
 * ``calibration_s`` — median seconds of a fixed pure-Python loop
-  (:func:`_calibrate`, no ``repro`` code) timed in the bench process
+  (``conftest.calibrate``, no ``repro`` code) timed in the bench process
   before each round: how fast this machine runs the interpreter;
 * ``relative_speed`` (the compared metric) — calibration_s / wall(2):
   the 2-worker cold run's speed in units of this machine's speed, so
@@ -54,7 +54,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from conftest import emit, record, run_once  # noqa: F401
+from conftest import calibrate, emit, record, run_once  # noqa: F401
 
 from repro.artifacts import REGISTRY, Scale
 from repro.sweep import expand
@@ -63,19 +63,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Cold runs per leg; the median wall is recorded.
 ROUNDS = 5
-#: Iterations of the calibration loop (~0.1 s on a 2-core x86-64 box).
-CALIBRATION_LOOPS = 1_000_000
-
-
-def _calibrate() -> float:
-    """Seconds this process takes for a fixed, ``repro``-free
-    pure-Python loop: the machine's interpreter speed."""
-    start = time.perf_counter()
-    acc = 0
-    for i in range(CALIBRATION_LOOPS):
-        acc = (acc * 31 + i) & 0xFFFFFFFF
-    return time.perf_counter() - start
-
 _FUSED = re.compile(r"^lockstep: fused (\d+) job\(s\)", re.MULTILINE)
 _POOL = re.compile(r"^broker: \d+ unit\(s\) on a pool of", re.MULTILINE)
 _SUMMARY = re.compile(
@@ -154,7 +141,7 @@ def test_paper_e2e_parallel_speedup(run_once, tmp_path):
 
     def measure():
         for round_index in range(ROUNDS):
-            calibrations.append(_calibrate())
+            calibrations.append(calibrate())
             for workers in legs:
                 root = tmp_path / f"w{workers}-r{round_index}"
                 root.mkdir()

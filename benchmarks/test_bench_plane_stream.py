@@ -11,10 +11,13 @@ first, so plane memory no longer grows with the trace.
 Workload: one 1M-branch INT-1 lockstep pass per TAGE size (16K, 64K,
 256K), three cells each (standard and probabilistic automata under the
 §5 observation estimator, plus a predictor-only cell), run two ways —
-whole-trace :func:`~repro.sim.fast.planes.compute_planes` handed to the
-pass as ``planes=``, and the stream.  The bench asserts identical
-results and emits ``benchmarks/records/BENCH_plane_stream.json`` with,
-per leg:
+whole-trace planes and the stream.  The whole-trace leg sets
+``tage.PLANE_CHUNK`` to the trace length and resolves no C plane
+builder, so the pass builds one
+:func:`~repro.sim.fast.planes.compute_planes` block over the whole
+trace and the kernel reads its rows in place.  The bench asserts
+identical results and emits ``benchmarks/records/BENCH_plane_stream.json``
+with, per leg:
 
 * wall seconds (best of :data:`REPEATS`) and a ``layers`` split — plane
   building (every call of whichever builder ran: NumPy's
@@ -83,8 +86,8 @@ MEMORY_RATIO_TARGET = 5.0
 #: before the pass is the resident size).
 _RSS_PROBE = textwrap.dedent("""
     import json, random, sys
-    from repro.sim.fast import (LockstepCell, TraceArrays, compute_planes,
-                                plane_geometry, simulate_tage_lockstep)
+    from repro.sim.fast import (LockstepCell, TraceArrays, compiled,
+                                simulate_tage_lockstep, tage)
     from repro.sim.runner import build_predictor
     from repro.traces.types import Trace
 
@@ -95,6 +98,9 @@ _RSS_PROBE = textwrap.dedent("""
                     return int(line.split()[1]) / 1024
 
     leg, n = sys.argv[1], int(sys.argv[2])
+    if leg == "whole":
+        tage.PLANE_CHUNK = n
+        compiled.resolve_tage_planes_kernel = lambda: None
     rng = random.Random(7)
     pcs = [0x400000 + 4 * rng.randrange(4096) for _ in range(n)]
     takens = bytes(rng.getrandbits(1) for _ in range(n))
@@ -102,9 +108,7 @@ _RSS_PROBE = textwrap.dedent("""
     arrays = TraceArrays.from_trace(trace)
     predictor = build_predictor("64K")
     baseline = status_mb("VmRSS")
-    planes = (compute_planes(arrays, plane_geometry(predictor.config))
-              if leg == "whole" else None)
-    simulate_tage_lockstep(trace, [LockstepCell(predictor)], planes=planes)
+    simulate_tage_lockstep(trace, [LockstepCell(predictor)])
     print(json.dumps({"baseline_mb": round(baseline, 1),
                       "peak_rise_mb": round(status_mb("VmHWM") - baseline, 1)}))
 """)
@@ -122,14 +126,17 @@ def _cells(size: str) -> list[LockstepCell]:
     ]
 
 
-def _pass(trace, size: str, whole: bool):
-    """One lockstep pass; whole-trace planes are built inside it."""
-    planes = None
-    if whole:
-        arrays = TraceArrays.from_trace(trace)
-        planes = tage.compute_planes(arrays,
-                                     plane_geometry(build_predictor(size).config))
-    return simulate_tage_lockstep(trace, _cells(size), planes=planes)
+def _pass(trace, size: str):
+    """One lockstep pass of ``size``'s cells."""
+    return simulate_tage_lockstep(trace, _cells(size))
+
+
+def _whole_trace_planes(patch, trace) -> None:
+    """Make the passes build whole-trace planes: one chunk the length of
+    the trace, built by :func:`compute_planes`, whose ``data[1:]`` rows
+    are already contiguous and reach the kernel without a copy."""
+    patch.setattr(tage, "PLANE_CHUNK", len(trace))
+    patch.setattr(compiled, "resolve_tage_planes_kernel", lambda: None)
 
 
 def _timed_leg(trace, whole: bool, monkeypatch) -> tuple[list, dict]:
@@ -151,13 +158,15 @@ def _timed_leg(trace, whole: bool, monkeypatch) -> tuple[list, dict]:
     results = []
     layers = {"planes": {"seconds": 0.0, "calls": 0}, "kernel": {"seconds": 0.0}}
     with monkeypatch.context() as patch:
+        if whole:
+            _whole_trace_planes(patch, trace)
         patch_plane_builders(patch, timed)
         for size in SIZES:
             best = None
             for _ in range(REPEATS):
                 spent.update(seconds=0.0, calls=0)
                 start = time.perf_counter()
-                outcome = _pass(trace, size, whole)
+                outcome = _pass(trace, size)
                 seconds = time.perf_counter() - start
                 if best is None or seconds < best[0]:
                     best = (seconds, dict(spent), outcome)
@@ -171,15 +180,18 @@ def _timed_leg(trace, whole: bool, monkeypatch) -> tuple[list, dict]:
     return results, layers
 
 
-def _traced_peaks(trace, whole: bool) -> dict:
+def _traced_peaks(trace, whole: bool, monkeypatch) -> dict:
     peaks = {}
-    for size in SIZES:
-        tracemalloc.start()
-        try:
-            _pass(trace, size, whole)
-            peaks[size] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
-        finally:
-            tracemalloc.stop()
+    with monkeypatch.context() as patch:
+        if whole:
+            _whole_trace_planes(patch, trace)
+        for size in SIZES:
+            tracemalloc.start()
+            try:
+                _pass(trace, size)
+                peaks[size] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+            finally:
+                tracemalloc.stop()
     return peaks
 
 
@@ -195,7 +207,7 @@ def _rss_probe(leg: str) -> dict:
 def test_plane_stream(run_once, monkeypatch):
     trace = get_trace("INT-1", BRANCHES)
     TraceArrays.from_trace(trace)
-    _pass(trace, SIZES[0], whole=False)  # kernel build and warm-up
+    _pass(trace, SIZES[0])  # kernel build and warm-up
 
     stream_results, stream_layers = run_once(
         lambda: _timed_leg(trace, False, monkeypatch)
@@ -208,8 +220,8 @@ def test_plane_stream(run_once, monkeypatch):
     assert stream_layers["planes"]["calls"] == chunks * len(SIZES)
     assert whole_layers["planes"]["calls"] == len(SIZES)
 
-    stream_peaks = _traced_peaks(trace, whole=False)
-    whole_peaks = _traced_peaks(trace, whole=True)
+    stream_peaks = _traced_peaks(trace, False, monkeypatch)
+    whole_peaks = _traced_peaks(trace, True, monkeypatch)
     memory_ratio = max(whole_peaks.values()) / max(stream_peaks.values())
     stream_rss = _rss_probe("stream")
     whole_rss = _rss_probe("whole")

@@ -6,10 +6,11 @@ pure-Python kernel (``REPRO_COMPILED_PROVIDER=none``) and again with
 the embedded-C build (``cext``), asserts strict bit-identity, and
 emits ``benchmarks/records/BENCH_tage_compiled.json``.
 
-Both timed regions run over the *same* precomputed index/tag planes, so
-the ratio isolates exactly what the C build replaces: the sequential
-per-branch update loop.  Boxes without a C compiler skip — there is
-nothing to measure.
+Both timed regions run over the *same* precomputed index/tag planes
+(``tage._plane_chunks`` is patched to hand each trace's whole-trace
+rows to the kernel as one chunk), so the ratio isolates exactly what
+the C build replaces: the sequential per-branch update loop.  Boxes
+without a C compiler skip — there is nothing to measure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.sim.fast import (
     compute_planes,
     plane_geometry,
     simulate_tage_fast,
+    tage,
 )
 from repro.sim.runner import build_predictor
 from repro.traces.suites import CBP1_TRACE_NAMES, cbp1_trace
@@ -47,13 +49,12 @@ def _run_suite(workload, provider: str,
     results = []
     per_trace = []
     total = 0.0
-    for name, trace, planes in workload:
+    for name, trace in workload:
         predictor = build_predictor(SIZE)
         estimator = TageConfidenceEstimator(predictor)
         start = time.perf_counter()
         result = simulate_tage_fast(
-            trace, predictor, estimator,
-            warmup_branches=warmup, planes=planes,
+            trace, predictor, estimator, warmup_branches=warmup,
         )
         elapsed = time.perf_counter() - start
         total += elapsed
@@ -73,20 +74,26 @@ def test_tage_compiled_wallclock(run_once, monkeypatch):
     # Precompute every trace's planes outside both timed regions — the
     # two kernels then read identical inputs — and force one compiled
     # run first so provider build/warm-up cost never lands in a timing.
+    geometry = plane_geometry(build_predictor(SIZE).config)
     workload = []
+    rows = {}
     for name in CBP1_TRACE_NAMES:
         trace = cbp1_trace(name, branches)
-        arrays = TraceArrays.from_trace(trace)
-        workload.append((name, trace, compute_planes(
-            arrays, plane_geometry(build_predictor(SIZE).config)
-        )))
+        workload.append((name, trace))
+        rows[name] = compute_planes(TraceArrays.from_trace(trace),
+                                    geometry).data[1:]
+
+    def precomputed_chunks(arrays, chunk_geometry):
+        assert chunk_geometry == geometry
+        yield 0, rows[arrays.name]
+
+    monkeypatch.setattr(tage, "_plane_chunks", precomputed_chunks)
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
         monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")
         predictor = build_predictor(SIZE)
         simulate_tage_fast(workload[0][1], predictor,
-                           TageConfidenceEstimator(predictor),
-                           planes=workload[0][2])
+                           TageConfidenceEstimator(predictor))
 
     pure_results, pure_seconds, pure_rows = run_once(
         lambda: _run_suite(workload, "none", monkeypatch)

@@ -182,13 +182,9 @@ def get_backend(name: str) -> Backend:
 
 
 def default_planes_dir() -> Path:
-    """Default fast-backend plane materialization directory: ``planes/``
-    inside the default sweep result cache root
-    (:func:`repro.common.paths.default_cache_dir`), so single-trace CLI
-    runs and default sweeps share the same materializations.  Lives
-    here (not in :mod:`repro.sim.fast.planes`) so the CLI can resolve
-    it without importing NumPy.
-    """
+    """Default root of a :class:`~repro.sim.fast.planes.PlaneCache`:
+    ``planes/`` inside the default sweep result cache root
+    (:func:`repro.common.paths.default_cache_dir`)."""
     return default_cache_dir() / "planes"
 
 

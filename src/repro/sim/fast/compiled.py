@@ -1308,11 +1308,11 @@ def _load_cext() -> bool:
             library.synth_free(workload)
         return pcs, takens, insts
 
-    _KERNELS.update(tage=cext_tage, tage_planes=cext_tage_planes,
-                    trace_synth=cext_trace_synth,
-                    ogehl=cext_ogehl,
-                    counter_scan=cext_counter_scan,
-                    perceptron=cext_perceptron)
+    _KERNELS.update({"tage": cext_tage, "tage_planes": cext_tage_planes,
+                     "trace_synth": cext_trace_synth,
+                     "ogehl": cext_ogehl,
+                     "counter_scan": cext_counter_scan,
+                     "perceptron": cext_perceptron})
     return True
 
 

@@ -7,10 +7,10 @@ estimator window, §6.2 controller parameters — while sharing the plane
 geometry ``(log_bimodal, component geometries)`` that determines the
 precomputed index/tag planes.  Running those cells as independent jobs
 re-computes the same planes once per cell; running them *in lockstep*
-builds each chunk of planes once (or slices it from planes the caller
-supplies) and advances every cell over it, each kernel call resuming
-from the cell's own state block — with the C build, the multiplicative
-win of compiled × batched, in one chunk of plane memory.
+builds each chunk of planes once and advances every cell over it, each
+kernel call resuming from the cell's own state block — with the C
+build, the multiplicative win of compiled × batched, in one chunk of
+plane memory.
 
 Cells never interact — each owns its table state — so a lockstep batch
 is bit-identical to the same cells run independently (enforced by
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 from repro.sim.engine import SimulationResult
 from repro.sim.fast.arrays import TraceArrays
-from repro.sim.fast.planes import TagePlanes, plane_geometry
+from repro.sim.fast.planes import plane_geometry
 from repro.sim.fast.engine import prediction_stream_key
-from repro.sim.fast.tage import _assemble_result, _run_batch, resolve_planes
+from repro.sim.fast.tage import _assemble_result, _run_batch
 from repro.sim.fast.tage_core import cell_inputs
 
 __all__ = ["LockstepCell", "simulate_tage_lockstep", "lockstep_geometry"]
@@ -59,14 +59,11 @@ def lockstep_geometry(cell: LockstepCell) -> tuple:
 def simulate_tage_lockstep(
     trace,
     cells: "list[LockstepCell]",
-    planes: TagePlanes | None = None,
 ) -> "list[SimulationResult]":
     """Simulate every cell over ``trace`` in one batched kernel pass.
 
     All cells must share one plane geometry (their configs may differ
-    in any kernel-level knob); ``planes``, when given, are the
-    trace's whole-trace planes for that geometry, sliced into chunks
-    instead of computed.  Returns one
+    in any kernel-level knob).  Returns one
     :class:`~repro.sim.engine.SimulationResult` per cell, in order,
     each bit-identical to an independent
     :func:`~repro.sim.fast.tage.simulate_tage_fast` run of that cell.
@@ -97,9 +94,8 @@ def simulate_tage_lockstep(
                 "cells of one batch must share their trace planes"
             )
     arrays = TraceArrays.from_trace(trace)
-    planes = resolve_planes(arrays, cells[0].predictor.config, planes=planes)
     publish = [cell.controller is None for cell in cells]
-    batch = _run_batch(arrays, geometry, prepared, publish, False, planes)
+    batch = _run_batch(arrays, geometry, prepared, publish, False)
     for cell, cell_result in zip(cells, batch):
         if cell.controller is None:
             arrays.derived(prediction_stream_key(cell.predictor),

@@ -1,4 +1,4 @@
-"""Precomputed TAGE index/tag planes and their on-disk materialization.
+"""Precomputed TAGE index/tag planes and their on-disk store.
 
 The whole reason TAGE admits a fast backend at all: every tagged
 component's table **index and tag depend only on the branch PC and the
@@ -29,10 +29,9 @@ chunk whatever the trace length.  With the C build its carried-history
 the builder without it (called on each chunk over a window reaching
 back the geometry's longest history) and the closed form the
 differential suites check both builders against.  :class:`PlaneCache`
-materializes whole-trace rows to a single ``.npy`` file and serves
-repeat requests as read-only memmaps, which the kernel pass slices into
-the same chunks; only a ``materialization=`` caller of
-:func:`~repro.sim.fast.tage.simulate_tage_fast` uses it.
+stores whole-trace rows as a single ``.npy`` file and serves repeat
+requests as read-only memmaps; no simulation path reads it, and it
+stays only because ``perfbench/tracing.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -95,46 +94,6 @@ class TagePlanes:
 
     geometry: tuple
     data: np.ndarray
-
-    @property
-    def n_tagged(self) -> int:
-        return len(self.geometry[1])
-
-    def __len__(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def pcs(self) -> np.ndarray:
-        return self.data[0]
-
-    @property
-    def takens(self) -> np.ndarray:
-        return self.data[1]
-
-    @property
-    def bimodal_indices(self) -> np.ndarray:
-        return self.data[2]
-
-    def index_plane(self, table_number: int) -> np.ndarray:
-        """Index row of tagged component ``table_number`` (1-based)."""
-        if not 1 <= table_number <= self.n_tagged:
-            raise IndexError(f"no tagged component T{table_number}")
-        return self.data[2 + table_number]
-
-    def tag_plane(self, table_number: int) -> np.ndarray:
-        """Tag row of tagged component ``table_number`` (1-based)."""
-        if not 1 <= table_number <= self.n_tagged:
-            raise IndexError(f"no tagged component T{table_number}")
-        return self.data[2 + self.n_tagged + table_number]
-
-    def trace_arrays(self, name: str) -> TraceArrays:
-        """Rebuild the :class:`TraceArrays` view this plane set was cut
-        from (PCs and outcomes are materialized alongside the planes)."""
-        return TraceArrays(
-            name=name,
-            pcs=np.asarray(self.pcs),
-            takens=np.asarray(self.takens, dtype=np.uint8),
-        )
 
 
 def compute_planes(arrays: TraceArrays, geometry: tuple) -> TagePlanes:

@@ -46,20 +46,13 @@ a look-back window and the pure kernel runs it.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.engine import SimulationResult, class_breakdown
 from repro.sim.fast import compiled
 from repro.sim.fast.arrays import TraceArrays
-from repro.sim.fast.planes import (
-    PlaneCache,
-    TagePlanes,
-    compute_planes,
-    plane_geometry,
-)
+from repro.sim.fast.planes import compute_planes, plane_geometry
 from repro.sim.fast.tage_core import (
     _kernel,
     cell_counts,
@@ -74,14 +67,13 @@ __all__ = [
     "simulate_tage_fast",
     "tage_fast_predictions",
     "observe_tage_fast",
-    "resolve_planes",
 ]
 
 
-#: Branches per plane chunk.  Offline TAGE runs build (or slice) the
-#: index/tag rows of this many branches at a time and advance every
-#: cell over them, so plane memory stays at one chunk whatever the
-#: trace length.  About 16K measured fastest of 4K/16K/32K, because one
+#: Branches per plane chunk.  Offline TAGE runs build the index/tag
+#: rows of this many branches at a time and advance every cell over
+#: them, so plane memory stays at one chunk whatever the trace length.
+#: About 16K measured fastest of 4K/16K/32K, because one
 #: chunk's rows (and NumPy's temporaries) stay in cache; and not 16,384,
 #: because the builder writes and the kernel reads a chunk's 2 + 2M rows
 #: as parallel streams ``PLANE_CHUNK`` int64 apart, and a power-of-two
@@ -91,56 +83,28 @@ __all__ = [
 PLANE_CHUNK = 16_000
 
 
-def resolve_planes(
-    arrays: TraceArrays,
-    config,
-    materialization: "PlaneCache | str | Path | None" = None,
-    planes: TagePlanes | None = None,
-) -> TagePlanes | None:
-    """Whole-trace index/tag planes for one trace × config, when the
-    caller has a source for them; None means "stream computed chunks".
-
-    Precedence: an explicitly supplied ``planes`` object (validated
-    against the config's geometry), then the materialization cache
-    (a :class:`PlaneCache` or a directory for one).
-    """
-    if planes is not None:
-        if planes.geometry != plane_geometry(config) or len(planes) != len(arrays):
-            raise ValueError("supplied planes do not match this trace/configuration")
-        return planes
-    if materialization is None:
-        return None
-    cache = (
-        materialization
-        if isinstance(materialization, PlaneCache)
-        else PlaneCache(materialization)
-    )
-    return cache.load_or_compute(arrays, plane_geometry(config))
-
-
 def _history_reach(geometry: tuple) -> int:
     """How many earlier branches one branch's plane row reads: the
     longest history length or path register of the geometry."""
     return max(max(length, path_bits) for *_, length, path_bits in geometry[1])
 
 
-def _plane_chunks(arrays: TraceArrays, geometry: tuple,
-                  planes: TagePlanes | None = None):
+def _plane_chunks(arrays: TraceArrays, geometry: tuple):
     """The trace's kernel rows (the ``TagePlanes.data[1:]`` layout), one
     chunk of at most :data:`PLANE_CHUNK` branches at a time.
 
-    Yields ``(start, rows)``, ``rows`` a C-contiguous int64 block.
-    Supplied ``planes`` are sliced.  Otherwise, when the C build
-    resolves, its ``tage-planes`` builder writes each chunk from one
-    carried history (:func:`~repro.sim.fast.tage_core.history_power_on`)
-    that advances across the chunks, so no chunk reads back into the
-    trace.  Without it each chunk goes through :func:`compute_planes`
-    over a window that starts :func:`_history_reach` branches before
-    the chunk, and that prefix is dropped: every folded index/tag value
-    depends only on that many earlier outcomes and PCs.  Either way the
-    rows equal the whole-trace planes byte for byte.
+    Yields ``(start, rows)``, ``rows`` a C-contiguous int64 block.  When
+    the C build resolves, its ``tage-planes`` builder writes each chunk
+    from one carried history
+    (:func:`~repro.sim.fast.tage_core.history_power_on`) that advances
+    across the chunks, so no chunk reads back into the trace.  Without
+    it each chunk goes through :func:`compute_planes` over a window that
+    starts :func:`_history_reach` branches before the chunk, and that
+    prefix is dropped: every folded index/tag value depends only on that
+    many earlier outcomes and PCs.  Either way the rows equal the
+    whole-trace planes byte for byte.
     """
-    build = compiled.resolve_tage_planes_kernel() if planes is None else None
+    build = compiled.resolve_tage_planes_kernel()
     if build is not None:
         gparams = plane_params(geometry)
         history = history_power_on(gparams)
@@ -153,20 +117,17 @@ def _plane_chunks(arrays: TraceArrays, geometry: tuple,
             build(stop - start, gparams, history,
                   arrays.pcs[start:stop].view(np.uint64),
                   arrays.takens[start:stop], rows)
-            yield start, rows
-            continue
-        if planes is not None:
-            rows = planes.data[1:, start:stop]
         else:
             low = max(0, start - reach)
             window = TraceArrays(name=arrays.name, pcs=arrays.pcs[low:stop],
                                  takens=arrays.takens[low:stop])
-            rows = compute_planes(window, geometry).data[1:, start - low:]
-        yield start, np.ascontiguousarray(rows, dtype=np.int64)
+            rows = np.ascontiguousarray(
+                compute_planes(window, geometry).data[1:, start - low:])
+        yield start, rows
 
 
 def _run_batch(arrays: TraceArrays, geometry: tuple, cells, want_predictions,
-               want_classes: bool, planes: TagePlanes | None = None):
+               want_classes: bool):
     """Run a batch of independent TAGE cells over one trace's planes.
 
     ``cells`` is a list of ``(config, estimator_window, max_strength,
@@ -178,9 +139,8 @@ def _run_batch(arrays: TraceArrays, geometry: tuple, cells, want_predictions,
     and class codes (uint8) are whole-trace arrays where requested and
     None otherwise.
 
-    The planes stream in chunks (:func:`_plane_chunks`; ``planes``,
-    when given, are sliced instead of computed): each chunk's rows are
-    built once and every cell's kernel resumes over them from its own
+    The planes stream in chunks (:func:`_plane_chunks`): each chunk's
+    rows are built once and every cell's kernel resumes over them from its own
     powered-on state block, so a cell's run is bit-identical to one
     uninterrupted pass while plane memory stays at one chunk.
     """
@@ -194,7 +154,7 @@ def _run_batch(arrays: TraceArrays, geometry: tuple, cells, want_predictions,
             np.zeros(n, dtype=np.uint8) if wants else None,
             np.zeros(n, dtype=np.uint8) if want_classes else None,
         ))
-    for start, rows in _plane_chunks(arrays, geometry, planes):
+    for start, rows in _plane_chunks(arrays, geometry):
         stop = start + rows.shape[1]
         if kernel is None:
             rows = rows.tolist()
@@ -247,8 +207,6 @@ def simulate_tage_fast(
     estimator=None,
     controller=None,
     warmup_branches: int = 0,
-    materialization: "PlaneCache | str | Path | None" = None,
-    planes: TagePlanes | None = None,
 ) -> SimulationResult:
     """Fast-backend equivalent of :func:`repro.sim.engine.simulate` for
     TAGE, with the §5 observation estimator and the §6.2 adaptive
@@ -260,10 +218,9 @@ def simulate_tage_fast(
             predictor, or path histories beyond the packed window width.
     """
     cell = cell_inputs(predictor, estimator, controller, warmup_branches)
-    arrays = TraceArrays.from_trace(trace)
-    planes = resolve_planes(arrays, predictor.config, materialization, planes)
-    (cell_result,) = _run_batch(arrays, plane_geometry(predictor.config),
-                                [cell], [False], False, planes)
+    (cell_result,) = _run_batch(TraceArrays.from_trace(trace),
+                                plane_geometry(predictor.config),
+                                [cell], [False], False)
     return _assemble_result(trace, predictor, estimator, controller, cell_result)
 
 

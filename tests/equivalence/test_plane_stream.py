@@ -12,8 +12,8 @@ for geometries beyond them, one whose histories reach past a whole
 chunk among them — and every cell must still match the reference engine:
 both automata, a §6.2 controller whose windows straddle chunk
 boundaries, warmup ending mid-chunk, and the JRS-family members of a
-sweep unit.  Caller-supplied whole-trace planes are sliced into the
-same chunks and must give the same results, and the offline pass must
+sweep unit.  One whole-trace plane block handed to the kernel as a
+single chunk must give the same results, and the offline pass must
 hold one chunk of planes, not one per trace length.
 """
 
@@ -229,19 +229,27 @@ def test_non_preset_geometries_match_reference(kernel_leg, trace, config,
         assert fast.classes.as_dict() == reference.classes.as_dict()
 
 
-def test_supplied_planes_match_computed_chunks(kernel_leg, trace, tmp_path):
-    arrays = TraceArrays.from_trace(trace)
-    for size in SIZES:
-        whole = compute_planes(arrays, plane_geometry(build_predictor(size).config))
-        assert (simulate_tage_lockstep(trace, _cells(size), planes=whole)
-                == simulate_tage_lockstep(trace, _cells(size)))
+def test_supplied_planes_match_computed_chunks(kernel_leg, trace, monkeypatch):
+    """Whole-trace planes handed to the kernel as a single chunk — one
+    :func:`compute_planes` block over the trace, the baseline leg of
+    ``benchmarks/test_bench_plane_stream.py`` — give the same results as
+    the computed chunk stream, warmup ending mid-trace included."""
     predictor = build_predictor("64K")
     estimator = TageConfidenceEstimator(predictor)
-    streamed = simulate_tage_fast(trace, predictor, estimator, warmup_branches=777)
-    for _ in range(2):  # cold (computed and stored), then memmapped
-        assert simulate_tage_fast(trace, predictor, estimator,
-                                  warmup_branches=777,
-                                  materialization=tmp_path) == streamed
+    streamed = {size: simulate_tage_lockstep(trace, _cells(size)) for size in SIZES}
+    streamed_fast = simulate_tage_fast(trace, predictor, estimator,
+                                       warmup_branches=777)
+    monkeypatch.setattr(tage, "PLANE_CHUNK", len(trace))
+    monkeypatch.setattr(compiled, "resolve_tage_planes_kernel", lambda: None)
+    arrays = TraceArrays.from_trace(trace)
+    geometry = plane_geometry(predictor.config)
+    [(start, rows)] = tage._plane_chunks(arrays, geometry)
+    assert start == 0
+    np.testing.assert_array_equal(rows, compute_planes(arrays, geometry).data[1:])
+    for size in SIZES:
+        assert simulate_tage_lockstep(trace, _cells(size)) == streamed[size]
+    assert simulate_tage_fast(trace, predictor, estimator,
+                              warmup_branches=777) == streamed_fast
 
 
 def _random_trace(n: int) -> Trace:

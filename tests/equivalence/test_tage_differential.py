@@ -22,9 +22,12 @@ from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.engine import simulate, simulate_binary
 from repro.sim.fast import (
     PlaneCache,
+    TraceArrays,
+    plane_geometry,
     simulate_binary_fast,
     simulate_fast,
     simulate_tage_fast,
+    tage,
 )
 
 #: (label, config factory) — the kernel-relevant configuration corners.
@@ -113,21 +116,30 @@ def test_warmup_split_matches_reference(int1_trace, warmup):
     assert run(simulate_fast) == run(simulate)
 
 
-def test_materialized_planes_do_not_change_results(int1_trace, tmp_path):
-    """Cold compute, warm memmap and in-memory planes are all identical."""
-    def run(**kwargs):
+def test_materialized_planes_do_not_change_results(int1_trace, tmp_path,
+                                                   monkeypatch):
+    """Rows a :class:`PlaneCache` serves — computed cold, then a warm
+    read-only memmap — run through the kernel to the same result as the
+    in-memory chunk stream."""
+    def run():
         predictor = TagePredictor(TageConfig.small())
         return simulate_tage_fast(
-            int1_trace, predictor, TageConfidenceEstimator(predictor), **kwargs
+            int1_trace, predictor, TageConfidenceEstimator(predictor)
         )
 
     in_memory = run()
     cache = PlaneCache(tmp_path)
-    cold = run(materialization=cache)
-    warm = run(materialization=cache)
+    monkeypatch.setattr(tage, "_plane_chunks", lambda arrays, geometry: iter(
+        [(0, cache.load_or_compute(arrays, geometry).data[1:])]
+    ))
+    cold = run()
+    warm = run()
     assert cold == in_memory
     assert warm == in_memory
     assert (cache.hits, cache.misses) == (1, 1)
+    served = cache.load(TraceArrays.from_trace(int1_trace),
+                        plane_geometry(TageConfig.small()))
+    assert isinstance(served.data, np.memmap)
 
 
 def test_fast_backend_leaves_components_untrained(tiny_trace):

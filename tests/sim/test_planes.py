@@ -166,25 +166,31 @@ def reference_planes(config: TageConfig, trace):
     TageConfig.small(min_history=1, max_history=200, n_tagged=3),
 ], ids=["16K", "64K", "short-path", "long-history"])
 def test_planes_match_reference_hash_pipeline(tiny_trace, config):
+    """Rows by the documented layout: bimodal indices at ``data[2]``,
+    component ``i``'s index at ``data[2 + i]`` and its tag at
+    ``data[2 + M + i]``."""
     arrays = TraceArrays.from_trace(tiny_trace)
-    planes = compute_planes(arrays, plane_geometry(config))
+    data = compute_planes(arrays, plane_geometry(config)).data
+    n_tagged = config.n_tagged
+    np.testing.assert_array_equal(
+        data[2], (arrays.pcs >> 2) & mask(config.log_bimodal)
+    )
     ref_indices, ref_tags = reference_planes(config, tiny_trace)
-    for i in range(config.n_tagged):
-        assert planes.index_plane(i + 1).tolist() == ref_indices[i]
-        assert planes.tag_plane(i + 1).tolist() == ref_tags[i]
+    for i in range(1, n_tagged + 1):
+        assert data[2 + i].tolist() == ref_indices[i - 1]
+        assert data[2 + n_tagged + i].tolist() == ref_tags[i - 1]
 
 
 def test_planes_carry_trace_arrays(tiny_trace):
+    """Rows ``0`` and ``1`` are the trace's PCs and outcomes, int64, and
+    the block has ``3 + 2M`` rows of trace length."""
     arrays = TraceArrays.from_trace(tiny_trace)
-    planes = compute_planes(arrays, plane_geometry(TageConfig.small()))
-    rebuilt = planes.trace_arrays(tiny_trace.name)
-    assert rebuilt.name == tiny_trace.name
-    np.testing.assert_array_equal(rebuilt.pcs, arrays.pcs)
-    np.testing.assert_array_equal(rebuilt.takens, arrays.takens)
-    bim_mask = (1 << TageConfig.small().log_bimodal) - 1
-    np.testing.assert_array_equal(
-        planes.bimodal_indices, (arrays.pcs >> 2) & bim_mask
-    )
+    config = TageConfig.small()
+    data = compute_planes(arrays, plane_geometry(config)).data
+    assert data.dtype == np.int64 and data.flags.c_contiguous
+    assert data.shape == (3 + 2 * config.n_tagged, len(arrays))
+    np.testing.assert_array_equal(data[0], arrays.pcs)
+    np.testing.assert_array_equal(data[1], arrays.takens)
 
 
 def test_planes_reject_oversized_path_history(tiny_trace):

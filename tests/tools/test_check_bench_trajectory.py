@@ -124,8 +124,8 @@ class TestMain:
         out = capsys.readouterr().out
         stale = [line for line in out.splitlines() if "stale baseline" in line]
         assert stale == [
-            "stale baseline: BENCH_a.json: speedup 40.00 is over 2x its "
-            "baseline 8.00; re-record it"
+            "stale baseline: BENCH_a.json: speedup 40 is over 2x its "
+            "baseline 8; re-record it"
         ]
 
     def test_fresh_baseline_prints_no_stale_line(self, tmp_path, capsys):
@@ -197,6 +197,21 @@ class TestMetricField:
         self.write_metric_record(fresh, "serve", "relative_throughput", 0.95)
         assert tool.main(["--fresh", str(fresh), "--baseline", str(baseline)]) == 0
         assert "all 2 record(s)" in capsys.readouterr().out
+
+    def test_sub_unit_values_print_their_significant_digits(self, tmp_path, capsys):
+        """A regression of a metric below 1 must not print as equal to
+        its floor (two decimals showed 0.1065 and 0.10696 both as 0.11)."""
+        baseline = tmp_path / "records"
+        fresh = tmp_path / "fresh"
+        self.write_metric_record(baseline, "e2e", "relative_speed", 0.1528)
+        self.write_metric_record(fresh, "e2e", "relative_speed", 0.1065)
+        assert tool.main(["--fresh", str(fresh), "--baseline", str(baseline)]) == 1
+        captured = capsys.readouterr()
+        (row,) = [line for line in captured.out.splitlines()
+                  if line.startswith("BENCH_e2e.json")]
+        assert row.split()[2:] == ["0.1528", "0.1065", "0.107", "REGRESSION"]
+        assert ("relative_speed 0.1065 fell below 0.107 "
+                "(baseline 0.1528 - 30%)") in captured.err
 
     def test_fresh_record_missing_baseline_metric_fails(self, tmp_path, capsys):
         baseline = tmp_path / "records"

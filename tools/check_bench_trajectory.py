@@ -7,9 +7,12 @@ committed baselines in ``benchmarks/records/``.  Each record names its
 compared metric in an optional ``"metric"`` field (default
 ``"speedup"``): the fast-backend benches compare the reference/fast
 *speedup ratio*, the serving bench compares served-vs-offline
-*relative throughput* — in both cases a machine-relative ratio, because
-absolute seconds vary with the CI machine while the ratio is the
-property the implementation guarantees.
+*relative throughput*, and the end-to-end and fused-unit benches a
+*relative speed* (a calibration loop's seconds over the guarded path's
+seconds) — in every case a machine-relative ratio, because absolute
+seconds vary with the CI machine while the ratio is the property the
+implementation guarantees.  Values print with four significant digits,
+so a metric below 1 never shows as equal to its floor.
 
 Usage::
 
@@ -126,8 +129,8 @@ def main(argv: list[str] | None = None) -> int:
         measured = fresh.get(name)
         if measured is None:
             failures.append(f"{name}: no fresh measurement under {args.fresh}")
-            print(f"{name:<28} {metric:<22} {base_value:>9.2f} {'-':>9} "
-                  f"{floor:>9.2f}  MISSING")
+            print(f"{name:<28} {metric:<22} {base_value:>9.4g} {'-':>9} "
+                  f"{floor:>9.4g}  MISSING")
             continue
         fresh_value = measured.get(metric)
         if not isinstance(fresh_value, (int, float)) or isinstance(fresh_value, bool):
@@ -135,21 +138,21 @@ def main(argv: list[str] | None = None) -> int:
                 f"{name}: fresh record has no numeric {metric!r} field "
                 f"(baseline compares it)"
             )
-            print(f"{name:<28} {metric:<22} {base_value:>9.2f} {'-':>9} "
-                  f"{floor:>9.2f}  MALFORMED")
+            print(f"{name:<28} {metric:<22} {base_value:>9.4g} {'-':>9} "
+                  f"{floor:>9.4g}  MALFORMED")
             continue
         ok = fresh_value >= floor
-        print(f"{name:<28} {metric:<22} {base_value:>9.2f} {fresh_value:>9.2f} "
-              f"{floor:>9.2f}  {'ok' if ok else 'REGRESSION'}")
+        print(f"{name:<28} {metric:<22} {base_value:>9.4g} {fresh_value:>9.4g} "
+              f"{floor:>9.4g}  {'ok' if ok else 'REGRESSION'}")
         if fresh_value > STALE_FACTOR * base_value:
             stale.append(
-                f"stale baseline: {name}: {metric} {fresh_value:.2f} is over "
-                f"{STALE_FACTOR:g}x its baseline {base_value:.2f}; re-record it"
+                f"stale baseline: {name}: {metric} {fresh_value:.4g} is over "
+                f"{STALE_FACTOR:g}x its baseline {base_value:.4g}; re-record it"
             )
         if not ok:
             failures.append(
-                f"{name}: {metric} {fresh_value:.2f} fell below "
-                f"{floor:.2f} (baseline {base_value:.2f} - {args.tolerance:.0%})"
+                f"{name}: {metric} {fresh_value:.4g} fell below "
+                f"{floor:.4g} (baseline {base_value:.4g} - {args.tolerance:.0%})"
             )
     if stale:
         print()
