@@ -24,16 +24,15 @@ change:
   category-less ``warnings.warn``, no blanket warning suppression
   (:mod:`repro.analysis.rules.hygiene`).
 
-Findings are suppressed inline with ``# repro: allow[RPR001]`` pragmas
-(same line or the comment line directly above) or grandfathered through a
-committed JSON baseline (:mod:`repro.analysis.baseline`).  Reporters
-render text, JSON and SARIF 2.1.0 (:mod:`repro.analysis.report`).
+Findings are suppressed only inline, with ``# repro: allow[RPR001]``
+pragmas (same line or the comment line directly above), so the policy
+lives next to the code it sanctions.  Reporters render text, JSON and
+SARIF 2.1.0 (:mod:`repro.analysis.report`).
 """
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".baseline": ("Baseline",),
     ".finding": ("Finding", "PARSE_ERROR_RULE_ID"),
     ".engine": ("LintReport", "collect_files", "run_lint"),
     ".rules": ("RULES", "get_rules", "rule_ids"),

@@ -4,12 +4,11 @@
 share.  It collects ``*.py`` files under the given paths (sorted, so
 reports are byte-stable), parses each once into a shared
 :class:`~repro.analysis.source.SourceFile`, runs every selected rule,
-then applies the two suppression layers in order: inline
-``# repro: allow[RPRnnn]`` pragmas first (the policy lives next to the
-code it sanctions), the committed baseline second (transitional debt
-only).  Files that fail to parse surface as ``RPR000`` findings — an
-unparseable file means the run was incomplete, never clean, and the CLI
-escalates it to exit code 2.
+then drops the findings an inline ``# repro: allow[RPRnnn]`` pragma
+sanctions (the policy lives next to the code it sanctions).  Files that
+fail to parse surface as ``RPR000`` findings — an unparseable file means
+the run was incomplete, never clean, and the CLI escalates it to exit
+code 2.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.finding import PARSE_ERROR_RULE_ID, Finding
 from repro.analysis.rules import get_rules
 from repro.analysis.rules.base import Rule
@@ -33,9 +31,7 @@ class LintReport:
     """Everything one lint run produced, pre-sorted and pre-partitioned."""
 
     findings: list[Finding] = field(default_factory=list)  # active (failing)
-    baselined: list[Finding] = field(default_factory=list)
     pragma_suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict] = field(default_factory=list)
     files_analyzed: int = 0
 
     @property
@@ -78,7 +74,6 @@ def run_lint(
     paths: list[Path],
     root: Path,
     rules: list[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> LintReport:
     """Run the selected rules over ``paths``; see the module docstring."""
     root = root.resolve()
@@ -108,16 +103,8 @@ def run_lint(
         else:
             active.append(finding)
 
-    active.sort(key=lambda f: f.sort_key)
-    if baseline is not None:
-        active, baselined, stale = baseline.apply(active)
-    else:
-        baselined, stale = [], []
-
     return LintReport(
-        findings=active,
-        baselined=baselined,
+        findings=sorted(active, key=lambda f: f.sort_key),
         pragma_suppressed=sorted(pragma_suppressed, key=lambda f: f.sort_key),
-        stale_baseline=stale,
         files_analyzed=len(sources),
     )

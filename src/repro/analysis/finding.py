@@ -3,9 +3,8 @@
 A finding is pure data — rule ID, location, enclosing symbol, message —
 ordered deterministically (path, line, column, rule) so reports are
 byte-stable across runs and machines.  The ``symbol`` (dotted enclosing
-class/function chain, ``<module>`` at top level) exists so baseline
-entries survive unrelated line drift: the committed baseline keys on
-``(rule, path, symbol, message)``, never on line numbers.
+class/function chain, ``<module>`` at top level) tells a reader which
+definition a finding sits in without opening the file.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class Finding:
         path: file path relative to the analysis root, POSIX separators.
         line: 1-based line of the violation.
         col: 0-based column (matching :mod:`ast` conventions).
-        message: human-readable description, stable for baseline keying —
+        message: human-readable description, stable across runs —
             no absolute paths, timestamps or memory addresses.
         symbol: innermost enclosing ``Class.method`` chain, or
             ``<module>``.
@@ -46,11 +45,6 @@ class Finding:
     @property
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str, str]:
-        """Line-number-free identity used by the committed baseline."""
-        return (self.rule, self.path, self.symbol, self.message)
 
     def as_dict(self) -> dict:
         return {

@@ -32,46 +32,26 @@ _SARIF_SCHEMA = (
 
 def render_text(report: LintReport) -> str:
     lines = [finding.render() for finding in report.findings]
-    if report.stale_baseline:
-        lines.append("")
-        lines.append("stale baseline entries (fixed findings — delete them):")
-        for entry in report.stale_baseline:
-            lines.append(
-                f"  {entry['rule']} {entry['path']} [{entry['symbol']}] "
-                f"x{entry['count']}: {entry['message']}"
-            )
     lines.append("")
     lines.append(
         f"{len(report.findings)} finding(s) in {report.files_analyzed} "
-        f"file(s) ({len(report.baselined)} baselined, "
-        f"{len(report.pragma_suppressed)} pragma-suppressed"
-        + (
-            f", {len(report.stale_baseline)} stale baseline entr"
-            + ("y" if len(report.stale_baseline) == 1 else "ies")
-            if report.stale_baseline
-            else ""
-        )
-        + ")"
+        f"file(s) ({len(report.pragma_suppressed)} pragma-suppressed)"
     )
     return "\n".join(lines)
 
 
 def render_json(report: LintReport) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "tool": _TOOL_NAME,
         "findings": [finding.as_dict() for finding in report.findings],
-        "baselined": [finding.as_dict() for finding in report.baselined],
         "pragma_suppressed": [
             finding.as_dict() for finding in report.pragma_suppressed
         ],
-        "stale_baseline": report.stale_baseline,
         "summary": {
             "files_analyzed": report.files_analyzed,
             "n_findings": len(report.findings),
-            "n_baselined": len(report.baselined),
             "n_pragma_suppressed": len(report.pragma_suppressed),
-            "n_stale_baseline": len(report.stale_baseline),
             "exit_code": report.exit_code,
         },
     }

@@ -2,10 +2,9 @@
 
 Adding a rule means writing a :class:`~repro.analysis.rules.base.FileRule`
 or :class:`~repro.analysis.rules.base.ProjectRule` subclass and listing
-it in :data:`RULES`; the engine, CLI (``--rules``), reporters and
-baseline handle it from there.  IDs are append-only — a retired rule's
-ID is never reused, so old baselines and pragmas keep meaning what they
-meant.
+it in :data:`RULES`; the engine, CLI (``--rules``) and reporters
+handle it from there.  IDs are append-only — a retired rule's ID is
+never reused, so old pragmas keep meaning what they meant.
 """
 
 from __future__ import annotations

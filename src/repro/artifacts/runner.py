@@ -215,11 +215,13 @@ def run_paper(
     cache: ResultCache | None = None,
     backend: str = DEFAULT_BACKEND,
     progress: Callable[[str], None] | None = None,
-    validate: bool = True,
     run_id: str | None = None,
     resume: bool = False,
 ) -> PaperRun:
     """Build the selected artifacts (default: the whole registry).
+
+    Every run is validated: a missing or non-finite cell raises
+    :class:`ArtifactValidationError` (the CI contract).
 
     Args:
         keys: artifact keys (case-insensitive); None runs everything.
@@ -228,9 +230,6 @@ def run_paper(
         cache: on-disk job cache; None disables caching entirely.
         backend: simulation engine for every sweep cell.
         progress: optional sink for status lines.
-        validate: raise :class:`ArtifactValidationError` on any missing
-            or non-finite cell (the CI contract); pass False to inspect
-            a broken run.
         run_id: names the run's one journal, ``<cache>/runs/<run_id>.jsonl``
             (auto-generated when omitted); an interrupted ``repro paper``
             invocation resumes with the same id.
@@ -262,10 +261,9 @@ def run_paper(
         n_executed=service.n_executed,
         elapsed=time.perf_counter() - start,
     )
-    if validate:
-        problems = [p for result in run.artifacts for p in result.validate()]
-        if problems:
-            raise ArtifactValidationError(problems)
+    problems = [p for result in run.artifacts for p in result.validate()]
+    if problems:
+        raise ArtifactValidationError(problems)
     if progress:
         progress(run.describe())
     return run

@@ -47,14 +47,12 @@ class SweepService:
         cache: ResultCache | None = None,
         backend: str = DEFAULT_BACKEND,
         progress: Callable[[str], None] | None = None,
-        max_retries: int = 2,
     ) -> None:
         validate_backend(backend)
         self.workers = workers
         self.cache = cache
         self.backend = backend
         self.progress = progress
-        self.max_retries = max_retries
         self._runs: dict[str, SweepRun] = {}
 
     def execute(
@@ -85,7 +83,6 @@ class SweepService:
             progress=self.progress,
             run_id=run_id,
             resume=resume,
-            max_retries=self.max_retries,
         ))
 
     def sweep(self, spec: ExperimentSpec) -> SweepRun:

@@ -69,6 +69,11 @@ if TYPE_CHECKING:
 __all__ = ["main", "build_parser"]
 
 
+def _unknown_trace(name: str) -> SystemExit:
+    """The one refusal for a trace name nothing registers."""
+    return SystemExit(f"unknown trace {name!r}; try `list-traces`")
+
+
 def _get_trace(name: str, n_branches: int):
     from repro.sim.runner import get_trace
     from repro.traces.sources.base import MissingTraceFileError
@@ -76,7 +81,7 @@ def _get_trace(name: str, n_branches: int):
     try:
         return get_trace(name, n_branches)
     except KeyError:
-        raise SystemExit(f"unknown trace {name!r}; try `list-traces`") from None
+        raise _unknown_trace(name) from None
     except MissingTraceFileError as error:
         raise SystemExit(str(error)) from None
 
@@ -329,19 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report here instead of stdout",
     )
     lint_cmd.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of grandfathered findings "
-             "(default: tools/lint_baseline.json when present)",
-    )
-    lint_cmd.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report every finding)",
-    )
-    lint_cmd.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    lint_cmd.add_argument(
         "--list-rules", action="store_true",
         help="print the rule table and exit",
     )
@@ -547,7 +539,7 @@ def _cmd_sweep(args) -> int:
     for name in traces:
         if (name not in CBP1_TRACE_NAMES and name not in CBP2_TRACE_NAMES
                 and not is_source_name(name)):
-            raise SystemExit(f"unknown trace {name!r}; try `list-traces`")
+            raise _unknown_trace(name)
         try:
             require_trace_file(name)
         except MissingTraceFileError as error:
@@ -580,12 +572,17 @@ def _cmd_sweep(args) -> int:
     return _print_sweep(args, run, cache)
 
 
-def _report_interrupted(interrupted: SweepInterrupted) -> int:
-    """Checkpointed SIGINT/SIGTERM: print the resume hint, exit 130."""
+def _report_interrupted(interrupted: SweepInterrupted,
+                        resume: str = "repro sweep --resume {}") -> int:
+    """Checkpointed SIGINT/SIGTERM: print the resume hint, exit 130.
+
+    ``resume`` is the command that continues the run, with ``{}`` where
+    the run id goes.
+    """
     print(f"\ninterrupted: {interrupted.n_done} job(s) done, "
           f"{interrupted.n_pending} pending (journal checkpointed)")
     if interrupted.run_id:
-        print(f"resume with: repro sweep --resume {interrupted.run_id}")
+        print(f"resume with: {resume.format(interrupted.run_id)}")
     return 130
 
 
@@ -674,12 +671,8 @@ def _cmd_paper(args) -> int:
             resume=args.resume,
         )
     except SweepInterrupted as interrupted:
-        print(f"\ninterrupted: {interrupted.n_done} job(s) done, "
-              f"{interrupted.n_pending} pending (journal checkpointed)")
-        if interrupted.run_id:
-            print(f"resume with: repro paper --run-id {interrupted.run_id} "
-                  "--resume")
-        return 130
+        return _report_interrupted(interrupted,
+                                   "repro paper --run-id {} --resume")
     except (UnknownArtifactError, ArtifactValidationError, ValueError,
             JournalError) as error:
         raise SystemExit(str(error)) from None
@@ -824,7 +817,6 @@ def _lint_config() -> dict:
 
 def _cmd_lint(args) -> int:
     from repro.analysis import (
-        Baseline,
         RULES,
         get_rules,
         render_json,
@@ -832,7 +824,6 @@ def _cmd_lint(args) -> int:
         render_text,
         run_lint,
     )
-    from repro.analysis.baseline import BaselineError
     from repro.sim.report import render_table
 
     if args.list_rules:
@@ -845,35 +836,14 @@ def _cmd_lint(args) -> int:
 
     config = _lint_config()
     paths = args.paths or config.get("paths") or ["src", "tools"]
-    baseline_path = Path(
-        args.baseline or config.get("baseline") or "tools/lint_baseline.json"
-    )
     try:
         rules = get_rules(args.rules)
     except ValueError as error:
         raise SystemExit(str(error)) from None
     try:
-        baseline = None if args.no_baseline else Baseline.load(baseline_path)
-    except BaselineError as error:
-        raise SystemExit(str(error)) from None
-    try:
-        report = run_lint(
-            [Path(p) for p in paths], root=Path.cwd(),
-            rules=rules, baseline=baseline,
-        )
+        report = run_lint([Path(p) for p in paths], root=Path.cwd(), rules=rules)
     except FileNotFoundError as error:
         raise SystemExit(str(error)) from None
-
-    if args.update_baseline:
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        baseline_path.write_text(
-            Baseline.serialize(report.findings), encoding="utf-8"
-        )
-        print(
-            f"wrote {baseline_path} ({len(report.findings)} entr"
-            + ("y" if len(report.findings) == 1 else "ies") + ")"
-        )
-        return 0
 
     renderer = {"text": render_text, "json": render_json,
                 "sarif": render_sarif}[args.fmt]
@@ -991,7 +961,7 @@ def _cmd_drive(args) -> int:
     except ServeError as error:
         raise SystemExit(f"server error: {error}") from None
     except KeyError:
-        raise SystemExit(f"unknown trace {args.trace!r}; try `list-traces`") from None
+        raise _unknown_trace(args.trace) from None
     except (ConnectionError, OSError) as error:
         raise SystemExit(
             f"cannot reach server at {args.host}:{args.port}: {error}"

@@ -80,15 +80,23 @@ _CRASH = "crash"
 _STALL = "stall"
 
 
-def backoff_delay(base: float, cap: float, run_id: str, index: int,
-                  attempt: int) -> float:
+#: Retry backoff: the first retry waits about ``BACKOFF_BASE`` seconds,
+#: each later one twice as long, never more than ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 5.0
+#: Longest the dispatch loop waits for a worker message before it
+#: re-checks deadlines, retries and the stop flag.
+POLL_INTERVAL = 0.1
+
+
+def backoff_delay(run_id: str, index: int, attempt: int) -> float:
     """Capped exponential backoff with deterministic jitter.
 
     The jitter fraction comes from a CRC-32 of (run id, job, attempt) —
     retries of many jobs quarantined by one event spread out instead of
     thundering back together, yet the schedule is reproducible.
     """
-    delay = min(cap, base * (2.0 ** attempt))
+    delay = min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** attempt))
     frac = (zlib.crc32(f"{run_id}:{index}:{attempt}".encode()) & 0xFFFFFFFF) / 0xFFFFFFFF
     return delay * (0.5 + 0.5 * frac)
 
@@ -99,11 +107,7 @@ class BrokerConfig:
 
     workers: int = 1
     max_retries: int = 2
-    backoff_base: float = 0.25
-    backoff_cap: float = 5.0
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
     heartbeat_timeout: float = 30.0
-    poll_interval: float = 0.1
     faults: str = ""
 
     def __post_init__(self) -> None:
@@ -111,10 +115,10 @@ class BrokerConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
+        if self.heartbeat_timeout <= DEFAULT_HEARTBEAT_INTERVAL:
             raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval "
-                f"({self.heartbeat_timeout} <= {self.heartbeat_interval})"
+                "heartbeat_timeout must exceed the worker heartbeat interval "
+                f"({self.heartbeat_timeout} <= {DEFAULT_HEARTBEAT_INTERVAL})"
             )
 
 
@@ -164,8 +168,7 @@ class _WorkerSlot:
         self.result_r, result_w = self._ctx.Pipe(duplex=False)
         self.process = self._ctx.Process(
             target=worker_main,
-            args=(self.worker_id, task_r, result_w,
-                  self._config.heartbeat_interval, self._config.faults),
+            args=(self.worker_id, task_r, result_w, self._config.faults),
             daemon=True,
         )
         self.process.start()
@@ -475,10 +478,7 @@ class Broker:
         if self.journal is not None:
             self._journal(self.journal.job_retry, index, state.attempt,
                           kind, error)
-        delay = backoff_delay(
-            self.config.backoff_base, self.config.backoff_cap,
-            self.run_id or "", index, state.attempt,
-        )
+        delay = backoff_delay(self.run_id or "", index, state.attempt)
         state.attempt += 1
         self.n_retries += 1
         heapq.heappush(retry_heap, (time.monotonic() + delay, index))
@@ -671,7 +671,7 @@ class Broker:
         before the broker queues the report for the commit thread.
         """
         by_conn = {slot.result_r: slot for slot in slots}
-        timeout = self.config.poll_interval
+        timeout = POLL_INTERVAL
         if retry_heap:
             timeout = max(0.0, min(timeout,
                                    retry_heap[0][0] - time.monotonic()))

@@ -505,7 +505,6 @@ def _open_journal(
     run_id: str | None,
     journal_dir,
     resume: bool,
-    fsync_journal: bool,
     progress: Callable[[str], None] | None,
 ) -> tuple[RunJournal | None, str | None, dict[int, str]]:
     """Open (or resume) this run's journal.
@@ -534,7 +533,7 @@ def _open_journal(
                 f"journal {path} records a different grid expansion than "
                 "the resumed run produces"
             )
-        journal = RunJournal(path, run_id, fresh=False, fsync=fsync_journal)
+        journal = RunJournal(path, run_id, fresh=False)
         journal.resume(len(state.done), len(state.pending_indices))
         if progress:
             progress(
@@ -542,7 +541,7 @@ def _open_journal(
                 f"{state.n_jobs} jobs done"
             )
         return journal, run_id, dict(state.done)
-    journal = RunJournal(path, run_id, fresh=True, fsync=fsync_journal)
+    journal = RunJournal(path, run_id, fresh=True)
     journal.begin(plan.as_dict(), plan.plan_hash(), job_hashes)
     return journal, run_id, {}
 
@@ -559,7 +558,6 @@ def execute_plan(
     max_retries: int = 2,
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
-    fsync_journal: bool = True,
 ) -> dict[str, SweepRun]:
     """Execute every distinct job of a plan on one broker.
 
@@ -596,7 +594,7 @@ def execute_plan(
         progress(plan.describe())
 
     journal, run_id, journal_done = _open_journal(
-        plan, run_id, journal_dir, resume, fsync_journal, progress
+        plan, run_id, journal_dir, resume, progress
     )
     try:
         slots: list[JobResult | None] = []
@@ -696,7 +694,6 @@ def run_sweep(
     max_retries: int = 2,
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
-    fsync_journal: bool = True,
 ) -> SweepRun:
     """Execute every cell of a spec and aggregate the results.
 
@@ -725,8 +722,6 @@ def run_sweep(
             declares a straggler and re-dispatches its job.
         faults: a :class:`~repro.sweep.faults.FaultInjector` plan;
             defaults to ``$REPRO_FAULTS``.
-        fsync_journal: fsync each journal record (leave on outside
-            tests; without it a crash can forget acknowledged progress).
 
     Fast-backend TAGE jobs sharing one trace's planes are fused into
     units that compute them once (bit-identical results; see
@@ -753,7 +748,6 @@ def run_sweep(
         max_retries=max_retries,
         heartbeat_timeout=heartbeat_timeout,
         faults=faults,
-        fsync_journal=fsync_journal,
     )[spec.spec_hash()]
     if progress:
         progress(run.describe())
@@ -771,7 +765,6 @@ def resume_sweep(
     max_retries: int = 2,
     heartbeat_timeout: float = 30.0,
     faults: str | None = None,
-    fsync_journal: bool = True,
 ) -> SweepRun:
     """Resume an interrupted run from its journal alone.
 
@@ -816,5 +809,4 @@ def resume_sweep(
         max_retries=max_retries,
         heartbeat_timeout=heartbeat_timeout,
         faults=faults,
-        fsync_journal=fsync_journal,
     )

@@ -86,19 +86,13 @@ def _decode_record(line: bytes) -> dict:
 
 
 class RunJournal:
-    """Writer half: append records for one run, fsync'd by default.
-
-    ``fsync=False`` exists for tests and throwaway runs only — with it a
-    crash may lose acknowledged records, which breaks the resume
-    guarantee.
-    """
+    """Writer half: append records for one run, each write fsync'd."""
 
     def __init__(self, path: str | os.PathLike, run_id: str,
-                 fresh: bool = False, fsync: bool = True) -> None:
+                 fresh: bool = False) -> None:
         _validate_run_id(run_id)
         self.path = Path(path)
         self.run_id = run_id
-        self._fsync = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         flags = os.O_APPEND | os.O_CREAT | os.O_WRONLY
         if fresh and self.path.exists():
@@ -143,8 +137,7 @@ class RunJournal:
         view = memoryview(data)
         while view:
             view = view[os.write(self._fd, view):]
-        if self._fsync:
-            os.fsync(self._fd)
+        os.fsync(self._fd)
 
     def close(self) -> None:
         if self._fd is not None:

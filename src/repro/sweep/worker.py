@@ -20,11 +20,11 @@ exception type is still known:
   quarantines the job immediately.
 
 A daemon heartbeat thread writes ``("beat", worker_id)`` every
-``heartbeat_interval`` seconds (sharing the result pipe under a lock —
-two threads writing one pipe unlocked would interleave frames).  A
-worker that stops beating while holding a job is, to the broker,
-indistinguishable from a hung one — which is exactly the point: the
-injected ``stall`` fault suppresses the heartbeat to rehearse the
+:data:`DEFAULT_HEARTBEAT_INTERVAL` seconds (sharing the result pipe
+under a lock — two threads writing one pipe unlocked would interleave
+frames).  A worker that stops beating while holding a job is, to the
+broker, indistinguishable from a hung one — which is exactly the point:
+the injected ``stall`` fault suppresses the heartbeat to rehearse the
 silent-straggler re-dispatch path.
 """
 
@@ -43,8 +43,8 @@ __all__ = ["worker_main", "DEFAULT_HEARTBEAT_INTERVAL"]
 DEFAULT_HEARTBEAT_INTERVAL = 0.2
 
 
-def _heartbeat_loop(result_conn, send_lock, worker_id, interval, stop, suppress):
-    while not stop.wait(interval):
+def _heartbeat_loop(result_conn, send_lock, worker_id, stop, suppress):
+    while not stop.wait(DEFAULT_HEARTBEAT_INTERVAL):
         if suppress.is_set():
             continue
         try:
@@ -55,7 +55,6 @@ def _heartbeat_loop(result_conn, send_lock, worker_id, interval, stop, suppress)
 
 
 def worker_main(worker_id: int, task_conn, result_conn,
-                heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                 faults_text: str = "") -> None:
     """Process entry point: serve assignments until the None sentinel.
 
@@ -76,8 +75,7 @@ def worker_main(worker_id: int, task_conn, result_conn,
     suppress = threading.Event()
     beat_thread = threading.Thread(
         target=_heartbeat_loop,
-        args=(result_conn, send_lock, worker_id, heartbeat_interval,
-              stop, suppress),
+        args=(result_conn, send_lock, worker_id, stop, suppress),
         daemon=True,
     )
     beat_thread.start()

@@ -14,15 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, LintReport, get_rules, run_lint
+from repro.analysis import LintReport, get_rules, run_lint
 
 
 @pytest.fixture
 def lint_files(tmp_path):
     def _lint(
-        files: dict[str, str],
-        rules: list[str] | None = None,
-        baseline: Baseline | None = None,
+        files: dict[str, str], rules: list[str] | None = None,
     ) -> LintReport:
         for rel, text in files.items():
             path = tmp_path / rel
@@ -32,7 +30,6 @@ def lint_files(tmp_path):
             [tmp_path],
             root=tmp_path,
             rules=get_rules(rules) if rules is not None else None,
-            baseline=baseline,
         )
 
     return _lint

@@ -1,19 +1,15 @@
-"""Engine behaviour: collection, pragmas, baseline, parse errors, order."""
+"""Engine behaviour: collection, pragmas, parse errors, order."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.analysis import (
-    Baseline,
     PARSE_ERROR_RULE_ID,
     collect_files,
     get_rules,
     run_lint,
 )
-from repro.analysis.baseline import BaselineError
 
 from tests.analysis.conftest import rule_hits
 
@@ -96,59 +92,6 @@ def test_pragma_for_other_rule_does_not_suppress(lint_files):
         """,
     })
     assert rule_hits(report) == [("RPR001", 5)]
-
-
-def test_baseline_suppresses_and_reports_stale(lint_files, tmp_path):
-    report = lint_files({"src/repro/sim/bad.py": BAD})
-    assert len(report.findings) == 1
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(Baseline.serialize(report.findings))
-
-    baseline = Baseline.load(baseline_path)
-    again = lint_files({"src/repro/sim/bad.py": BAD}, baseline=baseline)
-    assert again.findings == []
-    assert len(again.baselined) == 1
-    assert again.exit_code == 0
-
-    fixed = lint_files({"src/repro/sim/bad.py": "x = 1\n"}, baseline=baseline)
-    assert fixed.findings == []
-    assert len(fixed.stale_baseline) == 1
-    assert fixed.stale_baseline[0]["rule"] == "RPR001"
-
-
-def test_baseline_budget_is_per_key_count(lint_files, tmp_path):
-    one = lint_files({"src/repro/sim/bad.py": BAD})
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(Baseline.serialize(one.findings))
-    baseline = Baseline.load(baseline_path)
-
-    # A second identical call in the same function exceeds the budget
-    # of 1 for that (rule, path, symbol, message) key.
-    two = lint_files({
-        "src/repro/sim/bad.py": """
-            import time
-
-            def stamp():
-                return time.time() + time.time()
-        """,
-    }, baseline=baseline)
-    assert len(two.findings) == 1
-    assert len(two.baselined) == 1
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    baseline = Baseline.load(tmp_path / "absent.json")
-    assert baseline.budgets == {}
-
-
-def test_baseline_corrupt_file_raises(tmp_path):
-    path = tmp_path / "corrupt.json"
-    path.write_text("{not json")
-    with pytest.raises(BaselineError):
-        Baseline.load(path)
-    path.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(BaselineError):
-        Baseline.load(path)
 
 
 def test_findings_sorted_by_path_then_line(lint_files):

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.analysis import (
-    Baseline,
     render_json,
     render_sarif,
     render_text,
@@ -30,29 +29,18 @@ def report(lint_files):
 def test_text_report_lines(report):
     text = render_text(report)
     assert "src/repro/sim/bad.py:5:12: RPR001" in text
-    assert "1 finding(s) in 1 file(s)" in text
-
-
-def test_text_report_names_stale_entries(lint_files, tmp_path):
-    first = lint_files({"src/repro/sim/bad.py": BAD})
-    path = tmp_path / "baseline.json"
-    path.write_text(Baseline.serialize(first.findings))
-    fixed = lint_files(
-        {"src/repro/sim/bad.py": "x = 1\n"},
-        baseline=Baseline.load(path),
-    )
-    text = render_text(fixed)
-    assert "stale baseline" in text
-    assert "RPR001" in text
+    assert text.endswith("1 finding(s) in 1 file(s) (0 pragma-suppressed)")
 
 
 def test_json_report_schema(report):
     payload = json.loads(render_json(report))
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["tool"] == "repro-lint"
+    assert set(payload) == {
+        "version", "tool", "findings", "pragma_suppressed", "summary",
+    }
     assert set(payload["summary"]) == {
-        "files_analyzed", "n_findings", "n_baselined",
-        "n_pragma_suppressed", "n_stale_baseline", "exit_code",
+        "files_analyzed", "n_findings", "n_pragma_suppressed", "exit_code",
     }
     assert payload["summary"]["n_findings"] == 1
     assert payload["summary"]["exit_code"] == 1
@@ -91,3 +79,19 @@ def test_sarif_clean_report_has_no_results(lint_files):
     report = lint_files({"src/repro/sim/ok.py": "x = 1\n"})
     payload = json.loads(render_sarif(report))
     assert payload["runs"][0]["results"] == []
+
+
+def test_reports_count_pragma_suppressed(lint_files):
+    report = lint_files({
+        "src/repro/sim/bad.py": BAD.replace(
+            "time.time()", "time.time()  # repro: allow[RPR001]"
+        ),
+    })
+    assert render_text(report).endswith(
+        "0 finding(s) in 1 file(s) (1 pragma-suppressed)"
+    )
+    payload = json.loads(render_json(report))
+    assert payload["findings"] == []
+    assert [f["rule"] for f in payload["pragma_suppressed"]] == ["RPR001"]
+    assert payload["summary"]["n_pragma_suppressed"] == 1
+    assert payload["summary"]["exit_code"] == 0

@@ -1,7 +1,7 @@
 """The lint gate holds on the repository itself.
 
 These are the acceptance checks for the whole subsystem: the committed
-tree (with its committed baseline) lints clean, and the two canonical
+tree lints clean, and the two canonical
 regressions — ambient nondeterminism in the engine, a spec field
 dropped from the hash — are caught the moment they are introduced.
 """
@@ -10,27 +10,18 @@ from __future__ import annotations
 
 import shutil
 
-from repro.analysis import Baseline, get_rules, render_text, run_lint
+from repro.analysis import get_rules, render_text, run_lint
 
 from tests.analysis.conftest import repo_root
 
 ROOT = repo_root()
 
 
-def test_repo_lints_clean_with_committed_baseline():
-    baseline = Baseline.load(ROOT / "tools" / "lint_baseline.json")
-    report = run_lint(
-        [ROOT / "src", ROOT / "tools"], root=ROOT, baseline=baseline,
-    )
+def test_repo_lints_clean():
+    """Findings are fixed or carry an inline pragma; nothing else
+    sanctions one."""
+    report = run_lint([ROOT / "src", ROOT / "tools"], root=ROOT)
     assert report.exit_code == 0, render_text(report)
-    assert report.stale_baseline == [], render_text(report)
-
-
-def test_committed_baseline_is_empty():
-    """Debt stays at zero: new findings are fixed or pragma'd, not
-    grandfathered."""
-    baseline = Baseline.load(ROOT / "tools" / "lint_baseline.json")
-    assert baseline.budgets == {}
 
 
 def test_injected_wall_clock_in_engine_fails_lint(tmp_path):

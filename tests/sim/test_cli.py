@@ -129,3 +129,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SERV-5" in out
         assert "three-level summary" in out
+
+
+class TestInterrupted:
+    """The one report of a checkpointed SIGINT/SIGTERM (exit 130)."""
+
+    def test_sweep_resume_line(self, capsys):
+        from repro.cli import _report_interrupted
+        from repro.sweep.broker import SweepInterrupted
+
+        assert _report_interrupted(SweepInterrupted("R1", 3, 4)) == 130
+        assert capsys.readouterr().out == (
+            "\ninterrupted: 3 job(s) done, 4 pending (journal checkpointed)\n"
+            "resume with: repro sweep --resume R1\n"
+        )
+
+    def test_paper_resume_line(self, capsys):
+        from repro.cli import _report_interrupted
+        from repro.sweep.broker import SweepInterrupted
+
+        interrupted = SweepInterrupted("P1", 1, 2)
+        assert _report_interrupted(
+            interrupted, "repro paper --run-id {} --resume") == 130
+        assert capsys.readouterr().out.endswith(
+            "resume with: repro paper --run-id P1 --resume\n"
+        )
+
+    def test_no_run_id_prints_no_resume_line(self, capsys):
+        from repro.cli import _report_interrupted
+        from repro.sweep.broker import SweepInterrupted
+
+        assert _report_interrupted(SweepInterrupted(None, 0, 6)) == 130
+        assert "resume with" not in capsys.readouterr().out

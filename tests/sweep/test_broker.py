@@ -20,7 +20,13 @@ from repro.sweep import (
     run_sweep,
     resume_sweep,
 )
-from repro.sweep.broker import BrokerConfig, backoff_delay
+from repro.sweep.broker import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    BrokerConfig,
+    backoff_delay,
+)
+from repro.sweep.worker import DEFAULT_HEARTBEAT_INTERVAL
 
 N_BRANCHES = 600
 
@@ -51,13 +57,21 @@ class TestBrokerConfig:
         with pytest.raises(ValueError):
             BrokerConfig(max_retries=-1)
         with pytest.raises(ValueError):
-            BrokerConfig(heartbeat_timeout=0.1, heartbeat_interval=0.2)
+            BrokerConfig(heartbeat_timeout=DEFAULT_HEARTBEAT_INTERVAL)
 
     def test_backoff_grows_capped_and_deterministic(self):
-        delays = [backoff_delay(0.25, 5.0, "r", 3, a) for a in range(10)]
-        assert delays == [backoff_delay(0.25, 5.0, "r", 3, a) for a in range(10)]
-        assert all(0.125 <= d <= 5.0 for d in delays)
-        assert delays[-1] >= 2.5  # capped exponential reached the cap band
+        delays = [backoff_delay("r", 3, a) for a in range(10)]
+        assert delays == [backoff_delay("r", 3, a) for a in range(10)]
+        assert all(BACKOFF_BASE / 2 <= d <= BACKOFF_CAP for d in delays)
+        assert delays[-1] >= BACKOFF_CAP / 2  # capped exponential reached the cap band
+
+    def test_heartbeat_timeout_just_above_the_interval_is_accepted(self):
+        config = BrokerConfig(heartbeat_timeout=DEFAULT_HEARTBEAT_INTERVAL * 1.5)
+        assert config.heartbeat_timeout > DEFAULT_HEARTBEAT_INTERVAL
+
+    def test_first_retry_waits_about_backoff_base(self):
+        for index in range(20):
+            assert BACKOFF_BASE / 2 <= backoff_delay("r", index, 0) <= BACKOFF_BASE
 
 
 class TestRecoveryPaths:

@@ -16,8 +16,8 @@ SPEC_DICT = {"name": "j", "predictors": [], "estimators": [],
 HASHES = ["aaaa", "bbbb", "cccc"]
 
 
-def write_run(path, run_id="run-1", done=(0, 2), fsync=False):
-    journal = RunJournal(path, run_id, fresh=True, fsync=fsync)
+def write_run(path, run_id="run-1", done=(0, 2)):
+    journal = RunJournal(path, run_id, fresh=True)
     journal.begin(SPEC_DICT, "deadbeef", HASHES)
     for index in done:
         journal.job_done(index, HASHES[index], attempt=0)
@@ -50,7 +50,7 @@ class TestRoundTrip:
 
     def test_retry_quarantine_interrupt_end(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        with RunJournal(path, "run-1", fresh=True, fsync=False) as journal:
+        with RunJournal(path, "run-1", fresh=True) as journal:
             journal.begin(SPEC_DICT, "deadbeef", HASHES)
             journal.job_retry(1, 0, "crash", "worker died")
             journal.job_quarantined(1, "bbbb", "deterministic", "boom", 1)
@@ -63,7 +63,7 @@ class TestRoundTrip:
         # Quarantined jobs stay pending: resume gives them a fresh chance.
         assert state.pending_indices == (0, 1, 2)
 
-        with RunJournal(path, "run-1", fsync=False) as journal:
+        with RunJournal(path, "run-1") as journal:
             journal.resume(0, 3)
             journal.job_done(1, "bbbb", attempt=0)
             journal.end(1, 0)
@@ -85,7 +85,7 @@ class TestRoundTrip:
 
     def test_no_begin_record_raises(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        with RunJournal(path, "run-1", fresh=True, fsync=False) as journal:
+        with RunJournal(path, "run-1", fresh=True) as journal:
             journal.job_done(0, "aaaa", attempt=0)
         with pytest.raises(JournalError, match="no begin record"):
             replay_journal(path, "run-1")
@@ -150,7 +150,7 @@ class TestTornTail:
 class TestGroup:
     def test_group_is_one_write_in_append_order(self, tmp_path, monkeypatch):
         path = tmp_path / "r.jsonl"
-        journal = RunJournal(path, "run-1", fresh=True, fsync=False)
+        journal = RunJournal(path, "run-1", fresh=True)
         journal.begin(SPEC_DICT, "deadbeef", HASHES)
         writes = []
         real_write = os.write
@@ -172,10 +172,32 @@ class TestGroup:
 
     def test_an_exception_writes_nothing(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        with RunJournal(path, "run-1", fresh=True, fsync=False) as journal:
+        with RunJournal(path, "run-1", fresh=True) as journal:
             journal.begin(SPEC_DICT, "deadbeef", HASHES)
             with pytest.raises(RuntimeError, match="boom"):
                 with journal.group():
                     journal.job_done(0, HASHES[0], attempt=0)
                     raise RuntimeError("boom")
         assert replay_journal(path, "run-1").done == {}
+
+
+class TestDurability:
+    def test_every_write_is_fsynced(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.jsonl"
+        journal = RunJournal(path, "run-1", fresh=True)
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        journal.begin(SPEC_DICT, "deadbeef", HASHES)
+        journal.job_done(0, HASHES[0], attempt=0)
+        with journal.group():
+            journal.job_done(1, HASHES[1], attempt=0)
+            journal.job_done(2, HASHES[2], attempt=0)
+        journal.close()
+        # One fsync per write: two single records and one group.
+        assert len(synced) == 3
