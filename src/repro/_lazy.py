@@ -2,7 +2,7 @@
 
 Every package of :mod:`repro` re-exports the public names of its
 submodules, but a command only needs a few of them: ``repro serve``
-never touches the sweep broker, ``repro list-traces`` never builds a
+never touches the sweep broker, ``repro trace --list`` never builds a
 predictor.  A package therefore declares its exports here instead of
 importing them, and each name's submodule loads on the name's first
 lookup (PEP 562 module ``__getattr__``); the resolved value is then

@@ -21,7 +21,9 @@ between releases:
 * :func:`resolve_trace` — any registered trace name → a
   :class:`~repro.traces.types.Trace`: the CBP-1/CBP-2 suites, every
   pluggable source (the scenario zoo) and ``file:<path>`` RTRC
-  replays, memoized per process (the resolver sweep workers use).
+  replays, memoized per process.  It is the one trace lookup:
+  ``repro.traces.resolve_trace`` and the sweep workers'
+  ``repro.sim.runner.get_trace`` are the same function.
 * :class:`Cell` / :class:`Capability` / :func:`get_backend` — the
   backend capability query: "can this backend run this cell, and how
   (fallback? compiled kernel? lockstep batching?)".
@@ -42,9 +44,9 @@ without breaking downstream imports.
 from repro.artifacts import run_paper
 from repro.sim.backends import Capability, Cell, get_backend
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.runner import get_trace as resolve_trace
 from repro.sim.runner import run_trace
 from repro.sweep.executor import run_sweep
+from repro.traces.sources.base import resolve_trace
 
 __all__ = [
     "simulate",

@@ -18,15 +18,12 @@ Usage (``python -m repro <command>``):
   ``PAPER_RESULTS.md`` + ``paper_results.json`` with repro-vs-paper
   deltas (see :mod:`repro.artifacts`); ``--run-id ID`` + ``--resume``
   continue an interrupted invocation.
-* ``gen-trace NAME PATH`` — generate a named trace and write it to a
-  trace file (gzip if the path ends in ``.gz``).
-* ``inspect PATH`` — print the statistics of a trace file.
-* ``trace`` — generate/inspect/convert traces through the pluggable
-  source registry: ``--source NAME`` (any registered source or
-  ``file:<path>``) or ``--input PATH``, with ``--stats`` and
-  ``--export PATH`` (see :mod:`repro.traces.sources`).
-* ``list-traces`` — show the registered trace names (CBP suites and
-  the scenario-zoo trace sources).
+* ``trace`` — the trace registry (see :mod:`repro.traces.sources`):
+  ``--list`` prints every registered name (the CBP suites, then the
+  scenario zoo); ``--source NAME`` (any registered name or
+  ``file:<path>``) materializes a trace and ``--input PATH`` reads an
+  RTRC file, either printing its statistics (``--stats``) or writing it
+  to a trace file (``--export PATH``, gzip if the path ends in ``.gz``).
 * ``capability`` — report, per backend, whether one (predictor,
   estimator) cell is supported, which compiled kernel provider would
   run it under the current ``REPRO_COMPILED_PROVIDER`` setting, and
@@ -43,13 +40,14 @@ Usage (``python -m repro <command>``):
 The CLI is a thin veneer over the library; each command maps to one or
 two public calls.  Only the parser's constant tables load with this
 module: each handler imports what its command uses, so ``repro serve``
-never loads the sweep layer and ``repro list-traces`` builds no
+never loads the sweep layer and ``repro trace --list`` builds no
 predictor.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -71,15 +69,14 @@ __all__ = ["main", "build_parser"]
 
 def _unknown_trace(name: str) -> SystemExit:
     """The one refusal for a trace name nothing registers."""
-    return SystemExit(f"unknown trace {name!r}; try `list-traces`")
+    return SystemExit(f"unknown trace {name!r}; try `repro trace --list`")
 
 
 def _get_trace(name: str, n_branches: int):
-    from repro.sim.runner import get_trace
-    from repro.traces.sources.base import MissingTraceFileError
+    from repro.traces.sources.base import MissingTraceFileError, resolve_trace
 
     try:
-        return get_trace(name, n_branches)
+        return resolve_trace(name, n_branches)
     except KeyError:
         raise _unknown_trace(name) from None
     except MissingTraceFileError as error:
@@ -257,14 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
              "are served from the cache, only the rest execute",
     )
 
-    gen_cmd = commands.add_parser("gen-trace", help="write a trace file")
-    gen_cmd.add_argument("name")
-    gen_cmd.add_argument("path")
-    gen_cmd.add_argument("--branches", type=int, default=50_000)
-
-    inspect_cmd = commands.add_parser("inspect", help="describe a trace file")
-    inspect_cmd.add_argument("path")
-
     trace_cmd = commands.add_parser(
         "trace",
         help="generate, inspect or convert traces via the source registry",
@@ -289,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--export", metavar="PATH", default=None,
                            help="write the trace to an RTRC file "
                                 "(gzip if the path ends in .gz)")
-
-    commands.add_parser("list-traces", help="list registered trace names")
 
     capability_cmd = commands.add_parser(
         "capability",
@@ -537,8 +524,7 @@ def _cmd_sweep(args) -> int:
     else:
         traces = tuple(args.traces) if args.traces else _DEFAULT_SWEEP_TRACES
     for name in traces:
-        if (name not in CBP1_TRACE_NAMES and name not in CBP2_TRACE_NAMES
-                and not is_source_name(name)):
+        if not is_source_name(name):
             raise _unknown_trace(name)
         try:
             require_trace_file(name)
@@ -688,34 +674,10 @@ def _cmd_paper(args) -> int:
     return 0
 
 
-def _cmd_gen_trace(args) -> int:
-    from repro.traces.io import write_trace
-
-    trace = _get_trace(args.name, args.branches)
-    write_trace(trace, args.path)
-    print(f"wrote {len(trace)} records to {args.path}")
-    return 0
-
-
-def _cmd_inspect(args) -> int:
-    from repro.traces.io import read_trace
-    from repro.traces.stats import analyze_trace
-
-    trace = read_trace(args.path)
-    print(analyze_trace(trace).summary())
-    return 0
-
-
 def _cmd_trace(args) -> int:
     from repro.sim.report import render_table
     from repro.traces.io import TraceFormatError, read_trace, write_trace
-    from repro.traces.sources.base import (
-        FILE_PREFIX,
-        MissingTraceFileError,
-        get_source,
-        is_source_name,
-        source_names,
-    )
+    from repro.traces.sources.base import FILE_PREFIX, get_source, source_names
     from repro.traces.stats import analyze_trace
 
     if args.list_sources:
@@ -727,35 +689,21 @@ def _cmd_trace(args) -> int:
                            title=f"trace source registry ({len(rows)} entries); "
                                  f"{FILE_PREFIX}<path> replays an RTRC file"))
         return 0
-    try:
-        if args.input is not None:
+    if args.input is not None:
+        try:
             trace = read_trace(args.input)
-            origin = args.input
-        else:
-            name = args.source
-            if not is_source_name(name):
-                # The CBP suites resolve through get_trace, not the registry.
-                trace = _get_trace(name, args.branches)
-            else:
-                trace = get_source(name).generate(args.branches)
-            origin = name
-    except (TraceFormatError, MissingTraceFileError) as error:
-        raise SystemExit(str(error)) from None
+        except TraceFormatError as error:
+            raise SystemExit(str(error)) from None
+        origin = args.input
+    else:
+        trace = _get_trace(args.source, args.branches)
+        origin = args.source
     print(f"{origin}: {len(trace)} branches, {trace.total_instructions} instructions")
     if args.stats or args.export is None:
         print(analyze_trace(trace).summary())
     if args.export is not None:
         write_trace(trace, args.export)
         print(f"wrote {len(trace)} records to {args.export}")
-    return 0
-
-
-def _cmd_list_traces(args) -> int:
-    from repro.traces.sources.base import source_names
-
-    print("CBP-1:", " ".join(CBP1_TRACE_NAMES))
-    print("CBP-2:", " ".join(CBP2_TRACE_NAMES))
-    print("sources:", " ".join(source_names()))
     return 0
 
 
@@ -1004,10 +952,7 @@ _HANDLERS = {
     "run-suite": _cmd_suite,
     "sweep": _cmd_sweep,
     "paper": _cmd_paper,
-    "gen-trace": _cmd_gen_trace,
-    "inspect": _cmd_inspect,
     "trace": _cmd_trace,
-    "list-traces": _cmd_list_traces,
     "capability": _cmd_capability,
     "lint": _cmd_lint,
     "serve": _cmd_serve,
@@ -1017,7 +962,18 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        code = _HANDLERS[args.command](args)
+        # Flush here, so a reader that went away is seen inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The Python docs' recipe (signal module, "Note on SIGPIPE"):
+        # send the rest of stdout to devnull, so the interpreter's final
+        # flush cannot raise again, and exit 1 as an EPIPE exit does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -106,16 +106,6 @@ class DecisionStream:
         self.predictions.extend(byte == 1 for byte in predictions)
         self.codes.extend(codes)
 
-    @property
-    def mispredicted_against(self):
-        """``lambda takens: [...]`` — misprediction flags vs. a taken column."""
-        def compare(takens):
-            return [
-                prediction != (taken == 1)
-                for prediction, taken in zip(self.predictions, takens)
-            ]
-        return compare
-
 
 def retry_delay(tenant: str, sequence: int, attempt: int,
                 base: float = 0.05, cap: float = 1.0) -> float:

@@ -1,9 +1,10 @@
 """Trace lookup and the one-trace run.
 
-Thin composition layer between the trace registry, the predictor presets
-(:func:`build_predictor`, re-exported from :mod:`repro.sim.cells`) and
-the simulation engine.  Grids of cells (a suite, a paper table) run
-through :func:`repro.sweep.run_sweep`.
+Thin composition layer between the trace registry (:func:`get_trace` is
+:func:`repro.traces.sources.base.resolve_trace`, the one lookup of every
+trace name), the predictor presets (:func:`build_predictor`, re-exported
+from :mod:`repro.sim.cells`) and the simulation engine.  Grids of cells
+(a suite, a paper table) run through :func:`repro.sweep.run_sweep`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from repro.predictors.tage.config import AUTOMATON_PROBABILISTIC, AUTOMATON_STAN
 from repro.sim.backends import DEFAULT_BACKEND
 from repro.sim.cells import build_predictor
 from repro.sim.engine import SimulationResult, simulate
-from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
-from repro.traces.sources.base import is_source_name, resolve_trace
+from repro.traces.sources.base import resolve_trace as get_trace
 from repro.traces.types import Trace
 
 __all__ = [
@@ -23,32 +23,6 @@ __all__ = [
     "get_trace",
     "run_trace",
 ]
-
-
-def get_trace(name: str, n_branches: int | None = None) -> Trace:
-    """Resolve any registered trace name to a trace.
-
-    Covers both CBP suites, every registered
-    :class:`~repro.traces.sources.TraceSource` (the scenario zoo) and
-    ``file:<path>`` RTRC replay.  This is the picklable-friendly lookup
-    the sweep workers use: a job ships only the *name*, and each worker
-    process regenerates (and memoizes) the deterministic trace locally
-    instead of pickling branch columns across the pipe.
-    """
-    if name in CBP1_TRACE_NAMES or name in CBP2_TRACE_NAMES:
-        # The synthesis modules load on the first CBP lookup only.
-        from repro.traces import suites
-
-        if name in CBP1_TRACE_NAMES:
-            return suites.cbp1_trace(name, n_branches)
-        return suites.cbp2_trace(name, n_branches)
-    if is_source_name(name):
-        if n_branches is None:
-            from repro.traces.suites import default_trace_length
-
-            n_branches = default_trace_length()
-        return resolve_trace(name, n_branches)
-    raise KeyError(f"unknown trace name {name!r}")
 
 
 def run_trace(

@@ -10,15 +10,17 @@ format so traces can be produced once and replayed.
 
 Public entry points:
 
-* :func:`cbp1_trace` / :func:`cbp2_trace` — generate one named trace;
+* :func:`resolve_trace` — the one lookup of every trace name (the CBP
+  suites, the ``zoo.*`` scenario sources, ``file:<path>`` replays),
+  memoized per process; :func:`source_names` lists the registry;
+* :func:`cbp1_trace` / :func:`cbp2_trace` — one named trace of a suite;
 * :func:`cbp1_suite` / :func:`cbp2_suite` — generate a whole suite;
 * :data:`CBP1_TRACE_NAMES` / :data:`CBP2_TRACE_NAMES` — the paper's names;
 * :class:`repro.traces.types.Trace` — the in-memory trace model;
 * :mod:`repro.traces.io` — trace file read/write (streaming reads);
-* :mod:`repro.traces.sources` — pluggable trace sources: ``file:<path>``
-  replay, parameterized generators and the adversarial scenario zoo
-  (``zoo.*`` names), all resolvable through
-  :func:`repro.sim.runner.get_trace`.
+* :mod:`repro.traces.sources` — the trace-source registry: the CBP
+  names, ``file:<path>`` replay, parameterized generators and the
+  adversarial scenario zoo.
 """
 
 from repro._lazy import lazy_exports

@@ -15,10 +15,15 @@ Identity is the source *name*: the sweep layer ships only trace names
 through job specs and caches, so a registered source flows through
 ``sweep/spec.py`` job hashing, the sweep result cache and the fast
 backend's plane materialization unchanged.  :func:`resolve_trace` is the
-picklable lookup :func:`repro.sim.runner.get_trace` falls back to —
-sources registered at import time (the zoo) resolve identically inside
-spawn workers.
+one trace lookup (``repro.sim.runner.get_trace`` and
+``repro.api.resolve_trace`` are this function) and its memo is the one
+trace memo: sources registered at import time resolve identically
+inside spawn workers.
 
+The registry lists the 40 CBP-1/CBP-2 names first (a
+:class:`SuiteTraceSource` each, registered when this module loads and
+synthesized on first materialization), then the scenario zoo (loaded on
+the first lookup of any other name), then whatever else registers.
 ``file:<path>`` names replay an on-disk RTRC trace (see
 :mod:`repro.traces.sources.replay`) without prior registration.
 """
@@ -29,6 +34,7 @@ import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
@@ -39,6 +45,7 @@ from repro.traces.types import BranchRecord, Trace
 
 __all__ = [
     "TraceSource",
+    "SuiteTraceSource",
     "FILE_PREFIX",
     "MissingTraceFileError",
     "require_trace_file",
@@ -47,6 +54,7 @@ __all__ = [
     "source_names",
     "is_source_name",
     "resolve_trace",
+    "default_trace_length",
 ]
 
 #: Name prefix that resolves to on-disk RTRC replay instead of the registry.
@@ -134,19 +142,51 @@ class TraceSource(ABC):
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+@dataclass(frozen=True)
+class SuiteTraceSource(TraceSource):
+    """One CBP-1 or CBP-2 trace: the name's
+    :func:`~repro.traces.suites.trace_spec`, synthesized in one shot by
+    :func:`~repro.traces.workload.synthesize` (the C twin when the C
+    build resolves).  Registering one loads no synthesis module."""
+
+    label: str
+    suite: str
+
+    @property
+    def name(self) -> str:
+        return self.label
+
+    def spec_dict(self) -> dict:
+        return {"kind": self.suite.lower(), "label": self.label}
+
+    def records(self, n_branches: int) -> Iterator[BranchRecord]:
+        return self.generate(n_branches).records()
+
+    def _materialize(self, n_branches: int) -> Trace:
+        from repro.traces.suites import trace_spec
+        from repro.traces.workload import synthesize
+
+        return synthesize(trace_spec(self.label), n_branches)
+
+
 # ---------------------------------------------------------------------------
 # Registry.
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, TraceSource] = {}
+_REGISTRY: dict[str, TraceSource] = {
+    name: SuiteTraceSource(label=name, suite=suite)
+    for suite, names in (("CBP1", CBP1_TRACE_NAMES), ("CBP2", CBP2_TRACE_NAMES))
+    for name in names
+}
 
 _builtins_loaded = False
 
 
 def _load_builtins() -> None:
-    """Register the repository's own sources (the scenario zoo) ahead of
-    any other, exactly once: on the first registry lookup or
-    registration, never for ``file:`` names.
+    """Register the scenario zoo after the suite names and ahead of any
+    other source, exactly once: on the first listing, registration or
+    lookup of a name the registry does not hold yet — never for a CBP or
+    ``file:`` name.
 
     The flag is set first: the zoo registers through
     :func:`register_source`, which calls back here.
@@ -157,11 +197,19 @@ def _load_builtins() -> None:
         from repro.traces.sources import zoo  # noqa: F401 — registers on import
 
 
+def _registered(name: str) -> TraceSource | None:
+    """The source registered under ``name``; a miss loads the zoo first."""
+    if name not in _REGISTRY:
+        _load_builtins()
+    return _REGISTRY.get(name)
+
+
 def register_source(source: TraceSource, *, replace: bool = False) -> TraceSource:
     """Register a source under its name; returns the source.
 
     Names must be non-empty, contain no whitespace, and must not shadow
-    the built-in CBP suite names or the ``file:`` replay prefix.
+    the built-in CBP suite names (not even with ``replace=True``) or the
+    ``file:`` replay prefix.
     """
     name = source.name
     if not name or name != name.strip() or any(c.isspace() for c in name):
@@ -170,10 +218,10 @@ def register_source(source: TraceSource, *, replace: bool = False) -> TraceSourc
         raise ValueError(
             f"source name {name!r} shadows the {FILE_PREFIX!r} replay prefix"
         )
-    _load_builtins()
-    if name in CBP1_TRACE_NAMES or name in CBP2_TRACE_NAMES:
+    existing = _registered(name)
+    if isinstance(existing, SuiteTraceSource):
         raise ValueError(f"source name {name!r} shadows a built-in suite trace")
-    if name in _REGISTRY:
+    if existing is not None:
         if not replace:
             raise ValueError(f"source {name!r} already registered")
         # The replaced source may have memoized materializations under
@@ -189,11 +237,10 @@ def get_source(name: str) -> TraceSource:
         from repro.traces.sources.replay import FileReplaySource
 
         return FileReplaySource(path=name[len(FILE_PREFIX):])
-    _load_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown trace source {name!r}") from None
+    source = _registered(name)
+    if source is None:
+        raise KeyError(f"unknown trace name {name!r}")
+    return source
 
 
 def source_names() -> tuple[str, ...]:
@@ -204,13 +251,28 @@ def source_names() -> tuple[str, ...]:
 
 def is_source_name(name: str) -> bool:
     """Does ``name`` resolve to a source (registered or file replay)?"""
-    if name.startswith(FILE_PREFIX):
-        return True
-    _load_builtins()
-    return name in _REGISTRY
+    return name.startswith(FILE_PREFIX) or _registered(name) is not None
 
 
-@lru_cache(maxsize=64)
+_DEFAULT_TRACE_LENGTH = 50_000
+
+
+def default_trace_length() -> int:
+    """Default dynamic branch count per trace.
+
+    The paper's traces are ~30 M instructions; we default to 50 000
+    branches (a few hundred thousand instructions) so the pure-Python
+    simulator finishes a full suite sweep in minutes.  The ``REPRO_SCALE``
+    environment variable multiplies the default (e.g. ``REPRO_SCALE=10``
+    for 500 000-branch traces).
+    """
+    scale = float(os.environ.get("REPRO_SCALE", "1"))
+    if scale <= 0:
+        raise ValueError(f"REPRO_SCALE must be positive, got {scale}")
+    return int(_DEFAULT_TRACE_LENGTH * scale)
+
+
+@lru_cache(maxsize=128)
 def _generate_cached(name: str, n_branches: int, file_stamp=None) -> Trace:
     # ``file_stamp`` only widens the memoization key (see resolve_trace);
     # generation itself depends purely on the name.
@@ -230,8 +292,16 @@ def _file_stamp(name: str) -> tuple[int, int] | None:
     return (stat.st_mtime_ns, stat.st_size)
 
 
-def resolve_trace(name: str, n_branches: int) -> Trace:
-    """Materialize (and memoize) a source by name — the sweep-worker path.
+def resolve_trace(name: str, n_branches: int | None = None) -> Trace:
+    """Materialize (and memoize) any trace name: a CBP suite name, a
+    registered source (the scenario zoo) or a ``file:<path>`` replay.
+
+    ``None`` means :func:`default_trace_length`; any other length,
+    0 included, is taken as given.  This is the lookup the sweep workers
+    use: a job ships only the *name*, and each worker process
+    regenerates (and memoizes) the deterministic trace locally instead
+    of pickling branch columns across the pipe.  An unknown name raises
+    ``KeyError``.
 
     ``file:<path>`` replays are additionally keyed by the file's
     ``(mtime_ns, size)``, so rewriting the on-disk trace invalidates the
@@ -239,6 +309,8 @@ def resolve_trace(name: str, n_branches: int) -> Trace:
     a registered source (``register_source(..., replace=True)``) clears
     the memo entirely for the same reason.
     """
+    if n_branches is None:
+        n_branches = default_trace_length()
     if name.startswith(FILE_PREFIX):
         return _generate_cached(name, n_branches, _file_stamp(name))
     return _generate_cached(name, n_branches)

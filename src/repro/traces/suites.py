@@ -1,4 +1,4 @@
-"""CBP-1 and CBP-2 synthetic suite registries.
+"""CBP-1 and CBP-2 synthetic suite specs.
 
 The paper evaluates on the 20 CBP-1 traces (FP-1..5, INT-1..5, MM-1..5,
 SERV-1..5) and the 20 CBP-2 traces (SPEC JVM98 / SPEC CPU names).  The
@@ -15,18 +15,21 @@ family's published character (see DESIGN.md §2):
 * CBP-2 names are mapped individually (gzip/twolf noisy, gcc/javac large
   working set, mpegaudio/eon highly predictable, ...).
 
-Per-name seeds make every trace deterministic and distinct.
+Per-name seeds make every trace deterministic and distinct.  The names
+resolve through the trace-source registry
+(:class:`repro.traces.sources.base.SuiteTraceSource`), like every other
+trace name; :func:`cbp1_trace` and friends check suite membership and
+call that one lookup.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import zlib
 
 from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES, FIGURE4_TRACE_NAMES
+from repro.traces.sources.base import default_trace_length, resolve_trace
 from repro.traces.types import Trace
-from repro.traces.workload import KernelMix, WorkloadSpec, synthesize
+from repro.traces.workload import KernelMix, WorkloadSpec
 
 __all__ = [
     "CBP1_TRACE_NAMES",
@@ -39,24 +42,6 @@ __all__ = [
     "cbp2_suite",
     "default_trace_length",
 ]
-
-_DEFAULT_TRACE_LENGTH = 50_000
-
-
-def default_trace_length() -> int:
-    """Default dynamic branch count per trace.
-
-    The paper's traces are ~30 M instructions; we default to 50 000
-    branches (a few hundred thousand instructions) so the pure-Python
-    simulator finishes a full suite sweep in minutes.  The ``REPRO_SCALE``
-    environment variable multiplies the default (e.g. ``REPRO_SCALE=10``
-    for 500 000-branch traces).
-    """
-    scale = float(os.environ.get("REPRO_SCALE", "1"))
-    if scale <= 0:
-        raise ValueError(f"REPRO_SCALE must be positive, got {scale}")
-    return int(_DEFAULT_TRACE_LENGTH * scale)
-
 
 # ---------------------------------------------------------------------------
 # family profiles
@@ -313,25 +298,20 @@ def trace_spec(name: str) -> WorkloadSpec:
     raise KeyError(f"unknown trace name {name!r}")
 
 
-@functools.lru_cache(maxsize=128)
-def _generate_cached(name: str, n_branches: int) -> Trace:
-    # Every CBP name is synthesized here: through the C twin when the C
-    # build resolves, else the pure workload (the same bytes).
-    return synthesize(trace_spec(name), n_branches)
-
-
 def cbp1_trace(name: str, n_branches: int | None = None) -> Trace:
-    """Generate (and cache) a named CBP-1 trace."""
+    """Generate (and cache) a named CBP-1 trace; ``None`` is the
+    default length."""
     if name not in CBP1_TRACE_NAMES:
         raise KeyError(f"{name!r} is not a CBP-1 trace name")
-    return _generate_cached(name, n_branches or default_trace_length())
+    return resolve_trace(name, n_branches)
 
 
 def cbp2_trace(name: str, n_branches: int | None = None) -> Trace:
-    """Generate (and cache) a named CBP-2 trace."""
+    """Generate (and cache) a named CBP-2 trace; ``None`` is the
+    default length."""
     if name not in CBP2_TRACE_NAMES:
         raise KeyError(f"{name!r} is not a CBP-2 trace name")
-    return _generate_cached(name, n_branches or default_trace_length())
+    return resolve_trace(name, n_branches)
 
 
 def cbp1_suite(n_branches: int | None = None, names: tuple[str, ...] = CBP1_TRACE_NAMES) -> list[Trace]:

@@ -36,8 +36,8 @@ draw, and a loop branch runs its iteration burst in one kernel call
 (:meth:`~repro.traces.kernels.LoopKernel.burst`).
 
 :func:`synthesize` is one-shot synthesis, the path of every CBP trace
-name (:func:`repro.traces.suites.cbp1_trace` and friends, so
-``get_trace``, the sweep workers and the apps artifacts).  When the C
+name (:class:`repro.traces.sources.base.SuiteTraceSource`, so
+``resolve_trace``, the sweep workers and the apps artifacts).  When the C
 build of :mod:`repro.sim.fast.compiled` resolves, it runs that module's
 ``trace-synth`` twin of the construction and walk below: every kernel
 built eagerly (the draws are counter-based, so eager and lazy builds

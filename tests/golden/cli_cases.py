@@ -3,8 +3,8 @@
 ``repro --help``, every subcommand's ``--help`` and the refusals of a
 bad ``--size``, ``--suite``, ``--backend``, an unknown trace name and a
 missing trace file are part of the interface: scripts parse them and
-users read them.  So are the trace listings of ``list-traces`` and
-``trace --list``, in order.  Each case runs ``python -m repro`` in a
+users read them.  So is the trace listing of ``trace --list``, in
+order.  Each case runs ``python -m repro`` in a
 fresh interpreter (the bytes a user sees, exit code included) at a fixed
 80-column terminal width; ``cli_surface.json`` holds the recorded bytes
 and ``test_cli_surface.py`` compares against them.
@@ -39,8 +39,8 @@ FIXTURE = Path(__file__).with_name("cli_surface.json")
 PYTHON = "%d.%d" % sys.version_info[:2]
 
 SUBCOMMANDS = (
-    "run-trace", "run-suite", "sweep", "paper", "gen-trace", "inspect",
-    "trace", "list-traces", "capability", "lint", "serve", "drive",
+    "run-trace", "run-suite", "sweep", "paper", "trace", "capability",
+    "lint", "serve", "drive",
 )
 
 #: Case name -> argv after ``python -m repro``, for the cases whose bytes
@@ -60,7 +60,6 @@ ARGPARSE_CASES: dict[str, list[str]] = {
 #: Case name -> argv, for the cases whose bytes ``repro`` writes.
 REPRO_CASES: dict[str, list[str]] = {
     "unknown-trace:run-trace": ["run-trace", "NOPE-1", "--branches", "100"],
-    "unknown-trace:gen-trace": ["gen-trace", "NOPE-1", "never-written.rtrc"],
     "unknown-trace:trace": ["trace", "--source", "NOPE-1", "--branches", "100"],
     "unknown-trace:sweep": ["sweep", "--traces", "NOPE-1", "--branches", "100",
                             "--no-cache"],
@@ -70,7 +69,6 @@ REPRO_CASES: dict[str, list[str]] = {
                                  "--branches", "100"],
     "missing-trace-file:sweep": ["sweep", "--traces", "file:never-written.rtrc",
                                  "--branches", "100", "--no-cache"],
-    "list-traces": ["list-traces"],
     "trace-list": ["trace", "--list"],
 }
 

@@ -95,6 +95,25 @@ def test_file_trace_loads_no_synthesis(tmp_path):
     ]
 
 
+def test_cbp_trace_loads_no_zoo():
+    """The CBP names are registered sources that load nothing to
+    register; resolving one loads the synthesis it needs, never the
+    scenario zoo."""
+    zoo = ("repro.traces.sources.zoo", "repro.traces.sources.generators",
+           "repro.traces.sources.adversarial")
+    synthesis = ("repro.traces.suites", "repro.traces.workload")
+    code = (
+        "from repro.traces.sources.base import get_source\n"
+        "assert get_source('INT-1').spec_dict()['kind'] == 'cbp1'\n"
+    )
+    assert _loaded(code, zoo + synthesis) == []
+    code = (
+        "from repro.traces import resolve_trace\n"
+        "assert len(resolve_trace('INT-1', 100)) == 100\n"
+    )
+    assert _loaded(code, zoo + synthesis) == sorted(synthesis)
+
+
 @pytest.mark.parametrize("provider", [None, "none"])
 def test_first_observe_imports_nothing_the_session_did_not(provider):
     """Work must not move out of HELLO (session construction) into the

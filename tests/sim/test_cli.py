@@ -21,11 +21,6 @@ class TestParser:
 
 
 class TestCommands:
-    def test_list_traces(self, capsys):
-        assert main(["list-traces"]) == 0
-        out = capsys.readouterr().out
-        assert "FP-1" in out and "300.twolf" in out
-
     def test_run_trace(self, capsys):
         assert main(["run-trace", "FP-1", "--branches", "1500", "--size", "16K"]) == 0
         out = capsys.readouterr().out
@@ -49,18 +44,48 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run-trace", "NOPE-1", "--branches", "100"])
 
-    def test_gen_and_inspect_roundtrip(self, tmp_path, capsys):
+    def test_trace_export_and_input_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "fp1.rtrc.gz"
-        assert main(["gen-trace", "FP-1", str(path), "--branches", "1200"]) == 0
+        assert main(["trace", "--source", "FP-1", "--export", str(path),
+                     "--branches", "1200"]) == 0
         assert path.exists()
-        assert main(["inspect", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "--input", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "FP-1" in out
-        assert "1200 branches" in out
+        assert f"{path}: 1200 branches" in out
+        assert "FP-1: 1200 branches" in out  # the statistics summary
+
+    @pytest.mark.parametrize("name", ["INT-1", "zoo.markov"])
+    def test_zero_branches_means_zero(self, capsys, name):
+        assert main(["trace", "--source", name, "--branches", "0"]) == 0
+        assert f"{name}: 0 branches" in capsys.readouterr().out
+
+    def test_closed_pipe_exits_without_a_traceback(self):
+        """A reader that closes early (``repro trace --list | head``)
+        ends the command with exit 1 and a quiet stderr."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # No reader is left before the child writes a byte.
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
     def test_trace_list_shows_source_registry(self, capsys):
         assert main(["trace", "--list"]) == 0
         out = capsys.readouterr().out
+        assert "(47 entries)" in out
+        assert out.index("FP-1") < out.index("300.twolf") < out.index("zoo.markov")
         assert "zoo.markov" in out and "zoo.jrs-inversion" in out
         assert "file:" in out  # the replay prefix is advertised
 

@@ -24,6 +24,7 @@ from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.engine import simulate, simulate_binary
 from repro.sim.runner import build_predictor, get_trace
 from repro.traces.io import write_trace
+from repro.traces.names import CBP1_TRACE_NAMES, CBP2_TRACE_NAMES
 from repro.traces.sources import (
     ADVERSARIAL_SOURCE_NAMES,
     FILE_PREFIX,
@@ -35,6 +36,7 @@ from repro.traces.sources import (
     LoopNestSource,
     MarkovChainSource,
     PhaseChangeSource,
+    default_trace_length,
     get_source,
     is_source_name,
     register_source,
@@ -48,6 +50,7 @@ from repro.traces.sources.adversarial import (
     _probe_pvp,
     _searched_period,
 )
+from repro.traces.suites import cbp1_suite, cbp1_trace, cbp2_trace
 from repro.traces.workload import SyntheticWorkload, WorkloadSpec
 
 
@@ -66,11 +69,11 @@ class TestRegistry:
     def test_is_source_name(self):
         assert is_source_name("zoo.markov")
         assert is_source_name("file:/nowhere/x.rtrc")
-        assert not is_source_name("INT-1")
+        assert is_source_name("INT-1")
         assert not is_source_name("nope")
 
     def test_unknown_source_raises_keyerror(self):
-        with pytest.raises(KeyError, match="unknown trace source 'nope'"):
+        with pytest.raises(KeyError, match="unknown trace name 'nope'"):
             get_source("nope")
 
     def test_duplicate_rejected_unless_replace(self, scratch_registry):
@@ -92,9 +95,50 @@ class TestRegistry:
             register_source(MarkovChainSource(label="file:sneaky", seed=1))
 
     @pytest.mark.parametrize("shadow", ["INT-1", "300.twolf"])
-    def test_cbp_shadow_rejected(self, scratch_registry, shadow):
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_cbp_shadow_rejected(self, scratch_registry, shadow, replace):
         with pytest.raises(ValueError, match="shadows a built-in suite trace"):
-            register_source(MarkovChainSource(label=shadow, seed=1))
+            register_source(MarkovChainSource(label=shadow, seed=1),
+                            replace=replace)
+
+    def test_cbp_names_listed_first_then_the_zoo(self):
+        names = source_names()
+        assert names[:47] == CBP1_TRACE_NAMES + CBP2_TRACE_NAMES + ZOO_SOURCE_NAMES
+        assert get_source("INT-1").spec_dict() == {"kind": "cbp1", "label": "INT-1"}
+        assert get_source("300.twolf").spec_dict()["kind"] == "cbp2"
+
+    def test_one_lookup(self):
+        """Every public trace lookup is the registry's one function."""
+        import repro.api
+        import repro.sim.runner
+        import repro.traces
+
+        assert repro.traces.resolve_trace is repro.api.resolve_trace
+        assert repro.api.resolve_trace is repro.sim.runner.get_trace
+        assert repro.traces.resolve_trace("INT-1", 1000) is repro.api.resolve_trace(
+            "INT-1", 1000)
+        assert cbp1_trace("INT-1", 1000) is resolve_trace("INT-1", 1000)
+
+    def test_suite_and_zoo_names_share_one_memo(self):
+        base_module._generate_cached.cache_clear()
+        resolve_trace("FP-1", 300)
+        resolve_trace("zoo.markov", 300)
+        resolve_trace("FP-1", 300)
+        info = base_module._generate_cached.cache_info()
+        assert (info.currsize, info.hits, info.maxsize) == (2, 1, 128)
+
+    @pytest.mark.parametrize("name", ["INT-1", "zoo.markov"])
+    def test_only_none_selects_the_default_length(self, monkeypatch, name):
+        assert len(resolve_trace(name, 0)) == 0
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+        assert default_trace_length() == 500
+        assert len(resolve_trace(name)) == 500
+        assert len(resolve_trace(name, None)) == 500
+
+    def test_suite_lookups_keep_an_explicit_zero(self):
+        assert len(cbp1_trace("INT-1", 0)) == 0
+        assert len(cbp2_trace("164.gzip", 0)) == 0
+        assert cbp1_suite(0, names=("FP-1",))[0].pcs == []
 
     def test_get_trace_resolves_sources_and_still_rejects_unknown(self):
         trace = get_trace("zoo.markov", 64)

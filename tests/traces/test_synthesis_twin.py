@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 
 from repro.sim.fast import compiled
 from repro.traces import suites
+from repro.traces.sources import base
 from repro.traces.suites import trace_spec
 from repro.traces.workload import KernelMix, SyntheticWorkload, WorkloadSpec, synthesize
 from tests.traces.test_workload_oracle import (
@@ -90,19 +91,20 @@ def test_twin_matches_pure_workload(spec, n_branches):
 
 
 def test_suite_lookups_run_the_twin(cext, monkeypatch):
-    """``suites._generate_cached`` (every CBP name's path) synthesizes
-    through the twin: the pure workload is never constructed."""
+    """A CBP name's registered source (every CBP lookup's path)
+    synthesizes through the twin: the pure workload is never
+    constructed."""
 
     def refuse(spec):
         raise AssertionError("the pure workload ran")
 
     expected = _columns(SyntheticWorkload(trace_spec("INT-1")).generate(3_000))
     monkeypatch.setattr("repro.traces.workload.SyntheticWorkload", refuse)
-    suites._generate_cached.cache_clear()
+    base._generate_cached.cache_clear()
     try:
         assert _columns(suites.cbp1_trace("INT-1", 3_000)) == expected
     finally:
-        suites._generate_cached.cache_clear()
+        base._generate_cached.cache_clear()
 
 
 def test_specs_outside_the_twin_run_pure(cext):
