@@ -677,7 +677,12 @@ def _cmd_paper(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.sim.report import render_table
     from repro.traces.io import TraceFormatError, read_trace, write_trace
-    from repro.traces.sources.base import FILE_PREFIX, get_source, source_names
+    from repro.traces.sources.base import (
+        FILE_PREFIX,
+        MissingTraceFileError,
+        get_source,
+        source_names,
+    )
     from repro.traces.stats import analyze_trace
 
     if args.list_sources:
@@ -694,6 +699,8 @@ def _cmd_trace(args) -> int:
             trace = read_trace(args.input)
         except TraceFormatError as error:
             raise SystemExit(str(error)) from None
+        except FileNotFoundError:
+            raise SystemExit(str(MissingTraceFileError(args.input))) from None
         origin = args.input
     else:
         trace = _get_trace(args.source, args.branches)

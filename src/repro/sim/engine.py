@@ -174,8 +174,8 @@ def _dispatch_fast(entry_point: str, kwargs: dict, binary: bool = False):
         fast = load_fast_engine()
         return getattr(fast, entry_point)(**kwargs)
     except FastBackendUnsupported as unsupported:
-        # Safety net: the capability probe and the kernels share their
-        # predicates, so this only fires if they somehow drift.
+        # The probe judges the cell, not the trace: a trace the kernels
+        # cannot hold (a pc of 2**63 or more) is refused here.
         warnings.warn(
             f"fast backend cannot run this configuration ({unsupported}); "
             "falling back to the reference engine",

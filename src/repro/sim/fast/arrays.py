@@ -1,9 +1,10 @@
 """Pre-materialized NumPy views of a trace.
 
 The reference engine iterates a :class:`~repro.traces.types.Trace`'s
-Python columns branch by branch; the fast backend instead materializes
-the whole trace into packed NumPy arrays once and feeds every vectorized
-stage from them.  Materialization is deterministic given the trace
+columns branch by branch; the fast backend instead takes the trace's
+packed buffers into NumPy arrays once (no Python int per branch) and
+feeds every vectorized stage from them.  Materialization is
+deterministic given the trace
 (``tests/traces/test_determinism.py`` guards the pipeline end to end:
 same :class:`~repro.traces.workload.WorkloadSpec` + seed → identical
 arrays across processes).
@@ -23,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from repro.common.bitops import mask
+from repro.sim.backends import FastBackendUnsupported
 
 __all__ = [
     "MAX_WINDOW_BITS",
@@ -62,8 +64,12 @@ class TraceArrays:
 
     @classmethod
     def from_trace(cls, trace) -> "TraceArrays":
-        """Materialize a :class:`~repro.traces.types.Trace` (copies, so
-        later trace mutation cannot alias into a running simulation).
+        """Materialize a :class:`~repro.traces.types.Trace` from its
+        packed columns: ``np.frombuffer`` over the ``array('Q')`` pcs and
+        the takens bytes, then one copy each, so later trace mutation
+        cannot alias into a running simulation.  The u64 pcs become the
+        int64 lanes every kernel indexes with, after one vectorized
+        range check.
 
         The last materialization is memoized on the identity of the
         trace object, so the jobs of one trace (which the sweep hands
@@ -73,18 +79,28 @@ class TraceArrays:
         after its first materialization keeps serving the earlier
         arrays.  The arrays are read-only, so a stray in-place write
         raises ``ValueError`` instead of corrupting the next job.
+
+        Raises:
+            FastBackendUnsupported: when a pc is 2**63 or more, which no
+                int64 lane holds (the dispatchers then fall back to the
+                reference engine with a warning).
         """
         global _LAST_MATERIALIZED
         memo = _LAST_MATERIALIZED
         if memo is not None and memo[0] is trace:
             return memo[1]
-        pcs = np.array(trace.pcs, dtype=np.int64)
+        pcs = np.frombuffer(trace.pcs, dtype=np.int64)
+        wide = np.flatnonzero(pcs < 0)
+        if wide.size:
+            raise FastBackendUnsupported(
+                f"pc {trace.pcs[wide[0]]:#x} does not fit the fast "
+                "backend's int64 lanes"
+            )
+        pcs = pcs.copy()
         pcs.setflags(write=False)
-        arrays = cls(
-            name=trace.name,
-            pcs=pcs,
-            takens=np.frombuffer(bytes(trace.takens), dtype=np.uint8),
-        )
+        takens = np.frombuffer(trace.takens, dtype=np.uint8).copy()
+        takens.setflags(write=False)
+        arrays = cls(name=trace.name, pcs=pcs, takens=takens)
         _LAST_MATERIALIZED = (trace, arrays)
         return arrays
 

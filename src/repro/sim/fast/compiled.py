@@ -1300,7 +1300,7 @@ def _load_cext() -> bool:
         try:
             cdf = array("d", routine_cdf(n_routines.value))
             _require(cdf, 8 * n_routines.value, "routine cdf")
-            pcs, insts = array("q", bytes(8 * n)), array("q", bytes(8 * n))
+            pcs, insts = array("Q", bytes(8 * n)), array("q", bytes(8 * n))
             takens = bytearray(n)
             library.synth_walk(workload, _address(cdf), n, _address(pcs),
                                _address(takens), _address(insts))

@@ -59,6 +59,7 @@ from repro.sim.backends import (
     Capability,
     Cell,
     FastBackendFallbackWarning,
+    FastBackendUnsupported,
     get_backend,
     load_fast_engine,
 )
@@ -181,7 +182,10 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
     share; both stay on the trace's arrays until the worker moves to
     another trace.  Every member is bit-identical to running it through
     :func:`execute_job` alone.  The unit's wall-clock cost is
-    attributed evenly across the members' ``elapsed`` fields.
+    attributed evenly across the members' ``elapsed`` fields.  A trace
+    the fast arrays cannot hold (a pc of 2**63 or more) runs every
+    member on the reference engine, after one
+    :class:`FastBackendFallbackWarning`.
     """
     start = time.perf_counter()
     jobs = [job for _, job in batch.members]
@@ -192,7 +196,19 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
                    seed=job.seed, target_mkp=job.target_mkp)
         for job in jobs
     ]
-    arrays = fast.TraceArrays.from_trace(trace)
+    try:
+        arrays = fast.TraceArrays.from_trace(trace)
+    except FastBackendUnsupported as unsupported:
+        warnings.warn(
+            f"fast backend cannot run this trace ({unsupported}); "
+            "falling back to the reference engine",
+            FastBackendFallbackWarning,
+            stacklevel=2,
+        )
+        return tuple(
+            replace(execute_job(replace(job, backend="reference")), job=job)
+            for job in jobs
+        )
     lockstep_cells = [
         fast.LockstepCell(cell.predictor, cell.estimator, cell.controller,
                           warmup_branches=job.warmup_branches)

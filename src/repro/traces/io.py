@@ -23,8 +23,12 @@ bounded buffers, so multi-million-branch files replay without eagerly
 materializing the whole trace (:meth:`TraceReader.iter_records` /
 :meth:`TraceReader.iter_chunks`).  :func:`read_trace` remains the
 materialize-everything convenience wrapper.  Each buffer is decoded
-once, column-wise (one strided slice per field), and every read path
-goes through that one decode.
+once, column-wise (one strided slice per field), straight into the
+packed columns a :class:`~repro.traces.types.Trace` holds — an
+``array('Q')`` of pcs and byte strings of takens and instruction
+counts — so no Python int is made per record; every read path goes
+through that one decode.  :func:`write_trace` encodes the same way,
+one strided slice per field.
 
 Every malformed input raises :class:`TraceFormatError` with a message
 naming the offending field (``magic``, ``version``, ``name``,
@@ -39,6 +43,7 @@ import gzip
 import struct
 import sys
 import zlib
+from array import array
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -77,7 +82,11 @@ def _open(path: Path, mode: str) -> BinaryIO:
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
-    """Serialize ``trace`` to ``path`` (gzip if the suffix is ``.gz``)."""
+    """Serialize ``trace`` to ``path`` (gzip if the suffix is ``.gz``).
+
+    Every pc fits (a :class:`Trace` refuses a wider one); an instruction
+    count outside ``[1, 255]`` is refused before the file is opened.
+    """
     path = Path(path)
     name_bytes = trace.name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
@@ -85,18 +94,23 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             f"trace name too long ({len(name_bytes)} bytes; the name field "
             "holds at most 65535)"
         )
+    insts = trace.insts
+    if insts.typecode != "B" or b"\x00" in insts.tobytes():
+        inst = next(inst for inst in insts if not 1 <= inst <= 0xFF)
+        raise TraceFormatError(f"inst count {inst} does not fit in 8 bits")
+    pc_bytes = memoryview(trace.pcs).cast("B")
     with _open(path, "wb") as stream:
         stream.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(name_bytes)))
         stream.write(name_bytes)
         stream.write(_COUNT.pack(len(trace)))
-        pack = _RECORD.pack
-        write = stream.write
-        for pc, taken, inst in zip(trace.pcs, trace.takens, trace.insts):
-            if not 0 <= pc < (1 << 64):
-                raise TraceFormatError(f"pc {pc:#x} does not fit in 64 bits")
-            if not 1 <= inst <= 0xFF:
-                raise TraceFormatError(f"inst count {inst} does not fit in 8 bits")
-            write(pack(pc, taken, inst))
+        for start in range(0, len(trace), _CHUNK_RECORDS):
+            end = min(start + _CHUNK_RECORDS, len(trace))
+            payload = bytearray(_RECORD.size * (end - start))
+            for byte, slot in enumerate(_PC_SLOTS):
+                payload[byte::_RECORD.size] = pc_bytes[8 * start + slot:8 * end:8]
+            payload[8::_RECORD.size] = trace.takens[start:end]
+            payload[9::_RECORD.size] = insts[start:end]
+            stream.write(payload)
 
 
 class TraceReader:
@@ -167,7 +181,7 @@ class TraceReader:
 
     def _iter_columns(
         self, limit: int | None = None
-    ) -> Iterator[tuple[list[int], bytes, bytes]]:
+    ) -> Iterator[tuple[array, bytes, bytes]]:
         """Yield the remaining records as validated ``(pcs, takens,
         insts)`` columns, one bounded payload buffer at a time, stopping
         after ``limit`` records (default: all of them)."""
@@ -198,7 +212,7 @@ class TraceReader:
         """Yield the records as :class:`Trace` chunks of ``chunk_size``."""
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        pcs: list[int] = []
+        pcs = array("Q")
         takens = insts = b""
         for new_pcs, new_takens, new_insts in self._iter_columns():
             # Prepend the previous buffer's partial chunk (< chunk_size).
@@ -217,11 +231,12 @@ class TraceReader:
 
     def read_columns(
         self, limit: int | None = None
-    ) -> tuple[list[int], bytearray, bytearray]:
+    ) -> tuple[array, bytearray, bytearray]:
         """The remaining records (at most ``limit``) as ``(pcs, takens,
-        insts)`` columns — the arguments of :class:`Trace`.  Trailing
-        data is not checked (see :meth:`read`)."""
-        pcs: list[int] = []
+        insts)`` columns — the arguments of :class:`Trace`: an
+        ``array('Q')`` and two byte strings.  Trailing data is not
+        checked (see :meth:`read`)."""
+        pcs = array("Q")
         takens = bytearray()
         insts = bytearray()
         for new_pcs, new_takens, new_insts in self._iter_columns(limit):
@@ -254,15 +269,16 @@ class TraceReader:
 
 def _decode_columns(
     payload: bytes, first: int, path: Path
-) -> tuple[list[int], bytes, bytes]:
+) -> tuple[array, bytes, bytes]:
     """Decode whole 10-byte records column-wise: each field is one
     strided slice of the payload, so no per-record Python work remains.
 
     The eight PC bytes of every record are interleaved into a packed
     u64 buffer (little-endian on disk; mirrored slots on big-endian
-    hosts) and read through a ``Q`` memoryview.  ``first`` is the index
-    of the payload's first record, for error messages; the error names
-    the first invalid record, taken byte checked before inst count.
+    hosts) that becomes the ``array('Q')`` pc column.  ``first`` is the
+    index of the payload's first record, for error messages; the error
+    names the first invalid record, taken byte checked before inst
+    count.
     """
     takens = payload[8::_RECORD.size]
     insts = payload[9::_RECORD.size]
@@ -281,7 +297,9 @@ def _decode_columns(
     packed = bytearray(8 * len(takens))
     for byte, slot in enumerate(_PC_SLOTS):
         packed[slot::8] = payload[byte::_RECORD.size]
-    return memoryview(packed).cast("Q").tolist(), takens, insts
+    pcs = array("Q")
+    pcs.frombytes(packed)
+    return pcs, takens, insts
 
 
 def read_trace(path: str | Path) -> Trace:

@@ -251,14 +251,7 @@ class PhaseChangeSource(TraceSource):
             yield from piece.records()
 
     def _materialize(self, n_branches: int) -> Trace:
-        pcs: list[int] = []
-        takens = bytearray()
-        insts: list[int] = []
-        for piece in self._phases(n_branches):
-            pcs += piece.pcs
-            takens += piece.takens
-            insts += piece.insts
-        return Trace(self.name, pcs, takens, insts)
+        return Trace.join(self.name, self._phases(n_branches))
 
 
 @dataclass(frozen=True)

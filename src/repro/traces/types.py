@@ -6,15 +6,22 @@ executed since the previous record (including the branch itself), which is
 what lets the simulator report Mispredictions Per Kilo-Instruction (MPKI)
 exactly as the paper does.
 
-For simulation speed the :class:`Trace` stores columns (``pcs``,
-``takens``, ``insts``) rather than an array of objects; the inner loop of
-:func:`repro.sim.engine.simulate` iterates the columns directly while the
-record view (:meth:`Trace.records`) is the convenient API for everything
-else.
+A :class:`Trace` stores three packed columns rather than an array of
+objects: ``pcs`` is an ``array('Q')`` (the RTRC file's raw u64),
+``takens`` a ``bytearray`` of 0/1 and ``insts`` an ``array('B')`` — or
+an ``array('Q')`` when some count does not fit in a byte, which no RTRC
+file and no built-in generator produces.  That is about 10 bytes per
+branch, with no Python int per branch: the RTRC reader and the C
+synthesizer fill the columns with buffer copies, and
+:meth:`repro.sim.fast.arrays.TraceArrays.from_trace` hands the pc
+buffer to NumPy the same way.  The reference engine iterates the
+columns directly, and the record view (:meth:`Trace.records`) is the
+convenient API for everything else.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = ["BranchRecord", "Trace"]
@@ -39,10 +46,12 @@ class Trace:
     """A named, immutable-by-convention sequence of branch records.
 
     Construct either from columns (fast path used by the generators) or
-    from records via :meth:`from_records`.  Nothing mutates a trace
-    after construction: ``total_instructions`` is summed once here, and
-    :meth:`repro.sim.fast.arrays.TraceArrays.from_trace` memoizes on
-    the trace's identity.
+    from records via :meth:`from_records`.  The constructor copies its
+    columns into the packed types (a buffer copy when a column already
+    has them) and refuses a pc outside ``[0, 2**64)``.  Nothing mutates
+    a trace after construction: ``total_instructions`` is summed once
+    here, and :meth:`repro.sim.fast.arrays.TraceArrays.from_trace`
+    memoizes on the trace's identity.
     """
 
     __slots__ = ("name", "pcs", "takens", "insts", "total_instructions")
@@ -60,7 +69,13 @@ class Trace:
                 f"pcs={len(pcs)} takens={len(takens)} insts={len(insts)}"
             )
         self.name = name
-        self.pcs = list(pcs)
+        try:
+            self.pcs = array("Q", pcs)
+        except OverflowError:
+            for pc in pcs:
+                if not 0 <= pc < 1 << 64:
+                    raise ValueError(f"pc {pc:#x} does not fit in 64 bits") from None
+            raise
         if isinstance(takens, (bytes, bytearray)) and not takens.translate(
             None, b"\x00\x01"
         ):
@@ -68,7 +83,10 @@ class Trace:
             self.takens = bytearray(takens)
         else:
             self.takens = bytearray(int(bool(t)) for t in takens)
-        self.insts = list(insts)
+        try:
+            self.insts = array("B", insts)
+        except OverflowError:
+            self.insts = array("Q", insts)
         #: Total instruction count covered by the trace.
         self.total_instructions = sum(self.insts)
 
@@ -119,12 +137,24 @@ class Trace:
 
     def concat(self, other: "Trace", name: str | None = None) -> "Trace":
         """A new trace that is this trace followed by ``other``."""
-        return Trace(
+        return Trace.join(
             name if name is not None else f"{self.name}+{other.name}",
-            self.pcs + other.pcs,
-            bytes(self.takens) + bytes(other.takens),
-            self.insts + other.insts,
+            (self, other),
         )
+
+    @classmethod
+    def join(cls, name: str, traces: Iterable["Trace"]) -> "Trace":
+        """One trace holding ``traces`` back to back, column by column."""
+        traces = list(traces)
+        wide = any(trace.insts.typecode != "B" for trace in traces)
+        pcs = array("Q")
+        takens = bytearray()
+        insts = array("Q" if wide else "B")
+        for trace in traces:
+            pcs += trace.pcs
+            takens += trace.takens
+            insts += array(insts.typecode, trace.insts)
+        return cls(name, pcs, takens, insts)
 
     def __repr__(self) -> str:
         return f"Trace(name={self.name!r}, branches={len(self)})"

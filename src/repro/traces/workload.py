@@ -52,6 +52,7 @@ zoo sources built on them (``zoo.phase`` resumes its segments).
 from __future__ import annotations
 
 import bisect
+import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
@@ -76,6 +77,10 @@ __all__ = ["KernelMix", "WorkloadSpec", "StaticBranch", "SyntheticWorkload", "sy
 
 _GLOBAL_HISTORY_BITS = 32
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Offset of an int64's low byte in its native image.
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
+
 #: Categories whose branch executes a whole loop burst per visit.
 _LOOP_CATEGORIES = ("loop", "nested_loop")
 
@@ -621,4 +626,8 @@ def synthesize(spec: WorkloadSpec, n_branches: int) -> Trace:
         lambda n_routines: _zipf_cdf(n_routines, spec.routine_zipf_s),
         n_branches,
     )
+    if spec.insts_per_branch[1] <= 0xFF:
+        # Every count fits a byte: keep each int64's low byte, one
+        # strided copy instead of a Python int per branch.
+        insts = memoryview(insts).cast("B")[_LOW_BYTE::8].tobytes()
     return Trace(spec.name, pcs, takens, insts)

@@ -38,8 +38,10 @@ from repro.sim.backends import (
 from repro.sim.engine import simulate, simulate_binary
 from repro.sim.fast import simulate_binary_fast, simulate_fast
 from repro.sim.runner import build_predictor, run_trace
-from repro.sweep.executor import execute_job
-from repro.sweep.spec import EstimatorSpec, JobSpec, PredictorSpec
+from repro.sweep.executor import execute_job, run_sweep
+from repro.sweep.spec import EstimatorSpec, ExperimentSpec, JobSpec, PredictorSpec
+from repro.traces.io import read_trace, write_trace
+from repro.traces.types import Trace
 
 
 class _SubclassedBimodal(BimodalPredictor):
@@ -270,6 +272,43 @@ def test_oversized_numeric_widths_fall_back_instead_of_overflowing(tiny_trace):
             backend="fast",
         )
     assert fallback == reference
+
+
+def test_pcs_beyond_int64_fall_back_instead_of_overflowing(tmp_path):
+    """Regression: a legal RTRC file whose pcs are 2**63 or more must take
+    the warn-and-fall-back path on every fast dispatcher — the engine
+    entry point, a one-cell sweep and a fused lockstep unit — not crash
+    with OverflowError or be quarantined."""
+    n = 500
+    path = tmp_path / "big.rtrc"
+    write_trace(Trace("big", [(1 << 63) + 4 * i for i in range(n)],
+                      [(i * i) % 3 == 0 for i in range(n)], [1 + i % 5 for i in range(n)]),
+                path)
+    trace = read_trace(path)
+
+    reference = simulate_binary(trace, GsharePredictor(), JrsEstimator())
+    with pytest.warns(FastBackendFallbackWarning, match="does not fit"):
+        fallback = simulate_binary(trace, GsharePredictor(), JrsEstimator(),
+                                   backend="fast")
+    assert fallback == reference
+
+    def sweep(backend, predictors):
+        return run_sweep(ExperimentSpec(
+            name="wide-pcs", predictors=predictors,
+            estimators=(EstimatorSpec.of("jrs"),), traces=(f"file:{path}",),
+            n_branches=n, backend=backend,
+        ), workers=1)
+
+    one_cell = (PredictorSpec.of("gshare"),)
+    fused = (PredictorSpec.of("tage", size="16K"),
+             PredictorSpec.of("tage", size="16K", automaton="probabilistic"))
+    for predictors in (one_cell, fused):
+        reference = sweep("reference", predictors)
+        with pytest.warns(FastBackendFallbackWarning, match="does not fit"):
+            fast = sweep("fast", predictors)
+        assert fast.quarantined == ()
+        assert len(fast.table) == len(predictors)
+        assert fast.table.rows() == reference.table.rows()
 
 
 def test_fast_engine_raises_for_subclassed_self_confidence(tiny_trace):

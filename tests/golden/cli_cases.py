@@ -67,6 +67,7 @@ REPRO_CASES: dict[str, list[str]] = {
                                      "--branches", "100"],
     "missing-trace-file:trace": ["trace", "--source", "file:never-written.rtrc",
                                  "--branches", "100"],
+    "missing-trace-file:trace-input": ["trace", "--input", "never-written.rtrc"],
     "missing-trace-file:sweep": ["sweep", "--traces", "file:never-written.rtrc",
                                  "--branches", "100", "--no-cache"],
     "trace-list": ["trace", "--list"],

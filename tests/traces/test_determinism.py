@@ -162,5 +162,5 @@ class TestFastBackendMaterialization:
         second = TraceArrays.from_trace(trace)
         assert np.array_equal(first.pcs, second.pcs)
         assert np.array_equal(first.takens, second.takens)
-        assert list(first.pcs) == trace.pcs
+        assert list(first.pcs) == list(trace.pcs)
         assert list(first.takens) == list(trace.takens)

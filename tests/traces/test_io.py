@@ -2,12 +2,20 @@
 
 import gzip
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traces.io import MAGIC, TraceFormatError, read_trace, write_trace
+from repro.traces.io import (
+    _CHUNK_RECORDS,
+    MAGIC,
+    TraceFormatError,
+    TraceReader,
+    read_trace,
+    write_trace,
+)
 from repro.traces.types import BranchRecord, Trace
 
 
@@ -75,11 +83,51 @@ class TestRoundTrip:
         assert list(loaded.records()) == list(trace.records())
 
 
-class TestValidation:
-    def test_pc_too_wide(self, tmp_path):
-        trace = Trace("bad", [2**64], [1], [1])
-        with pytest.raises(TraceFormatError):
+class TestPackedColumns:
+    def test_read_trace_carries_packed_columns(self, tmp_path):
+        path = tmp_path / "t.rtrc"
+        write_trace(make_trace(), path)
+        loaded = read_trace(path)
+        assert isinstance(loaded.pcs, array) and loaded.pcs.typecode == "Q"
+        assert isinstance(loaded.insts, array) and loaded.insts.typecode == "B"
+        assert isinstance(loaded.takens, bytearray)
+        with TraceReader(path) as reader:
+            chunks = list(reader.iter_chunks(7))
+        assert [chunk.pcs.typecode for chunk in chunks] == ["Q"] * 3
+
+    @pytest.mark.parametrize("suffix", [".rtrc", ".rtrc.gz"])
+    def test_full_width_pcs_round_trip(self, tmp_path, suffix):
+        pcs = [(1 << 64) - 1, 1 << 63, 0, 0x0123456789ABCDEF]
+        trace = Trace("wide", pcs, [1, 0, 1, 0], [1, 2, 255, 4])
+        path = tmp_path / f"wide{suffix}"
+        write_trace(trace, path)
+        loaded = read_trace(path)
+        assert loaded.pcs == array("Q", pcs)
+        assert list(loaded.records()) == list(trace.records())
+
+    def test_write_spans_payload_buffers(self, tmp_path):
+        n = _CHUNK_RECORDS + 3
+        trace = Trace("long", [(1 << 63) + 4 * i for i in range(n)],
+                      [i % 3 == 0 for i in range(n)], [1 + i % 9 for i in range(n)])
+        path = tmp_path / "long.rtrc"
+        write_trace(trace, path)
+        loaded = read_trace(path)
+        assert loaded.pcs == trace.pcs
+        assert loaded.takens == trace.takens
+        assert loaded.insts == trace.insts
+
+    def test_zero_inst_count_refused_before_writing(self, tmp_path):
+        trace = Trace("bad", [0, 4], [1, 1], [1, 0])
+        with pytest.raises(TraceFormatError, match="inst count 0 does not fit"):
             write_trace(trace, tmp_path / "bad.rtrc")
+        assert not (tmp_path / "bad.rtrc").exists()
+
+
+class TestValidation:
+    def test_pc_too_wide(self):
+        # Refused when the trace is built, so no writer ever sees it.
+        with pytest.raises(ValueError, match="pc 0x10000000000000000 does not fit"):
+            Trace("bad", [2**64], [1], [1])
 
     def test_inst_too_wide(self, tmp_path):
         trace = Trace("bad", [0], [1], [256])
@@ -256,9 +304,9 @@ class TestColumnarDecode:
         records = [(pc, i & 1, 1 + i) for i, pc in enumerate(pcs)]
         path = self._write(tmp_path / "wide.rtrc", records)
         trace = read_trace(path)
-        assert trace.pcs == pcs
+        assert list(trace.pcs) == pcs
         assert list(trace.takens) == [i & 1 for i in range(len(pcs))]
-        assert trace.insts == [1 + i for i in range(len(pcs))]
+        assert list(trace.insts) == [1 + i for i in range(len(pcs))]
         for read in self._readers(path)[1:]:
             result = read()
             if isinstance(result, list) and result and isinstance(result[0], Trace):
@@ -267,4 +315,4 @@ class TestColumnarDecode:
                 assert [record.pc for record in result] == pcs
                 assert all(type(record.taken) is bool for record in result)
             else:
-                assert result.pcs == pcs
+                assert list(result.pcs) == pcs

@@ -138,7 +138,7 @@ class TestRegistry:
     def test_suite_lookups_keep_an_explicit_zero(self):
         assert len(cbp1_trace("INT-1", 0)) == 0
         assert len(cbp2_trace("164.gzip", 0)) == 0
-        assert cbp1_suite(0, names=("FP-1",))[0].pcs == []
+        assert list(cbp1_suite(0, names=("FP-1",))[0].pcs) == []
 
     def test_get_trace_resolves_sources_and_still_rejects_unknown(self):
         trace = get_trace("zoo.markov", 64)
@@ -159,7 +159,13 @@ class TestSourceContract:
         assert len(trace) == 257
         assert trace.name == source.name
         assert all(inst >= 1 for inst in trace.insts)
-        assert source.generate(0).pcs == []
+        assert list(source.generate(0).pcs) == []
+
+    def test_columns_are_packed(self, source):
+        trace = source.generate(300)
+        assert trace.pcs.typecode == "Q"
+        assert trace.insts.typecode == "B"
+        assert isinstance(trace.takens, bytearray)
 
     def test_negative_length_rejected(self, source):
         with pytest.raises(ValueError, match="non-negative"):

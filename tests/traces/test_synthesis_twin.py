@@ -12,6 +12,8 @@ workload's, byte for byte.  The pinned digests in
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -121,6 +123,19 @@ def test_specs_outside_the_twin_run_pure(cext):
                             mix=_single_category_mix("biased_strong"))
     with pytest.raises(ValueError, match="p_taken"):
         synthesize(bad_bias, 100)
+
+
+@pytest.mark.parametrize("leg", ("none", "cext"))
+def test_synthesized_columns_are_packed(monkeypatch, leg):
+    """Both legs hand :class:`Trace` buffers it copies without boxing:
+    u64 pcs and one byte per instruction count."""
+    monkeypatch.setenv(compiled.PROVIDER_ENV, leg)
+    if leg == "cext" and compiled.active_provider() != "cext":
+        pytest.skip("C kernel build unavailable")
+    trace = synthesize(trace_spec("INT-1"), 1_000)
+    assert isinstance(trace.pcs, array) and trace.pcs.typecode == "Q"
+    assert isinstance(trace.insts, array) and trace.insts.typecode == "B"
+    assert isinstance(trace.takens, bytearray)
 
 
 def test_negative_length_is_refused():

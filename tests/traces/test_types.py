@@ -1,5 +1,7 @@
 """Tests for the trace model."""
 
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,7 +70,7 @@ class TestTrace:
         a, b = make_trace(2), make_trace(3)
         joined = a.concat(b)
         assert len(joined) == 5
-        assert joined.pcs == [0, 1, 0, 1, 2]
+        assert list(joined.pcs) == [0, 1, 0, 1, 2]
 
     def test_total_instructions_after_head_and_concat(self):
         """The total is summed once per trace; derived traces sum their own."""
@@ -81,6 +83,31 @@ class TestTrace:
     def test_concat_name(self):
         joined = make_trace(1).concat(make_trace(1), name="xy")
         assert joined.name == "xy"
+
+    def test_columns_are_packed_copies(self):
+        pcs = array("Q", [4, 8])
+        trace = Trace("p", pcs, bytearray([1, 0]), [3, 255])
+        pcs[0] = 99
+        assert trace.pcs == array("Q", [4, 8])
+        assert trace.insts == array("B", [3, 255])
+        assert isinstance(trace.takens, bytearray)
+
+    def test_wide_inst_counts_keep_eight_bytes(self):
+        trace = Trace("w", [0, 4], [1, 1], [1, 256])
+        assert trace.insts == array("Q", [1, 256])
+        joined = make_trace(2).concat(trace)
+        assert joined.insts == array("Q", [1, 2, 1, 256])
+        assert joined.total_instructions == 260
+
+    @pytest.mark.parametrize("pc", [-1, 2**64])
+    def test_pc_outside_u64_refused(self, pc):
+        with pytest.raises(ValueError, match=f"pc {pc:#x} does not fit in 64 bits"):
+            Trace("bad", [0, pc], [1, 1], [1, 1])
+
+    def test_full_width_pcs_accepted(self):
+        trace = Trace("wide", [(1 << 64) - 1, 1 << 63], [1, 0], [1, 1])
+        assert trace.record(0).pc == (1 << 64) - 1
+        assert trace.head(1).pcs == array("Q", [(1 << 64) - 1])
 
     def test_takens_normalized_to_bytes(self):
         trace = Trace("n", [0, 4], [True, 2], [1, 1])
