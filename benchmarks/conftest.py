@@ -174,12 +174,13 @@ def record(name: str, payload: dict) -> Path:
 
 def patch_plane_builders(monkeypatch, wrap) -> None:
     """Route every TAGE plane-chunk build through ``wrap(builder)``,
-    whichever builder runs: NumPy's windowed ``compute_planes`` where
-    the fast engine looks it up, and the C carried-history
-    ``tage-planes`` builder as it resolves."""
-    from repro.sim.fast import compiled, tage
+    whichever builder runs: NumPy's windowed ``compute_planes`` (the
+    fast engine looks it up in :mod:`repro.sim.fast.planes` on each
+    NumPy-leg pass), and the C carried-history ``tage-planes`` builder
+    as it resolves."""
+    from repro.sim.fast import compiled, planes
 
-    monkeypatch.setattr(tage, "compute_planes", wrap(tage.compute_planes))
+    monkeypatch.setattr(planes, "compute_planes", wrap(planes.compute_planes))
     resolve = compiled.resolve_tage_planes_kernel
 
     def resolve_wrapped():

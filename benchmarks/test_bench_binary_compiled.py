@@ -2,17 +2,19 @@
 
 Runs the two baseline binary cells of Table 2 — perceptron with its
 §2.2 self-confidence, and gshare with a JRS estimator — over the
-Table-1 (CBP-1) trace suite with the NumPy kernels
-(``REPRO_COMPILED_PROVIDER=none``: the lockstep perceptron and the
-segmented clamp-add scan) and again with their embedded-C twins
-(``cext``: ``perceptron-run`` and ``counter-scan``), asserts strict
+Table-1 (CBP-1) trace suite on the NumPy leg
+(``REPRO_COMPILED_PROVIDER=none``: the lockstep perceptron, and the
+gshare/JRS index columns built from history windows feeding the
+segmented clamp-add scan) and again on the C leg (``cext``: the
+``perceptron-run`` twin, and the counter walk, which carries one
+history register and builds no index column at all), asserts strict
 bit-identity, and emits ``benchmarks/records/BENCH_binary_compiled.json``.
 
-Each leg's time is split into two layers: the index/window
-preparation both legs share (``history_windows``/``fold_windows``,
-timed by wrapping them) and the kernel proper (the remainder: the
-perceptron loop or the counter scans).  Boxes without a C compiler
-skip — there is nothing to measure.
+Each leg's time is split into two layers: the NumPy index/window
+preparation (``history_windows``/``fold_windows``, timed by wrapping
+them; the C leg's gshare/JRS cell has none) and the kernel proper (the
+remainder: the perceptron loop, the counter scans or the walk).  Boxes
+without a C compiler skip — there is nothing to measure.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from repro.confidence.self_confidence import SelfConfidenceEstimator
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.backends import FastBackendFallbackWarning
-from repro.sim.fast import compiled, engine, gehl, simulate_binary_fast
-from repro.sim.fast.arrays import fold_windows, history_windows
+from repro.sim.fast import compiled, gehl, simulate_binary_fast, vectorized
+from repro.sim.fast.windows import fold_windows, history_windows
 from repro.traces.suites import CBP1_TRACE_NAMES, cbp1_trace
 
 SPEEDUP_TARGET = bench_speedup_target()
@@ -56,7 +58,7 @@ class _PrepTimer:
 
     def __init__(self, monkeypatch) -> None:
         self.seconds = 0.0
-        for module in (engine, gehl):
+        for module in (vectorized, gehl):
             for name, fn in (("history_windows", history_windows),
                              ("fold_windows", fold_windows)):
                 if getattr(module, name, None) is fn:

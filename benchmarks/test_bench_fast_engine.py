@@ -1,8 +1,9 @@
 """Fast-backend wall-clock bench (not a paper experiment).
 
-Runs the vectorizable cells — gshare × JRS binary confidence and plain
-bimodal accuracy — over the Table-1 (CBP-1) trace suite on both
-backends, asserts the results are bit-identical and the fast backend
+Runs the counter-family cells — gshare × JRS binary confidence and
+plain bimodal accuracy; with the C build both run on the counter walk,
+without it on the NumPy scans — over the Table-1 (CBP-1) trace suite on
+both backends, asserts the results are bit-identical and the fast backend
 clears the ≥3× speedup target, and emits a machine-readable perf record
 to ``benchmarks/records/BENCH_fast_engine.json`` (plus the usual
 rendered text table).  CI's bench-trajectory guard compares the fresh

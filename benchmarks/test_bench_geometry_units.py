@@ -43,7 +43,7 @@ from conftest import (  # noqa: F401
     run_once,
 )
 
-from repro.sim.fast import compiled, engine, lockstep, tage
+from repro.sim.fast import compiled, engine, lockstep, tage, vectorized
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.runner import get_trace
 from repro.sweep.executor import execute_batch, execute_job, plan_lockstep
@@ -80,8 +80,10 @@ class _LayerTimer:
         timed_kernel = self._timed("kernel", tage._run_batch)
         for module in (tage, lockstep):
             monkeypatch.setattr(module, "_run_batch", timed_kernel)
-        monkeypatch.setattr(engine, "vectorized_assessments", self._timed(
-            "assessments", engine.vectorized_assessments))
+        # JRS assessments: the C counter walk, or the NumPy scans.
+        monkeypatch.setattr(engine, "walk", self._timed("assessments", engine.walk))
+        monkeypatch.setattr(vectorized, "vectorized_assessments", self._timed(
+            "assessments", vectorized.vectorized_assessments))
 
     def reset(self) -> None:
         for layer in LAYERS:

@@ -3,7 +3,7 @@
 Builds the TAGE index/tag planes of the three preset geometries
 (16K/64K/256K) and the O-GEHL index planes over the Table-1 (CBP-1)
 trace suite twice: with the closed-form fold the fast backend uses
-(:func:`repro.sim.fast.arrays.folded_history_series`: one unbounded
+(:func:`repro.sim.fast.windows.folded_history_series`: one unbounded
 fold per width, every history length O(1) more) and with the
 one-xor-pass-per-history-age oracle kept in ``tests/sim/test_planes.py``.
 It asserts the two are byte-identical and emits

@@ -20,9 +20,10 @@ cell that built it — the cost before sharing), asserts the two give
 identical result rows, and emits
 ``benchmarks/records/BENCH_shared_streams.json`` with a ``layers``
 split of both legs: TAGE planes (whichever builder runs), the TAGE
-kernel, the perceptron/O-GEHL kernels, the JRS index build and the
-counter scans (the remainder is trace arrays, predictor set-up and
-result assembly).
+kernel, the perceptron/O-GEHL kernels, the JRS index build (NumPy leg
+only) and the counter tables — the NumPy scans or the C counter walk
+(the remainder is trace arrays, predictor set-up and result
+assembly).
 
 The compared ``metric`` is ``relative_speed``: the seconds of the
 calibration loop (``conftest.calibrate``, best of :data:`REPEATS`) over
@@ -49,7 +50,7 @@ from conftest import (  # noqa: F401
 )
 
 from repro.sim.fast import arrays as fast_arrays
-from repro.sim.fast import compiled, engine, lockstep, tage
+from repro.sim.fast import compiled, engine, lockstep, tage, vectorized
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.runner import get_trace
 from repro.sweep.executor import execute_work, plan_lockstep
@@ -85,12 +86,14 @@ class _LayerTimer:
         for module in (tage, lockstep):
             monkeypatch.setattr(module, "_run_batch", timed_kernel)
         for name in ("perceptron_fast_run", "ogehl_fast_run"):
-            monkeypatch.setattr(engine, name,
-                                self._timed("gehl", getattr(engine, name)))
-        monkeypatch.setattr(engine, "_jrs_index",
-                            self._timed("jrs_index", engine._jrs_index))
-        monkeypatch.setattr(engine, "scanned_counters",
-                            self._timed("scans", engine.scanned_counters))
+            monkeypatch.setattr(vectorized, name,
+                                self._timed("gehl", getattr(vectorized, name)))
+        monkeypatch.setattr(vectorized, "_jrs_index",
+                            self._timed("jrs_index", vectorized._jrs_index))
+        # Counter tables: the NumPy scans, or the C counter walk.
+        monkeypatch.setattr(vectorized, "scanned_counters",
+                            self._timed("scans", vectorized.scanned_counters))
+        monkeypatch.setattr(engine, "walk", self._timed("scans", engine.walk))
 
     def reset(self) -> None:
         for layer in LAYERS:
@@ -152,9 +155,8 @@ def _unshared(self, key, build):
     """:meth:`TraceArrays.derived` with nothing kept: every cell builds
     each stream it reads."""
     value = build()
-    for array in value if isinstance(value, tuple) else (value,):
-        array.setflags(write=False)
-    return value
+    return (tuple(map(fast_arrays._frozen, value)) if isinstance(value, tuple)
+            else fast_arrays._frozen(value))
 
 
 def _best_of(units, timer: _LayerTimer):
@@ -193,10 +195,12 @@ def test_shared_streams_wallclock(run_once, monkeypatch):
     # Sharing is invisible in the results: identical rows.
     assert shared_rows == unshared_rows
     # Shared: one batched TAGE pass per unit (the jrs members read the
-    # published streams), one JRS index and one run per sum predictor
-    # per trace.
+    # published streams), one run per sum predictor per trace, and on
+    # the NumPy leg one JRS index per trace (the C leg's counter walk
+    # builds none).
     assert shared_layers["tage"]["calls"] == 2 * len(PROFILES)
-    assert shared_layers["jrs_index"]["calls"] == len(PROFILES)
+    jrs_indices = 0 if compiled.resolve_counter_walk_kernel() else len(PROFILES)
+    assert shared_layers["jrs_index"]["calls"] == jrs_indices
     assert shared_layers["gehl"]["calls"] == 2 * len(PROFILES)
 
     speedup = unshared_seconds / max(shared_seconds, 1e-9)

@@ -6,8 +6,9 @@
   :func:`simulate_binary` (any predictor + a binary high/low estimator).
 * :mod:`repro.sim.backends` — the ``"reference"`` / ``"fast"`` backend
   selector shared by the engine, the sweep layer and the CLI.
-* :mod:`repro.sim.fast` — the vectorized batch backend (NumPy),
-  bit-for-bit equivalent to the reference engine where supported.
+* :mod:`repro.sim.fast` — the batch backend (C kernels, and NumPy
+  for the cells its C leg does not cover), bit-for-bit equivalent to
+  the reference engine where supported.
 * :mod:`repro.sim.observe` — per-branch observation streams (the apps
   layer's replay input), produced on either backend (``step_batch`` on
   the reference one).

@@ -6,26 +6,30 @@ Two engines can execute a (trace, predictor, estimator) cell:
   :func:`repro.sim.engine.step_batch`; supports every predictor and
   estimator and is the semantic ground truth.
 * ``"fast"`` — the batch backend in :mod:`repro.sim.fast`; runs the
-  bimodal/gshare/local predictors and the JRS-style binary confidence
-  counters as vectorized NumPy scans, the full TAGE family (with the
-  multi-class observation estimator and the §6.2 adaptive saturation
-  controller) as a lean sequential kernel over precomputed index/tag
-  planes, and the sum-based perceptron/O-GEHL predictors (with their
-  storage-free self-confidence estimators) as plane-fed dot-product
-  kernels — all bit-for-bit equivalent to the reference engine
-  (enforced by ``tests/equivalence/``).
+  full TAGE family (with the multi-class observation estimator and the
+  §6.2 adaptive saturation controller) as a lean sequential kernel over
+  index/tag planes, the bimodal/gshare predictors and the JRS-style
+  binary confidence counters as one counter walk (or vectorized scans),
+  the local predictor as vectorized scans, and the sum-based
+  perceptron/O-GEHL predictors (with their storage-free self-confidence
+  estimators) as plane-fed dot-product kernels — all bit-for-bit
+  equivalent to the reference engine (enforced by
+  ``tests/equivalence/``).
 
 A configuration the fast backend cannot run exactly (a subclass of a
 supported component type, >62-bit gshare/perceptron/local/JRS/path
-history windows, or NumPy itself missing) raises
-:class:`FastBackendUnsupported` internally; the dispatching entry
-points catch it, emit a :class:`FastBackendFallbackWarning` and run the
-reference engine, so ``backend="fast"`` is always safe to request.
+history windows, or a cell whose leg needs NumPy on an install without
+it) raises :class:`FastBackendUnsupported` internally; the dispatching
+entry points catch it, emit a :class:`FastBackendFallbackWarning` and
+run the reference engine, so ``backend="fast"`` is always safe to
+request.
 
 This module is dependency-free on purpose: the sweep spec layer and the
-CLI import the backend names and validators from here without pulling in
-NumPy (which the fast backend itself requires and which is gated behind
-:func:`load_fast_engine`).
+CLI import the backend names and validators from here.  NumPy is
+needed only by the fast backend's NumPy leg (local, perceptron, O-GEHL,
+and every cell without a C compiler); TAGE and the
+bimodal/gshare/JRS family run on the C kernels without it
+(:mod:`repro.sim.fast.capability`).
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class FastBackendUnsupported(RuntimeError):
     """The fast backend cannot execute this configuration bit-exactly.
 
     Raised by :mod:`repro.sim.fast` for predictors/estimators that resist
-    vectorization (or when NumPy itself is unavailable); callers catch it
-    and fall back to the reference engine.
+    vectorization, for a NumPy-leg cell when NumPy is unavailable, and
+    for a trace the NumPy leg cannot hold; callers catch it and fall
+    back to the reference engine.
     """
 
 
@@ -153,7 +158,8 @@ class _ReferenceBackend(Backend):
 
 
 class _FastBackend(Backend):
-    """The vectorized/plane-fed engine, including its NumPy gate."""
+    """The compiled/vectorized engine; NumPy is probed per cell, only
+    for a cell whose leg needs it."""
 
     name = "fast"
 
@@ -189,16 +195,21 @@ def default_planes_dir() -> Path:
 
 
 def load_fast_engine():
-    """Import and return :mod:`repro.sim.fast`.
+    """Import and return :mod:`repro.sim.fast` (its names load lazily).
+
+    This loads no NumPy: each cell's leg decides that.
+    :meth:`Backend.capability` refuses a cell whose leg needs NumPy on
+    an install without it (reason ``NumPy is unavailable``), and the C
+    leg — TAGE and the bimodal/gshare/JRS family with the C build —
+    never imports it.
 
     Raises:
-        FastBackendUnsupported: when the fast backend's NumPy dependency
-            is not installed (the caller falls back to the reference
-            engine instead of crashing).
+        FastBackendUnsupported: when the fast package itself cannot be
+            imported (the caller falls back to the reference engine
+            instead of crashing).
     """
     try:
         from repro.sim import fast
-        from repro.sim.fast import engine  # noqa: F401 — the NumPy gate
-    except ImportError as error:  # pragma: no cover - numpy is present in CI
-        raise FastBackendUnsupported(f"NumPy is unavailable ({error})") from error
+    except ImportError as error:  # pragma: no cover - part of the package
+        raise FastBackendUnsupported(f"the fast backend is unavailable ({error})") from error
     return fast

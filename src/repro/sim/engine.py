@@ -174,15 +174,20 @@ def _dispatch_fast(entry_point: str, kwargs: dict, binary: bool = False):
         fast = load_fast_engine()
         return getattr(fast, entry_point)(**kwargs)
     except FastBackendUnsupported as unsupported:
-        # The probe judges the cell, not the trace: a trace the kernels
-        # cannot hold (a pc of 2**63 or more) is refused here.
-        warnings.warn(
-            f"fast backend cannot run this configuration ({unsupported}); "
-            "falling back to the reference engine",
-            FastBackendFallbackWarning,
-            stacklevel=3,
-        )
+        # The probe judges the cell, not the trace: a trace the NumPy
+        # leg cannot hold (a pc of 2**63 or more) is refused here.
+        warnings.warn(trace_fallback_message(kwargs["trace"], unsupported),
+                      FastBackendFallbackWarning, stacklevel=3)
     return None
+
+
+def trace_fallback_message(trace, unsupported) -> str:
+    """The one wording of a trace-level fast-backend fallback, shared by
+    every dispatcher so a run can report each trace once."""
+    return (
+        f"fast backend cannot run trace {trace.name!r} ({unsupported}); "
+        "falling back to the reference engine"
+    )
 
 
 @dataclass

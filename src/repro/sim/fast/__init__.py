@@ -1,84 +1,88 @@
-"""Vectorized batch simulation backend (``backend="fast"``).
+"""Batch simulation backend (``backend="fast"``).
 
-Drop-in, bit-for-bit equivalents of the reference engine for
-the whole model zoo — bimodal/gshare/local predictors with the
-JRS-family binary confidence counters, the full TAGE family (every
-preset/automaton) with the paper's multi-class observation estimator
-and the §6.2 adaptive saturation controller, and the sum-based
-perceptron/O-GEHL predictors with their storage-free self-confidence
-estimators — built on five layers:
+Drop-in, bit-for-bit equivalents of the reference engine for the whole
+model zoo — bimodal/gshare/local predictors with the JRS-family binary
+confidence counters, the full TAGE family (every preset/automaton) with
+the paper's multi-class observation estimator and the §6.2 adaptive
+saturation controller, and the sum-based perceptron/O-GEHL predictors
+with their storage-free self-confidence estimators.
 
-* :mod:`repro.sim.fast.arrays` — trace pre-materialization plus
-  vectorized (global and per-entry segmented) history windows and index
-  folding;
-* :mod:`repro.sim.fast.scan` — exact clamp-add segmented prefix scans
-  over counter tables, processed in bounded chunks;
-* :mod:`repro.sim.fast.planes` — precomputed TAGE index/tag planes
-  (the folded-history arithmetic, computed with NumPy over a whole
-  trace or one chunk of it), plus a memmap-backed on-disk cache;
-* :mod:`repro.sim.fast.tage_core` — the numpy-free TAGE core: the
-  lean sequential kernel over a caller-owned, resumable state block
-  (with the in-kernel §6.2 feedback loop), the batch plane builder
-  that carries its history across calls, and the resumable cell the
-  serving layer steps tenants on;
+Every cell runs on one of two legs (:mod:`~repro.sim.fast.capability`):
+
+* the **C leg** — TAGE, and bimodal/gshare with or without a
+  JRS/eJRS table, when the C build resolves.  These read a trace's
+  packed columns and run entirely in the compiled kernels; no process
+  on this leg imports NumPy;
+* the **NumPy leg** — local, perceptron and O-GEHL (whose index
+  preparation is vectorized), and every cell when no C compiler is
+  present.  NumPy is imported only where this leg runs.
+
+The layers:
+
+* :mod:`repro.sim.fast.arrays` — :class:`TraceArrays`, the one
+  per-trace object: the packed columns, lazily materialized NumPy
+  views, and the derived-stream memo the cells of one trace share;
+* :mod:`repro.sim.fast.capability` — the NumPy-free control plane:
+  the support predicate behind the backend's capability query, the
+  leg choice and the stream keys;
+* :mod:`repro.sim.fast.compiled` — the embedded-C build of the TAGE
+  kernel and plane builder, the counter walk, the O-GEHL, perceptron
+  and counter-scan kernels and trace synthesis, used whenever a C
+  compiler is present (``REPRO_COMPILED_PROVIDER`` pins ``cext`` or
+  ``none``);
+* :mod:`repro.sim.fast.tage_core` — the NumPy-free TAGE core: the pure
+  kernel over a caller-owned, resumable state block, the carried-history
+  plane builder and the resumable cell the serving layer steps tenants
+  on;
+* :mod:`repro.sim.fast.counter_core` — the NumPy-free counter family:
+  the parameter row and caller-owned state block of the C counter walk
+  (bimodal/gshare predictions, JRS/eJRS assessments);
 * :mod:`repro.sim.fast.tage` — whole-trace TAGE runs on that kernel,
   streaming the planes in chunks (with per-branch observation streams
   for the apps layer);
-* :mod:`repro.sim.fast.gehl` — the plane-fed dot-product kernels for
-  the sum-based predictors and their self-confidence signals;
-* :mod:`repro.sim.fast.compiled` — the embedded-C build of the
-  sequential TAGE, TAGE batch-plane, O-GEHL, perceptron and
-  counter-scan kernels, bit-identical to the pure kernels in
-  :mod:`~repro.sim.fast.tage_core`,
-  :mod:`~repro.sim.fast.gehl` and :mod:`~repro.sim.fast.scan` and used
-  whenever a C compiler is present (``REPRO_COMPILED_PROVIDER`` pins
-  ``cext`` or ``none``);
 * :mod:`repro.sim.fast.lockstep` — multi-cell lockstep batching:
-  ablation cells sharing one trace's planes advance together over
-  each chunk of planes, built once;
+  ablation cells sharing one trace's planes advance together over each
+  chunk of planes, built once;
 * :mod:`repro.sim.fast.engine` — the ``simulate_fast`` /
   ``simulate_binary_fast`` entry points assembling
-  :class:`~repro.sim.engine.SimulationResult` breakdowns, plus
-  :func:`~repro.sim.fast.engine.cell_capability`, the fast backend's
-  answer to the :meth:`repro.sim.backends.Backend.capability` query.
+  :class:`~repro.sim.engine.SimulationResult` breakdowns;
+* NumPy leg: :mod:`repro.sim.fast.windows` (vectorized history windows
+  and folds), :mod:`repro.sim.fast.scan` (exact clamp-add segmented
+  prefix scans), :mod:`repro.sim.fast.planes` (closed-form TAGE
+  index/tag planes and the memmap plane store),
+  :mod:`repro.sim.fast.gehl` (the plane-fed dot-product kernels) and
+  :mod:`repro.sim.fast.vectorized` (the counter family's scans).
 
 Unsupported configurations (subclasses of supported component types,
->62-bit gshare/perceptron/local/JRS/path history windows) raise
+>62-bit gshare/perceptron/local/JRS/path history windows, a NumPy-leg
+cell without NumPy) raise
 :class:`~repro.sim.backends.FastBackendUnsupported`; the ``backend=``
 dispatch in :mod:`repro.sim.engine` turns that into a warning plus a
 reference-engine fallback.  Equivalence with the reference engine is
 enforced by ``tests/equivalence/`` and the golden fixtures under
-``tests/golden/``; the wall-clock wins are tracked by
-``benchmarks/test_bench_fast_engine.py``,
-``benchmarks/test_bench_tage_fast.py`` and
-``benchmarks/test_bench_adaptive_fast.py``.
+``tests/golden/``.
 
-Every layer but :mod:`~repro.sim.fast.compiled` and
-:mod:`~repro.sim.fast.tage_core` requires NumPy.  The names below are
-re-exported lazily (module ``__getattr__``), so importing the package —
-or its two numpy-free modules, which the serving layer steps tenants
-on — never loads NumPy; import the rest through
-:func:`repro.sim.backends.load_fast_engine` to get a clean
-``FastBackendUnsupported`` instead of an ``ImportError`` when it is
-missing.
+The names below are re-exported lazily (module ``__getattr__``), so
+importing the package loads only the module a name lives in.
 """
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".arrays": ("TraceArrays", "history_windows", "segmented_history_windows",
-                "fold_windows", "folded_history_series"),
-    ".engine": ("simulate_fast", "simulate_binary_fast", "cell_capability",
-                "vectorized_assessments", "vectorized_predictions",
-                "prediction_stream_key"),
+    ".arrays": ("TraceArrays", "DEFAULT_CHUNK_SIZE"),
+    ".windows": ("history_windows", "segmented_history_windows",
+                 "fold_windows", "folded_history_series"),
+    ".engine": ("simulate_fast", "simulate_binary_fast"),
+    ".capability": ("cell_capability", "prediction_stream_key"),
+    ".vectorized": ("vectorized_assessments", "vectorized_predictions"),
     ".tage": ("simulate_tage_fast", "tage_fast_predictions",
               "observe_tage_fast"),
     ".gehl": ("perceptron_fast_run", "ogehl_fast_run"),
     ".lockstep": ("LockstepCell", "simulate_tage_lockstep"),
     ".compiled": ("active_provider", "resolve_tage_kernel",
                   "resolve_ogehl_kernel"),
-    ".planes": ("PlaneCache", "TagePlanes", "compute_planes", "plane_geometry",
+    ".planes": ("PlaneCache", "TagePlanes", "compute_planes",
                 "default_planes_dir"),
-    ".scan": ("CounterTable", "scanned_counters", "DEFAULT_CHUNK_SIZE"),
-    ".tage_core": ("ResumableTageCell",),
+    ".scan": ("CounterTable", "scanned_counters"),
+    ".tage_core": ("ResumableTageCell", "plane_geometry"),
 })

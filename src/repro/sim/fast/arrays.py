@@ -1,39 +1,30 @@
-"""Pre-materialized NumPy views of a trace.
+"""The per-trace object of the fast backend: packed columns plus the
+streams derived from them.
 
-The reference engine iterates a :class:`~repro.traces.types.Trace`'s
-columns branch by branch; the fast backend instead takes the trace's
-packed buffers into NumPy arrays once (no Python int per branch) and
-feeds every vectorized stage from them.  Materialization is
-deterministic given the trace
-(``tests/traces/test_determinism.py`` guards the pipeline end to end:
-same :class:`~repro.traces.workload.WorkloadSpec` + seed → identical
-arrays across processes).
+:class:`TraceArrays` wraps a :class:`~repro.traces.types.Trace`'s
+packed columns — the ``array('Q')`` pcs and the 0/1 takens bytes —
+and every kernel reads them from here.  The C leg hands the columns
+straight to the compiled kernels and never imports NumPy; the NumPy
+leg asks for :attr:`TraceArrays.pcs` / :attr:`~TraceArrays.takens` /
+:attr:`~TraceArrays.taken_bool`, read-only ndarray views that
+materialize on first use.  Materialization is deterministic given the
+trace (``tests/traces/test_determinism.py`` guards the pipeline end to
+end: same :class:`~repro.traces.workload.WorkloadSpec` + seed →
+identical arrays across processes).
 
-The history-window and fold helpers live here too: the gshare index,
-the JRS confidence index and the TAGE/O-GEHL folded histories depend
-only on the *resolved* outcomes of earlier branches — never on
-predictions — so they are plain functions of the outcome array and can
-be computed for the whole trace up front.
+The NumPy history-window and fold helpers live in
+:mod:`repro.sim.fast.windows`, so importing this module never loads
+NumPy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
 from typing import Callable
 
-import numpy as np
-
-from repro.common.bitops import mask
 from repro.sim.backends import FastBackendUnsupported
 
-__all__ = [
-    "MAX_WINDOW_BITS",
-    "TraceArrays",
-    "history_windows",
-    "segmented_history_windows",
-    "folded_history_series",
-    "fold_windows",
-]
+__all__ = ["MAX_WINDOW_BITS", "DEFAULT_CHUNK_SIZE", "TraceArrays"]
 
 #: Longest history whose packed per-branch window fits an int64 lane —
 #: the one structural bound of every window-based fast kernel (gshare,
@@ -41,85 +32,128 @@ __all__ = [
 #: uses Python bigints and has no such bound.
 MAX_WINDOW_BITS = 62
 
+#: Branches per NumPy counter-scan chunk (:mod:`repro.sim.fast.scan`);
+#: bounds the scan working set and the O(n log n) sweep depth while
+#: keeping per-chunk NumPy calls amortized.
+DEFAULT_CHUNK_SIZE = 1 << 15
 
-@dataclass(frozen=True)
+
 class TraceArrays:
-    """Packed columns of one trace: int64 PCs, uint8 outcomes, plus the
-    per-branch streams derived from them.
+    """Packed columns of one trace — ``pc_column`` (u64 pcs) and
+    ``taken_column`` (one 0/1 byte per branch) — plus the per-branch
+    streams derived from them.  The kernels only read the columns; they
+    are private copies, mutable only so that a chunk of them can be
+    handed to a C kernel as a zero-copy memoryview slice.
 
-    Every cell of a sweep that reads the same trace-derived stream — the
-    JRS/eJRS base index of one ``(history_length, log_entries)``, one
-    predictor configuration's prediction stream, a sum-based predictor's
+    Every cell of a sweep that reads the same trace-derived stream — one
+    predictor configuration's prediction stream, the JRS/eJRS base index
+    of one ``(history_length, log_entries)``, a sum-based predictor's
     (predictions, self-confidence) pair — computes it once through
     :meth:`derived` and shares it.  The streams live exactly as long as
     this instance: :meth:`from_trace` keeps one trace materialized per
     process, so moving to the next trace drops the previous trace's
-    streams with its arrays.
+    streams with its columns.
+
+    The columns may also be NumPy arrays (a window of another
+    instance's views, as the NumPy plane builder makes); the views then
+    wrap them without a copy.
     """
 
-    name: str
-    pcs: np.ndarray
-    takens: np.ndarray
-    _derived: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("name", "pc_column", "taken_column", "_views", "_derived")
+
+    def __init__(self, name: str, pcs, takens) -> None:
+        if len(pcs) != len(takens):
+            raise ValueError(
+                f"column length mismatch: pcs={len(pcs)} takens={len(takens)}"
+            )
+        self.name = name
+        self.pc_column = pcs
+        self.taken_column = takens
+        self._views: dict = {}
+        self._derived: dict = {}
 
     @classmethod
     def from_trace(cls, trace) -> "TraceArrays":
-        """Materialize a :class:`~repro.traces.types.Trace` from its
-        packed columns: ``np.frombuffer`` over the ``array('Q')`` pcs and
-        the takens bytes, then one copy each, so later trace mutation
-        cannot alias into a running simulation.  The u64 pcs become the
-        int64 lanes every kernel indexes with, after one vectorized
-        range check.
+        """The packed columns of a :class:`~repro.traces.types.Trace`,
+        copied (a buffer copy each), so later trace mutation cannot
+        alias into a running simulation.
 
         The last materialization is memoized on the identity of the
         trace object, so the jobs of one trace (which the sweep hands
         out trace by trace through the shared ``get_trace`` memo)
-        convert its columns once.  That relies on the trace contract:
-        a trace is never mutated after construction — a trace changed
+        copy its columns once.  That relies on the trace contract: a
+        trace is never mutated after construction — a trace changed
         after its first materialization keeps serving the earlier
-        arrays.  The arrays are read-only, so a stray in-place write
-        raises ``ValueError`` instead of corrupting the next job.
+        columns.
+        """
+        global _LAST_MATERIALIZED
+        memo = _LAST_MATERIALIZED
+        if memo is not None and memo[0] is trace:
+            return memo[1]
+        arrays = cls(trace.name, array("Q", bytes(memoryview(trace.pcs))),
+                     bytearray(memoryview(trace.takens)))
+        _LAST_MATERIALIZED = (trace, arrays)
+        return arrays
+
+    def __len__(self) -> int:
+        return len(self.pc_column)
+
+    @property
+    def pcs(self):
+        """The pcs as a read-only int64 ndarray (NumPy leg).
 
         Raises:
             FastBackendUnsupported: when a pc is 2**63 or more, which no
                 int64 lane holds (the dispatchers then fall back to the
                 reference engine with a warning).
         """
-        global _LAST_MATERIALIZED
-        memo = _LAST_MATERIALIZED
-        if memo is not None and memo[0] is trace:
-            return memo[1]
-        pcs = np.frombuffer(trace.pcs, dtype=np.int64)
-        wide = np.flatnonzero(pcs < 0)
-        if wide.size:
-            raise FastBackendUnsupported(
-                f"pc {trace.pcs[wide[0]]:#x} does not fit the fast "
-                "backend's int64 lanes"
-            )
-        pcs = pcs.copy()
-        pcs.setflags(write=False)
-        takens = np.frombuffer(trace.takens, dtype=np.uint8).copy()
-        takens.setflags(write=False)
-        arrays = cls(name=trace.name, pcs=pcs, takens=takens)
-        _LAST_MATERIALIZED = (trace, arrays)
-        return arrays
+        view = self._views.get("pcs")
+        if view is None:
+            import numpy as np
 
-    def __len__(self) -> int:
-        return len(self.pcs)
+            view = np.frombuffer(self.pc_column, dtype=np.int64)
+            wide = np.flatnonzero(view < 0)
+            if wide.size:
+                raise FastBackendUnsupported(
+                    f"pc {int(view[wide[0]]) + (1 << 64):#x} does not fit "
+                    "the NumPy leg's int64 lanes"
+                )
+            view.setflags(write=False)
+            self._views["pcs"] = view
+        return view
+
+    @property
+    def takens(self):
+        """The outcomes as a read-only uint8 ndarray (NumPy leg)."""
+        view = self._views.get("takens")
+        if view is None:
+            import numpy as np
+
+            view = np.frombuffer(self.taken_column, dtype=np.uint8)
+            view.setflags(write=False)
+            self._views["takens"] = view
+        return view
+
+    @property
+    def taken_bool(self):
+        """Outcomes as a boolean ndarray (NumPy leg)."""
+        return self.takens != 0
 
     def derived(self, key: tuple, build: Callable[[], object]):
         """The stream cached under ``key``, built by ``build()`` on first use.
 
         ``key`` must name everything the stream depends on besides this
         trace (a kernel's configuration, a history geometry).  The built
-        value — an array or a tuple of arrays — is made read-only, so one
-        cell cannot corrupt the stream the next cell reads.
+        value — a stream or a tuple of streams — is stored read-only, so
+        one cell cannot corrupt the stream the next cell reads: an
+        ndarray is flagged read-only and a ``bytearray`` becomes
+        ``bytes``.
         """
         value = self._derived.get(key)
         if value is None:
             value = build()
-            for array in value if isinstance(value, tuple) else (value,):
-                array.setflags(write=False)
+            value = (tuple(map(_frozen, value)) if isinstance(value, tuple)
+                     else _frozen(value))
             self._derived[key] = value
         return value
 
@@ -127,165 +161,18 @@ class TraceArrays:
         """Whether :meth:`derived` already holds a stream under ``key``."""
         return key in self._derived
 
-    @property
-    def taken_bool(self) -> np.ndarray:
-        """Outcomes as a boolean array."""
-        return self.takens != 0
+    def __repr__(self) -> str:
+        return f"TraceArrays(name={self.name!r}, branches={len(self)})"
+
+
+def _frozen(stream):
+    """``stream`` in a form no consumer can write through."""
+    if isinstance(stream, bytearray):
+        return bytes(stream)
+    if hasattr(stream, "setflags"):
+        stream.setflags(write=False)
+    return stream
 
 
 #: ``(trace, arrays)`` of the last :meth:`TraceArrays.from_trace` call.
 _LAST_MATERIALIZED: tuple[object, TraceArrays] | None = None
-
-
-def history_windows(takens: np.ndarray, length: int) -> np.ndarray:
-    """Global-history window seen *before* each branch, vectorized.
-
-    ``windows[t]`` packs the ``length`` most recent outcomes prior to
-    branch ``t`` with the newest outcome in bit 0 — exactly
-    ``GlobalHistory(capacity=length).window(length)`` at that point of
-    the reference loop (the register starts empty and is pushed after
-    every branch).
-
-    Built by doubling in ``ceil(log2(length))`` passes: the window of
-    ``a + b`` outcomes is ``W_a[t] | (W_b[t - a] << a)``, and ``W_b`` is
-    the low ``b`` bits of the ``a``-wide window already in hand.
-    """
-    if length <= 0:
-        raise ValueError(f"history length must be positive, got {length}")
-    n = len(takens)
-    windows = np.zeros(n, dtype=np.int64)
-    windows[1:] = takens[:-1]
-    have = 1
-    while have < min(length, n):
-        step = min(have, length - have)
-        windows[have:] |= (windows[:-have] & mask(step)) << have
-        have += step
-    return windows
-
-
-def segmented_history_windows(
-    segments: np.ndarray, takens: np.ndarray, length: int
-) -> np.ndarray:
-    """Per-*segment* history windows: outcomes of earlier branches that
-    share the same segment value, newest in bit 0.
-
-    ``windows[t]`` packs the ``length`` most recent outcomes among
-    branches ``s < t`` with ``segments[s] == segments[t]`` — exactly the
-    shift register a per-entry local-history table (one register per
-    ``segments`` value, pushed after every access) exposes to access
-    ``t``.  The accesses are grouped by segment (stable argsort keeps
-    trace order within a group) and the windows built by the same
-    doubling as :func:`history_windows`: a group is contiguous, so the
-    ``W_b[p - a] << a`` term is added only where position ``p - a``
-    still belongs to ``p``'s group.
-    """
-    if length <= 0:
-        raise ValueError(f"history length must be positive, got {length}")
-    n = len(segments)
-    order = np.argsort(segments, kind="stable")
-    grouped_segments = segments[order]
-    outcomes = takens[order]
-    grouped = np.zeros(n, dtype=np.int64)
-    np.copyto(grouped[1:], outcomes[:-1],
-              where=grouped_segments[1:] == grouped_segments[:-1])
-    have = 1
-    while have < min(length, n):
-        step = min(have, length - have)
-        same = grouped_segments[have:] == grouped_segments[:-have]
-        contribution = (grouped[:-have] & mask(step)) << have
-        np.bitwise_or(grouped[have:], contribution, out=grouped[have:], where=same)
-        have += step
-    windows = np.empty(n, dtype=np.int64)
-    windows[order] = grouped
-    return windows
-
-
-def folded_history_series(
-    outcomes: np.ndarray,
-    length: int,
-    width: int,
-    *,
-    unbounded_folds: dict[int, np.ndarray] | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Folded-history value seen *before* each branch, in closed form.
-
-    ``series[t]`` equals ``FoldedHistory.fold_window(window_t, length,
-    width)`` where ``window_t`` packs the ``length`` outcomes before
-    branch ``t`` (newest in bit 0) — the register value the reference
-    predictor reads at that point.  A bit of age ``a`` lands at
-    ``a % width``, so with ``G`` the fold of the *unbounded* history
-    (:func:`_unbounded_fold`) the ``length``-bit fold is ``G[t]`` with
-    the bits older than ``length`` xored back out — the
-    insert-new-bit/evict-old-bit rule of
-    :class:`~repro.common.history.FoldedHistory`::
-
-        F[t] = G[t] ^ rotl_width(G[t - length], length % width)   (t >= length)
-        F[t] = G[t]                                                (t <  length)
-
-    The cost is independent of ``length``: ``G`` takes O(log width)
-    passes, each fold O(1) more.  Callers folding several lengths of
-    one trace pass the same ``unbounded_folds`` dict (keyed by width,
-    filled on demand) to build each ``G`` once; ``out`` receives the
-    series in place of a fresh array.
-    """
-    if width <= 0:
-        raise ValueError(f"fold width must be positive, got {width}")
-    if length <= 0:
-        raise ValueError(f"history length must be positive, got {length}")
-    if unbounded_folds is None:
-        unbounded_folds = {}
-    unbounded = unbounded_folds.get(width)
-    if unbounded is None:
-        unbounded = unbounded_folds[width] = _unbounded_fold(outcomes, width)
-    n = len(unbounded)
-    if out is None:
-        out = np.empty(n, dtype=np.int64)
-    out[:] = unbounded
-    if length < n:
-        evicted = unbounded[: n - length]
-        turn = length % width
-        if turn:
-            rotated = evicted << turn
-            rotated |= evicted >> (width - turn)
-            rotated &= mask(width)
-            evicted = rotated
-        out[length:] ^= evicted
-    return out
-
-
-def _unbounded_fold(outcomes: np.ndarray, width: int) -> np.ndarray:
-    """``G[t] = XOR_{a < t} outcomes[t-1-a] << (a % width)``: every
-    earlier outcome folded into ``width`` bits.
-
-    Ages ``a = r + k*width`` share position ``r``, so bit ``r`` of
-    ``G[t]`` is ``S[t-1-r]`` for the stride-``width`` prefix xor
-    ``S[u] = outcomes[u] ^ S[u - width]`` — one accumulate over a
-    zero-padded ``(ceil(n/width), width)`` reshape — and ``G`` is the
-    ``width``-bit :func:`history_windows` of ``S``.
-    """
-    n = len(outcomes)
-    rows = -(-n // width)
-    stride = np.zeros(rows * width, dtype=np.int64)
-    stride[:n] = outcomes
-    stride = np.bitwise_xor.accumulate(stride.reshape(rows, width), axis=0)
-    return history_windows(stride.ravel()[:n], width)
-
-
-def fold_windows(windows: np.ndarray, total_bits: int, width: int) -> np.ndarray:
-    """Vectorized :func:`repro.common.bitops.fold_bits` over window arrays.
-
-    Xors successive ``width``-bit chunks of each ``total_bits``-wide
-    window together.
-    """
-    if width <= 0:
-        raise ValueError(f"fold width must be positive, got {width}")
-    if total_bits <= 0:
-        raise ValueError(f"total_bits must be positive, got {total_bits}")
-    chunk_mask = mask(width)
-    folded = np.zeros_like(windows)
-    remaining = windows.copy()
-    for _ in range((total_bits + width - 1) // width):
-        folded ^= remaining & chunk_mask
-        remaining >>= width
-    return folded

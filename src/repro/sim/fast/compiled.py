@@ -101,6 +101,7 @@ __all__ = [
     "resolve_tage_kernel",
     "resolve_ogehl_kernel",
     "resolve_counter_scan_kernel",
+    "resolve_counter_walk_kernel",
     "resolve_perceptron_kernel",
     "warn_missing_compiled",
     "resolve_tage_planes_kernel",
@@ -191,6 +192,31 @@ HS_PATH = 0            # path register (low PC bit per branch)
 HS_HEAD = 1            # ring slot the next outcome goes to
 HS_FOLDS = 2
 
+# The counter walk's parameter row (`counter_core.walk_params`) and its
+# caller-owned state block (`counter_core.walk_power_on`): a carried
+# global-history register, the branch tick and the accumulated counts,
+# then the predictor's counter table (absent when the predictions are
+# given) and the JRS table (absent without one).
+CP_KIND = 0            # 0: predictions given, 1: bimodal, 2: gshare
+CP_LOG_ENTRIES = 1     # log2 predictor table entries
+CP_HISTORY = 2         # gshare history length
+CP_COUNTER_MAX = 3     # predictor counter ceiling
+CP_WEAK_NOT_TAKEN = 4  # predict taken above this counter value
+CP_JRS_LOG = 5         # log2 JRS table entries; 0 = no JRS table
+CP_JRS_HISTORY = 6     # JRS history length
+CP_JRS_MAX = 7         # JRS counter ceiling
+CP_JRS_THRESHOLD = 8   # JRS high-confidence threshold
+CP_JRS_WITH_PREDICTION = 9  # eJRS: the prediction bit joins the index
+CP_WARMUP = 10         # branches (by tick) excluded from the confusion
+N_CPARAMS = 11
+
+CS_HISTORY = 0         # global outcome history, newest outcome in bit 0
+CS_TICK = 1            # branches walked so far
+CS_MISPREDICTIONS = 2  # over every branch
+CS_CONFUSION = 3       # [3..6] high/correct, high/incorrect, low/correct,
+                       #        low/incorrect, from tick CP_WARMUP on
+CS_TABLES = 7
+
 
 # The trace-synthesis rows (`traces.workload.synthesize` packs them):
 # int64 n_static, n_routines, then the (lo, hi) pairs of routine_len,
@@ -212,6 +238,16 @@ def state_words(iparams) -> int:
 def history_words(gparams) -> int:
     """int64 words in the ``HS_*`` history block of a ``gparams`` row."""
     return HS_FOLDS + 3 * gparams[GP_N_TAGGED] + gparams[GP_CAPACITY]
+
+
+def walk_words(cparams) -> int:
+    """int64 words in the ``CS_*`` state block of a ``cparams`` row."""
+    words = CS_TABLES
+    if cparams[CP_KIND]:
+        words += 1 << cparams[CP_LOG_ENTRIES]
+    if cparams[CP_JRS_LOG]:
+        words += 1 << cparams[CP_JRS_LOG]
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +544,23 @@ int tage_batch(int64_t n, const int64_t *rows,
 }
 /* repro: parity-end tage-batch/c */
 
-/* repro: parity-begin tage-planes/c fingerprint=afd956d6 */
-/* One tagged component's hash constants, computed once per call: the
-   PC shift, the index/tag/path-window masks, the history length, and
-   per fold (index, tag, tag-1) its width, mask and eviction position
-   (FoldedHistory.update's `length % width`). */
+/* repro: parity-begin tage-planes/c fingerprint=f6163271 */
+/* One tagged component's hash constants: the PC shift, the
+   index/tag/path-window masks, the history length, the path fold's trip
+   count, and per fold (index, tag, tag-1) its width, mask and eviction
+   position (FoldedHistory.update's `length % width`). */
 typedef struct {
-    int64_t shift, log_entries, length;
+    int64_t shift, log_entries, length, path_trips;
     uint64_t index_mask, tag_mask, window_mask;
     int64_t width[3], fold_mask[3], out_pos[3];
 } plane_hash;
 
+/* Component-major: one pass over the chunk per tagged component, its
+   three folded registers held in locals.  A first pass writes the
+   outcome and bimodal rows, the path register before each branch, and
+   the outcome buffer: the ring in age order (oldest first), then the
+   chunk's outcomes, so the outcome `length` branches before branch t
+   is buffer[capacity + t - length]. */
 int tage_planes(int64_t n, const int64_t *restrict gp,
                 int64_t *restrict history, const uint64_t *restrict pcs,
                 const uint8_t *restrict takens, int64_t *restrict out)
@@ -531,69 +573,96 @@ int tage_planes(int64_t n, const int64_t *restrict gp,
     int64_t head = history[1];
     int64_t *folds = history + 2;
     int64_t *ring = history + 2 + 3 * m;
-    plane_hash *hashes = malloc((size_t)m * sizeof *hashes);
-    if (hashes == NULL)
+    uint8_t *outcomes = malloc((size_t)(capacity + n));
+    uint64_t *paths = malloc((size_t)(n > 0 ? n : 1) * sizeof *paths);
+    if (outcomes == NULL || paths == NULL) {
+        free(outcomes);
+        free(paths);
         return -1;
-    for (int64_t i = 0; i < m; i++) {
-        const int64_t *g = gp + 4 + 5 * i;
-        plane_hash *h = hashes + i;
-        h->shift = g[0] + 1;
-        h->log_entries = g[1];
-        h->length = g[3];
-        h->index_mask = ((uint64_t)1 << g[1]) - 1;
-        h->tag_mask = ((uint64_t)1 << g[2]) - 1;
-        h->window_mask = ((uint64_t)1 << g[4]) - 1;
-        h->width[0] = g[1];
-        h->width[1] = g[2];
-        h->width[2] = g[2] - 1 > 1 ? g[2] - 1 : 1;
-        for (int f = 0; f < 3; f++) {
-            h->fold_mask[f] = ((int64_t)1 << h->width[f]) - 1;
-            h->out_pos[f] = h->length % h->width[f];
-        }
     }
-
+    for (int64_t a = 0; a < capacity; a++) {
+        int64_t slot = head + a;
+        if (slot >= capacity)
+            slot -= capacity;
+        outcomes[a] = (uint8_t)ring[slot];
+    }
     for (int64_t t = 0; t < n; t++) {
         uint64_t pc = pcs[t];
         int64_t taken = takens[t] != 0;
-        uint64_t pc_part = pc >> 2;
         out[t] = taken;
-        out[n + t] = (int64_t)(pc_part & bmask);
-        for (int64_t i = 0; i < m; i++) {
-            const plane_hash *h = hashes + i;
-            uint64_t window = path & h->window_mask;
-            uint64_t path_part = 0;
-            while (window) {
-                path_part ^= window & h->index_mask;
-                window >>= h->log_entries;
-            }
-            uint64_t index = pc_part ^ (pc_part >> h->shift)
-                             ^ (uint64_t)folds[i] ^ path_part;
-            uint64_t tag = pc_part ^ (uint64_t)folds[m + i]
-                           ^ ((uint64_t)folds[2 * m + i] << 1);
-            out[(2 + i) * n + t] = (int64_t)(index & h->index_mask);
-            out[(2 + m + i) * n + t] = (int64_t)(tag & h->tag_mask);
-            /* The FoldedHistory step of the component's registers: the
-               outcome enters, the one `length` branches old (ring slot
-               head - length, as length <= capacity) leaves. */
-            int64_t slot = head - h->length;
-            if (slot < 0)
-                slot += capacity;
-            int64_t outgoing = ring[slot];
-            int64_t *fold = folds + i;
-            for (int f = 0; f < 3; f++, fold += m) {
-                int64_t comp = (*fold << 1) | taken;
-                comp ^= outgoing << h->out_pos[f];
-                comp ^= comp >> h->width[f];
-                *fold = comp & h->fold_mask[f];
-            }
-        }
-        ring[head] = taken;
-        head++;
-        if (head == capacity)
-            head = 0;
+        out[n + t] = (int64_t)((pc >> 2) & bmask);
+        outcomes[capacity + t] = (uint8_t)taken;
+        paths[t] = path;
         path = ((path << 1) | (pc & 1)) & path_mask;
     }
-    free(hashes);
+
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t *g = gp + 4 + 5 * i;
+        plane_hash h;
+        h.shift = g[0] + 1;
+        h.log_entries = g[1];
+        h.length = g[3];
+        h.index_mask = ((uint64_t)1 << g[1]) - 1;
+        h.tag_mask = ((uint64_t)1 << g[2]) - 1;
+        h.window_mask = ((uint64_t)1 << g[4]) - 1;
+        h.path_trips = (g[4] + g[1] - 1) / g[1];
+        h.width[0] = g[1];
+        h.width[1] = g[2];
+        h.width[2] = g[2] - 1 > 1 ? g[2] - 1 : 1;
+        for (int f = 0; f < 3; f++) {
+            h.fold_mask[f] = ((int64_t)1 << h.width[f]) - 1;
+            h.out_pos[f] = h.length % h.width[f];
+        }
+        int64_t fold0 = folds[i], fold1 = folds[m + i], fold2 = folds[2 * m + i];
+        int64_t *index_row = out + (2 + i) * n;
+        int64_t *tag_row = out + (2 + m + i) * n;
+        const uint8_t *leaving = outcomes + capacity - h.length;
+        const uint8_t *entering = outcomes + capacity;
+        for (int64_t t = 0; t < n; t++) {
+            uint64_t pc_part = pcs[t] >> 2;
+            uint64_t window = paths[t] & h.window_mask;
+            uint64_t path_part = 0;
+            for (int64_t k = 0; k < h.path_trips; k++) {
+                path_part ^= window & h.index_mask;
+                window >>= h.log_entries;
+            }
+            uint64_t index = pc_part ^ (pc_part >> h.shift)
+                             ^ (uint64_t)fold0 ^ path_part;
+            uint64_t tag = pc_part ^ (uint64_t)fold1 ^ ((uint64_t)fold2 << 1);
+            index_row[t] = (int64_t)(index & h.index_mask);
+            tag_row[t] = (int64_t)(tag & h.tag_mask);
+            /* The FoldedHistory step of the component's registers: the
+               outcome enters, the one `length` branches old leaves. */
+            int64_t taken = entering[t], outgoing = leaving[t];
+            int64_t comp = (fold0 << 1) | taken;
+            comp ^= outgoing << h.out_pos[0];
+            comp ^= comp >> h.width[0];
+            fold0 = comp & h.fold_mask[0];
+            comp = (fold1 << 1) | taken;
+            comp ^= outgoing << h.out_pos[1];
+            comp ^= comp >> h.width[1];
+            fold1 = comp & h.fold_mask[1];
+            comp = (fold2 << 1) | taken;
+            comp ^= outgoing << h.out_pos[2];
+            comp ^= comp >> h.width[2];
+            fold2 = comp & h.fold_mask[2];
+        }
+        folds[i] = fold0;
+        folds[m + i] = fold1;
+        folds[2 * m + i] = fold2;
+    }
+
+    /* The ring keeps its rotation: the newest `capacity` outcomes, the
+       oldest at the advanced head. */
+    head = (int64_t)((head + n) % capacity);
+    for (int64_t a = 0; a < capacity; a++) {
+        int64_t slot = head + a;
+        if (slot >= capacity)
+            slot -= capacity;
+        ring[slot] = outcomes[n + a];
+    }
+    free(outcomes);
+    free(paths);
     history[0] = (int64_t)path;
     history[1] = head;
     return 0;
@@ -679,6 +748,92 @@ int counter_scan(int64_t n, int64_t n_entries, int64_t *state,
     return 0;
 }
 /* repro: parity-end counter-scan/c */
+
+/* One bimodal/gshare predictor and/or one JRS/eJRS table over a batch,
+ * from a caller-owned state block (the CS_* slots, then the tables).
+ * Both index hashes read one carried global-history register, so a
+ * trace walked in any number of batches gives the same bytes.  With
+ * kind 0 the predictions are given (a published TAGE stream, or a
+ * NumPy-leg predictor's) and only the JRS table runs.  The per-branch
+ * predictions/high flags are written when their outputs are non-NULL. */
+static inline uint64_t fold_window(uint64_t window, int64_t width)
+{
+    uint64_t folded = 0, chunk = ((uint64_t)1 << width) - 1;
+    while (window) {
+        folded ^= window & chunk;
+        window >>= width;
+    }
+    return folded;
+}
+
+int counter_walk(int64_t n, const int64_t *cp, int64_t *state,
+                 const uint64_t *pcs, const uint8_t *takens,
+                 const uint8_t *given, uint8_t *predictions, uint8_t *high)
+{
+    int64_t kind = cp[0], log_entries = cp[1], history_length = cp[2];
+    int64_t counter_max = cp[3], weak_not_taken = cp[4];
+    int64_t jrs_log = cp[5], jrs_history = cp[6];
+    int64_t jrs_max = cp[7], threshold = cp[8], with_prediction = cp[9];
+    int64_t warmup = cp[10];
+    uint64_t history = (uint64_t)state[0];
+    int64_t tick = state[1];
+    int64_t *counts = state + 2;
+    int64_t *table = state + 7;
+    int64_t *jrs = kind ? table + ((int64_t)1 << log_entries) : table;
+    uint64_t index_mask = ((uint64_t)1 << log_entries) - 1;
+    uint64_t history_mask = ((uint64_t)1 << history_length) - 1;
+    uint64_t jrs_mask = ((uint64_t)1 << jrs_log) - 1;
+    uint64_t jrs_history_mask = ((uint64_t)1 << jrs_history) - 1;
+
+    for (int64_t t = 0; t < n; t++) {
+        uint64_t pc_part = pcs[t] >> 2;
+        int64_t taken = takens[t] != 0;
+        int64_t prediction;
+        if (kind) {
+            uint64_t index = pc_part;
+            if (kind == 2)
+                index ^= fold_window(history & history_mask, log_entries);
+            index &= index_mask;
+            int64_t c = table[index];
+            prediction = c > weak_not_taken;
+            if (taken) {
+                if (c < counter_max)
+                    table[index] = c + 1;
+            } else if (c > 0) {
+                table[index] = c - 1;
+            }
+        } else {
+            prediction = given[t] != 0;
+        }
+        if (predictions)
+            predictions[t] = (uint8_t)prediction;
+        int64_t correct = prediction == taken;
+        if (!correct)
+            counts[0]++;
+        if (jrs_log) {
+            uint64_t index = pc_part
+                ^ fold_window(history & jrs_history_mask, jrs_log);
+            if (with_prediction)
+                index = (index << 1) | (uint64_t)prediction;
+            index &= jrs_mask;
+            int64_t c = jrs[index];
+            int64_t confident = c >= threshold;
+            if (high)
+                high[t] = (uint8_t)confident;
+            if (tick >= warmup)
+                counts[1 + 2 * (1 - confident) + (1 - correct)]++;
+            if (!correct)
+                jrs[index] = 0;
+            else if (c < jrs_max)
+                jrs[index] = c + 1;
+        }
+        history = (history << 1) | (uint64_t)taken;
+        tick++;
+    }
+    state[0] = (int64_t)history;
+    state[1] = tick;
+    return 0;
+}
 
 /* repro: parity-begin perceptron-run/c fingerprint=0622b443 */
 int perceptron_run(int64_t n, int64_t h, int64_t n_rows,
@@ -1120,25 +1275,38 @@ def _find_compiler() -> str | None:
 
 
 def _build_shared_library() -> Path:
-    """Compile the embedded C source into a cached shared library.
+    """Compile the embedded C source into a cached shared library, or
+    return the cached one once its bytes are verified.
 
     The cache key digests the C source and the compiler flags
     (:data:`_C_FLAGS`), so editing the C string or a flag transparently
     rebuilds.  The compiler's name stays out of the key: a cached
-    library must load on a box with no compiler.  The build itself is
-    atomic (temp file + ``os.replace``) and therefore safe under
-    concurrent workers.
+    library must load on a box with no compiler.  The build is atomic
+    (temp file + ``os.replace``) and durable: the library is fsynced,
+    and a ``.sha256`` sidecar with its digest is written next to it.  A
+    cached library is loaded only when its bytes match that sidecar; a
+    truncated or corrupted file — which ``ctypes`` would map and die on
+    with a bus error — is moved aside as ``<name>.corrupt`` and rebuilt.
+
+    Raises:
+        RuntimeError: when no library can be built (no compiler, a
+            failed compile), naming a quarantined cached file if any.
     """
     digest = hashlib.sha256(
         "\0".join([_C_SOURCE, *_C_FLAGS]).encode()
     ).hexdigest()[:16]
     directory = _cache_dir()
     so_path = directory / f"repro_kernels_{digest}.so"
+    sidecar = directory / f"{so_path.name}.sha256"
+    quarantined = ""
     if so_path.exists():
-        return so_path
+        if _verified(so_path, sidecar):
+            return so_path
+        quarantined = _quarantine(so_path)
     compiler = _find_compiler()
     if compiler is None:
-        raise RuntimeError("no C compiler found (tried $CC, cc, gcc, clang)")
+        raise RuntimeError("no C compiler found (tried $CC, cc, gcc, clang)"
+                           + quarantined)
     directory.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=directory) as build:
         source = Path(build) / "kernels.c"
@@ -1153,8 +1321,51 @@ def _build_shared_library() -> Path:
                 f"{compiler} failed ({result.returncode}): "
                 f"{result.stderr.strip()[:500]}"
             )
+        checksum = Path(build) / "kernels.sha256"
+        checksum.write_text(_sha256(built) + "\n")
+        for path in (built, checksum):
+            _fsync(path)
+        # Sidecar first: a crash in between leaves a library-less
+        # sidecar (rebuilt) or a stale one (quarantined), never a
+        # library that loads unverified.
+        os.replace(checksum, sidecar)
         os.replace(built, so_path)
+    _fsync(directory)
     return so_path
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's (or a directory's entries') bytes to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _verified(so_path: Path, sidecar: Path) -> bool:
+    """Whether the cached library's bytes match its sidecar digest."""
+    try:
+        expected = sidecar.read_text().strip()
+        return _sha256(so_path) == expected
+    except OSError:
+        return False
+
+
+def _quarantine(so_path: Path) -> str:
+    """Move a library that failed verification aside; returns the
+    clause the build error appends when nothing can replace it."""
+    target = so_path.with_name(so_path.name + ".corrupt")
+    try:
+        os.replace(so_path, target)
+    except FileNotFoundError:  # another process moved it first
+        pass
+    return (f"; the cached {so_path.name} failed its SHA-256 check "
+            f"and was moved to {target.name}")
 
 
 def _require(buffer, n_bytes: int, what: str) -> None:
@@ -1171,12 +1382,13 @@ def _require(buffer, n_bytes: int, what: str) -> None:
 def _address(buffer):
     """The data address of a kernel argument, for a ``c_void_p`` slot:
     an :class:`array.array` block, a ``bytes``/``bytearray`` column, a
-    NumPy array, or None for an unused output."""
+    memoryview slice of a writable one, a NumPy array, or None for an
+    unused output."""
     if buffer is None or isinstance(buffer, bytes):
         return buffer
     if isinstance(buffer, array):
         return buffer.buffer_info()[0]
-    if isinstance(buffer, bytearray):
+    if isinstance(buffer, (bytearray, memoryview)):
         return ctypes.addressof(ctypes.c_char.from_buffer(buffer)) if buffer else None
     return buffer.ctypes.data
 
@@ -1206,6 +1418,8 @@ def _load_cext() -> bool:
     library.counter_scan.argtypes = [
         i64, i64, p_i64, p_i64, p_i64, p_i64, p_i64, p_i64,
     ]
+    library.counter_walk.restype = ctypes.c_int
+    library.counter_walk.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     library.perceptron_run.restype = ctypes.c_int
     library.perceptron_run.argtypes = [
         i64, i64, i64, p_i64, p_i64, p_u8, i64, i64, i64, p_u8, p_u8,
@@ -1273,6 +1487,24 @@ def _load_cext() -> bool:
             raise IndexError("counter table index out of range")
         return 0
 
+    def cext_counter_walk(n, cparams, state, pcs, takens, given,
+                          predictions, high):
+        _require(cparams, 8 * N_CPARAMS, "cparams")
+        _require(state, 8 * walk_words(cparams), "state")
+        _require(pcs, 8 * n, "pcs")
+        _require(takens, n, "takens")
+        if cparams[CP_KIND] == 0:
+            _require(given, n, "given predictions")
+        for column in (predictions, high):
+            if column is not None:
+                _require(column, n, "output")
+        library.counter_walk(
+            n, _address(cparams), _address(state), _address(pcs),
+            _address(takens), _address(given), _address(predictions),
+            _address(high),
+        )
+        return 0
+
     def cext_perceptron(indices, windows, takens, history_length, n_rows,
                         threshold, weight_min, weight_max, predictions,
                         high):
@@ -1312,6 +1544,7 @@ def _load_cext() -> bool:
                      "trace_synth": cext_trace_synth,
                      "ogehl": cext_ogehl,
                      "counter_scan": cext_counter_scan,
+                     "counter_walk": cext_counter_walk,
                      "perceptron": cext_perceptron})
     return True
 
@@ -1454,6 +1687,24 @@ def resolve_counter_scan_kernel():
     the table.
     """
     return _resolve("counter_scan")
+
+
+def resolve_counter_walk_kernel():
+    """The C counter walk, or None to run the NumPy counter family.
+
+    Signature: ``(n, cparams, state, pcs, takens, given, predictions,
+    high)``: ``cparams`` is the int64 ``CP_*`` row, ``state`` the int64
+    ``CS_*`` block (read and left advanced past the batch), ``pcs`` a
+    u64 column and ``takens`` an ``n``-byte outcome column.  ``given``
+    holds ``n`` prediction bytes when ``CP_KIND`` is 0 (else None);
+    ``predictions``/``high`` are writable ``n``-byte outputs, or None.
+    Every argument may be an :class:`array.array` block, a
+    ``bytes``/``bytearray`` column, a memoryview slice of a writable
+    one or a NumPy array, all C-contiguous.  There is no pure twin: the
+    NumPy leg's scans and the reference engine are its differential
+    oracles.
+    """
+    return _resolve("counter_walk")
 
 
 def resolve_perceptron_kernel():

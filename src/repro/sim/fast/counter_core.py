@@ -1,0 +1,92 @@
+"""The NumPy-free core of the counter family on the C leg.
+
+One C walk (:func:`repro.sim.fast.compiled.resolve_counter_walk_kernel`)
+runs a bimodal or gshare predictor and/or a JRS/eJRS confidence table
+over a batch of branches.  Both index hashes read one carried
+global-history register, so the walk needs no whole-trace history
+windows, folds or transform arrays — it reads the trace's packed
+columns directly.  The JRS table's predictions are the walk's own, or
+given: a published TAGE stream, or a NumPy-leg predictor's.
+
+Like the TAGE kernel's (:mod:`repro.sim.fast.tage_core`), a walk's
+state is caller-owned: :func:`walk_params` packs the cell's
+configuration into the ``CP_*`` row, :func:`walk_power_on` makes the
+``CS_*`` block the walk resumes from and leaves advanced, and
+:func:`walk_counts` reads the accumulated counts back.  Walking a trace
+in any number of batches through one block is bit-identical to one
+pass.
+"""
+
+from __future__ import annotations
+
+from array import array
+
+from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.gshare import GsharePredictor
+from repro.sim.fast import compiled
+
+__all__ = ["walk_params", "walk_power_on", "walk_counts", "walk"]
+
+#: ``CP_KIND`` values.
+_KIND_GIVEN, _KIND_BIMODAL, _KIND_GSHARE = 0, 1, 2
+
+
+def walk_params(predictor, estimator, warmup: int) -> array:
+    """The ``CP_*`` row (int64) of one cell.
+
+    ``predictor`` is a (non-subclassed) bimodal or gshare predictor, or
+    None when the walk is given its predictions; ``estimator`` is a
+    JRS-family table or None.  The instances are only read.
+    """
+    kind, log_entries, history, counter_max, weak_not_taken = (
+        _KIND_GIVEN, 0, 0, 0, 0)
+    if type(predictor) is BimodalPredictor:
+        kind = _KIND_BIMODAL
+        log_entries = predictor.log_entries
+        counter_max = (1 << predictor.counter_bits) - 1
+        weak_not_taken = (1 << (predictor.counter_bits - 1)) - 1
+    elif type(predictor) is GsharePredictor:
+        kind = _KIND_GSHARE
+        log_entries = predictor.log_entries
+        history = predictor.history_length
+        counter_max, weak_not_taken = 3, 1
+    elif predictor is not None:
+        raise TypeError(f"the counter walk cannot run {type(predictor).__name__}")
+    jrs = [0, 0, 0, 0, 0]
+    if estimator is not None:
+        jrs = [estimator.log_entries, estimator.history_length,
+               (1 << estimator.counter_bits) - 1, estimator.threshold,
+               1 if estimator.include_prediction else 0]
+    return array("q", [kind, log_entries, history, counter_max,
+                       weak_not_taken, *jrs, warmup])
+
+
+def walk_power_on(cparams) -> array:
+    """A freshly powered-on ``CS_*`` block (int64): empty history, no
+    counts, predictor counters weakly taken, JRS counters zero."""
+    state = array("q", bytes(8 * compiled.CS_TABLES))
+    if cparams[compiled.CP_KIND]:
+        state.extend(array("q", [cparams[compiled.CP_WEAK_NOT_TAKEN] + 1])
+                     * (1 << cparams[compiled.CP_LOG_ENTRIES]))
+    if cparams[compiled.CP_JRS_LOG]:
+        state.extend(array("q", bytes(8 << cparams[compiled.CP_JRS_LOG])))
+    return state
+
+
+def walk_counts(state) -> tuple[int, tuple[int, int, int, int]]:
+    """``(mispredictions, (high_correct, high_incorrect, low_correct,
+    low_incorrect))`` accumulated in a walk's state block."""
+    base = compiled.CS_CONFUSION
+    return (state[compiled.CS_MISPREDICTIONS],
+            tuple(state[base:base + 4]))
+
+
+def walk(kernel, arrays, predictor, estimator, warmup: int = 0, given=None):
+    """One whole-trace walk of ``arrays`` (a
+    :class:`~repro.sim.fast.arrays.TraceArrays`) on the C ``kernel``;
+    returns :func:`walk_counts`."""
+    cparams = walk_params(predictor, estimator, warmup)
+    state = walk_power_on(cparams)
+    kernel(len(arrays), cparams, state, arrays.pc_column, arrays.taken_column,
+           given, None, None)
+    return walk_counts(state)

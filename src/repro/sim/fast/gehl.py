@@ -15,7 +15,7 @@ whole trace:
   branch.
 * **O-GEHL** — the per-table geometric folded-history indices are
   precomputed with the same GF(2) closed form the TAGE planes use
-  (:func:`~repro.sim.fast.arrays.folded_history_series`); the
+  (:func:`~repro.sim.fast.windows.folded_history_series`); the
   sequential remainder is an M-entry table read/sum and the
   adaptive-threshold (TC) bookkeeping in plain ints.
 
@@ -57,22 +57,14 @@ from repro.predictors.ogehl import OgehlPredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.fast import compiled
-from repro.sim.fast.arrays import (
-    MAX_WINDOW_BITS,
-    TraceArrays,
-    folded_history_series,
-    history_windows,
-)
+from repro.sim.fast.arrays import MAX_WINDOW_BITS, TraceArrays
+from repro.sim.fast.capability import MAX_PERCEPTRON_WEIGHT_BITS
+from repro.sim.fast.windows import folded_history_series, history_windows
 
 __all__ = ["perceptron_fast_run", "ogehl_fast_run"]
 
 #: Longest perceptron history whose packed window fits an int64 lane.
 MAX_PERCEPTRON_HISTORY = MAX_WINDOW_BITS
-
-#: Widest perceptron weight the int64 weight table can hold with the
-#: batched dot provably overflow-free: |total| <= (h+1) * 2**(wb-1)
-#: with h <= 62 needs wb - 1 + log2(63) < 63.
-MAX_PERCEPTRON_WEIGHT_BITS = 56
 
 
 def perceptron_fast_run(
@@ -196,7 +188,7 @@ def _ogehl_index_planes(
     geometric history exactly like ``OgehlPredictor._indices`` — and the
     folded register value each branch observes is the GF(2) closed form
     (a live history bit of age ``a`` lands at ``a % log_entries``) of
-    :func:`~repro.sim.fast.arrays.folded_history_series`.  Every table
+    :func:`~repro.sim.fast.windows.folded_history_series`.  Every table
     folds into ``log_entries`` bits, so one unbounded fold serves them
     all.
     """

@@ -14,8 +14,10 @@ plane memory.
 
 Cells never interact — each owns its table state — so a lockstep batch
 is bit-identical to the same cells run independently (enforced by
-``tests/equivalence/test_lockstep.py``).  Every cell without a §6.2
-controller also *publishes* its per-branch predictions on the trace's
+``tests/equivalence/test_lockstep.py``).  With the C build a batch
+reads the trace's packed columns and never imports NumPy.  Every cell
+without a §6.2 controller also *publishes* its per-branch predictions
+(one 0/1 byte each) on the trace's
 :class:`~repro.sim.fast.arrays.TraceArrays`, where a later binary
 JRS-family cell of the same TAGE configuration reads them instead of
 re-running the kernel.  The sweep executor uses this
@@ -30,10 +32,9 @@ from dataclasses import dataclass
 
 from repro.sim.engine import SimulationResult
 from repro.sim.fast.arrays import TraceArrays
-from repro.sim.fast.planes import plane_geometry
-from repro.sim.fast.engine import prediction_stream_key
+from repro.sim.fast.capability import prediction_stream_key
 from repro.sim.fast.tage import _assemble_result, _run_batch
-from repro.sim.fast.tage_core import cell_inputs
+from repro.sim.fast.tage_core import cell_inputs, plane_geometry
 
 __all__ = ["LockstepCell", "simulate_tage_lockstep", "lockstep_geometry"]
 
@@ -69,7 +70,7 @@ def simulate_tage_lockstep(
     :func:`~repro.sim.fast.tage.simulate_tage_fast` run of that cell.
     Each cell without a §6.2 controller leaves its prediction stream in
     the trace's :meth:`~repro.sim.fast.arrays.TraceArrays.derived` cache
-    under :func:`~repro.sim.fast.engine.prediction_stream_key`, for as
+    under :func:`~repro.sim.fast.capability.prediction_stream_key`, for as
     long as the trace stays materialized; a controller moves the
     saturation probability and with it the stream, so a controlled cell
     publishes nothing.

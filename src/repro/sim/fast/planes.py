@@ -10,7 +10,7 @@ value *every* branch of a trace will observe can be computed up front
 in closed form instead of per-branch shift-register updates: the fold
 of the *unbounded* history is built once per folded width, and every
 history length is that fold with its evicted tail xored out (see
-:func:`repro.sim.fast.arrays.folded_history_series`), so a plane set
+:func:`repro.sim.fast.windows.folded_history_series`), so a plane set
 costs the same whatever its history lengths.  What is left for the
 sequential kernel (:mod:`repro.sim.fast.tage`) is only the genuinely
 prediction-dependent part: provider selection, counter/u updates and
@@ -46,14 +46,14 @@ import numpy as np
 
 from repro.common.bitops import mask
 from repro.sim.backends import FastBackendUnsupported, default_planes_dir
-from repro.sim.fast.arrays import (
-    MAX_WINDOW_BITS,
-    TraceArrays,
+from repro.sim.fast.arrays import TraceArrays
+from repro.sim.fast.capability import MAX_PATH_HISTORY_BITS
+from repro.sim.fast.tage_core import plane_geometry
+from repro.sim.fast.windows import (
     fold_windows,
     folded_history_series,
     history_windows,
 )
-from repro.sim.fast.tage_core import plane_geometry
 
 __all__ = [
     "PLANES_VERSION",
@@ -68,11 +68,6 @@ __all__ = [
 #: Bump on any change to the plane layout or the hash arithmetic, so a
 #: stale on-disk materialization can never be served.
 PLANES_VERSION = 1
-
-#: Longest path-history register whose packed per-branch window fits an
-#: int64 lane (one shared bound for every window-based kernel — see
-#: :data:`repro.sim.fast.arrays.MAX_WINDOW_BITS`).
-MAX_PATH_HISTORY_BITS = MAX_WINDOW_BITS
 
 
 @dataclass(frozen=True)

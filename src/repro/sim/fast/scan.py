@@ -50,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.fast import compiled
+from repro.sim.fast.arrays import DEFAULT_CHUNK_SIZE
 
 __all__ = [
     "compose",
@@ -61,10 +62,6 @@ __all__ = [
     "scanned_counters",
     "DEFAULT_CHUNK_SIZE",
 ]
-
-#: Branches per scan chunk; bounds scan working-set memory and the
-#: O(n log n) sweep depth while keeping per-chunk NumPy calls amortized.
-DEFAULT_CHUNK_SIZE = 1 << 15
 
 
 def compose(

@@ -46,19 +46,17 @@ a look-back window and the pure kernel runs it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.engine import SimulationResult, class_breakdown
 from repro.sim.fast import compiled
 from repro.sim.fast.arrays import TraceArrays
-from repro.sim.fast.planes import compute_planes, plane_geometry
 from repro.sim.fast.tage_core import (
     _kernel,
     cell_counts,
     cell_inputs,
     cell_params,
     history_power_on,
+    plane_geometry,
     plane_params,
     power_on,
 )
@@ -93,37 +91,51 @@ def _plane_chunks(arrays: TraceArrays, geometry: tuple):
     """The trace's kernel rows (the ``TagePlanes.data[1:]`` layout), one
     chunk of at most :data:`PLANE_CHUNK` branches at a time.
 
-    Yields ``(start, rows)``, ``rows`` a C-contiguous int64 block.  When
-    the C build resolves, its ``tage-planes`` builder writes each chunk
-    from one carried history
+    Yields ``(start, rows)``; a chunk's rows are valid until the next
+    chunk is requested.  When the C build resolves, its
+    ``tage-planes`` builder writes each chunk into (the head of) one
+    reused flat int64 block (:func:`_int64_block`), straight from the
+    trace's packed
+    columns and one carried history
     (:func:`~repro.sim.fast.tage_core.history_power_on`) that advances
-    across the chunks, so no chunk reads back into the trace.  Without
-    it each chunk goes through :func:`compute_planes` over a window that
+    across the chunks, so no chunk reads back into the trace and NumPy
+    is never imported.  Without it, each chunk goes through NumPy's
+    :func:`~repro.sim.fast.planes.compute_planes` over a window that
     starts :func:`_history_reach` branches before the chunk, and that
-    prefix is dropped: every folded index/tag value depends only on that
-    many earlier outcomes and PCs.  Either way the rows equal the
-    whole-trace planes byte for byte.
+    prefix is dropped: every folded index/tag value depends only on
+    that many earlier outcomes and PCs; those rows are a C-contiguous
+    int64 ndarray.  Either way the rows equal the whole-trace planes
+    byte for byte.
     """
+    n = len(arrays)
     build = compiled.resolve_tage_planes_kernel()
     if build is not None:
         gparams = plane_params(geometry)
         history = history_power_on(gparams)
+        n_rows = 2 + 2 * len(geometry[1])
+        pcs = memoryview(arrays.pc_column)
+        takens = memoryview(arrays.taken_column)
+        block = _int64_block(n_rows * min(n, PLANE_CHUNK))
+        for start in range(0, n, PLANE_CHUNK):
+            stop = min(start + PLANE_CHUNK, n)
+            rows = block[:n_rows * (stop - start)]
+            build(stop - start, gparams, history, pcs[start:stop],
+                  takens[start:stop], rows)
+            yield start, rows
+        return
+
+    import numpy as np
+
+    from repro.sim.fast.planes import compute_planes
+
     reach = _history_reach(geometry)
-    for start in range(0, len(arrays), PLANE_CHUNK):
-        stop = min(start + PLANE_CHUNK, len(arrays))
-        if build is not None:
-            rows = np.empty((2 + 2 * len(geometry[1]), stop - start),
-                            dtype=np.int64)
-            build(stop - start, gparams, history,
-                  arrays.pcs[start:stop].view(np.uint64),
-                  arrays.takens[start:stop], rows)
-        else:
-            low = max(0, start - reach)
-            window = TraceArrays(name=arrays.name, pcs=arrays.pcs[low:stop],
-                                 takens=arrays.takens[low:stop])
-            rows = np.ascontiguousarray(
-                compute_planes(window, geometry).data[1:, start - low:])
-        yield start, rows
+    for start in range(0, n, PLANE_CHUNK):
+        stop = min(start + PLANE_CHUNK, n)
+        low = max(0, start - reach)
+        window = TraceArrays(arrays.name, arrays.pcs[low:stop],
+                             arrays.takens[low:stop])
+        yield start, np.ascontiguousarray(
+            compute_planes(window, geometry).data[1:, start - low:])
 
 
 def _run_batch(arrays: TraceArrays, geometry: tuple, cells, want_predictions,
@@ -135,14 +147,15 @@ def _run_batch(arrays: TraceArrays, geometry: tuple, cells, want_predictions,
     plane geometry ``geometry``; ``want_predictions`` holds one flag
     per cell.  Returns one ``(mispredictions, per-class predictions,
     per-class mispredictions, predictions, class codes, final sat-prob
-    log2)`` tuple per cell, in order; the per-branch predictions (bool)
-    and class codes (uint8) are whole-trace arrays where requested and
-    None otherwise.
+    log2)`` tuple per cell, in order; the per-branch predictions (0/1)
+    and class codes are whole-trace ``bytes`` where requested and None
+    otherwise.
 
     The planes stream in chunks (:func:`_plane_chunks`): each chunk's
-    rows are built once and every cell's kernel resumes over them from its own
-    powered-on state block, so a cell's run is bit-identical to one
-    uninterrupted pass while plane memory stays at one chunk.
+    rows are built once and every cell's kernel resumes over them from
+    its own powered-on state block, so a cell's run is bit-identical to
+    one uninterrupted pass while plane memory stays at one chunk.  The
+    C kernel writes straight into each cell's output columns.
     """
     kernel = compiled.resolve_tage_kernel()
     n = len(arrays)
@@ -151,35 +164,57 @@ def _run_batch(arrays: TraceArrays, geometry: tuple, cells, want_predictions,
         iparams, fparams = cell_params(*cell)
         runs.append((
             iparams, fparams, power_on(iparams),
-            np.zeros(n, dtype=np.uint8) if wants else None,
-            np.zeros(n, dtype=np.uint8) if want_classes else None,
+            bytearray(n) if wants else None,
+            bytearray(n) if want_classes else None,
         ))
+    n_rows = 2 + 2 * len(geometry[1])
     for start, rows in _plane_chunks(arrays, geometry):
-        stop = start + rows.shape[1]
+        stop = start + (len(rows) // n_rows if isinstance(rows, memoryview)
+                        else rows.shape[1])
         if kernel is None:
-            rows = rows.tolist()
+            rows = _row_lists(rows, stop - start)
         for iparams, fparams, state, predictions, classes in runs:
             if kernel is not None:
                 kernel(rows, stop - start, iparams, fparams, state,
-                       None if predictions is None else predictions[start:stop],
-                       None if classes is None else classes[start:stop])
+                       _window(predictions, start, stop),
+                       _window(classes, start, stop))
                 continue
             chunk_predictions, chunk_classes = _kernel(
                 rows, iparams, fparams, state,
                 predictions is not None, classes is not None,
             )
             if predictions is not None:
-                predictions[start:stop] = chunk_predictions
+                predictions[start:stop] = bytes(chunk_predictions)
             if classes is not None:
-                classes[start:stop] = chunk_classes
+                classes[start:stop] = bytes(chunk_classes)
     results = []
     for _, _, state, predictions, classes in runs:
         mispredictions, pred_counts, misp_counts, final_k = cell_counts(state)
-        if predictions is not None:
-            predictions = predictions.view(bool)
         results.append((mispredictions, pred_counts, misp_counts,
-                        predictions, classes, final_k))
+                        None if predictions is None else bytes(predictions),
+                        None if classes is None else bytes(classes),
+                        final_k))
     return results
+
+
+def _int64_block(words: int) -> memoryview:
+    """A flat, zeroed int64 block of ``words`` words.  A ``bytearray``
+    gets its zeroed pages from the allocator with no copy (an
+    ``array('q', bytes(...))`` block would copy them in once more)."""
+    return memoryview(bytearray(8 * words)).cast("q")
+
+
+def _row_lists(rows, n: int) -> list:
+    """A chunk's rows as the pure kernel reads them, one list per row,
+    from either builder's block (an ndarray, or a flat int64 block)."""
+    if isinstance(rows, memoryview):
+        return [rows[k:k + n].tolist() for k in range(0, len(rows), n)]
+    return rows.tolist()
+
+
+def _window(column: bytearray | None, start: int, stop: int):
+    """A writable view of ``column[start:stop]`` for a C kernel output."""
+    return None if column is None else memoryview(column)[start:stop]
 
 
 def _assemble_result(trace, predictor, estimator, controller,
@@ -224,11 +259,13 @@ def simulate_tage_fast(
     return _assemble_result(trace, predictor, estimator, controller, cell_result)
 
 
-def tage_fast_predictions(arrays: TraceArrays, predictor) -> np.ndarray:
-    """Per-branch TAGE predictions over a whole trace (bool array).
+def tage_fast_predictions(arrays: TraceArrays, predictor) -> bytes:
+    """Per-branch TAGE predictions over a whole trace, one 0/1 byte each.
 
-    Feeds the vectorized JRS-family assessment stage of
-    :func:`repro.sim.fast.engine.simulate_binary_fast`.
+    Feeds the JRS-family assessment stage of
+    :func:`repro.sim.fast.engine.simulate_binary_fast` (the C counter
+    walk reads the bytes as they are; the NumPy leg views them as a
+    bool array).
     """
     cell = cell_inputs(predictor, None, None, 0)
     (cell_result,) = _run_batch(arrays, plane_geometry(predictor.config),
@@ -258,4 +295,4 @@ def observe_tage_fast(
     (cell_result,) = _run_batch(TraceArrays.from_trace(trace),
                                 plane_geometry(predictor.config),
                                 [cell], [True], True)
-    return cell_result[3].tolist(), cell_result[4].tolist()
+    return list(map(bool, cell_result[3])), list(cell_result[4])

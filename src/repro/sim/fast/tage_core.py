@@ -558,7 +558,7 @@ def history_power_on(gparams) -> array:
     return array("q", bytes(8 * compiled.history_words(gparams)))
 
 
-# repro: parity-begin tage-planes/pure fingerprint=afd956d6
+# repro: parity-begin tage-planes/pure fingerprint=f6163271
 def _build_planes(gparams, history, pcs, takens) -> list:
     """One batch's plane rows from a carried history.
 

@@ -37,6 +37,12 @@ it.  A crash may cost re-running the last uncommitted group, never a
 wrong cache hit; an error in the commit thread fails the run on the
 broker thread.
 
+Warnings a unit raises — a fast-backend fallback, say — reach the
+broker's process whether the unit ran inline or in a worker (which
+relays each as a ``warn`` message before its report), and the broker
+re-issues each distinct one once per run: a trace the fast backend
+cannot hold is reported once, not once per unit or per worker.
+
 ``workers == 1`` runs inline — no subprocesses, same retry/quarantine/
 journal semantics.  Inline, an injected ``kill`` fault takes down the
 whole process: that is the box-crash rehearsal, and the journal plus
@@ -55,6 +61,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -416,8 +423,16 @@ class Broker:
         #: The commit thread of the current :meth:`run` (None when it
         #: has neither a cache nor a journal to write).
         self._commits: _GroupCommitter | None = None
+        #: (category, text) of every warning re-issued this run.
+        self._warned: set[tuple[type, str]] = set()
 
     # -- shared bookkeeping --------------------------------------------
+
+    def _relay_warning(self, category: type, text: str) -> None:
+        """Re-issue a unit's warning here, once per run."""
+        if (category, text) not in self._warned:
+            self._warned.add((category, text))
+            warnings.warn(text, category, stacklevel=2)
 
     def _log(self, line: str) -> None:
         if self.progress:
@@ -547,6 +562,7 @@ class Broker:
         if not pending:
             return {}, []
         self._settled = set()
+        self._warned = set()
         if self.cache is not None or self.journal is not None:
             self._commits = _GroupCommitter(self.cache, self.journal,
                                             self.injector, self._log)
@@ -598,9 +614,11 @@ class Broker:
             index = ready.pop(trace)
             state = states[index]
             trace = state.job.trace_key
+            caught: list = []
             try:
                 self.injector.pre_job(index, state.attempt)
-                outcome = execute_work(state.job)
+                with warnings.catch_warnings(record=True) as caught:
+                    outcome = execute_work(state.job)
             except TransientJobError as error:
                 self._fail(index, state, "transient", str(error),
                            retry_heap, quarantined)
@@ -614,6 +632,9 @@ class Broker:
                            retry_heap, quarantined)
             else:
                 self._complete(index, state, outcome, results)
+            finally:
+                for warning in caught:
+                    self._relay_warning(warning.category, str(warning.message))
         return results, quarantined
 
     def _run_pool(self, pending) -> tuple[dict[int, JobResult], list[QuarantinedJob]]:
@@ -698,6 +719,10 @@ class Broker:
         kind = message[0]
         if kind == "beat":
             slot.last_beat = time.monotonic()
+            return
+        if kind == "warn":
+            _, _, category, text = message
+            self._relay_warning(category, text)
             return
         if kind == "done":
             _, _, index, attempt, outcome, _elapsed = message

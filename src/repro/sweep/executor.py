@@ -64,7 +64,9 @@ from repro.sim.backends import (
     load_fast_engine,
 )
 from repro.sim.cells import build_cell
-from repro.sim.engine import simulate, simulate_binary
+from repro.sim.engine import simulate, simulate_binary, trace_fallback_message
+from repro.sim.fast.capability import prediction_stream_key
+from repro.sim.fast.tage_core import plane_geometry
 from repro.sim.runner import get_trace
 from repro.sweep.broker import (
     Broker,
@@ -178,14 +180,16 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
     the trace left on its :class:`~repro.sim.fast.arrays.TraceArrays`).
     Each binary member then runs
     :func:`~repro.sim.fast.engine.simulate_binary_fast` on the
-    published prediction stream, with the JRS index the binary members
-    share; both stay on the trace's arrays until the worker moves to
-    another trace.  Every member is bit-identical to running it through
+    published prediction stream, which stays on the trace's arrays
+    until the worker moves to another trace.  With the C build the
+    whole unit runs on the trace's packed columns and loads no NumPy.
+    Every member is bit-identical to running it through
     :func:`execute_job` alone.  The unit's wall-clock cost is
     attributed evenly across the members' ``elapsed`` fields.  A trace
-    the fast arrays cannot hold (a pc of 2**63 or more) runs every
-    member on the reference engine, after one
-    :class:`FastBackendFallbackWarning`.
+    the NumPy leg cannot hold (a pc of 2**63 or more, without the C
+    build) runs every member on the reference engine, after one
+    :class:`FastBackendFallbackWarning` worded like
+    :func:`~repro.sim.engine.simulate`'s for that trace.
     """
     start = time.perf_counter()
     jobs = [job for _, job in batch.members]
@@ -197,18 +201,25 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
         for job in jobs
     ]
     try:
-        arrays = fast.TraceArrays.from_trace(trace)
+        outcomes = _run_unit(fast, trace, jobs, cells)
     except FastBackendUnsupported as unsupported:
-        warnings.warn(
-            f"fast backend cannot run this trace ({unsupported}); "
-            "falling back to the reference engine",
-            FastBackendFallbackWarning,
-            stacklevel=2,
-        )
+        warnings.warn(trace_fallback_message(trace, unsupported),
+                      FastBackendFallbackWarning, stacklevel=2)
         return tuple(
             replace(execute_job(replace(job, backend="reference")), job=job)
             for job in jobs
         )
+    elapsed = (time.perf_counter() - start) / len(jobs)
+    return tuple(
+        JobResult(job=job, result=result, binary=binary,
+                  estimator_bits=estimator_bits, elapsed=elapsed)
+        for job, (result, binary, estimator_bits) in zip(jobs, outcomes)
+    )
+
+
+def _run_unit(fast, trace, jobs, cells) -> list[tuple]:
+    """Each member's ``(result, binary confusion, estimator bits)``."""
+    arrays = fast.TraceArrays.from_trace(trace)
     lockstep_cells = [
         fast.LockstepCell(cell.predictor, cell.estimator, cell.controller,
                           warmup_branches=job.warmup_branches)
@@ -216,14 +227,14 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
         if not cell.binary
     ]
     published = {
-        fast.prediction_stream_key(cell.predictor)
+        prediction_stream_key(cell.predictor)
         for cell in lockstep_cells
         if cell.controller is None
     }
     for cell in cells:
         if not cell.binary:
             continue
-        key = fast.prediction_stream_key(cell.predictor)
+        key = prediction_stream_key(cell.predictor)
         if key not in published and not arrays.has_derived(key):
             published.add(key)
             lockstep_cells.append(fast.LockstepCell(cell.predictor))
@@ -239,12 +250,7 @@ def execute_batch(batch: LockstepBatch) -> tuple[JobResult, ...]:
             warmup_branches=job.warmup_branches,
         )
         outcomes.append((result, binary, cell.estimator.storage_bits()))
-    elapsed = (time.perf_counter() - start) / len(jobs)
-    return tuple(
-        JobResult(job=job, result=result, binary=binary,
-                  estimator_bits=estimator_bits, elapsed=elapsed)
-        for job, (result, binary, estimator_bits) in zip(jobs, outcomes)
-    )
+    return outcomes
 
 
 def execute_work(unit: JobSpec | LockstepBatch):
@@ -272,9 +278,8 @@ def _lockstep_key(job: JobSpec, geometries: dict) -> tuple | None:
         return None
     cell = (job.predictor, job.adaptive)
     if cell not in geometries:
-        fast = load_fast_engine()
         predictor = build_cell(job.predictor, None, adaptive=job.adaptive).predictor
-        geometries[cell] = fast.plane_geometry(predictor.config)
+        geometries[cell] = plane_geometry(predictor.config)
     return (job.trace, job.n_branches, geometries[cell])
 
 

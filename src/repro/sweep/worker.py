@@ -19,6 +19,10 @@ exception type is still known:
   pure function on the same spec would fail the same way, so the broker
   quarantines the job immediately.
 
+Warnings the job raised travel ahead of its report as ``("warn",
+worker_id, category, text)`` messages; the broker re-issues each
+distinct one once per run.
+
 A daemon heartbeat thread writes ``("beat", worker_id)`` every
 :data:`DEFAULT_HEARTBEAT_INTERVAL` seconds (sharing the result pipe
 under a lock — two threads writing one pipe unlocked would interleave
@@ -33,6 +37,7 @@ from __future__ import annotations
 import signal
 import threading
 import time
+import warnings
 
 from repro.sweep.faults import FaultInjector, TransientJobError
 
@@ -90,9 +95,11 @@ def worker_main(worker_id: int, task_conn, result_conn,
                 return
             index, attempt, job = message
             started = time.perf_counter()
+            caught: list = []
             try:
                 injector.pre_job(index, attempt, on_stall=suppress.set)
-                outcome = execute_work(job)
+                with warnings.catch_warnings(record=True) as caught:
+                    outcome = execute_work(job)
             except TransientJobError as error:
                 report = ("failed", worker_id, index, "transient", str(error))
             except (MemoryError, OSError) as error:
@@ -107,6 +114,9 @@ def worker_main(worker_id: int, task_conn, result_conn,
             suppress.clear()
             try:
                 with send_lock:
+                    for warning in caught:
+                        result_conn.send(("warn", worker_id, warning.category,
+                                          str(warning.message)))
                     result_conn.send(report)
             except (BrokenPipeError, OSError):
                 return

@@ -13,8 +13,9 @@ an ``array('Q')`` when some count does not fit in a byte, which no RTRC
 file and no built-in generator produces.  That is about 10 bytes per
 branch, with no Python int per branch: the RTRC reader and the C
 synthesizer fill the columns with buffer copies, and
-:meth:`repro.sim.fast.arrays.TraceArrays.from_trace` hands the pc
-buffer to NumPy the same way.  The reference engine iterates the
+:meth:`repro.sim.fast.arrays.TraceArrays.from_trace` copies them the
+same way for the fast backend's C kernels (and its NumPy views).  The
+reference engine iterates the
 columns directly, and the record view (:meth:`Trace.records`) is the
 convenient API for everything else.
 """

@@ -12,7 +12,11 @@ inside the fast family and must *not* warn.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +40,7 @@ from repro.sim.backends import (
     get_backend,
 )
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.fast import simulate_binary_fast, simulate_fast
+from repro.sim.fast import compiled, simulate_binary_fast, simulate_fast
 from repro.sim.runner import build_predictor, run_trace
 from repro.sweep.executor import execute_job, run_sweep
 from repro.sweep.spec import EstimatorSpec, ExperimentSpec, JobSpec, PredictorSpec
@@ -136,8 +140,6 @@ def test_capability_reports_lockstep_for_tage_cells():
 
 @pytest.mark.parametrize("provider", ["none", "cext"])
 def test_capability_compiled_flag_tracks_provider(monkeypatch, provider):
-    from repro.sim.fast import compiled
-
     monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
     if provider == "cext" and compiled.active_provider() is None:
         pytest.skip(f"C kernel build unavailable "
@@ -274,24 +276,16 @@ def test_oversized_numeric_widths_fall_back_instead_of_overflowing(tiny_trace):
     assert fallback == reference
 
 
-def test_pcs_beyond_int64_fall_back_instead_of_overflowing(tmp_path):
-    """Regression: a legal RTRC file whose pcs are 2**63 or more must take
-    the warn-and-fall-back path on every fast dispatcher — the engine
-    entry point, a one-cell sweep and a fused lockstep unit — not crash
-    with OverflowError or be quarantined."""
-    n = 500
+def _wide_pc_trace(tmp_path, n: int = 500):
+    """A legal RTRC file whose pcs start at 2**63, and its trace."""
     path = tmp_path / "big.rtrc"
     write_trace(Trace("big", [(1 << 63) + 4 * i for i in range(n)],
                       [(i * i) % 3 == 0 for i in range(n)], [1 + i % 5 for i in range(n)]),
                 path)
-    trace = read_trace(path)
+    return path, read_trace(path)
 
-    reference = simulate_binary(trace, GsharePredictor(), JrsEstimator())
-    with pytest.warns(FastBackendFallbackWarning, match="does not fit"):
-        fallback = simulate_binary(trace, GsharePredictor(), JrsEstimator(),
-                                   backend="fast")
-    assert fallback == reference
 
+def _wide_pc_sweeps(path, n: int):
     def sweep(backend, predictors):
         return run_sweep(ExperimentSpec(
             name="wide-pcs", predictors=predictors,
@@ -302,13 +296,60 @@ def test_pcs_beyond_int64_fall_back_instead_of_overflowing(tmp_path):
     one_cell = (PredictorSpec.of("gshare"),)
     fused = (PredictorSpec.of("tage", size="16K"),
              PredictorSpec.of("tage", size="16K", automaton="probabilistic"))
-    for predictors in (one_cell, fused):
+    return sweep, (one_cell, fused)
+
+
+def test_pcs_beyond_int64_fall_back_instead_of_overflowing(tmp_path, monkeypatch):
+    """Regression, NumPy leg: a legal RTRC file whose pcs are 2**63 or
+    more must take the warn-and-fall-back path on every fast dispatcher
+    — the engine entry point, a one-cell sweep and a fused lockstep
+    unit — not crash with OverflowError or be quarantined."""
+    monkeypatch.setenv(compiled.PROVIDER_ENV, "none")
+    path, trace = _wide_pc_trace(tmp_path)
+
+    reference = simulate_binary(trace, GsharePredictor(), JrsEstimator())
+    with pytest.warns(FastBackendFallbackWarning, match="does not fit"):
+        fallback = simulate_binary(trace, GsharePredictor(), JrsEstimator(),
+                                   backend="fast")
+    assert fallback == reference
+
+    sweep, grids = _wide_pc_sweeps(path, len(trace))
+    for predictors in grids:
         reference = sweep("reference", predictors)
-        with pytest.warns(FastBackendFallbackWarning, match="does not fit"):
+        with pytest.warns(FastBackendFallbackWarning, match="does not fit") as record:
             fast = sweep("fast", predictors)
+        fallbacks = [w for w in record if w.category is FastBackendFallbackWarning]
+        assert len(fallbacks) == 1, [str(w.message) for w in fallbacks]
+        assert f"cannot run trace 'file:{path}'" in str(fallbacks[0].message)
         assert fast.quarantined == ()
         assert len(fast.table) == len(predictors)
         assert fast.table.rows() == reference.table.rows()
+
+
+def test_pcs_beyond_int64_run_natively_on_the_c_leg(tmp_path, monkeypatch):
+    """C leg: the kernels read the u64 pc column as it is, so the same
+    wide-pc trace runs on the fast backend without a warning and gives
+    the reference engine's results."""
+    monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")
+    if compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    path, trace = _wide_pc_trace(tmp_path)
+    predictor = build_predictor("16K")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastBackendFallbackWarning)
+        assert (simulate_binary(trace, GsharePredictor(), JrsEstimator(),
+                                backend="fast")
+                == simulate_binary(trace, GsharePredictor(), JrsEstimator()))
+        assert (simulate(trace, predictor, TageConfidenceEstimator(predictor),
+                         backend="fast")
+                == simulate(trace, build_predictor("16K"),
+                            TageConfidenceEstimator(build_predictor("16K"))))
+        sweep, grids = _wide_pc_sweeps(path, len(trace))
+        for predictors in grids:
+            fast = sweep("fast", predictors)
+            assert fast.quarantined == ()
+            assert fast.table.rows() == sweep("reference", predictors).table.rows()
 
 
 def test_fast_engine_raises_for_subclassed_self_confidence(tiny_trace):
@@ -468,3 +509,42 @@ def test_unknown_backend_is_rejected(tiny_trace):
         simulate_binary(
             tiny_trace, GsharePredictor(), JrsEstimator(), backend="numpy"
         )
+
+
+@pytest.mark.parametrize("provider", ["none", "cext"])
+def test_wide_pc_sweep_on_a_pool_warns_once_per_trace(tmp_path, provider):
+    """``repro sweep --workers 2`` over a wide-pc RTRC file, with a fused
+    TAGE unit and an unfused gshare job on different workers: the NumPy
+    leg reports the trace once, in the trace's wording (the broker
+    relays and de-duplicates its workers' warnings); the C leg runs the
+    trace natively and warns nothing.  Either way the rows equal the
+    reference engine's."""
+    if provider == "cext" and compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+    path, _ = _wide_pc_trace(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    env[compiled.PROVIDER_ENV] = provider
+
+    def sweep(backend):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--backend", backend,
+             "--workers", "2", "--no-cache", "--tsv", "--branches", "500",
+             "--predictors", "tage-16K", "gshare", "--estimators", "tage", "jrs",
+             "--traces", f"file:{path}"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    fast, reference = sweep("fast"), sweep("reference")
+    assert fast.returncode == 0, fast.stderr
+    warned = [line for line in fast.stderr.splitlines()
+              if "FastBackendFallbackWarning" in line]
+    if provider == "none":
+        assert len(warned) == 1, fast.stderr
+        assert f"cannot run trace 'file:{path}'" in warned[0]
+    else:
+        assert warned == [], fast.stderr
+    rows = [line for line in fast.stdout.splitlines() if "\t" in line]
+    assert rows == [line for line in reference.stdout.splitlines() if "\t" in line]
+    assert len(rows) == 1 + 3

@@ -185,15 +185,24 @@ def test_sweep_units_across_chunks_match_reference(kernel_leg, reference_units):
 ], ids=[*SIZES, *(config.name for config in NON_PRESET_CONFIGS)])
 def test_streamed_rows_equal_whole_trace_planes(kernel_leg, trace, geometry):
     """Either builder's chunks — the C one's from a history carried
-    across them, NumPy's over look-back windows — equal the whole-trace
+    across them, as flat int64 memoryview blocks; NumPy's over look-back
+    windows, as C-contiguous int64 ndarrays — equal the whole-trace
     planes row for row."""
     arrays = TraceArrays.from_trace(trace)
-    chunks = list(tage._plane_chunks(arrays, geometry))
-    assert [start for start, _ in chunks] == list(range(0, BRANCHES, SMALL_CHUNK))
-    for _, rows in chunks:
-        assert rows.flags.c_contiguous and rows.dtype == np.int64
+    n_rows = 2 + 2 * len(geometry[1])
+    starts, blocks = [], []
+    # A chunk's rows are valid until the next chunk is requested: copy.
+    for start, rows in tage._plane_chunks(arrays, geometry):
+        if kernel_leg == "cext":
+            assert isinstance(rows, memoryview) and rows.format == "q"
+            rows = np.frombuffer(rows, dtype=np.int64).reshape(n_rows, -1)
+        else:
+            assert rows.flags.c_contiguous and rows.dtype == np.int64
+        starts.append(start)
+        blocks.append(rows.copy())
+    assert starts == list(range(0, BRANCHES, SMALL_CHUNK))
     np.testing.assert_array_equal(
-        np.concatenate([rows for _, rows in chunks], axis=1),
+        np.concatenate(blocks, axis=1),
         compute_planes(arrays, geometry).data[1:],
     )
 

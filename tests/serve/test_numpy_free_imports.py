@@ -6,14 +6,20 @@ tenants on the TAGE kernel through the numpy-free
 (``ctypes`` over :class:`array.array` blocks for the C build, plain
 lists for the pure kernels); loading numpy there would add ~12 MB of
 resident memory and tens of milliseconds of start-up to every server
-for nothing.  The rest of the fast backend imports numpy lazily, only
-when an offline kernel actually runs, and so do :mod:`repro.traces`'
-readers.  A fresh interpreter is the only honest check: this test
-process has long since imported numpy through other tests.
+for nothing.  Offline, the fast backend's C leg — TAGE and the
+bimodal/gshare/JRS family with the C build — runs from the traces'
+packed columns without numpy too, so a whole ``repro paper --quick``
+loads it in no process; only a NumPy-leg cell (local, perceptron,
+O-GEHL, or any cell without a C compiler) imports it, and on an install
+without numpy that cell falls back with one typed warning.  A fresh
+interpreter is the only honest check: this test process has long since
+imported numpy through other tests.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -106,3 +112,105 @@ def test_reference_step_paths_run_without_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert _fresh_interpreter(code) == "False"
+
+
+# -- whole runs with NumPy blocked -----------------------------------------
+
+#: Makes ``import numpy`` raise ImportError in this process and in every
+#: worker it forks, as on an install without NumPy.
+_BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+_SWEEP_GRID = [
+    "sweep", "--backend", "fast", "--workers", "2", "--no-cache", "--tsv",
+    "--predictors", "tage-16K", "tage-64K", "bimodal", "gshare",
+    "--estimators", "tage", "jrs", "ejrs",
+    "--traces", "INT-1", "zoo.markov", "--branches", "2000",
+]
+
+
+def _cli(argv: list[str], block_numpy: bool, **env: str | None):
+    """Run ``repro.cli.main(argv)`` in a fresh interpreter; returns the
+    completed process (stdout, stderr, returncode)."""
+    code = (
+        (_BLOCK_NUMPY if block_numpy else "import sys\n")
+        + "import warnings\nwarnings.simplefilter('default')\n"
+        + "from repro.cli import main\n"
+        + f"code = main({argv!r})\n"
+        + "sys.stdout.flush()\n"
+        + "sys.exit(code)\n"
+    )
+    full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([full_env["PYTHONPATH"]] if full_env.get("PYTHONPATH") else [])
+    )
+    for name, value in env.items():
+        if value is None:
+            full_env.pop(name, None)
+        else:
+            full_env[name] = value
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=full_env, timeout=300)
+
+
+def _require_cext():
+    from repro.sim.fast import compiled
+
+    if compiled.active_provider() != "cext":
+        pytest.skip(f"C kernel build unavailable "
+                    f"({compiled.provider_unavailable_reason()})")
+
+
+def _rows(stdout: str) -> list[str]:
+    return [line for line in stdout.splitlines() if "\t" in line]
+
+
+def test_compiled_sweep_runs_without_numpy():
+    """TAGE and the bimodal/gshare/JRS family run on the C leg: with
+    NumPy blocked in the parent and both pooled workers, a fast sweep
+    over a CBP and a zoo trace exits 0, warns nothing, and prints the
+    rows of the same grid run with NumPy allowed."""
+    _require_cext()
+    blocked = _cli(_SWEEP_GRID, block_numpy=True, REPRO_COMPILED_PROVIDER="cext")
+    assert blocked.returncode == 0, blocked.stderr
+    assert "Warning" not in blocked.stderr and "fallback" not in blocked.stdout
+    allowed = _cli(_SWEEP_GRID, block_numpy=False, REPRO_COMPILED_PROVIDER="cext")
+    assert allowed.returncode == 0, allowed.stderr
+    assert _rows(blocked.stdout) == _rows(allowed.stdout)
+    assert len(_rows(blocked.stdout)) == 1 + 2 * (2 * 3 + 2 * 2)
+
+
+def test_compiled_paper_run_loads_no_numpy(tmp_path):
+    """``repro paper --quick`` is TAGE and gshare×JRS cells only: with
+    NumPy blocked it runs on the C leg in every process and writes the
+    pinned reports byte for byte."""
+    _require_cext()
+    expected = json.loads(
+        (SRC.parent / "perfbench" / "expected.json").read_text()
+    )["paper-cold"]["digests"]
+    run = _cli(["paper", "--quick", "--backend", "fast", "--workers", "2",
+                "--no-cache", "--out", str(tmp_path)],
+               block_numpy=True, REPRO_COMPILED_PROVIDER="cext")
+    assert run.returncode == 0, run.stderr
+    assert "Warning" not in run.stderr
+    for name, digest in expected.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("predictor,estimator", [
+    ("perceptron", "self"), ("ogehl", "jrs"), ("local", "jrs"),
+])
+def test_numpy_leg_cells_fall_back_without_numpy(predictor, estimator):
+    """A cell whose leg needs NumPy falls back to the reference engine
+    with one typed warning naming NumPy, and still gives the reference
+    rows."""
+    grid = ["sweep", "--backend", "fast", "--workers", "1", "--no-cache",
+            "--tsv", "--predictors", predictor, "--estimators", estimator,
+            "--traces", "INT-1", "FP-1", "--branches", "1000"]
+    blocked = _cli(grid, block_numpy=True)
+    assert blocked.returncode == 0, blocked.stderr
+    warned = [line for line in blocked.stderr.splitlines()
+              if "FastBackendFallbackWarning" in line]
+    assert len(warned) == 1, blocked.stderr
+    assert "NumPy is unavailable" in warned[0]
+    reference = _cli([*grid[:2], "reference", *grid[3:]], block_numpy=True)
+    assert _rows(blocked.stdout) == _rows(reference.stdout)

@@ -5,13 +5,20 @@ the compiler flags into ``$REPRO_COMPILED_CACHE`` and loaded through
 ctypes; later resolutions
 load the cached library without a compiler, and a box with neither a
 compiler nor a cached library runs the pure kernels — silently unless
-``REPRO_COMPILED_PROVIDER=cext`` required the C build.
+``REPRO_COMPILED_PROVIDER=cext`` required the C build.  A cached
+library loads only when its bytes match its SHA-256 sidecar: a
+damaged one is quarantined and rebuilt, or reported as a typed
+unavailability when no compiler can rebuild it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +66,10 @@ def test_cache_env_picks_library_directory(kernel_cache):
     _require_compiler()
     assert compiled.active_provider() == "cext"
     libraries = sorted(path.name for path in kernel_cache.iterdir())
-    assert libraries == [f"repro_kernels_{_digest()}.so"]
+    library = f"repro_kernels_{_digest()}.so"
+    assert libraries == [library, f"{library}.sha256"]
+    sidecar = (kernel_cache / f"{library}.sha256").read_text().strip()
+    assert sidecar == hashlib.sha256((kernel_cache / library).read_bytes()).hexdigest()
 
 
 def test_second_resolution_loads_cached_library_without_compiler(
@@ -116,3 +126,72 @@ def test_pinned_none_never_builds(kernel_cache, monkeypatch):
     monkeypatch.setattr(compiled.subprocess, "run", no_compile)
     assert compiled.active_provider() is None
     assert not kernel_cache.exists()
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+_PROBE = (
+    "from repro.sim.fast import compiled\n"
+    "print(compiled.active_provider())\n"
+    "print(compiled.provider_unavailable_reason())\n"
+)
+
+
+def _run(cache: Path, argv: list[str], no_compiler: bool = False,
+         tmp_path: Path | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the kernel cache ``cache``: a crash there
+    (a bus error loading a damaged library) fails the test, not the run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    env[compiled.CACHE_ENV] = str(cache)
+    env.pop(compiled.PROVIDER_ENV, None)
+    if no_compiler:
+        env.pop("CC", None)
+        empty = tmp_path / "no-compilers"
+        empty.mkdir(exist_ok=True)
+        env["PATH"] = str(empty)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def _damage(library: Path, how: str) -> None:
+    data = bytearray(library.read_bytes())
+    if how == "truncate":
+        library.write_bytes(bytes(data[:4096]))
+    else:
+        data[len(data) // 2] ^= 0x40
+        library.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("how", ["truncate", "bitflip"])
+def test_damaged_cached_library_is_quarantined_and_rebuilt(tmp_path, how):
+    _require_compiler()
+    cache = tmp_path / "kernels"
+    assert _run(cache, ["-c", _PROBE]).stdout.split("\n")[0] == "cext"
+    library = cache / f"repro_kernels_{_digest()}.so"
+    _damage(library, how)
+    probe = _run(cache, ["-c", _PROBE])
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split("\n")[:2] == ["cext", "None"]
+    assert (cache / f"{library.name}.corrupt").exists()
+    sidecar = (cache / f"{library.name}.sha256").read_text().strip()
+    assert hashlib.sha256(library.read_bytes()).hexdigest() == sidecar
+    run = _run(cache, ["-m", "repro", "run-trace", "INT-1", "--branches",
+                       "1000", "--backend", "fast"])
+    assert run.returncode == 0, run.stderr
+
+
+def test_damaged_cached_library_without_compiler_is_a_typed_refusal(tmp_path):
+    _require_compiler()
+    cache = tmp_path / "kernels"
+    assert _run(cache, ["-c", _PROBE]).stdout.split("\n")[0] == "cext"
+    _damage(cache / f"repro_kernels_{_digest()}.so", "truncate")
+    probe = _run(cache, ["-c", _PROBE], no_compiler=True, tmp_path=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    provider, reason = probe.stdout.split("\n")[:2]
+    assert provider == "None"
+    assert "no C compiler" in reason and "failed its SHA-256 check" in reason
+    run = _run(cache, ["-m", "repro", "run-trace", "INT-1", "--branches",
+                       "1000", "--backend", "fast"],
+               no_compiler=True, tmp_path=tmp_path)
+    assert run.returncode == 0, run.stderr

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.common.bitops import fold_bits
 from repro.common.history import GlobalHistory
-from repro.sim.fast.arrays import TraceArrays, fold_windows, history_windows
+from repro.sim.fast.arrays import TraceArrays
+from repro.sim.fast.windows import fold_windows, history_windows
 from repro.sim.fast.scan import (
     CounterTable,
     apply_transform,

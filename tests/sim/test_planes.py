@@ -31,8 +31,8 @@ from repro.predictors.ogehl import OgehlPredictor
 from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.backends import FastBackendUnsupported
-from repro.sim.fast.arrays import (
-    TraceArrays,
+from repro.sim.fast.arrays import TraceArrays
+from repro.sim.fast.windows import (
     fold_windows,
     folded_history_series,
     history_windows,

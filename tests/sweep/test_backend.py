@@ -218,7 +218,7 @@ class TestInMemoryPlanes:
     def test_units_compute_planes_once_per_trace_geometry(self, provider,
                                                           monkeypatch):
         pytest.importorskip("numpy")
-        from repro.sim.fast import compiled, tage
+        from repro.sim.fast import compiled, planes, tage
 
         monkeypatch.setenv(compiled.PROVIDER_ENV, provider)
         if provider == "cext" and compiled.active_provider() != "cext":
@@ -230,7 +230,7 @@ class TestInMemoryPlanes:
         streaming = []
         built = {"numpy": [], "c": []}
         plane_chunks = tage._plane_chunks
-        compute_planes = tage.compute_planes
+        compute_planes = planes.compute_planes
         resolve_builder = compiled.resolve_tage_planes_kernel
 
         def tracking(arrays, *args):
@@ -252,7 +252,7 @@ class TestInMemoryPlanes:
             return counted
 
         monkeypatch.setattr(tage, "_plane_chunks", tracking)
-        monkeypatch.setattr(tage, "compute_planes", counting)
+        monkeypatch.setattr(planes, "compute_planes", counting)
         monkeypatch.setattr(compiled, "resolve_tage_planes_kernel", counting_builder)
         monkeypatch.setattr(tage, "PLANE_CHUNK", 400)
         fused = run_sweep(self._tage_spec(), workers=1)
