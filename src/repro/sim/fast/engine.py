@@ -69,21 +69,9 @@ __all__ = [
     "simulate_fast",
     "simulate_binary_fast",
     "observe_tage_fast",
-    "vectorized_predictions",
-    "vectorized_assessments",
     "prediction_stream_key",
     "cell_capability",
 ]
-
-_NUMPY_LEG = frozenset({"vectorized_predictions", "vectorized_assessments"})
-
-
-def __getattr__(name: str):
-    if name in _NUMPY_LEG:
-        from repro.sim.fast import vectorized
-
-        return getattr(vectorized, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _result(trace, predictor, mispredictions: int) -> SimulationResult:

@@ -30,7 +30,7 @@ np = pytest.importorskip("numpy")
 from repro.sim.fast import arrays as fast_arrays
 from repro.sim.fast import compiled
 from repro.sim.fast.arrays import TraceArrays
-from repro.sim.fast.engine import vectorized_predictions
+from repro.sim.fast.vectorized import vectorized_predictions
 from repro.sim.cells import build_cell
 from repro.sim.runner import get_trace
 from repro.sweep.executor import (
