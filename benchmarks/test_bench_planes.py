@@ -29,7 +29,8 @@ from repro.predictors.ogehl import OgehlPredictor
 from repro.predictors.tage.config import TageConfig
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.gehl import _ogehl_index_planes
-from repro.sim.fast.planes import compute_planes, plane_geometry
+from repro.sim.fast.planes import compute_planes
+from repro.sim.fast.tage_core import plane_geometry
 from repro.traces.suites import CBP1_TRACE_NAMES, cbp1_trace
 from tests.sim.test_planes import per_age_compute_planes, per_age_ogehl_index_planes
 

@@ -26,9 +26,9 @@ request.
 
 This module is dependency-free on purpose: the sweep spec layer and the
 CLI import the backend names and validators from here.  NumPy is
-needed only by the fast backend's NumPy leg (local, perceptron, O-GEHL,
-and every cell without a C compiler); TAGE and the
-bimodal/gshare/JRS family run on the C kernels without it
+needed only by the fast backend's NumPy leg (perceptron, O-GEHL, and
+every cell without a C compiler); TAGE and the
+bimodal/gshare/local/JRS family run on the C kernels without it
 (:mod:`repro.sim.fast.capability`).
 """
 
@@ -200,7 +200,7 @@ def load_fast_engine():
     This loads no NumPy: each cell's leg decides that.
     :meth:`Backend.capability` refuses a cell whose leg needs NumPy on
     an install without it (reason ``NumPy is unavailable``), and the C
-    leg — TAGE and the bimodal/gshare/JRS family with the C build —
+    leg — TAGE and the bimodal/gshare/local/JRS family with the C build —
     never imports it.
 
     Raises:

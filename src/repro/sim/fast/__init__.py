@@ -9,13 +9,13 @@ with their storage-free self-confidence estimators.
 
 Every cell runs on one of two legs (:mod:`~repro.sim.fast.capability`):
 
-* the **C leg** — TAGE, and bimodal/gshare with or without a
+* the **C leg** — TAGE, and bimodal/gshare/local with or without a
   JRS/eJRS table, when the C build resolves.  These read a trace's
   packed columns and run entirely in the compiled kernels; no process
   on this leg imports NumPy;
-* the **NumPy leg** — local, perceptron and O-GEHL (whose index
-  preparation is vectorized), and every cell when no C compiler is
-  present.  NumPy is imported only where this leg runs.
+* the **NumPy leg** — perceptron and O-GEHL (whose index preparation
+  is vectorized), and every cell when no C compiler is present.  NumPy
+  is imported only where this leg runs.
 
 The layers:
 
@@ -26,8 +26,8 @@ The layers:
   the support predicate behind the backend's capability query, the
   leg choice and the stream keys;
 * :mod:`repro.sim.fast.compiled` — the embedded-C build of the TAGE
-  kernel and plane builder, the counter walk, the O-GEHL, perceptron
-  and counter-scan kernels and trace synthesis, used whenever a C
+  kernel and plane builder, the counter walk, the O-GEHL and
+  perceptron kernels and trace synthesis, used whenever a C
   compiler is present (``REPRO_COMPILED_PROVIDER`` pins ``cext`` or
   ``none``);
 * :mod:`repro.sim.fast.tage_core` — the NumPy-free TAGE core: the pure
@@ -36,7 +36,7 @@ The layers:
   on;
 * :mod:`repro.sim.fast.counter_core` — the NumPy-free counter family:
   the parameter row and caller-owned state block of the C counter walk
-  (bimodal/gshare predictions, JRS/eJRS assessments);
+  (bimodal/gshare/local predictions, JRS/eJRS assessments);
 * :mod:`repro.sim.fast.tage` — whole-trace TAGE runs on that kernel,
   streaming the planes in chunks (with per-branch observation streams
   for the apps layer);

@@ -9,10 +9,10 @@ Each supported cell runs on one of two legs:
 * **C leg** — the C provider of :mod:`repro.sim.fast.compiled`
   resolves and the cell's whole path is compiled: TAGE (with the §5
   estimator and the §6.2 controller, or feeding a JRS/eJRS table), and
-  bimodal/gshare with or without a JRS/eJRS table.  These read the
-  trace's packed columns directly and never import NumPy;
-* **NumPy leg** — everything else: no C build, or a local, perceptron
-  or O-GEHL predictor, whose index preparation is NumPy.
+  bimodal/gshare/local with or without a JRS/eJRS table.  These read
+  the trace's packed columns directly and never import NumPy;
+* **NumPy leg** — everything else: no C build, or a perceptron or
+  O-GEHL predictor, whose index preparation is NumPy.
 
 :func:`cell_capability` is the single support predicate; on an install
 without NumPy it refuses exactly the cells whose leg needs NumPy, with
@@ -64,7 +64,7 @@ MAX_PERCEPTRON_WEIGHT_BITS = 56
 SUM_PREDICTORS = (PerceptronPredictor, OgehlPredictor)
 
 #: The counter predictors the C counter walk runs itself.
-WALK_PREDICTORS = (BimodalPredictor, GsharePredictor)
+WALK_PREDICTORS = (BimodalPredictor, GsharePredictor, LocalHistoryPredictor)
 
 #: The configuration each non-TAGE fast kernel reads off its predictor:
 #: everything that predictor's stream depends on besides the trace.
@@ -259,8 +259,8 @@ def cell_capability(cell) -> Capability:
             cell.predictor, estimator=cell.estimator, controller=cell.controller
         )
     # Every supported cell's sequential stage has a C build (TAGE,
-    # O-GEHL, perceptron, the counter walk behind bimodal/gshare/JRS and
-    # the counter scan behind local), so the provider alone decides.
+    # O-GEHL, perceptron and the counter walk behind
+    # bimodal/gshare/local/JRS), so the provider alone decides.
     provider = compiled.active_provider()
     if reason is None and needs_numpy(cell, provider):
         reason = _numpy_reason()

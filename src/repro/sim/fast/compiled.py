@@ -1,11 +1,14 @@
 """Compiled C builds of the fast-backend inner loops.
 
 The fast backend's remaining per-branch cost is five genuinely
-sequential kernels: the TAGE loop and the TAGE batch plane builder
-(:mod:`repro.sim.fast.tage_core`), the O-GEHL and perceptron loops in
-:mod:`repro.sim.fast.gehl` and the clamp-add counter-table walk in
-:mod:`repro.sim.fast.scan` (bimodal, gshare, local and JRS/eJRS).  A
-sixth twin is trace synthesis: one-shot
+sequential kernels.  Four have twins: the TAGE loop and the TAGE batch
+plane builder (:mod:`repro.sim.fast.tage_core`) and the O-GEHL and
+perceptron loops in :mod:`repro.sim.fast.gehl`.  The fifth, the counter
+walk of :mod:`repro.sim.fast.counter_core` (bimodal, gshare, local and
+JRS/eJRS), has none: without the C build the NumPy leg's clamp-add
+scans (:mod:`repro.sim.fast.scan`) compute the same counters another
+way, and they and the reference engine are its differential oracles.
+Trace synthesis is the fifth twin: one-shot
 ``SyntheticWorkload(spec).generate(n)`` of :mod:`repro.traces.workload`
 (static branches, routines, every kernel built eagerly, the routine
 walk), which :func:`repro.traces.workload.synthesize` runs for every
@@ -15,9 +18,8 @@ workload objects, the zoo sources and ``zoo.phase``'s resumed segments
 stay pure.  Each exists in exactly two translations:
 
 * **pure** — the Python/NumPy kernels in those modules (list-based
-  loops for TAGE and O-GEHL, the lockstep perceptron, the segmented
-  prefix scan): the reference, and the fallback when no C compiler is
-  present;
+  loops for TAGE and O-GEHL, the lockstep perceptron): the reference,
+  and the fallback when no C compiler is present;
 * **c** — the embedded C mirror below, compiled once per source digest
   with the system C compiler into a cached shared library
   (``REPRO_COMPILED_CACHE`` overrides the cache directory) and called
@@ -57,11 +59,10 @@ parity markers — ``repro: parity-begin <group>/<side>
 fingerprint=<8 hex>`` / ``repro: parity-end <group>/<side>`` — around
 the translated region (as ``/* */`` comments inside the C source; the
 pure sides use ``#`` comments, and markers are matched on raw lines,
-so both work).  Six groups live here, each with its ``c`` side below:
+so both work).  Five groups live here, each with its ``c`` side below:
 ``tage-batch`` and ``tage-planes`` (side ``pure`` in
 :mod:`repro.sim.fast.tage_core`), ``ogehl-run`` and ``perceptron-run``
-(``pure`` in :mod:`repro.sim.fast.gehl`), ``counter-scan``
-(``pure`` in :mod:`repro.sim.fast.scan`) and ``trace-synth`` (``pure``
+(``pure`` in :mod:`repro.sim.fast.gehl`) and ``trace-synth`` (``pure``
 in :mod:`repro.traces.workload`, ``pure-kernels`` in
 :mod:`repro.traces.kernels`).  Every side records the same
 group-wide fingerprint (a CRC-32 of all sides' whitespace-normalized
@@ -100,7 +101,6 @@ __all__ = [
     "provider_unavailable_reason",
     "resolve_tage_kernel",
     "resolve_ogehl_kernel",
-    "resolve_counter_scan_kernel",
     "resolve_counter_walk_kernel",
     "resolve_perceptron_kernel",
     "warn_missing_compiled",
@@ -195,20 +195,23 @@ HS_FOLDS = 2
 # The counter walk's parameter row (`counter_core.walk_params`) and its
 # caller-owned state block (`counter_core.walk_power_on`): a carried
 # global-history register, the branch tick and the accumulated counts,
-# then the predictor's counter table (absent when the predictions are
-# given) and the JRS table (absent without one).
-CP_KIND = 0            # 0: predictions given, 1: bimodal, 2: gshare
-CP_LOG_ENTRIES = 1     # log2 predictor table entries
-CP_HISTORY = 2         # gshare history length
+# then a local predictor's level-1 history table (absent for the other
+# kinds), the predictor's counter table (absent when the predictions
+# are given) and the JRS table (absent without one).
+CP_KIND = 0            # 0: predictions given, 1: bimodal, 2: gshare,
+                       # 3: local (shared PHT), 4: local (private PHT)
+CP_LOG_ENTRIES = 1     # log2 predictor table (local: PHT) entries
+CP_HISTORY = 2         # gshare global / local per-branch history length
 CP_COUNTER_MAX = 3     # predictor counter ceiling
 CP_WEAK_NOT_TAKEN = 4  # predict taken above this counter value
-CP_JRS_LOG = 5         # log2 JRS table entries; 0 = no JRS table
-CP_JRS_HISTORY = 6     # JRS history length
-CP_JRS_MAX = 7         # JRS counter ceiling
-CP_JRS_THRESHOLD = 8   # JRS high-confidence threshold
-CP_JRS_WITH_PREDICTION = 9  # eJRS: the prediction bit joins the index
-CP_WARMUP = 10         # branches (by tick) excluded from the confusion
-N_CPARAMS = 11
+CP_LOG_HISTORIES = 5   # log2 level-1 history entries; 0 = not local
+CP_JRS_LOG = 6         # log2 JRS table entries; 0 = no JRS table
+CP_JRS_HISTORY = 7     # JRS history length
+CP_JRS_MAX = 8         # JRS counter ceiling
+CP_JRS_THRESHOLD = 9   # JRS high-confidence threshold
+CP_JRS_WITH_PREDICTION = 10  # eJRS: the prediction bit joins the index
+CP_WARMUP = 11         # branches (by tick) excluded from the confusion
+N_CPARAMS = 12
 
 CS_HISTORY = 0         # global outcome history, newest outcome in bit 0
 CS_TICK = 1            # branches walked so far
@@ -243,6 +246,8 @@ def history_words(gparams) -> int:
 def walk_words(cparams) -> int:
     """int64 words in the ``CS_*`` state block of a ``cparams`` row."""
     words = CS_TABLES
+    if cparams[CP_LOG_HISTORIES]:
+        words += 1 << cparams[CP_LOG_HISTORIES]
     if cparams[CP_KIND]:
         words += 1 << cparams[CP_LOG_ENTRIES]
     if cparams[CP_JRS_LOG]:
@@ -250,9 +255,28 @@ def walk_words(cparams) -> int:
     return words
 
 
+def int64_block(words: int, start: int = 0, stop: int = 0,
+                value: int = 0) -> array:
+    """A zeroed int64 block of ``words`` words with ``[start, stop)``
+    set to ``value``, built in one allocation: the range is one store,
+    then doubling copies within the block, and no temporary is copied
+    in."""
+    block = array("q", [0]) * words
+    if start < stop:
+        block[start] = value
+        with memoryview(block) as view:
+            filled = 1
+            while filled < stop - start:
+                step = min(filled, stop - start - filled)
+                view[start + filled:start + filled + step] = view[start:start + step]
+                filled += step
+    return block
+
+
 # ---------------------------------------------------------------------------
 # C mirrors of the pure kernels (statement for statement for TAGE and
-# O-GEHL; the sequential loops the NumPy perceptron and scan vectorize).
+# O-GEHL; the sequential loop the NumPy perceptron vectorizes), and the
+# counter walk, which has no pure twin.
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = r"""
@@ -725,36 +749,13 @@ int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
 }
 /* repro: parity-end ogehl-run/c */
 
-/* repro: parity-begin counter-scan/c fingerprint=dfb406c1 */
-int counter_scan(int64_t n, int64_t n_entries, int64_t *state,
-                 const int64_t *indices, const int64_t *b,
-                 const int64_t *lo, const int64_t *hi, int64_t *out)
-{
-    for (int64_t t = 0; t < n; t++) {
-        if (indices[t] < 0 || indices[t] >= n_entries)
-            return 2;
-    }
-    for (int64_t t = 0; t < n; t++) {
-        int64_t index = indices[t];
-        int64_t s = state[index];
-        out[t] = s;
-        s += b[t];
-        if (s < lo[t])
-            s = lo[t];
-        if (s > hi[t])
-            s = hi[t];
-        state[index] = s;
-    }
-    return 0;
-}
-/* repro: parity-end counter-scan/c */
-
-/* One bimodal/gshare predictor and/or one JRS/eJRS table over a batch,
- * from a caller-owned state block (the CS_* slots, then the tables).
- * Both index hashes read one carried global-history register, so a
- * trace walked in any number of batches gives the same bytes.  With
- * kind 0 the predictions are given (a published TAGE stream, or a
- * NumPy-leg predictor's) and only the JRS table runs.  The per-branch
+/* One bimodal/gshare/local predictor and/or one JRS/eJRS table over a
+ * batch, from a caller-owned state block (the CS_* slots, then the
+ * tables).  The gshare and JRS hashes read one carried global-history
+ * register and a local predictor its carried level-1 table, so a trace
+ * walked in any number of batches gives the same bytes.  With kind 0
+ * the predictions are given (a published TAGE stream, or a NumPy-leg
+ * predictor's) and only the JRS table runs.  The per-branch
  * predictions/high flags are written when their outputs are non-NULL. */
 static inline uint64_t fold_window(uint64_t window, int64_t width)
 {
@@ -772,14 +773,18 @@ int counter_walk(int64_t n, const int64_t *cp, int64_t *state,
 {
     int64_t kind = cp[0], log_entries = cp[1], history_length = cp[2];
     int64_t counter_max = cp[3], weak_not_taken = cp[4];
-    int64_t jrs_log = cp[5], jrs_history = cp[6];
-    int64_t jrs_max = cp[7], threshold = cp[8], with_prediction = cp[9];
-    int64_t warmup = cp[10];
+    int64_t log_histories = cp[5];
+    int64_t jrs_log = cp[6], jrs_history = cp[7];
+    int64_t jrs_max = cp[8], threshold = cp[9], with_prediction = cp[10];
+    int64_t warmup = cp[11];
     uint64_t history = (uint64_t)state[0];
     int64_t tick = state[1];
     int64_t *counts = state + 2;
-    int64_t *table = state + 7;
+    int64_t *locals = state + 7;
+    int64_t *table = log_histories ? locals + ((int64_t)1 << log_histories)
+                                   : locals;
     int64_t *jrs = kind ? table + ((int64_t)1 << log_entries) : table;
+    uint64_t locals_mask = ((uint64_t)1 << log_histories) - 1;
     uint64_t index_mask = ((uint64_t)1 << log_entries) - 1;
     uint64_t history_mask = ((uint64_t)1 << history_length) - 1;
     uint64_t jrs_mask = ((uint64_t)1 << jrs_log) - 1;
@@ -790,9 +795,16 @@ int counter_walk(int64_t n, const int64_t *cp, int64_t *state,
         int64_t taken = takens[t] != 0;
         int64_t prediction;
         if (kind) {
+            int64_t *local = NULL;
             uint64_t index = pc_part;
-            if (kind == 2)
+            if (kind == 2) {
                 index ^= fold_window(history & history_mask, log_entries);
+            } else if (kind >= 3) {
+                local = locals + (pc_part & locals_mask);
+                index = (uint64_t)*local;
+                if (kind == 4)
+                    index ^= pc_part << 2;
+            }
             index &= index_mask;
             int64_t c = table[index];
             prediction = c > weak_not_taken;
@@ -802,6 +814,9 @@ int counter_walk(int64_t n, const int64_t *cp, int64_t *state,
             } else if (c > 0) {
                 table[index] = c - 1;
             }
+            if (local)
+                *local = (int64_t)((((uint64_t)*local << 1) | (uint64_t)taken)
+                                   & history_mask);
         } else {
             prediction = given[t] != 0;
         }
@@ -1414,10 +1429,6 @@ def _load_cext() -> bool:
     library.ogehl_run.argtypes = [
         i64, i64, i64, p_i64, p_i64, i64, i64, p_u8, p_u8,
     ]
-    library.counter_scan.restype = ctypes.c_int
-    library.counter_scan.argtypes = [
-        i64, i64, p_i64, p_i64, p_i64, p_i64, p_i64, p_i64,
-    ]
     library.counter_walk.restype = ctypes.c_int
     library.counter_walk.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     library.perceptron_run.restype = ctypes.c_int
@@ -1478,15 +1489,6 @@ def _load_cext() -> bool:
             raise MemoryError("compiled O-GEHL kernel ran out of memory")
         return 0
 
-    def cext_counter_scan(state, indices, b, lo, hi, out):
-        status = library.counter_scan(
-            indices.shape[0], state.shape[0], as_i64(state),
-            as_i64(indices), as_i64(b), as_i64(lo), as_i64(hi), as_i64(out),
-        )
-        if status != 0:
-            raise IndexError("counter table index out of range")
-        return 0
-
     def cext_counter_walk(n, cparams, state, pcs, takens, given,
                           predictions, high):
         _require(cparams, 8 * N_CPARAMS, "cparams")
@@ -1532,7 +1534,7 @@ def _load_cext() -> bool:
         try:
             cdf = array("d", routine_cdf(n_routines.value))
             _require(cdf, 8 * n_routines.value, "routine cdf")
-            pcs, insts = array("Q", bytes(8 * n)), array("q", bytes(8 * n))
+            pcs, insts = array("Q", [0]) * n, int64_block(n)
             takens = bytearray(n)
             library.synth_walk(workload, _address(cdf), n, _address(pcs),
                                _address(takens), _address(insts))
@@ -1543,7 +1545,6 @@ def _load_cext() -> bool:
     _KERNELS.update({"tage": cext_tage, "tage_planes": cext_tage_planes,
                      "trace_synth": cext_trace_synth,
                      "ogehl": cext_ogehl,
-                     "counter_scan": cext_counter_scan,
                      "counter_walk": cext_counter_walk,
                      "perceptron": cext_perceptron})
     return True
@@ -1674,19 +1675,6 @@ def resolve_ogehl_kernel():
     ``predictions``/``high`` uint8[n] outputs.
     """
     return _resolve("ogehl")
-
-
-def resolve_counter_scan_kernel():
-    """The C clamp-add counter scan, or None to run the NumPy scan.
-
-    Signature: ``(state, indices, b, lo, hi, out)``, all C-contiguous
-    int64: ``state`` int64[n_entries] is advanced in place past the
-    whole chunk; ``indices``/``b``/``lo``/``hi`` are int64[n] and
-    ``out`` (output) int64[n] receives the state each access read.
-    Raises IndexError (before touching ``state``) for an index outside
-    the table.
-    """
-    return _resolve("counter_scan")
 
 
 def resolve_counter_walk_kernel():

@@ -4,11 +4,11 @@
 bit-for-bit equivalents of :func:`repro.sim.engine.simulate` and
 :func:`repro.sim.engine.simulate_binary` for the whole model zoo:
 
-* predictors — :class:`~repro.predictors.bimodal.BimodalPredictor` and
-  :class:`~repro.predictors.gshare.GsharePredictor` (the C counter walk
-  of :mod:`repro.sim.fast.counter_core`, or vectorized counter scans),
-  :class:`~repro.predictors.local.LocalHistoryPredictor` (vectorized
-  counter scans), :class:`~repro.predictors.tage.TagePredictor`
+* predictors — :class:`~repro.predictors.bimodal.BimodalPredictor`,
+  :class:`~repro.predictors.gshare.GsharePredictor` and
+  :class:`~repro.predictors.local.LocalHistoryPredictor` (the C counter
+  walk of :mod:`repro.sim.fast.counter_core`, or vectorized counter
+  scans), :class:`~repro.predictors.tage.TagePredictor`
   (index/tag planes feeding the lean sequential kernel in
   :mod:`repro.sim.fast.tage`) and the sum-based
   :class:`~repro.predictors.perceptron.PerceptronPredictor` /
@@ -26,9 +26,9 @@ bit-for-bit equivalents of :func:`repro.sim.engine.simulate` and
   decision/LFSR stream.
 
 Each cell runs on one leg (:mod:`repro.sim.fast.capability`).  On the C
-leg — TAGE and the bimodal/gshare/JRS family with the C build — this
-module hands the trace's packed columns to the compiled kernels and
-never imports NumPy; the NumPy leg (:mod:`repro.sim.fast.vectorized`)
+leg — TAGE and the bimodal/gshare/local/JRS family with the C build —
+this module hands the trace's packed columns to the compiled kernels
+and never imports NumPy; the NumPy leg (:mod:`repro.sim.fast.vectorized`)
 is imported only for a cell that runs on it.  Exact-type subclass
 checks and >62-bit history windows are the only exclusions; those raise
 :class:`FastBackendUnsupported` and the dispatching wrappers in
@@ -50,28 +50,17 @@ from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.engine import SimulationResult
 from repro.sim.fast import compiled
-from repro.sim.fast.arrays import DEFAULT_CHUNK_SIZE, TraceArrays
+from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.capability import (
     WALK_PREDICTORS,
     binary_unsupported_reason,
-    cell_capability,
     prediction_stream_key,
     unsupported_reason,
 )
 from repro.sim.fast.counter_core import walk
-from repro.sim.fast.tage import (
-    observe_tage_fast,
-    simulate_tage_fast,
-    tage_fast_predictions,
-)
+from repro.sim.fast.tage import simulate_tage_fast, tage_fast_predictions
 
-__all__ = [
-    "simulate_fast",
-    "simulate_binary_fast",
-    "observe_tage_fast",
-    "prediction_stream_key",
-    "cell_capability",
-]
+__all__ = ["simulate_fast", "simulate_binary_fast"]
 
 
 def _result(trace, predictor, mispredictions: int) -> SimulationResult:
@@ -91,15 +80,14 @@ def simulate_fast(
     estimator=None,
     controller=None,
     warmup_branches: int = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> SimulationResult:
     """Fast-backend equivalent of :func:`repro.sim.engine.simulate`.
 
     TAGE cells — with or without the multi-class observation estimator
     and the §6.2 adaptive controller — run on the plane-fed sequential
-    kernel over planes built chunk by chunk; bimodal/gshare accuracy
-    runs on the C counter walk when the C build resolves; everything
-    else on the NumPy leg.
+    kernel over planes built chunk by chunk; bimodal/gshare/local
+    accuracy runs on the C counter walk when the C build resolves;
+    everything else on the NumPy leg.
 
     Raises:
         FastBackendUnsupported: when the predictor/estimator/controller
@@ -125,7 +113,7 @@ def simulate_fast(
     else:
         from repro.sim.fast import vectorized
 
-        mispredictions = vectorized.mispredictions(predictor, arrays, chunk_size)
+        mispredictions = vectorized.mispredictions(predictor, arrays)
     return _result(trace, predictor, mispredictions)
 
 
@@ -134,15 +122,14 @@ def simulate_binary_fast(
     predictor,
     estimator,
     warmup_branches: int = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[BinaryConfidenceMetrics, SimulationResult]:
     """Fast-backend equivalent of :func:`repro.sim.engine.simulate_binary`.
 
     With the C build a JRS-family table runs on the counter walk: over
-    its own bimodal/gshare predictions, over the TAGE prediction stream
-    the trace's :class:`~repro.sim.fast.arrays.TraceArrays` holds (a
-    lockstep unit publishes it; otherwise it is computed and left there
-    for the next cell), or over a NumPy-leg predictor's stream.
+    its own bimodal/gshare/local predictions, over the TAGE prediction
+    stream the trace's :class:`~repro.sim.fast.arrays.TraceArrays` holds
+    (a lockstep unit publishes it; otherwise it is computed and left
+    there for the next cell), or over a NumPy-leg predictor's stream.
     Self-confidence assessments come straight out of the
     perceptron/O-GEHL kernels, and without the C build every binary cell
     runs on the NumPy leg's vectorized scans.
@@ -162,26 +149,26 @@ def simulate_binary_fast(
         from repro.sim.fast import vectorized
 
         mispredictions, confusion = vectorized.binary_counts(
-            predictor, estimator, arrays, warmup_branches, chunk_size)
+            predictor, estimator, arrays, warmup_branches)
     elif type(predictor) in WALK_PREDICTORS:
         mispredictions, confusion = walk(kernel, arrays, predictor, estimator,
                                          warmup_branches)
     else:
         mispredictions, confusion = walk(
             kernel, arrays, None, estimator, warmup_branches,
-            _prediction_stream(predictor, arrays, chunk_size))
+            _prediction_stream(predictor, arrays))
     return (BinaryConfidenceMetrics(*confusion),
             _result(trace, predictor, mispredictions))
 
 
-def _prediction_stream(predictor, arrays: TraceArrays, chunk_size: int):
+def _prediction_stream(predictor, arrays: TraceArrays):
     """The per-branch predictions a JRS walk is given: the TAGE stream
     on the trace's arrays (published by a lockstep unit, or computed and
-    left there), else the NumPy leg's stream of a local, perceptron or
-    O-GEHL predictor."""
+    left there), else the NumPy leg's stream of a perceptron or O-GEHL
+    predictor."""
     if type(predictor) is TagePredictor:
         return arrays.derived(prediction_stream_key(predictor),
                               lambda: tage_fast_predictions(arrays, predictor))
     from repro.sim.fast import vectorized
 
-    return vectorized.vectorized_predictions(predictor, arrays, chunk_size)
+    return vectorized.vectorized_predictions(predictor, arrays)

@@ -48,7 +48,6 @@ from repro.common.bitops import mask
 from repro.sim.backends import FastBackendUnsupported, default_planes_dir
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.capability import MAX_PATH_HISTORY_BITS
-from repro.sim.fast.tage_core import plane_geometry
 from repro.sim.fast.windows import (
     fold_windows,
     folded_history_series,
@@ -57,9 +56,7 @@ from repro.sim.fast.windows import (
 
 __all__ = [
     "PLANES_VERSION",
-    "MAX_PATH_HISTORY_BITS",
     "TagePlanes",
-    "plane_geometry",
     "compute_planes",
     "PlaneCache",
     "default_planes_dir",

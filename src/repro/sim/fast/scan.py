@@ -1,4 +1,4 @@
-"""Exact vectorized counter-table scans (the fast backend's core).
+"""Exact vectorized counter-table scans (the NumPy leg's counter family).
 
 Every per-branch counter update the fast backend supports is a
 *clamp-add* function
@@ -35,21 +35,17 @@ simulations).
 long traces are processed in bounded-memory chunks with identical
 results for every chunk size.
 
-The scan above is the reference translation and the fallback when no C
-compiler is present.  Whenever the C build resolves,
-:meth:`CounterTable.lookup_scan` runs its twin instead: the plain
-sequential loop in :mod:`repro.sim.fast.compiled` (read the entry, emit
-it, store the clamp-add result), with no sort and no compose sweep.
-The two form the ``counter-scan`` parity group (``repro lint`` rule
-RPR004); ``tests/equivalence/test_compiled_differential.py`` checks
-them against each other and the reference engine.
+The scan runs only on the NumPy leg, when the C build does not
+resolve: with it the counter walk of :mod:`repro.sim.fast.counter_core`
+steps the same counters branch by branch, and
+``tests/equivalence/test_compiled_differential.py`` checks both legs
+against the reference engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.fast import compiled
 from repro.sim.fast.arrays import DEFAULT_CHUNK_SIZE
 
 __all__ = [
@@ -60,7 +56,6 @@ __all__ = [
     "resetting_transforms",
     "CounterTable",
     "scanned_counters",
-    "DEFAULT_CHUNK_SIZE",
 ]
 
 
@@ -176,25 +171,6 @@ class CounterTable:
         n = len(indices)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        kernel = compiled.resolve_counter_scan_kernel()
-        if kernel is not None:
-            if not len(b) == len(lo) == len(hi) == n:
-                raise ValueError(
-                    f"transform lengths {len(b)}/{len(lo)}/{len(hi)} do not "
-                    f"match {n} indices"
-                )
-            out = np.empty(n, dtype=np.int64)
-            kernel(
-                self.state,
-                np.ascontiguousarray(indices, dtype=np.int64),
-                np.ascontiguousarray(b, dtype=np.int64),
-                np.ascontiguousarray(lo, dtype=np.int64),
-                np.ascontiguousarray(hi, dtype=np.int64),
-                out,
-            )
-            return out
-
-        # repro: parity-begin counter-scan/pure fingerprint=dfb406c1
         order = np.argsort(indices, kind="stable")
         seg = indices[order]
         sb, slo, shi = segmented_inclusive_scan(seg, b[order], lo[order], hi[order])
@@ -224,7 +200,6 @@ class CounterTable:
 
         out = np.empty(n, dtype=np.int64)
         out[order] = before
-        # repro: parity-end counter-scan/pure
         return out
 
 

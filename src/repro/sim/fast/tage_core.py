@@ -238,9 +238,9 @@ def power_on(iparams) -> array:
     random sources at their seeds and the saturation probability at
     the packed (live) value.
     """
-    bimodal = 1 << iparams[compiled.IP_LOG_BIMODAL]
-    state = array("q", bytes(8 * (compiled.state_words(iparams) - bimodal)))
-    state.extend(array("q", [2]) * bimodal)
+    words = compiled.state_words(iparams)
+    state = compiled.int64_block(
+        words, words - (1 << iparams[compiled.IP_LOG_BIMODAL]), words, 2)
     est_window = iparams[compiled.IP_EST_WINDOW]
     prob_k = iparams[compiled.IP_PROB_K]
     state[compiled.ST_LFSR] = iparams[compiled.IP_LFSR_SEED]
@@ -555,7 +555,7 @@ def plane_params(geometry: tuple) -> array:
 def history_power_on(gparams) -> array:
     """An empty carried history (``HS_*`` block, int64): zeroed path
     register, folded registers and outcome ring, as at power-on."""
-    return array("q", bytes(8 * compiled.history_words(gparams)))
+    return compiled.int64_block(compiled.history_words(gparams))
 
 
 # repro: parity-begin tage-planes/pure fingerprint=f6163271
@@ -691,7 +691,7 @@ class ResumableTageCell:
         if not isinstance(takens, (bytes, bytearray)):
             takens = bytes(map(bool, takens))
         n_rows = 2 + 2 * self.gparams[compiled.GP_N_TAGGED]
-        rows = array("q", bytes(8 * n_rows * n))
+        rows = compiled.int64_block(n_rows * n)
         build(n, self.gparams, self.history, array("Q", pcs), takens, rows)
         predictions = bytearray(n)
         codes = bytearray(n)

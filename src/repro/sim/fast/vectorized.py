@@ -6,9 +6,9 @@ index columns built from history windows
 (:mod:`repro.sim.fast.windows`); perceptron/O-GEHL predictions and
 self-confidence from the plane-fed kernels of :mod:`repro.sim.fast.gehl`.
 :mod:`repro.sim.fast.engine` imports this module only for a cell on the
-NumPy leg (no C build, or a local, perceptron or O-GEHL predictor);
-the C leg's counter walk (:mod:`repro.sim.fast.counter_core`) needs
-none of it.
+NumPy leg (no C build, or a perceptron or O-GEHL predictor); the C
+leg's counter walk (:mod:`repro.sim.fast.counter_core`) needs none of
+it.
 
 Why this is exact: for every supported component the table *indices
 and input signs* depend only on the branch PC and the resolved outcome
@@ -33,7 +33,7 @@ from repro.predictors.gshare import GsharePredictor
 from repro.predictors.local import LocalHistoryPredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.backends import FastBackendUnsupported
-from repro.sim.fast.arrays import DEFAULT_CHUNK_SIZE, TraceArrays
+from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.capability import (
     SUM_PREDICTORS,
     jrs_reason,
@@ -70,7 +70,7 @@ def as_bool(stream) -> np.ndarray:
 
 
 def _bimodal_predictions(
-    predictor: BimodalPredictor, arrays: TraceArrays, chunk_size: int
+    predictor: BimodalPredictor, arrays: TraceArrays
 ) -> np.ndarray:
     indices = (arrays.pcs >> 2) & mask(predictor.log_entries)
     max_value = (1 << predictor.counter_bits) - 1
@@ -78,26 +78,26 @@ def _bimodal_predictions(
     b, lo, hi = saturating_transforms(arrays.taken_bool, max_value)
     counters = scanned_counters(
         1 << predictor.log_entries, weak_not_taken + 1,
-        indices, b, lo, hi, chunk_size,
+        indices, b, lo, hi,
     )
     return counters > weak_not_taken
 
 
 def _gshare_predictions(
-    predictor: GsharePredictor, arrays: TraceArrays, chunk_size: int
+    predictor: GsharePredictor, arrays: TraceArrays
 ) -> np.ndarray:
     windows = history_windows(arrays.takens, predictor.history_length)
     folded = fold_windows(windows, predictor.history_length, predictor.log_entries)
     indices = ((arrays.pcs >> 2) ^ folded) & mask(predictor.log_entries)
     b, lo, hi = saturating_transforms(arrays.taken_bool, 3)
     counters = scanned_counters(
-        1 << predictor.log_entries, 2, indices, b, lo, hi, chunk_size
+        1 << predictor.log_entries, 2, indices, b, lo, hi
     )
     return counters >= 2
 
 
 def _local_predictions(
-    predictor: LocalHistoryPredictor, arrays: TraceArrays, chunk_size: int
+    predictor: LocalHistoryPredictor, arrays: TraceArrays
 ) -> np.ndarray:
     """Two-level local predictions as two chained vectorized stages.
 
@@ -118,7 +118,7 @@ def _local_predictions(
         pht_indices = (local ^ (pc_part << 2)) & mask(predictor.log_pht)
     b, lo, hi = saturating_transforms(arrays.taken_bool, 3)
     counters = scanned_counters(
-        1 << predictor.log_pht, 2, pht_indices, b, lo, hi, chunk_size
+        1 << predictor.log_pht, 2, pht_indices, b, lo, hi
     )
     return counters >= 2
 
@@ -134,22 +134,18 @@ def _sum_predictor_run(predictor, arrays: TraceArrays) -> tuple[np.ndarray, np.n
                           lambda: kernel(arrays, predictor))
 
 
-def _prediction_pass(predictor, arrays: TraceArrays, chunk_size: int):
+def _prediction_pass(predictor, arrays: TraceArrays):
     """One predictions pass of a counter-scan or TAGE predictor."""
     if type(predictor) is BimodalPredictor:
-        return _bimodal_predictions(predictor, arrays, chunk_size)
+        return _bimodal_predictions(predictor, arrays)
     if type(predictor) is GsharePredictor:
-        return _gshare_predictions(predictor, arrays, chunk_size)
+        return _gshare_predictions(predictor, arrays)
     if type(predictor) is LocalHistoryPredictor:
-        return _local_predictions(predictor, arrays, chunk_size)
+        return _local_predictions(predictor, arrays)
     return tage_fast_predictions(arrays, predictor)
 
 
-def vectorized_predictions(
-    predictor,
-    arrays: TraceArrays,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> np.ndarray:
+def vectorized_predictions(predictor, arrays: TraceArrays) -> np.ndarray:
     """Per-branch predictions (bool ndarray) of a supported predictor
     over a whole trace.
 
@@ -174,7 +170,7 @@ def vectorized_predictions(
         return predictions
     return as_bool(arrays.derived(
         prediction_stream_key(predictor),
-        lambda: _prediction_pass(predictor, arrays, chunk_size),
+        lambda: _prediction_pass(predictor, arrays),
     ))
 
 
@@ -196,7 +192,6 @@ def vectorized_assessments(
     estimator,
     arrays: TraceArrays,
     predictions: np.ndarray,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
     """Per-branch high-confidence assessments of a JRS-family estimator.
 
@@ -232,19 +227,19 @@ def vectorized_assessments(
     max_value = (1 << estimator.counter_bits) - 1
     b, lo, hi = resetting_transforms(correct, max_value)
     counters = scanned_counters(
-        1 << estimator.log_entries, 0, indices, b, lo, hi, chunk_size
+        1 << estimator.log_entries, 0, indices, b, lo, hi
     )
     return counters >= estimator.threshold
 
 
-def mispredictions(predictor, arrays: TraceArrays, chunk_size: int) -> int:
+def mispredictions(predictor, arrays: TraceArrays) -> int:
     """Mispredicted branches of a non-TAGE predictor over the trace."""
-    predictions = vectorized_predictions(predictor, arrays, chunk_size)
+    predictions = vectorized_predictions(predictor, arrays)
     return int(np.count_nonzero(predictions != arrays.taken_bool))
 
 
-def binary_counts(predictor, estimator, arrays: TraceArrays, warmup: int,
-                  chunk_size: int) -> tuple[int, tuple[int, int, int, int]]:
+def binary_counts(predictor, estimator, arrays: TraceArrays,
+                  warmup: int) -> tuple[int, tuple[int, int, int, int]]:
     """``(mispredictions, (high_correct, high_incorrect, low_correct,
     low_incorrect))`` of a binary cell, the confusion from branch
     ``warmup`` on — the counts :func:`repro.sim.fast.counter_core.walk`
@@ -252,8 +247,8 @@ def binary_counts(predictor, estimator, arrays: TraceArrays, warmup: int,
     if type(estimator) is SelfConfidenceEstimator:
         predictions, high = _sum_predictor_run(predictor, arrays)
     else:
-        predictions = vectorized_predictions(predictor, arrays, chunk_size)
-        high = vectorized_assessments(estimator, arrays, predictions, chunk_size)
+        predictions = vectorized_predictions(predictor, arrays)
+        high = vectorized_assessments(estimator, arrays, predictions)
     correct = predictions == arrays.taken_bool
     warm_high = high[warmup:]
     warm_correct = correct[warmup:]

@@ -1,8 +1,8 @@
 """Kernel differentials: the pure and C translations, bit for bit.
 
 The compiled layer (:mod:`repro.sim.fast.compiled`) may run the TAGE,
-O-GEHL, perceptron and counter-scan inner loops through the embedded C
-translation; both legs —
+O-GEHL and perceptron inner loops and the counter walk through the
+embedded C translation; both legs —
 ``REPRO_COMPILED_PROVIDER=none`` (the pure reference kernels) and
 ``cext`` — must reproduce the reference engine exactly: saturating
 arithmetic, the LFSR probabilistic-automaton draws, allocation
@@ -44,7 +44,6 @@ from repro.sim.fast import (
     simulate_tage_fast,
 )
 from repro.sim.fast.gehl import perceptron_fast_run
-from repro.sim.fast.scan import resetting_transforms, scanned_counters
 from repro.sim.runner import build_predictor
 from repro.traces.types import Trace
 
@@ -152,7 +151,6 @@ def test_pinned_pure_runs_silently(monkeypatch, tiny_trace):
         warnings.simplefilter("error", FastBackendFallbackWarning)
         assert compiled.resolve_tage_kernel() is None
         assert compiled.resolve_ogehl_kernel() is None
-        assert compiled.resolve_counter_scan_kernel() is None
         assert compiled.resolve_perceptron_kernel() is None
         result = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
     assert result == simulate(tiny_trace, TagePredictor(TageConfig.small()))
@@ -178,7 +176,8 @@ def test_prediction_streams_match_across_legs(int1_trace, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The perceptron-run and counter-scan groups.
+# The perceptron-run group and the counter family (the C counter walk
+# against the NumPy leg's scans, through the reference engine).
 # ---------------------------------------------------------------------------
 
 
@@ -241,8 +240,9 @@ def test_counter_scan_predictors_match_reference(kernel_leg, int1_trace,
 @pytest.mark.parametrize("make_predictor", [
     lambda: build_predictor("16K"),
     GsharePredictor,
+    LocalHistoryPredictor,
     PerceptronPredictor,
-], ids=["tage", "gshare", "perceptron"])
+], ids=["tage", "gshare", "local", "perceptron"])
 def test_jrs_assessments_match_reference(kernel_leg, int1_trace,
                                          estimator_type, make_predictor):
     def run(engine):
@@ -294,31 +294,3 @@ def test_perceptron_legs_agree_on_random_geometries(log_entries, history_length,
     predictor = make()
     assert fast == simulate_binary(trace, predictor,
                                    SelfConfidenceEstimator(predictor))
-
-
-@pytest.mark.parametrize("chunk_size", [1, 7, 1000, 1 << 15])
-def test_scanned_counters_chunk_invariant_on_c_leg(chunk_size):
-    """The C scan carries table state across chunks exactly like the
-    NumPy scan: every chunk size gives the same reads on both legs."""
-    _require_cext()
-    rng = np.random.default_rng(chunk_size)
-    n = 5000
-    indices = rng.integers(0, 37, n).astype(np.int64)
-    b, lo, hi = resetting_transforms(rng.random(n) < 0.8, 15)
-    with _pinned("none"):
-        expected = scanned_counters(37, 3, indices, b, lo, hi, n)
-    with _pinned("cext"):
-        got = scanned_counters(37, 3, indices, b, lo, hi, chunk_size)
-    assert np.array_equal(got, expected)
-
-
-def test_c_counter_scan_rejects_out_of_range_index():
-    """An index outside the table raises before the state is touched."""
-    _require_cext()
-    from repro.sim.fast.scan import CounterTable, saturating_transforms
-
-    table = CounterTable(4, 1)
-    b, lo, hi = saturating_transforms(np.ones(3, dtype=bool), 3)
-    with _pinned("cext"), pytest.raises(IndexError):
-        table.lookup_scan(np.array([0, 4, 1], dtype=np.int64), b, lo, hi)
-    assert table.state.tolist() == [1, 1, 1, 1]

@@ -1,8 +1,9 @@
 """The C counter walk against the reference engine, branch for branch.
 
 :func:`repro.sim.fast.compiled.resolve_counter_walk_kernel` runs a
-bimodal or gshare predictor and/or a JRS/eJRS table from one carried
-global-history register, over the trace's packed columns.  It has no
+bimodal, gshare or local predictor and/or a JRS/eJRS table from one
+carried global-history register (and a local predictor's carried
+level-1 table), over the trace's packed columns.  It has no
 pure twin, so its oracle is :func:`repro.sim.engine.step_batch` — the
 one per-branch step loop — on the same components: the per-branch
 predictions and high-confidence flags, the misprediction count and the
@@ -18,6 +19,7 @@ from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
 from repro.confidence.metrics import BinaryConfidenceMetrics
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
+from repro.predictors.local import LocalHistoryPredictor
 from repro.sim.backends import Cell
 from repro.sim.engine import simulate, simulate_binary, step_batch
 from repro.sim.fast import compiled
@@ -58,6 +60,11 @@ PREDICTORS = {
     "bimodal-3bit": lambda: BimodalPredictor(log_entries=10, counter_bits=3),
     "gshare": lambda: GsharePredictor(),
     "gshare-62": lambda: GsharePredictor(log_entries=12, history_length=62),
+    "local": lambda: LocalHistoryPredictor(),
+    "local-private": lambda: LocalHistoryPredictor(
+        log_histories=6, history_length=8, log_pht=9, shared_pht=False),
+    "local-62": lambda: LocalHistoryPredictor(
+        log_histories=4, history_length=62, log_pht=14, shared_pht=False),
 }
 ESTIMATORS = {
     "none": lambda: None,
@@ -131,7 +138,7 @@ def test_jrs_fed_by_a_published_tage_stream(kernel, trace, estimator):
     assert confusion == _confusion(reference, codes, trace.takens, 250)
 
 
-@pytest.mark.parametrize("predictor", ["bimodal", "gshare"])
+@pytest.mark.parametrize("predictor", ["bimodal", "gshare", "local"])
 @pytest.mark.parametrize("estimator", ["jrs", "ejrs"])
 def test_engine_entry_points_match_reference(kernel, trace, predictor, estimator):
     """``simulate``/``simulate_binary`` on the fast backend (the walk)
@@ -150,11 +157,12 @@ def test_engine_entry_points_match_reference(kernel, trace, predictor, estimator
 
 def test_wide_pcs_walk_natively(kernel):
     wide = _wide_trace()
-    predictions, high, _ = _walk(kernel, wide, GsharePredictor(),
-                                 EnhancedJrsEstimator(), 0, (1_000,))
-    expected, codes = step_batch(
-        Cell(GsharePredictor(), EnhancedJrsEstimator(), binary=True),
-        wide.pcs, wide.takens,
-    )
-    assert predictions == bytes(expected)
-    assert high == bytes(codes)
+    for make in (PREDICTORS["gshare"], PREDICTORS["local-private"]):
+        predictions, high, _ = _walk(kernel, wide, make(),
+                                     EnhancedJrsEstimator(), 0, (1_000,))
+        expected, codes = step_batch(
+            Cell(make(), EnhancedJrsEstimator(), binary=True),
+            wide.pcs, wide.takens,
+        )
+        assert predictions == bytes(expected)
+        assert high == bytes(codes)

@@ -9,6 +9,8 @@ matrices, storage budgets, everything the result dataclasses compare.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -17,7 +19,8 @@ from repro.confidence.jrs import EnhancedJrsEstimator, JrsEstimator
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.sim.engine import simulate, simulate_binary
-from repro.sim.fast import simulate_binary_fast, simulate_fast
+from repro.sim.fast import compiled, simulate_binary_fast, simulate_fast, vectorized
+from repro.sim.fast.scan import scanned_counters
 
 #: (label, factory) — fresh predictor per run, default and off-default shapes.
 PREDICTORS = [
@@ -84,7 +87,12 @@ def test_warmup_split_matches_reference(int1_trace, warmup):
 
 
 @pytest.mark.parametrize("chunk_size", [1, 3, 97, 1 << 10, 1 << 20])
-def test_chunk_size_does_not_change_results(tiny_trace, chunk_size):
+def test_chunk_size_does_not_change_results(tiny_trace, chunk_size, monkeypatch):
+    """The NumPy leg's counter scans give the reference bytes at any
+    chunk size (the C leg walks the trace without chunking)."""
+    monkeypatch.setenv(compiled.PROVIDER_ENV, "none")
+    monkeypatch.setattr(vectorized, "scanned_counters",
+                        partial(scanned_counters, chunk_size=chunk_size))
     baseline_metrics, baseline_result = simulate_binary(
         tiny_trace, GsharePredictor(), EnhancedJrsEstimator(), warmup_branches=100
     )
@@ -93,7 +101,6 @@ def test_chunk_size_does_not_change_results(tiny_trace, chunk_size):
         GsharePredictor(),
         EnhancedJrsEstimator(),
         warmup_branches=100,
-        chunk_size=chunk_size,
     )
     assert metrics == baseline_metrics
     assert result == baseline_result

@@ -338,15 +338,15 @@ def test_pcs_beyond_int64_run_natively_on_the_c_leg(tmp_path, monkeypatch):
     predictor = build_predictor("16K")
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
-        assert (simulate_binary(trace, GsharePredictor(), JrsEstimator(),
-                                backend="fast")
-                == simulate_binary(trace, GsharePredictor(), JrsEstimator()))
+        for make in (GsharePredictor, LocalHistoryPredictor):
+            assert (simulate_binary(trace, make(), JrsEstimator(), backend="fast")
+                    == simulate_binary(trace, make(), JrsEstimator()))
         assert (simulate(trace, predictor, TageConfidenceEstimator(predictor),
                          backend="fast")
                 == simulate(trace, build_predictor("16K"),
                             TageConfidenceEstimator(build_predictor("16K"))))
         sweep, grids = _wide_pc_sweeps(path, len(trace))
-        for predictors in grids:
+        for predictors in (*grids, (PredictorSpec.of("local"),)):
             fast = sweep("fast", predictors)
             assert fast.quarantined == ()
             assert fast.table.rows() == sweep("reference", predictors).table.rows()

@@ -7,9 +7,9 @@ tenants on the TAGE kernel through the numpy-free
 lists for the pure kernels); loading numpy there would add ~12 MB of
 resident memory and tens of milliseconds of start-up to every server
 for nothing.  Offline, the fast backend's C leg — TAGE and the
-bimodal/gshare/JRS family with the C build — runs from the traces'
-packed columns without numpy too, so a whole ``repro paper --quick``
-loads it in no process; only a NumPy-leg cell (local, perceptron,
+bimodal/gshare/local/JRS family with the C build — runs from the
+traces' packed columns without numpy too, so a whole ``repro paper
+--quick`` loads it in no process; only a NumPy-leg cell (perceptron,
 O-GEHL, or any cell without a C compiler) imports it, and on an install
 without numpy that cell falls back with one typed warning.  A fresh
 interpreter is the only honest check: this test process has long since
@@ -122,7 +122,7 @@ _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 
 _SWEEP_GRID = [
     "sweep", "--backend", "fast", "--workers", "2", "--no-cache", "--tsv",
-    "--predictors", "tage-16K", "tage-64K", "bimodal", "gshare",
+    "--predictors", "tage-16K", "tage-64K", "bimodal", "gshare", "local",
     "--estimators", "tage", "jrs", "ejrs",
     "--traces", "INT-1", "zoo.markov", "--branches", "2000",
 ]
@@ -165,7 +165,7 @@ def _rows(stdout: str) -> list[str]:
 
 
 def test_compiled_sweep_runs_without_numpy():
-    """TAGE and the bimodal/gshare/JRS family run on the C leg: with
+    """TAGE and the bimodal/gshare/local/JRS family run on the C leg: with
     NumPy blocked in the parent and both pooled workers, a fast sweep
     over a CBP and a zoo trace exits 0, warns nothing, and prints the
     rows of the same grid run with NumPy allowed."""
@@ -176,7 +176,7 @@ def test_compiled_sweep_runs_without_numpy():
     allowed = _cli(_SWEEP_GRID, block_numpy=False, REPRO_COMPILED_PROVIDER="cext")
     assert allowed.returncode == 0, allowed.stderr
     assert _rows(blocked.stdout) == _rows(allowed.stdout)
-    assert len(_rows(blocked.stdout)) == 1 + 2 * (2 * 3 + 2 * 2)
+    assert len(_rows(blocked.stdout)) == 1 + 2 * (2 * 3 + 3 * 2)
 
 
 def test_compiled_paper_run_loads_no_numpy(tmp_path):
@@ -196,17 +196,19 @@ def test_compiled_paper_run_loads_no_numpy(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("predictor,estimator", [
-    ("perceptron", "self"), ("ogehl", "jrs"), ("local", "jrs"),
-])
-def test_numpy_leg_cells_fall_back_without_numpy(predictor, estimator):
-    """A cell whose leg needs NumPy falls back to the reference engine
-    with one typed warning naming NumPy, and still gives the reference
-    rows."""
+@pytest.mark.parametrize("predictor,estimator,provider", [
+    ("perceptron", "self", None), ("ogehl", "jrs", None),
+    ("local", "jrs", "none"),
+], ids=["perceptron-self", "ogehl-jrs", "local-jrs"])
+def test_numpy_leg_cells_fall_back_without_numpy(predictor, estimator, provider):
+    """A cell whose leg needs NumPy — perceptron and O-GEHL on any
+    build, the counter family without the C kernels — falls back to the
+    reference engine with one typed warning naming NumPy, and still
+    gives the reference rows."""
     grid = ["sweep", "--backend", "fast", "--workers", "1", "--no-cache",
             "--tsv", "--predictors", predictor, "--estimators", estimator,
             "--traces", "INT-1", "FP-1", "--branches", "1000"]
-    blocked = _cli(grid, block_numpy=True)
+    blocked = _cli(grid, block_numpy=True, REPRO_COMPILED_PROVIDER=provider)
     assert blocked.returncode == 0, blocked.stderr
     warned = [line for line in blocked.stderr.splitlines()
               if "FastBackendFallbackWarning" in line]

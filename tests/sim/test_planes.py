@@ -44,8 +44,8 @@ from repro.sim.fast.planes import (
     PlaneCache,
     TagePlanes,
     compute_planes,
-    plane_geometry,
 )
+from repro.sim.fast.tage_core import plane_geometry
 
 
 # -- per-age oracles ---------------------------------------------------------

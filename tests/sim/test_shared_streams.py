@@ -19,7 +19,7 @@ from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.fast import LockstepCell, simulate_tage_lockstep, tage_fast_predictions
 from repro.sim.fast import arrays as fast_arrays
-from repro.sim.fast import compiled, engine, tage, vectorized
+from repro.sim.fast import capability, compiled, tage, vectorized
 from repro.sim.fast.arrays import TraceArrays
 from repro.sweep.executor import run_sweep
 from repro.sweep.spec import EstimatorSpec, ExperimentSpec, PredictorSpec
@@ -75,7 +75,7 @@ def test_lockstep_cell_publishes_its_predictions(int1_trace):
                         warmup_branches=100)
     simulate_tage_lockstep(int1_trace, [cell])
     arrays = TraceArrays.from_trace(int1_trace)
-    published = arrays.derived(engine.prediction_stream_key(observed),
+    published = arrays.derived(capability.prediction_stream_key(observed),
                                lambda: pytest.fail("stream was not published"))
     expected = tage_fast_predictions(arrays, TagePredictor(config))
     assert np.array_equal(published, expected)
@@ -87,7 +87,7 @@ def test_controlled_cell_publishes_nothing(int1_trace):
                         AdaptiveSaturationController(predictor))
     simulate_tage_lockstep(int1_trace, [cell])
     arrays = TraceArrays.from_trace(int1_trace)
-    assert arrays.derived(engine.prediction_stream_key(predictor),
+    assert arrays.derived(capability.prediction_stream_key(predictor),
                           lambda: np.zeros(0)).size == 0
 
 
