@@ -1,20 +1,22 @@
 """Compiled binary-cell bench (not a paper experiment).
 
-Runs the two baseline binary cells of Table 2 — perceptron with its
-§2.2 self-confidence, and gshare with a JRS estimator — over the
+Runs the baseline binary cells of Table 2 — perceptron and O-GEHL with
+their §2.2 self-confidence, and gshare with a JRS estimator — over the
 Table-1 (CBP-1) trace suite on the NumPy leg
-(``REPRO_COMPILED_PROVIDER=none``: the lockstep perceptron, and the
-gshare/JRS index columns built from history windows feeding the
-segmented clamp-add scan) and again on the C leg (``cext``: the
-``perceptron-run`` twin, and the counter walk, which carries one
-history register and builds no index column at all), asserts strict
-bit-identity, and emits ``benchmarks/records/BENCH_binary_compiled.json``.
+(``REPRO_COMPILED_PROVIDER=none``: the lockstep perceptron, the scalar
+O-GEHL loop over its folded-history index planes, and the gshare/JRS
+index columns built from history windows feeding the segmented
+clamp-add scan) and again on the C leg (``cext``: the sum walk and the
+counter walk, which carry their histories in the state block and build
+no window, index column or plane at all), asserts strict bit-identity,
+and emits ``benchmarks/records/BENCH_binary_compiled.json``.
 
 Each leg's time is split into two layers: the NumPy index/window
-preparation (``history_windows``/``fold_windows``, timed by wrapping
-them; the C leg's gshare/JRS cell has none) and the kernel proper (the
-remainder: the perceptron loop, the counter scans or the walk).  Boxes
-without a C compiler skip — there is nothing to measure.
+preparation (``history_windows``/``fold_windows``/
+``folded_history_series``, timed by wrapping them; the C leg has none)
+and the kernel proper (the remainder: the NumPy kernels, the counter
+scans or the walks).  Boxes without a C compiler skip — there is
+nothing to measure.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from conftest import bench_branches, bench_speedup_target, emit, record, run_onc
 from repro.confidence.jrs import JrsEstimator
 from repro.confidence.self_confidence import SelfConfidenceEstimator
 from repro.predictors.gshare import GsharePredictor
+from repro.predictors.ogehl import OgehlPredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.backends import FastBackendFallbackWarning
-from repro.sim.fast import compiled, gehl, simulate_binary_fast, vectorized
-from repro.sim.fast.windows import fold_windows, history_windows
+from repro.sim.fast import compiled, simulate_binary_fast, vectorized, windows
 from repro.traces.suites import CBP1_TRACE_NAMES, cbp1_trace
 
 SPEEDUP_TARGET = bench_speedup_target()
@@ -46,32 +48,49 @@ def _perceptron_self():
     return predictor, SelfConfidenceEstimator(predictor)
 
 
+def _ogehl_self():
+    predictor = OgehlPredictor()
+    return predictor, SelfConfidenceEstimator(predictor)
+
+
 def _gshare_jrs():
     return GsharePredictor(), JrsEstimator()
 
 
-CELLS = {"perceptron+self": _perceptron_self, "gshare+jrs": _gshare_jrs}
+CELLS = {"perceptron+self": _perceptron_self, "ogehl+self": _ogehl_self,
+         "gshare+jrs": _gshare_jrs}
+
+#: The NumPy window/fold helpers whose time is the preparation layer.
+PREP_HELPERS = ("history_windows", "fold_windows", "folded_history_series")
 
 
 class _PrepTimer:
-    """Accumulates the time spent in the shared window helpers."""
+    """Accumulates the time spent in the shared window helpers, wherever
+    they are looked up (``vectorized`` imports them by name, ``gehl``
+    from :mod:`~repro.sim.fast.windows` at call time); only the
+    outermost of nested helper calls is timed."""
 
     def __init__(self, monkeypatch) -> None:
         self.seconds = 0.0
-        for module in (vectorized, gehl):
-            for name, fn in (("history_windows", history_windows),
-                             ("fold_windows", fold_windows)):
+        self._depth = 0
+        for name in PREP_HELPERS:
+            fn = getattr(windows, name)
+            timed = self._timed(fn)
+            for module in (windows, vectorized):
                 if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, self._timed(fn))
+                    monkeypatch.setattr(module, name, timed)
 
     def _timed(self, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            self._depth += 1
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.seconds += time.perf_counter() - start
+                self._depth -= 1
+                if not self._depth:
+                    self.seconds += time.perf_counter() - start
         return wrapper
 
 

@@ -20,10 +20,10 @@ cell that built it — the cost before sharing), asserts the two give
 identical result rows, and emits
 ``benchmarks/records/BENCH_shared_streams.json`` with a ``layers``
 split of both legs: TAGE planes (whichever builder runs), the TAGE
-kernel, the perceptron/O-GEHL kernels, the JRS index build (NumPy leg
-only) and the counter tables — the NumPy scans or the C counter walk
-(the remainder is trace arrays, predictor set-up and result
-assembly).
+kernel, the perceptron/O-GEHL passes (the C sum walk or the NumPy
+kernels), the JRS index build (NumPy leg only) and the counter tables
+— the NumPy scans or the C counter walk (the remainder is trace
+arrays, predictor set-up and result assembly).
 
 The compared ``metric`` is ``relative_speed``: the seconds of the
 calibration loop (``conftest.calibrate``, best of :data:`REPEATS`) over
@@ -50,7 +50,7 @@ from conftest import (  # noqa: F401
 )
 
 from repro.sim.fast import arrays as fast_arrays
-from repro.sim.fast import compiled, engine, lockstep, tage, vectorized
+from repro.sim.fast import compiled, engine, gehl, lockstep, tage, vectorized
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.runner import get_trace
 from repro.sweep.executor import execute_work, plan_lockstep
@@ -85,9 +85,11 @@ class _LayerTimer:
         timed_kernel = self._timed("tage", tage._run_batch)
         for module in (tage, lockstep):
             monkeypatch.setattr(module, "_run_batch", timed_kernel)
+        # The sum predictors' passes (the C sum walk or the NumPy
+        # kernels), looked up in gehl by its per-trace memo.
         for name in ("perceptron_fast_run", "ogehl_fast_run"):
-            monkeypatch.setattr(vectorized, name,
-                                self._timed("gehl", getattr(vectorized, name)))
+            monkeypatch.setattr(gehl, name,
+                                self._timed("gehl", getattr(gehl, name)))
         monkeypatch.setattr(vectorized, "_jrs_index",
                             self._timed("jrs_index", vectorized._jrs_index))
         # Counter tables: the NumPy scans, or the C counter walk.

@@ -1,9 +1,9 @@
 """RPR004 — kernel parity: marked twin regions must change together.
 
 The fast backend ships each twinned sequential inner loop in two
-translations — the reference Python/NumPy kernels (``fast/tage_core.py``,
-``fast/gehl.py``, ``traces/workload.py``) and an embedded-C mirror
-inside ``fast/compiled.py``.
+translations — the reference Python kernels (``fast/tage_core.py``,
+``traces/workload.py``) and an embedded-C mirror inside
+``fast/compiled.py``.
 The differential suites prove bit-identity *when they run*; this rule
 moves the guard before the tests: editing one translation without
 touching its twin fails ``repro lint`` instantly, with a message naming

@@ -105,7 +105,9 @@ def _add_backend_arg(parser: argparse.ArgumentParser,
                              "estimator kind, adaptive Sec-6.2 control "
                              "included) bit-exactly and falls back to "
                              "'reference' (with a warning) only for "
-                             "subclassed components or >62-bit histories")
+                             "subclassed components, >62-bit histories, "
+                             "or any cell on an install with neither the "
+                             "C build nor NumPy")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,11 +8,11 @@ Two engines can execute a (trace, predictor, estimator) cell:
 * ``"fast"`` — the batch backend in :mod:`repro.sim.fast`; runs the
   full TAGE family (with the multi-class observation estimator and the
   §6.2 adaptive saturation controller) as a lean sequential kernel over
-  index/tag planes, the bimodal/gshare predictors and the JRS-style
-  binary confidence counters as one counter walk (or vectorized scans),
-  the local predictor as vectorized scans, and the sum-based
-  perceptron/O-GEHL predictors (with their storage-free self-confidence
-  estimators) as plane-fed dot-product kernels — all bit-for-bit
+  index/tag planes, the bimodal/gshare/local predictors and the
+  JRS-style binary confidence counters as one counter walk (or
+  vectorized scans), and the sum-based perceptron/O-GEHL predictors
+  (with their storage-free self-confidence estimators) as one sum walk
+  (or NumPy dot-product kernels) — all bit-for-bit
   equivalent to the reference engine (enforced by
   ``tests/equivalence/``).
 
@@ -26,9 +26,8 @@ request.
 
 This module is dependency-free on purpose: the sweep spec layer and the
 CLI import the backend names and validators from here.  NumPy is
-needed only by the fast backend's NumPy leg (perceptron, O-GEHL, and
-every cell without a C compiler); TAGE and the
-bimodal/gshare/local/JRS family run on the C kernels without it
+needed only by the fast backend's NumPy leg (every cell without a C
+compiler); with one, every fast cell runs on the C kernels without it
 (:mod:`repro.sim.fast.capability`).
 """
 

@@ -9,13 +9,14 @@ with their storage-free self-confidence estimators.
 
 Every cell runs on one of two legs (:mod:`~repro.sim.fast.capability`):
 
-* the **C leg** — TAGE, and bimodal/gshare/local with or without a
-  JRS/eJRS table, when the C build resolves.  These read a trace's
-  packed columns and run entirely in the compiled kernels; no process
-  on this leg imports NumPy;
-* the **NumPy leg** — perceptron and O-GEHL (whose index preparation
-  is vectorized), and every cell when no C compiler is present.  NumPy
-  is imported only where this leg runs.
+* the **C leg** — every supported cell when the C build resolves:
+  TAGE, bimodal/gshare/local and perceptron/O-GEHL, with or without a
+  JRS/eJRS table or self-confidence.  These read a trace's packed
+  columns and run entirely in the compiled kernels; no process on this
+  leg imports NumPy;
+* the **NumPy leg** — every cell when no C compiler is present (or
+  ``REPRO_COMPILED_PROVIDER=none`` pins it).  NumPy is imported only
+  where this leg runs.
 
 The layers:
 
@@ -26,10 +27,9 @@ The layers:
   the support predicate behind the backend's capability query, the
   leg choice and the stream keys;
 * :mod:`repro.sim.fast.compiled` — the embedded-C build of the TAGE
-  kernel and plane builder, the counter walk, the O-GEHL and
-  perceptron kernels and trace synthesis, used whenever a C
-  compiler is present (``REPRO_COMPILED_PROVIDER`` pins ``cext`` or
-  ``none``);
+  kernel and plane builder, the counter walk, the sum walk and trace
+  synthesis, used whenever a C compiler is present
+  (``REPRO_COMPILED_PROVIDER`` pins ``cext`` or ``none``);
 * :mod:`repro.sim.fast.tage_core` — the NumPy-free TAGE core: the pure
   kernel over a caller-owned, resumable state block, the carried-history
   plane builder and the resumable cell the serving layer steps tenants
@@ -37,6 +37,12 @@ The layers:
 * :mod:`repro.sim.fast.counter_core` — the NumPy-free counter family:
   the parameter row and caller-owned state block of the C counter walk
   (bimodal/gshare/local predictions, JRS/eJRS assessments);
+* :mod:`repro.sim.fast.sum_core` — the NumPy-free sum-based
+  predictors: the parameter row and caller-owned state block of the C
+  sum walk (perceptron/O-GEHL predictions and self-confidence) and the
+  byte-column reduction of its outputs;
+* :mod:`repro.sim.fast.gehl` — the perceptron/O-GEHL entry points on
+  both legs and the per-trace sharing of their streams;
 * :mod:`repro.sim.fast.tage` — whole-trace TAGE runs on that kernel,
   streaming the planes in chunks (with per-branch observation streams
   for the apps layer);
@@ -49,9 +55,9 @@ The layers:
 * NumPy leg: :mod:`repro.sim.fast.windows` (vectorized history windows
   and folds), :mod:`repro.sim.fast.scan` (exact clamp-add segmented
   prefix scans), :mod:`repro.sim.fast.planes` (closed-form TAGE
-  index/tag planes and the memmap plane store),
-  :mod:`repro.sim.fast.gehl` (the plane-fed dot-product kernels) and
-  :mod:`repro.sim.fast.vectorized` (the counter family's scans).
+  index/tag planes and the memmap plane store), the lockstep
+  perceptron and plane-fed O-GEHL loop in :mod:`repro.sim.fast.gehl`
+  and :mod:`repro.sim.fast.vectorized` (the counter family's scans).
 
 Unsupported configurations (subclasses of supported component types,
 >62-bit gshare/perceptron/local/JRS/path history windows, a NumPy-leg
@@ -80,7 +86,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".gehl": ("perceptron_fast_run", "ogehl_fast_run"),
     ".lockstep": ("LockstepCell", "simulate_tage_lockstep"),
     ".compiled": ("active_provider", "resolve_tage_kernel",
-                  "resolve_ogehl_kernel"),
+                  "resolve_sum_walk_kernel"),
     ".planes": ("PlaneCache", "TagePlanes", "compute_planes",
                 "default_planes_dir"),
     ".scan": ("CounterTable", "scanned_counters"),

@@ -7,16 +7,18 @@ CLI can judge a cell without loading the kernels' dependencies.
 Each supported cell runs on one of two legs:
 
 * **C leg** — the C provider of :mod:`repro.sim.fast.compiled`
-  resolves and the cell's whole path is compiled: TAGE (with the §5
-  estimator and the §6.2 controller, or feeding a JRS/eJRS table), and
-  bimodal/gshare/local with or without a JRS/eJRS table.  These read
-  the trace's packed columns directly and never import NumPy;
-* **NumPy leg** — everything else: no C build, or a perceptron or
-  O-GEHL predictor, whose index preparation is NumPy.
+  resolves, and every supported cell's whole path is compiled: TAGE
+  (with the §5 estimator and the §6.2 controller, or feeding a
+  JRS/eJRS table), bimodal/gshare/local on the counter walk and
+  perceptron/O-GEHL on the sum walk, with or without a JRS/eJRS table
+  or self-confidence.  These read the trace's packed columns directly
+  and never import NumPy;
+* **NumPy leg** — every cell when no C build serves the process.
 
 :func:`cell_capability` is the single support predicate; on an install
-without NumPy it refuses exactly the cells whose leg needs NumPy, with
-the typed ``NumPy is unavailable`` reason.
+without NumPy it refuses exactly the cells whose leg needs NumPy (all
+of them without the C build, none with it), with the typed ``NumPy is
+unavailable`` reason.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "SUM_PREDICTORS",
     "WALK_PREDICTORS",
     "cell_capability",
-    "needs_numpy",
     "predictor_reason",
     "unsupported_reason",
     "binary_unsupported_reason",
@@ -213,14 +214,6 @@ def jrs_reason(estimator) -> str | None:
     return None
 
 
-def needs_numpy(cell, provider: str | None) -> bool:
-    """Whether a supported cell runs on the NumPy leg under ``provider``
-    (the active compiled provider, None when the pure kernels serve)."""
-    if provider is None:
-        return True
-    return type(cell.predictor) not in (TagePredictor, *WALK_PREDICTORS)
-
-
 @cache
 def _numpy_reason() -> str | None:
     """Why NumPy cannot be imported (None = it can); probed once."""
@@ -258,11 +251,12 @@ def cell_capability(cell) -> Capability:
         reason = unsupported_reason(
             cell.predictor, estimator=cell.estimator, controller=cell.controller
         )
-    # Every supported cell's sequential stage has a C build (TAGE,
-    # O-GEHL, perceptron and the counter walk behind
-    # bimodal/gshare/local/JRS), so the provider alone decides.
+    # Every supported cell's sequential stage has a C build (TAGE, the
+    # sum walk behind perceptron/O-GEHL and the counter walk behind
+    # bimodal/gshare/local/JRS), so the provider alone decides whether
+    # the cell runs on the NumPy leg.
     provider = compiled.active_provider()
-    if reason is None and needs_numpy(cell, provider):
+    if reason is None and provider is None:
         reason = _numpy_reason()
     if reason is not None:
         return Capability(

@@ -1,25 +1,26 @@
 """Compiled C builds of the fast-backend inner loops.
 
 The fast backend's remaining per-branch cost is five genuinely
-sequential kernels.  Four have twins: the TAGE loop and the TAGE batch
-plane builder (:mod:`repro.sim.fast.tage_core`) and the O-GEHL and
-perceptron loops in :mod:`repro.sim.fast.gehl`.  The fifth, the counter
-walk of :mod:`repro.sim.fast.counter_core` (bimodal, gshare, local and
-JRS/eJRS), has none: without the C build the NumPy leg's clamp-add
-scans (:mod:`repro.sim.fast.scan`) compute the same counters another
-way, and they and the reference engine are its differential oracles.
-Trace synthesis is the fifth twin: one-shot
+sequential kernels.  Two have twins: the TAGE loop and the TAGE batch
+plane builder (:mod:`repro.sim.fast.tage_core`).  Two have none: the
+counter walk of :mod:`repro.sim.fast.counter_core` (bimodal, gshare,
+local and JRS/eJRS) and the sum walk of :mod:`repro.sim.fast.sum_core`
+(perceptron and O-GEHL with their self-confidence).  Without the C
+build the NumPy leg computes the same streams another way — clamp-add
+scans (:mod:`repro.sim.fast.scan`), the lockstep perceptron and the
+plane-fed O-GEHL loop (:mod:`repro.sim.fast.gehl`) — and those and the
+reference engine are the walks' differential oracles.  Trace synthesis
+is the third twin: one-shot
 ``SyntheticWorkload(spec).generate(n)`` of :mod:`repro.traces.workload`
 (static branches, routines, every kernel built eagerly, the routine
 walk), which :func:`repro.traces.workload.synthesize` runs for every
 CBP trace name; the 40 quick CBP traces take ~7 ms instead of ~0.17 s on
 a 2-core x86-64 box (``BENCH_synthesis_twin.json``).  The resumable
 workload objects, the zoo sources and ``zoo.phase``'s resumed segments
-stay pure.  Each exists in exactly two translations:
+stay pure.  Each twin exists in exactly two translations:
 
-* **pure** — the Python/NumPy kernels in those modules (list-based
-  loops for TAGE and O-GEHL, the lockstep perceptron): the reference,
-  and the fallback when no C compiler is present;
+* **pure** — the Python kernels in those modules: the reference, and
+  the fallback when no C compiler is present;
 * **c** — the embedded C mirror below, compiled once per source digest
   with the system C compiler into a cached shared library
   (``REPRO_COMPILED_CACHE`` overrides the cache directory) and called
@@ -52,18 +53,18 @@ builder, which carries its own history block across calls (the
 ``GP_*`` geometry row and ``HS_*`` history block below): an offline run
 powers both blocks on and makes one call of each per plane chunk of
 the trace; a served tenant keeps them and makes one call of each per
-request batch.
+request batch.  The counter and sum walks resume from caller-owned
+blocks the same way (``CP_*``/``CS_*`` and ``SP_*``/``SS_*`` below).
 
-Each C kernel is a *translation* of a reference loop and carries
+Each twinned C kernel is a *translation* of a reference loop and carries
 parity markers — ``repro: parity-begin <group>/<side>
 fingerprint=<8 hex>`` / ``repro: parity-end <group>/<side>`` — around
 the translated region (as ``/* */`` comments inside the C source; the
 pure sides use ``#`` comments, and markers are matched on raw lines,
-so both work).  Five groups live here, each with its ``c`` side below:
+so both work).  Three groups live here, each with its ``c`` side below:
 ``tage-batch`` and ``tage-planes`` (side ``pure`` in
-:mod:`repro.sim.fast.tage_core`), ``ogehl-run`` and ``perceptron-run``
-(``pure`` in :mod:`repro.sim.fast.gehl`) and ``trace-synth`` (``pure``
-in :mod:`repro.traces.workload`, ``pure-kernels`` in
+:mod:`repro.sim.fast.tage_core`) and ``trace-synth`` (``pure`` in
+:mod:`repro.traces.workload`, ``pure-kernels`` in
 :mod:`repro.traces.kernels`).  Every side records the same
 group-wide fingerprint (a CRC-32 of all sides' whitespace-normalized
 contents), so ``repro lint`` rule RPR004 fails the moment one
@@ -100,9 +101,8 @@ __all__ = [
     "active_provider",
     "provider_unavailable_reason",
     "resolve_tage_kernel",
-    "resolve_ogehl_kernel",
     "resolve_counter_walk_kernel",
-    "resolve_perceptron_kernel",
+    "resolve_sum_walk_kernel",
     "warn_missing_compiled",
     "resolve_tage_planes_kernel",
     "resolve_trace_synth_kernel",
@@ -220,6 +220,27 @@ CS_CONFUSION = 3       # [3..6] high/correct, high/incorrect, low/correct,
                        #        low/incorrect, from tick CP_WARMUP on
 CS_TABLES = 7
 
+# The sum walk's parameter row (`sum_core.sum_params`) and its
+# caller-owned state block (`sum_core.sum_power_on`): four scalars,
+# then a perceptron's weight rows, or O-GEHL's folded registers (one
+# per history table), its outcome ring (as long as the longest
+# history) and its counter tables.
+SP_KIND = 0            # 1: perceptron, 2: O-GEHL
+SP_LOG_ENTRIES = 1     # log2 weight rows / entries per O-GEHL table
+SP_MIN = 2             # weight / counter floor
+SP_MAX = 3             # weight / counter ceiling
+SP_THRESHOLD = 4       # power-on threshold (O-GEHL's then adapts)
+SP_HISTORY = 5         # perceptron history length / O-GEHL ring length
+SP_N_TABLES = 6        # O-GEHL tables, the first PC-indexed; 0 for a perceptron
+SP_TABLES = 7          # O-GEHL, per history table: (length, fold eviction position)
+SP_STRIDE = 2
+
+SS_HISTORY = 0         # perceptron: global outcome history, newest in bit 0
+SS_HEAD = 1            # O-GEHL: ring slot the next outcome goes to
+SS_THRESHOLD = 2       # live threshold
+SS_TC = 3              # O-GEHL: the threshold counter
+SS_TABLES = 4
+
 
 # The trace-synthesis rows (`traces.workload.synthesize` packs them):
 # int64 n_static, n_routines, then the (lo, hi) pairs of routine_len,
@@ -255,6 +276,20 @@ def walk_words(cparams) -> int:
     return words
 
 
+def sum_param_words(sparams) -> int:
+    """int64 words in a sum walk's ``SP_*`` parameter row."""
+    return SP_TABLES + SP_STRIDE * max(sparams[SP_N_TABLES] - 1, 0)
+
+
+def sum_words(sparams) -> int:
+    """int64 words in the ``SS_*`` state block of an ``SP_*`` row."""
+    rows = 1 << sparams[SP_LOG_ENTRIES]
+    if sparams[SP_N_TABLES]:
+        n_tables = sparams[SP_N_TABLES]
+        return SS_TABLES + n_tables - 1 + sparams[SP_HISTORY] + n_tables * rows
+    return SS_TABLES + (sparams[SP_HISTORY] + 1) * rows
+
+
 def int64_block(words: int, start: int = 0, stop: int = 0,
                 value: int = 0) -> array:
     """A zeroed int64 block of ``words`` words with ``[start, stop)``
@@ -274,9 +309,8 @@ def int64_block(words: int, start: int = 0, stop: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# C mirrors of the pure kernels (statement for statement for TAGE and
-# O-GEHL; the sequential loop the NumPy perceptron vectorizes), and the
-# counter walk, which has no pure twin.
+# C mirrors of the pure kernels (statement for statement for TAGE), and
+# the counter and sum walks, which have no pure twin.
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = r"""
@@ -693,62 +727,6 @@ int tage_planes(int64_t n, const int64_t *restrict gp,
 }
 /* repro: parity-end tage-planes/c */
 
-/* repro: parity-begin ogehl-run/c fingerprint=2528c251 */
-int ogehl_run(int64_t n, int64_t n_tables, int64_t log_entries,
-              const int64_t *takens, const int64_t *planes,
-              int64_t ctr_max, int64_t ctr_min,
-              uint8_t *predictions, uint8_t *high)
-{
-    int64_t size = (int64_t)1 << log_entries;
-    int64_t *tables = (int64_t *)calloc((size_t)(n_tables * size),
-                                        sizeof(int64_t));
-    if (!tables)
-        return 1;
-    int64_t threshold = n_tables;
-    int64_t threshold_counter = 0;
-    for (int64_t t = 0; t < n; t++) {
-        int64_t total = 0;
-        for (int64_t m = 0; m < n_tables; m++)
-            total += tables[m * size + planes[m * n + t]];
-        total = 2 * total + n_tables;
-        int64_t prediction = total >= 0;
-        predictions[t] = (uint8_t)prediction;
-        int64_t magnitude = total >= 0 ? total : -total;
-        high[t] = magnitude >= threshold ? 1 : 0;
-        int64_t taken = takens[t] == 1;
-        int64_t mispredicted = prediction != taken;
-        if (mispredicted || magnitude < threshold) {
-            for (int64_t m = 0; m < n_tables; m++) {
-                int64_t index = planes[m * n + t];
-                int64_t counter = tables[m * size + index];
-                if (taken) {
-                    if (counter < ctr_max)
-                        tables[m * size + index] = counter + 1;
-                } else if (counter > ctr_min) {
-                    tables[m * size + index] = counter - 1;
-                }
-            }
-        }
-        if (mispredicted) {
-            threshold_counter++;
-            if (threshold_counter >= 4) {
-                threshold_counter = 0;
-                threshold++;
-            }
-        } else if (magnitude < threshold) {
-            threshold_counter--;
-            if (threshold_counter <= -4) {
-                threshold_counter = 0;
-                if (threshold > 1)
-                    threshold--;
-            }
-        }
-    }
-    free(tables);
-    return 0;
-}
-/* repro: parity-end ogehl-run/c */
-
 /* One bimodal/gshare/local predictor and/or one JRS/eJRS table over a
  * batch, from a caller-owned state block (the CS_* slots, then the
  * tables).  The gshare and JRS hashes read one carried global-history
@@ -850,54 +828,134 @@ int counter_walk(int64_t n, const int64_t *cp, int64_t *state,
     return 0;
 }
 
-/* repro: parity-begin perceptron-run/c fingerprint=0622b443 */
-int perceptron_run(int64_t n, int64_t h, int64_t n_rows,
-                   const int64_t *indices, const int64_t *windows,
-                   const uint8_t *takens, int64_t threshold,
-                   int64_t weight_min, int64_t weight_max,
-                   uint8_t *predictions, uint8_t *high)
+/* One perceptron (kind 1) or O-GEHL (kind 2) predictor over a batch,
+ * from a caller-owned state block (the SS_* slots, then the tables).
+ * The perceptron's inputs are one carried global-history register; the
+ * O-GEHL indices are carried folded registers, advanced from a ring of
+ * the longest history's outcomes, so a trace walked in any number of
+ * batches gives the same bytes.  Both write every branch's prediction
+ * and self-confidence flag: |sum| above the perceptron's training
+ * threshold, or at least O-GEHL's adaptive one before this branch
+ * updates it. */
+static inline int64_t clamp(int64_t value, int64_t low, int64_t high)
 {
-    int64_t width = h + 1;
-    for (int64_t t = 0; t < n; t++) {
-        if (indices[t] < 0 || indices[t] >= n_rows)
-            return 2;
-    }
-    int64_t *weights = (int64_t *)calloc((size_t)(n_rows * width),
-                                         sizeof(int64_t));
-    if (!weights)
-        return 1;
-    for (int64_t t = 0; t < n; t++) {
-        int64_t *row = weights + indices[t] * width;
-        int64_t window = windows[t];
-        int64_t total = row[0];
-        for (int64_t age = 0; age < h; age++) {
-            if ((window >> age) & 1)
-                total += row[age + 1];
-            else
-                total -= row[age + 1];
+    return value < low ? low : value > high ? high : value;
+}
+
+/* Table i's index (OgehlPredictor._indices): the PC, the PC shifted by
+   i + 1 (all of it shifted out from table 63 on) and the table's fold. */
+static inline int64_t ogehl_index(uint64_t pc_part, int64_t i,
+                                  const int64_t *folds, uint64_t index_mask)
+{
+    uint64_t shifted = i < 63 ? pc_part >> (i + 1) : 0;
+    return (int64_t)((pc_part ^ shifted ^ (uint64_t)folds[i - 1]) & index_mask);
+}
+
+int sum_walk(int64_t n, const int64_t *sp, int64_t *state,
+             const uint64_t *pcs, const uint8_t *takens,
+             uint8_t *predictions, uint8_t *high)
+{
+    int64_t log_entries = sp[1], low = sp[2], top = sp[3];
+    uint64_t index_mask = ((uint64_t)1 << log_entries) - 1;
+    int64_t threshold = state[2];
+    int64_t *tables = state + 4;
+
+    if (sp[0] == 1) {
+        int64_t h = sp[5], width = h + 1;
+        uint64_t history = (uint64_t)state[0];
+        for (int64_t t = 0; t < n; t++) {
+            int64_t *row = tables
+                + (int64_t)((pcs[t] >> 2) & index_mask) * width;
+            int64_t total = row[0];
+            for (int64_t age = 0; age < h; age++)
+                total += (history >> age) & 1 ? row[age + 1] : -row[age + 1];
+            int64_t prediction = total >= 0;
+            int64_t magnitude = total >= 0 ? total : -total;
+            int64_t taken = takens[t] != 0;
+            predictions[t] = (uint8_t)prediction;
+            high[t] = (uint8_t)(magnitude > threshold);
+            if (prediction != taken || magnitude <= threshold) {
+                int64_t direction = taken ? 1 : -1;
+                row[0] = clamp(row[0] + direction, low, top);
+                for (int64_t age = 0; age < h; age++) {
+                    int64_t agrees = (int64_t)((history >> age) & 1) == taken;
+                    row[age + 1] = clamp(row[age + 1] + (agrees ? 1 : -1),
+                                         low, top);
+                }
+            }
+            history = (history << 1) | (uint64_t)taken;
         }
+        state[0] = (int64_t)history;
+        return 0;
+    }
+
+    /* O-GEHL: per history table (1..m-1) its length and its fold's
+       eviction position in the parameter row; the folds, the ring
+       (oldest outcome at the head) and the m counter tables in the
+       state. */
+    int64_t capacity = sp[5], m = sp[6];
+    const int64_t *geometry = sp + 7;
+    int64_t head = state[1], counter = state[3];
+    int64_t *folds = tables;
+    int64_t *ring = folds + (m - 1);
+    int64_t *counters = ring + capacity;
+    int64_t size = (int64_t)1 << log_entries;
+    for (int64_t t = 0; t < n; t++) {
+        uint64_t pc_part = pcs[t] >> 2;
+        int64_t total = counters[pc_part & index_mask];
+        for (int64_t i = 1; i < m; i++)
+            total += counters[i * size + ogehl_index(pc_part, i, folds,
+                                                     index_mask)];
+        total = 2 * total + m;
         int64_t prediction = total >= 0;
         int64_t magnitude = total >= 0 ? total : -total;
-        predictions[t] = (uint8_t)prediction;
-        high[t] = magnitude > threshold ? 1 : 0;
         int64_t taken = takens[t] != 0;
-        if (prediction != taken || magnitude <= threshold) {
+        int64_t mispredicted = prediction != taken;
+        predictions[t] = (uint8_t)prediction;
+        high[t] = (uint8_t)(magnitude >= threshold);
+        if (mispredicted || magnitude < threshold) {
             int64_t direction = taken ? 1 : -1;
-            for (int64_t i = 0; i < width; i++) {
-                int64_t sign = (i == 0 || ((window >> (i - 1)) & 1)) ? 1 : -1;
-                int64_t weight = row[i] + direction * sign;
-                if (weight < weight_min)
-                    weight = weight_min;
-                if (weight > weight_max)
-                    weight = weight_max;
-                row[i] = weight;
+            int64_t *c = counters + (pc_part & index_mask);
+            *c = clamp(*c + direction, low, top);
+            for (int64_t i = 1; i < m; i++) {
+                c = counters + i * size
+                    + ogehl_index(pc_part, i, folds, index_mask);
+                *c = clamp(*c + direction, low, top);
             }
         }
+        if (mispredicted) {
+            if (++counter >= 4) {
+                counter = 0;
+                threshold++;
+            }
+        } else if (magnitude < threshold) {
+            if (--counter <= -4) {
+                counter = 0;
+                if (threshold > 1)
+                    threshold--;
+            }
+        }
+        /* The FoldedHistory step of every table's register: the outcome
+           enters, the one `length` branches old (ring age length-1)
+           leaves. */
+        for (int64_t i = 1; i < m; i++) {
+            int64_t slot = head - geometry[2 * (i - 1)];
+            if (slot < 0)
+                slot += capacity;
+            uint64_t comp = ((uint64_t)folds[i - 1] << 1) | (uint64_t)taken;
+            comp ^= (uint64_t)ring[slot] << geometry[2 * (i - 1) + 1];
+            comp ^= comp >> log_entries;
+            folds[i - 1] = (int64_t)(comp & index_mask);
+        }
+        ring[head] = taken;
+        if (++head == capacity)
+            head = 0;
     }
-    free(weights);
+    state[1] = head;
+    state[2] = threshold;
+    state[3] = counter;
     return 0;
 }
-/* repro: parity-end perceptron-run/c */
 
 /* repro: parity-begin trace-synth/c fingerprint=2c72842c */
 /* One-shot synthesis: SyntheticWorkload(spec).generate(n) on a fresh
@@ -1394,6 +1452,21 @@ def _require(buffer, n_bytes: int, what: str) -> None:
         )
 
 
+def _require_ring(sparams, state) -> None:
+    """Refuse a sum-walk row the C side would misread: an unknown kind,
+    or an O-GEHL ring whose head or history lengths point outside it."""
+    kind, capacity = sparams[SP_KIND], sparams[SP_HISTORY]
+    if kind == 1:
+        return
+    lengths = sparams[SP_TABLES:sum_param_words(sparams):SP_STRIDE]
+    if (kind != 2 or not 0 <= state[SS_HEAD] < capacity
+            or not all(0 < length <= capacity for length in lengths)):
+        raise ValueError(
+            f"sum-walk row (kind {kind}, ring {capacity}) or its ring head "
+            f"{state[SS_HEAD]} is out of range"
+        )
+
+
 def _address(buffer):
     """The data address of a kernel argument, for a ``c_void_p`` slot:
     an :class:`array.array` block, a ``bytes``/``bytearray`` column, a
@@ -1420,21 +1493,14 @@ def _load_cext() -> bool:
     i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
     p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_u8 = ctypes.POINTER(ctypes.c_uint8)
     library.tage_batch.restype = ctypes.c_int
     library.tage_batch.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
     library.tage_planes.restype = ctypes.c_int
     library.tage_planes.argtypes = [i64, ptr, ptr, ptr, ptr, ptr]
-    library.ogehl_run.restype = ctypes.c_int
-    library.ogehl_run.argtypes = [
-        i64, i64, i64, p_i64, p_i64, i64, i64, p_u8, p_u8,
-    ]
     library.counter_walk.restype = ctypes.c_int
     library.counter_walk.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    library.perceptron_run.restype = ctypes.c_int
-    library.perceptron_run.argtypes = [
-        i64, i64, i64, p_i64, p_i64, p_u8, i64, i64, i64, p_u8, p_u8,
-    ]
+    library.sum_walk.restype = ctypes.c_int
+    library.sum_walk.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]
 
     library.synth_build.restype = ptr
     library.synth_build.argtypes = [ctypes.c_uint64, ptr, ptr, p_i64]
@@ -1442,9 +1508,6 @@ def _load_cext() -> bool:
     library.synth_walk.argtypes = [ptr, ptr, i64, ptr, ptr, ptr]
     library.synth_free.restype = None
     library.synth_free.argtypes = [ptr]
-
-    def as_i64(array):
-        return array.ctypes.data_as(p_i64)
 
     def cext_tage(rows, n, iparams, fparams, state, predictions, classes):
         _require(iparams, 8 * N_IPARAMS, "iparams")
@@ -1477,18 +1540,6 @@ def _load_cext() -> bool:
             raise MemoryError("compiled TAGE plane builder ran out of memory")
         return 0
 
-    def cext_ogehl(takens, planes, ctr_max, ctr_min, log_entries,
-                   predictions, high):
-        status = library.ogehl_run(
-            takens.shape[0], planes.shape[0], int(log_entries),
-            as_i64(takens), as_i64(planes),
-            int(ctr_max), int(ctr_min),
-            predictions.ctypes.data_as(p_u8), high.ctypes.data_as(p_u8),
-        )
-        if status != 0:
-            raise MemoryError("compiled O-GEHL kernel ran out of memory")
-        return 0
-
     def cext_counter_walk(n, cparams, state, pcs, takens, given,
                           predictions, high):
         _require(cparams, 8 * N_CPARAMS, "cparams")
@@ -1507,19 +1558,18 @@ def _load_cext() -> bool:
         )
         return 0
 
-    def cext_perceptron(indices, windows, takens, history_length, n_rows,
-                        threshold, weight_min, weight_max, predictions,
-                        high):
-        status = library.perceptron_run(
-            indices.shape[0], int(history_length), int(n_rows),
-            as_i64(indices), as_i64(windows), takens.ctypes.data_as(p_u8),
-            int(threshold), int(weight_min), int(weight_max),
-            predictions.ctypes.data_as(p_u8), high.ctypes.data_as(p_u8),
+    def cext_sum_walk(n, sparams, state, pcs, takens, predictions, high):
+        _require(sparams, 8 * sum_param_words(sparams), "sparams")
+        _require(state, 8 * sum_words(sparams), "state")
+        _require(pcs, 8 * n, "pcs")
+        _require(takens, n, "takens")
+        _require(predictions, n, "output")
+        _require(high, n, "output")
+        _require_ring(sparams, state)
+        library.sum_walk(
+            n, _address(sparams), _address(state), _address(pcs),
+            _address(takens), _address(predictions), _address(high),
         )
-        if status == 2:
-            raise IndexError("perceptron weight-row index out of range")
-        if status != 0:
-            raise MemoryError("compiled perceptron kernel ran out of memory")
         return 0
 
     def cext_trace_synth(seed, iparams, fparams, routine_cdf, n):
@@ -1544,9 +1594,8 @@ def _load_cext() -> bool:
 
     _KERNELS.update({"tage": cext_tage, "tage_planes": cext_tage_planes,
                      "trace_synth": cext_trace_synth,
-                     "ogehl": cext_ogehl,
                      "counter_walk": cext_counter_walk,
-                     "perceptron": cext_perceptron})
+                     "sum_walk": cext_sum_walk})
     return True
 
 
@@ -1666,17 +1715,6 @@ def resolve_tage_planes_kernel():
     return _resolve("tage_planes")
 
 
-def resolve_ogehl_kernel():
-    """The C O-GEHL kernel, or None to run the pure kernel.
-
-    Signature: ``(takens, planes, ctr_max, ctr_min, log_entries,
-    predictions, high)`` with ``takens`` int64[n], ``planes``
-    int64[n_tables, n] (precomputed per-table indices) and
-    ``predictions``/``high`` uint8[n] outputs.
-    """
-    return _resolve("ogehl")
-
-
 def resolve_counter_walk_kernel():
     """The C counter walk, or None to run the NumPy counter family.
 
@@ -1695,17 +1733,21 @@ def resolve_counter_walk_kernel():
     return _resolve("counter_walk")
 
 
-def resolve_perceptron_kernel():
-    """The C perceptron kernel, or None to run the NumPy lockstep kernel.
+def resolve_sum_walk_kernel():
+    """The C sum walk, or None to run the NumPy leg's perceptron and
+    O-GEHL kernels.
 
-    Signature: ``(indices, windows, takens, history_length, n_rows,
-    threshold, weight_min, weight_max, predictions, high)`` with
-    ``indices``/``windows`` int64[n] (weight row and packed history
-    window, newest outcome in bit 0), ``takens`` uint8[n] and
-    ``predictions``/``high`` uint8[n] outputs.  The weight table starts
-    zeroed and lives only for the call.
+    Signature: ``(n, sparams, state, pcs, takens, predictions, high)``:
+    ``sparams`` is the int64 ``SP_*`` row, ``state`` the int64 ``SS_*``
+    block (read and left advanced past the batch), ``pcs`` a u64
+    column and ``takens`` an ``n``-byte outcome column;
+    ``predictions``/``high`` are writable ``n``-byte outputs.  Arguments
+    take the same buffer kinds as :func:`resolve_counter_walk_kernel`'s.
+    There is no pure twin: the NumPy leg's lockstep perceptron and
+    scalar O-GEHL loop and the reference engine are its differential
+    oracles.
     """
-    return _resolve("perceptron")
+    return _resolve("sum_walk")
 
 
 def resolve_trace_synth_kernel():

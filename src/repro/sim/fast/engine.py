@@ -12,13 +12,14 @@ bit-for-bit equivalents of :func:`repro.sim.engine.simulate` and
   (index/tag planes feeding the lean sequential kernel in
   :mod:`repro.sim.fast.tage`) and the sum-based
   :class:`~repro.predictors.perceptron.PerceptronPredictor` /
-  :class:`~repro.predictors.ogehl.OgehlPredictor`
-  (plane-fed dot-product kernels in :mod:`repro.sim.fast.gehl`);
+  :class:`~repro.predictors.ogehl.OgehlPredictor` (the C sum walk of
+  :mod:`repro.sim.fast.sum_core`, or the NumPy kernels of
+  :mod:`repro.sim.fast.gehl`);
 * estimators — the binary :class:`~repro.confidence.jrs.JrsEstimator` /
   :class:`~repro.confidence.jrs.EnhancedJrsEstimator` (the counter walk
   over any predictor's stream, or vectorized), the storage-free
   :class:`~repro.confidence.self_confidence.SelfConfidenceEstimator`
-  (read off the sum-based kernels' outputs) and the multi-class
+  (read off the sum walk's outputs) and the multi-class
   :class:`~repro.confidence.estimator.TageConfidenceEstimator`
   (read directly off the TAGE kernel's observations);
 * the §6.2 :class:`~repro.confidence.adaptive.AdaptiveSaturationController`
@@ -26,11 +27,11 @@ bit-for-bit equivalents of :func:`repro.sim.engine.simulate` and
   decision/LFSR stream.
 
 Each cell runs on one leg (:mod:`repro.sim.fast.capability`).  On the C
-leg — TAGE and the bimodal/gshare/local/JRS family with the C build —
-this module hands the trace's packed columns to the compiled kernels
-and never imports NumPy; the NumPy leg (:mod:`repro.sim.fast.vectorized`)
-is imported only for a cell that runs on it.  Exact-type subclass
-checks and >62-bit history windows are the only exclusions; those raise
+leg — every supported cell with the C build — this module hands the
+trace's packed columns to the compiled kernels and never imports NumPy;
+the NumPy leg (:mod:`repro.sim.fast.vectorized`) is imported only
+without it.  Exact-type subclass checks and >62-bit history windows are
+the only exclusions; those raise
 :class:`FastBackendUnsupported` and the dispatching wrappers in
 :mod:`repro.sim.engine` fall back to the reference loop with a
 :class:`FastBackendFallbackWarning`.
@@ -58,6 +59,8 @@ from repro.sim.fast.capability import (
     unsupported_reason,
 )
 from repro.sim.fast.counter_core import walk
+from repro.sim.fast.gehl import sum_streams
+from repro.sim.fast.sum_core import sum_counts
 from repro.sim.fast.tage import simulate_tage_fast, tage_fast_predictions
 
 __all__ = ["simulate_fast", "simulate_binary_fast"]
@@ -85,9 +88,9 @@ def simulate_fast(
 
     TAGE cells — with or without the multi-class observation estimator
     and the §6.2 adaptive controller — run on the plane-fed sequential
-    kernel over planes built chunk by chunk; bimodal/gshare/local
-    accuracy runs on the C counter walk when the C build resolves;
-    everything else on the NumPy leg.
+    kernel over planes built chunk by chunk.  With the C build,
+    bimodal/gshare/local accuracy runs on the counter walk and
+    perceptron/O-GEHL on the sum walk; without it, on the NumPy leg.
 
     Raises:
         FastBackendUnsupported: when the predictor/estimator/controller
@@ -108,12 +111,15 @@ def simulate_fast(
         )
     arrays = TraceArrays.from_trace(trace)
     kernel = compiled.resolve_counter_walk_kernel()
-    if kernel is not None and type(predictor) in WALK_PREDICTORS:
-        mispredictions, _ = walk(kernel, arrays, predictor, None)
-    else:
+    if kernel is None:
         from repro.sim.fast import vectorized
 
         mispredictions = vectorized.mispredictions(predictor, arrays)
+    elif type(predictor) in WALK_PREDICTORS:
+        mispredictions, _ = walk(kernel, arrays, predictor, None)
+    else:
+        mispredictions, _ = sum_counts(*sum_streams(arrays, predictor),
+                                       arrays.taken_column)
     return _result(trace, predictor, mispredictions)
 
 
@@ -129,10 +135,11 @@ def simulate_binary_fast(
     its own bimodal/gshare/local predictions, over the TAGE prediction
     stream the trace's :class:`~repro.sim.fast.arrays.TraceArrays` holds
     (a lockstep unit publishes it; otherwise it is computed and left
-    there for the next cell), or over a NumPy-leg predictor's stream.
-    Self-confidence assessments come straight out of the
-    perceptron/O-GEHL kernels, and without the C build every binary cell
-    runs on the NumPy leg's vectorized scans.
+    there for the next cell), or over a perceptron's or O-GEHL's sum
+    walk stream.  Self-confidence counts are a byte-column reduction
+    (:func:`~repro.sim.fast.sum_core.sum_counts`) of that walk's
+    outputs, and without the C build every binary cell runs on the
+    NumPy leg's vectorized scans.
 
     Raises:
         FastBackendUnsupported: when the predictor or the estimator is
@@ -145,11 +152,15 @@ def simulate_binary_fast(
         raise FastBackendUnsupported(reason)
     arrays = TraceArrays.from_trace(trace)
     kernel = compiled.resolve_counter_walk_kernel()
-    if kernel is None or type(estimator) is SelfConfidenceEstimator:
+    if kernel is None:
         from repro.sim.fast import vectorized
 
         mispredictions, confusion = vectorized.binary_counts(
             predictor, estimator, arrays, warmup_branches)
+    elif type(estimator) is SelfConfidenceEstimator:
+        mispredictions, confusion = sum_counts(
+            *sum_streams(arrays, predictor), arrays.taken_column,
+            warmup_branches)
     elif type(predictor) in WALK_PREDICTORS:
         mispredictions, confusion = walk(kernel, arrays, predictor, estimator,
                                          warmup_branches)
@@ -164,11 +175,9 @@ def simulate_binary_fast(
 def _prediction_stream(predictor, arrays: TraceArrays):
     """The per-branch predictions a JRS walk is given: the TAGE stream
     on the trace's arrays (published by a lockstep unit, or computed and
-    left there), else the NumPy leg's stream of a perceptron or O-GEHL
-    predictor."""
+    left there), else a perceptron's or O-GEHL's from the sum walk
+    (shared with the trace's self-confidence cells)."""
     if type(predictor) is TagePredictor:
         return arrays.derived(prediction_stream_key(predictor),
                               lambda: tage_fast_predictions(arrays, predictor))
-    from repro.sim.fast import vectorized
-
-    return vectorized.vectorized_predictions(predictor, arrays)
+    return sum_streams(arrays, predictor)[0]

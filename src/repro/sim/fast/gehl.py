@@ -1,56 +1,53 @@
 """Fast kernels for the sum-based predictors (perceptron, O-GEHL).
 
-Both predictors share the structural property the whole fast backend is
-built on: their table *indices* and per-branch history *signs* depend
-only on the PC and the resolved global history — never on predictions —
-so everything except the weight state itself is precomputable for the
-whole trace:
+:func:`perceptron_fast_run` and :func:`ogehl_fast_run` are the entry
+points on both legs (:mod:`repro.sim.fast.capability`), and
+:func:`sum_streams` shares their output through
+:meth:`~repro.sim.fast.arrays.TraceArrays.derived`, so each trace and
+configuration gets one pass whichever cells read it:
 
-* **perceptron** — the PC index and the ±1 input vector of every branch
-  are materialized up front (``history_windows`` bit-unpacked into a
-  dense sign matrix), and because each branch touches exactly one
-  weight row, the per-row access sequences are independent processes
-  the kernel advances in *lockstep*: one batched gather / dot / masked
-  clipped-add per access depth instead of one Python iteration per
-  branch.
-* **O-GEHL** — the per-table geometric folded-history indices are
-  precomputed with the same GF(2) closed form the TAGE planes use
-  (:func:`~repro.sim.fast.windows.folded_history_series`); the
-  sequential remainder is an M-entry table read/sum and the
-  adaptive-threshold (TC) bookkeeping in plain ints.
+* **C leg** — the sum walk of :mod:`repro.sim.fast.sum_core` runs
+  either predictor from the trace's packed columns and a carried
+  state block, and returns the two streams as byte columns.  This
+  module imports no NumPy on that leg.
+* **NumPy leg** — two kernels that rely on the structural property the
+  whole fast backend is built on: table *indices* and per-branch
+  history *signs* depend only on the PC and the resolved global
+  history — never on predictions — so everything but the weight state
+  is precomputable for the whole trace:
+
+  * **perceptron** — the PC index and the ±1 input vector of every
+    branch are materialized up front (``history_windows`` bit-unpacked
+    into a dense sign matrix), and because each branch touches exactly
+    one weight row, the per-row access sequences are independent
+    processes the kernel advances in *lockstep*: one batched gather /
+    dot / masked clipped-add per access depth instead of one Python
+    iteration per branch.
+  * **O-GEHL** — the per-table geometric folded-history indices are
+    precomputed with the same GF(2) closed form the TAGE planes use
+    (:func:`~repro.sim.fast.windows.folded_history_series`); the
+    sequential remainder is an M-entry table read/sum and the
+    adaptive-threshold (TC) bookkeeping in plain ints.
 
 The *self-confidence* estimators of §2.2 ride along for free: they are
 pure functions of the prediction sum (``|sum|`` versus the — for O-GEHL
-dynamically adapted — threshold) the kernel has in hand anyway, so each
-kernel returns the per-branch high-confidence flags next to the
+dynamically adapted — threshold) the kernels have in hand anyway, so
+each returns the per-branch high-confidence flags next to the
 predictions.
 
 Bit-for-bit equivalence with the reference predictors (including the
 exact saturation/clipping arithmetic, the O-GEHL TC threshold walk and
 the assess-between-predict-and-train ordering of
 :class:`~repro.confidence.self_confidence.SelfConfidenceEstimator`) is
-enforced by ``tests/equivalence/test_gehl_differential.py``.  Like the
-rest of the fast backend, the predictor instances are only read for
-configuration and stay in their power-on state.
-
-Both kernels below — the scalar O-GEHL loop and the NumPy lockstep
-perceptron — are the reference translations and the fallback when no C
-compiler is present; :func:`ogehl_fast_run` and
-:func:`perceptron_fast_run` call their twins, the embedded-C loops in
-:mod:`repro.sim.fast.compiled`, whenever the C build resolves (the C
-perceptron reads the packed history windows bit by bit and never
-builds the sign matrix).  They form the ``ogehl-run`` and
-``perceptron-run`` parity groups: each region between the ``repro:
-parity-begin`` and ``repro: parity-end`` comments must change in
-lockstep with its C side.  Both sides record the same group
-fingerprint, so ``repro lint`` (rule RPR004) fails when one side
-drifts until both are revisited and re-stamped — see
-:mod:`repro.analysis.rules.parity`.
+enforced by ``tests/equivalence/test_gehl_differential.py`` on both
+legs and, for the sum walk, branch for branch by
+``tests/equivalence/test_sum_walk.py``.  The walk has no pure twin:
+the NumPy kernels below and the reference engine are its differential
+oracles.  Like the rest of the fast backend, the predictor instances
+are only read for configuration and stay in their power-on state.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.common.bitops import mask
 from repro.predictors.ogehl import OgehlPredictor
@@ -58,35 +55,37 @@ from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.fast import compiled
 from repro.sim.fast.arrays import MAX_WINDOW_BITS, TraceArrays
-from repro.sim.fast.capability import MAX_PERCEPTRON_WEIGHT_BITS
-from repro.sim.fast.windows import folded_history_series, history_windows
+from repro.sim.fast.capability import (
+    MAX_PERCEPTRON_WEIGHT_BITS,
+    prediction_stream_key,
+)
+from repro.sim.fast.sum_core import sum_walk
 
-__all__ = ["perceptron_fast_run", "ogehl_fast_run"]
+__all__ = ["perceptron_fast_run", "ogehl_fast_run", "sum_streams"]
 
 #: Longest perceptron history whose packed window fits an int64 lane.
 MAX_PERCEPTRON_HISTORY = MAX_WINDOW_BITS
 
 
-def perceptron_fast_run(
-    arrays: TraceArrays, predictor: PerceptronPredictor
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch (predictions, self-confidence flags) of a perceptron.
+def sum_streams(arrays: TraceArrays, predictor):
+    """Per-branch (predictions, self-confidence) of a perceptron or
+    O-GEHL predictor, one kernel run per trace and configuration: byte
+    columns from the sum walk, bool ndarrays from the NumPy leg."""
+    run = (perceptron_fast_run if type(predictor) is PerceptronPredictor
+           else ogehl_fast_run)
+    return arrays.derived(prediction_stream_key(predictor),
+                          lambda: run(arrays, predictor))
 
-    The vectorization axis is *across table rows*: branch ``t`` reads
-    and trains only the weight row its PC selects, and the input signs
-    are precomputed, so the per-row access sequences are completely
-    independent processes.  The kernel therefore walks them in
-    lockstep — step ``k`` handles the ``k``-th access of every (still
-    active) row as one batched gather / dot / masked clipped-add —
-    which needs ``max accesses per row`` NumPy steps instead of one
-    Python iteration per branch, and degrades gracefully (never below
-    per-branch work) for traces dominated by one hot row.  With the C
-    build the same indices and windows feed one sequential C loop
-    instead (the ``perceptron-run`` twin).
+
+def perceptron_fast_run(arrays: TraceArrays, predictor: PerceptronPredictor):
+    """Per-branch (predictions, self-confidence flags) of a perceptron:
+    the sum walk's byte columns with the C build, else the NumPy
+    lockstep kernel's bool ndarrays.
 
     Raises:
-        FastBackendUnsupported: for subclassed predictors or histories
-            beyond the packed window width.
+        FastBackendUnsupported: for subclassed predictors, histories
+            beyond the packed window width or weights beyond the int64
+            weight-table width.
     """
     if type(predictor) is not PerceptronPredictor:
         raise FastBackendUnsupported(
@@ -104,6 +103,30 @@ def perceptron_fast_run(
             f"perceptron weight_bits {predictor.weight_bits} exceeds the "
             f"int64 weight-table width ({MAX_PERCEPTRON_WEIGHT_BITS} bits)"
         )
+    kernel = compiled.resolve_sum_walk_kernel()
+    if kernel is not None:
+        return sum_walk(kernel, arrays, predictor)
+    return _perceptron_lockstep(arrays, predictor)
+
+
+def _perceptron_lockstep(arrays: TraceArrays, predictor: PerceptronPredictor):
+    """The NumPy leg's perceptron.
+
+    The vectorization axis is *across table rows*: branch ``t`` reads
+    and trains only the weight row its PC selects, and the input signs
+    are precomputed, so the per-row access sequences are completely
+    independent processes.  The kernel therefore walks them in
+    lockstep — step ``k`` handles the ``k``-th access of every (still
+    active) row as one batched gather / dot / masked clipped-add —
+    which needs ``max accesses per row`` NumPy steps instead of one
+    Python iteration per branch, and degrades gracefully (never below
+    per-branch work) for traces dominated by one hot row.
+    """
+    import numpy as np
+
+    from repro.sim.fast.windows import history_windows
+
+    h = predictor.history_length
     n = len(arrays)
     predictions = np.empty(n, dtype=bool)
     high = np.empty(n, dtype=bool)
@@ -112,18 +135,6 @@ def perceptron_fast_run(
     indices = ((arrays.pcs >> 2) & mask(predictor.log_entries)).astype(np.int64)
     windows = history_windows(arrays.takens, h)
 
-    kernel = compiled.resolve_perceptron_kernel()
-    if kernel is not None:
-        predictions_u8 = np.empty(n, dtype=np.uint8)
-        high_u8 = np.empty(n, dtype=np.uint8)
-        kernel(indices, windows,
-               np.ascontiguousarray(arrays.takens, dtype=np.uint8),
-               h, 1 << predictor.log_entries, predictor.threshold,
-               predictor._weight_min, predictor._weight_max,
-               predictions_u8, high_u8)
-        return predictions_u8.view(bool), high_u8.view(bool)
-
-    # repro: parity-begin perceptron-run/pure fingerprint=0622b443
     # Sign matrix with a constant bias column: row t is [1, x_1 .. x_h]
     # with x_i = +1/-1 for the taken/not-taken history bit of age i-1,
     # so `inputs[t] @ weights[index]` is the full perceptron output.
@@ -174,15 +185,12 @@ def perceptron_fast_run(
                 weight_min,
                 weight_max,
             )
-    # repro: parity-end perceptron-run/pure
     return predictions, high
 
 
-def _ogehl_index_planes(
-    arrays: TraceArrays, predictor: OgehlPredictor
-) -> np.ndarray:
+def _ogehl_index_planes(arrays: TraceArrays, predictor: OgehlPredictor):
     """Every table index of every branch, precomputed trace-wide as one
-    C-contiguous int64 ``(n_tables, n)`` plane block.
+    C-contiguous int64 ``(n_tables, n)`` plane block (NumPy leg).
 
     Table 0 is PC-indexed; tables 1..M-1 mix the PC with the folded
     geometric history exactly like ``OgehlPredictor._indices`` — and the
@@ -192,12 +200,16 @@ def _ogehl_index_planes(
     folds into ``log_entries`` bits, so one unbounded fold serves them
     all.
     """
+    import numpy as np
+
+    from repro.sim.fast.windows import folded_history_series
+
     log_entries = predictor.log_entries
     index_mask = mask(log_entries)
     pc_part = arrays.pcs >> 2
     planes = np.empty((predictor.n_tables, len(arrays)), dtype=np.int64)
     planes[0] = pc_part & index_mask
-    unbounded_folds: dict[int, np.ndarray] = {}
+    unbounded_folds: dict = {}
     for table, length in enumerate(predictor.history_lengths, start=1):
         row = folded_history_series(
             arrays.takens, length, log_entries,
@@ -209,10 +221,10 @@ def _ogehl_index_planes(
     return planes
 
 
-def ogehl_fast_run(
-    arrays: TraceArrays, predictor: OgehlPredictor
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch (predictions, self-confidence flags) of O-GEHL.
+def ogehl_fast_run(arrays: TraceArrays, predictor: OgehlPredictor):
+    """Per-branch (predictions, self-confidence flags) of O-GEHL: the
+    sum walk's byte columns with the C build, else the NumPy leg's
+    scalar loop over precomputed index planes (bool ndarrays).
 
     Raises:
         FastBackendUnsupported: for subclassed predictors.
@@ -222,22 +234,21 @@ def ogehl_fast_run(
             f"predictor {getattr(predictor, 'name', type(predictor).__name__)!r} "
             "is not the (non-subclassed) O-GEHL predictor"
         )
+    kernel = compiled.resolve_sum_walk_kernel()
+    if kernel is not None:
+        return sum_walk(kernel, arrays, predictor)
+    return _ogehl_scalar(arrays, predictor)
+
+
+def _ogehl_scalar(arrays: TraceArrays, predictor: OgehlPredictor):
+    """The NumPy leg's O-GEHL: index planes, then one scalar loop."""
+    import numpy as np
+
     n = len(arrays)
     planes = _ogehl_index_planes(arrays, predictor)
     n_tables = predictor.n_tables
     ctr_max = predictor._ctr_max
     ctr_min = predictor._ctr_min
-
-    kernel = compiled.resolve_ogehl_kernel()
-    if kernel is not None and n > 0:
-        takens64 = np.ascontiguousarray(arrays.takens, dtype=np.int64)
-        predictions_u8 = np.zeros(n, dtype=np.uint8)
-        high_u8 = np.zeros(n, dtype=np.uint8)
-        kernel(takens64, planes, ctr_max, ctr_min,
-               predictor.log_entries, predictions_u8, high_u8)
-        return predictions_u8.astype(bool), high_u8.astype(bool)
-
-    # repro: parity-begin ogehl-run/pure fingerprint=2528c251
     plane_lists = [row.tolist() for row in planes]
     tables = [[0] * (1 << predictor.log_entries) for _ in range(n_tables)]
     # Power-on threshold (``predictor.threshold`` is live TC state the
@@ -282,5 +293,4 @@ def ogehl_fast_run(
                 threshold_counter = 0
                 if threshold > 1:
                     threshold -= 1
-    # repro: parity-end ogehl-run/pure
     return predictions, high

@@ -4,11 +4,11 @@ Bimodal/gshare/local predictions and JRS/eJRS assessments as
 vectorized clamp-add scans (:mod:`repro.sim.fast.scan`) over whole-trace
 index columns built from history windows
 (:mod:`repro.sim.fast.windows`); perceptron/O-GEHL predictions and
-self-confidence from the plane-fed kernels of :mod:`repro.sim.fast.gehl`.
-:mod:`repro.sim.fast.engine` imports this module only for a cell on the
-NumPy leg (no C build, or a perceptron or O-GEHL predictor); the C
-leg's counter walk (:mod:`repro.sim.fast.counter_core`) needs none of
-it.
+self-confidence from the NumPy kernels of :mod:`repro.sim.fast.gehl`.
+:mod:`repro.sim.fast.engine` imports this module only on the NumPy leg
+(no C build); the C leg's counter and sum walks
+(:mod:`repro.sim.fast.counter_core`, :mod:`repro.sim.fast.sum_core`)
+need none of it.
 
 Why this is exact: for every supported component the table *indices
 and input signs* depend only on the branch PC and the resolved outcome
@@ -31,7 +31,6 @@ from repro.confidence.self_confidence import SelfConfidenceEstimator
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.local import LocalHistoryPredictor
-from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.backends import FastBackendUnsupported
 from repro.sim.fast.arrays import TraceArrays
 from repro.sim.fast.capability import (
@@ -40,7 +39,7 @@ from repro.sim.fast.capability import (
     prediction_stream_key,
     predictor_reason,
 )
-from repro.sim.fast.gehl import ogehl_fast_run, perceptron_fast_run
+from repro.sim.fast.gehl import sum_streams
 from repro.sim.fast.scan import (
     resetting_transforms,
     saturating_transforms,
@@ -123,17 +122,6 @@ def _local_predictions(
     return counters >= 2
 
 
-def _sum_predictor_run(predictor, arrays: TraceArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch (predictions, self-confidence) of a sum-based predictor,
-    one kernel run per trace and configuration."""
-    kernel = (
-        perceptron_fast_run if type(predictor) is PerceptronPredictor
-        else ogehl_fast_run
-    )
-    return arrays.derived(prediction_stream_key(predictor),
-                          lambda: kernel(arrays, predictor))
-
-
 def _prediction_pass(predictor, arrays: TraceArrays):
     """One predictions pass of a counter-scan or TAGE predictor."""
     if type(predictor) is BimodalPredictor:
@@ -166,8 +154,7 @@ def vectorized_predictions(predictor, arrays: TraceArrays) -> np.ndarray:
     if reason is not None:
         raise FastBackendUnsupported(reason)
     if type(predictor) in SUM_PREDICTORS:
-        predictions, _ = _sum_predictor_run(predictor, arrays)
-        return predictions
+        return as_bool(sum_streams(arrays, predictor)[0])
     return as_bool(arrays.derived(
         prediction_stream_key(predictor),
         lambda: _prediction_pass(predictor, arrays),
@@ -245,7 +232,7 @@ def binary_counts(predictor, estimator, arrays: TraceArrays,
     ``warmup`` on — the counts :func:`repro.sim.fast.counter_core.walk`
     returns on the C leg."""
     if type(estimator) is SelfConfidenceEstimator:
-        predictions, high = _sum_predictor_run(predictor, arrays)
+        predictions, high = map(as_bool, sum_streams(arrays, predictor))
     else:
         predictions = vectorized_predictions(predictor, arrays)
         high = vectorized_assessments(estimator, arrays, predictions)

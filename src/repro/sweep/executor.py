@@ -43,7 +43,8 @@ through every member chunk by chunk.
 Every cell the default grids can express — all predictor kinds, all estimator
 kinds, adaptive §6.2 included — is inside the fast family, so a
 ``backend="fast"`` sweep over them emits no warnings at all; the probe
-exists for subclassed components and >62-bit history windows.
+exists for subclassed components, >62-bit history windows and any cell
+on an install with neither the C build nor NumPy.
 """
 
 from __future__ import annotations

@@ -329,24 +329,36 @@ def test_pcs_beyond_int64_fall_back_instead_of_overflowing(tmp_path, monkeypatch
 def test_pcs_beyond_int64_run_natively_on_the_c_leg(tmp_path, monkeypatch):
     """C leg: the kernels read the u64 pc column as it is, so the same
     wide-pc trace runs on the fast backend without a warning and gives
-    the reference engine's results."""
+    the reference engine's results — the counter walk, the sum walk
+    (perceptron and O-GEHL, under JRS and self-confidence) and TAGE."""
     monkeypatch.setenv(compiled.PROVIDER_ENV, "cext")
     if compiled.active_provider() != "cext":
         pytest.skip(f"C kernel build unavailable "
                     f"({compiled.provider_unavailable_reason()})")
     path, trace = _wide_pc_trace(tmp_path)
     predictor = build_predictor("16K")
+
+    def self_cell(make, backend):
+        model = make()
+        return simulate_binary(trace, model, SelfConfidenceEstimator(model),
+                               warmup_branches=100, backend=backend)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastBackendFallbackWarning)
-        for make in (GsharePredictor, LocalHistoryPredictor):
+        for make in (GsharePredictor, LocalHistoryPredictor,
+                     PerceptronPredictor, OgehlPredictor):
             assert (simulate_binary(trace, make(), JrsEstimator(), backend="fast")
                     == simulate_binary(trace, make(), JrsEstimator()))
+        for make in (PerceptronPredictor, OgehlPredictor):
+            assert self_cell(make, "fast") == self_cell(make, "reference")
         assert (simulate(trace, predictor, TageConfidenceEstimator(predictor),
                          backend="fast")
                 == simulate(trace, build_predictor("16K"),
                             TageConfidenceEstimator(build_predictor("16K"))))
         sweep, grids = _wide_pc_sweeps(path, len(trace))
-        for predictors in (*grids, (PredictorSpec.of("local"),)):
+        for predictors in (*grids, (PredictorSpec.of("local"),),
+                           (PredictorSpec.of("perceptron"),
+                            PredictorSpec.of("ogehl"))):
             fast = sweep("fast", predictors)
             assert fast.quarantined == ()
             assert fast.table.rows() == sweep("reference", predictors).table.rows()

@@ -1,7 +1,8 @@
 """Backend differentials for the sum-based and local predictors.
 
 Covers the newest members of the fast family: the perceptron and O-GEHL
-dot-product kernels (plain accuracy, × their storage-free
+kernels — the C sum walk, or the NumPy leg's dot-product kernels
+without the C build — (plain accuracy, × their storage-free
 self-confidence estimators, × the JRS-family tables) and the two-level
 local-history predictor (segmented-window + PHT scan), across curated
 off-default geometries and Hypothesis-generated adversarial traces and

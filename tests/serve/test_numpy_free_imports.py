@@ -6,12 +6,12 @@ tenants on the TAGE kernel through the numpy-free
 (``ctypes`` over :class:`array.array` blocks for the C build, plain
 lists for the pure kernels); loading numpy there would add ~12 MB of
 resident memory and tens of milliseconds of start-up to every server
-for nothing.  Offline, the fast backend's C leg — TAGE and the
-bimodal/gshare/local/JRS family with the C build — runs from the
-traces' packed columns without numpy too, so a whole ``repro paper
---quick`` loads it in no process; only a NumPy-leg cell (perceptron,
-O-GEHL, or any cell without a C compiler) imports it, and on an install
-without numpy that cell falls back with one typed warning.  A fresh
+for nothing.  Offline, the fast backend's C leg — every supported cell
+with the C build — runs from the traces' packed columns without numpy
+too, so a whole ``repro paper --quick`` or a sweep of every predictor
+family loads it in no process; only a NumPy-leg cell (any cell without
+a C compiler) imports it, and on an install without numpy that cell
+falls back with one typed warning.  A fresh
 interpreter is the only honest check: this test process has long since
 imported numpy through other tests.
 """
@@ -123,7 +123,8 @@ _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 _SWEEP_GRID = [
     "sweep", "--backend", "fast", "--workers", "2", "--no-cache", "--tsv",
     "--predictors", "tage-16K", "tage-64K", "bimodal", "gshare", "local",
-    "--estimators", "tage", "jrs", "ejrs",
+    "perceptron", "ogehl",
+    "--estimators", "tage", "jrs", "ejrs", "self",
     "--traces", "INT-1", "zoo.markov", "--branches", "2000",
 ]
 
@@ -165,10 +166,11 @@ def _rows(stdout: str) -> list[str]:
 
 
 def test_compiled_sweep_runs_without_numpy():
-    """TAGE and the bimodal/gshare/local/JRS family run on the C leg: with
-    NumPy blocked in the parent and both pooled workers, a fast sweep
-    over a CBP and a zoo trace exits 0, warns nothing, and prints the
-    rows of the same grid run with NumPy allowed."""
+    """TAGE, the bimodal/gshare/local/JRS family and perceptron/O-GEHL
+    under JRS, eJRS and self-confidence run on the C leg: with NumPy
+    blocked in the parent and both pooled workers, a fast sweep over a
+    CBP and a zoo trace exits 0, warns nothing, and prints the rows of
+    the same grid run with NumPy allowed."""
     _require_cext()
     blocked = _cli(_SWEEP_GRID, block_numpy=True, REPRO_COMPILED_PROVIDER="cext")
     assert blocked.returncode == 0, blocked.stderr
@@ -176,7 +178,7 @@ def test_compiled_sweep_runs_without_numpy():
     allowed = _cli(_SWEEP_GRID, block_numpy=False, REPRO_COMPILED_PROVIDER="cext")
     assert allowed.returncode == 0, allowed.stderr
     assert _rows(blocked.stdout) == _rows(allowed.stdout)
-    assert len(_rows(blocked.stdout)) == 1 + 2 * (2 * 3 + 3 * 2)
+    assert len(_rows(blocked.stdout)) == 1 + 2 * (2 * 3 + 3 * 2 + 2 * 3)
 
 
 def test_compiled_paper_run_loads_no_numpy(tmp_path):
@@ -196,19 +198,17 @@ def test_compiled_paper_run_loads_no_numpy(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("predictor,estimator,provider", [
-    ("perceptron", "self", None), ("ogehl", "jrs", None),
-    ("local", "jrs", "none"),
+@pytest.mark.parametrize("predictor,estimator", [
+    ("perceptron", "self"), ("ogehl", "jrs"), ("local", "jrs"),
 ], ids=["perceptron-self", "ogehl-jrs", "local-jrs"])
-def test_numpy_leg_cells_fall_back_without_numpy(predictor, estimator, provider):
-    """A cell whose leg needs NumPy — perceptron and O-GEHL on any
-    build, the counter family without the C kernels — falls back to the
-    reference engine with one typed warning naming NumPy, and still
-    gives the reference rows."""
+def test_numpy_leg_cells_fall_back_without_numpy(predictor, estimator):
+    """A cell whose leg needs NumPy — any cell without the C kernels —
+    falls back to the reference engine with one typed warning naming
+    NumPy, and still gives the reference rows."""
     grid = ["sweep", "--backend", "fast", "--workers", "1", "--no-cache",
             "--tsv", "--predictors", predictor, "--estimators", estimator,
             "--traces", "INT-1", "FP-1", "--branches", "1000"]
-    blocked = _cli(grid, block_numpy=True, REPRO_COMPILED_PROVIDER=provider)
+    blocked = _cli(grid, block_numpy=True, REPRO_COMPILED_PROVIDER="none")
     assert blocked.returncode == 0, blocked.stderr
     warned = [line for line in blocked.stderr.splitlines()
               if "FastBackendFallbackWarning" in line]
@@ -216,3 +216,31 @@ def test_numpy_leg_cells_fall_back_without_numpy(predictor, estimator, provider)
     assert "NumPy is unavailable" in warned[0]
     reference = _cli([*grid[:2], "reference", *grid[3:]], block_numpy=True)
     assert _rows(blocked.stdout) == _rows(reference.stdout)
+
+
+@pytest.mark.parametrize("provider", ["cext", "none"])
+def test_sum_cell_results_unpickle_without_numpy(tmp_path, provider):
+    """A sweep's result-cache entries hold no NumPy object on either leg:
+    perfbench's child unpickles every entry before it reads its peak
+    RSS, so one NumPy scalar in a result would load NumPy back into the
+    process.  The perceptron/O-GEHL cells' entries unpickle with NumPy
+    blocked."""
+    if provider == "cext":
+        _require_cext()
+    cache = tmp_path / "cache"
+    run = _cli(["sweep", "--backend", "fast", "--workers", "1",
+                "--cache-dir", str(cache), "--predictors", "perceptron",
+                "ogehl", "--estimators", "jrs", "ejrs", "self", "--traces",
+                "INT-1", "--branches", "1000"],
+               block_numpy=False, REPRO_COMPILED_PROVIDER=provider)
+    assert run.returncode == 0, run.stderr
+    code = (
+        _BLOCK_NUMPY
+        + "import pickle\nfrom pathlib import Path\n"
+        + f"paths = sorted(Path({str(cache)!r}).glob('*.pkl'))\n"
+        + "for path in paths:\n"
+        + "    with path.open('rb') as handle:\n"
+        + "        pickle.load(handle)\n"
+        + "print(len(paths))\n"
+    )
+    assert _fresh_interpreter(code) == "6"

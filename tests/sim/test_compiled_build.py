@@ -108,7 +108,7 @@ def test_required_cext_without_compiler_warns_once(kernel_cache, no_compiler,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert compiled.resolve_tage_kernel() is None
-        assert compiled.resolve_ogehl_kernel() is None
+        assert compiled.resolve_sum_walk_kernel() is None
         fast = simulate_tage_fast(tiny_trace, TagePredictor(TageConfig.small()))
     fallbacks = [w for w in caught
                  if issubclass(w.category, FastBackendFallbackWarning)]

@@ -19,7 +19,7 @@ from repro.predictors.tage.config import TageConfig
 from repro.predictors.tage.predictor import TagePredictor
 from repro.sim.fast import LockstepCell, simulate_tage_lockstep, tage_fast_predictions
 from repro.sim.fast import arrays as fast_arrays
-from repro.sim.fast import capability, compiled, tage, vectorized
+from repro.sim.fast import capability, compiled, gehl, tage, vectorized
 from repro.sim.fast.arrays import TraceArrays
 from repro.sweep.executor import run_sweep
 from repro.sweep.spec import EstimatorSpec, ExperimentSpec, PredictorSpec
@@ -106,8 +106,8 @@ def test_one_pass_per_stream_over_a_sweep(monkeypatch):
 
     # power_on starts every TAGE kernel pass, on either kernel leg.
     monkeypatch.setattr(tage, "power_on", counting("tage", tage.power_on))
-    monkeypatch.setattr(vectorized, "perceptron_fast_run",
-                        counting("perceptron", vectorized.perceptron_fast_run))
+    monkeypatch.setattr(gehl, "perceptron_fast_run",
+                        counting("perceptron", gehl.perceptron_fast_run))
     monkeypatch.setattr(vectorized, "_jrs_index",
                         counting("jrs_index", vectorized._jrs_index))
 
