@@ -15,8 +15,9 @@ Each leg's time is split into two layers: the NumPy index/window
 preparation (``history_windows``/``fold_windows``/
 ``folded_history_series``, timed by wrapping them; the C leg has none)
 and the kernel proper (the remainder: the NumPy kernels, the counter
-scans or the walks).  Boxes without a C compiler skip — there is
-nothing to measure.
+scans or the walks).  The C leg takes tens of milliseconds, so it runs
+:data:`REPEATS` times and its fastest run is reported.  Boxes without a
+C compiler skip — there is nothing to measure.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from repro.sim.fast import compiled, simulate_binary_fast, vectorized, windows
 from repro.traces.suites import CBP1_TRACE_NAMES, cbp1_trace
 
 SPEEDUP_TARGET = bench_speedup_target()
+#: Runs of the C leg; the fastest is reported (as in
+#: ``test_bench_serve_step.py``).
+REPEATS = 3
 
 
 def _perceptron_self():
@@ -140,14 +144,21 @@ def test_binary_compiled_wallclock(run_once, monkeypatch):
     pure_results, pure_layers = run_once(
         lambda: _run_leg(traces, "none", prep, monkeypatch)
     )
-    compiled_results, compiled_layers = _run_leg(traces, "cext", prep,
-                                                 monkeypatch)
+    # The C leg takes only tens of milliseconds, so one run of it is
+    # noise-bound: time it REPEATS times and keep the fastest run.
+    compiled_runs = [_run_leg(traces, "cext", prep, monkeypatch)
+                     for _ in range(REPEATS)]
 
     # Bit-for-bit equivalence: confusion matrices and accuracy results.
-    assert compiled_results == pure_results
+    for compiled_results, _ in compiled_runs:
+        assert compiled_results == pure_results
 
     pure_seconds = sum(layer["seconds"] for layer in pure_layers.values())
-    compiled_seconds = sum(layer["seconds"] for layer in compiled_layers.values())
+    compiled_seconds, compiled_layers = min(
+        ((sum(layer["seconds"] for layer in layers.values()), layers)
+         for _, layers in compiled_runs),
+        key=lambda run: run[0],
+    )
     speedup = pure_seconds / max(compiled_seconds, 1e-9)
     branches_total = branches * len(traces) * len(CELLS)
     payload = {
@@ -159,6 +170,7 @@ def test_binary_compiled_wallclock(run_once, monkeypatch):
         "cells_per_trace": list(CELLS),
         "pure_seconds": round(pure_seconds, 4),
         "compiled_seconds": round(compiled_seconds, 4),
+        "compiled_repeats": REPEATS,
         "speedup": round(speedup, 2),
         "speedup_target": SPEEDUP_TARGET,
         "pure_branches_per_second": int(branches_total / pure_seconds),

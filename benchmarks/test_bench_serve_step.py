@@ -4,14 +4,18 @@ paper experiment).
 A multi-class served tenant steps on the TAGE kernel: per request
 batch, the ``tage-planes`` builder makes the batch's plane rows from the
 session's carried history and the ``tage-batch`` kernel advances its
-state block.  This bench replays one trace through such a session in
+state block — under the C build, both inside one fused ``tage_step``
+call.  This bench replays one trace through such a session in
 :data:`BATCH`-branch requests on the 16K/64K/256K presets, under the C
 build (``cext``) and the pure kernels (``none``), and times it against
 the reference engine's per-branch loop for the same cell
 (:func:`repro.serve.driver.offline_decisions`, the oracle served
 decisions are checked against).  It asserts bit-identity, splits the
-session time into its two layers (building planes, running the kernel)
-and emits ``benchmarks/records/BENCH_serve_step.json``.
+session time into its two layers (building planes, running the kernel,
+each a call of its own), times the one fused call per batch the server
+makes (``cext`` only; the trace's ``array('Q')`` pc slices, the
+column type the protocol decodes to) and emits
+``benchmarks/records/BENCH_serve_step.json``.
 
 The trajectory metric ``speedup`` is the reference loop's time over the
 ``cext`` session's on the 16K cell — the ``serve-closed`` benchmark's
@@ -99,7 +103,18 @@ def _layers(spec, batches) -> dict:
             kernel(rows, len(pcs), cell.iparams, cell.fparams, cell.state,
                    bytearray(len(pcs)), bytearray(len(pcs)))
     kernel_s = time.perf_counter() - started
-    return {"planes_s": round(planes_s, 5), "kernel_s": round(kernel_s, 5)}
+
+    layers = {"planes_s": round(planes_s, 5), "kernel_s": round(kernel_s, 5)}
+    fused = compiled.resolve_tage_step_kernel()
+    if fused is not None:
+        cell = _resumable(spec)
+        started = time.perf_counter()
+        for pcs, takens in batches:
+            n = len(pcs)
+            fused(n, cell.gparams, cell.history, pcs, takens, cell.iparams,
+                  cell.fparams, cell.state, bytearray(n), bytearray(n))
+        layers["fused_s"] = round(time.perf_counter() - started, 5)
+    return layers
 
 
 def _measure(batches, trace, monkeypatch) -> dict:
@@ -149,7 +164,8 @@ def test_bench_serve_step(run_once, monkeypatch):
     speedup = rows["16K"]["cext"]["speedup"]
 
     lines = [f"{'cell':>10}  {'reference':>10}  "
-             + "  ".join(f"{leg + ' us/br':>12}  {'planes/kernel s':>16}" for leg in LEGS)]
+             + "  ".join(f"{leg + ' us/br':>12}  {'planes/kernel s':>16}" for leg in LEGS)
+             + f"  {'fused s':>8}"]
     for size, row in rows.items():
         cells = []
         for leg in LEGS:
@@ -157,7 +173,8 @@ def test_bench_serve_step(run_once, monkeypatch):
             cells.append(f"{row[leg]['us_per_branch']:>12.2f}  "
                          f"{layers['planes_s']:>7.3f}/{layers['kernel_s']:<8.3f}")
         lines.append(f"{'tage-' + size:>10}  "
-                     f"{row['reference_us_per_branch']:>7.2f} us  " + "  ".join(cells))
+                     f"{row['reference_us_per_branch']:>7.2f} us  " + "  ".join(cells)
+                     + f"  {row['cext']['layers']['fused_s']:>8.4f}")
     lines.append(f"16K reference loop / cext session: {speedup:.1f}x")
     emit("serve_step", "\n".join(lines))
 

@@ -139,7 +139,7 @@ class ServeClient:
     ) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self._reader = reader
+        self._frames = protocol.FrameReader(reader)
         self._writer = writer
         self.session: SessionSpec | None = None
         self.max_retries = max_retries
@@ -284,7 +284,7 @@ class ServeClient:
         await self._writer.drain()
 
     async def _recv(self) -> tuple[int, bytes]:
-        frame = await protocol.read_frame(self._reader)
+        frame = await self._frames.read()
         if frame is None:
             raise ServeError(
                 protocol.ERR_INTERNAL, "server closed the connection"

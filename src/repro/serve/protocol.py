@@ -24,8 +24,13 @@ frame (RESULTS on success, ERROR with a reason code otherwise), and
 responses preserve request order per connection, so clients may pipeline
 freely.
 
-Every malformed frame raises :class:`ProtocolError`; oversized frames
-are rejected before allocation (:data:`MAX_FRAME`).
+Both ends read through one :class:`FrameReader`, which takes up to
+:data:`READ_CHUNK` bytes per wait on the stream and hands out every
+frame already whole in its buffer without waiting.  An OBSERVE decodes
+to a u64 ``array('Q')`` pc column that reaches the TAGE kernel without
+another copy.  Every malformed frame raises :class:`ProtocolError`;
+oversized frames are refused from their length prefix, before their
+body is awaited (:data:`MAX_FRAME`).
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ __all__ = [
     "MAX_FRAME",
     "ProtocolError",
     "encode_frame",
-    "read_frame",
+    "FrameReader",
+    "READ_CHUNK",
     "encode_json",
     "decode_json",
     "pack_observe",
@@ -94,8 +100,13 @@ ERROR_NAMES = {
 #: trigger a giant allocation.  At 9 bytes per observe record this still
 #: allows ~1.8M-branch batches — far past the useful batching range.
 MAX_FRAME = 16 * 1024 * 1024
+#: Bytes a :class:`FrameReader` asks its stream for per wait: a burst of
+#: pipelined 256-branch OBSERVE frames (2,313 bytes each) arrives in one
+#: read, and a partial frame's buffer stays within a frame plus a chunk.
+READ_CHUNK = 64 * 1024
 
 _LENGTH = struct.Struct("<I")
+_HEADER = struct.Struct("<IB")
 _COUNT = struct.Struct("<I")
 _OBSERVE_RECORD = struct.Struct("<QB")
 _RESULT_RECORD = struct.Struct("<BB")
@@ -116,61 +127,77 @@ def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
         raise ProtocolError(
             f"frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )
-    return _LENGTH.pack(length) + bytes([msg_type]) + payload
+    return _HEADER.pack(length, msg_type) + payload
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-    body_timeout: float | None = None,
-) -> tuple[int, bytes] | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+class FrameReader:
+    """Buffered frame reader over one connection's stream.
 
-    An idle connection may sit between frames forever, but once the
-    length prefix has arrived the rest of the frame must follow within
-    ``body_timeout`` seconds — a stalled client mid-frame raises
+    Each wait for data reads up to :data:`READ_CHUNK` bytes, and
+    :meth:`read` returns a frame already whole in the buffer without
+    waiting, so a pipelined burst costs one stream read instead of two
+    per frame.  An idle connection may sit between frames forever, but
+    once part of a frame has arrived every further read must deliver
+    within ``body_timeout`` seconds — a stalled client mid-frame raises
     :class:`asyncio.TimeoutError` instead of pinning the reader task
     (the server answers with an ``ERR_TIMEOUT`` frame and disconnects).
-
-    Raises:
-        ProtocolError: truncated frame, zero/oversized length prefix.
-        asyncio.TimeoutError: frame body stalled past ``body_timeout``.
+    The timer is armed only while a frame is partial.
     """
-    prefix = await reader.read(_LENGTH.size)
-    if not prefix:
-        return None
-    while len(prefix) < _LENGTH.size:
-        more = await _read_with_timeout(
-            reader, _LENGTH.size - len(prefix), body_timeout
-        )
-        if not more:
-            raise ProtocolError(
-                f"truncated length prefix ({len(prefix)} of {_LENGTH.size} bytes)"
-            )
-        prefix += more
-    (length,) = _LENGTH.unpack(prefix)
-    if length == 0:
-        raise ProtocolError("zero-length frame (a frame always has a type byte)")
-    if length > MAX_FRAME:
-        raise ProtocolError(
-            f"frame length {length} exceeds MAX_FRAME ({MAX_FRAME})"
-        )
-    body = b""
-    while len(body) < length:
-        more = await _read_with_timeout(reader, length - len(body), body_timeout)
-        if not more:
-            raise ProtocolError(
-                f"truncated frame body ({len(body)} of {length} bytes)"
-            )
-        body += more
-    return body[0], body[1:]
 
+    __slots__ = ("_stream", "_buffer", "_body_timeout")
 
-async def _read_with_timeout(
-    reader: asyncio.StreamReader, n: int, timeout: float | None
-) -> bytes:
-    if timeout is None:
-        return await reader.read(n)
-    return await asyncio.wait_for(reader.read(n), timeout)
+    def __init__(self, stream: asyncio.StreamReader,
+                 body_timeout: float | None = None) -> None:
+        self._stream = stream
+        self._buffer = bytearray()
+        self._body_timeout = body_timeout
+
+    async def read(self) -> tuple[int, bytes] | None:
+        """The next frame; ``None`` on clean EOF at a frame boundary.
+
+        Raises:
+            ProtocolError: truncated frame, zero/oversized length prefix
+                (refused from the prefix, before its body is awaited).
+            asyncio.TimeoutError: a partial frame stalled past
+                ``body_timeout``.
+        """
+        buffer = self._buffer
+        while True:
+            if len(buffer) >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buffer)
+                if length == 0:
+                    raise ProtocolError(
+                        "zero-length frame (a frame always has a type byte)"
+                    )
+                if length > MAX_FRAME:
+                    raise ProtocolError(
+                        f"frame length {length} exceeds MAX_FRAME ({MAX_FRAME})"
+                    )
+                end = _LENGTH.size + length
+                if len(buffer) >= end:
+                    msg_type = buffer[_LENGTH.size]
+                    payload = bytes(buffer[_LENGTH.size + 1:end])
+                    del buffer[:end]
+                    return msg_type, payload
+            if buffer and self._body_timeout is not None:
+                chunk = await asyncio.wait_for(
+                    self._stream.read(READ_CHUNK), self._body_timeout
+                )
+            else:
+                chunk = await self._stream.read(READ_CHUNK)
+            if not chunk:
+                if not buffer:
+                    return None
+                if len(buffer) < _LENGTH.size:
+                    raise ProtocolError(
+                        f"truncated length prefix ({len(buffer)} of "
+                        f"{_LENGTH.size} bytes)"
+                    )
+                raise ProtocolError(
+                    f"truncated frame body ({len(buffer) - _LENGTH.size} of "
+                    f"{length} bytes)"
+                )
+            buffer += chunk
 
 
 # -- JSON control payloads --------------------------------------------------
@@ -233,8 +260,9 @@ def pack_observe(pcs, takens) -> bytes:
     return _COUNT.pack(count) + body
 
 
-def unpack_observe(payload: bytes) -> tuple[list[int], bytes]:
-    """OBSERVE payload → ``(pcs, takens)`` columns."""
+def unpack_observe(payload: bytes) -> tuple[array, bytes]:
+    """OBSERVE payload → ``(pcs, takens)`` columns: a u64 ``array('Q')``
+    of pcs, which the TAGE kernel reads in place, and the 0/1 bytes."""
     if len(payload) < _COUNT.size:
         raise ProtocolError("observe payload shorter than its count field")
     (count,) = _COUNT.unpack_from(payload)
@@ -254,7 +282,7 @@ def unpack_observe(payload: bytes) -> tuple[list[int], bytes]:
     pcs = array("Q", pc_bytes)
     if sys.byteorder != "little":
         pcs.byteswap()
-    return pcs.tolist(), bytes(takens)
+    return pcs, bytes(takens)
 
 
 def pack_results(predictions: bytes, codes: bytes) -> bytes:

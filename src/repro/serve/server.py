@@ -10,9 +10,17 @@ shard-per-worker:
   worker task — so per-tenant requests execute serially in arrival
   order (sessions need no locks) while distinct shards interleave
   cooperatively;
-* each connection runs a reader task (frames → admission → shard queue)
-  and a writer task draining an ordered response queue, so clients may
-  pipeline requests and still receive responses in request order.
+* each connection runs one reader task (frames → admission → step)
+  over a buffered :class:`~repro.serve.protocol.FrameReader`.  A batch
+  whose shard has nothing queued is stepped by the reader at once —
+  a step never awaits, so this keeps the shard's order without a task
+  hop; otherwise (or with a ``service_delay``, which the worker
+  awaits) it joins the shard's queue;
+* a connection's replies keep request order in a per-connection line:
+  whoever completes the reply at the head of the line — the reader or
+  the shard worker that stepped the batch — writes it and every ready
+  reply behind it, so clients may pipeline requests and still receive
+  responses in request order, with no writer task in between.
 
 Admission control and fault semantics:
 
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import zlib
+from collections import deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
 
@@ -63,7 +72,8 @@ class ServerConfig:
         service_delay: artificial per-request processing delay in
             seconds — a test/bench hook for making queueing effects
             (rejects, timeouts, saturation) deterministic; 0 in
-            production.
+            production.  With a delay, every batch goes through its
+            shard's queue.
     """
 
     host: str = "127.0.0.1"
@@ -94,19 +104,78 @@ class ServerConfig:
 
 
 class _Work:
-    """One admitted observe request travelling through a shard queue."""
+    """One admitted observe request, holding its place in its
+    connection's reply line until it is stepped or refused."""
 
-    __slots__ = ("session", "pcs", "takens", "deadline", "future")
+    __slots__ = ("session", "pcs", "takens", "deadline", "replies", "frame")
 
-    def __init__(self, session, pcs, takens, deadline, future):
+    def __init__(self, session, pcs, takens, deadline, replies):
         self.session = session
         self.pcs = pcs
         self.takens = takens
         self.deadline = deadline
-        self.future = future
+        self.replies = replies
+        #: The reply frame, once the batch is stepped or refused.
+        self.frame = None
 
 
-_CONNECTION_DONE = object()
+class _Replies:
+    """One connection's replies, written in request order.
+
+    Each request takes its place in line as it is read: a reply the
+    reader makes at once (HELLO_OK, an error) as its frame, an admitted
+    observe as its :class:`_Work`.  Whoever completes a reply — the
+    reader, or the shard worker that stepped the batch — writes every
+    reply now ready at the head of the line, so a RESULTS frame goes
+    from the worker to the socket with no task in between.  Once the
+    socket is gone, writes are dropped, but the line still settles, so
+    in-flight work completes without anyone waiting on a dead socket.
+    """
+
+    __slots__ = ("_writer", "_line", "_settled")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self._writer = writer
+        self._line: deque = deque()
+        self._settled: asyncio.Future | None = None
+
+    def send(self, frame: bytes) -> None:
+        """Reply now, after every earlier reply on the connection."""
+        if self._line:
+            self._line.append(frame)
+        else:
+            self._write(frame)
+
+    def hold(self, work: _Work) -> None:
+        """Keep ``work``'s place in line until :meth:`complete`."""
+        self._line.append(work)
+
+    def complete(self, work: _Work, frame: bytes) -> None:
+        """``work``'s reply is ``frame``; release what is now in order."""
+        work.frame = frame
+        line = self._line
+        while line:
+            head = line[0]
+            if isinstance(head, _Work):
+                head = head.frame
+                if head is None:
+                    break
+            line.popleft()
+            self._write(head)
+        if not line and self._settled is not None and not self._settled.done():
+            self._settled.set_result(None)
+
+    async def settled(self) -> None:
+        """Return once every reply in line has been released."""
+        if self._line:
+            self._settled = asyncio.get_running_loop().create_future()
+            await self._settled
+
+    def _write(self, frame: bytes) -> None:
+        if not self._writer.transport.is_closing():
+            self._writer.write(frame)
+
+
 _WORKER_STOP = object()
 
 
@@ -202,39 +271,30 @@ class ConfidenceServer:
                     # tells the client exactly which prefix of its
                     # stream the session state reflects.
                     self.n_timed_out += 1
-                    self._resolve(
-                        work.future,
-                        _error_frame(protocol.ERR_TIMEOUT,
-                                     "request queued past its deadline"),
-                    )
+                    work.replies.complete(work, _error_frame(
+                        protocol.ERR_TIMEOUT, "request queued past its deadline"
+                    ))
                     continue
                 if self.config.service_delay:
                     await asyncio.sleep(self.config.service_delay)
-                try:
-                    predictions, codes = work.session.observe_batch(
-                        work.pcs, work.takens
-                    )
-                except Exception as error:  # state bug — answer, don't die
-                    self._resolve(
-                        work.future,
-                        _error_frame(protocol.ERR_INTERNAL, repr(error)),
-                    )
-                    continue
-                self.n_answered += 1
-                self._resolve(
-                    work.future,
-                    protocol.encode_frame(
-                        protocol.MSG_RESULTS,
-                        protocol.pack_results(predictions, codes),
-                    ),
-                )
+                self._step(work)
             finally:
                 queue.task_done()
 
-    @staticmethod
-    def _resolve(future: asyncio.Future, frame: bytes) -> None:
-        if not future.done():
-            future.set_result(frame)
+    def _step(self, work: _Work) -> None:
+        """Apply one admitted batch to its session and release its reply."""
+        try:
+            predictions, codes = work.session.observe_batch(
+                work.pcs, work.takens
+            )
+        except Exception as error:  # state bug — answer, don't die
+            frame = _error_frame(protocol.ERR_INTERNAL, repr(error))
+        else:
+            self.n_answered += 1
+            frame = protocol.encode_frame(
+                protocol.MSG_RESULTS, protocol.pack_results(predictions, codes)
+            )
+        work.replies.complete(work, frame)
 
     # -- connection handling -------------------------------------------
 
@@ -242,15 +302,11 @@ class ConfidenceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
-        responses: asyncio.Queue = asyncio.Queue()
-        writer_task = asyncio.ensure_future(
-            self._write_responses(writer, responses)
-        )
+        replies = _Replies(writer)
         try:
-            await self._read_requests(reader, responses)
+            await self._read_requests(reader, replies)
         finally:
-            responses.put_nowait(_CONNECTION_DONE)
-            await writer_task
+            await replies.settled()
             self._writers.discard(writer)
             writer.close()
             try:
@@ -259,24 +315,25 @@ class ConfidenceServer:
                 pass
 
     async def _read_requests(
-        self, reader: asyncio.StreamReader, responses: asyncio.Queue
+        self, reader: asyncio.StreamReader, replies: _Replies
     ) -> None:
         """Per-connection reader loop; returns when the stream ends."""
         loop = asyncio.get_running_loop()
+        frames = protocol.FrameReader(
+            reader, body_timeout=self.config.request_timeout
+        )
         session: TenantSession | None = None
         while True:
             try:
-                frame = await protocol.read_frame(
-                    reader, body_timeout=self.config.request_timeout
-                )
+                frame = await frames.read()
             except asyncio.TimeoutError:
                 self.n_timed_out += 1
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_TIMEOUT, "stalled mid-frame"
                 ))
                 return
             except protocol.ProtocolError as error:
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_BAD_REQUEST, str(error)
                 ))
                 return
@@ -291,12 +348,12 @@ class ConfidenceServer:
                     spec = SessionSpec.from_dict(protocol.decode_json(payload))
                     session = self._open_session(spec)
                 except (protocol.ProtocolError, ValueError) as error:
-                    responses.put_nowait(_error_frame(
+                    replies.send(_error_frame(
                         protocol.ERR_BAD_REQUEST, str(error)
                     ))
                     return
                 shard = zlib.crc32(spec.tenant.encode()) % len(self._shards)
-                responses.put_nowait(protocol.encode_frame(
+                replies.send(protocol.encode_frame(
                     protocol.MSG_HELLO_OK,
                     protocol.encode_json({
                         "tenant": spec.tenant,
@@ -310,31 +367,31 @@ class ConfidenceServer:
 
             if msg_type == protocol.MSG_CLOSE:
                 stats = session.stats() if session is not None else {}
-                responses.put_nowait(protocol.encode_frame(
+                replies.send(protocol.encode_frame(
                     protocol.MSG_CLOSED, protocol.encode_json(stats)
                 ))
                 return
 
             if msg_type != protocol.MSG_OBSERVE:
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_BAD_REQUEST,
                     f"unknown message type {msg_type:#x}",
                 ))
                 return
             if session is None:
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_BAD_REQUEST, "observe before hello"
                 ))
                 return
             try:
                 pcs, takens = protocol.unpack_observe(payload)
             except protocol.ProtocolError as error:
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_BAD_REQUEST, str(error)
                 ))
                 return
             if len(pcs) > self.config.max_batch:
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_BAD_REQUEST,
                     f"batch of {len(pcs)} exceeds max_batch "
                     f"({self.config.max_batch})",
@@ -343,7 +400,7 @@ class ConfidenceServer:
 
             # -- admission control (explicit replies, never a hang) ----
             if self._draining:
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_DRAINING, "server is draining"
                 ))
                 continue
@@ -351,21 +408,28 @@ class ConfidenceServer:
             inflight = self._inflight.get(tenant, 0)
             if inflight >= self.config.max_tenant_queue:
                 self.n_rejected += 1
-                responses.put_nowait(_error_frame(
+                replies.send(_error_frame(
                     protocol.ERR_REJECTED,
                     f"tenant {tenant!r} queue full "
                     f"({inflight} requests pending)",
                 ))
                 continue
-            self._inflight[tenant] = inflight + 1
             self.n_admitted += 1
-            future: asyncio.Future = asyncio.get_running_loop().create_future()
-            self._shard_of(tenant).put_nowait(_Work(
+            work = _Work(
                 session, pcs, takens,
                 deadline=loop.time() + self.config.request_timeout,
-                future=future,
-            ))
-            responses.put_nowait(future)
+                replies=replies,
+            )
+            replies.hold(work)
+            shard = self._shard_of(tenant)
+            if shard.empty() and not self.config.service_delay:
+                # Nothing is queued on the shard, and without a service
+                # delay its worker never holds a batch across an await,
+                # so stepping here keeps the shard's order.
+                self._step(work)
+                continue
+            self._inflight[tenant] = inflight + 1
+            shard.put_nowait(work)
 
     def _open_session(self, spec: SessionSpec) -> TenantSession:
         """Create the tenant session, or re-attach to the existing one.
@@ -385,30 +449,6 @@ class ConfidenceServer:
         session = TenantSession(spec)
         self._sessions[spec.tenant] = session
         return session
-
-    async def _write_responses(
-        self, writer: asyncio.StreamWriter, responses: asyncio.Queue
-    ) -> None:
-        """Drain the ordered response queue onto the socket.
-
-        Items are ready frames or futures of frames, in request order.
-        Write failures (client went away) are swallowed — the queue is
-        still consumed so in-flight shard work can resolve its futures
-        without anyone waiting on a dead socket.
-        """
-        broken = False
-        while True:
-            item = await responses.get()
-            if item is _CONNECTION_DONE:
-                return
-            frame = item if isinstance(item, bytes) else await item
-            if broken:
-                continue
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                broken = True
 
 
 def _error_frame(code: int, message: str) -> bytes:

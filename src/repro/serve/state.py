@@ -4,10 +4,14 @@ A tenant session is the live, server-held replica of one offline
 simulation cell.  The paper's estimator is storage-free — a branch's §5
 class comes from state the TAGE predictor already holds — so a
 multi-class (``tage`` estimator) session holds nothing but the TAGE
-kernel's own state: a caller-owned state block, the carried plane
-history and one kernel call per OBSERVE batch
-(:class:`~repro.sim.fast.tage_core.ResumableTageCell`, through the C
-kernels when they resolve and the pure ones otherwise, without NumPy).
+kernel's own state: a caller-owned state block and the carried plane
+history, advanced by one C call per OBSERVE batch that builds the
+batch's plane rows and runs the kernel over them
+(:class:`~repro.sim.fast.tage_core.ResumableTageCell`; the pure builder
+and kernel when the C build does not resolve; never NumPy).  The
+batch's pc column is the u64 ``array('Q')`` the protocol decoded, read
+by the kernel in place, and the C build loads at the session's first
+OBSERVE, not at HELLO.
 Adaptive §6.2 sessions ride the same kernel; its controller is part of
 the state block.  Binary (JRS/eJRS/self) sessions hold the reference
 predictor and estimator objects and advance them through
@@ -193,9 +197,10 @@ class TenantSession:
         Returns parallel byte columns ``(predictions, codes)`` — codes
         are §5 observation-class codes for multi-class sessions, the
         high-confidence flag for binary ones.  A multi-class batch is
-        one :meth:`ResumableTageCell.step` (plane rows from the carried
-        history, then one kernel call); a binary batch is one
-        :func:`~repro.sim.engine.step_batch` over the session's cell.
+        one :meth:`ResumableTageCell.step` (one fused C call: plane rows
+        from the carried history, then the kernel); a binary batch is
+        one :func:`~repro.sim.engine.step_batch` over the session's
+        cell, which iterates the pc column.
         """
         if self._kernel is not None:
             return self._kernel.step(pcs, takens)

@@ -52,9 +52,11 @@ and leaves it advanced.  Its plane rows come from the ``tage_planes``
 builder, which carries its own history block across calls (the
 ``GP_*`` geometry row and ``HS_*`` history block below): an offline run
 powers both blocks on and makes one call of each per plane chunk of
-the trace; a served tenant keeps them and makes one call of each per
-request batch.  The counter and sum walks resume from caller-owned
-blocks the same way (``CP_*``/``CS_*`` and ``SP_*``/``SS_*`` below).
+the trace; a served tenant keeps them and makes one ``tage_step`` call
+per request batch, which builds the batch's rows into a C-side scratch
+block and runs the kernel over them.  The counter and sum walks resume
+from caller-owned blocks the same way (``CP_*``/``CS_*`` and
+``SP_*``/``SS_*`` below).
 
 Each twinned C kernel is a *translation* of a reference loop and carries
 parity markers — ``repro: parity-begin <group>/<side>
@@ -105,6 +107,7 @@ __all__ = [
     "resolve_sum_walk_kernel",
     "warn_missing_compiled",
     "resolve_tage_planes_kernel",
+    "resolve_tage_step_kernel",
     "resolve_trace_synth_kernel",
     "N_IPARAMS",
     "N_FPARAMS",
@@ -726,6 +729,24 @@ int tage_planes(int64_t n, const int64_t *restrict gp,
     return 0;
 }
 /* repro: parity-end tage-planes/c */
+
+/* One served TAGE batch in one call: the batch's plane rows from the
+   carried history into a scratch block, then the kernel over them. */
+int tage_step(int64_t n, const int64_t *gp, int64_t *history,
+              const uint64_t *pcs, const uint8_t *takens,
+              const int64_t *ip, const double *fp, int64_t *state,
+              uint8_t *predictions, uint8_t *classes)
+{
+    int64_t *rows = malloc((size_t)((2 + 2 * gp[0]) * (n > 0 ? n : 1))
+                           * sizeof *rows);
+    if (rows == NULL)
+        return -1;
+    int status = tage_planes(n, gp, history, pcs, takens, rows);
+    if (status == 0)
+        status = tage_batch(n, rows, ip, fp, state, 1, predictions, 1, classes);
+    free(rows);
+    return status;
+}
 
 /* One bimodal/gshare/local predictor and/or one JRS/eJRS table over a
  * batch, from a caller-owned state block (the CS_* slots, then the
@@ -1497,6 +1518,9 @@ def _load_cext() -> bool:
     library.tage_batch.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
     library.tage_planes.restype = ctypes.c_int
     library.tage_planes.argtypes = [i64, ptr, ptr, ptr, ptr, ptr]
+    library.tage_step.restype = ctypes.c_int
+    library.tage_step.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+                                  ptr, ptr]
     library.counter_walk.restype = ctypes.c_int
     library.counter_walk.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     library.sum_walk.restype = ctypes.c_int
@@ -1538,6 +1562,32 @@ def _load_cext() -> bool:
         )
         if status != 0:
             raise MemoryError("compiled TAGE plane builder ran out of memory")
+        return 0
+
+    def cext_tage_step(n, gparams, history, pcs, takens, iparams, fparams,
+                       state, predictions, classes):
+        n_tagged = gparams[GP_N_TAGGED]
+        _require(gparams, 8 * (GP_COMPONENTS + GP_STRIDE * n_tagged), "gparams")
+        _require(history, 8 * history_words(gparams), "history")
+        _require(pcs, 8 * n, "pcs")
+        _require(takens, n, "takens")
+        _require(iparams, 8 * N_IPARAMS, "iparams")
+        _require(fparams, 8 * N_FPARAMS, "fparams")
+        _require(state, 8 * state_words(iparams), "state")
+        _require(predictions, n, "output")
+        _require(classes, n, "output")
+        if iparams[IP_N_TAGGED] != n_tagged:
+            raise ValueError(
+                f"iparams has {iparams[IP_N_TAGGED]} tagged components, "
+                f"gparams {n_tagged}"
+            )
+        status = library.tage_step(
+            n, _address(gparams), _address(history), _address(pcs),
+            _address(takens), _address(iparams), _address(fparams),
+            _address(state), _address(predictions), _address(classes),
+        )
+        if status != 0:
+            raise MemoryError("compiled TAGE step ran out of memory")
         return 0
 
     def cext_counter_walk(n, cparams, state, pcs, takens, given,
@@ -1593,6 +1643,7 @@ def _load_cext() -> bool:
         return pcs, takens, insts
 
     _KERNELS.update({"tage": cext_tage, "tage_planes": cext_tage_planes,
+                     "tage_step": cext_tage_step,
                      "trace_synth": cext_trace_synth,
                      "counter_walk": cext_counter_walk,
                      "sum_walk": cext_sum_walk})
@@ -1713,6 +1764,20 @@ def resolve_tage_planes_kernel():
     block in the layout :func:`resolve_tage_kernel` reads.
     """
     return _resolve("tage_planes")
+
+
+def resolve_tage_step_kernel():
+    """The fused C served-TAGE step, or None to run the pure builder and
+    kernel.
+
+    Signature: ``(n, gparams, history, pcs, takens, iparams, fparams,
+    state, predictions, classes)``: one :func:`resolve_tage_planes_kernel`
+    build of the batch's plane rows into a C-side scratch block, then one
+    :func:`resolve_tage_kernel` pass over them, with each buffer checked
+    once.  ``predictions``/``classes`` are writable ``n``-byte outputs;
+    the other arguments are those two kernels'.
+    """
+    return _resolve("tage_step")
 
 
 def resolve_counter_walk_kernel():

@@ -17,8 +17,8 @@ can step a tenant on it:
   the path register and an outcome ring), instead of the trace-wide
   closed form of :func:`repro.sim.fast.planes.compute_planes`;
 * :class:`ResumableTageCell` — a state block plus a carried history,
-  stepped one batch at a time through the C kernels when they resolve
-  and the pure ones otherwise.
+  stepped one batch at a time through one fused C call when the C
+  build resolves and the pure builder and kernel otherwise.
 
 Running a trace in any number of chunks through one state block and
 one history is bit-identical to one uninterrupted run, because nothing
@@ -637,6 +637,10 @@ def _build_planes(gparams, history, pcs, takens) -> list:
 # repro: parity-end tage-planes/pure
 
 
+#: :attr:`ResumableTageCell._fused` before the cell's first step.
+_UNRESOLVED = object()
+
+
 class ResumableTageCell:
     """One TAGE × §5 observation cell (optionally with the §6.2
     controller) as caller-owned kernel state, stepped per batch.
@@ -644,17 +648,19 @@ class ResumableTageCell:
     Holds the cell's packed parameter rows, its :func:`power_on` state
     block and its carried plane history — nothing else: the predictor,
     estimator and controller objects are read once, at construction,
-    and dropped.  Each :meth:`step` builds the batch's plane rows and
-    runs the kernel over them, through the C builds when the
-    ``REPRO_COMPILED_PROVIDER`` policy resolves them and the pure
-    kernels otherwise (the two are bit-identical).
+    and dropped.  Each :meth:`step` is one fused C call (the batch's
+    plane rows, then the kernel over them) when the
+    ``REPRO_COMPILED_PROVIDER`` policy resolves the C build, and the
+    pure builder and kernel otherwise (the two are bit-identical).  The
+    cell resolves its leg once, at its first step — so a served session
+    loads the C build at its first OBSERVE, not at HELLO — and keeps it.
 
     Raises:
         FastBackendUnsupported: at construction, for cells outside the
             kernel's family.
     """
 
-    __slots__ = ("iparams", "fparams", "state", "gparams", "history")
+    __slots__ = ("iparams", "fparams", "state", "gparams", "history", "_fused")
 
     def __init__(self, predictor, estimator, controller=None) -> None:
         cell = cell_inputs(predictor, estimator, controller, 0)
@@ -662,6 +668,7 @@ class ResumableTageCell:
         self.state = power_on(self.iparams)
         self.gparams = plane_params(plane_geometry(predictor.config))
         self.history = history_power_on(self.gparams)
+        self._fused = _UNRESOLVED
 
     @property
     def observed(self) -> int:
@@ -677,24 +684,27 @@ class ResumableTageCell:
         """Advance over one batch; ``(predictions, class codes)`` back.
 
         ``pcs`` are unsigned 64-bit branch addresses and ``takens`` the
-        resolved outcomes (truthy = taken), in trace order.
+        resolved outcomes (truthy = taken), in trace order.  A u64
+        ``array('Q')`` pc column and a ``bytes``/``bytearray`` outcome
+        column reach the C step as they are; other columns are packed
+        first.
         """
-        n = len(pcs)
-        build = compiled.resolve_tage_planes_kernel()
-        kernel = compiled.resolve_tage_kernel()
-        if build is None or kernel is None:
+        fused = self._fused
+        if fused is _UNRESOLVED:
+            fused = self._fused = compiled.resolve_tage_step_kernel()
+        if fused is None:
             rows = _build_planes(self.gparams, self.history, pcs, takens)
             predictions, codes = _kernel(
                 rows, self.iparams, self.fparams, self.state, True, True
             )
             return bytes(predictions), bytes(codes)
+        if type(pcs) is not array or pcs.typecode != "Q":
+            pcs = array("Q", pcs)
         if not isinstance(takens, (bytes, bytearray)):
             takens = bytes(map(bool, takens))
-        n_rows = 2 + 2 * self.gparams[compiled.GP_N_TAGGED]
-        rows = compiled.int64_block(n_rows * n)
-        build(n, self.gparams, self.history, array("Q", pcs), takens, rows)
+        n = len(pcs)
         predictions = bytearray(n)
         codes = bytearray(n)
-        kernel(rows, n, self.iparams, self.fparams, self.state,
-               predictions, codes)
+        fused(n, self.gparams, self.history, pcs, takens, self.iparams,
+              self.fparams, self.state, predictions, codes)
         return bytes(predictions), bytes(codes)

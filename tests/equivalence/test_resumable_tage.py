@@ -282,3 +282,30 @@ def test_c_kernels_refuse_short_buffers(monkeypatch):
     with pytest.raises(ValueError, match="takens"):
         build(n, gparams, history_power_on(gparams), array("Q", [0] * n),
               bytes(n - 1), rows)
+
+    step = compiled.resolve_tage_step_kernel()
+
+    def run_step(**short):
+        buffers = dict(
+            gparams=gparams, history=history_power_on(gparams),
+            pcs=array("Q", [0] * n), takens=bytes(n), iparams=iparams,
+            fparams=fparams, state=power_on(iparams),
+            predictions=bytearray(n), classes=bytearray(n),
+        )
+        buffers.update(short)
+        step(n, *buffers.values())
+
+    run_step()
+    for name, buffer in [
+        ("history", history_power_on(gparams)[:-1]),
+        ("pcs", array("Q", [0] * (n - 1))),
+        ("takens", bytes(n - 1)),
+        ("state", power_on(iparams)[:-1]),
+        ("output", bytearray(n - 1)),
+    ]:
+        argument = "predictions" if name == "output" else name
+        with pytest.raises(ValueError, match=name):
+            run_step(**{argument: buffer})
+    other, _ = cell_params(TageConfig.medium(), 8, 7, 0, None, None)
+    with pytest.raises(ValueError, match="tagged components"):
+        run_step(iparams=other, state=power_on(other))

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestServeDriveRoundTrip:
         env["PYTHONPATH"] = "src"
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0"],
-            cwd="/root/repo",
+            cwd=Path(__file__).resolve().parents[2],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

@@ -51,9 +51,10 @@ class ScriptedServer:
 
     async def _serve(self, reader, writer):
         sends = 0
+        frames = protocol.FrameReader(reader)
         with contextlib.suppress(ConnectionError, asyncio.IncompleteReadError):
             while True:
-                frame = await protocol.read_frame(reader)
+                frame = await frames.read()
                 if frame is None:
                     break
                 msg_type, payload = frame

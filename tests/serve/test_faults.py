@@ -131,7 +131,7 @@ class TestStalledClient:
                 writer.write(b"\x01\x02\x03")
                 await writer.drain()
                 frame = await asyncio.wait_for(
-                    protocol.read_frame(reader), timeout=5.0
+                    protocol.FrameReader(reader).read(), timeout=5.0
                 )
                 eof = await asyncio.wait_for(reader.read(1), timeout=5.0)
                 writer.close()
@@ -217,7 +217,7 @@ class TestProtocolFaults:
                 writer.write(protocol.encode_frame(protocol.MSG_HELLO, b"{nope"))
                 await writer.drain()
                 frame = await asyncio.wait_for(
-                    protocol.read_frame(reader), timeout=5.0
+                    protocol.FrameReader(reader).read(), timeout=5.0
                 )
                 writer.close()
                 return frame

@@ -2,6 +2,7 @@
 
 import asyncio
 import struct
+from array import array
 
 import pytest
 from hypothesis import given
@@ -19,9 +20,21 @@ def _reader_with(data: bytes) -> asyncio.StreamReader:
 
 def _read_one(data: bytes):
     async def read():
-        return await protocol.read_frame(_reader_with(data))
+        return await protocol.FrameReader(_reader_with(data)).read()
 
     return asyncio.run(read())
+
+
+def _observe_column(pcs, takens):
+    """What ``unpack_observe`` must return for these columns."""
+    return array("Q", pcs), bytes(takens)
+
+
+def _assert_unpacked(got, pcs, takens):
+    """``got`` holds a u64 ``array('Q')`` pc column equal to ``pcs``."""
+    got_pcs, got_takens = got
+    assert type(got_pcs) is array and got_pcs.typecode == "Q"
+    assert (got_pcs, got_takens) == _observe_column(pcs, takens)
 
 
 class TestFrames:
@@ -42,7 +55,8 @@ class TestFrames:
                 protocol.encode_frame(protocol.MSG_HELLO, b"a")
                 + protocol.encode_frame(protocol.MSG_CLOSE, b"bb")
             )
-            return [await protocol.read_frame(reader) for _ in range(3)]
+            frames = protocol.FrameReader(reader)
+            return [await frames.read() for _ in range(3)]
 
         first, second, third = asyncio.run(read_two())
         assert first == (protocol.MSG_HELLO, b"a")
@@ -82,10 +96,168 @@ class TestFrames:
         async def stall():
             reader = asyncio.StreamReader()
             reader.feed_data(frame[:-3])  # never completes, never EOFs
-            await protocol.read_frame(reader, body_timeout=0.05)
+            await protocol.FrameReader(reader, body_timeout=0.05).read()
 
         with pytest.raises(asyncio.TimeoutError):
             asyncio.run(stall())
+
+
+class _CountingReader(asyncio.StreamReader):
+    """A stream that counts the reads a FrameReader makes of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    async def read(self, n=-1):
+        self.reads += 1
+        return await super().read(n)
+
+
+def _run(coro_fn):
+    return asyncio.run(coro_fn())
+
+
+class TestFrameReader:
+    FRAMES = [
+        (protocol.MSG_HELLO, b"{}"),
+        (protocol.MSG_OBSERVE, protocol.pack_observe([0x400000, 7], b"\x01\x00")),
+        (protocol.MSG_CLOSE, b""),
+    ]
+
+    def _wire(self) -> bytes:
+        return b"".join(protocol.encode_frame(t, p) for t, p in self.FRAMES)
+
+    def test_frames_fed_one_byte_at_a_time(self):
+        wire = self._wire()
+
+        async def main():
+            stream = asyncio.StreamReader()
+            frames = protocol.FrameReader(stream, body_timeout=5.0)
+
+            async def feed():
+                for byte in wire:
+                    stream.feed_data(bytes([byte]))
+                    await asyncio.sleep(0)
+                stream.feed_eof()
+
+            feeder = asyncio.ensure_future(feed())
+            got = [await frames.read() for _ in range(len(self.FRAMES) + 1)]
+            await feeder
+            return got
+
+        got = _run(main)
+        assert got == [*self.FRAMES, None]
+
+    def test_several_frames_in_one_read(self):
+        async def main():
+            stream = _CountingReader()
+            stream.feed_data(self._wire())
+            stream.feed_eof()
+            frames = protocol.FrameReader(stream)
+            got = [await frames.read() for _ in range(len(self.FRAMES))]
+            reads = stream.reads
+            tail = await frames.read()
+            return got, reads, tail
+
+        got, reads, tail = _run(main)
+        assert got == self.FRAMES
+        assert reads == 1  # every whole frame came out of one read
+        assert tail is None
+
+    def test_frame_larger_than_a_read_chunk(self):
+        payload = bytes(range(256)) * (3 * protocol.READ_CHUNK // 256 + 1)
+        frame = (protocol.MSG_OBSERVE, payload)
+        assert _read_one(protocol.encode_frame(*frame)) == frame
+
+    def test_length_prefix_split_across_reads(self):
+        wire = protocol.encode_frame(protocol.MSG_OBSERVE, b"payload")
+
+        async def main():
+            stream = _CountingReader()
+            frames = protocol.FrameReader(stream, body_timeout=5.0)
+            stream.feed_data(wire[:2])
+            pending = asyncio.ensure_future(frames.read())
+            await asyncio.sleep(0.01)
+            assert not pending.done()
+            stream.feed_data(wire[2:])
+            return await pending, stream.reads
+
+        frame, reads = _run(main)
+        assert frame == (protocol.MSG_OBSERVE, b"payload")
+        assert reads == 2
+
+    @pytest.mark.parametrize("cut, message", [
+        (2, "truncated length prefix (2 of 4 bytes)"),
+        (4, "truncated frame body (0 of 8 bytes)"),
+        (9, "truncated frame body (5 of 8 bytes)"),
+    ])
+    def test_truncation_messages(self, cut, message):
+        frame = protocol.encode_frame(protocol.MSG_OBSERVE, b"payload")
+        with pytest.raises(protocol.ProtocolError) as error:
+            _read_one(frame[:cut])
+        assert str(error.value) == message
+
+    def test_zero_length_message(self):
+        with pytest.raises(protocol.ProtocolError) as error:
+            _read_one(b"\x00\x00\x00\x00" + b"more")
+        assert str(error.value) == (
+            "zero-length frame (a frame always has a type byte)"
+        )
+
+    def test_oversized_prefix_rejected_before_its_body_arrives(self):
+        """The prefix alone is refused: the reader neither waits for the
+        body nor needs the stream to end."""
+        length = protocol.MAX_FRAME + 1
+
+        async def main():
+            stream = _CountingReader()
+            stream.feed_data(length.to_bytes(4, "little") + b"\x02")
+            frames = protocol.FrameReader(stream, body_timeout=30.0)
+            with pytest.raises(protocol.ProtocolError) as error:
+                await asyncio.wait_for(frames.read(), timeout=5.0)
+            return str(error.value), stream.reads
+
+        message, reads = _run(main)
+        assert message == (
+            f"frame length {length} exceeds MAX_FRAME ({protocol.MAX_FRAME})"
+        )
+        assert reads == 1
+
+    def test_idle_gap_between_frames_never_times_out(self):
+        first = protocol.encode_frame(protocol.MSG_HELLO, b"a")
+        second = protocol.encode_frame(protocol.MSG_CLOSE, b"bb")
+
+        async def main():
+            stream = asyncio.StreamReader()
+            frames = protocol.FrameReader(stream, body_timeout=0.05)
+            stream.feed_data(first)
+            got = [await frames.read()]
+            pending = asyncio.ensure_future(frames.read())
+            await asyncio.sleep(0.25)  # five body timeouts of silence
+            stream.feed_data(second)
+            got.append(await pending)
+            return got
+
+        assert _run(main) == [(protocol.MSG_HELLO, b"a"),
+                              (protocol.MSG_CLOSE, b"bb")]
+
+    @pytest.mark.parametrize("cut", [2, 7])
+    def test_stall_mid_frame_times_out_after_body_timeout(self, cut):
+        frame = protocol.encode_frame(protocol.MSG_OBSERVE, b"payload")
+
+        async def main():
+            stream = asyncio.StreamReader()
+            stream.feed_data(frame[:cut])  # never completes, never EOFs
+            frames = protocol.FrameReader(stream, body_timeout=0.1)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(asyncio.TimeoutError):
+                await frames.read()
+            return loop.time() - started
+
+        elapsed = _run(main)
+        assert 0.09 <= elapsed < 5.0
 
 
 class TestObservePayload:
@@ -93,10 +265,11 @@ class TestObservePayload:
         pcs = [0, 0x400812, 2**64 - 1]
         takens = b"\x01\x00\x01"
         payload = protocol.pack_observe(pcs, takens)
-        assert protocol.unpack_observe(payload) == (pcs, takens)
+        _assert_unpacked(protocol.unpack_observe(payload), pcs, takens)
 
     def test_empty_batch(self):
-        assert protocol.unpack_observe(protocol.pack_observe([], b"")) == ([], b"")
+        _assert_unpacked(protocol.unpack_observe(protocol.pack_observe([], b"")),
+                         [], b"")
 
     def test_column_mismatch(self):
         with pytest.raises(protocol.ProtocolError, match="mismatch"):
@@ -174,7 +347,8 @@ class TestBulkCodecAgainstOracles:
         ))
         payload = protocol.pack_observe(pcs, takens)
         assert payload == _oracle_pack_observe(pcs, takens)
-        assert protocol.unpack_observe(payload) == _oracle_unpack_observe(payload)
+        _assert_unpacked(protocol.unpack_observe(payload),
+                         *_oracle_unpack_observe(payload))
 
     @given(data=st.data(), pcs=_PCS)
     def test_invalid_taken_byte_names_the_first(self, data, pcs):
