@@ -176,7 +176,8 @@ class FrameReader:
                 end = _LENGTH.size + length
                 if len(buffer) >= end:
                     msg_type = buffer[_LENGTH.size]
-                    payload = bytes(buffer[_LENGTH.size + 1:end])
+                    with memoryview(buffer) as view:
+                        payload = bytes(view[_LENGTH.size + 1:end])
                     del buffer[:end]
                     return msg_type, payload
             if buffer and self._body_timeout is not None:

@@ -10,17 +10,17 @@ shard-per-worker:
   worker task — so per-tenant requests execute serially in arrival
   order (sessions need no locks) while distinct shards interleave
   cooperatively;
-* each connection runs one reader task (frames → admission → step)
-  over a buffered :class:`~repro.serve.protocol.FrameReader`.  A batch
-  whose shard has nothing queued is stepped by the reader at once —
-  a step never awaits, so this keeps the shard's order without a task
-  hop; otherwise (or with a ``service_delay``, which the worker
-  awaits) it joins the shard's queue;
+* each connection runs one reader task (frames → admission → shard
+  queue) over a buffered :class:`~repro.serve.protocol.FrameReader`.
+  The buffered reader hands out a pipelined burst without awaiting, so
+  before it admits an observe whose shard has work queued it yields
+  the loop once, letting that shard's worker step what is queued;
 * a connection's replies keep request order in a per-connection line:
-  whoever completes the reply at the head of the line — the reader or
-  the shard worker that stepped the batch — writes it and every ready
-  reply behind it, so clients may pipeline requests and still receive
-  responses in request order, with no writer task in between.
+  whoever completes the reply at the head of the line — the reader, for
+  a reply it makes itself, or the shard worker that stepped the batch —
+  writes it and every ready reply behind it, so clients may pipeline
+  requests and still receive responses in request order, with no
+  writer task in between.
 
 Admission control and fault semantics:
 
@@ -72,8 +72,7 @@ class ServerConfig:
         service_delay: artificial per-request processing delay in
             seconds — a test/bench hook for making queueing effects
             (rejects, timeouts, saturation) deterministic; 0 in
-            production.  With a delay, every batch goes through its
-            shard's queue.
+            production.
     """
 
     host: str = "127.0.0.1"
@@ -125,8 +124,8 @@ class _Replies:
     Each request takes its place in line as it is read: a reply the
     reader makes at once (HELLO_OK, an error) as its frame, an admitted
     observe as its :class:`_Work`.  Whoever completes a reply — the
-    reader, or the shard worker that stepped the batch — writes every
-    reply now ready at the head of the line, so a RESULTS frame goes
+    reader for its own replies, the shard worker for a batch — writes
+    every reply now ready at the head of the line, so a RESULTS frame goes
     from the worker to the socket with no task in between.  Once the
     socket is gone, writes are dropped, but the line still settles, so
     in-flight work completes without anyone waiting on a dead socket.
@@ -277,24 +276,21 @@ class ConfidenceServer:
                     continue
                 if self.config.service_delay:
                     await asyncio.sleep(self.config.service_delay)
-                self._step(work)
+                try:
+                    predictions, codes = work.session.observe_batch(
+                        work.pcs, work.takens
+                    )
+                except Exception as error:  # state bug — answer, don't die
+                    frame = _error_frame(protocol.ERR_INTERNAL, repr(error))
+                else:
+                    self.n_answered += 1
+                    frame = protocol.encode_frame(
+                        protocol.MSG_RESULTS,
+                        protocol.pack_results(predictions, codes),
+                    )
+                work.replies.complete(work, frame)
             finally:
                 queue.task_done()
-
-    def _step(self, work: _Work) -> None:
-        """Apply one admitted batch to its session and release its reply."""
-        try:
-            predictions, codes = work.session.observe_batch(
-                work.pcs, work.takens
-            )
-        except Exception as error:  # state bug — answer, don't die
-            frame = _error_frame(protocol.ERR_INTERNAL, repr(error))
-        else:
-            self.n_answered += 1
-            frame = protocol.encode_frame(
-                protocol.MSG_RESULTS, protocol.pack_results(predictions, codes)
-            )
-        work.replies.complete(work, frame)
 
     # -- connection handling -------------------------------------------
 
@@ -399,12 +395,19 @@ class ConfidenceServer:
                 return
 
             # -- admission control (explicit replies, never a hang) ----
+            tenant = session.spec.tenant
+            shard = self._shard_of(tenant)
+            if not shard.empty():
+                # A pipelined burst comes out of the buffered reader
+                # without an await; one turn of the loop lets the
+                # shard's worker step what is queued before this batch
+                # counts against the tenant's bound.
+                await asyncio.sleep(0)
             if self._draining:
                 replies.send(_error_frame(
                     protocol.ERR_DRAINING, "server is draining"
                 ))
                 continue
-            tenant = session.spec.tenant
             inflight = self._inflight.get(tenant, 0)
             if inflight >= self.config.max_tenant_queue:
                 self.n_rejected += 1
@@ -414,6 +417,7 @@ class ConfidenceServer:
                     f"({inflight} requests pending)",
                 ))
                 continue
+            self._inflight[tenant] = inflight + 1
             self.n_admitted += 1
             work = _Work(
                 session, pcs, takens,
@@ -421,14 +425,6 @@ class ConfidenceServer:
                 replies=replies,
             )
             replies.hold(work)
-            shard = self._shard_of(tenant)
-            if shard.empty() and not self.config.service_delay:
-                # Nothing is queued on the shard, and without a service
-                # delay its worker never holds a batch across an await,
-                # so stepping here keeps the shard's order.
-                self._step(work)
-                continue
-            self._inflight[tenant] = inflight + 1
             shard.put_nowait(work)
 
     def _open_session(self, spec: SessionSpec) -> TenantSession:

@@ -121,8 +121,9 @@ def test_cell_resolves_its_kernel_once_at_the_first_step(kernel_leg,
 def test_pipelined_replies_arrive_in_order(kernel_leg):
     """64 OBSERVEs written before any reply is read: the replies come
     back in request order, bit-identical to the offline reference.  The
-    burst is 8x the tenant's queue bound, yet nothing is refused: a
-    batch whose shard has nothing queued is stepped as it is read."""
+    burst is 8x the tenant's queue bound, yet nothing is refused: the
+    reader yields to the shard's worker before it admits a batch behind
+    queued work, as a reader that awaited each frame did."""
     trace = _trace()
     batch = 64
     n_requests = 64
